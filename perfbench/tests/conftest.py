@@ -1,0 +1,10 @@
+"""Run with ``python3 -m pytest perfbench/tests`` from the repository
+root: puts the checkout's ``src/`` and root on the import path."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (str(ROOT), str(ROOT / "src")):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
