@@ -25,7 +25,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.latency import burst_map_cache_stats
-from repro.errors import DataflowError
+from repro.errors import DataflowError, PrecisionError
 from repro.nvdla.dataflow import golden_conv2d_batched
 from repro.nvdla.pdp import Pdp
 from repro.nvdla.pipeline import StageResult
@@ -42,38 +42,107 @@ from repro.runtime.lowering import CompiledNetwork, StagePlan
 FUSED_CYCLE_MEMO_SIZE = 256
 
 
-class _FusedStage:
-    """Precomputed execution plan for one stage on the fused path.
+#: Exact-integer limits of the float dtypes the fused kernel may use:
+#: every integer of magnitude up to 2**24 (float32) / 2**53 (float64)
+#: is representable, so a GEMM whose worst-case partial sum stays below
+#: the limit produces exact integers whatever the summation order.
+EXACT_FLOAT_LIMITS = ((1 << 24, np.float32), (1 << 53, np.float64))
 
-    Built lazily on the first fused batch: the per-group weight tensors
-    are stacked into one (G, Kg, Cg, R, S) block so a single grouped
-    einsum per kernel-window position covers every group at once
-    (depthwise layers collapse from C python-loop iterations to R*S),
-    and the per-group schedule permutations are flattened into one
-    gather index over the full channel/kernel axes.  Cycle accounting
-    lives in a separate shape-aware memo on the executor
-    (:meth:`BatchExecutor._stage_cycles`): per-image cycles depend on
-    the *actual* output-pixel count, which grows per step under
-    autoregressive decode, so baking one number per stage here would
-    serve stale totals for dynamic shapes.
+
+def exact_float_dtype(bound: int) -> np.dtype:
+    """The narrowest float dtype that carries every partial sum of
+    magnitude <= ``bound`` exactly.
+
+    Raises:
+        DataflowError: ``bound`` reaches 2**53 — no float dtype is
+            exact there.
+    """
+    for limit, dtype in EXACT_FLOAT_LIMITS:
+        if bound < limit:
+            return np.dtype(dtype)
+    raise DataflowError(
+        f"psum bound {bound} >= 2**53: no exact float dtype"
+    )
+
+
+class _FusedStage:
+    """Exact float-GEMM plan for one stage on the fused path.
+
+    Built once per stage when the fused executor is constructed.  The
+    per-group weights are stacked into one block, with each group's
+    scheduled channel order folded back into the weight columns (the
+    kernel reads input channels in their natural order, so no gather
+    runs per batch), and converted to the float dtype picked by the
+    stage's exactness bound::
+
+        bound = max_k sum_i |w_ki| * max|x|
+
+    with ``max|x|`` the magnitude of the stage precision's most
+    negative code.  Every partial sum of every kernel is an integer of
+    magnitude <= bound, so below 2**24 (float32) or 2**53 (float64) it
+    is exactly representable and any BLAS summation order or FMA gives
+    bit-identical psums; at 2**53 construction raises
+    :class:`DataflowError`.  The bound holds only for inputs inside the
+    stage precision: hidden stages receive SDP-clipped activations and
+    :meth:`BatchExecutor.run_batch` checks the network input.
+
+    The weight layout follows the stage's kernel shape:
+
+    * ``"depthwise"`` (one channel per group, one kernel per group):
+      ``(R, S, C)`` tap weights for a per-tap multiply-accumulate;
+    * ``"pointwise"`` (1x1 kernels, no padding): ``(G, Kg, Cg)`` for one
+      grouped matmul straight over the (strided) input;
+    * ``"gemm"`` (everything else): ``(G, Kg, Cg*R*S)`` against im2col
+      columns laid out ``(B, G, Cg, R, S, OH*OW)``.
+
+    Cycle accounting lives in a separate shape-aware memo on the
+    executor (:meth:`BatchExecutor._stage_cycles`): per-image cycles
+    depend on the *actual* output-pixel count, which grows per step
+    under autoregressive decode.
     """
 
-    __slots__ = ("weights", "channel_gather", "kernel_restore")
+    __slots__ = ("kind", "weights", "dtype", "bound", "kernel_restore")
 
     def __init__(self, stage: StagePlan) -> None:
-        self.weights = np.stack(
-            [np.asarray(tensor) for tensor in stage.weights]
+        weights = np.stack(
+            [np.asarray(tensor, dtype=np.int64) for tensor in stage.weights]
         )
-        groups, kernels_per_group, channels_per_group = \
-            self.weights.shape[:3]
-        self.channel_gather = _flat_permutation(
-            (
-                None if schedule is None else schedule.channel_order
-                for schedule in stage.schedules
-            ),
-            groups,
-            channels_per_group,
+        for group, schedule in enumerate(stage.schedules):
+            if schedule is not None:
+                natural = np.empty_like(weights[group])
+                natural[:, schedule.channel_order] = weights[group]
+                weights[group] = natural
+        groups, kernels_per_group, channels_per_group, kernel_h, \
+            kernel_w = weights.shape
+        kernel_l1 = np.abs(weights).reshape(
+            groups * kernels_per_group, -1
+        ).sum(axis=1)
+        self.bound = (
+            int(kernel_l1.max(initial=0))
+            * stage.precision.max_magnitude
         )
+        try:
+            self.dtype = exact_float_dtype(self.bound)
+        except DataflowError as error:
+            raise DataflowError(f"{stage.name}: {error}") from None
+        layer = stage.layer
+        if channels_per_group == 1 and kernels_per_group == 1:
+            self.kind = "depthwise"
+            weights = weights.reshape(groups, kernel_h, kernel_w)
+            weights = weights.transpose(1, 2, 0)
+        elif kernel_h == kernel_w == 1 and not (
+            layer.padding_h or layer.padding_w
+        ):
+            self.kind = "pointwise"
+            weights = weights.reshape(
+                groups, kernels_per_group, channels_per_group
+            )
+        else:
+            self.kind = "gemm"
+            weights = weights.reshape(
+                groups, kernels_per_group, -1
+            )
+        self.weights = np.ascontiguousarray(weights, dtype=self.dtype)
         self.kernel_restore = _flat_permutation(
             stage.kernel_restores, groups, kernels_per_group
         )
@@ -144,13 +213,17 @@ class BatchExecutor:
             ``"first/interior/last"`` spec) mixes backends per stage.
             Outputs are backend-independent (every backend computes the
             exact integer convolution); only cycle accounting differs.
-        fused: run the fused hot path — im2col window extraction,
-            grouped quantized matmul and SDP requantization in one
-            vectorized pass per stage with reused scratch buffers and
-            memoized cycle accounting.  Bit-identical (outputs and
-            cycles) to the unfused path on every backend and precision;
-            pinned by the randomized differential suite in
-            ``tests/runtime/test_fused.py``.
+        fused: run the fused hot path — each conv stage as an exact
+            float GEMM on BLAS (im2col plus one matmul over groups;
+            1x1 stages skip im2col, depthwise stages multiply-accumulate
+            per tap) into reused scratch buffers, then the integer SDP
+            in place, with memoized cycle accounting.  The float dtype
+            is chosen per stage from a worst-case psum bound when the
+            executor is built (see :class:`_FusedStage`), so psums are
+            exact integers and outputs and cycles are bit-identical to
+            the unfused int64 path on every backend and precision;
+            pinned by the randomized differential and psum-identity
+            suites in ``tests/runtime/test_fused.py``.
     """
 
     def __init__(
@@ -168,16 +241,21 @@ class BatchExecutor:
             self.engine = names.pop() if len(names) == 1 else "mixed"
         else:
             self.engine = backend_profile(engine).describe()
-        # Fused-path state: per-stage plans (stacked weights, fused
-        # permutations) and reusable scratch buffers, keyed by stage
-        # index + role; both built lazily on first use.  Cycle totals
-        # live in their own bounded LRU keyed (stage index, actual
-        # output pixels): autoregressive decode presents a different
-        # token count — hence a different output-pixel count — every
-        # step, and an unbounded per-shape memo would grow linearly
-        # with decoded tokens (the fixed-shape CNN assumption baked
-        # into the old per-stage memo).
-        self._fused_stages: "dict[int, _FusedStage]" = {}
+        # Fused-path state: one float-GEMM plan per stage, built (and
+        # its exactness bound checked) here, so an unrepresentable
+        # stage fails at construction, never mid-stream; reusable
+        # scratch buffers keyed by role + stage index, built on first
+        # use.  Cycle totals live in their own bounded LRU keyed
+        # (stage index, actual output pixels): autoregressive decode
+        # presents a different token count — hence a different
+        # output-pixel count — every step, and an unbounded per-shape
+        # memo would grow linearly with decoded tokens (the fixed-shape
+        # CNN assumption baked into the old per-stage memo).
+        self._fused_stages: "tuple[_FusedStage, ...]" = (
+            tuple(_FusedStage(stage) for stage in net.stages)
+            if self.fused
+            else ()
+        )
         self._fused_cycles: "OrderedDict[tuple, int]" = OrderedDict()
         self._scratch: "dict[tuple, np.ndarray]" = {}
 
@@ -188,13 +266,26 @@ class BatchExecutor:
         """One vectorized forward pass.
 
         Args:
-            images: validated (B, C, H, W) int64 batch.
+            images: (B, C, H, W) integer batch of the expected shape.
+                Its values must lie inside the network input precision
+                — the one range check the fused kernel's exactness
+                bound needs, since every later stage reads SDP-clipped
+                activations.
 
         Returns:
             (output, stage_records, conv_cycles) — the stage records
             carry batch-total cycles, matching the
             :class:`~repro.runtime.runner.NetworkResult` contract.
+
+        Raises:
+            DataflowError: a value lies outside the input precision.
         """
+        try:
+            images = self.net.precision.check_array(images)
+        except PrecisionError as error:
+            raise DataflowError(
+                f"{self.net.name}: input batch rejected: {error}"
+            ) from None
         records: list[StageResult] = []
         current = images
         total_cycles = 0
@@ -346,23 +437,18 @@ class BatchExecutor:
         return self._add_residual(stage, out, residual), cycles
 
     # --- fused hot path -----------------------------------------------
-    def _scratch_buf(self, key: tuple, shape: tuple) -> np.ndarray:
-        """Reusable int64 scratch, reallocated only on shape change
-        (e.g. a different batch size).  Fresh buffers are zeroed, so
+    def _scratch_buf(
+        self, key: tuple, shape: tuple, dtype=np.int64
+    ) -> np.ndarray:
+        """Reusable scratch, reallocated only on shape change (e.g. a
+        different batch size).  Fresh buffers are zeroed, so
         padded-input borders stay zero across reuses as long as only
         the interior is rewritten."""
         buffer = self._scratch.get(key)
         if buffer is None or buffer.shape != shape:
-            buffer = np.zeros(shape, dtype=np.int64)
+            buffer = np.zeros(shape, dtype=dtype)
             self._scratch[key] = buffer
         return buffer
-
-    def _fused_stage(self, index: int, stage: StagePlan) -> _FusedStage:
-        plan = self._fused_stages.get(index)
-        if plan is None:
-            plan = _FusedStage(stage)
-            self._fused_stages[index] = plan
-        return plan
 
     def _stage_cycles(
         self,
@@ -426,85 +512,111 @@ class BatchExecutor:
         backend: ComputeBackend,
         residual: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, int]:
-        """Fused equivalent of :meth:`_conv_batched` + SDP: one grouped
-        einsum per kernel-window position over *all* groups at once,
-        accumulating into a reused scratch tensor, with the SDP
-        requantization applied in place on the accumulator.  Every
-        operation is the same exact int64 arithmetic as the unfused
-        path (integer addition is order-independent), so outputs and
-        cycles are bit-identical — only the loop structure and
-        allocation behavior differ."""
-        plan = self._fused_stage(index, stage)
-        layer = stage.layer
-        stride = layer.stride
-        pad_h, pad_w = layer.padding_h, layer.padding_w
-        groups, kernels_per_group, channels_per_group, kernel_h, \
-            kernel_w = plan.weights.shape
-        batch_size, channels, height, width = batch.shape
-        if pad_h or pad_w:
-            padded = self._scratch_buf(
-                ("pad", index),
-                (batch_size, channels,
-                 height + 2 * pad_h, width + 2 * pad_w),
-            )
-            padded[:, :, pad_h : pad_h + height,
-                   pad_w : pad_w + width] = batch
-        else:
-            padded = np.asarray(batch, dtype=np.int64)
-        if plan.channel_gather is not None:
-            gathered = self._scratch_buf(
-                ("gather", index), padded.shape
-            )
-            np.take(padded, plan.channel_gather, axis=1, out=gathered)
-            padded = gathered
-        grouped = padded.reshape(
-            batch_size, groups, channels_per_group, *padded.shape[2:]
-        )
-        out_height = (padded.shape[2] - kernel_h) // stride + 1
-        out_width = (padded.shape[3] - kernel_w) // stride + 1
-        psums = self._scratch_buf(
-            ("psum", index),
-            (batch_size, groups, kernels_per_group,
-             out_height, out_width),
-        )
-        partial = (
-            self._scratch_buf(("partial", index), psums.shape)
-            if kernel_h * kernel_w > 1
-            else psums
-        )
-        position = 0
-        for tap_y in range(kernel_h):
-            for tap_x in range(kernel_w):
-                window = grouped[
-                    :,
-                    :,
-                    :,
-                    tap_y : tap_y + stride * out_height : stride,
-                    tap_x : tap_x + stride * out_width : stride,
-                ]
-                np.einsum(
-                    "gkc,bgcyx->bgkyx",
-                    plan.weights[:, :, :, tap_y, tap_x],
-                    window,
-                    out=psums if position == 0 else partial,
-                )
-                if position:
-                    psums += partial
-                position += 1
-        values = psums.reshape(
-            batch_size, groups * kernels_per_group,
-            out_height, out_width,
-        )
-        if plan.kernel_restore is not None:
-            values = np.take(values, plan.kernel_restore, axis=1)
+        """Fused equivalent of :meth:`_conv_batched` + SDP: the exact
+        float-GEMM psums of :meth:`_fused_psums`, then the integer SDP
+        requantization in place on them.  Outputs and cycles are
+        bit-identical to the unfused path."""
+        values = self._fused_psums(index, stage, batch)
         cycles = self._stage_cycles(
             index,
             stage,
             backend,
-            out_height * out_width if stage.dynamic_hw else None,
+            values.shape[2] * values.shape[3]
+            if stage.dynamic_hw
+            else None,
         )
         out = self._sdp_fused(stage, values)
         return self._add_residual(stage, out, residual), cycles
+
+    def _fused_psums(
+        self, index: int, stage: StagePlan, batch: np.ndarray
+    ) -> np.ndarray:
+        """Pre-SDP psums of one stage as a (B, K, OH, OW) int64 array
+        (scratch-backed), computed in the stage plan's float dtype —
+        exact, because the plan's bound keeps every partial sum an
+        exactly representable integer."""
+        plan = self._fused_stages[index]
+        layer = stage.layer
+        stride = layer.stride
+        pad_h, pad_w = layer.padding_h, layer.padding_w
+        kernel_h, kernel_w = layer.kernel_h, layer.kernel_w
+        batch_size, channels, height, width = batch.shape
+        out_height = (height + 2 * pad_h - kernel_h) // stride + 1
+        out_width = (width + 2 * pad_w - kernel_w) // stride + 1
+        out_shape = (batch_size, channels, out_height, out_width)
+        if plan.kind == "pointwise":
+            # The (strided) input is its own im2col matrix.
+            operand = self._scratch_buf(
+                ("input", index), out_shape, plan.dtype
+            )
+            operand[...] = batch[:, :, ::stride, ::stride]
+        else:
+            source = self._scratch_buf(
+                ("input", index),
+                (batch_size, channels,
+                 height + 2 * pad_h, width + 2 * pad_w),
+                plan.dtype,
+            )
+            source[:, :, pad_h : pad_h + height,
+                   pad_w : pad_w + width] = batch
+            taps = [
+                (tap_y, tap_x, source[
+                    :,
+                    :,
+                    tap_y : tap_y + stride * out_height : stride,
+                    tap_x : tap_x + stride * out_width : stride,
+                ])
+                for tap_y in range(kernel_h)
+                for tap_x in range(kernel_w)
+            ]
+        if plan.kind == "depthwise":
+            psums = self._scratch_buf(
+                ("psum", index), out_shape, plan.dtype
+            )
+            partial = self._scratch_buf(
+                ("partial", index), out_shape, plan.dtype
+            )
+            for tap_y, tap_x, window in taps:
+                weight = plan.weights[tap_y, tap_x, :, None, None]
+                if tap_y == tap_x == 0:
+                    np.multiply(window, weight, out=psums)
+                else:
+                    np.multiply(window, weight, out=partial)
+                    psums += partial
+        else:
+            groups, kernels_per_group = plan.weights.shape[:2]
+            if plan.kind == "gemm":
+                operand = self._scratch_buf(
+                    ("columns", index),
+                    (batch_size, groups, channels // groups,
+                     kernel_h, kernel_w, out_height, out_width),
+                    plan.dtype,
+                )
+                for tap_y, tap_x, window in taps:
+                    operand[:, :, :, tap_y, tap_x] = window.reshape(
+                        batch_size, groups, -1, out_height, out_width
+                    )
+            pixels = out_height * out_width
+            psums = self._scratch_buf(
+                ("psum", index),
+                (batch_size, groups, kernels_per_group, pixels),
+                plan.dtype,
+            )
+            np.matmul(
+                plan.weights,
+                operand.reshape(batch_size, groups, -1, pixels),
+                out=psums,
+            )
+        values = self._scratch_buf(
+            ("values", index),
+            (batch_size, layer.out_channels, out_height, out_width),
+        )
+        np.copyto(
+            values, psums.reshape(values.shape), casting="unsafe"
+        )
+        if plan.kernel_restore is not None:
+            values = np.take(values, plan.kernel_restore, axis=1)
+        return values
 
     def _sdp_fused(
         self, stage: StagePlan, values: np.ndarray

@@ -193,6 +193,38 @@ class CompiledNetwork:
             stage.residual_from == -1 for stage in self.stages
         )
 
+    def check_batch(self, images: np.ndarray) -> np.ndarray:
+        """Validate a (B, C, H, W) input batch; returns it as int64.
+
+        The shape must be ``(B,) + input_shape``, except that
+        dynamic-token programs accept any sequence length on the token
+        (height) axis — autoregressive decode grows it per step;
+        channels and width stay structural.  Values must be integers
+        inside the input precision.
+
+        Raises:
+            DataflowError: the shape does not match.
+            PrecisionError: a value is non-integer or out of range.
+        """
+        images = np.asarray(images)
+        expected = tuple(self.input_shape)
+        matches = (
+            images.ndim == 4 and tuple(images.shape[1:]) == expected
+        )
+        if not matches and images.ndim == 4 and self.dynamic_tokens:
+            channels, _, width = expected
+            matches = (
+                images.shape[1] == channels
+                and images.shape[2] >= 1
+                and images.shape[3] == width
+            )
+        if not matches:
+            raise DataflowError(
+                f"batch shape {images.shape} does not match "
+                f"(B,) + {expected}"
+            )
+        return self.precision.check_array(images)
+
 
 def _rescale_layer(layer: OpSpec, factor: float) -> OpSpec:
     """Scale a layer's declared spatial size, keeping the kernel legal.

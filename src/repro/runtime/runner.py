@@ -124,10 +124,10 @@ class NetworkRunner:
             format.  Defaults to uniform at ``config.precision``.
             When a profile is given, the array geometry is provisioned
             at the profile's widest member (``config`` supplies k/n).
-        fused: run batches on the executor's fused hot path (one
-            vectorized im2col + grouped matmul + SDP pass per stage
-            with scratch reuse) — bit-identical in outputs and cycles
-            to the default path; see
+        fused: run batches on the executor's fused hot path (an
+            exact float GEMM per stage on BLAS + in-place SDP with
+            scratch reuse) — bit-identical in outputs and cycles to
+            the default path; see
             :class:`~repro.runtime.executor.BatchExecutor`.
         """
         self.backend_profile = backend_profile(engine)
@@ -344,26 +344,7 @@ class NetworkRunner:
         images = np.asarray(batch)
         if images.ndim == 3:
             images = images[None]
-        expected = tuple(net.input_shape)
-        matches = (
-            images.ndim == 4 and tuple(images.shape[1:]) == expected
-        )
-        if not matches and images.ndim == 4 and net.dynamic_tokens:
-            # Dynamic-token programs accept any sequence length on the
-            # token (height) axis — autoregressive decode grows it per
-            # step; channels and width stay structural.
-            channels, _, width = expected
-            matches = (
-                images.shape[1] == channels
-                and images.shape[2] >= 1
-                and images.shape[3] == width
-            )
-        if not matches:
-            raise DataflowError(
-                f"batch shape {images.shape} does not match "
-                f"(B,) + {expected}"
-            )
-        return net.precision.check_array(images)
+        return net.check_batch(images)
 
     def _cache_delta(self, before: dict) -> dict:
         after = burst_map_cache_stats()

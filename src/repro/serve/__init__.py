@@ -11,8 +11,9 @@
   supervision: dead/hung-shard detection (on its own probe thread),
   capped-backoff respawn, retry/redispatch with deadlines and
   duplicate discard, graceful degradation to in-process execution.
-- :class:`~repro.serve.gateway.ServingGateway` — asyncio front-end
-  with pipelined dispatch/collection over the supervised pool and a
+- :class:`~repro.serve.gateway.ServingGateway` — request validation
+  at submit, pipelined dispatch/collection threads over the
+  supervised pool (with an optional asyncio wrapper) and a
   per-response latency decomposition (queue wait / dispatch / compute
   / reassembly).
 - :mod:`~repro.serve.loadgen` — seeded Poisson/burst/uniform open-loop

@@ -1,16 +1,19 @@
-"""Asyncio serving gateway: pipelined dispatch over the shard pool.
+"""Serving gateway: pipelined dispatch over the shard pool.
 
 :class:`~repro.serve.sharded.ShardedRunner` serves a request stream
 with a *synchronous* collection phase: every request is submitted,
 then results are gathered.  The gateway is the tier above it for live
 traffic — requests arrive continuously (from the open/closed-loop
-generators in :mod:`repro.serve.loadgen`, or any asyncio front-end)
-and three concerns run **concurrently** so no worker ever waits on the
-parent:
+generators in :mod:`repro.serve.loadgen`, or any thread or coroutine)
+and three concerns run **concurrently** on two gateway threads plus
+the callers, so no worker ever waits on the parent:
 
-* **submit** (any thread / coroutine) — :meth:`ServingGateway.submit`
-  enqueues one image into the :class:`~repro.serve.queue.RequestQueue`
-  (admission control included: block / reject / shed) and returns a
+* **submit** (any thread; :meth:`ServingGateway.submit_async` is a thin
+  asyncio wrapper) — :meth:`ServingGateway.submit` validates one image
+  against the network input (shape, integer dtype, precision range;
+  a malformed request fails only its own ticket), enqueues it into
+  the :class:`~repro.serve.queue.RequestQueue` (admission control
+  included: block / reject / shed) and returns a
   :class:`concurrent.futures.Future` resolving to a
   :class:`GatewayResponse`;
 * **dispatch** (gateway thread) — pulls coalesced batches and ships
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import DataflowError
+from repro.errors import DataflowError, PrecisionError
 from repro.serve.queue import Request, RequestQueue
 
 #: The per-response latency phases, in stream order.
@@ -112,8 +115,10 @@ class GatewayResult:
 
     ``output`` stacks the completed requests' rows in submission
     (sequence) order; under the "block" admission policy that is every
-    submitted request, so the tensor — and ``conv_cycles`` /
-    ``stage_cycles`` — is directly comparable to the single-process
+    request :meth:`ServingGateway.submit` accepted (a malformed one is
+    refused before it takes a sequence number), so the tensor — and
+    ``conv_cycles`` / ``stage_cycles`` — is directly comparable to the
+    single-process
     :meth:`~repro.runtime.runner.NetworkRunner.run` reference.
     """
 
@@ -158,7 +163,9 @@ class _Job:
 
 
 class ServingGateway:
-    """Pipelined asyncio front-end over a supervised shard pool.
+    """Pipelined front-end over a supervised shard pool: a dispatch
+    thread and a collect thread, with :meth:`submit_async` as an
+    optional asyncio wrapper over the thread-safe :meth:`submit`.
 
     One gateway instance serves one request stream: construct it (the
     runner's pool starts/warms and a fresh supervisor stream begins),
@@ -264,14 +271,40 @@ class ServingGateway:
         """Enqueue one request; returns a future resolving to its
         :class:`GatewayResponse`.
 
-        Thread-safe.  Under "block" admission a full queue makes this
-        call wait (backpressure); under "reject" it raises
-        :class:`DataflowError`; under "shed" it may fail the *oldest*
-        pending request's future instead.
+        Thread-safe.  The image must be a (C, H, W) integer array of
+        the network's input shape with every value inside the input
+        precision; otherwise the returned future fails with
+        :class:`DataflowError` and the request never enters the queue
+        (it takes no sequence number), so the requests around it are
+        served as if it had never been sent.  Under "block" admission a
+        full queue makes this call wait (backpressure); under "reject"
+        it raises :class:`DataflowError`; under "shed" it may fail the
+        *oldest* pending request's future instead.
         """
         ticket: Future = Future()
-        self._queue.submit(np.asarray(image), token=ticket)
+        try:
+            image = self._check_request(image)
+        except DataflowError as error:
+            ticket.set_exception(error)
+            return ticket
+        self._queue.submit(image, token=ticket)
         return ticket
+
+    def _check_request(self, image) -> np.ndarray:
+        image = np.asarray(image)
+        if image.ndim != 3:
+            raise DataflowError(
+                f"request shape {image.shape}: expected one (C, H, W) "
+                f"image of shape {tuple(self._net.input_shape)}"
+            )
+        if not np.issubdtype(image.dtype, np.integer):
+            raise DataflowError(
+                f"request dtype {image.dtype}: expected integers"
+            )
+        try:
+            return self._net.check_batch(image[None])[0]
+        except PrecisionError as error:
+            raise DataflowError(f"request rejected: {error}") from None
 
     async def submit_async(self, image: np.ndarray) -> GatewayResponse:
         """Coroutine front-end: submit (off-loop, so "block" admission

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,7 +122,7 @@ class RequestQueue:
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._space = threading.Condition(self._lock)
-        self._pending: list[Request] = []
+        self._pending: "deque[Request]" = deque()
         self._next_seq = 0
         self._closed = False
         self._submitted = 0
@@ -163,7 +164,7 @@ class RequestQueue:
                         )
                     if self.admission == "shed":
                         while self._full():
-                            evicted.append(self._pending.pop(0))
+                            evicted.append(self._pending.popleft())
                             self._shed += 1
                     else:
                         self._blocked += 1
@@ -277,7 +278,6 @@ class RequestQueue:
             return self._take(min(len(self._pending), self.max_batch))
 
     def _take(self, count: int) -> list[Request]:
-        batch = self._pending[:count]
-        del self._pending[:count]
+        batch = [self._pending.popleft() for _ in range(count)]
         self._space.notify_all()
         return batch

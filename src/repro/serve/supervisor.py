@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import queue as thread_queue
 import time
+from collections import deque
 from queue import Empty
 from threading import Event, RLock, Thread
 
@@ -235,7 +236,7 @@ class ShardSupervisor:
         self._deadlines: dict = {}  # job id -> monotonic deadline
         self._last_error: dict = {}  # job id -> last worker traceback
         self._errored: dict = {}  # job id -> consecutive error results
-        self._degraded: list = []  # job ids awaiting in-process run
+        self._degraded: deque = deque()  # jobs awaiting in-process run
         self._done: set = set()
         self.stats = {counter: 0 for counter in HEALTH_COUNTERS}
         # Autonomous health probing: recovery cadence must not depend
@@ -361,7 +362,7 @@ class ShardSupervisor:
             self._deadlines.clear()
             self._last_error.clear()
             self._errored.clear()
-            self._degraded = []
+            self._degraded = deque()
             self._done = set()
             for shard in self._shards:
                 shard.restarts = 0
@@ -641,7 +642,7 @@ class ShardSupervisor:
                         "next_result() with no job in flight"
                     )
                 if self._degraded:
-                    degraded_job = self._degraded.pop(0)
+                    degraded_job = self._degraded.popleft()
             if degraded_job is not None:
                 return self._run_degraded(degraded_job)
             message = self._results.get()

@@ -281,6 +281,42 @@ class TestAdmission:
             gateway.finish()
 
 
+class TestRequestValidation:
+    @pytest.mark.parametrize(
+        "malformed",
+        ["shape", "float_dtype", "above_range", "below_range"],
+    )
+    def test_malformed_request_fails_only_its_ticket(self, malformed):
+        """A malformed request between two healthy ones fails its own
+        ticket at submit; the healthy ones complete, bit-identical to
+        the single-process reference, with no stall."""
+        with _server(workers=1) as server:
+            server.start(MODEL)
+            images = _images(server, 2)
+            bad = {
+                "shape": np.zeros((1, 2, 3), dtype=np.int64),
+                "float_dtype": images[0].astype(np.float64),
+                "above_range": np.full(images[0].shape, 10**9),
+                "below_range": np.full(images[0].shape, -129),
+            }[malformed]
+            gateway = ServingGateway(server, MODEL)
+            first = gateway.submit(images[0])
+            rejected = gateway.submit(bad)
+            last = gateway.submit(images[1])
+            with pytest.raises(DataflowError):
+                rejected.result(timeout=1)
+            rows = [
+                first.result(timeout=10).output,
+                last.result(timeout=10).output,
+            ]
+            result = gateway.finish()
+        reference = _reference(images)
+        assert np.array_equal(np.stack(rows), reference.output)
+        _assert_identical(result, reference, malformed)
+        assert result.completed == (0, 1)
+        assert gateway.stats()["submitted"] == 2
+
+
 class TestSupervisorProbe:
     def test_hang_detected_without_a_consumer(self):
         """The probe thread is autonomous: a hung shard is detected
