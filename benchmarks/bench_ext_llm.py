@@ -5,8 +5,10 @@
 Token-by-token decode of the ``tiny_llm`` transformer block on every
 registered backend at int8/int4/int2: growing-sequence GEMM shapes
 through the dynamic-token linear stages, per-token latency
-percentiles, and batched/fused/per-image/sharded bit-identity verified
-in-driver at every point.
+percentiles, and bit-identity verified in-driver at every point: the
+batched executor against the per-image run through the real cores
+(outputs, total and per-stage cycles), and sharded serving against
+the batched executor.
 
 Run directly::
 
@@ -50,7 +52,7 @@ def run(
         out_dir=RESULTS_DIR if write else None,
     )
     # Contract checks: the sweep covers every backend x precision, and
-    # every point decoded bit-identically across the batched, fused,
+    # every point decoded bit-identically across the batched,
     # per-image and sharded paths with TubMatVec cycle parity.
     points = {
         (record["backend"], record["precision"])

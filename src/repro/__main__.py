@@ -191,14 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     server.add_argument(
-        "--fused",
-        action="store_true",
-        help=(
-            "serve on the fused executor hot path (bit-identical to "
-            "unfused, faster on the host; only with --workers)"
-        ),
-    )
-    server.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
@@ -206,16 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "persistent burst-map cache directory shared by parent "
             "and workers across runs; a second run over the same "
             "directory reports disk-cache hits (only with --workers)"
-        ),
-    )
-    server.add_argument(
-        "--host-speed",
-        action="store_true",
-        help=(
-            "record the raw-speed before/after host-throughput pair "
-            "(unfused/pickle vs fused/shm/warm-cache) and the "
-            "fused-identity matrix in BENCH_networks.json (only "
-            "without --workers)"
         ),
     )
     server.add_argument(
@@ -227,9 +209,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "SLO per (net x backend x workers), with queue-wait / "
             "dispatch / compute / reassembly latency decomposition "
             "and a before/after vs the synchronous driver (writes "
-            "BENCH_load.json; always serves the fused hot path — "
-            "bit-identity to the unfused reference is verified per "
-            "point; --workers caps the pool sweep, default 1 2 4)"
+            "BENCH_load.json; bit-identity to the single-process "
+            "reference is verified per point; --workers caps the "
+            "pool sweep, default 1 2 4)"
         ),
     )
     server.add_argument(
@@ -457,10 +439,10 @@ def _serve_bench(args) -> int:
         if (
             args.workers is None
             and not args.load
-            and (args.transport or args.fused or args.cache_dir)
+            and (args.transport or args.cache_dir)
         ):
             print(
-                "serve-bench failed: --transport/--fused/--cache-dir "
+                "serve-bench failed: --transport/--cache-dir "
                 "configure the sharded serving runtime; add "
                 "--workers N",
                 file=sys.stderr,
@@ -492,9 +474,7 @@ def _serve_bench(args) -> int:
                     ("--batch", args.batch),
                     ("--fault-rate", args.fault_rate or None),
                     ("--transport", args.transport),
-                    ("--fused", args.fused or None),
                     ("--cache-dir", args.cache_dir),
-                    ("--host-speed", args.host_speed or None),
                     ("--load", args.load or None),
                 )
                 if value
@@ -543,9 +523,9 @@ def _serve_bench(args) -> int:
                 print(f"\nwrote {payload['artifact']}")
             return 0
         if args.load:
-            if args.host_speed or args.cache_dir:
+            if args.cache_dir:
                 print(
-                    "serve-bench failed: --host-speed/--cache-dir do "
+                    "serve-bench failed: --cache-dir does "
                     "not apply to the gateway load benchmark; drop "
                     "--load",
                     file=sys.stderr,
@@ -606,13 +586,6 @@ def _serve_bench(args) -> int:
             if "artifact" in payload:
                 print(f"\nwrote {payload['artifact']}")
             return 0
-        if args.workers is not None and args.host_speed:
-            print(
-                "serve-bench failed: --host-speed extends the "
-                "single-process network benchmark; drop --workers",
-                file=sys.stderr,
-            )
-            return 2
         if args.workers is not None:
             if args.workers < 1:
                 print(
@@ -645,7 +618,6 @@ def _serve_bench(args) -> int:
                 fault_rate=fault_rate,
                 fault_seed=args.fault_seed,
                 transport=args.transport,
-                fused=args.fused,
                 cache_dir=args.cache_dir,
                 out_dir=args.out,
             )
@@ -689,7 +661,6 @@ def _serve_bench(args) -> int:
                 quick=args.quick,
                 scheduling=not args.no_schedule,
                 precision=args.precision,
-                host_speed=args.host_speed,
                 out_dir=args.out,
             )
             rendered = render_benchmark(payload)

@@ -38,32 +38,6 @@ def _record(net, backend, precision, cycles) -> dict:
     return record
 
 
-def _check_host_speed(section: dict) -> None:
-    """Validate the optional raw-speed section of a network payload:
-    a before/after host-throughput pair, a positive speedup and a
-    fully-true fused-identity matrix."""
-    for label in ("before", "after"):
-        point = section[label]
-        if float(point["host_images_per_second"]) <= 0.0:
-            raise DataflowError(
-                f"host_speed.{label}: host_images_per_second must "
-                "be positive"
-            )
-    if float(section["host_speedup"]) <= 0.0:
-        raise DataflowError("host_speed: host_speedup must be positive")
-    if not section["bit_identical"]:
-        raise DataflowError(
-            "host_speed: before/after pair is not bit-identical"
-        )
-    for backend, row in section["fused_identity"].items():
-        for precision, identical in row.items():
-            if not identical:
-                raise DataflowError(
-                    f"host_speed: fused executor diverged on "
-                    f"{backend}/{precision}"
-                )
-
-
 def _check_disk_cache(totals: dict) -> None:
     for key in ("disk_hits", "disk_misses", "disk_writes"):
         if int(totals[key]) < 0:
@@ -83,8 +57,6 @@ def _network_records(payload: dict) -> list:
                     stats["conv_cycles"],
                 )
             )
-    if "host_speed" in payload:
-        _check_host_speed(payload["host_speed"])
     return records
 
 

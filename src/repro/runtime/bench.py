@@ -30,8 +30,8 @@ claim-specific logic:
 * :func:`run_llm_benchmark` — token-by-token autoregressive decode of
   the extension transformer block (``results/BENCH_llm.json``):
   growing-sequence GEMM shapes through the dynamic-token linear
-  stages, per-token latency percentiles, and batched/fused/per-image/
-  sharded bit-identity at every backend x precision point.
+  stages, per-token latency percentiles, and batched/per-image/sharded
+  bit-identity at every backend x precision point.
 
 Shared by ``python -m repro serve-bench [--workers N] [--precision P]``
 and the ``benchmarks/bench_network_inference.py`` /
@@ -94,7 +94,6 @@ def run_network_benchmark(
     scheduling: bool = True,
     config: CoreConfig | None = None,
     precision="int8",
-    host_speed: bool = False,
     out_dir: "str | Path | None" = "results",
 ) -> dict:
     """Benchmark batched network inference on both engines.
@@ -108,14 +107,6 @@ def run_network_benchmark(
         config: array geometry (defaults to 16x16 INT8).
         precision: per-layer precision profile (name, IntSpec or
             :class:`~repro.quant.profile.PrecisionProfile`).
-        host_speed: additionally record the raw-speed tier's
-            before/after host-throughput pair (unfused/pickled
-            baseline vs fused executor + shared-memory transport +
-            warm persistent burst-map cache at one worker) plus the
-            fused-vs-unfused bit-identity matrix over all registered
-            backends x uniform precisions.  Off by default — the
-            section carries wall-clock numbers, so deterministic
-            payload consumers opt in.
         out_dir: where BENCH_networks.json is written (None = don't).
 
     Returns:
@@ -216,153 +207,9 @@ def run_network_benchmark(
             "entries": cache["entries"],
         },
     }
-    if host_speed:
-        model = (
-            "mobilenet_v2"
-            if "mobilenet_v2" in spec.nets
-            else spec.nets[0]
-        )
-        payload["host_speed"] = host_speed_record(
-            model,
-            config=config,
-            precision=profile,
-            scale=harness.scale,
-            input_size=harness.input_size,
-            scheduling=scheduling,
-        )
     return write_benchmark_artifact(
         payload, "BENCH_networks.json", out_dir
     )
-
-
-#: The before/after host-speed comparison and the fused identity
-#: matrix sweep these axes (all registered MAC-unit designs at the
-#: paper's three uniform precisions).
-HOST_SPEED_BACKENDS = ("binary", "tempus", "tugemm", "tubgemm")
-HOST_SPEED_PRECISIONS = ("int8", "int4", "int2")
-
-
-def host_speed_record(
-    model: str,
-    config: CoreConfig | None = None,
-    precision="int8",
-    scale: float = 1.0,
-    input_size: "int | None" = None,
-    scheduling: bool = True,
-    requests: int = 32,
-    repeats: int = 3,
-) -> dict:
-    """Measure the raw-speed tier's before/after pair on one model.
-
-    ``before`` is the naive serving configuration: unfused executor,
-    pickled queue transport, no persistent cache.  ``after`` enables
-    all three raw-speed features — the fused executor hot path, the
-    shared-memory shard transport and a warm persistent burst-map
-    cache — at the same worker count (1, so the comparison isolates
-    per-request host cost rather than pool parallelism).  Both runs
-    are verified bit-identical (outputs and cycles) against each
-    other, and the record carries the fused-vs-unfused identity matrix
-    over every registered backend x uniform precision.
-    """
-    import tempfile
-
-    from repro.runtime.runner import NetworkRunner
-    from repro.serve import ShardedRunner
-    from repro.serve.shm import default_transport
-
-    variants = {
-        "before": dict(transport="pickle", fused=False),
-        "after": dict(transport=default_transport(), fused=True),
-    }
-    measured = {}
-    outputs = {}
-    with tempfile.TemporaryDirectory(
-        prefix="repro-burst-cache-"
-    ) as cache_dir:
-        for label, knobs in variants.items():
-            with ShardedRunner(
-                workers=1,
-                config=config,
-                engine="tempus",
-                scheduling=scheduling,
-                scale=scale,
-                input_size=input_size,
-                precision=precision,
-                cache_dir=(
-                    cache_dir if label == "after" else None
-                ),
-                **knobs,
-            ) as server:
-                server.start(model)
-                # Warm pool, burst maps and (after) the disk tier, so
-                # the timed runs compare steady-state host cost.
-                server.run(model, requests)
-                result, seconds = measure(
-                    lambda: server.run(model, requests), repeats
-                )
-            outputs[label] = result
-            record = engine_record(result, seconds)
-            record.update(knobs)
-            record["persistent_cache"] = label == "after"
-            measured[label] = record
-    if not (
-        np.array_equal(
-            outputs["before"].output, outputs["after"].output
-        )
-        and outputs["before"].conv_cycles
-        == outputs["after"].conv_cycles
-    ):
-        raise DataflowError(
-            f"{model}: the fused/shm serving path diverged from the "
-            "unfused baseline"
-        )
-    # The acceptance matrix, verified in-driver: the fused executor is
-    # bit-identical (outputs AND per-stage cycles) to the reference
-    # path on every backend at every uniform precision.
-    from repro.runtime.executor import BatchExecutor
-
-    identity = {}
-    for backend in HOST_SPEED_BACKENDS:
-        identity[backend] = {}
-        for name in HOST_SPEED_PRECISIONS:
-            runner = NetworkRunner(
-                config,
-                engine=backend,
-                scheduling=scheduling,
-                scale=scale,
-                input_size=input_size,
-                precision=name,
-            )
-            net = runner.compile(model)
-            images = runner.synthesize_batch(model, 2)
-            plain = BatchExecutor(net).run_job(images)
-            fused = BatchExecutor(net, fused=True).run_job(images)
-            identical = bool(
-                np.array_equal(plain["output"], fused["output"])
-                and plain["conv_cycles"] == fused["conv_cycles"]
-                and plain["stage_cycles"] == fused["stage_cycles"]
-            )
-            if not identical:
-                raise DataflowError(
-                    f"{model}: fused executor diverged on "
-                    f"{backend}/{name}"
-                )
-            identity[backend][name] = identical
-    speedup = (
-        measured["after"]["host_images_per_second"]
-        / max(measured["before"]["host_images_per_second"], 1e-12)
-    )
-    return {
-        "model": model,
-        "workers": 1,
-        "requests": int(requests),
-        "repeats": int(repeats),
-        "before": measured["before"],
-        "after": measured["after"],
-        "host_speedup": float(speedup),
-        "bit_identical": True,
-        "fused_identity": identity,
-    }
 
 
 #: Nominal shard clock for converting simulated cycle makespans into
@@ -387,7 +234,6 @@ def run_serving_benchmark(
     fault_seed: int = 110,
     job_deadline: "float | None" = None,
     transport: "str | None" = None,
-    fused: bool = False,
     cache_dir: "str | Path | None" = None,
     out_dir: "str | Path | None" = "results",
 ) -> dict:
@@ -434,9 +280,6 @@ def run_serving_benchmark(
         transport: how batch/result tensors cross the worker boundary
             — "shm" (shared-memory segments) or "pickle"; None picks
             the platform default (shm where available).
-        fused: serve every point on the executor's fused hot path
-            (bit-identity to the unfused single-process reference is
-            still verified per point).
         cache_dir: persistent burst-map cache directory shared by the
             parent and all workers; the per-point cache records then
             carry disk hit/miss/write deltas (the cold-vs-warm CI leg
@@ -519,7 +362,6 @@ def run_serving_benchmark(
                 fault_plan=fault_plan,
                 job_deadline=job_deadline,
                 transport=transport,
-                fused=fused,
                 cache_dir=cache_dir,
             ) as server:
                 transport = server.transport  # resolved default
@@ -602,7 +444,6 @@ def run_serving_benchmark(
         "fault_rate": float(fault_rate),
         "fault_seed": int(fault_seed) if fault_rate > 0.0 else None,
         "transport": transport,
-        "fused": bool(fused),
         "cache_dir": None if cache_dir is None else str(cache_dir),
         "models": model_records,
     }
@@ -669,8 +510,7 @@ def render_serving_benchmark(payload: dict) -> str:
             f"{payload.get('precision_layers', config['precision'])} "
             f"(scale {payload['scale']}, input {payload['input_size']}, "
             f"max_batch {payload['max_batch']}, "
-            f"transport {payload.get('transport', 'pickle')}"
-            f"{', fused' if payload.get('fused') else ''})"
+            f"transport {payload.get('transport', 'pickle')})"
         ),
     )
     if payload.get("cache_dir"):
@@ -737,7 +577,6 @@ def run_load_benchmark(
     fault_rate: float = DEFAULT_LOAD_FAULT_RATE,
     fault_seed: int = 110,
     transport: "str | None" = None,
-    fused: bool = True,
     search_iterations: int = 5,
     profile: bool = False,
     out_dir: "str | Path | None" = "results",
@@ -778,7 +617,7 @@ def run_load_benchmark(
         arrival_seed: seed of every arrival schedule (replayable).
         fault_rate / fault_seed: chaos-leg injection knobs
             (``fault_rate=0`` skips the chaos leg).
-        transport / fused / max_batch / max_wait / precision: serving
+        transport / max_batch / max_wait / precision: serving
             knobs, as in :func:`run_serving_benchmark`.
         search_iterations: bisection steps of the SLO search.
         profile: attach the per-batch phase breakdown of each point's
@@ -852,7 +691,6 @@ def run_load_benchmark(
             fault_plan=fault_plan if chaos else None,
             job_deadline=2.0 if chaos else None,
             transport=transport,
-            fused=fused,
         )
 
     def identical(result, reference) -> bool:
@@ -1123,7 +961,6 @@ def run_load_benchmark(
             int(fault_seed) if fault_rate > 0.0 else None
         ),
         "transport": resolved_transport,
-        "fused": bool(fused),
         "slo": {
             "p99_ms": (
                 float(slo_ms) if slo_ms is not None else None
@@ -1200,8 +1037,7 @@ def render_load_benchmark(payload: dict) -> str:
         title=(
             "serving gateway load "
             f"(p99 SLO: {payload['slo']['source']}, transport "
-            f"{payload['transport']}"
-            f"{', fused' if payload.get('fused') else ''}, "
+            f"{payload['transport']}, "
             f"max_batch {payload['max_batch']}, scale "
             f"{payload['scale']}, input {payload['input_size']}"
             f"{chaos})"
@@ -2088,14 +1924,14 @@ def run_llm_benchmark(
     autoregressive serving.
 
     Per (backend, precision) point, every decode step is verified
-    bit-identical (outputs AND cycles) across the batched, fused and
-    per-image reference paths, sharded serving is re-verified at
-    several prefix checkpoints for every worker count, and the first
-    projection's cycle accounting is pinned to the standalone
-    :class:`~repro.gemm.llm.TubMatVec` GEMV engine.  Recorded per
-    point: the per-step cycle series, per-token latency percentiles
-    (p50/p90/p99 in cycles and microseconds at the serving clock) and
-    steady-state host decode throughput.
+    bit-identical (outputs AND cycles, total and per stage) between the
+    batched executor and the per-image reference path, sharded serving
+    is re-verified at several prefix checkpoints for every worker
+    count, and the first projection's cycle accounting is pinned to
+    the standalone :class:`~repro.gemm.llm.TubMatVec` GEMV engine.
+    Recorded per point: the per-step cycle series, per-token latency
+    percentiles (p50/p90/p99 in cycles and microseconds at the serving
+    clock) and steady-state host decode throughput.
 
     Args:
         backends: registered backend names to sweep.
@@ -2112,7 +1948,6 @@ def run_llm_benchmark(
         the record written to the artifact.
     """
     from repro.models.layers import LinearSpec
-    from repro.runtime.executor import BatchExecutor
     from repro.serve import ShardedRunner
     from repro.utils.rng import make_rng
 
@@ -2160,8 +1995,7 @@ def run_llm_benchmark(
                     for stage in net.stages
                     if isinstance(stage.layer, LinearSpec)
                 ]
-            plain = runner.executor(model)
-            fused = BatchExecutor(net, None, fused=True)
+            executor = runner.executor(model)
             # One fixed stream per decode length; every backend and
             # precision decodes prefixes of the same token sequence
             # (clipped per profile by the activation format itself).
@@ -2176,24 +2010,22 @@ def run_llm_benchmark(
             reference_at: dict = {}
             for step in range(1, tokens + 1):
                 prefix = stream[:, :, :step, :]
-                job = plain.run_job(prefix)
-                fused_job = fused.run_job(prefix)
+                job = executor.run_job(prefix)
                 reference = runner.run_per_image(model, prefix)
                 identical = bool(
-                    np.array_equal(job["output"], fused_job["output"])
-                    and job["conv_cycles"] == fused_job["conv_cycles"]
-                    and job["stage_cycles"]
-                    == fused_job["stage_cycles"]
-                    and np.array_equal(
-                        job["output"], reference.output
-                    )
+                    np.array_equal(job["output"], reference.output)
                     and job["conv_cycles"] == reference.conv_cycles
+                    and job["stage_cycles"]
+                    == tuple(
+                        record.conv_cycles
+                        for record in reference.stages
+                    )
                 )
                 if not identical:
                     raise DataflowError(
                         f"{model} @ {name}/{profile.name}: decode "
-                        f"step {step} diverged across the batched/"
-                        "fused/per-image paths"
+                        f"step {step} diverged between the batched "
+                        "and per-image paths"
                     )
                 per_token.append(
                     {
@@ -2244,7 +2076,7 @@ def run_llm_benchmark(
             # already compiled the net and warmed every burst map.
             _, seconds = measure(
                 lambda: [
-                    plain.run_job(stream[:, :, :step, :])
+                    executor.run_job(stream[:, :, :step, :])
                     for step in range(1, tokens + 1)
                 ]
             )
@@ -2409,16 +2241,4 @@ def render_benchmark(payload: dict) -> str:
             f"(scale {payload['scale']}, input {payload['input_size']})"
         ),
     )
-    speed = payload.get("host_speed")
-    if speed:
-        table += (
-            f"\n\nhost speed ({speed['model']}, "
-            f"{speed['workers']} worker, {speed['requests']} "
-            "requests): "
-            f"{speed['before']['host_images_per_second']:,.0f} -> "
-            f"{speed['after']['host_images_per_second']:,.0f} "
-            f"img/s host ({speed['host_speedup']:.1f}x: fused + "
-            f"{speed['after']['transport']} transport + persistent "
-            "burst cache), bit-identical"
-        )
     return table

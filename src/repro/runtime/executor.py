@@ -2,39 +2,44 @@
 
 :class:`BatchExecutor` is the single implementation of the vectorized
 forward pass over a :class:`~repro.runtime.lowering.CompiledNetwork`:
-seam adapters, PDP pools, per-group convolution, SDP requantization and
-the analytic cycle accounting — per stage, on the stage's registered
-compute backend (:mod:`repro.runtime.backends`).  Both the in-process
+seam adapters, PDP pools, each conv stage as an exact float GEMM on
+BLAS, SDP requantization in place and the analytic cycle accounting —
+per stage, on the stage's registered compute backend
+(:mod:`repro.runtime.backends`).  Both the in-process
 :class:`~repro.runtime.runner.NetworkRunner` and the worker processes of
 :class:`~repro.serve.ShardedRunner` execute batches through this one
 class, which is what makes the sharded serving path bit-identical (in
 outputs *and* cycles) to single-process inference: there is exactly one
-code path to agree with.
+batched code path, and its oracle is the per-image run through the real
+convolution cores
+(:meth:`~repro.runtime.runner.NetworkRunner.run_per_image`).
 
-The executor is deliberately stateless beyond its compiled program, so
-it can be constructed in a parent process and shipped to workers (the
-compiled network pickles; with ``fork`` it is inherited copy-on-write
-and the burst-map cache entries warmed during lowering come along for
-free — see the cache notes in :mod:`repro.core.latency`).
+Beyond its compiled program the executor holds only derived, reusable
+state (per-stage GEMM plans, a bounded cycle memo and grow-only scratch
+buffers), so it can be constructed in a parent process and shipped to
+workers (the compiled network pickles; with ``fork`` it is inherited
+copy-on-write and the burst-map cache entries warmed during lowering
+come along for free — see the cache notes in
+:mod:`repro.core.latency`).
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 
 import numpy as np
 
 from repro.core.latency import burst_map_cache_stats
 from repro.errors import DataflowError, PrecisionError
-from repro.nvdla.dataflow import golden_conv2d_batched
 from repro.nvdla.pdp import Pdp
 from repro.nvdla.pipeline import StageResult
-from repro.nvdla.sdp import Sdp, _rounded_shift
+from repro.nvdla.sdp import _rounded_shift
 from repro.runtime.backends import DEFAULT_BACKEND, ComputeBackend, \
     backend_profile, get_backend, resolve_stage_backends
 from repro.runtime.lowering import CompiledNetwork, StagePlan
 
-#: Bound on the fused-path cycle memo (entries are (stage index,
+#: Bound on the executor's cycle memo (entries are (stage index,
 #: output-pixel count) pairs).  Large enough that a whole CNN program
 #: plus a long decode's worth of distinct sequence lengths stay warm;
 #: small enough that token-by-token serving can never grow executor
@@ -42,7 +47,7 @@ from repro.runtime.lowering import CompiledNetwork, StagePlan
 FUSED_CYCLE_MEMO_SIZE = 256
 
 
-#: Exact-integer limits of the float dtypes the fused kernel may use:
+#: Exact-integer limits of the float dtypes the conv kernel may use:
 #: every integer of magnitude up to 2**24 (float32) / 2**53 (float64)
 #: is representable, so a GEMM whose worst-case partial sum stays below
 #: the limit produces exact integers whatever the summation order.
@@ -66,9 +71,9 @@ def exact_float_dtype(bound: int) -> np.dtype:
 
 
 class _FusedStage:
-    """Exact float-GEMM plan for one stage on the fused path.
+    """Exact float-GEMM plan for one conv stage.
 
-    Built once per stage when the fused executor is constructed.  The
+    Built once per stage when the executor is constructed.  The
     per-group weights are stacked into one block, with each group's
     scheduled channel order folded back into the weight columns (the
     kernel reads input channels in their natural order, so no gather
@@ -203,6 +208,17 @@ def fit_spatial(
 class BatchExecutor:
     """Execute (B, C, H, W) batches through one compiled network.
 
+    Each conv stage runs as an exact float GEMM on BLAS (im2col plus
+    one matmul over groups; 1x1 stages skip im2col, depthwise stages
+    multiply-accumulate per tap) into shared scratch buffers, then the
+    integer SDP in place, with memoized cycle accounting.  The float
+    dtype is chosen per stage from a worst-case psum bound when the
+    executor is built (see :class:`_FusedStage`), so psums are exact
+    integers.  Outputs and cycles (total and per stage) are pinned
+    bit-identical to the per-image run through the real cores on every
+    backend and precision, and the psums stage by stage to the int64
+    golden convolution, in ``tests/runtime/test_fused.py``.
+
     Args:
         net: the compiled program.
         engine: which compute backend(s) to account cycles on — None
@@ -213,27 +229,18 @@ class BatchExecutor:
             ``"first/interior/last"`` spec) mixes backends per stage.
             Outputs are backend-independent (every backend computes the
             exact integer convolution); only cycle accounting differs.
-        fused: run the fused hot path — each conv stage as an exact
-            float GEMM on BLAS (im2col plus one matmul over groups;
-            1x1 stages skip im2col, depthwise stages multiply-accumulate
-            per tap) into reused scratch buffers, then the integer SDP
-            in place, with memoized cycle accounting.  The float dtype
-            is chosen per stage from a worst-case psum bound when the
-            executor is built (see :class:`_FusedStage`), so psums are
-            exact integers and outputs and cycles are bit-identical to
-            the unfused int64 path on every backend and precision;
-            pinned by the randomized differential and psum-identity
-            suites in ``tests/runtime/test_fused.py``.
+
+    Raises:
+        DataflowError: a stage's psum bound reaches 2**53, where no
+            float dtype is exact.
     """
 
     def __init__(
         self,
         net: CompiledNetwork,
         engine: "str | None" = None,
-        fused: bool = False,
     ) -> None:
         self.net = net
-        self.fused = bool(fused)
         self.stage_backends: "tuple[ComputeBackend, ...]" = \
             resolve_stage_backends(net, engine)
         if engine is None:
@@ -241,20 +248,17 @@ class BatchExecutor:
             self.engine = names.pop() if len(names) == 1 else "mixed"
         else:
             self.engine = backend_profile(engine).describe()
-        # Fused-path state: one float-GEMM plan per stage, built (and
-        # its exactness bound checked) here, so an unrepresentable
-        # stage fails at construction, never mid-stream; reusable
-        # scratch buffers keyed by role + stage index, built on first
-        # use.  Cycle totals live in their own bounded LRU keyed
-        # (stage index, actual output pixels): autoregressive decode
-        # presents a different token count — hence a different
-        # output-pixel count — every step, and an unbounded per-shape
-        # memo would grow linearly with decoded tokens (the fixed-shape
-        # CNN assumption baked into the old per-stage memo).
-        self._fused_stages: "tuple[_FusedStage, ...]" = (
-            tuple(_FusedStage(stage) for stage in net.stages)
-            if self.fused
-            else ()
+        # One float-GEMM plan per stage, built (and its exactness bound
+        # checked) here, so an unrepresentable stage fails at
+        # construction, never mid-stream.  Cycle totals live in a
+        # bounded LRU keyed (stage index, actual output pixels):
+        # autoregressive decode presents a different token count —
+        # hence a different output-pixel count — every step, and an
+        # unbounded per-shape memo would grow linearly with decoded
+        # tokens.  Scratch is one grow-only flat buffer per
+        # (role, dtype), shared by every stage (see _scratch_buf).
+        self._fused_stages: "tuple[_FusedStage, ...]" = tuple(
+            _FusedStage(stage) for stage in net.stages
         )
         self._fused_cycles: "OrderedDict[tuple, int]" = OrderedDict()
         self._scratch: "dict[tuple, np.ndarray]" = {}
@@ -268,7 +272,7 @@ class BatchExecutor:
         Args:
             images: (B, C, H, W) integer batch of the expected shape.
                 Its values must lie inside the network input precision
-                — the one range check the fused kernel's exactness
+                — the one range check the conv kernel's exactness
                 bound needs, since every later stage reads SDP-clipped
                 activations.
 
@@ -291,9 +295,8 @@ class BatchExecutor:
         total_cycles = 0
         # Folded-residual state: stage outputs a later stage adds to
         # its own requantized output (key -1 = the model input after
-        # the first stage's seam adapters).  Outputs are fresh arrays
-        # on both paths, so keeping references is safe across scratch
-        # reuse.
+        # the first stage's seam adapters).  Stage outputs are fresh
+        # arrays, so keeping references is safe across scratch reuse.
         saved: dict[int, np.ndarray] = {}
         save_input = self.net.needs_input_saved
         for index, (stage, backend) in enumerate(
@@ -307,14 +310,9 @@ class BatchExecutor:
                 if stage.residual_from is not None
                 else None
             )
-            if self.fused:
-                current, cycles = self._conv_fused(
-                    index, stage, current, backend, residual
-                )
-            else:
-                current, cycles = self._conv_batched(
-                    stage, current, backend, residual
-                )
+            current, cycles = self._conv_fused(
+                index, stage, current, backend, residual
+            )
             if stage.save_output:
                 saved[index] = current
             cycles *= images.shape[0]
@@ -386,69 +384,24 @@ class BatchExecutor:
         return fit_spatial(batch, stage.fit_hw, first_axis=2)
 
     # --- conv execution -----------------------------------------------
-    def _conv_batched(
-        self,
-        stage: StagePlan,
-        batch: np.ndarray,
-        backend: ComputeBackend,
-        residual: "np.ndarray | None" = None,
-    ) -> tuple[np.ndarray, int]:
-        """One conv stage over the whole batch; returns per-image
-        cycles (the caller scales by batch size).  A folded residual is
-        added to the requantized output after the SDP (see
-        :meth:`_add_residual`)."""
-        layer = stage.layer
-        channels_per_group = layer.channels_per_group
-        pad_h, pad_w = layer.padding_h, layer.padding_w
-        padded = np.pad(
-            batch,
-            ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)),
-            mode="constant",
-        )
-        outputs = []
-        cycles = 0
-        out_pixels: "int | None" = None
-        for group, weights in enumerate(stage.weights):
-            group_input = padded[
-                :,
-                group * channels_per_group : (group + 1)
-                * channels_per_group,
-            ]
-            schedule = stage.schedules[group]
-            if schedule is not None:
-                group_input = group_input[:, schedule.channel_order]
-            group_out = golden_conv2d_batched(
-                group_input, weights, layer.stride, 0
-            )
-            if schedule is not None:
-                group_out = group_out[:, stage.kernel_restores[group]]
-            outputs.append(group_out)
-            if stage.dynamic_hw and out_pixels is None:
-                out_pixels = group_out.shape[-2] * group_out.shape[-1]
-            cycles += self.group_cycles(
-                stage, weights, backend, out_pixels=out_pixels
-            )
-        psums = (
-            np.concatenate(outputs, axis=1)
-            if len(outputs) > 1
-            else outputs[0]
-        )
-        out = Sdp(stage.sdp).apply_many(psums)
-        return self._add_residual(stage, out, residual), cycles
-
-    # --- fused hot path -----------------------------------------------
     def _scratch_buf(
-        self, key: tuple, shape: tuple, dtype=np.int64
+        self, role: str, shape: tuple, dtype=np.int64
     ) -> np.ndarray:
-        """Reusable scratch, reallocated only on shape change (e.g. a
-        different batch size).  Fresh buffers are zeroed, so
-        padded-input borders stay zero across reuses as long as only
-        the interior is rewritten."""
+        """A scratch view of ``shape`` for one buffer role.
+
+        One grow-only flat buffer per (role, dtype) is shared by every
+        stage and viewed at the requesting stage's shape, so scratch
+        memory is, per role, the largest single stage's need rather
+        than the sum over stages.  The view holds whatever the last
+        stage left there: callers overwrite everything they read
+        (padded inputs re-zero their borders on every call)."""
+        size = math.prod(shape)
+        key = (role, dtype)
         buffer = self._scratch.get(key)
-        if buffer is None or buffer.shape != shape:
-            buffer = np.zeros(shape, dtype=dtype)
+        if buffer is None or buffer.size < size:
+            buffer = np.empty(size, dtype=dtype)
             self._scratch[key] = buffer
-        return buffer
+        return buffer[:size].reshape(shape)
 
     def _stage_cycles(
         self,
@@ -512,10 +465,12 @@ class BatchExecutor:
         backend: ComputeBackend,
         residual: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, int]:
-        """Fused equivalent of :meth:`_conv_batched` + SDP: the exact
-        float-GEMM psums of :meth:`_fused_psums`, then the integer SDP
-        requantization in place on them.  Outputs and cycles are
-        bit-identical to the unfused path."""
+        """One conv stage over the whole batch: the exact float-GEMM
+        psums of :meth:`_fused_psums`, then the integer SDP
+        requantization in place on them.  Returns per-image cycles
+        (the caller scales by batch size).  A folded residual is added
+        to the requantized output after the SDP (see
+        :meth:`_add_residual`)."""
         values = self._fused_psums(index, stage, batch)
         cycles = self._stage_cycles(
             index,
@@ -546,17 +501,22 @@ class BatchExecutor:
         out_shape = (batch_size, channels, out_height, out_width)
         if plan.kind == "pointwise":
             # The (strided) input is its own im2col matrix.
-            operand = self._scratch_buf(
-                ("input", index), out_shape, plan.dtype
-            )
+            operand = self._scratch_buf("input", out_shape, plan.dtype)
             operand[...] = batch[:, :, ::stride, ::stride]
         else:
             source = self._scratch_buf(
-                ("input", index),
+                "input",
                 (batch_size, channels,
                  height + 2 * pad_h, width + 2 * pad_w),
                 plan.dtype,
             )
+            # Another stage may have left data in the pad borders.
+            if pad_h:
+                source[:, :, :pad_h] = 0
+                source[:, :, -pad_h:] = 0
+            if pad_w:
+                source[:, :, :, :pad_w] = 0
+                source[:, :, :, -pad_w:] = 0
             source[:, :, pad_h : pad_h + height,
                    pad_w : pad_w + width] = batch
             taps = [
@@ -570,12 +530,8 @@ class BatchExecutor:
                 for tap_x in range(kernel_w)
             ]
         if plan.kind == "depthwise":
-            psums = self._scratch_buf(
-                ("psum", index), out_shape, plan.dtype
-            )
-            partial = self._scratch_buf(
-                ("partial", index), out_shape, plan.dtype
-            )
+            psums = self._scratch_buf("psum", out_shape, plan.dtype)
+            partial = self._scratch_buf("partial", out_shape, plan.dtype)
             for tap_y, tap_x, window in taps:
                 weight = plan.weights[tap_y, tap_x, :, None, None]
                 if tap_y == tap_x == 0:
@@ -587,7 +543,7 @@ class BatchExecutor:
             groups, kernels_per_group = plan.weights.shape[:2]
             if plan.kind == "gemm":
                 operand = self._scratch_buf(
-                    ("columns", index),
+                    "columns",
                     (batch_size, groups, channels // groups,
                      kernel_h, kernel_w, out_height, out_width),
                     plan.dtype,
@@ -598,7 +554,7 @@ class BatchExecutor:
                     )
             pixels = out_height * out_width
             psums = self._scratch_buf(
-                ("psum", index),
+                "psum",
                 (batch_size, groups, kernels_per_group, pixels),
                 plan.dtype,
             )
@@ -608,7 +564,7 @@ class BatchExecutor:
                 out=psums,
             )
         values = self._scratch_buf(
-            ("values", index),
+            "values",
             (batch_size, layer.out_channels, out_height, out_width),
         )
         np.copyto(
@@ -621,7 +577,7 @@ class BatchExecutor:
     def _sdp_fused(
         self, stage: StagePlan, values: np.ndarray
     ) -> np.ndarray:
-        """In-place SDP requantization on the (possibly scratch-backed)
+        """In-place SDP requantization on the scratch-backed int64
         accumulator — op-for-op the integer arithmetic of
         :meth:`repro.nvdla.sdp.Sdp.apply_many`.  The returned array is
         always a fresh copy, so callers never alias scratch buffers
@@ -647,9 +603,7 @@ class BatchExecutor:
             values >>= config.shift
             values *= signs
         spec = config.out_precision
-        return np.clip(values, spec.min_value, spec.max_value).astype(
-            np.int64
-        )
+        return np.clip(values, spec.min_value, spec.max_value)
 
     def group_cycles(
         self,

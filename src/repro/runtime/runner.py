@@ -5,11 +5,13 @@ end to end (conv -> SDP -> PDP) at batch size B.  Two execution paths
 produce bit-identical outputs:
 
 * :meth:`NetworkRunner.run` — the **vectorized** path: every layer runs
-  once for the whole batch (one einsum pass per kernel-window position
-  via :func:`~repro.nvdla.dataflow.golden_conv2d_batched`, batched SDP /
-  PDP), with cycle accounting from the engines' analytic models — which
-  the engine-equivalence tests pin to the tick/burst simulations.
-* :meth:`NetworkRunner.run_per_image` — the **reference** path: each
+  once for the whole batch through
+  :class:`~repro.runtime.executor.BatchExecutor` (an exact float GEMM
+  per conv stage, batched SDP / PDP), with cycle accounting from the
+  engines' analytic models — which the engine-equivalence tests pin to
+  the tick/burst simulations.
+* :meth:`NetworkRunner.run_per_image` — the **reference** path (the
+  oracle the vectorized path is tested against): each
   image flows through the real convolution cores
   (:class:`~repro.core.tempus_core.TempusCore` /
   :class:`~repro.nvdla.conv_core.ConvolutionCore`) one layer-group at a
@@ -124,10 +126,9 @@ class NetworkRunner:
             format.  Defaults to uniform at ``config.precision``.
             When a profile is given, the array geometry is provisioned
             at the profile's widest member (``config`` supplies k/n).
-        fused: run batches on the executor's fused hot path (an
-            exact float GEMM per stage on BLAS + in-place SDP with
-            scratch reuse) — bit-identical in outputs and cycles to
-            the default path; see
+        fused: accepted and ignored, for callers written when the
+            executor had a second, int64 batched path; every batch now
+            runs the exact float-GEMM kernel of
             :class:`~repro.runtime.executor.BatchExecutor`.
         """
         self.backend_profile = backend_profile(engine)
@@ -145,7 +146,6 @@ class NetworkRunner:
         self.scale = scale
         self.input_size = input_size
         self.code = code
-        self.fused = bool(fused)
         self._compiled: dict[str, CompiledNetwork] = {}
         self._executors: dict[str, BatchExecutor] = {}
 
@@ -176,7 +176,7 @@ class NetworkRunner:
             # engine=None: account on the per-stage backends recorded
             # at lowering (this runner's backend profile).
             self._executors[model_name] = BatchExecutor(
-                self.compile(model_name), None, fused=self.fused
+                self.compile(model_name), None
             )
         return self._executors[model_name]
 

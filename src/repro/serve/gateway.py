@@ -114,9 +114,11 @@ class GatewayResult:
     """Aggregate record of one drained gateway stream.
 
     ``output`` stacks the completed requests' rows in submission
-    (sequence) order; under the "block" admission policy that is every
-    request :meth:`ServingGateway.submit` accepted (a malformed one is
-    refused before it takes a sequence number), so the tensor — and
+    (sequence) order — as a 1-D object array of rows when a
+    dynamic-token stream mixed sequence lengths.  Under the "block"
+    admission policy that is every request
+    :meth:`ServingGateway.submit` accepted (a malformed one is refused
+    before it takes a sequence number), so the tensor — and
     ``conv_cycles`` / ``stage_cycles`` — is directly comparable to the
     single-process
     :meth:`~repro.runtime.runner.NetworkRunner.run` reference.
@@ -139,6 +141,27 @@ class GatewayResult:
     def makespan_cycles(self) -> int:
         """Simulated cycles until the last shard finishes its share."""
         return max(self.shard_cycles) if self.shard_cycles else 0
+
+
+def _stack_rows(rows: "list[np.ndarray]") -> np.ndarray:
+    """Stack response rows; rows of different shapes (a dynamic-token
+    stream of mixed lengths) go into a 1-D object array instead."""
+    if not rows:
+        return np.zeros((0,), dtype=np.int64)
+    if len({row.shape for row in rows}) == 1:
+        return np.stack(rows)
+    stacked = np.empty(len(rows), dtype=object)
+    for index, row in enumerate(rows):
+        stacked[index] = row
+    return stacked
+
+
+def _fail_tickets(requests: "list[Request]", error: Exception) -> None:
+    """Fail every still-unresolved response future of ``requests``."""
+    for request in requests:
+        ticket = request.token
+        if ticket is not None and not ticket.done():
+            ticket.set_exception(error)
 
 
 class _Job:
@@ -319,14 +342,13 @@ class ServingGateway:
         return self._queue.stats()
 
     def _evicted(self, request: Request) -> None:
-        ticket = request.token
-        if ticket is not None and not ticket.done():
-            ticket.set_exception(
-                DataflowError(
-                    f"request {request.seq} shed by admission control "
-                    "(queue full; oldest-first shed policy)"
-                )
-            )
+        _fail_tickets(
+            [request],
+            DataflowError(
+                f"request {request.seq} shed by admission control "
+                "(queue full; oldest-first shed policy)"
+            ),
+        )
 
     # -- pipeline threads ----------------------------------------------
     def _idle_capacity(self) -> bool:
@@ -355,9 +377,21 @@ class ServingGateway:
                 if batch is None:
                     return
                 closed_at = time.monotonic()
-                images = np.stack(
-                    [request.image for request in batch]
-                )
+                try:
+                    images = np.stack(
+                        [request.image for request in batch]
+                    )
+                except Exception as error:
+                    # Only this batch is lost: its tickets fail now,
+                    # and the stream keeps going.
+                    _fail_tickets(
+                        batch,
+                        DataflowError(
+                            f"requests {batch[0].seq}..{batch[-1].seq}: "
+                            f"batch could not be formed: {error!r}"
+                        ),
+                    )
+                    continue
                 job = _Job(batch, closed_at)
                 with self._lock:
                     # Registered before submit: the collector may
@@ -505,15 +539,10 @@ class ServingGateway:
                 self._responses[seq]
                 for seq in sorted(self._responses)
             )
-            output = (
-                np.stack([r.output for r in responses])
-                if responses
-                else np.zeros((0,), dtype=np.int64)
-            )
+            output = _stack_rows([r.output for r in responses])
             health = self._supervisor.health()
             health["degraded_cycles"] = int(self._degraded_cycles)
             health["queue"] = self._queue.stats()
-            health["fused"] = self._runner.fused
             health["eager_dispatch"] = self.eager
             self._result = GatewayResult(
                 model=self._net.name,
@@ -542,14 +571,8 @@ class ServingGateway:
             batch = self._queue.next_batch(eager=True)
             if batch is None:
                 break
-            for request in batch:
-                ticket = request.token
-                if ticket is not None and not ticket.done():
-                    ticket.set_exception(error)
+            _fail_tickets(batch, error)
         with self._lock:
             jobs = list(self._jobs.values())
         for job in jobs:
-            for request in job.requests:
-                ticket = request.token
-                if ticket is not None and not ticket.done():
-                    ticket.set_exception(error)
+            _fail_tickets(job.requests, error)

@@ -10,7 +10,11 @@ with idle capacity can ask for an **eager** batch instead
 (``next_batch(eager=True)``): whatever is pending ships immediately,
 so under light load no request pays the coalescing window — batch
 split cannot affect results (outputs and cycles are independent of how
-a stream is batched), so eagerness is purely a latency policy.
+a stream is batched), so eagerness is purely a latency policy.  A batch
+only ever holds requests of one shape: dynamic-token programs accept
+any sequence length, and a batch closes at the first pending request
+whose shape differs from its head's (which then heads the next batch),
+so submission order is kept.
 
 The queue is optionally **bounded** (``max_pending``) with an explicit
 admission-control policy for saturation, so a stalled or slow consumer
@@ -234,12 +238,14 @@ class RequestQueue:
     def next_batch(self, eager=False) -> "list[Request] | None":
         """Block until a coalesced batch is ready.
 
-        Returns up to ``max_batch`` requests in submission order, or
-        ``None`` once the queue is closed and drained.  The batch ships
-        as soon as it is full, the queue closes, or ``max_wait`` seconds
-        pass after its first request *arrived* (the ``submit()``
-        timestamp) — a dispatcher that was busy elsewhere cannot extend
-        a request's coalescing window beyond the contract.
+        Returns up to ``max_batch`` requests of one shape in
+        submission order (the leading run of pending requests shaped
+        like the oldest), or ``None`` once the queue is closed and
+        drained.  The batch ships as soon as it is full, the queue
+        closes, or ``max_wait`` seconds pass after its first request
+        *arrived* (the ``submit()`` timestamp) — a dispatcher that was
+        busy elsewhere cannot extend a request's coalescing window
+        beyond the contract.
 
         Args:
             eager: ship whatever is pending the moment anything is —
@@ -278,6 +284,12 @@ class RequestQueue:
             return self._take(min(len(self._pending), self.max_batch))
 
     def _take(self, count: int) -> list[Request]:
-        batch = [self._pending.popleft() for _ in range(count)]
+        shape = np.shape(self._pending[0].image)
+        batch = [self._pending.popleft()]
+        while (
+            len(batch) < count
+            and np.shape(self._pending[0].image) == shape
+        ):
+            batch.append(self._pending.popleft())
         self._space.notify_all()
         return batch

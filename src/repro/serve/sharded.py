@@ -97,13 +97,13 @@ def _worker_main(
 ) -> None:
     """Shard worker loop: execute dispatched batches until poisoned.
 
-    Runs in a child process.  ``payload`` is ``(net, engine, fused,
+    Runs in a child process.  ``payload`` is ``(net, engine,
     cache_dir)`` — with the ``fork`` start method it arrives by
     inheritance, with ``spawn`` it is pickled.  Every job is executed
     through the same :class:`BatchExecutor` the single-process runner
     uses; ``engine`` is None so the executor accounts on the per-stage
-    compute backends recorded in the compiled network at lowering,
-    ``fused`` selects the executor's fused hot path, and ``cache_dir``
+    compute backends recorded in the compiled network at lowering, and
+    ``cache_dir``
     points the worker at the shared persistent burst-map cache (so
     spawn-mode and respawned workers warm from disk instead of
     recomputing).
@@ -127,10 +127,10 @@ def _worker_main(
     worker-side stack — so the parent's :class:`DataflowError` names
     the failing stage and line instead of a bare ``repr``.
     """
-    net, engine, fused, cache_dir = payload
+    net, engine, cache_dir = payload
     if cache_dir is not None:
         configure_burst_map_disk_cache(cache_dir)
-    executor = BatchExecutor(net, engine, fused=fused)
+    executor = BatchExecutor(net, engine)
     arena = (
         ShmArena(shm_prefix, flagged=True)
         if shm_prefix is not None
@@ -269,9 +269,9 @@ class ShardedRunner:
             the host supports them) or "pickle" (through the queues).
             Transport choice cannot affect results: both paths feed
             the same executor the same bytes.
-        fused: run every execution path (workers *and* the degraded
-            in-process fallback) on the executor's fused hot path —
-            bit-identical in outputs and cycles to unfused.
+        fused: accepted and ignored, like
+            :class:`NetworkRunner`'s: workers and the degraded
+            in-process fallback run the executor's one batched path.
         cache_dir: persistent burst-map cache directory shared by the
             parent and every worker incarnation (None keeps whatever
             :func:`repro.core.latency.configure_burst_map_disk_cache`
@@ -336,7 +336,6 @@ class ShardedRunner:
         self.min_live = min_live
         self.max_attempts = max_attempts
         self.transport = transport
-        self.fused = bool(fused)
         self.cache_dir = (
             None if cache_dir is None else str(cache_dir)
         )
@@ -351,7 +350,6 @@ class ShardedRunner:
             input_size=input_size,
             code=code,
             precision=precision,
-            fused=fused,
         )
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
@@ -407,9 +405,9 @@ class ShardedRunner:
         net = self.compile(model_name)
         # engine=None: workers account on the per-stage backends the
         # compiled network carries (the runner's backend profile).
-        payload = (net, None, self.fused, self.cache_dir)
+        payload = (net, None, self.cache_dir)
         # The degraded path runs the parent's own executor — the same
-        # BatchExecutor code path (and fused setting) the shards run,
+        # BatchExecutor code path the shards run,
         # so degraded batches stay bit-identical in outputs and cycles.
         run_job = self._runner.executor(model_name).run_job
 
@@ -579,7 +577,6 @@ class ShardedRunner:
         health = supervisor.health()
         health["degraded_cycles"] = int(degraded_cycles)
         health["queue"] = queue.stats()
-        health["fused"] = self.fused
         if self.fault_plan is not None:
             health["fault_plan"] = self.fault_plan.describe()
         lookups = cache_hits + cache_misses

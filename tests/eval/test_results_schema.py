@@ -37,59 +37,10 @@ class TestNormalizers:
             assert record["net"] == "resnet18"
             assert record["precision"] == "int4"
 
-    def _network_payload_with_host_speed(self, **overrides):
-        section = {
-            "model": "mobilenet_v2",
-            "workers": 1,
-            "requests": 32,
-            "before": {"host_images_per_second": 100.0},
-            "after": {"host_images_per_second": 500.0},
-            "host_speedup": 5.0,
-            "bit_identical": True,
-            "fused_identity": {
-                "tempus": {"int8": True, "int4": True, "int2": True},
-            },
-        }
-        section.update(overrides)
-        return {
-            "models": [
-                {
-                    "model": "mobilenet_v2",
-                    "engines": {"tempus": {"conv_cycles": 20}},
-                }
-            ],
-            "host_speed": section,
-        }
-
-    def test_network_host_speed_section_validates(self):
-        payload = self._network_payload_with_host_speed()
-        assert normalize_records("BENCH_networks.json", payload)
-
-    def test_network_host_speed_rejects_bad_throughput(self):
-        payload = self._network_payload_with_host_speed(
-            before={"host_images_per_second": 0.0}
-        )
-        with pytest.raises(DataflowError, match="positive"):
-            normalize_records("BENCH_networks.json", payload)
-
-    def test_network_host_speed_rejects_fused_divergence(self):
-        payload = self._network_payload_with_host_speed(
-            fused_identity={"tugemm": {"int4": False}}
-        )
-        with pytest.raises(DataflowError, match="tugemm/int4"):
-            normalize_records("BENCH_networks.json", payload)
-
-    def test_network_host_speed_rejects_missing_pair(self):
-        payload = self._network_payload_with_host_speed()
-        del payload["host_speed"]["after"]
-        with pytest.raises(DataflowError):
-            normalize_records("BENCH_networks.json", payload)
-
     def test_serving_transport_and_disk_totals_validate(self):
         payload = {
             "engine": "tempus",
             "transport": "shm",
-            "fused": True,
             "disk_cache_totals": {
                 "disk_hits": 4,
                 "disk_misses": 2,

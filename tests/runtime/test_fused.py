@@ -1,20 +1,25 @@
-"""Randomized differential tests: fused executor == unfused executor.
+"""Randomized differential tests: batched executor == per-image oracle.
 
-The fused hot path (exact float-GEMM conv + in-place SDP with
-per-stage scratch reuse) is a pure host-speed optimization — it must
-be **bit-identical** to the stage-at-a-time reference path in outputs
+The batched executor (exact float-GEMM conv + in-place SDP over
+scratch shared across stages) must be **bit-identical** to the
+per-image run through the real cores
+(:meth:`~repro.runtime.runner.NetworkRunner.run_per_image`) in outputs
 AND cycle accounting (total and per stage), for every backend, every
 precision profile, every batch size, with and without scheduling.
-Its pre-SDP psums are also pinned stage by stage against the int64
-golden convolution on full-range inputs (end-to-end identity alone
-can compare all-zero logits), and its per-stage float dtype against
-the exactness bound at the float32 / float64 / no-float edges.
+End-to-end CNN outputs are often all zero, so the kernel is also
+pinned stage by stage on full-range inputs: its pre-SDP psums against
+the int64 golden convolution, and its in-place SDP against
+:meth:`~repro.nvdla.sdp.Sdp.apply_many`.  Its per-stage float dtype is
+pinned against the exactness bound at the float32 / float64 /
+no-float edges, and its scratch memory against the largest single
+stage's need.
 
 All randomness flows from the ``fuzz_rng`` fixture, which derives from
 the ``PYTEST_SEED`` environment variable; a failure report prints the
 seed, so any counterexample replays exactly.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -23,8 +28,10 @@ import pytest
 from repro.errors import DataflowError
 from repro.nvdla.config import CoreConfig
 from repro.nvdla.dataflow import golden_conv2d_batched
+from repro.nvdla.sdp import Sdp
 from repro.runtime import BatchExecutor, NetworkRunner
 from repro.runtime.executor import exact_float_dtype
+from repro.serve import ShardedRunner
 from repro.utils.intrange import INT2, INT8
 
 #: Structurally dissimilar nets (depthwise-heavy, dense-residual,
@@ -46,26 +53,29 @@ FUZZ_BACKENDS = (
 TINY = dict(scale=0.06, input_size=16)
 
 
-def _assert_identical(fused_job, plain_job, context):
+def _assert_identical(job, reference, context):
+    """A ``run_job`` record against a ``run_per_image`` result."""
     assert np.array_equal(
-        fused_job["output"], plain_job["output"]
+        job["output"], reference.output
     ), f"output mismatch: {context}"
     assert (
-        fused_job["conv_cycles"] == plain_job["conv_cycles"]
+        job["conv_cycles"] == reference.conv_cycles
     ), f"total cycles mismatch: {context}"
-    assert (
-        fused_job["stage_cycles"] == plain_job["stage_cycles"]
+    assert job["stage_cycles"] == tuple(
+        record.conv_cycles for record in reference.stages
     ), f"per-stage cycles mismatch: {context}"
-    assert (
-        fused_job["stage_meta"] == plain_job["stage_meta"]
+    # The per-image path records per-image output shapes.
+    assert tuple(
+        (name, kind, shape[1:]) for name, kind, shape in job["stage_meta"]
+    ) == tuple(
+        (record.name, record.kind, record.output_shape)
+        for record in reference.stages
     ), f"stage metadata mismatch: {context}"
 
 
 def _run_pair(runner, model, images):
-    net = runner.compile(model)
-    plain = BatchExecutor(net).run_job(images)
-    fused = BatchExecutor(net, fused=True).run_job(images)
-    return fused, plain
+    job = BatchExecutor(runner.compile(model)).run_job(images)
+    return job, runner.run_per_image(model, images)
 
 
 def test_fused_differential_random_scenarios(fuzz_rng):
@@ -97,8 +107,8 @@ def test_fused_differential_random_scenarios(fuzz_rng):
         images = net.precision.random_array(
             fuzz_rng, (scenario["batch"],) + tuple(net.input_shape)
         )
-        fused, plain = _run_pair(runner, scenario["model"], images)
-        _assert_identical(fused, plain, f"scenario={scenario}")
+        job, reference = _run_pair(runner, scenario["model"], images)
+        _assert_identical(job, reference, f"scenario={scenario}")
 
 
 @pytest.mark.parametrize("engine", FUZZ_BACKENDS[:4])
@@ -118,34 +128,34 @@ def test_fused_bit_identity_full_matrix(fuzz_rng, engine, precision):
     images = net.precision.random_array(
         fuzz_rng, (batch,) + tuple(net.input_shape)
     )
-    fused, plain = _run_pair(runner, model, images)
+    job, reference = _run_pair(runner, model, images)
     _assert_identical(
-        fused, plain, f"model={model} engine={engine} "
+        job, reference, f"model={model} engine={engine} "
         f"precision={precision} batch={batch}"
     )
 
 
 def test_fused_executor_reuses_scratch_across_batches(fuzz_rng):
-    """Repeated jobs through one fused executor stay correct while the
-    scratch buffers are recycled (the pad borders must read zero on
-    every pass, not just the first)."""
+    """Repeated jobs through one executor stay correct while the
+    scratch buffers are recycled across stages and batches (the pad
+    borders must read zero on every pass, whatever another stage left
+    there)."""
     runner = NetworkRunner(CoreConfig(k=4, n=4), **TINY)
     net = runner.compile("resnet18")
-    plain = BatchExecutor(net)
-    fused = BatchExecutor(net, fused=True)
+    executor = BatchExecutor(net)
     for round_index in range(3):
         batch = int(fuzz_rng.integers(1, 5))
         images = net.precision.random_array(
             fuzz_rng, (batch,) + tuple(net.input_shape)
         )
         _assert_identical(
-            fused.run_job(images),
-            plain.run_job(images),
+            executor.run_job(images),
+            runner.run_per_image("resnet18", images),
             f"round={round_index} batch={batch}",
         )
     # Reuse happened: plans and scratch persisted across jobs.
-    assert fused._fused_stages
-    assert fused._scratch
+    assert executor._fused_stages
+    assert executor._scratch
 
 
 def test_fused_output_not_aliased_to_scratch(fuzz_rng):
@@ -153,13 +163,13 @@ def test_fused_output_not_aliased_to_scratch(fuzz_rng):
     same executor must not mutate an earlier batch's result."""
     runner = NetworkRunner(CoreConfig(k=4, n=4), **TINY)
     net = runner.compile("mobilenet_v2")
-    fused = BatchExecutor(net, fused=True)
+    executor = BatchExecutor(net)
     images = net.precision.random_array(
         fuzz_rng, (2,) + tuple(net.input_shape)
     )
-    first = fused.run_job(images)["output"]
+    first = executor.run_job(images)["output"]
     snapshot = first.copy()
-    fused.run_job(
+    executor.run_job(
         net.precision.random_array(
             fuzz_rng, (2,) + tuple(net.input_shape)
         )
@@ -167,27 +177,38 @@ def test_fused_output_not_aliased_to_scratch(fuzz_rng):
     assert np.array_equal(first, snapshot)
 
 
-def test_fused_flag_default_off():
-    """``fused`` is opt-in at every layer: the stock executor and the
-    runner-built executors take the reference path unless asked."""
-    runner = NetworkRunner(CoreConfig(k=4, n=4), **TINY)
+def test_fused_keyword_is_an_accepted_no_op(fuzz_rng):
+    """``fused=`` is still accepted by both runners and changes
+    nothing: they run the float kernel (one plan per stage) and agree
+    with the per-image oracle."""
+    runner = NetworkRunner(CoreConfig(k=4, n=4), fused=False, **TINY)
     net = runner.compile("resnet18")
-    assert BatchExecutor(net).fused is False
-    assert runner.executor("resnet18").fused is False
-    assert NetworkRunner(
-        CoreConfig(k=4, n=4), fused=True, **TINY
-    ).executor("resnet18").fused is True
+    executor = runner.executor("resnet18")
+    assert len(executor._fused_stages) == len(net.stages)
+    images = net.precision.random_array(
+        fuzz_rng, (2,) + tuple(net.input_shape)
+    )
+    reference = runner.run_per_image("resnet18", images)
+    _assert_identical(executor.run_job(images), reference, "runner")
+    with ShardedRunner(
+        workers=1, config=CoreConfig(k=4, n=4), fused=False, **TINY
+    ) as server:
+        served = server.run("resnet18", images)
+        fallback = server._runner.executor("resnet18")
+    assert len(fallback._fused_stages) == len(net.stages)
+    assert np.array_equal(served.output, reference.output)
+    assert served.conv_cycles == reference.conv_cycles
 
 
 def test_fused_matches_int8_spec_bounds(fuzz_rng):
-    """Fused SDP requant clips into the stage output spec exactly like
-    the reference path (spot check on the paper's INT8 profile)."""
+    """The in-place SDP requant clips into the stage output spec
+    (spot check on the paper's INT8 profile)."""
     runner = NetworkRunner(CoreConfig(k=4, n=4), **TINY)
     net = runner.compile("googlenet")
     images = net.precision.random_array(
         fuzz_rng, (3,) + tuple(net.input_shape)
     )
-    output = BatchExecutor(net, fused=True).run_job(images)["output"]
+    output = BatchExecutor(net).run_job(images)["output"]
     assert output.min() >= INT8.min_value
     assert output.max() <= INT8.max_value
 
@@ -220,7 +241,7 @@ def _golden_psums(stage, batch):
 
 @pytest.mark.parametrize("model", FUZZ_MODELS)
 def test_fused_psums_match_int64_golden_on_every_stage(fuzz_rng, model):
-    """Every stage's fused pre-SDP psums equal the int64 golden conv
+    """Every stage's float-kernel pre-SDP psums equal the int64 golden conv
     on full-range inputs, scheduled and unscheduled, at every
     precision.  The golden side uses the *unscheduled* lowering's
     weights, so the scheduled run also checks the channel-order
@@ -242,7 +263,7 @@ def test_fused_psums_match_int64_golden_on_every_stage(fuzz_rng, model):
                 scheduling=scheduling,
                 **TINY,
             ).compile(model)
-            executor = BatchExecutor(net, fused=True)
+            executor = BatchExecutor(net)
             assert len(net.stages) == len(logical.stages)
             run_live = run_total = 0
             for index, (stage, reference) in enumerate(
@@ -298,7 +319,7 @@ def _bound_stage(rng, model, kind, kernel_l1):
     net = NetworkRunner(
         CoreConfig(k=4, n=4), precision="int2", **TINY
     ).compile(model)
-    probe = BatchExecutor(net, fused=True)
+    probe = BatchExecutor(net)
     index = next(
         position
         for position, plan in enumerate(probe._fused_stages)
@@ -361,7 +382,7 @@ def test_fused_bound_selects_exact_dtype(
     up to it — with the bound actually reached by one input."""
     net = _bound_stage(fuzz_rng, model, kind, kernel_l1)
     stage = net.stages[0]
-    executor = BatchExecutor(net, fused=True)
+    executor = BatchExecutor(net)
     plan = executor._fused_stages[0]
     assert plan.kind == kind
     assert plan.bound == 2 * kernel_l1
@@ -372,31 +393,31 @@ def test_fused_bound_selects_exact_dtype(
     assert np.array_equal(
         executor._fused_psums(0, stage, batch), expected
     )
-    # The full fused run (SDP included) agrees with the unfused path.
-    _assert_identical(
-        executor.run_job(batch),
-        BatchExecutor(net).run_job(batch),
-        f"{model} {kind} bound={plan.bound}",
-    )
+    # The full run (SDP included) agrees with the reference SDP on
+    # the golden psums.
+    assert np.array_equal(
+        executor.run_job(batch)["output"],
+        Sdp(stage.sdp).apply_many(expected),
+    ), f"{model} {kind} bound={plan.bound}"
 
 
 def test_fused_bound_past_float64_is_refused(fuzz_rng):
     """A stage whose bound reaches 2**53 cannot run exactly on any
-    float dtype: building the fused executor raises, naming it."""
+    float dtype: building the executor raises, naming it."""
     net = _bound_stage(fuzz_rng, "resnet18", "gemm", 1 << 52)
     with pytest.raises(DataflowError, match=net.stages[0].name):
-        BatchExecutor(net, fused=True)
-    BatchExecutor(net)  # the int64 path has no such limit
+        BatchExecutor(net)
 
 
 @pytest.mark.parametrize("fused", [False, True])
 def test_run_batch_rejects_out_of_range_input(fuzz_rng, fused):
     """run_batch checks the network input against its precision once
-    per batch — the precondition of the fused exactness bound — while
-    inputs at both range ends run."""
-    runner = NetworkRunner(CoreConfig(k=4, n=4), **TINY)
+    per batch — the precondition of the exactness bound — while
+    inputs at both range ends run; the same holds for the runner's
+    executor under either value of the no-op ``fused=`` keyword."""
+    runner = NetworkRunner(CoreConfig(k=4, n=4), fused=fused, **TINY)
     net = runner.compile("mobilenet_v2")
-    executor = BatchExecutor(net, fused=fused)
+    executor = runner.executor("mobilenet_v2")
     images = net.precision.random_array(
         fuzz_rng, (2,) + tuple(net.input_shape)
     )
@@ -409,3 +430,112 @@ def test_run_batch_rejects_out_of_range_input(fuzz_rng, fused):
         rejected[1, 0, 0, 0] = bad
         with pytest.raises(DataflowError, match="input batch rejected"):
             executor.run_batch(rejected)
+
+
+# ---------------------------------------------------------------------
+# Stage-level SDP identity and scratch sizing.
+
+
+def _sdp_variants(rng, config):
+    """The stage's own SDP config plus variants covering what the zoo
+    lowering never emits (every zoo stage has a bias, a nonzero shift
+    and relu or no activation)."""
+    return {
+        "stage": config,
+        "none": dataclasses.replace(config, activation="none"),
+        "no_bias": dataclasses.replace(config, bias=None),
+        "shift0": dataclasses.replace(config, multiplier=1, shift=0),
+        "prelu": dataclasses.replace(
+            config,
+            activation="prelu",
+            prelu_multiplier=int(rng.integers(1, 64)),
+            prelu_shift=int(rng.integers(0, 7)),
+        ),
+    }
+
+
+@pytest.mark.parametrize("model", FUZZ_MODELS)
+def test_sdp_fused_matches_sdp_apply_many_on_every_stage(fuzz_rng, model):
+    """The executor's in-place SDP equals ``Sdp.apply_many`` on every
+    stage's full-range golden psums, at INT8/INT4/INT2, for the
+    stage's own config and relu/none/prelu, bias/no-bias and shift-0
+    variants.  Outputs must be substantially nonzero in aggregate, so
+    the identity cannot hold vacuously."""
+    live = total = 0
+    seen = collections.Counter()
+    for precision in PSUM_PRECISIONS:
+        net = NetworkRunner(
+            CoreConfig(k=4, n=4),
+            precision=precision,
+            scheduling=False,
+            **TINY,
+        ).compile(model)
+        executor = BatchExecutor(net)
+        for stage in net.stages:
+            psums = _golden_psums(stage, _stage_input(fuzz_rng, stage))
+            for label, config in _sdp_variants(
+                fuzz_rng, stage.sdp
+            ).items():
+                variant = dataclasses.replace(stage, sdp=config)
+                expected = Sdp(config).apply_many(psums)
+                actual = executor._sdp_fused(variant, psums.copy())
+                assert np.array_equal(actual, expected), (
+                    f"{stage.name} precision={precision} sdp={label}"
+                )
+                seen[config.activation] += 1
+                seen["bias"] += config.bias is not None
+                seen["no_bias"] += config.bias is None
+                seen["shift0"] += config.shift == 0
+                live += np.count_nonzero(expected)
+                total += expected.size
+    assert all(
+        seen[feature]
+        for feature in ("relu", "prelu", "none", "bias", "no_bias",
+                        "shift0")
+    ), seen
+    assert live > 0.25 * total
+
+
+def _scratch_bytes_by_role(executor):
+    """Scratch bytes per buffer role (the first element of a scratch
+    key)."""
+    totals = collections.Counter()
+    for key, buffer in executor._scratch.items():
+        totals[key[0]] += buffer.nbytes
+    return totals
+
+
+def test_scratch_is_sized_to_the_largest_stage_per_role(fuzz_rng):
+    """After a mobilenet_v2 batch-8 forward, the executor's scratch is,
+    per role, the largest single stage's need — not the sum over
+    stages."""
+    net = NetworkRunner(CoreConfig(k=4, n=4), **TINY).compile(
+        "mobilenet_v2"
+    )
+    executor = BatchExecutor(net)
+    assert len({plan.dtype for plan in executor._fused_stages}) == 1
+    stage_inputs = []
+    kernel = executor._fused_psums
+
+    def record(index, stage, batch):
+        stage_inputs.append((index, stage, batch))
+        return kernel(index, stage, batch)
+
+    executor._fused_psums = record
+    executor.run_batch(
+        net.precision.random_array(
+            fuzz_rng, (8,) + tuple(net.input_shape)
+        )
+    )
+    assert len(stage_inputs) == len(net.stages)
+    largest = collections.Counter()
+    summed = collections.Counter()
+    for index, stage, batch in stage_inputs:
+        alone = BatchExecutor(net)
+        alone._fused_psums(index, stage, batch)
+        for role, nbytes in _scratch_bytes_by_role(alone).items():
+            largest[role] = max(largest[role], nbytes)
+            summed[role] += nbytes
+    assert _scratch_bytes_by_role(executor) == largest
+    # Non-vacuous: sharing saves most of the per-stage sum.
+    assert sum(summed.values()) > 4 * sum(largest.values())

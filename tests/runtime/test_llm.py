@@ -4,10 +4,10 @@ Covers the transformer-block lowering end-to-end: the ``LinearSpec``
 conv surface (R = S = 1 atoms, token axis as spatial height), residual
 and norm glue folding, the value-aware cycle parity with the
 standalone :class:`~repro.gemm.llm.TubMatVec` GEMV engine, the
-shape-bucketed fused cycle memo / burst-map cache bounds under a
+shape-keyed executor cycle memo / burst-map cache bounds under a
 growing-sequence decode, and a PYTEST_SEED-driven differential sweep
-asserting batched/fused/per-image bit-identity over random
-transformer-block configurations.
+asserting batched/per-image bit-identity over random transformer-block
+configurations.
 """
 
 import numpy as np
@@ -207,29 +207,29 @@ def test_project_linear_stage_rejects_conv_stages():
 def test_decode_does_not_grow_caches_per_token(tmp_path, rng):
     """A 64-token decode sweeps 64 distinct spatial shapes through the
     same six weight tensors: the burst-map cache (in-memory and disk)
-    must stay at its post-first-token size, and the fused executor's
+    must stay at its post-first-token size, and the executor's
     per-stage cycle memo must stay bounded by its LRU capacity."""
     previous = burst_map_disk_cache_dir()
     configure_burst_map_disk_cache(tmp_path)
     try:
-        runner = _runner(fused=True)
+        runner = _runner()
         net = runner.compile("tiny_llm")
-        fused = runner.executor("tiny_llm")
+        executor = runner.executor("tiny_llm")
         tokens = 64
         stream = _decode_stream(net, rng, tokens)
-        fused.run_job(stream[:, :, :1, :])
+        executor.run_job(stream[:, :, :1, :])
         warm = burst_map_cache_stats()
         warm_files = len(list(tmp_path.rglob("*.npy")))
         assert warm_files > 0  # the disk tier actually engaged
         for step in range(2, tokens + 1):
-            fused.run_job(stream[:, :, :step, :])
+            executor.run_job(stream[:, :, :step, :])
         after = burst_map_cache_stats()
         assert after["entries"] == warm["entries"]
         assert after["misses"] == warm["misses"]
         assert len(list(tmp_path.rglob("*.npy"))) == warm_files
         # 6 stages x 64 prefix lengths = 384 candidate memo keys; the
         # bounded LRU must have evicted down to its capacity.
-        assert len(fused._fused_cycles) <= FUSED_CYCLE_MEMO_SIZE
+        assert len(executor._fused_cycles) <= FUSED_CYCLE_MEMO_SIZE
     finally:
         configure_burst_map_disk_cache(previous)
 
@@ -237,17 +237,18 @@ def test_decode_does_not_grow_caches_per_token(tmp_path, rng):
 def test_fused_cycle_memo_is_shape_keyed(rng):
     """Same stage at two prefix lengths accounts different cycles —
     the memo must key on the actual output-pixel count."""
-    runner = _runner(fused=True)
+    runner = _runner()
     net = runner.compile("tiny_llm")
-    fused = runner.executor("tiny_llm")
-    plain = BatchExecutor(net)
+    executor = runner.executor("tiny_llm")
     stream = _decode_stream(net, rng, 6)
     for step in (3, 6, 3):  # revisit a cached shape after growing
         prefix = stream[:, :, :step, :]
-        fused_job = fused.run_job(prefix)
-        plain_job = plain.run_job(prefix)
-        assert fused_job["conv_cycles"] == plain_job["conv_cycles"]
-        assert fused_job["stage_cycles"] == plain_job["stage_cycles"]
+        job = executor.run_job(prefix)
+        reference = runner.run_per_image("tiny_llm", prefix)
+        assert job["conv_cycles"] == reference.conv_cycles
+        assert job["stage_cycles"] == tuple(
+            record.conv_cycles for record in reference.stages
+        )
 
 
 # ---------------------------------------------------------------------
@@ -255,8 +256,9 @@ def test_fused_cycle_memo_is_shape_keyed(rng):
 # ---------------------------------------------------------------------
 def test_llm_differential_random_scenarios(fuzz_rng):
     """Seeded random sweep over backend x precision x block scale x
-    decode length x batch: the batched, fused and per-image paths must
-    agree bit-for-bit in outputs and cycle totals at every prefix."""
+    decode length x batch: the batched executor and the per-image
+    path must agree bit-for-bit in outputs, cycle totals and per-stage
+    cycles at every prefix."""
     for _ in range(6):
         scenario = {
             "engine": BACKENDS[int(fuzz_rng.integers(len(BACKENDS)))],
@@ -276,8 +278,7 @@ def test_llm_differential_random_scenarios(fuzz_rng):
             input_size=scenario["input_size"],
         )
         net = runner.compile("tiny_llm")
-        plain = BatchExecutor(net)
-        fused = BatchExecutor(net, fused=True)
+        executor = BatchExecutor(net)
         # Decode past the nominal length too: dynamic stages accept
         # any runtime token count.
         tokens = int(
@@ -292,25 +293,18 @@ def test_llm_differential_random_scenarios(fuzz_rng):
         )
         for step in sorted({1, max(1, tokens // 2), tokens}):
             prefix = stream[:, :, :step, :]
-            plain_job = plain.run_job(prefix)
-            fused_job = fused.run_job(prefix)
+            job = executor.run_job(prefix)
             reference = runner.run_per_image("tiny_llm", prefix)
             context = f"scenario={scenario} step={step}"
             assert np.array_equal(
-                plain_job["output"], fused_job["output"]
-            ), f"fused output mismatch: {context}"
+                job["output"], reference.output
+            ), f"output mismatch: {context}"
             assert (
-                plain_job["conv_cycles"] == fused_job["conv_cycles"]
-            ), f"fused cycles mismatch: {context}"
-            assert (
-                plain_job["stage_cycles"] == fused_job["stage_cycles"]
-            ), f"fused stage cycles mismatch: {context}"
-            assert np.array_equal(
-                plain_job["output"], reference.output
-            ), f"per-image output mismatch: {context}"
-            assert (
-                plain_job["conv_cycles"] == reference.conv_cycles
-            ), f"per-image cycles mismatch: {context}"
+                job["conv_cycles"] == reference.conv_cycles
+            ), f"cycles mismatch: {context}"
+            assert job["stage_cycles"] == tuple(
+                record.conv_cycles for record in reference.stages
+            ), f"stage cycles mismatch: {context}"
 
 
 def test_decode_cycles_monotone_in_prefix_length(fuzz_rng):
@@ -319,10 +313,10 @@ def test_decode_cycles_monotone_in_prefix_length(fuzz_rng):
     engine = BACKENDS[int(fuzz_rng.integers(len(BACKENDS)))]
     runner = _runner(engine=engine)
     net = runner.compile("tiny_llm")
-    plain = runner.executor("tiny_llm")
+    executor = runner.executor("tiny_llm")
     stream = _decode_stream(net, fuzz_rng, 10)
     series = [
-        plain.run_job(stream[:, :, :step, :])["conv_cycles"]
+        executor.run_job(stream[:, :, :step, :])["conv_cycles"]
         for step in range(1, 11)
     ]
     assert all(

@@ -111,7 +111,9 @@ class TestCache:
         first = runner.run("resnet18", 2)
         second = runner.run("resnet18", 2)
         assert second.cache["misses"] == 0
-        assert second.cache["hit_rate"] == 1.0
+        # The executor's memoized stage cycles skip the burst-map
+        # lookups entirely on a warm repeat.
+        assert second.cache["hits"] + second.cache["misses"] == 0
         assert first.cache["misses"] > 0
 
     def test_reference_path_shares_cache_across_batch(self, config):

@@ -14,11 +14,14 @@ The serving-gateway contract, pinned end to end:
 * eager dispatch keeps idle-pool latency off the ``max_wait``
   coalescing window (the no-polling regression test);
 * the supervisor's probe thread detects hung shards *autonomously* —
-  without the consumer sitting in ``next_result``.
+  without the consumer sitting in ``next_result``;
+* dynamic-token requests of different lengths never share a batch,
+  and a batch that cannot be formed fails only its own tickets.
 """
 
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -315,6 +318,74 @@ class TestRequestValidation:
         _assert_identical(result, reference, malformed)
         assert result.completed == (0, 1)
         assert gateway.stats()["submitted"] == 2
+
+
+class TestMixedLengthCoalescing:
+    def test_mixed_token_counts_complete_in_separate_batches(self):
+        """Two valid dynamic-token requests of different lengths land
+        in one coalescing window; the queue batches only same-shape
+        requests, so both complete bit-identical to the single-process
+        runner and the stream drains cleanly."""
+        llm = dict(
+            config=_config(), engine="tempus", precision="int4",
+            scale=0.0625, input_size=8,
+        )
+        runner = NetworkRunner(**llm)
+        net = runner.compile("tiny_llm")
+        rng = np.random.default_rng(64)
+        requests = [
+            net.precision.random_array(
+                rng, (net.input_shape[0], tokens, 1)
+            )
+            for tokens in (64, 65)
+        ]
+        with ShardedRunner(workers=1, max_batch=4, **llm) as server:
+            # eager=False with a long window: both requests are pending
+            # when the first batch closes.
+            gateway = ServingGateway(
+                server, "tiny_llm", eager=False, max_wait=0.3
+            )
+            tickets = [gateway.submit(image) for image in requests]
+            responses = [ticket.result(timeout=10) for ticket in tickets]
+            result = gateway.finish()
+        assert result.completed == (0, 1)
+        assert responses[0].job != responses[1].job
+        expected_cycles = 0
+        for image, response in zip(requests, responses):
+            reference = runner.run("tiny_llm", image)
+            assert np.array_equal(response.output, reference.output[0])
+            expected_cycles += reference.conv_cycles
+        assert result.conv_cycles == expected_cycles
+        for image, row in zip(requests, result.output):
+            assert row.shape[1] == image.shape[1]
+
+
+    def test_batch_forming_error_fails_only_its_batch(self):
+        """A batch that cannot be stacked fails its own tickets at
+        once, and the dispatcher keeps serving the stream."""
+
+        class Unstackable:
+            def __init__(self, shape):
+                self.shape = shape
+
+            def __array__(self, *args, **kwargs):
+                raise ValueError("unstackable payload")
+
+        with _server(workers=1) as server:
+            gateway = ServingGateway(server, MODEL)
+            images = _images(server, 1)
+            # Straight into the queue: submit() would refuse it.
+            broken = Future()
+            gateway._queue.submit(
+                Unstackable(images[0].shape), token=broken
+            )
+            with pytest.raises(DataflowError, match="could not be formed"):
+                broken.result(timeout=10)
+            healthy = gateway.submit(images[0])
+            row = healthy.result(timeout=10).output
+            result = gateway.finish()
+        assert np.array_equal(row, _reference(images).output[0])
+        assert result.completed == (1,)
 
 
 class TestSupervisorProbe:

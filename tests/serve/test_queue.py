@@ -47,6 +47,17 @@ class TestCoalescing:
         assert sizes == [2, 2, 1]
         assert seqs == list(range(5))  # submission order preserved
 
+    def test_batch_takes_only_the_leading_same_shape_run(self):
+        queue = RequestQueue(max_batch=8, max_wait=0.01)
+        shapes = [(1, 4, 1), (1, 4, 1), (1, 5, 1), (1, 4, 1)]
+        for shape in shapes:
+            queue.submit(np.zeros(shape, dtype=np.int64))
+        queue.close()
+        batches = []
+        while (batch := queue.next_batch()) is not None:
+            batches.append([request.seq for request in batch])
+        assert batches == [[0, 1], [2], [3]]  # FIFO order kept
+
     def test_sequence_numbers_are_monotonic(self):
         queue = RequestQueue(max_batch=4, max_wait=0.0)
         assert [queue.submit(_image(v)) for v in range(4)] == [0, 1, 2, 3]
