@@ -51,7 +51,11 @@ def main() -> None:
                 f"{binary.conv_cycles:,}",
                 f"{tempus.conv_cycles:,}",
                 f"{tempus.images_per_million_cycles:.3f}",
-                f"{tempus.cache['hit_rate']:.2f}",
+                (
+                    "-"
+                    if tempus.cache["hit_rate"] is None
+                    else f"{tempus.cache['hit_rate']:.2f}"
+                ),
             )
         )
 

@@ -21,12 +21,6 @@ Usage::
                                              # autoregressive LLM
                                              # decode: per-token
                                              # latency on all backends
-    python -m repro serve-bench --load       # SLO search: max req/s
-                                             # at a p99 target through
-                                             # the pipelined gateway
-    python -m repro serve-bench --load --profile --slo-ms 25
-                                             # fixed SLO + per-batch
-                                             # phase breakdown
     python -m repro tune --net mobilenet_v2  # design-space autotuner:
                                              # Pareto frontier over
                                              # backend x precision x
@@ -165,8 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "inject deterministic faults (crash/slow/transient error) "
             "into the shard workers with this per-(job, attempt) "
             "probability; every point is still verified bit-identical "
-            "to the single-process reference (default: 0, or 0.25 for "
-            "the --load chaos leg; only with --workers or --load)"
+            "to the single-process reference (default: 0; only with "
+            "--workers)"
         ),
     )
     server.add_argument(
@@ -198,60 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "persistent burst-map cache directory shared by parent "
             "and workers across runs; a second run over the same "
             "directory reports disk-cache hits (only with --workers)"
-        ),
-    )
-    server.add_argument(
-        "--load",
-        action="store_true",
-        help=(
-            "load-test the pipelined serving gateway instead: "
-            "binary-search the highest sustained req/s meeting a p99 "
-            "SLO per (net x backend x workers), with queue-wait / "
-            "dispatch / compute / reassembly latency decomposition "
-            "and a before/after vs the synchronous driver (writes "
-            "BENCH_load.json; bit-identity to the single-process "
-            "reference is verified per point; --workers caps the "
-            "pool sweep, default 1 2 4)"
-        ),
-    )
-    server.add_argument(
-        "--backends",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help=(
-            "backends the load sweep covers "
-            "(default: tempus binary; only with --load)"
-        ),
-    )
-    server.add_argument(
-        "--slo-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help=(
-            "fixed p99 latency target for --load (default: adaptive — "
-            "3x each point's unloaded closed-loop p99, so the target "
-            "tracks the host)"
-        ),
-    )
-    server.add_argument(
-        "--arrival-seed",
-        type=int,
-        default=110,
-        metavar="SEED",
-        help=(
-            "seed of every --load arrival schedule, so a load run "
-            "replays exactly (default: 110)"
-        ),
-    )
-    server.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "attach each --load point's per-batch phase breakdown "
-            "(coalesce / shm write / compute / reassemble wall time) "
-            "and render it as a table"
         ),
     )
     server.add_argument(
@@ -393,19 +333,14 @@ def _serve_bench(args) -> int:
     from repro.errors import ReproError
     from repro.runtime.bench import (
         DEFAULT_LLM_WORKERS,
-        DEFAULT_LOAD_BACKENDS,
-        DEFAULT_LOAD_FAULT_RATE,
-        DEFAULT_LOAD_WORKERS,
         DEFAULT_MODELS,
         DEFAULT_SERVING_MODELS,
         render_backend_benchmark,
         render_benchmark,
         render_llm_benchmark,
-        render_load_benchmark,
         render_serving_benchmark,
         run_backend_benchmark,
         run_llm_benchmark,
-        run_load_benchmark,
         run_network_benchmark,
         run_serving_benchmark,
     )
@@ -424,38 +359,18 @@ def _serve_bench(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        if (
-            fault_rate > 0.0
-            and args.workers is None
-            and not args.load
-        ):
+        if fault_rate > 0.0 and args.workers is None:
             print(
                 "serve-bench failed: --fault-rate injects faults into "
-                "the sharded serving runtime; add --workers N or "
-                "--load",
+                "the sharded serving runtime; add --workers N",
                 file=sys.stderr,
             )
             return 2
-        if (
-            args.workers is None
-            and not args.load
-            and (args.transport or args.cache_dir)
-        ):
+        if args.workers is None and (args.transport or args.cache_dir):
             print(
                 "serve-bench failed: --transport/--cache-dir "
                 "configure the sharded serving runtime; add "
                 "--workers N",
-                file=sys.stderr,
-            )
-            return 2
-        if not args.load and (
-            args.backends
-            or args.slo_ms is not None
-            or args.profile
-        ):
-            print(
-                "serve-bench failed: --backends/--slo-ms/--profile "
-                "configure the gateway load benchmark; add --load",
                 file=sys.stderr,
             )
             return 2
@@ -475,7 +390,6 @@ def _serve_bench(args) -> int:
                     ("--fault-rate", args.fault_rate or None),
                     ("--transport", args.transport),
                     ("--cache-dir", args.cache_dir),
-                    ("--load", args.load or None),
                 )
                 if value
             ]
@@ -518,70 +432,6 @@ def _serve_bench(args) -> int:
                 out_dir=args.out,
             )
             rendered = render_llm_benchmark(payload)
-            print(rendered)
-            if "artifact" in payload:
-                print(f"\nwrote {payload['artifact']}")
-            return 0
-        if args.load:
-            if args.cache_dir:
-                print(
-                    "serve-bench failed: --cache-dir does "
-                    "not apply to the gateway load benchmark; drop "
-                    "--load",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.batch is not None:
-                print(
-                    "serve-bench failed: --batch applies to the "
-                    "single-process benchmark; with --load size the "
-                    "request stream via --requests",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.workers is not None and args.workers < 1:
-                print(
-                    "serve-bench failed: --workers must be >= 1",
-                    file=sys.stderr,
-                )
-                return 2
-            models = (
-                tuple(args.models)
-                if args.models
-                else DEFAULT_SERVING_MODELS
-            )
-            if args.backends:
-                backends = tuple(args.backends)
-            elif backend.describe() != "tempus":
-                backends = (backend.describe(),)
-            else:
-                backends = DEFAULT_LOAD_BACKENDS
-            payload = run_load_benchmark(
-                models=models,
-                backends=backends,
-                worker_counts=(
-                    _worker_sweep(args.workers)
-                    if args.workers is not None
-                    else DEFAULT_LOAD_WORKERS
-                ),
-                requests=args.requests,
-                quick=args.quick,
-                scheduling=not args.no_schedule,
-                max_batch=args.max_batch,
-                precision=args.precision,
-                slo_ms=args.slo_ms,
-                arrival_seed=args.arrival_seed,
-                fault_rate=(
-                    args.fault_rate
-                    if args.fault_rate is not None
-                    else DEFAULT_LOAD_FAULT_RATE
-                ),
-                fault_seed=args.fault_seed,
-                transport=args.transport,
-                profile=args.profile,
-                out_dir=args.out,
-            )
-            rendered = render_load_benchmark(payload)
             print(rendered)
             if "artifact" in payload:
                 print(f"\nwrote {payload['artifact']}")

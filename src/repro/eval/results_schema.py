@@ -46,11 +46,32 @@ def _check_disk_cache(totals: dict) -> None:
             )
 
 
+def _check_cache(point: str, stats: dict) -> None:
+    """An engine record's burst-map ``hit_rate`` is a fraction, or null
+    when the run made no lookups (a rate over nothing is undefined)."""
+    cache = stats.get("cache")
+    if cache is None:
+        return
+    rate = cache["hit_rate"]
+    lookups = int(cache["hits"]) + int(cache["misses"])
+    if rate is None:
+        if lookups:
+            raise DataflowError(
+                f"{point}: cache hit_rate is null over {lookups} "
+                "burst-map lookups"
+            )
+    elif not 0.0 <= float(rate) <= 1.0:
+        raise DataflowError(
+            f"{point}: cache hit_rate {rate} is not a fraction"
+        )
+
+
 def _network_records(payload: dict) -> list:
     precision = payload.get("precision_profile", "int8")
     records = []
     for model in payload["models"]:
         for backend, stats in model["engines"].items():
+            _check_cache(f"{model['model']}/{backend}", stats)
             records.append(
                 _record(
                     model["model"], backend, precision,
@@ -73,6 +94,9 @@ def _serving_records(payload: dict) -> list:
     records = []
     for model in payload["models"]:
         for sweep in model["workers"]:
+            _check_cache(
+                f"{model['model']}/{sweep.get('workers')}w", sweep
+            )
             records.append(
                 _record(
                     model["model"], backend, precision,
@@ -87,6 +111,10 @@ def _precision_records(payload: dict) -> list:
     for model in payload["models"]:
         for entry in model["precisions"]:
             for backend, stats in entry["engines"].items():
+                _check_cache(
+                    f"{model['model']}/{backend}/{entry['precision']}",
+                    stats,
+                )
                 records.append(
                     _record(
                         model["model"], backend, entry["precision"],
@@ -101,6 +129,10 @@ def _backend_records(payload: dict) -> list:
     for model in payload["models"]:
         for entry in model["precisions"]:
             for backend, stats in entry["backends"].items():
+                _check_cache(
+                    f"{entry['net']}/{backend}/{entry['precision']}",
+                    stats,
+                )
                 records.append(
                     _record(
                         entry["net"], backend, entry["precision"],
@@ -231,80 +263,6 @@ def _llm_records(payload: dict) -> list:
     return records
 
 
-def _load_records(payload: dict) -> list:
-    records = []
-    for entry in payload["records"]:
-        point = (
-            f"{entry['net']}/{entry['backend']}/"
-            f"{entry['workers']}w"
-        )
-        for leg, identical in entry["bit_identical"].items():
-            if not identical:
-                raise DataflowError(
-                    f"load record {point}: gateway stream under "
-                    f"{leg} arrivals diverged from the reference"
-                )
-        if float(entry["sustained_rps"]) <= 0.0:
-            raise DataflowError(
-                f"load record {point}: sustained rate must be "
-                "positive"
-            )
-        latency = entry["latency_ms"]
-        for percentile in ("p50", "p90", "p99"):
-            if float(latency[percentile]) < 0.0:
-                raise DataflowError(
-                    f"load record {point}: negative latency "
-                    f"percentile {percentile}"
-                )
-        if not (
-            float(latency["p50"])
-            <= float(latency["p90"])
-            <= float(latency["p99"])
-        ):
-            raise DataflowError(
-                f"load record {point}: latency percentiles are not "
-                "monotone (p50 <= p90 <= p99)"
-            )
-        if float(latency["p99"]) > float(entry["slo_p99_ms"]):
-            raise DataflowError(
-                f"load record {point}: the recorded run misses its "
-                "own p99 SLO"
-            )
-        decomposition = sum(
-            float(entry["phases_ms"][phase]["mean"])
-            for phase in (
-                "queue_wait", "dispatch", "compute", "reassembly"
-            )
-        )
-        # Mean phases vs mean total: phases never overlap and gaps
-        # are unattributed, so the means must sum within the total
-        # (tolerance for float round-trip through JSON).
-        if decomposition > float(latency["mean"]) * (1 + 1e-9) + 1e-9:
-            raise DataflowError(
-                f"load record {point}: phase decomposition "
-                f"({decomposition:.4f} ms) sums past the mean "
-                f"total latency ({latency['mean']:.4f} ms)"
-            )
-        for side in ("synchronous_rps", "pipelined_rps"):
-            if float(entry[side]) <= 0.0:
-                raise DataflowError(
-                    f"load record {point}: {side} must be positive"
-                )
-        records.append(
-            _record(
-                entry["net"], entry["backend"], entry["precision"],
-                entry["cycles"],
-            )
-        )
-    headline = payload["pipelining"]
-    if float(headline["speedup"]) <= 0.0:
-        raise DataflowError(
-            "load artifact: pipelining headline speedup must be "
-            "positive"
-        )
-    return records
-
-
 def _engine_speed_records(payload: list) -> list:
     # Pre-schema trajectory entries carry the layer geometry but no
     # explicit net/backend/precision; the microbenchmark has always
@@ -329,7 +287,6 @@ NORMALIZERS = {
     "BENCH_backends.json": _backend_records,
     "BENCH_engine.json": _engine_speed_records,
     "BENCH_llm.json": _llm_records,
-    "BENCH_load.json": _load_records,
     "BENCH_faults.json": _fault_records,
     "BENCH_pareto.json": _pareto_records,
 }

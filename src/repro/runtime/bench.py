@@ -75,17 +75,8 @@ from repro.tune.spec import (
     DEFAULT_SERVING_MODELS,
     DEFAULT_WORKER_COUNTS,
     SweepSpec,
-    check_models,
 )
 from repro.utils.tables import Column, render_columns, yes_no
-
-#: Backwards-compatible aliases: the record builders and model check
-#: predate the :mod:`repro.tune` harness and were imported under these
-#: names.
-_engine_record = engine_record
-_energy_record = energy_record
-_check_models = check_models
-
 
 def run_network_benchmark(
     models: "tuple[str, ...] | list[str]" = DEFAULT_MODELS,
@@ -547,561 +538,6 @@ def render_serving_benchmark(payload: dict) -> str:
             )
         )
     return table
-
-
-#: Load-benchmark defaults: two nets x two backends x the {1, 2, 4}
-#: worker sweep the artifact contract wants, chaos-verified at the
-#: fault-tolerance tier's headline 25% injection rate.
-DEFAULT_LOAD_BACKENDS = ("tempus", "binary")
-DEFAULT_LOAD_WORKERS = (1, 2, 4)
-DEFAULT_LOAD_FAULT_RATE = 0.25
-#: Adaptive SLO: p99 target = this factor x the unloaded closed-loop
-#: p99, so the target tracks the host instead of hardcoding
-#: milliseconds a slower CI box can never meet.
-LOAD_SLO_FACTOR = 3.0
-
-
-def run_load_benchmark(
-    models: "tuple[str, ...] | list[str]" = DEFAULT_SERVING_MODELS,
-    backends: "tuple[str, ...] | list[str]" = DEFAULT_LOAD_BACKENDS,
-    worker_counts: "tuple[int, ...] | list[int]" = DEFAULT_LOAD_WORKERS,
-    requests: int = 48,
-    quick: bool = False,
-    scheduling: bool = True,
-    config: CoreConfig | None = None,
-    max_batch: int = 8,
-    max_wait: float = 0.002,
-    precision="int8",
-    slo_ms: "float | None" = None,
-    arrival_seed: int = 110,
-    fault_rate: float = DEFAULT_LOAD_FAULT_RATE,
-    fault_seed: int = 110,
-    transport: "str | None" = None,
-    search_iterations: int = 5,
-    profile: bool = False,
-    out_dir: "str | Path | None" = "results",
-) -> dict:
-    """Max sustained requests/sec at a p99 SLO, per (net x backend x
-    workers), through the pipelined serving gateway.
-
-    For every point the driver:
-
-    1. verifies the gateway **bit-identical** (outputs and cycles) to
-       the single-process :class:`NetworkRunner` reference under
-       Poisson and burst arrivals — and again through a *chaos pool*
-       injecting ``fault_rate`` faults (crash / transient error /
-       slow) under Poisson load;
-    2. measures unloaded latency (closed loop, one submitter) and
-       derives the p99 SLO (``slo_ms`` fixed, or adaptively
-       ``LOAD_SLO_FACTOR x`` the unloaded p99 so the target tracks
-       the host);
-    3. binary-searches the highest open-loop Poisson rate the point
-       sustains under that SLO (:func:`~repro.serve.loadgen
-       .find_sustained_rate`), recording the winning run's full
-       latency decomposition (queue wait / dispatch / compute /
-       reassembly percentiles);
-    4. records the before/after pipelining comparison: the
-       synchronous one-batch-at-a-time driver
-       (:func:`~repro.serve.loadgen.run_batch_synchronous` — the
-       pre-gateway discipline) vs the gateway's pipelined dispatch
-       on the same pool, requests/sec each.
-
-    Args:
-        models: zoo model names (artifact contract: >= 2).
-        backends: compute backends to sweep (contract: >= 2).
-        worker_counts: shard-pool sizes (contract: 1, 2, 4).
-        requests: request-stream length for identity legs and the
-            pipelining comparison.
-        quick: smaller preset + narrower probes for smoke runs.
-        slo_ms: fixed p99 target in milliseconds (None = adaptive).
-        arrival_seed: seed of every arrival schedule (replayable).
-        fault_rate / fault_seed: chaos-leg injection knobs
-            (``fault_rate=0`` skips the chaos leg).
-        transport / max_batch / max_wait / precision: serving
-            knobs, as in :func:`run_serving_benchmark`.
-        search_iterations: bisection steps of the SLO search.
-        profile: attach the per-batch phase breakdown of each point's
-            winning run (``serve-bench --load --profile``).
-        out_dir: where BENCH_load.json is written (None = don't).
-
-    Returns:
-        the payload written to the artifact.
-    """
-    from repro.serve import (
-        FaultPlan,
-        ServingGateway,
-        ShardedRunner,
-        arrival_schedule,
-        find_sustained_rate,
-        poisson_schedule,
-        run_batch_synchronous,
-        run_closed_loop,
-        run_open_loop,
-    )
-
-    if requests < max(4, max_batch):
-        raise DataflowError(
-            f"requests must be >= max(4, max_batch={max_batch})"
-        )
-    if not 0.0 <= fault_rate <= 1.0:
-        raise DataflowError("fault_rate must be in [0, 1]")
-    if slo_ms is not None and slo_ms <= 0.0:
-        raise DataflowError("slo_ms must be positive")
-    profile_cap = precision_profile(precision)
-    spec = SweepSpec(
-        name="load",
-        nets=tuple(models),
-        backends=tuple(backends),
-        precisions=(profile_cap,),
-        workers=tuple(worker_counts),
-        quick=quick,
-        scheduling=scheduling,
-    )
-    harness = SweepHarness(spec, config)
-    scale, input_size = harness.scale, harness.input_size
-    # Probe sizing: enough requests per probe for a stable p99 without
-    # letting low-rate probes run for many seconds.
-    probe_window = 0.4 if quick else 0.75
-    probe_min = 8 if quick else 16
-    probe_max = 32 if quick else 96
-    bracket_steps = 3 if quick else 5
-
-    fault_plan = None
-    if fault_rate > 0.0:
-        # Same kinds/ordering as the serving + fault benches, so one
-        # fault seed names one schedule across all three drivers.
-        fault_plan = FaultPlan.random(
-            fault_seed,
-            fault_rate,
-            kinds=DEFAULT_FAULT_KINDS,
-            slow_seconds=0.02,
-        )
-
-    def serving_runner(backend, profile_obj, workers, chaos):
-        return ShardedRunner(
-            workers=workers,
-            config=config,
-            engine=backend,
-            scheduling=scheduling,
-            scale=scale,
-            input_size=input_size,
-            max_batch=max_batch,
-            max_wait=max_wait,
-            precision=profile_obj,
-            fault_plan=fault_plan if chaos else None,
-            job_deadline=2.0 if chaos else None,
-            transport=transport,
-        )
-
-    def identical(result, reference) -> bool:
-        return bool(
-            np.array_equal(result.output, reference.output)
-            and result.conv_cycles == reference.conv_cycles
-        )
-
-    records = []
-    resolved_transport = transport
-    for backend in spec.backends:
-        reference_runner = harness.runner(backend, profile_cap)
-        for net in spec.nets:
-            reference = reference_runner.run(net, requests)
-            images = reference_runner.synthesize_batch(net, requests)
-            for workers in spec.workers:
-                with serving_runner(
-                    backend, profile_cap, workers, chaos=False
-                ) as server:
-                    resolved_transport = server.transport
-                    server.start(net)
-                    # Warm the pool (worker spawn, caches) off the
-                    # measured streams.
-                    run_closed_loop(
-                        ServingGateway(server, net),
-                        images[:max_batch],
-                        concurrency=workers,
-                    )
-
-                    # 1. bit-identity under both arrival processes.
-                    poisson_run = run_open_loop(
-                        ServingGateway(server, net),
-                        images,
-                        poisson_schedule(
-                            200.0 * workers, requests,
-                            seed=arrival_seed,
-                        ),
-                    )
-                    burst_run = run_open_loop(
-                        ServingGateway(server, net),
-                        images,
-                        arrival_schedule(
-                            "burst", 200.0 * workers, requests,
-                            seed=arrival_seed,
-                            burst_size=max_batch,
-                        ),
-                    )
-                    identity = {
-                        "poisson": identical(
-                            poisson_run.result, reference
-                        ),
-                        "burst": identical(
-                            burst_run.result, reference
-                        ),
-                    }
-
-                    # 2. unloaded latency -> SLO target.
-                    unloaded = run_closed_loop(
-                        ServingGateway(server, net),
-                        images[: max(probe_min, max_batch)],
-                        concurrency=1,
-                    )
-                    unloaded_p99 = max(
-                        unloaded.stats["p99"], 1e-6
-                    )
-                    slo_p99 = (
-                        slo_ms / 1e3
-                        if slo_ms is not None
-                        else LOAD_SLO_FACTOR * unloaded_p99
-                    )
-
-                    # 4. before/after: synchronous driver vs
-                    # pipelined gateway on the same warm pool.
-                    sync_run = run_batch_synchronous(
-                        ServingGateway(server, net, eager=False),
-                        images,
-                        batch=max_batch,
-                    )
-                    pipelined_run = run_closed_loop(
-                        ServingGateway(server, net),
-                        images,
-                        concurrency=workers * max_batch,
-                    )
-                    identity["synchronous"] = identical(
-                        sync_run.result, reference
-                    )
-                    identity["pipelined"] = identical(
-                        pipelined_run.result, reference
-                    )
-
-                    # 3. SLO search over open-loop Poisson rates.
-                    def probe(rate):
-                        count = int(
-                            min(
-                                probe_max,
-                                max(probe_min, rate * probe_window),
-                            )
-                        )
-                        return run_open_loop(
-                            ServingGateway(server, net),
-                            reference_runner.synthesize_batch(
-                                net, count
-                            ),
-                            poisson_schedule(
-                                rate, count, seed=arrival_seed
-                            ),
-                        )
-
-                    search = find_sustained_rate(
-                        probe,
-                        slo_p99,
-                        start_rate=max(
-                            pipelined_run.achieved_rate / 2.0, 1.0
-                        ),
-                        bracket_steps=bracket_steps,
-                        iterations=search_iterations,
-                    )
-                    best = search["run"]
-                    if best is None or search["rate"] <= 0.0:
-                        raise DataflowError(
-                            f"{net}/{backend}/{workers}w: no "
-                            f"sustainable rate under the "
-                            f"{slo_p99 * 1e3:.2f} ms p99 SLO — even "
-                            "the lowest probe missed it"
-                        )
-
-                chaos_identity = None
-                chaos_health = None
-                if fault_plan is not None:
-                    with serving_runner(
-                        backend, profile_cap, workers, chaos=True
-                    ) as chaos_server:
-                        chaos_server.start(net)
-                        chaos_run = run_open_loop(
-                            ServingGateway(chaos_server, net),
-                            images,
-                            poisson_schedule(
-                                200.0 * workers, requests,
-                                seed=arrival_seed,
-                            ),
-                        )
-                    chaos_identity = identical(
-                        chaos_run.result, reference
-                    )
-                    identity["chaos_poisson"] = chaos_identity
-                    chaos_health = {
-                        counter: int(
-                            chaos_run.result.health[counter]
-                        )
-                        for counter in (
-                            "restarts",
-                            "retries",
-                            "redispatched",
-                            "degraded_jobs",
-                            "worker_errors",
-                        )
-                    }
-
-                for leg, flag in identity.items():
-                    if not flag:
-                        raise DataflowError(
-                            f"{net}/{backend}/{workers}w: gateway "
-                            f"stream under {leg} arrivals diverged "
-                            "from the single-process reference"
-                        )
-
-                stats = best.stats
-                record = {
-                    "net": net,
-                    "backend": backend,
-                    "precision": profile_cap.name,
-                    "workers": int(workers),
-                    "requests": int(requests),
-                    "cycles": int(reference.conv_cycles),
-                    "bit_identical": identity,
-                    "sustained_rps": float(search["rate"]),
-                    "achieved_rps": float(best.achieved_rate),
-                    "probes": int(search["probes"]),
-                    "search_history": [
-                        {
-                            "rate": rate,
-                            "sustained": bool(ok),
-                            "p99_ms": p99 * 1e3,
-                        }
-                        for rate, ok, p99 in search["history"]
-                    ],
-                    "slo_p99_ms": float(slo_p99 * 1e3),
-                    "slo_source": (
-                        "fixed" if slo_ms is not None else "adaptive"
-                    ),
-                    "unloaded_p99_ms": float(unloaded_p99 * 1e3),
-                    "latency_ms": {
-                        key: float(stats[key] * 1e3)
-                        for key in (
-                            "p50", "p90", "p99", "mean", "max"
-                        )
-                    },
-                    "phases_ms": {
-                        phase: {
-                            "mean": float(
-                                values["mean"] * 1e3
-                            ),
-                            "p99": float(values["p99"] * 1e3),
-                        }
-                        for phase, values in stats["phases"].items()
-                    },
-                    "jobs": int(best.result.jobs),
-                    "makespan_cycles": int(
-                        poisson_run.result.makespan_cycles
-                    ),
-                    "requests_per_second_sim": float(
-                        requests_per_second(
-                            requests,
-                            poisson_run.result.makespan_cycles
-                            / SERVING_CLOCK_HZ,
-                        )
-                    ),
-                    "synchronous_rps": float(
-                        sync_run.achieved_rate
-                    ),
-                    "pipelined_rps": float(
-                        pipelined_run.achieved_rate
-                    ),
-                    "pipeline_speedup": float(
-                        pipelined_run.achieved_rate
-                        / max(sync_run.achieved_rate, 1e-9)
-                    ),
-                    "queue": best.result.health["queue"],
-                }
-                if chaos_health is not None:
-                    record["chaos_health"] = chaos_health
-                if profile:
-                    record["profile"] = [
-                        {
-                            key: (
-                                value
-                                if key in ("job", "batch", "shard")
-                                else float(value * 1e3)
-                            )
-                            for key, value in batch_row.items()
-                        }
-                        for batch_row in best.result.profile
-                    ]
-                records.append(record)
-
-    # Headline before/after: the best pipelining win at the largest
-    # pool — the number the synchronous driver leaves on the table.
-    top_workers = max(spec.workers)
-    at_top = [
-        record
-        for record in records
-        if record["workers"] == top_workers
-    ]
-    headline = max(at_top, key=lambda r: r["pipeline_speedup"])
-    payload = {
-        "benchmark": "serving_load",
-        "backends": list(spec.backends),
-        "precision_profile": profile_cap.name,
-        **harness.common_head(),
-        "max_batch": int(max_batch),
-        "max_wait": float(max_wait),
-        "clock_hz": SERVING_CLOCK_HZ,
-        "worker_counts": [int(count) for count in spec.workers],
-        "requests": int(requests),
-        "arrival_seed": int(arrival_seed),
-        "fault_rate": float(fault_rate),
-        "fault_seed": (
-            int(fault_seed) if fault_rate > 0.0 else None
-        ),
-        "transport": resolved_transport,
-        "slo": {
-            "p99_ms": (
-                float(slo_ms) if slo_ms is not None else None
-            ),
-            "source": "fixed" if slo_ms is not None else "adaptive",
-            "factor": (
-                None if slo_ms is not None else LOAD_SLO_FACTOR
-            ),
-        },
-        "pipelining": {
-            "workers": int(top_workers),
-            "net": headline["net"],
-            "backend": headline["backend"],
-            "before_rps": headline["synchronous_rps"],
-            "after_rps": headline["pipelined_rps"],
-            "speedup": headline["pipeline_speedup"],
-        },
-        "records": records,
-    }
-    return write_benchmark_artifact(
-        payload, "BENCH_load.json", out_dir
-    )
-
-
-def render_load_benchmark(payload: dict) -> str:
-    """Human-readable summary of a load benchmark payload."""
-    columns = [
-        Column("net", "net"),
-        Column("backend", "backend"),
-        Column("workers", "workers"),
-        Column(
-            "sustained req/s", "sustained_rps", format=",.0f"
-        ),
-        Column(
-            "p50 ms", lambda row: row["latency_ms"]["p50"],
-            format=".2f",
-        ),
-        Column(
-            "p99 ms", lambda row: row["latency_ms"]["p99"],
-            format=".2f",
-        ),
-        Column("SLO ms", "slo_p99_ms", format=".2f"),
-        Column(
-            "queue ms",
-            lambda row: row["phases_ms"]["queue_wait"]["mean"],
-            format=".2f",
-        ),
-        Column(
-            "compute ms",
-            lambda row: row["phases_ms"]["compute"]["mean"],
-            format=".2f",
-        ),
-        Column("sync req/s", "synchronous_rps", format=",.0f"),
-        Column("pipelined req/s", "pipelined_rps", format=",.0f"),
-        Column(
-            "speedup", "pipeline_speedup", format=".2f", suffix="x"
-        ),
-        Column(
-            "bit-identical",
-            lambda row: yes_no(
-                all(row["bit_identical"].values())
-            ),
-        ),
-    ]
-    chaos = (
-        f", chaos {payload['fault_rate']:g} "
-        f"(seed {payload['fault_seed']})"
-        if payload.get("fault_rate", 0.0) > 0.0
-        else ""
-    )
-    table = render_columns(
-        payload["records"],
-        columns,
-        title=(
-            "serving gateway load "
-            f"(p99 SLO: {payload['slo']['source']}, transport "
-            f"{payload['transport']}, "
-            f"max_batch {payload['max_batch']}, scale "
-            f"{payload['scale']}, input {payload['input_size']}"
-            f"{chaos})"
-        ),
-    )
-    headline = payload["pipelining"]
-    table += (
-        f"\n\npipelined dispatch vs synchronous driver at "
-        f"{headline['workers']} workers "
-        f"({headline['net']}/{headline['backend']}): "
-        f"{headline['before_rps']:,.0f} -> "
-        f"{headline['after_rps']:,.0f} req/s "
-        f"({headline['speedup']:.2f}x)"
-    )
-    profiled = [
-        record
-        for record in payload["records"]
-        if record.get("profile")
-    ]
-    if profiled:
-        table += "\n\n" + render_load_profile(payload)
-    return table
-
-
-def render_load_profile(payload: dict, per_point: int = 8) -> str:
-    """One-table per-batch phase breakdown (``--load --profile``):
-    wall milliseconds spent coalescing, writing the batch over the
-    transport, computing in the worker and reassembling, for the
-    first ``per_point`` batches of every point's winning run."""
-    rows = []
-    for record in payload["records"]:
-        batches = record.get("profile") or []
-        for row in batches[:per_point]:
-            rows.append(
-                {
-                    **row,
-                    "point": (
-                        f"{record['net']}/{record['backend']}/"
-                        f"{record['workers']}w"
-                    ),
-                    "shard": (
-                        "degraded"
-                        if row["shard"] is None
-                        else row["shard"]
-                    ),
-                }
-            )
-    if not rows:
-        return "no per-batch profile recorded (re-run with --profile)"
-    columns = [
-        Column("point", "point"),
-        Column("job", "job"),
-        Column("batch", "batch"),
-        Column("shard", "shard"),
-        Column("coalesce ms", "coalesce", format=".3f"),
-        Column("shm write ms", "shm_write", format=".3f"),
-        Column("compute ms", "compute", format=".3f"),
-        Column("reassemble ms", "reassemble", format=".3f"),
-    ]
-    return render_columns(
-        rows,
-        columns,
-        title="per-batch host-time phase breakdown (ms)",
-    )
 
 
 #: Fault-tolerance benchmark defaults: injected crash-dominated fault
@@ -2197,6 +1633,13 @@ def render_llm_benchmark(payload: dict) -> str:
     )
 
 
+def _hit_rate(cache: dict) -> str:
+    """A cache record's hit rate, or "-" when the run made no
+    burst-map lookups."""
+    rate = cache["hit_rate"]
+    return "-" if rate is None else f"{rate:.2f}"
+
+
 def render_benchmark(payload: dict) -> str:
     """Human-readable summary of a benchmark payload."""
     columns = [
@@ -2221,8 +1664,7 @@ def render_benchmark(payload: dict) -> str:
         ),
         Column(
             "cache hit",
-            lambda row: row["engines"]["tempus"]["cache"]["hit_rate"],
-            format=".2f",
+            lambda row: _hit_rate(row["engines"]["tempus"]["cache"]),
         ),
         Column(
             "sched gain",

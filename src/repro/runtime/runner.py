@@ -53,6 +53,25 @@ from repro.unary.encoding import UnaryCode
 from repro.utils.rng import make_rng
 
 
+#: Burst-map counters a run's cache record carries, beside hit_rate.
+CACHE_COUNTERS = ("hits", "misses", "disk_hits", "disk_misses",
+                  "disk_writes")
+
+
+def cache_record(counts: dict) -> dict:
+    """A run's burst-map cache record from its counter deltas.
+
+    ``hit_rate`` is None when the run made no burst-map lookups (a
+    warm repeat, whose stage cycles are memoized, or a backend without
+    burst maps): a rate over zero lookups is undefined, and 0.0 would
+    read as all-miss.
+    """
+    record = {key: int(counts.get(key, 0)) for key in CACHE_COUNTERS}
+    lookups = record["hits"] + record["misses"]
+    record["hit_rate"] = record["hits"] / lookups if lookups else None
+    return record
+
+
 @dataclass(frozen=True)
 class NetworkResult:
     """One batched forward pass through a compiled network.
@@ -67,8 +86,9 @@ class NetworkResult:
         stages: per-stage execution records (cycles cover the batch).
         conv_cycles: total conv-core cycles across the batch.
         macs: useful multiply-accumulates across the batch.
-        cache: burst-map cache delta for this run
-            ({"hits", "misses", "hit_rate"}).
+        cache: burst-map cache delta for this run (see
+            :func:`cache_record`; ``hit_rate`` is None when the run
+            made no lookups).
     """
 
     model: str
@@ -348,21 +368,9 @@ class NetworkRunner:
 
     def _cache_delta(self, before: dict) -> dict:
         after = burst_map_cache_stats()
-        hits = after["hits"] - before["hits"]
-        misses = after["misses"] - before["misses"]
-        lookups = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / lookups if lookups else 0.0,
-            "disk_hits": after["disk_hits"] - before["disk_hits"],
-            "disk_misses": (
-                after["disk_misses"] - before["disk_misses"]
-            ),
-            "disk_writes": (
-                after["disk_writes"] - before["disk_writes"]
-            ),
-        }
+        return cache_record(
+            {key: after[key] - before[key] for key in CACHE_COUNTERS}
+        )
 
     # --- seam adapters (per-image) ------------------------------------
     def _fit_single(

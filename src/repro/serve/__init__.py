@@ -5,8 +5,8 @@
   bounded depth with block/reject/shed admission control, eager
   dispatch for idle pools).
 - :class:`~repro.serve.sharded.ShardedRunner` — compile once, fork N
-  shard workers, dispatch coalesced batches round-robin, reassemble
-  bit-identical results.
+  shard workers, and serve a whole batch through one coalescing
+  gateway stream with bit-identical results.
 - :class:`~repro.serve.supervisor.ShardSupervisor` — worker
   supervision: dead/hung-shard detection (on its own probe thread),
   capped-backoff respawn, retry/redispatch with deadlines and
@@ -17,8 +17,8 @@
   per-response latency decomposition (queue wait / dispatch / compute
   / reassembly).
 - :mod:`~repro.serve.loadgen` — seeded Poisson/burst/uniform open-loop
-  load generation, closed-loop concurrency sweeps, p50/p90/p99 stats
-  and the max-rate-at-p99-SLO binary search.
+  load generation, closed-loop concurrency sweeps and p50/p90/p99
+  stats.
 - :class:`~repro.serve.faults.FaultPlan` — seeded, deterministic
   fault injection (crash / hang / slow / transient error) so chaos
   runs replay exactly.
@@ -38,10 +38,8 @@ from repro.serve.loadgen import (
     LoadRun,
     arrival_schedule,
     burst_schedule,
-    find_sustained_rate,
     latency_stats,
     poisson_schedule,
-    run_batch_synchronous,
     run_closed_loop,
     run_open_loop,
     uniform_schedule,
@@ -70,10 +68,8 @@ __all__ = [
     "ShardSupervisor",
     "arrival_schedule",
     "burst_schedule",
-    "find_sustained_rate",
     "latency_stats",
     "poisson_schedule",
-    "run_batch_synchronous",
     "run_closed_loop",
     "run_open_loop",
     "uniform_schedule",

@@ -1,12 +1,12 @@
 """Serving gateway: pipelined dispatch over the shard pool.
 
-:class:`~repro.serve.sharded.ShardedRunner` serves a request stream
-with a *synchronous* collection phase: every request is submitted,
-then results are gathered.  The gateway is the tier above it for live
-traffic — requests arrive continuously (from the open/closed-loop
-generators in :mod:`repro.serve.loadgen`, or any thread or coroutine)
-and three concerns run **concurrently** on two gateway threads plus
-the callers, so no worker ever waits on the parent:
+The gateway is the one path a request stream takes through the
+supervised shard pool.  :meth:`~repro.serve.sharded.ShardedRunner.run`
+drains a whole batch through it (coalescing, ``eager=False``), and live
+traffic — the open/closed-loop generators in :mod:`repro.serve.loadgen`,
+or any thread or coroutine — submits requests as they arrive.  Three
+concerns run **concurrently** on two gateway threads plus the callers,
+so no worker ever waits on the parent:
 
 * **submit** (any thread; :meth:`ServingGateway.submit_async` is a thin
   asyncio wrapper) — :meth:`ServingGateway.submit` validates one image
@@ -57,6 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import DataflowError, PrecisionError
+from repro.nvdla.pipeline import StageResult
+from repro.runtime.runner import CACHE_COUNTERS
 from repro.serve.queue import Request, RequestQueue
 
 #: The per-response latency phases, in stream order.
@@ -119,9 +121,15 @@ class GatewayResult:
     admission policy that is every request
     :meth:`ServingGateway.submit` accepted (a malformed one is refused
     before it takes a sequence number), so the tensor — and
-    ``conv_cycles`` / ``stage_cycles`` — is directly comparable to the
+    ``conv_cycles`` / ``stages`` — is directly comparable to the
     single-process
     :meth:`~repro.runtime.runner.NetworkRunner.run` reference.
+
+    ``stages`` holds one :class:`~repro.nvdla.pipeline.StageResult` per
+    executed stage, with cycles summed over every job and the leading
+    output dimension set to the completed request count (the per-job
+    batch split is a dispatch detail).  ``cache`` sums the jobs'
+    burst-map counters (hits, misses, disk hits/misses/writes).
     """
 
     model: str
@@ -131,11 +139,10 @@ class GatewayResult:
     completed: tuple
     conv_cycles: int
     shard_cycles: tuple
-    stage_cycles: tuple
+    stages: tuple
     cache: dict
     health: dict
     responses: tuple
-    profile: tuple
 
     @property
     def makespan_cycles(self) -> int:
@@ -167,22 +174,12 @@ def _fail_tickets(requests: "list[Request]", error: Exception) -> None:
 class _Job:
     """Parent-side record of one dispatched batch."""
 
-    __slots__ = (
-        "requests",
-        "first_arrival",
-        "closed_at",
-        "submitted_at",
-        "submit_seconds",
-    )
+    __slots__ = ("requests", "closed_at", "submitted_at")
 
     def __init__(self, requests: "list[Request]", closed_at: float):
         self.requests = requests
-        self.first_arrival = min(
-            request.arrived for request in requests
-        )
         self.closed_at = closed_at
         self.submitted_at = closed_at
-        self.submit_seconds = 0.0
 
 
 class ServingGateway:
@@ -195,8 +192,8 @@ class ServingGateway:
     submit requests from any thread or coroutine, then :meth:`finish`
     to drain and collect the aggregate :class:`GatewayResult`.  The
     underlying :class:`~repro.serve.sharded.ShardedRunner` stays warm
-    across gateways, so back-to-back streams (an SLO search's probes)
-    pay no respawn/recompile cost.
+    across gateways, so back-to-back streams pay no respawn/recompile
+    cost.
 
     Usage::
 
@@ -268,14 +265,8 @@ class ServingGateway:
         self._shard_cycles = [0] * self._supervisor.workers
         self._degraded_cycles = 0
         self._stage_cycles: "list[int] | None" = None
-        self._cache = {
-            "hits": 0,
-            "misses": 0,
-            "disk_hits": 0,
-            "disk_misses": 0,
-            "disk_writes": 0,
-        }
-        self._profile: "list[dict]" = []
+        self._stage_meta: "tuple | None" = None
+        self._cache = dict.fromkeys(CACHE_COUNTERS, 0)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
             daemon=True,
@@ -399,10 +390,8 @@ class ServingGateway:
                     # job's token) the moment the worker answers.
                     self._jobs[job_id] = job
                     self._dispatched += 1
-                started = time.monotonic()
                 self._supervisor.submit(job_id, images)
                 job.submitted_at = time.monotonic()
-                job.submit_seconds = job.submitted_at - started
                 self._need.release()
                 job_id += 1
         except BaseException as error:
@@ -454,6 +443,7 @@ class ServingGateway:
                 self._cache[key] += record["cache"].get(key, 0)
             if self._stage_cycles is None:
                 self._stage_cycles = list(record["stage_cycles"])
+                self._stage_meta = record["stage_meta"]
             else:
                 for position, cycles in enumerate(
                     record["stage_cycles"]
@@ -493,19 +483,6 @@ class ServingGateway:
         with self._lock:
             for _, response in resolved:
                 self._responses[response.seq] = response
-            self._profile.append(
-                {
-                    "job": int(job_id),
-                    "batch": len(job.requests),
-                    "shard": shard_index,
-                    "coalesce": max(
-                        job.closed_at - job.first_arrival, 0.0
-                    ),
-                    "shm_write": job.submit_seconds,
-                    "compute": compute,
-                    "reassemble": reassembly,
-                }
-            )
         # Capacity just freed: wake a dispatcher waiting out its
         # coalescing window so it re-checks eagerness.  Outside the
         # gateway lock (poke takes the queue lock; the eager predicate
@@ -543,7 +520,6 @@ class ServingGateway:
             health = self._supervisor.health()
             health["degraded_cycles"] = int(self._degraded_cycles)
             health["queue"] = self._queue.stats()
-            health["eager_dispatch"] = self.eager
             self._result = GatewayResult(
                 model=self._net.name,
                 requests=len(responses),
@@ -552,13 +528,28 @@ class ServingGateway:
                 completed=tuple(r.seq for r in responses),
                 conv_cycles=int(self._conv_cycles),
                 shard_cycles=tuple(self._shard_cycles),
-                stage_cycles=tuple(self._stage_cycles or ()),
+                stages=self._stage_records(len(responses)),
                 cache=dict(self._cache),
                 health=health,
                 responses=responses,
-                profile=tuple(self._profile),
             )
         return self._result
+
+    def _stage_records(self, requests: int) -> tuple:
+        """Stream-total stage records (call under the gateway lock)."""
+        if self._stage_meta is None:
+            return ()
+        return tuple(
+            StageResult(
+                name=name,
+                kind=kind,
+                output_shape=(requests,) + tuple(shape[1:]),
+                conv_cycles=cycles,
+            )
+            for (name, kind, shape), cycles in zip(
+                self._stage_meta, self._stage_cycles
+            )
+        )
 
     def _fail_pending(self) -> None:
         """Error path: fail every unresolved ticket so no submitter

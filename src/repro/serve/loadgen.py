@@ -1,9 +1,9 @@
-"""Load generation and SLO search for the serving gateway.
+"""Load generation for the serving gateway.
 
-The "millions of users" scenario made measurable: seeded arrival
-schedules drive a :class:`~repro.serve.gateway.ServingGateway` the way
-real traffic would, and per-response latency decompositions feed
-p50/p90/p99 percentile stats (the huggingbench ``RunnerStats`` shape).
+Seeded arrival schedules drive a
+:class:`~repro.serve.gateway.ServingGateway` the way real traffic
+would, and per-response latency decompositions feed p50/p90/p99
+percentile stats (the huggingbench ``RunnerStats`` shape).
 
 Two driving disciplines, the standard pair from serving-systems
 measurement:
@@ -21,19 +21,11 @@ measurement:
   concurrency sweep that measures service capacity and unloaded
   latency.
 
-:func:`run_batch_synchronous` is the *pre-gateway* driver reproduced
-for before/after comparison: one coalesced batch in flight at a time
-(dispatch, wait, repeat), which leaves every other worker idle.  The
-pipelined gateway's win over it is the headline number of
-``results/BENCH_load.json``.
-
-:func:`find_sustained_rate` binary-searches the highest offered rate a
-configuration sustains while meeting a p99 latency SLO: bracket by
-doubling (or halving) the probe rate, then bisect.  "Sustained" means
-the p99 met the target, nothing was rejected/shed, and completed
-throughput kept up with the offered rate — an open-loop queue that
-diverges fails both tail latency and throughput, so the search
-converges on the true knee.
+These drivers pin the gateway's bit-identity and latency-decomposition
+contracts in the test suite.  Host-plane serving measurement (open-loop
+Poisson traffic with repeated seeded runs and reference-normalized
+throughput) lives in ``perfbench`` (``python3 perfbench/run.py
+--workload cnn-serve``).
 """
 
 from __future__ import annotations
@@ -219,7 +211,7 @@ class LoadRun:
     """One driven gateway stream: responses + aggregate result.
 
     Attributes:
-        mode: "open", "closed" or "synchronous".
+        mode: "open" or "closed".
         schedule: the arrival schedule (open loop only).
         concurrency: submitter count (closed loop only).
         responses: completed :class:`GatewayResponse`\\ s, seq order.
@@ -353,143 +345,3 @@ def run_closed_loop(gateway, images, concurrency: int) -> LoadRun:
         result=result,
         stats=latency_stats(responses),
     )
-
-
-def run_batch_synchronous(gateway, images, batch: int) -> LoadRun:
-    """The pre-gateway driving discipline, for before/after
-    comparison: submit one ``batch``-sized clump, wait for *all* of it,
-    then submit the next — exactly one coalesced job in flight at a
-    time, so N-1 of N workers idle and every round-trip's dispatch +
-    reassembly happens on the critical path."""
-    images = np.asarray(images)
-    if batch < 1:
-        raise DataflowError("batch must be >= 1")
-
-    async def _drive():
-        start = time.monotonic()
-        settled = []
-        for base in range(0, images.shape[0], batch):
-            clump = await asyncio.gather(
-                *(
-                    gateway.submit_async(image)
-                    for image in images[base:base + batch]
-                ),
-                return_exceptions=True,
-            )
-            settled.extend(clump)
-        return settled, time.monotonic() - start
-
-    settled, wall = asyncio.run(_drive())
-    responses, failures = _settle(settled)
-    result = gateway.finish()
-    return LoadRun(
-        mode="synchronous",
-        schedule=None,
-        concurrency=None,
-        responses=tuple(responses),
-        failed=failures,
-        wall_seconds=wall,
-        result=result,
-        stats=latency_stats(responses),
-    )
-
-
-def sustained(run: LoadRun, slo_p99: float, keepup: float = 0.85) -> bool:
-    """Did an open-loop run sustain its offered rate under the SLO?
-
-    Three conditions, all host-observable symptoms of saturation:
-    p99 total latency within ``slo_p99`` seconds, zero admission
-    failures, and completed throughput at least ``keepup`` of the
-    offered rate (a diverging queue finishes long after the last
-    arrival, collapsing the achieved rate).
-    """
-    if run.failed > 0:
-        return False
-    if run.stats["p99"] > slo_p99:
-        return False
-    offered = (
-        run.schedule.offered_rate if run.schedule is not None else 0.0
-    )
-    if offered <= 0.0:
-        return True
-    return run.achieved_rate >= keepup * offered
-
-
-def find_sustained_rate(
-    probe,
-    slo_p99: float,
-    start_rate: float,
-    *,
-    bracket_steps: int = 6,
-    iterations: int = 5,
-    keepup: float = 0.85,
-) -> dict:
-    """Binary-search the highest offered rate meeting the p99 SLO.
-
-    Args:
-        probe: callable ``rate -> LoadRun`` running one fresh
-            open-loop stream at that offered rate.
-        slo_p99: p99 total-latency target in seconds.
-        start_rate: initial probe rate (e.g. the closed-loop service
-            capacity estimate).
-        bracket_steps: rate doublings/halvings to bracket the knee.
-        iterations: bisection steps inside the bracket.
-        keepup: throughput floor for :func:`sustained`.
-
-    Returns:
-        ``{"rate", "run", "probes", "history"}`` — the highest
-        sustained rate, its :class:`LoadRun` (None if even the lowest
-        probe failed), the probe count, and per-probe
-        ``(rate, sustained, p99)`` tuples.
-    """
-    if start_rate <= 0.0:
-        raise DataflowError("start_rate must be positive")
-    history = []
-
-    def attempt(rate: float) -> LoadRun:
-        run = probe(rate)
-        history.append(
-            (
-                float(rate),
-                sustained(run, slo_p99, keepup),
-                float(run.stats["p99"]),
-            )
-        )
-        return run
-
-    rate = float(start_rate)
-    run = attempt(rate)
-    if sustained(run, slo_p99, keepup):
-        best, best_run, ceiling = rate, run, None
-        for _ in range(bracket_steps):
-            rate *= 2.0
-            run = attempt(rate)
-            if sustained(run, slo_p99, keepup):
-                best, best_run = rate, run
-            else:
-                ceiling = rate
-                break
-    else:
-        ceiling = rate
-        best, best_run = 0.0, None
-        for _ in range(bracket_steps):
-            rate /= 2.0
-            run = attempt(rate)
-            if sustained(run, slo_p99, keepup):
-                best, best_run = rate, run
-                break
-            ceiling = rate
-    if best_run is not None and ceiling is not None:
-        for _ in range(iterations):
-            mid = (best + ceiling) / 2.0
-            run = attempt(mid)
-            if sustained(run, slo_p99, keepup):
-                best, best_run = mid, run
-            else:
-                ceiling = mid
-    return {
-        "rate": float(best),
-        "run": best_run,
-        "probes": len(history),
-        "history": history,
-    }

@@ -5,12 +5,13 @@ area-efficient compute units instead of growing one): a
 :class:`ShardedRunner` compiles a zoo model **once** in the parent
 process (:func:`~repro.runtime.lowering.lower_model`) and ships the
 lowered program to N worker processes, each holding its own
-:class:`~repro.runtime.executor.BatchExecutor`.  A dynamic-batching
-front-end (:class:`~repro.serve.queue.RequestQueue`) coalesces
-single-image requests into batches and a dispatcher thread hands them
-to a :class:`~repro.serve.supervisor.ShardSupervisor`, which scatters
-them round-robin across healthy shards; results are reassembled by
-request sequence number.
+:class:`~repro.runtime.executor.BatchExecutor`.
+:meth:`ShardedRunner.run` submits every image as one request to a
+:class:`~repro.serve.gateway.ServingGateway`, whose dynamic-batching
+queue (:class:`~repro.serve.queue.RequestQueue`) coalesces them into
+batches for a :class:`~repro.serve.supervisor.ShardSupervisor`, which
+scatters them round-robin across healthy shards; results are
+reassembled by request sequence number.
 
 Because every shard executes the *same* ``BatchExecutor`` code path as
 the in-process :class:`~repro.runtime.runner.NetworkRunner`, and both
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -48,11 +48,12 @@ import numpy as np
 
 from repro.core.latency import configure_burst_map_disk_cache
 from repro.errors import DataflowError
-from repro.nvdla.pipeline import StageResult
 from repro.runtime.executor import BatchExecutor
 from repro.runtime.lowering import CompiledNetwork
-from repro.runtime.runner import NetworkResult, NetworkRunner
-from repro.serve.queue import ADMISSION_POLICIES, Request, RequestQueue
+from repro.runtime.runner import NetworkResult, NetworkRunner, \
+    cache_record
+from repro.serve.gateway import ServingGateway
+from repro.serve.queue import ADMISSION_POLICIES
 from repro.serve.shm import ShmArena, ShmRef, default_transport, \
     shm_available
 from repro.serve.supervisor import ShardSupervisor
@@ -262,8 +263,9 @@ class ShardedRunner:
 
         max_pending / admission: bound the request queue's depth and
             pick the saturation policy ("block" applies backpressure
-            to submitters, "reject" sheds load with a
-            :class:`DataflowError`).
+            to submitters, "reject" refuses the request and "shed"
+            evicts the oldest pending one; :meth:`run` raises
+            :class:`DataflowError` under either).
         transport: how batch/result tensors cross the process
             boundary — "shm" (shared-memory arenas, the default where
             the host supports them) or "pickle" (through the queues).
@@ -464,137 +466,62 @@ class ShardedRunner:
                 single (C, H, W) image, or a (B, C, H, W) tensor whose
                 images are submitted as B independent requests.
 
-        The result's output rows are in request-submission order and
-        its cycle totals are bit-identical to the single-process
-        batched run over the same images — including under injected or
-        real faults, as long as the supervisor retains one live
-        execution path (worst case: the in-process degraded fallback).
+        Every request goes through one
+        :class:`~repro.serve.gateway.ServingGateway` stream that
+        coalesces up to ``max_batch``/``max_wait`` (no eager
+        dispatch), and the drained :class:`GatewayResult` becomes the
+        :class:`ShardedResult`.  Its output rows are in
+        request-submission order and its cycle totals are bit-identical
+        to the single-process batched run over the same images —
+        including under injected or real faults, as long as the
+        supervisor retains one live execution path (worst case: the
+        in-process degraded fallback).
+
+        Raises:
+            DataflowError: a request was refused ("reject" admission)
+                or shed ("shed" admission) — the message names the
+                shed sequence numbers — or the stream failed.
 
         The shard pool is released on every error path; a successful
         run leaves the pool warm for the next stream.
         """
-        self.start(model_name)
         try:
-            return self._run_stream(model_name, batch)
+            net = self.compile(model_name)
+            images = self._runner._as_batch(net, model_name, batch)
+            gateway = ServingGateway(self, model_name, eager=False)
+            try:
+                tickets = [gateway.submit(image) for image in images]
+            finally:
+                result = gateway.finish()
+            completed = set(result.completed)
+            lost = [
+                seq for seq in range(len(tickets)) if seq not in completed
+            ]
+            if lost:
+                raise DataflowError(
+                    f"{len(lost)} of {len(tickets)} requests were not "
+                    f"served (sequence numbers {lost}): "
+                    f"{tickets[lost[0]].exception()}"
+                )
         except BaseException:
             # Release the pool on *every* error path (including
             # KeyboardInterrupt) so no worker or queue feeder thread
             # outlives a failed stream.
             self.stop()
             raise
-
-    def _run_stream(
-        self, model_name: str, batch: "int | np.ndarray"
-    ) -> ShardedResult:
-        supervisor = self._supervisor
-        supervisor.begin_stream()
-        net = self._runner.compile(model_name)
-        images = self._runner._as_batch(net, model_name, batch)
-        queue = RequestQueue(
-            max_batch=self.max_batch,
-            max_wait=self.max_wait,
-            max_pending=self.max_pending,
-            admission=self.admission,
-        )
-        jobs: dict[int, list[Request]] = {}
-        dispatch_errors: list[BaseException] = []
-
-        def _dispatch() -> None:
-            job_id = 0
-            try:
-                while True:
-                    coalesced = queue.next_batch()
-                    if coalesced is None:
-                        return
-                    jobs[job_id] = coalesced
-                    supervisor.submit(
-                        job_id,
-                        np.stack(
-                            [request.image for request in coalesced]
-                        ),
-                    )
-                    job_id += 1
-            except BaseException as error:
-                dispatch_errors.append(error)
-
-        dispatcher = threading.Thread(target=_dispatch, daemon=True)
-        dispatcher.start()
-        for index in range(images.shape[0]):
-            queue.submit(images[index])
-        queue.close()
-        dispatcher.join()
-        if dispatch_errors:
-            raise DataflowError(
-                f"dispatcher failed: {dispatch_errors[0]!r}"
-            )
-
-        outputs: "list[np.ndarray | None]" = [None] * images.shape[0]
-        stage_cycles: "list[int] | None" = None
-        stage_meta = None
-        total_cycles = 0
-        shard_cycles = [0] * supervisor.workers
-        degraded_cycles = 0
-        cache_hits = 0
-        cache_misses = 0
-        disk_cache = {"disk_hits": 0, "disk_misses": 0,
-                      "disk_writes": 0}
-        for _ in range(len(jobs)):
-            job_id, shard_index, record = supervisor.next_result()
-            requests = jobs[job_id]
-            for row, request in enumerate(requests):
-                outputs[request.seq] = record["output"][row]
-            total_cycles += record["conv_cycles"]
-            if shard_index is None:
-                degraded_cycles += record["conv_cycles"]
-            else:
-                shard_cycles[shard_index] += record["conv_cycles"]
-            cache_hits += record["cache"]["hits"]
-            cache_misses += record["cache"]["misses"]
-            for key in disk_cache:
-                disk_cache[key] += record["cache"].get(key, 0)
-            if stage_cycles is None:
-                stage_cycles = list(record["stage_cycles"])
-                stage_meta = record["stage_meta"]
-            else:
-                for position, cycles in enumerate(
-                    record["stage_cycles"]
-                ):
-                    stage_cycles[position] += cycles
-        output = np.stack(outputs)
-        records = tuple(
-            StageResult(
-                name=name,
-                kind=kind,
-                # Stage shapes describe the whole request stream; the
-                # per-job leading dim is a dispatch detail.
-                output_shape=(images.shape[0],) + tuple(shape[1:]),
-                conv_cycles=cycles,
-            )
-            for (name, kind, shape), cycles in zip(
-                stage_meta, stage_cycles
-            )
-        )
-        health = supervisor.health()
-        health["degraded_cycles"] = int(degraded_cycles)
-        health["queue"] = queue.stats()
+        health = result.health
         if self.fault_plan is not None:
             health["fault_plan"] = self.fault_plan.describe()
-        lookups = cache_hits + cache_misses
         return ShardedResult(
-            model=net.name,
+            model=result.model,
             engine=self.engine,
-            batch_size=images.shape[0],
-            output=output,
-            stages=records,
-            conv_cycles=total_cycles,
-            macs=net.macs_per_image * images.shape[0],
-            cache={
-                "hits": cache_hits,
-                "misses": cache_misses,
-                "hit_rate": cache_hits / lookups if lookups else 0.0,
-                **disk_cache,
-            },
-            shard_cycles=tuple(shard_cycles),
-            jobs=len(jobs),
+            batch_size=result.requests,
+            output=result.output,
+            stages=result.stages,
+            conv_cycles=result.conv_cycles,
+            macs=net.macs_per_image * result.requests,
+            cache=cache_record(result.cache),
+            shard_cycles=result.shard_cycles,
+            jobs=result.jobs,
             health=health,
         )

@@ -60,7 +60,9 @@ def engine_record(
     seconds: "float | None" = None,
     energy: "dict | None" = None,
 ) -> dict:
-    """The per-run record every benchmark payload carries."""
+    """The per-run record every benchmark payload carries (the cache
+    ``hit_rate`` stays None when the run made no burst-map lookups)."""
+    hit_rate = result.cache["hit_rate"]
     record = {
         "conv_cycles": int(result.conv_cycles),
         "cycles_per_image": float(result.cycles_per_image),
@@ -73,7 +75,7 @@ def engine_record(
         "cache": {
             "hits": int(result.cache["hits"]),
             "misses": int(result.cache["misses"]),
-            "hit_rate": float(result.cache["hit_rate"]),
+            "hit_rate": None if hit_rate is None else float(hit_rate),
         },
     }
     if energy is not None:

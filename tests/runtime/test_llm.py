@@ -128,8 +128,42 @@ def test_lowering_folds_glue_into_stage_plans():
     assert by_name["mlp.down"].residual_from == 3
     assert by_name["attn.o"].save_output  # mlp residual source
     assert by_name["attn.q"].residual_from is None
-    # The folded norm widened the requant shift of the stage before it.
-    assert by_name["attn.o"].sdp.shift > by_name["attn.q"].sdp.shift
+
+
+def test_folded_norm_adds_its_shift_to_the_preceding_stage():
+    """Each norm widens the requant shift of the stage before it by
+    exactly its own shift, against the same model lowered without the
+    norms (comparing two different stages would measure their seeded
+    weights, not the fold)."""
+    import dataclasses
+
+    from repro.models.weights import load_quantized_model
+    from repro.runtime.lowering import lower_model
+
+    quantized = load_quantized_model("tiny_llm", scale=TINY["scale"])
+    without_norms = dataclasses.replace(
+        quantized,
+        layers=tuple(
+            q for q in quantized.layers
+            if not isinstance(q.layer, NormSpec)
+        ),
+    )
+    config = CoreConfig(k=4, n=4)
+    folded, plain = (
+        {
+            stage.name.split(".", 1)[1]: stage
+            for stage in lower_model(
+                model, config, input_size=TINY["input_size"]
+            ).stages
+        }
+        for model in (quantized, without_norms)
+    )
+    for name in ("attn.o", "mlp.down"):  # the stages norms follow
+        extra = NormSpec.requant_shift(folded[name].layer.fan_in)
+        assert extra >= 1, name
+        assert folded[name].sdp.shift == plain[name].sdp.shift + extra
+    for name in ("attn.q", "attn.k", "attn.v", "mlp.up"):
+        assert folded[name].sdp.shift == plain[name].sdp.shift, name
 
 
 def test_lowering_rejects_unknown_residual_source():

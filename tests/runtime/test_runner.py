@@ -115,6 +115,25 @@ class TestCache:
         # lookups entirely on a warm repeat.
         assert second.cache["hits"] + second.cache["misses"] == 0
         assert first.cache["misses"] > 0
+        # A rate over zero lookups is undefined, not an all-miss 0.0.
+        assert isinstance(first.cache["hit_rate"], float)
+        assert second.cache["hit_rate"] is None
+
+    def test_sharded_warm_repeat_reports_no_hit_rate(self, config):
+        """The served stream's cache record follows the same rule: the
+        worker's memoized stage cycles make no lookups on a repeat."""
+        from repro.serve import ShardedRunner
+
+        with ShardedRunner(
+            workers=1, config=config, engine="tempus", max_batch=2,
+            scale=0.06, input_size=16,
+        ) as server:
+            first = server.run("resnet18", 4)
+            second = server.run("resnet18", 4)
+        assert first.cache["hits"] + first.cache["misses"] > 0
+        assert isinstance(first.cache["hit_rate"], float)
+        assert second.cache["hits"] + second.cache["misses"] == 0
+        assert second.cache["hit_rate"] is None
 
     def test_reference_path_shares_cache_across_batch(self, config):
         clear_burst_map_cache()

@@ -6,8 +6,9 @@ The serving-gateway contract, pinned end to end:
   **bit-identical** — outputs AND cycle totals — to the
   single-process :meth:`~repro.runtime.runner.NetworkRunner.run`
   reference over the same images, under any arrival schedule
-  (Poisson, burst, closed loop, the synchronous before/after driver),
-  any worker count, and a 25% injected-fault chaos plan;
+  (Poisson, burst, closed loop, the synchronous drain of
+  ``ShardedRunner.run``), any worker count, and a 25% injected-fault
+  chaos plan;
 * every response's latency decomposition (queue wait / dispatch /
   compute / reassembly) is non-negative and never sums past the
   total;
@@ -36,7 +37,6 @@ from repro.serve import (
     ShardedRunner,
     burst_schedule,
     poisson_schedule,
-    run_batch_synchronous,
     run_closed_loop,
     run_open_loop,
 )
@@ -67,9 +67,19 @@ def _images(server, count):
     return server.synthesize_batch(MODEL, count)
 
 
+def _stage_rows(result):
+    return [
+        (stage.name, stage.kind, stage.output_shape, stage.conv_cycles)
+        for stage in result.stages
+    ]
+
+
 def _assert_identical(result, reference, context=""):
     assert np.array_equal(result.output, reference.output), context
     assert result.conv_cycles == reference.conv_cycles, context
+    # Stream-total stage records, shapes included, match the batched
+    # run's however the stream was split into jobs.
+    assert _stage_rows(result) == _stage_rows(reference), context
 
 
 class TestBitIdentity:
@@ -106,8 +116,9 @@ class TestBitIdentity:
         _assert_identical(run.result, reference)
 
     def test_closed_loop_and_synchronous_driver(self):
-        """The pipelined closed loop and the pre-gateway synchronous
-        driver both drain to the same reference stream."""
+        """The pipelined closed loop and the synchronous drain of
+        :meth:`ShardedRunner.run` (a coalescing gateway stream) both
+        reproduce the reference stream."""
         requests = 8
         reference = _reference(requests)
         with _server() as server:
@@ -116,13 +127,9 @@ class TestBitIdentity:
             closed = run_closed_loop(
                 ServingGateway(server, MODEL), images, concurrency=4
             )
-            sync = run_batch_synchronous(
-                ServingGateway(server, MODEL, eager=False),
-                images,
-                batch=4,
-            )
+            sync = server.run(MODEL, images)
         _assert_identical(closed.result, reference, "closed loop")
-        _assert_identical(sync.result, reference, "synchronous")
+        _assert_identical(sync, reference, "synchronous")
 
     def test_chaos_poisson_25_percent_faults(self):
         """The headline chaos leg: 25% injected faults (crash /
@@ -152,8 +159,8 @@ class TestBitIdentity:
         ), "the fault plan injected nothing — chaos leg is vacuous"
 
     def test_back_to_back_streams_reuse_the_pool(self):
-        """An SLO search runs many gateways over one warm pool; each
-        stream must drain independently and stay bit-identical."""
+        """Many gateways run over one warm pool; each stream must
+        drain independently and stay bit-identical."""
         requests = 6
         reference = _reference(requests)
         with _server() as server:
@@ -189,24 +196,6 @@ class TestLatencyDecomposition:
             assert all(part >= 0.0 for part in parts)
             assert latency.total > 0.0
             assert sum(parts) <= latency.total + 1e-9
-
-    def test_profile_rows_cover_every_job(self):
-        requests = 8
-        with _server() as server:
-            server.start(MODEL)
-            run = run_closed_loop(
-                ServingGateway(server, MODEL),
-                _images(server, requests),
-                concurrency=4,
-            )
-        profile = run.result.profile
-        assert len(profile) == run.result.jobs
-        assert sum(row["batch"] for row in profile) == requests
-        for row in profile:
-            for phase in (
-                "coalesce", "shm_write", "compute", "reassemble"
-            ):
-                assert row[phase] >= 0.0
 
 
 class TestEagerDispatch:

@@ -1,9 +1,8 @@
-"""Tests for the load generator: schedules, percentiles, SLO search.
+"""Tests for the load generator: schedules and percentiles.
 
 Everything here is host-independent: schedules are pure functions of
-(rate, count, seed), percentiles are nearest-rank over given samples,
-and the SLO search is exercised against a synthetic probe with a known
-capacity knee — no shard pool is spawned.
+(rate, count, seed) and percentiles are nearest-rank over given
+samples — no shard pool is spawned.
 """
 
 import math
@@ -16,13 +15,12 @@ from repro.serve import (
     ARRIVAL_KINDS,
     arrival_schedule,
     burst_schedule,
-    find_sustained_rate,
     latency_stats,
     poisson_schedule,
     uniform_schedule,
 )
 from repro.serve.gateway import LatencyBreakdown
-from repro.serve.loadgen import percentile, sustained
+from repro.serve.loadgen import percentile
 
 
 class TestSchedules:
@@ -124,90 +122,3 @@ class TestPercentiles:
         assert math.isclose(
             stats["phases"]["compute"]["p99"], 0.02
         )
-
-
-def _fake_run(p99, failed=0, offered=100.0, achieved=100.0):
-    return SimpleNamespace(
-        failed=failed,
-        stats={"p99": p99},
-        schedule=SimpleNamespace(offered_rate=offered),
-        achieved_rate=achieved,
-    )
-
-
-class TestSustained:
-    def test_all_conditions_met(self):
-        assert sustained(_fake_run(0.010), slo_p99=0.020)
-
-    def test_p99_over_slo_fails(self):
-        assert not sustained(_fake_run(0.030), slo_p99=0.020)
-
-    def test_admission_failures_fail(self):
-        assert not sustained(
-            _fake_run(0.010, failed=1), slo_p99=0.020
-        )
-
-    def test_throughput_collapse_fails(self):
-        run = _fake_run(0.010, offered=100.0, achieved=50.0)
-        assert not sustained(run, slo_p99=0.020, keepup=0.85)
-
-
-class TestFindSustainedRate:
-    def _knee_probe(self, capacity, log=None):
-        """Synthetic service: p99 is flat below ``capacity`` and
-        blows up above it."""
-
-        def probe(rate):
-            if log is not None:
-                log.append(rate)
-            p99 = 0.005 if rate <= capacity else 0.500
-            return _fake_run(p99, offered=rate, achieved=rate)
-
-        return probe
-
-    def test_converges_on_the_knee_from_below(self):
-        capacity = 400.0
-        probes = []
-        search = find_sustained_rate(
-            self._knee_probe(capacity, probes),
-            slo_p99=0.020,
-            start_rate=100.0,
-            bracket_steps=6,
-            iterations=6,
-        )
-        assert search["rate"] <= capacity
-        # Bisection inside a doubling bracket lands within ~2% here.
-        assert search["rate"] >= capacity * 0.95
-        assert search["run"] is not None
-        assert search["probes"] == len(probes) == len(search["history"])
-        for rate, ok, p99 in search["history"]:
-            assert ok == (rate <= capacity)
-            assert p99 >= 0.0
-
-    def test_converges_on_the_knee_from_above(self):
-        capacity = 50.0
-        search = find_sustained_rate(
-            self._knee_probe(capacity),
-            slo_p99=0.020,
-            start_rate=1000.0,
-            bracket_steps=8,
-            iterations=6,
-        )
-        assert 0.0 < search["rate"] <= capacity
-
-    def test_nothing_sustainable_returns_zero(self):
-        def probe(rate):
-            return _fake_run(1.0, offered=rate, achieved=rate)
-
-        search = find_sustained_rate(
-            probe, slo_p99=0.020, start_rate=100.0, bracket_steps=3
-        )
-        assert search["rate"] == 0.0
-        assert search["run"] is None
-        assert search["probes"] == 4  # start + 3 halvings
-
-    def test_invalid_start_rate_rejected(self):
-        with pytest.raises(DataflowError):
-            find_sustained_rate(
-                self._knee_probe(100.0), slo_p99=0.02, start_rate=0.0
-            )

@@ -266,3 +266,39 @@ def test_worker_failure_surfaces_full_traceback():
     assert "run_job" in message  # the failing worker entry point
     assert "executor.py" in message
     assert ", line " in message  # file/line context, not a repr
+
+
+def test_shed_requests_fail_the_run_with_a_dataflow_error():
+    """Under "shed" admission a full queue evicts its oldest requests,
+    so the stream cannot be returned whole: ``run`` raises
+    :class:`DataflowError` naming the shed sequence numbers (not a bare
+    ``ValueError`` from stacking a missing row) and releases the
+    pool."""
+    import re
+
+    from repro.errors import DataflowError
+
+    server = ShardedRunner(
+        workers=1,
+        max_batch=4,
+        max_wait=0.05,
+        max_pending=2,
+        admission="shed",
+        config=CoreConfig(k=4, n=4),
+        **TINY,
+    )
+    try:
+        with pytest.raises(
+            DataflowError, match="shed by admission control"
+        ) as excinfo:
+            server.run("resnet18", 12)
+        named = re.search(r"sequence numbers \[([\d, ]+)\]",
+                          str(excinfo.value))
+        assert named is not None, str(excinfo.value)
+        shed = [int(seq) for seq in named.group(1).split(",")]
+        assert shed == sorted(set(shed))
+        assert set(shed) <= set(range(12))
+        assert server.supervisor is None
+        assert server._processes == []
+    finally:
+        server.stop()
