@@ -185,16 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     server.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "persistent burst-map cache directory shared by parent "
-            "and workers across runs; a second run over the same "
-            "directory reports disk-cache hits (only with --workers)"
-        ),
-    )
-    server.add_argument(
         "--llm",
         action="store_true",
         help=(
@@ -366,11 +356,10 @@ def _serve_bench(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.workers is None and (args.transport or args.cache_dir):
+        if args.workers is None and args.transport:
             print(
-                "serve-bench failed: --transport/--cache-dir "
-                "configure the sharded serving runtime; add "
-                "--workers N",
+                "serve-bench failed: --transport configures the "
+                "sharded serving runtime; add --workers N",
                 file=sys.stderr,
             )
             return 2
@@ -389,7 +378,6 @@ def _serve_bench(args) -> int:
                     ("--batch", args.batch),
                     ("--fault-rate", args.fault_rate or None),
                     ("--transport", args.transport),
-                    ("--cache-dir", args.cache_dir),
                 )
                 if value
             ]
@@ -468,7 +456,6 @@ def _serve_bench(args) -> int:
                 fault_rate=fault_rate,
                 fault_seed=args.fault_seed,
                 transport=args.transport,
-                cache_dir=args.cache_dir,
                 out_dir=args.out,
             )
             rendered = render_serving_benchmark(payload)

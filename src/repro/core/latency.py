@@ -8,20 +8,12 @@ whole-CNN profiling (Figs. 7/8, Sec. V-C) fast.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
-
-try:  # POSIX advisory locking; absent on some platforms.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
 
 from repro.errors import DataflowError
 from repro.nvdla.config import CoreConfig
@@ -88,11 +80,14 @@ def burst_cycle_map(
 # ----------------------------------------------------------------------
 # Burst-map cache
 #
-# Scheduling, profiling and the analytic engines all re-derive the same
-# burst map for the same weight tensor (often several times per layer,
-# and once per *group* for depthwise/grouped convolutions).  The map
-# depends only on (weights, k, n, burst_overhead, code), so a keyed LRU
-# makes those passes free.  Group tensors are slice views of a stable
+# Lowering (tile scheduling), profiling, the paper drivers and the
+# analytic engines all re-derive the same burst map for the same weight
+# tensor (often several times per layer, and once per *group* for
+# depthwise/grouped convolutions).  The map depends only on (weights,
+# k, n, burst_overhead, code), so a keyed LRU makes those passes free.
+# The batched executor is not among them on its hot path: it folds each
+# stage's maps into one cycle line when it is constructed, and its
+# batches make no lookups.  Group tensors are slice views of a stable
 # per-layer array, so the key anchors on the view's base array identity
 # plus the view's memory location (data pointer, shape, strides) — fresh
 # view objects over the same storage hit the same entry.  A weakref to
@@ -113,11 +108,12 @@ def burst_cycle_map(
 # multiprocessing start methods are safe.  With ``fork`` a worker
 # inherits the parent's entries copy-on-write — the owner arrays are
 # duplicated at the same virtual addresses, so the (id, data pointer)
-# keys and the weakrefs all still resolve in the child, and a worker
-# whose compiled network was warmed during lowering starts with a hot
-# cache for free.  With ``spawn`` the module is imported fresh and the
-# worker rebuilds its maps on first use.  Counters are inherited under
-# fork (deltas, as reported by the runtime, stay correct);
+# keys and the weakrefs all still resolve in the child: a serving
+# worker's executor construction hits the maps warmed during lowering.
+# With ``spawn`` the module is imported fresh and the worker rebuilds
+# the maps once, while constructing its executor.  Counters are
+# inherited under fork (deltas, as reported by the runtime, stay
+# correct);
 # :func:`burst_map_cache_stats` exposes the owning pid and whether the
 # cache was inherited so worker provenance is observable.
 # ----------------------------------------------------------------------
@@ -130,146 +126,18 @@ _burst_map_invalidations = 0
 #: forked worker sees a different ``os.getpid()`` until it clears.
 _burst_map_origin_pid = os.getpid()
 
-# ----------------------------------------------------------------------
-# Persistent (on-disk) tier
-#
-# The in-memory LRU dies with the process: every supervisor respawn,
-# every ``spawn``-mode worker and every fresh CLI invocation re-derives
-# the same burst maps from scratch.  The disk tier makes compile+warm
-# survive restarts: entries are content-addressed ``.npy`` files under a
-# shared directory, keyed by a digest of the raw weight bytes plus the
-# array geometry (k, n, burst_overhead), the unary code name and a
-# format version — so a key can never serve a map for different
-# contents, and all processes pointed at the same directory (sharded
-# workers under either start method, respawned incarnations, separate
-# benchmark runs) share one warm cache.
-#
-# Concurrency: loads take a shared ``flock`` on a sidecar lock file,
-# publishes write to a unique temp file in the same directory and
-# ``os.replace`` it into place under an exclusive lock — readers only
-# ever see a complete entry, concurrent writers of the same key are
-# idempotent (same contents), and a writer killed mid-write leaves at
-# worst an orphaned ``*.tmp`` that no reader consults.  ``flock`` drops
-# automatically when a process dies, so a crashed worker can never
-# leave an entry locked.  A truncated/corrupt entry (e.g. written by a
-# pre-atomic-rename version) is treated as a miss and atomically
-# rewritten.
-#
-# Disabled unless a directory is configured — via
-# :func:`configure_burst_map_disk_cache` or the
-# ``REPRO_BURST_CACHE_DIR`` environment variable (which child processes
-# inherit, so spawn-mode workers warm up for free).
-# ----------------------------------------------------------------------
-#: Bump when the burst-map computation or the entry layout changes:
-#: stale-format entries then miss instead of being misread.
-_DISK_CACHE_VERSION = 1
-_disk_cache_dir: "Path | None" = None
-_disk_hits = 0
-_disk_misses = 0
-_disk_writes = 0
 
-if os.environ.get("REPRO_BURST_CACHE_DIR"):
-    _disk_cache_dir = Path(os.environ["REPRO_BURST_CACHE_DIR"])
+def configure_burst_map_disk_cache(path=None) -> None:
+    """Compatibility alias of the retired on-disk burst-map tier.
 
-
-def configure_burst_map_disk_cache(path=None) -> "Path | None":
-    """Point the persistent burst-map tier at ``path`` (``None``
-    disables it).  Returns the resolved directory, created on demand."""
-    global _disk_cache_dir
-    if path is None:
-        _disk_cache_dir = None
-        return None
-    _disk_cache_dir = Path(path)
-    _disk_cache_dir.mkdir(parents=True, exist_ok=True)
-    return _disk_cache_dir
-
-
-def burst_map_disk_cache_dir() -> "Path | None":
-    """The configured persistent cache directory (``None`` = disabled)."""
-    return _disk_cache_dir
-
-
-@contextmanager
-def _disk_lock(directory: Path, exclusive: bool):
-    """Advisory cross-process lock over one cache directory.  A no-op
-    where ``fcntl`` is unavailable — the atomic-rename publish keeps
-    readers safe regardless; the lock only serializes same-key work."""
-    if fcntl is None:  # pragma: no cover - non-POSIX fallback
-        yield
-        return
-    lock_path = directory / ".lock"
-    with open(lock_path, "a+b") as handle:
-        fcntl.flock(
-            handle, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH
+    ``None`` (tier off) is a no-op.  A directory is refused: the
+    batched executor derives its stage cycle lines once, when it is
+    constructed, so a warm cache could only shorten compile."""
+    if path is not None:
+        raise DataflowError(
+            "the on-disk burst-map cache was removed; burst maps are "
+            "looked up only at lowering and executor construction"
         )
-        try:
-            yield
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
-
-
-def _disk_entry_path(
-    weights: np.ndarray, config: CoreConfig, code: UnaryCode
-) -> Path:
-    """Content-addressed entry location: a digest over the exact weight
-    bytes + geometry + code + format version."""
-    digest = hashlib.blake2b(digest_size=20)
-    digest.update(
-        repr(
-            (
-                _DISK_CACHE_VERSION,
-                tuple(weights.shape),
-                str(weights.dtype),
-                config.k,
-                config.n,
-                config.burst_overhead,
-                code.name,
-            )
-        ).encode()
-    )
-    digest.update(np.ascontiguousarray(weights).tobytes())
-    return _disk_cache_dir / f"burst-{digest.hexdigest()}.npy"
-
-
-def _disk_load(path: Path) -> "np.ndarray | None":
-    """Read one entry; any unreadable/corrupt entry is a miss."""
-    try:
-        with _disk_lock(path.parent, exclusive=False):
-            with open(path, "rb") as handle:
-                cycles = np.load(handle, allow_pickle=False)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, EOFError):
-        # Truncated or malformed (e.g. a non-atomic writer died
-        # mid-write): recompute and atomically replace.
-        return None
-    cycles = np.asarray(cycles, dtype=np.int64)
-    cycles.setflags(write=False)
-    return cycles
-
-
-def _disk_store(path: Path, cycles: np.ndarray) -> bool:
-    """Atomically publish one entry: unique temp file in the same
-    directory, fsync, then ``os.replace`` under an exclusive lock.  A
-    writer killed at any point leaves either the old entry or the new
-    one — never a truncated file at the final path."""
-    stamp = f"{os.getpid()}-{os.urandom(4).hex()}"
-    temp = path.with_name(f".{path.name}.{stamp}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(temp, "wb") as handle:
-            np.save(handle, np.ascontiguousarray(cycles))
-            handle.flush()
-            os.fsync(handle.fileno())
-        with _disk_lock(path.parent, exclusive=True):
-            os.replace(temp, path)
-    except OSError:
-        try:
-            temp.unlink(missing_ok=True)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        return False
-    return True
 
 
 def _content_fingerprint(weights: np.ndarray) -> tuple:
@@ -337,7 +205,6 @@ def cached_burst_cycle_map(
     Returns the cached map as read-only; copy before mutating.
     """
     global _burst_map_hits, _burst_map_misses, _burst_map_invalidations
-    global _disk_hits, _disk_misses, _disk_writes
     code = code if code is not None else TwosUnaryCode()
     weights = np.asarray(weights)
     owner, key = _burst_map_key(weights, config, code)
@@ -356,20 +223,8 @@ def cached_burst_cycle_map(
         # the stale map and fall through to a recompute.
         del _burst_map_cache[key]
         _burst_map_invalidations += 1
-    cycles = None
-    entry_path = None
-    if _disk_cache_dir is not None:
-        entry_path = _disk_entry_path(weights, config, code)
-        cycles = _disk_load(entry_path)
-        if cycles is not None:
-            _disk_hits += 1
-        else:
-            _disk_misses += 1
-    if cycles is None:
-        cycles = burst_cycle_map(weights, config, code)
-        cycles.setflags(write=False)
-        if entry_path is not None and _disk_store(entry_path, cycles):
-            _disk_writes += 1
+    cycles = burst_cycle_map(weights, config, code)
+    cycles.setflags(write=False)
     try:
         owner_ref = weakref.ref(owner)
     except TypeError:
@@ -399,31 +254,19 @@ def burst_map_cache_stats() -> dict:
         "entries": len(_burst_map_cache),
         "pid": os.getpid(),
         "inherited": os.getpid() != _burst_map_origin_pid,
-        "disk_hits": _disk_hits,
-        "disk_misses": _disk_misses,
-        "disk_writes": _disk_writes,
-        "disk_dir": (
-            None if _disk_cache_dir is None else str(_disk_cache_dir)
-        ),
     }
 
 
 def clear_burst_map_cache() -> None:
     """Drop all in-memory maps and reset the counters (and claim the
-    cache for the current process).  The persistent tier's entries
-    survive — it exists precisely to outlive resets and restarts —
-    but its counters restart with the rest."""
+    cache for the current process)."""
     global _burst_map_hits, _burst_map_misses, _burst_map_invalidations
     global _burst_map_origin_pid
-    global _disk_hits, _disk_misses, _disk_writes
     _burst_map_cache.clear()
     _burst_map_hits = 0
     _burst_map_misses = 0
     _burst_map_invalidations = 0
     _burst_map_origin_pid = os.getpid()
-    _disk_hits = 0
-    _disk_misses = 0
-    _disk_writes = 0
 
 
 def layer_burst_cycles(

@@ -38,14 +38,6 @@ def _record(net, backend, precision, cycles) -> dict:
     return record
 
 
-def _check_disk_cache(totals: dict) -> None:
-    for key in ("disk_hits", "disk_misses", "disk_writes"):
-        if int(totals[key]) < 0:
-            raise DataflowError(
-                f"disk_cache_totals: negative counter {key}"
-            )
-
-
 def _check_cache(point: str, stats: dict) -> None:
     """An engine record's burst-map ``hit_rate`` is a fraction, or null
     when the run made no lookups (a rate over nothing is undefined)."""
@@ -89,8 +81,6 @@ def _serving_records(payload: dict) -> list:
         raise DataflowError(
             f"serving payload carries unknown transport {transport!r}"
         )
-    if "disk_cache_totals" in payload:
-        _check_disk_cache(payload["disk_cache_totals"])
     records = []
     for model in payload["models"]:
         for sweep in model["workers"]:

@@ -90,28 +90,33 @@ class Pdp:
             mode="constant",
             constant_values=pad_value,
         )
-        out = np.empty((channels, out_h, out_w), dtype=np.int64)
-        recip = int(
-            round((1 << _RECIP_BITS) / (config.kernel * config.kernel))
-        )
-        for row in range(out_h):
-            for col in range(out_w):
-                window = padded[
+        # Reduce over the k x k kernel taps: each tap is one strided
+        # view of the padded input holding that tap of every window.
+        span_h = config.stride * (out_h - 1) + 1
+        span_w = config.stride * (out_w - 1) + 1
+        out = None
+        for dy in range(config.kernel):
+            for dx in range(config.kernel):
+                tap = padded[
                     :,
-                    row * config.stride : row * config.stride
-                    + config.kernel,
-                    col * config.stride : col * config.stride
-                    + config.kernel,
+                    dy : dy + span_h : config.stride,
+                    dx : dx + span_w : config.stride,
                 ]
-                if config.mode == "max":
-                    out[:, row, col] = window.max(axis=(1, 2))
+                if out is None:
+                    out = tap.copy()
+                elif config.mode == "max":
+                    np.maximum(out, tap, out=out)
                 else:
-                    sums = window.sum(axis=(1, 2))
-                    scaled = sums * recip
-                    offset = 1 << (_RECIP_BITS - 1)
-                    out[:, row, col] = np.sign(scaled) * (
-                        (np.abs(scaled) + offset) >> _RECIP_BITS
-                    )
+                    out += tap
+        if config.mode == "average":
+            recip = int(
+                round((1 << _RECIP_BITS) / (config.kernel * config.kernel))
+            )
+            scaled = out * recip
+            offset = 1 << (_RECIP_BITS - 1)
+            out = np.sign(scaled) * (
+                (np.abs(scaled) + offset) >> _RECIP_BITS
+            )
         self.windows_processed += channels * out_h * out_w
         return out
 

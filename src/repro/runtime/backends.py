@@ -14,9 +14,12 @@ those designs:
   GEMM backends return a :class:`GemmConvCore` adapter that lowers each
   conv layer to im2col and runs it through the *actual*
   :class:`~repro.gemm.base.GemmEngine` implementation.
-* **cycle model** (:meth:`ComputeBackend.layer_cycles`) — value-aware
-  for the temporal designs: cycles are derived from the actual
-  quantized weight magnitudes through the burst-map machinery
+* **cycle model** (:meth:`ComputeBackend.cycle_line`) — a layer
+  group's cycles are affine in its output pixels,
+  ``per_pixel * out_pixels + fixed``, with both terms fixed by the
+  compiled weights.  Value-aware for the temporal designs: the slope is
+  derived from the actual quantized weight magnitudes through the
+  burst-map machinery
   (:func:`~repro.core.latency.cached_burst_cycle_map`), so zero and
   small-magnitude operands cost fewer cycles (tubGEMM's
   "sparsity-effective" claim), not the worst-case bound.  The binary
@@ -79,6 +82,27 @@ class ComputeBackend(ABC):
 
     # -- cycle model ---------------------------------------------------
     @abstractmethod
+    def cycle_line(
+        self,
+        weights: np.ndarray,
+        config: CoreConfig,
+        code: UnaryCode,
+    ) -> "tuple[int, int]":
+        """Per-image cycles of one conv layer *group* on this backend,
+        as the affine line ``(per_pixel, fixed)``: the group costs
+        ``per_pixel * out_pixels + fixed`` cycles.  Both terms depend
+        only on the compiled weights and the stage configuration, so
+        :class:`~repro.runtime.executor.BatchExecutor` derives every
+        stage's line once, when it is constructed.
+
+        Args:
+            weights: the group's (K, C, R, S) quantized weight tensor
+                (schedule-permuted, exactly as executed).
+            config: the stage's array geometry/precision.
+            code: the network's unary code (temporal backends may
+                substitute their own — see :meth:`cycle_code`).
+        """
+
     def conv_cycles(
         self,
         weights: np.ndarray,
@@ -86,16 +110,9 @@ class ComputeBackend(ABC):
         config: CoreConfig,
         code: UnaryCode,
     ) -> int:
-        """Per-image cycles of one conv layer *group* on this backend.
-
-        Args:
-            weights: the group's (K, C, R, S) quantized weight tensor
-                (schedule-permuted, exactly as executed).
-            out_pixels: output pixels the layer produces.
-            config: the stage's array geometry/precision.
-            code: the network's unary code (temporal backends may
-                substitute their own — see :meth:`cycle_code`).
-        """
+        """:meth:`cycle_line` evaluated at ``out_pixels``."""
+        per_pixel, fixed = self.cycle_line(weights, config, code)
+        return per_pixel * out_pixels + fixed
 
     def layer_cycles(
         self,
@@ -105,8 +122,7 @@ class ComputeBackend(ABC):
         out_pixels: "int | None" = None,
     ) -> int:
         """Per-image cycles of one group of a lowered
-        :class:`~repro.runtime.lowering.StagePlan` — the entry point
-        :class:`~repro.runtime.executor.BatchExecutor` accounts with.
+        :class:`~repro.runtime.lowering.StagePlan`.
 
         ``out_pixels`` overrides the layer's nominal output-pixel count
         for dynamic-shape stages (autoregressive decode: the token axis
@@ -116,12 +132,7 @@ class ComputeBackend(ABC):
         layer = stage.layer
         if out_pixels is None:
             out_pixels = layer.out_height * layer.out_width
-        return self.conv_cycles(
-            weights,
-            out_pixels,
-            stage.config,
-            code,
-        )
+        return self.conv_cycles(weights, out_pixels, stage.config, code)
 
     # -- reference-path core -------------------------------------------
     @abstractmethod
@@ -255,13 +266,12 @@ class BinaryBackend(ComputeBackend):
     temporal = False
     array = "binary"
 
-    def conv_cycles(self, weights, out_pixels, config, code) -> int:
+    def cycle_line(self, weights, config, code) -> "tuple[int, int]":
         kernels, channels, kernel_h, kernel_w = weights.shape
         atoms = conv_atoms(
-            kernels, channels, kernel_h, kernel_w, out_pixels,
-            config.k, config.n,
+            kernels, channels, kernel_h, kernel_w, 1, config.k, config.n
         )
-        return atoms + config.pipeline_latency
+        return atoms, config.pipeline_latency
 
     def make_core(self, config, code, mode):
         from repro.nvdla.conv_core import ConvolutionCore
@@ -278,11 +288,9 @@ class TempusBackend(ComputeBackend):
     temporal = True
     array = "tub"
 
-    def conv_cycles(self, weights, out_pixels, config, code) -> int:
-        per_pixel = int(
-            cached_burst_cycle_map(weights, config, code).sum()
-        )
-        return per_pixel * out_pixels + config.pipeline_latency + 1
+    def cycle_line(self, weights, config, code) -> "tuple[int, int]":
+        per_pixel = int(cached_burst_cycle_map(weights, config, code).sum())
+        return per_pixel, config.pipeline_latency + 1
 
     def make_core(self, config, code, mode):
         from repro.core.tempus_core import TempusCore
@@ -311,13 +319,13 @@ class GemmBackend(ComputeBackend):
         reference path drives."""
         raise NotImplementedError
 
-    def conv_cycles(self, weights, out_pixels, config, code) -> int:
+    def cycle_line(self, weights, config, code) -> "tuple[int, int]":
         per_pixel = int(
             cached_burst_cycle_map(
                 weights, _flat_config(config), self.cycle_code(config)
             ).sum()
         )
-        return per_pixel * out_pixels
+        return per_pixel, 0
 
     def make_core(self, config, code, mode):
         _check_gemm_mode(self.name, mode)

@@ -46,12 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.latency import (
-    burst_map_cache_stats,
-    burst_map_disk_cache_dir,
-    cached_burst_cycle_map,
-    configure_burst_map_disk_cache,
-)
+from repro.core.latency import burst_map_cache_stats, \
+    cached_burst_cycle_map
 from repro.errors import DataflowError
 from repro.eval.throughput import requests_per_second
 from repro.nvdla.config import CoreConfig
@@ -225,7 +221,6 @@ def run_serving_benchmark(
     fault_seed: int = 110,
     job_deadline: "float | None" = None,
     transport: "str | None" = None,
-    cache_dir: "str | Path | None" = None,
     out_dir: "str | Path | None" = "results",
 ) -> dict:
     """Benchmark the sharded serving runtime across worker counts.
@@ -271,10 +266,6 @@ def run_serving_benchmark(
         transport: how batch/result tensors cross the worker boundary
             — "shm" (shared-memory segments) or "pickle"; None picks
             the platform default (shm where available).
-        cache_dir: persistent burst-map cache directory shared by the
-            parent and all workers; the per-point cache records then
-            carry disk hit/miss/write deltas (the cold-vs-warm CI leg
-            reads them).
         out_dir: where BENCH_serving.json is written (None = don't).
 
     Returns:
@@ -322,16 +313,6 @@ def run_serving_benchmark(
     reference_runner = harness.runner(engine, profile)
     config = reference_runner.config  # profile may widen the precision
 
-    # Point the parent at the persistent tier *before* the reference
-    # runs: the parent's cold lookups then publish (or warm from) the
-    # shared entries, so a repeat invocation over the same cache_dir
-    # reports disk hits even when forked workers inherit the parent's
-    # warm in-memory cache and never touch disk themselves.
-    previous_cache_dir = burst_map_disk_cache_dir()
-    if cache_dir is not None:
-        configure_burst_map_disk_cache(cache_dir)
-    disk_before = burst_map_cache_stats()
-
     model_records = []
     for name in spec.nets:
         reference = reference_runner.run(name, requests)
@@ -353,13 +334,10 @@ def run_serving_benchmark(
                 fault_plan=fault_plan,
                 job_deadline=job_deadline,
                 transport=transport,
-                cache_dir=cache_dir,
             ) as server:
                 transport = server.transport  # resolved default
                 server.start(name)
-                # Warm up pool + caches (kept: its cache record is
-                # where cold workers' disk traffic shows up).
-                warmup = server.run(name, requests)
+                server.run(name, requests)  # warm up the pool
                 result, seconds = measure(
                     lambda: server.run(name, requests), repeats
                 )
@@ -373,14 +351,6 @@ def run_serving_benchmark(
                     "diverged from the single-process reference"
                 )
             record = engine_record(result, seconds, energy)
-            # Persistent-tier deltas for this point, warmup stream
-            # included — cold workers do their disk traffic while
-            # warming, the measured stream runs all-hot.
-            for key in ("disk_hits", "disk_misses", "disk_writes"):
-                if key in result.cache:
-                    record["cache"][key] = int(
-                        result.cache[key]
-                    ) + int(warmup.cache.get(key, 0))
             makespan = result.makespan_cycles
             record["workers"] = int(workers)
             record["jobs"] = int(result.jobs)
@@ -435,29 +405,8 @@ def run_serving_benchmark(
         "fault_rate": float(fault_rate),
         "fault_seed": int(fault_seed) if fault_rate > 0.0 else None,
         "transport": transport,
-        "cache_dir": None if cache_dir is None else str(cache_dir),
         "models": model_records,
     }
-    if cache_dir is not None:
-        disk_after = burst_map_cache_stats()
-        worker_totals = {
-            key: sum(
-                sweep["cache"].get(key, 0)
-                for record in model_records
-                for sweep in record["workers"]
-            )
-            for key in ("disk_hits", "disk_misses", "disk_writes")
-        }
-        # Parent-side deltas (the reference runs' cold lookups publish
-        # to / warm from the shared tier) plus the worker deltas above:
-        # a cold cache_dir shows disk_writes > 0, a warm one
-        # disk_hits > 0 — the cold-vs-warm CI leg asserts exactly that.
-        payload["disk_cache_totals"] = {
-            key: int(disk_after[key] - disk_before[key])
-            + worker_totals[key]
-            for key in ("disk_hits", "disk_misses", "disk_writes")
-        }
-    configure_burst_map_disk_cache(previous_cache_dir)
     return write_benchmark_artifact(
         payload, "BENCH_serving.json", out_dir
     )
@@ -504,19 +453,6 @@ def render_serving_benchmark(payload: dict) -> str:
             f"transport {payload.get('transport', 'pickle')})"
         ),
     )
-    if payload.get("cache_dir"):
-        totals = {"disk_hits": 0, "disk_misses": 0, "disk_writes": 0}
-        for record in payload["models"]:
-            for sweep in record["workers"]:
-                for counter in totals:
-                    totals[counter] += sweep["cache"].get(counter, 0)
-        table += (
-            f"\n\npersistent burst cache {payload['cache_dir']}: "
-            + ", ".join(
-                f"{counter}={count}"
-                for counter, count in totals.items()
-            )
-        )
     if payload.get("fault_rate", 0.0) > 0.0:
         totals = {
             "restarts": 0,

@@ -15,18 +15,20 @@ convolution cores
 (:meth:`~repro.runtime.runner.NetworkRunner.run_per_image`).
 
 Beyond its compiled program the executor holds only derived, reusable
-state (per-stage GEMM plans, a bounded cycle memo and grow-only scratch
-buffers), so it can be constructed in a parent process and shipped to
-workers (the compiled network pickles; with ``fork`` it is inherited
-copy-on-write and the burst-map cache entries warmed during lowering
-come along for free — see the cache notes in
-:mod:`repro.core.latency`).
+state: per-stage GEMM plans, per-stage cycle lines and grow-only
+scratch buffers.  A stage's per-image cycles are affine in its output
+pixels, ``per_pixel * out_pixels + fixed``, with both terms fixed by
+the compiled weights (see
+:meth:`~repro.runtime.backends.ComputeBackend.cycle_line`).  The
+executor derives each stage's line once, at construction — the only
+burst-map lookups it ever makes — and a batch evaluates the line at its
+actual output-pixel count.  Serving workers build their own executor
+from the compiled network, which pickles.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 
@@ -35,17 +37,9 @@ from repro.errors import DataflowError, PrecisionError
 from repro.nvdla.pdp import Pdp
 from repro.nvdla.pipeline import StageResult
 from repro.nvdla.sdp import _rounded_shift
-from repro.runtime.backends import DEFAULT_BACKEND, ComputeBackend, \
-    backend_profile, get_backend, resolve_stage_backends
+from repro.runtime.backends import ComputeBackend, backend_profile, \
+    resolve_stage_backends
 from repro.runtime.lowering import CompiledNetwork, StagePlan
-
-#: Bound on the executor's cycle memo (entries are (stage index,
-#: output-pixel count) pairs).  Large enough that a whole CNN program
-#: plus a long decode's worth of distinct sequence lengths stay warm;
-#: small enough that token-by-token serving can never grow executor
-#: state linearly with stream length.
-FUSED_CYCLE_MEMO_SIZE = 256
-
 
 #: Exact-integer limits of the float dtypes the conv kernel may use:
 #: every integer of magnitude up to 2**24 (float32) / 2**53 (float64)
@@ -100,10 +94,10 @@ class _FusedStage:
     * ``"gemm"`` (everything else): ``(G, Kg, Cg*R*S)`` against im2col
       columns laid out ``(B, G, Cg, R, S, OH*OW)``.
 
-    Cycle accounting lives in a separate shape-aware memo on the
-    executor (:meth:`BatchExecutor._stage_cycles`): per-image cycles
-    depend on the *actual* output-pixel count, which grows per step
-    under autoregressive decode.
+    Cycle accounting lives beside the plan, as the stage's cycle line
+    (see :func:`_stage_cycle_line`): per-image cycles depend on the
+    *actual* output-pixel count, which grows per step under
+    autoregressive decode.
     """
 
     __slots__ = ("kind", "weights", "dtype", "bound", "kernel_restore")
@@ -151,6 +145,23 @@ class _FusedStage:
         self.kernel_restore = _flat_permutation(
             stage.kernel_restores, groups, kernels_per_group
         )
+
+
+def _stage_cycle_line(
+    stage: StagePlan, backend: ComputeBackend, code
+) -> "tuple[int, int]":
+    """Per-image cycle line ``(per_pixel, fixed)`` of one whole stage:
+    the sum of its groups' lines on ``backend``, at the stage's own
+    configuration (so mixed profiles account each stage at its own
+    precision and backend)."""
+    per_pixel = fixed = 0
+    for weights in stage.weights:
+        group_per_pixel, group_fixed = backend.cycle_line(
+            weights, stage.config, code
+        )
+        per_pixel += group_per_pixel
+        fixed += group_fixed
+    return per_pixel, fixed
 
 
 def _flat_permutation(per_group, groups: int, width: int):
@@ -211,10 +222,10 @@ class BatchExecutor:
     Each conv stage runs as an exact float GEMM on BLAS (im2col plus
     one matmul over groups; 1x1 stages skip im2col, depthwise stages
     multiply-accumulate per tap) into shared scratch buffers, then the
-    integer SDP in place, with memoized cycle accounting.  The float
-    dtype is chosen per stage from a worst-case psum bound when the
-    executor is built (see :class:`_FusedStage`), so psums are exact
-    integers.  Outputs and cycles (total and per stage) are pinned
+    integer SDP in place; cycles come from each stage's cycle line.
+    The float dtype is chosen per stage from a worst-case psum bound
+    when the executor is built (see :class:`_FusedStage`), so psums
+    are exact integers.  Outputs and cycles (total and per stage) are pinned
     bit-identical to the per-image run through the real cores on every
     backend and precision, and the psums stage by stage to the int64
     golden convolution, in ``tests/runtime/test_fused.py``.
@@ -250,17 +261,18 @@ class BatchExecutor:
             self.engine = backend_profile(engine).describe()
         # One float-GEMM plan per stage, built (and its exactness bound
         # checked) here, so an unrepresentable stage fails at
-        # construction, never mid-stream.  Cycle totals live in a
-        # bounded LRU keyed (stage index, actual output pixels):
-        # autoregressive decode presents a different token count —
-        # hence a different output-pixel count — every step, and an
-        # unbounded per-shape memo would grow linearly with decoded
-        # tokens.  Scratch is one grow-only flat buffer per
-        # (role, dtype), shared by every stage (see _scratch_buf).
+        # construction, never mid-stream.  Beside it, the stage's cycle
+        # line on its resolved backend (engine= overrides included),
+        # evaluated per batch at the actual output-pixel count.
+        # Scratch is one grow-only flat buffer per (role, dtype),
+        # shared by every stage (see _scratch_buf).
         self._fused_stages: "tuple[_FusedStage, ...]" = tuple(
             _FusedStage(stage) for stage in net.stages
         )
-        self._fused_cycles: "OrderedDict[tuple, int]" = OrderedDict()
+        self._cycle_lines: "tuple[tuple[int, int], ...]" = tuple(
+            _stage_cycle_line(stage, backend, net.code)
+            for stage, backend in zip(net.stages, self.stage_backends)
+        )
         self._scratch: "dict[tuple, np.ndarray]" = {}
 
     # ------------------------------------------------------------------
@@ -299,9 +311,7 @@ class BatchExecutor:
         # arrays, so keeping references is safe across scratch reuse.
         saved: dict[int, np.ndarray] = {}
         save_input = self.net.needs_input_saved
-        for index, (stage, backend) in enumerate(
-            zip(self.net.stages, self.stage_backends)
-        ):
+        for index, stage in enumerate(self.net.stages):
             current = self._fit_batch(stage, current, records)
             if index == 0 and save_input:
                 saved[-1] = np.asarray(current, dtype=np.int64)
@@ -311,7 +321,7 @@ class BatchExecutor:
                 else None
             )
             current, cycles = self._conv_fused(
-                index, stage, current, backend, residual
+                index, stage, current, residual
             )
             if stage.save_output:
                 saved[index] = current
@@ -345,17 +355,8 @@ class BatchExecutor:
                 for record in records
             ),
             "cache": {
-                "hits": after["hits"] - before["hits"],
-                "misses": after["misses"] - before["misses"],
-                "disk_hits": (
-                    after["disk_hits"] - before["disk_hits"]
-                ),
-                "disk_misses": (
-                    after["disk_misses"] - before["disk_misses"]
-                ),
-                "disk_writes": (
-                    after["disk_writes"] - before["disk_writes"]
-                ),
+                key: after[key] - before[key]
+                for key in ("hits", "misses")
             },
         }
 
@@ -403,34 +404,6 @@ class BatchExecutor:
             self._scratch[key] = buffer
         return buffer[:size].reshape(shape)
 
-    def _stage_cycles(
-        self,
-        index: int,
-        stage: StagePlan,
-        backend: ComputeBackend,
-        out_pixels: "int | None",
-    ) -> int:
-        """Memoized per-image cycles of one whole stage at one actual
-        output-pixel count.  Bounded LRU (see
-        :data:`FUSED_CYCLE_MEMO_SIZE`): growing-sequence decode streams
-        present a new shape every token, and the memo must not grow
-        with stream length."""
-        key = (index, out_pixels)
-        cached = self._fused_cycles.get(key)
-        if cached is not None:
-            self._fused_cycles.move_to_end(key)
-            return cached
-        cycles = sum(
-            self.group_cycles(
-                stage, weights, backend, out_pixels=out_pixels
-            )
-            for weights in stage.weights
-        )
-        self._fused_cycles[key] = cycles
-        while len(self._fused_cycles) > FUSED_CYCLE_MEMO_SIZE:
-            self._fused_cycles.popitem(last=False)
-        return cycles
-
     def _add_residual(
         self,
         stage: StagePlan,
@@ -462,24 +435,19 @@ class BatchExecutor:
         index: int,
         stage: StagePlan,
         batch: np.ndarray,
-        backend: ComputeBackend,
         residual: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, int]:
         """One conv stage over the whole batch: the exact float-GEMM
         psums of :meth:`_fused_psums`, then the integer SDP
         requantization in place on them.  Returns per-image cycles
-        (the caller scales by batch size).  A folded residual is added
-        to the requantized output after the SDP (see
+        (the caller scales by batch size): the stage's cycle line at
+        the actual output-pixel count, which is the compiled geometry
+        except on dynamic (token-axis) stages.  A folded residual is
+        added to the requantized output after the SDP (see
         :meth:`_add_residual`)."""
         values = self._fused_psums(index, stage, batch)
-        cycles = self._stage_cycles(
-            index,
-            stage,
-            backend,
-            values.shape[2] * values.shape[3]
-            if stage.dynamic_hw
-            else None,
-        )
+        per_pixel, fixed = self._cycle_lines[index]
+        cycles = per_pixel * values.shape[2] * values.shape[3] + fixed
         out = self._sdp_fused(stage, values)
         return self._add_residual(stage, out, residual), cycles
 
@@ -604,40 +572,3 @@ class BatchExecutor:
             values *= signs
         spec = config.out_precision
         return np.clip(values, spec.min_value, spec.max_value)
-
-    def group_cycles(
-        self,
-        stage: StagePlan,
-        weights: np.ndarray,
-        backend: "ComputeBackend | None" = None,
-        out_pixels: "int | None" = None,
-    ) -> int:
-        """Analytic per-image cycles of one layer group on the stage's
-        backend — identical to the formula the backend's reference core
-        uses (pinned by the equivalence tests).  Value-aware for
-        temporal backends: cycles derive from the actual quantized
-        weight magnitudes via the burst-map machinery, at the *stage*
-        configuration, so each stage is accounted at its own precision
-        (and backend) under mixed profiles."""
-        if backend is None:
-            # Identity lookup first, so an executor constructed with an
-            # engine override accounts its own stages on that override.
-            # (StagePlan equality compares tuples of ndarrays, so
-            # index()/== would be unsafe here.)  Stage copies that are
-            # not part of this program resolve like
-            # resolve_stage_backends: the stage's recorded backend.
-            backend = next(
-                (
-                    candidate
-                    for plan, candidate in zip(
-                        self.net.stages, self.stage_backends
-                    )
-                    if plan is stage
-                ),
-                None,
-            )
-            if backend is None:
-                backend = get_backend(stage.backend or DEFAULT_BACKEND)
-        return backend.layer_cycles(
-            stage, weights, self.net.code, out_pixels=out_pixels
-        )

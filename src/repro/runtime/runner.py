@@ -19,8 +19,11 @@ produce bit-identical outputs:
 
 Both paths share the burst-map LRU in :mod:`repro.core.latency`: the
 per-pixel burst map of every (layer, group) weight tensor is computed
-once and then hits across batch items, engines and repeated runs — the
-per-run hit/miss delta is reported on every :class:`NetworkResult`.
+once, at lowering, and then hits across batch items, engines and
+repeated runs.  The vectorized path looks maps up only while it builds
+its executor (each stage's cycles become one affine line in its output
+pixels), so its runs after the first make none.  The per-run hit/miss
+delta is reported on every :class:`NetworkResult`.
 
 Tempus cycle counts depend only on the weights (a burst lasts as long
 as its tile's largest magnitude), so when lowering applied burst-aware
@@ -54,17 +57,17 @@ from repro.utils.rng import make_rng
 
 
 #: Burst-map counters a run's cache record carries, beside hit_rate.
-CACHE_COUNTERS = ("hits", "misses", "disk_hits", "disk_misses",
-                  "disk_writes")
+CACHE_COUNTERS = ("hits", "misses")
 
 
 def cache_record(counts: dict) -> dict:
     """A run's burst-map cache record from its counter deltas.
 
-    ``hit_rate`` is None when the run made no burst-map lookups (a
-    warm repeat, whose stage cycles are memoized, or a backend without
-    burst maps): a rate over zero lookups is undefined, and 0.0 would
-    read as all-miss.
+    ``hit_rate`` is None when the run made no burst-map lookups (any
+    batched run on an already-built executor, whose stage cycle lines
+    were derived at construction, or a backend without burst maps): a
+    rate over zero lookups is undefined, and 0.0 would read as
+    all-miss.
     """
     record = {key: int(counts.get(key, 0)) for key in CACHE_COUNTERS}
     lookups = record["hits"] + record["misses"]

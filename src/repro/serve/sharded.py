@@ -31,9 +31,10 @@ across nets, batch sizes, worker counts and seeded fault plans.
 
 Start methods: ``fork`` (default where available) inherits the compiled
 program and a warm burst-map cache copy-on-write; ``spawn`` pickles the
-program to each worker, whose fresh process rebuilds its burst maps on
-first use.  Both are safe — see the cache notes in
-:mod:`repro.core.latency`.
+program to each worker.  Either way a worker touches burst maps only
+while constructing its executor, which folds each stage's maps into one
+cycle line; the batches it then runs make no burst-map lookups (see
+the cache notes in :mod:`repro.core.latency`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.latency import configure_burst_map_disk_cache
 from repro.errors import DataflowError
 from repro.runtime.executor import BatchExecutor
 from repro.runtime.lowering import CompiledNetwork
@@ -98,16 +98,12 @@ def _worker_main(
 ) -> None:
     """Shard worker loop: execute dispatched batches until poisoned.
 
-    Runs in a child process.  ``payload`` is ``(net, engine,
-    cache_dir)`` — with the ``fork`` start method it arrives by
-    inheritance, with ``spawn`` it is pickled.  Every job is executed
-    through the same :class:`BatchExecutor` the single-process runner
-    uses; ``engine`` is None so the executor accounts on the per-stage
-    compute backends recorded in the compiled network at lowering, and
-    ``cache_dir``
-    points the worker at the shared persistent burst-map cache (so
-    spawn-mode and respawned workers warm from disk instead of
-    recomputing).
+    Runs in a child process.  ``payload`` is ``(net, engine)`` — with
+    the ``fork`` start method it arrives by inheritance, with ``spawn``
+    it is pickled.  Every job is executed through the same
+    :class:`BatchExecutor` the single-process runner uses; ``engine``
+    is None so the executor accounts on the per-stage compute backends
+    recorded in the compiled network at lowering.
 
     ``shm_prefix`` enables the shared-memory transport: job messages
     then carry :class:`~repro.serve.shm.ShmRef` handles into the
@@ -128,9 +124,7 @@ def _worker_main(
     worker-side stack — so the parent's :class:`DataflowError` names
     the failing stage and line instead of a bare ``repr``.
     """
-    net, engine, cache_dir = payload
-    if cache_dir is not None:
-        configure_burst_map_disk_cache(cache_dir)
+    net, engine = payload
     executor = BatchExecutor(net, engine)
     arena = (
         ShmArena(shm_prefix, flagged=True)
@@ -256,7 +250,6 @@ class ShardedRunner:
         max_attempts: int = 5,
         transport: "str | None" = None,
         fused: bool = False,
-        cache_dir=None,
     ) -> None:
         """Serving-specific args (see :class:`NetworkRunner` for the
         rest):
@@ -274,10 +267,6 @@ class ShardedRunner:
         fused: accepted and ignored, like
             :class:`NetworkRunner`'s: workers and the degraded
             in-process fallback run the executor's one batched path.
-        cache_dir: persistent burst-map cache directory shared by the
-            parent and every worker incarnation (None keeps whatever
-            :func:`repro.core.latency.configure_burst_map_disk_cache`
-            or ``REPRO_BURST_CACHE_DIR`` already configured).
         fault_plan: a :class:`~repro.serve.faults.FaultPlan` every
             worker consults (deterministic chaos injection).
         job_deadline: seconds a dispatched batch may stay in flight
@@ -338,12 +327,6 @@ class ShardedRunner:
         self.min_live = min_live
         self.max_attempts = max_attempts
         self.transport = transport
-        self.cache_dir = (
-            None if cache_dir is None else str(cache_dir)
-        )
-        if self.cache_dir is not None:
-            # The parent compiles (and so warms the cache) too.
-            configure_burst_map_disk_cache(self.cache_dir)
         self._runner = NetworkRunner(
             config,
             engine=engine,
@@ -407,7 +390,7 @@ class ShardedRunner:
         net = self.compile(model_name)
         # engine=None: workers account on the per-stage backends the
         # compiled network carries (the runner's backend profile).
-        payload = (net, None, self.cache_dir)
+        payload = (net, None)
         # The degraded path runs the parent's own executor — the same
         # BatchExecutor code path the shards run,
         # so degraded batches stay bit-identical in outputs and cycles.

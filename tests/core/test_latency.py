@@ -322,127 +322,17 @@ class TestBurstMapCacheAcrossFork:
         assert stats["pid"] > 0
 
 
-def _disk_child_probe(weights, cache_dir, conn):
-    """Runs in a spawned worker with a cold in-memory cache: the
-    shared persistent tier must satisfy the lookup without recompute."""
-    from repro.core.latency import (
-        burst_map_cache_stats,
-        cached_burst_cycle_map,
-        clear_burst_map_cache,
-        configure_burst_map_disk_cache,
-    )
-    from repro.nvdla.config import CoreConfig
-
-    clear_burst_map_cache()
-    configure_burst_map_disk_cache(cache_dir)
-    cycles = cached_burst_cycle_map(weights, CoreConfig(k=2, n=2))
-    conn.send(
-        {
-            "stats": burst_map_cache_stats(),
-            "cycles": np.asarray(cycles),
-        }
-    )
-    conn.close()
-
-
-class TestBurstMapDiskCache:
-    """The persistent tier: compile+warm must survive process death."""
-
-    @pytest.fixture(autouse=True)
-    def disk_dir(self, tmp_path):
-        clear_burst_map_cache()
-        directory = configure_burst_map_disk_cache(tmp_path / "burst")
-        yield directory
-        configure_burst_map_disk_cache(None)
-        clear_burst_map_cache()
-
-    config = CoreConfig(k=2, n=2)
-
-    def _entries(self, disk_dir):
-        return sorted(disk_dir.glob("burst-*.npy"))
-
-    def test_cold_miss_publishes_entry(self, disk_dir, rng):
-        weights = rng.integers(-128, 128, (4, 4, 3, 3))
-        cycles = cached_burst_cycle_map(weights, self.config)
-        stats = burst_map_cache_stats()
-        assert stats["disk_misses"] == 1
-        assert stats["disk_writes"] == 1
-        assert stats["disk_hits"] == 0
-        (entry,) = self._entries(disk_dir)
-        assert np.array_equal(np.load(entry), cycles)
-
-    def test_warm_entry_survives_memory_clear(self, disk_dir, rng):
-        weights = rng.integers(-128, 128, (4, 4, 3, 3))
-        first = cached_burst_cycle_map(weights, self.config).copy()
-        clear_burst_map_cache()  # simulate a restart
-        second = cached_burst_cycle_map(weights, self.config)
-        stats = burst_map_cache_stats()
-        assert stats["disk_hits"] == 1
-        assert stats["disk_misses"] == 0
-        assert np.array_equal(second, first)
-        assert not second.flags.writeable
-
-    def test_distinct_geometry_gets_distinct_entries(self, disk_dir, rng):
-        weights = rng.integers(-128, 128, (4, 4, 3, 3))
-        cached_burst_cycle_map(weights, CoreConfig(k=2, n=2))
-        cached_burst_cycle_map(weights, CoreConfig(k=4, n=4))
-        assert len(self._entries(disk_dir)) == 2
-
-    def test_corrupt_entry_is_recomputed_and_replaced(self, disk_dir, rng):
-        weights = rng.integers(-128, 128, (4, 4, 3, 3))
-        expected = cached_burst_cycle_map(weights, self.config).copy()
-        (entry,) = self._entries(disk_dir)
-        # A pre-atomic-rename writer dying mid-write left a truncated
-        # entry: that must read as a miss, not an exception or garbage.
-        entry.write_bytes(entry.read_bytes()[:11])
-        clear_burst_map_cache()
-        cycles = cached_burst_cycle_map(weights, self.config)
-        stats = burst_map_cache_stats()
-        assert stats["disk_hits"] == 0
-        assert stats["disk_misses"] == 1
-        assert stats["disk_writes"] == 1
-        assert np.array_equal(cycles, expected)
-        # ...and the entry was atomically repaired for the next reader.
-        clear_burst_map_cache()
-        cached_burst_cycle_map(weights, self.config)
-        assert burst_map_cache_stats()["disk_hits"] == 1
-
-    def test_no_temp_files_left_behind(self, disk_dir, rng):
-        for _ in range(4):
-            weights = rng.integers(-128, 128, (4, 4, 3, 3))
-            cached_burst_cycle_map(weights, self.config)
-        leftovers = [
-            p for p in disk_dir.iterdir() if p.name.endswith(".tmp")
-        ]
-        assert leftovers == []
-
-    def test_in_memory_hit_skips_disk(self, disk_dir, rng):
-        weights = rng.integers(-128, 128, (4, 4, 3, 3))
-        cached_burst_cycle_map(weights, self.config)
-        cached_burst_cycle_map(weights, self.config)
-        stats = burst_map_cache_stats()
-        assert stats["hits"] == 1
-        assert stats["disk_misses"] == 1  # only the cold lookup
-
-    def test_spawned_process_shares_warm_entries(self, disk_dir, rng):
-        """A fresh process (cold LRU, as after a supervisor respawn or
-        under the spawn start method) is satisfied from disk."""
-        weights = rng.integers(-128, 128, (4, 4, 3, 3))
-        parent_map = cached_burst_cycle_map(weights, self.config)
-        ctx = multiprocessing.get_context("spawn")
-        receiver, sender = ctx.Pipe(duplex=False)
-        child = ctx.Process(
-            target=_disk_child_probe,
-            args=(weights, str(disk_dir), sender),
-        )
-        child.start()
-        assert receiver.poll(60), "disk-cache child never reported"
-        report = receiver.recv()
-        child.join(timeout=60)
-        assert child.exitcode == 0
-        assert report["stats"]["disk_hits"] == 1
-        assert report["stats"]["disk_misses"] == 0
-        assert np.array_equal(report["cycles"], parent_map)
+class TestRetiredDiskCacheAlias:
+    def test_none_is_a_no_op_and_a_directory_is_refused(self, tmp_path):
+        """The on-disk tier is gone: turning it off still works, while
+        pointing it at a directory fails loudly and creates nothing."""
+        before = burst_map_cache_stats()
+        assert configure_burst_map_disk_cache(None) is None
+        assert configure_burst_map_disk_cache() is None
+        with pytest.raises(DataflowError, match="on-disk"):
+            configure_burst_map_disk_cache(tmp_path / "burst")
+        assert not (tmp_path / "burst").exists()
+        assert burst_map_cache_stats() == before
 
 
 class TestTileGatingCounts:

@@ -37,15 +37,10 @@ class TestNormalizers:
             assert record["net"] == "resnet18"
             assert record["precision"] == "int4"
 
-    def test_serving_transport_and_disk_totals_validate(self):
+    def test_serving_transport_validates(self):
         payload = {
             "engine": "tempus",
             "transport": "shm",
-            "disk_cache_totals": {
-                "disk_hits": 4,
-                "disk_misses": 2,
-                "disk_writes": 2,
-            },
             "models": [
                 {
                     "model": "resnet18",
@@ -66,24 +61,6 @@ class TestNormalizers:
             ],
         }
         with pytest.raises(DataflowError, match="transport"):
-            normalize_records("BENCH_serving.json", payload)
-
-    def test_serving_negative_disk_counter_rejected(self):
-        payload = {
-            "transport": "shm",
-            "disk_cache_totals": {
-                "disk_hits": -1,
-                "disk_misses": 0,
-                "disk_writes": 0,
-            },
-            "models": [
-                {
-                    "model": "resnet18",
-                    "workers": [{"conv_cycles": 9}],
-                }
-            ],
-        }
-        with pytest.raises(DataflowError, match="disk_hits"):
             normalize_records("BENCH_serving.json", payload)
 
     def test_backend_payload(self):

@@ -89,3 +89,63 @@ class TestPdpBatch:
             Pdp(PdpConfig("max", kernel=2)).apply_many(
                 np.zeros((4, 8, 8))
             )
+
+
+def _pool_per_window(config: PdpConfig, values: np.ndarray) -> np.ndarray:
+    """Reference pooling: one window at a time, written out plainly."""
+    channels, height, width = values.shape
+    pad = config.padding
+    fill = np.iinfo(np.int64).min if config.mode == "max" else 0
+    padded = np.full(
+        (channels, height + 2 * pad, width + 2 * pad), fill, dtype=np.int64
+    )
+    padded[:, pad : pad + height, pad : pad + width] = values
+    out_h = (height + 2 * pad - config.kernel) // config.stride + 1
+    out_w = (width + 2 * pad - config.kernel) // config.stride + 1
+    out = np.empty((channels, out_h, out_w), dtype=np.int64)
+    recip = round(65536 / (config.kernel * config.kernel))
+    for channel in range(channels):
+        for row in range(out_h):
+            for col in range(out_w):
+                top, left = row * config.stride, col * config.stride
+                window = padded[
+                    channel,
+                    top : top + config.kernel,
+                    left : left + config.kernel,
+                ]
+                if config.mode == "max":
+                    out[channel, row, col] = window.max()
+                else:
+                    scaled = int(window.sum()) * recip
+                    # Round half away from zero, as the hardware does.
+                    magnitude = (abs(scaled) + 32768) >> 16
+                    out[channel, row, col] = (
+                        magnitude if scaled >= 0 else -magnitude
+                    )
+    return out
+
+
+def test_apply_matches_per_window_reference(fuzz_rng):
+    """Seeded configs — overlapping and gapped windows, padding,
+    negative averages — against the plain per-window loop above."""
+    for _ in range(60):
+        kernel = int(fuzz_rng.integers(1, 5))
+        config = PdpConfig(
+            str(fuzz_rng.choice(("max", "average"))),
+            kernel=kernel,
+            stride=int(fuzz_rng.integers(1, kernel + 2)),
+            padding=int(fuzz_rng.integers(0, kernel)),
+        )
+        channels = int(fuzz_rng.integers(1, 4))
+        height = int(fuzz_rng.integers(kernel, kernel + 7))
+        width = int(fuzz_rng.integers(kernel, kernel + 7))
+        values = fuzz_rng.integers(-128, 128, (channels, height, width))
+        got = Pdp(config).apply(values)
+        assert np.array_equal(got, _pool_per_window(config, values)), config
+    # Half-way averages round away from zero on both signs.
+    config = PdpConfig("average", kernel=2)
+    halves = np.array([[[1, 1], [0, 0]], [[-1, -1], [0, 0]]])
+    assert np.array_equal(
+        Pdp(config).apply(halves), _pool_per_window(config, halves)
+    )
+    assert Pdp(config).apply(halves)[:, 0, 0].tolist() == [1, -1]

@@ -108,10 +108,9 @@ class TestRegistry:
             name = "tempus2x"
             description = "tempus with a doubled clock divider (test)"
 
-            def conv_cycles(self, weights, out_pixels, cfg, code):
-                return 2 * super().conv_cycles(
-                    weights, out_pixels, cfg, code
-                )
+            def cycle_line(self, weights, cfg, code):
+                per_pixel, fixed = super().cycle_line(weights, cfg, code)
+                return 2 * per_pixel, 2 * fixed
 
         register_backend(DoubledTempus(), replace=True)
         try:
@@ -426,21 +425,22 @@ class TestExecutorResolution:
         assert net.backends.describe() == "tugemm"
         assert all(stage.backend == "tugemm" for stage in net.stages)
 
-    def test_group_cycles_accepts_stage_copies(self, config):
-        """The two-arg public form resolves equal-but-not-identical
-        stages through their recorded backend instead of failing an
-        identity scan."""
-        import dataclasses
-
-        runner = NetworkRunner(config, engine="tubgemm", **TINY)
-        net = runner.compile("resnet18")
-        executor = runner.executor("resnet18")
-        stage = net.stages[2]
-        copy = dataclasses.replace(stage)
-        assert copy is not stage
-        assert executor.group_cycles(
-            copy, copy.weights[0]
-        ) == executor.group_cycles(stage, stage.weights[0])
+    def test_engine_override_accounts_on_the_override(self, config):
+        """A tempus-lowered program run with engine="binary" accounts
+        every stage on binary: outputs, total and per-stage cycles
+        equal the binary-lowered per-image reference."""
+        tempus = NetworkRunner(config, engine="tempus", **TINY)
+        binary = NetworkRunner(config, engine="binary", **TINY)
+        images = binary.synthesize_batch("resnet18", 2)
+        output, records, cycles = BatchExecutor(
+            tempus.compile("resnet18"), engine="binary"
+        ).run_batch(images)
+        reference = binary.run_per_image("resnet18", images)
+        assert np.array_equal(output, reference.output)
+        assert cycles == reference.conv_cycles
+        assert [record.conv_cycles for record in records] == [
+            record.conv_cycles for record in reference.stages
+        ]
 
     def test_pre_registry_network_defaults_to_tempus(self, config):
         """A compiled network whose stages carry backend=None (the

@@ -3,9 +3,9 @@
 Covers the transformer-block lowering end-to-end: the ``LinearSpec``
 conv surface (R = S = 1 atoms, token axis as spatial height), residual
 and norm glue folding, the value-aware cycle parity with the
-standalone :class:`~repro.gemm.llm.TubMatVec` GEMV engine, the
-shape-keyed executor cycle memo / burst-map cache bounds under a
-growing-sequence decode, and a PYTEST_SEED-driven differential sweep
+standalone :class:`~repro.gemm.llm.TubMatVec` GEMV engine, cycle
+accounting without burst-map lookups under a growing-sequence decode,
+and a PYTEST_SEED-driven differential sweep
 asserting batched/per-image bit-identity over random transformer-block
 configurations.
 """
@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DataflowError
-from repro.core.latency import (
-    burst_map_cache_stats,
-    burst_map_disk_cache_dir,
-    configure_burst_map_disk_cache,
-)
+from repro.core.latency import burst_map_cache_stats
 from repro.gemm.llm import project_linear_stage
 from repro.models.layers import (
     RESIDUAL_INPUT,
@@ -30,8 +26,7 @@ from repro.models.layers import (
 from repro.models.zoo import build_model
 from repro.nvdla.config import CoreConfig
 from repro.runtime import BatchExecutor, NetworkRunner
-from repro.runtime.backends import get_backend
-from repro.runtime.executor import FUSED_CYCLE_MEMO_SIZE
+from repro.runtime.backends import ComputeBackend, get_backend
 
 BACKENDS = ("binary", "tempus", "tugemm", "tubgemm")
 PRECISIONS = ("int8", "int4", "int2")
@@ -236,46 +231,45 @@ def test_project_linear_stage_rejects_conv_stages():
 
 
 # ---------------------------------------------------------------------
-# Satellite 2: decode must not churn the caches per token
+# Cycle accounting off the burst-map cache
 # ---------------------------------------------------------------------
-def test_decode_does_not_grow_caches_per_token(tmp_path, rng):
-    """A 64-token decode sweeps 64 distinct spatial shapes through the
-    same six weight tensors: the burst-map cache (in-memory and disk)
-    must stay at its post-first-token size, and the executor's
-    per-stage cycle memo must stay bounded by its LRU capacity."""
-    previous = burst_map_disk_cache_dir()
-    configure_burst_map_disk_cache(tmp_path)
-    try:
-        runner = _runner()
-        net = runner.compile("tiny_llm")
-        executor = runner.executor("tiny_llm")
-        tokens = 64
-        stream = _decode_stream(net, rng, tokens)
-        executor.run_job(stream[:, :, :1, :])
-        warm = burst_map_cache_stats()
-        warm_files = len(list(tmp_path.rglob("*.npy")))
-        assert warm_files > 0  # the disk tier actually engaged
-        for step in range(2, tokens + 1):
-            executor.run_job(stream[:, :, :step, :])
-        after = burst_map_cache_stats()
-        assert after["entries"] == warm["entries"]
-        assert after["misses"] == warm["misses"]
-        assert len(list(tmp_path.rglob("*.npy"))) == warm_files
-        # 6 stages x 64 prefix lengths = 384 candidate memo keys; the
-        # bounded LRU must have evicted down to its capacity.
-        assert len(executor._fused_cycles) <= FUSED_CYCLE_MEMO_SIZE
-    finally:
-        configure_burst_map_disk_cache(previous)
+def test_runs_make_no_burst_map_lookups(rng, monkeypatch):
+    """Once an executor is built, its stage cycle lines are fixed: a
+    64-token decode and a CNN batch make no burst-map lookup and never
+    call the backends' per-layer cycle model."""
+    llm = _runner(precision="int4")
+    net = llm.compile("tiny_llm")
+    llm.executor("tiny_llm")
+    cnn = _runner()
+    images = cnn.synthesize_batch("resnet18", 2)
+    executor = cnn.executor("resnet18")
+    stream = _decode_stream(net, rng, 64)
+    before = burst_map_cache_stats()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-layer cycle model called on a run")
+
+    monkeypatch.setattr(ComputeBackend, "layer_cycles", refuse)
+    monkeypatch.setattr(ComputeBackend, "conv_cycles", refuse)
+    for step in range(1, 65):
+        result = llm.run("tiny_llm", stream[:, :, :step, :])
+        assert result.cache["hit_rate"] is None
+    executor.run_batch(images)
+    assert executor.run_job(images)["cache"] == {"hits": 0, "misses": 0}
+    after = burst_map_cache_stats()
+    assert after["hits"] == before["hits"]
+    assert after["misses"] == before["misses"]
 
 
-def test_fused_cycle_memo_is_shape_keyed(rng):
+def test_decode_cycles_follow_the_prefix_length(rng):
     """Same stage at two prefix lengths accounts different cycles —
-    the memo must key on the actual output-pixel count."""
+    the stage's cycle line is evaluated at the actual output-pixel
+    count, also when a shorter prefix is revisited after growing."""
     runner = _runner()
     net = runner.compile("tiny_llm")
     executor = runner.executor("tiny_llm")
     stream = _decode_stream(net, rng, 6)
-    for step in (3, 6, 3):  # revisit a cached shape after growing
+    for step in (3, 6, 3):  # revisit a shorter prefix after growing
         prefix = stream[:, :, :step, :]
         job = executor.run_job(prefix)
         reference = runner.run_per_image("tiny_llm", prefix)

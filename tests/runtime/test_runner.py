@@ -111,17 +111,18 @@ class TestCache:
         first = runner.run("resnet18", 2)
         second = runner.run("resnet18", 2)
         assert second.cache["misses"] == 0
-        # The executor's memoized stage cycles skip the burst-map
-        # lookups entirely on a warm repeat.
+        # The executor derived its stage cycle lines when the first run
+        # built it, so a repeat makes no burst-map lookups at all.
         assert second.cache["hits"] + second.cache["misses"] == 0
         assert first.cache["misses"] > 0
         # A rate over zero lookups is undefined, not an all-miss 0.0.
         assert isinstance(first.cache["hit_rate"], float)
         assert second.cache["hit_rate"] is None
 
-    def test_sharded_warm_repeat_reports_no_hit_rate(self, config):
+    def test_sharded_runs_report_no_hit_rate(self, config):
         """The served stream's cache record follows the same rule: the
-        worker's memoized stage cycles make no lookups on a repeat."""
+        worker derives its stage cycle lines when it builds its
+        executor, so no served stream makes a lookup."""
         from repro.serve import ShardedRunner
 
         with ShardedRunner(
@@ -130,10 +131,9 @@ class TestCache:
         ) as server:
             first = server.run("resnet18", 4)
             second = server.run("resnet18", 4)
-        assert first.cache["hits"] + first.cache["misses"] > 0
-        assert isinstance(first.cache["hit_rate"], float)
-        assert second.cache["hits"] + second.cache["misses"] == 0
-        assert second.cache["hit_rate"] is None
+        for result in (first, second):
+            assert result.cache["hits"] + result.cache["misses"] == 0
+            assert result.cache["hit_rate"] is None
 
     def test_reference_path_shares_cache_across_batch(self, config):
         clear_burst_map_cache()

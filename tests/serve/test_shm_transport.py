@@ -5,9 +5,7 @@ tensors through ``multiprocessing.shared_memory`` segments instead of
 pickled queue messages, bit-identically and without ever leaking a
 ``/dev/shm`` entry — across clean shutdown, stream failures, chaos
 (crashed/respawned workers), pool collapse into degraded mode and the
-``spawn`` start method.  The persistent burst-map cache rides along:
-a worker retired mid-write must never leave a truncated or locked
-entry behind (atomic temp-file + rename publish).
+``spawn`` start method.
 """
 
 import glob
@@ -15,12 +13,6 @@ import glob
 import numpy as np
 import pytest
 
-from repro.core.latency import (
-    burst_map_cache_stats,
-    cached_burst_cycle_map,
-    clear_burst_map_cache,
-    configure_burst_map_disk_cache,
-)
 from repro.nvdla.config import CoreConfig
 from repro.runtime import NetworkRunner
 from repro.serve import FaultPlan, FaultSpec, ShardedRunner
@@ -243,81 +235,3 @@ class TestShmServing:
             result = server.run("resnet18", 4)
         assert np.array_equal(result.output, reference.output)
         assert result.conv_cycles == reference.conv_cycles
-
-
-class TestDiskCacheUnderChaos:
-    """Satellite of the persistent burst-map tier: a worker killed at
-    any point must never publish a truncated or locked entry."""
-
-    @pytest.fixture(autouse=True)
-    def isolated_disk_cache(self):
-        clear_burst_map_cache()
-        configure_burst_map_disk_cache(None)
-        yield
-        configure_burst_map_disk_cache(None)
-        clear_burst_map_cache()
-
-    def test_chaos_run_leaves_only_loadable_entries(
-        self, fuzz_rng, tmp_path
-    ):
-        cache_dir = tmp_path / "burst"
-        seed = int(fuzz_rng.integers(2**31))
-        plan = FaultPlan.random(
-            seed, rate=0.4, kinds=("crash", "error")
-        )
-        config = CoreConfig(k=4, n=4)
-        with ShardedRunner(
-            workers=2,
-            config=config,
-            engine="tempus",
-            transport="shm",
-            fault_plan=plan,
-            max_restarts=8,
-            max_batch=2,
-            cache_dir=cache_dir,
-            **TINY,
-        ) as server:
-            result = server.run("resnet18", 8)
-        reference = NetworkRunner(config, engine="tempus", **TINY).run(
-            "resnet18", 8
-        )
-        assert np.array_equal(result.output, reference.output)
-        entries = sorted(cache_dir.glob("burst-*.npy"))
-        assert entries, "chaos run published no cache entries"
-        for entry in entries:
-            cycles = np.load(entry, allow_pickle=False)
-            assert cycles.size > 0  # every entry is complete
-        assert not list(cache_dir.glob("*.tmp"))
-
-    def test_fresh_process_state_warms_from_chaos_entries(
-        self, tmp_path
-    ):
-        """Entries published under fault injection satisfy later cold
-        lookups — the whole point of persisting compile+warm."""
-        cache_dir = tmp_path / "burst"
-        plan = FaultPlan(
-            faults=(FaultSpec(kind="crash", job=0),)
-        )
-        config = CoreConfig(k=4, n=4)
-        with ShardedRunner(
-            workers=2,
-            config=config,
-            engine="tempus",
-            fault_plan=plan,
-            max_batch=2,
-            cache_dir=cache_dir,
-            **TINY,
-        ) as server:
-            server.run("resnet18", 4)
-        # Simulate a restart: cold in-memory cache, same disk tier.
-        clear_burst_map_cache()
-        configure_burst_map_disk_cache(cache_dir)
-        net = NetworkRunner(config, engine="tempus", **TINY).compile(
-            "resnet18"
-        )
-        for stage in net.stages:
-            for weights in stage.weights:
-                cached_burst_cycle_map(np.asarray(weights), config)
-        stats = burst_map_cache_stats()
-        assert stats["disk_hits"] > 0
-        assert stats["disk_misses"] == 0
