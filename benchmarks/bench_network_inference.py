@@ -5,8 +5,7 @@ Runs zoo models end to end through the batched runtime on both
 convolution engines, checks that their outputs stay bit-identical and
 that the batched path matches the per-image reference pipeline, then
 writes ``results/BENCH_networks.json`` (cycles per network, images per
-million cycles, burst-map cache hit rate, tempus-vs-binary and
-scheduling cycle ratios).
+million cycles, tempus-vs-binary and scheduling cycle ratios).
 
 Run directly::
 
@@ -72,8 +71,7 @@ def run(
         out_dir=RESULTS_DIR if write else None,
     )
     # Reproduced-shape checks: every model ran bit-identically across
-    # engines, the cache served repeated lookups, and scheduling never
-    # costs cycles.
+    # engines, and scheduling never costs cycles.
     assert len(payload["models"]) >= 1
     for record in payload["models"]:
         assert record["outputs_bit_identical"]

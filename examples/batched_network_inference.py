@@ -5,15 +5,13 @@ Where ``full_network_inference.py`` walks a toy 3-stage network one
 image at a time, this example compiles real Table-I topologies from
 ``models/zoo.py`` (width/resolution-scaled for simulation speed) and
 runs a whole batch through every conv/SDP/PDP stage at once — on both
-convolution engines, with burst-aware tile scheduling, and with the
-shared burst-map cache keeping repeated latency analyses free.
+convolution engines, with burst-aware tile scheduling.
 
 Run:  python examples/batched_network_inference.py
 """
 
 import numpy as np
 
-from repro.core.latency import burst_map_cache_stats
 from repro.nvdla.config import CoreConfig
 from repro.runtime import NetworkRunner
 from repro.utils.tables import format_table
@@ -51,11 +49,6 @@ def main() -> None:
                 f"{binary.conv_cycles:,}",
                 f"{tempus.conv_cycles:,}",
                 f"{tempus.images_per_million_cycles:.3f}",
-                (
-                    "-"
-                    if tempus.cache["hit_rate"] is None
-                    else f"{tempus.cache['hit_rate']:.2f}"
-                ),
             )
         )
 
@@ -68,7 +61,6 @@ def main() -> None:
                 "binary cycles",
                 "tempus cycles",
                 "img/Mcycle",
-                "cache hit",
             ],
             rows,
             title=(
@@ -77,13 +69,8 @@ def main() -> None:
             ),
         )
     )
-    stats = burst_map_cache_stats()
     print(
-        f"\nburst-map cache totals: {stats['hits']} hits / "
-        f"{stats['misses']} misses ({stats['entries']} entries)"
-    )
-    print(
-        "outputs are bit-identical across engines and to the per-image "
+        "\noutputs are bit-identical across engines and to the per-image "
         "reference pipeline."
     )
 

@@ -12,7 +12,6 @@ produces bit-identical outputs.
 
 from repro.core.latency import (
     burst_cycle_map,
-    cached_burst_cycle_map,
     layer_burst_cycles,
     worst_case_cycles,
 )
@@ -32,6 +31,5 @@ __all__ = [
     "TempusCore",
     "worst_case_cycles",
     "burst_cycle_map",
-    "cached_burst_cycle_map",
     "layer_burst_cycles",
 ]

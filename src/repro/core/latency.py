@@ -9,9 +9,6 @@ whole-CNN profiling (Figs. 7/8, Sec. V-C) fast.
 from __future__ import annotations
 
 import math
-import os
-import weakref
-from collections import OrderedDict
 
 import numpy as np
 
@@ -77,196 +74,33 @@ def burst_cycle_map(
     return code.step_cycles_array(maxima) + config.burst_overhead
 
 
-# ----------------------------------------------------------------------
-# Burst-map cache
-#
-# Lowering (tile scheduling), profiling, the paper drivers and the
-# analytic engines all re-derive the same burst map for the same weight
-# tensor (often several times per layer, and once per *group* for
-# depthwise/grouped convolutions).  The map depends only on (weights,
-# k, n, burst_overhead, code), so a keyed LRU makes those passes free.
-# The batched executor is not among them on its hot path: it folds each
-# stage's maps into one cycle line when it is constructed, and its
-# batches make no lookups.  Group tensors are slice views of a stable
-# per-layer array, so the key anchors on the view's base array identity
-# plus the view's memory location (data pointer, shape, strides) — fresh
-# view objects over the same storage hit the same entry.  A weakref to
-# the base array guards against a recycled ``id`` false-hitting after
-# the owner dies.  Each entry additionally stores a cheap content
-# fingerprint (first/last element + plain and position-weighted sums)
-# of the weights it was computed from; a lookup whose fingerprint
-# mismatches invalidates the entry and recomputes, so in-place mutation
-# of a cached tensor is detected unless the edit preserves all four
-# checksum components at once (which no single-element write and no
-# simple permutation/compensating rewrite can).  Producers in this repo
-# still treat quantized weights as immutable —
-# :attr:`QuantizedLayer.codes64` is marked read-only — the fingerprint
-# is a correctness backstop, not a license to mutate.
-#
-# Process model (the sharded serving runtime forks workers holding this
-# module): the cache is strictly process-local state, and both
-# multiprocessing start methods are safe.  With ``fork`` a worker
-# inherits the parent's entries copy-on-write — the owner arrays are
-# duplicated at the same virtual addresses, so the (id, data pointer)
-# keys and the weakrefs all still resolve in the child: a serving
-# worker's executor construction hits the maps warmed during lowering.
-# With ``spawn`` the module is imported fresh and the worker rebuilds
-# the maps once, while constructing its executor.  Counters are
-# inherited under fork (deltas, as reported by the runtime, stay
-# correct);
-# :func:`burst_map_cache_stats` exposes the owning pid and whether the
-# cache was inherited so worker provenance is observable.
-# ----------------------------------------------------------------------
-_BURST_MAP_CACHE_SIZE = 4096
-_burst_map_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_burst_map_hits = 0
-_burst_map_misses = 0
-_burst_map_invalidations = 0
-#: Pid that created (or last cleared) this process's cache state; a
-#: forked worker sees a different ``os.getpid()`` until it clears.
-_burst_map_origin_pid = os.getpid()
+#: Compatibility name of :func:`burst_cycle_map`.  A map is one
+#: vectorised pass over the weights, cheaper than any lookup keyed on
+#: their storage or content, so nothing is cached; tracers wrap this
+#: name in :mod:`repro.runtime.backends` and :mod:`repro.core.scheduling`.
+cached_burst_cycle_map = burst_cycle_map
+
+
+def burst_map_cache_stats() -> dict:
+    """Compatibility alias of the retired burst-map cache's counters:
+    always zero, since no lookup is cached."""
+    return {"hits": 0, "misses": 0}
+
+
+def clear_burst_map_cache() -> None:
+    """Compatibility alias of the retired burst-map cache: a no-op."""
 
 
 def configure_burst_map_disk_cache(path=None) -> None:
     """Compatibility alias of the retired on-disk burst-map tier.
 
-    ``None`` (tier off) is a no-op.  A directory is refused: the
-    batched executor derives its stage cycle lines once, when it is
-    constructed, so a warm cache could only shorten compile."""
+    ``None`` (tier off) is a no-op.  A directory is refused: burst maps
+    are computed, never stored."""
     if path is not None:
         raise DataflowError(
             "the on-disk burst-map cache was removed; burst maps are "
-            "looked up only at lowering and executor construction"
+            "computed where they are needed"
         )
-
-
-def _content_fingerprint(weights: np.ndarray) -> tuple:
-    """Cheap content checksum: first/last element, wrap-around sum, a
-    position-weighted sum, and a strided squared-position sample.
-    Vectorised O(size) passes — far cheaper than recomputing the burst
-    map.  Every single-element mutation moves the plain sum;
-    permutations and compensating +d/-d pairs preserve the plain sum
-    but move the position-weighted one (a swap of unequal values at
-    positions i < j shifts it by (j - i) x (difference)).  A *pair* of
-    compensating edits can be engineered to cancel in both sums while
-    leaving the end elements untouched — e.g. +1/-1 at positions (2, 6)
-    against -4/+4 at (3, 4) — which used to slip through and serve a
-    stale burst map.  The strided sample term weights up to 1024
-    sampled elements by their squared positions: for any two
-    sum-cancelling pairs it shifts by d1*(j1^2 - i1^2) + d2*(j2^2 -
-    i2^2), which only vanishes together with the linear term when both
-    pairs straddle the same position midpoint — so the engineered
-    two-pair rewrite is now caught whenever it lands on sampled
-    positions (always, for tensors up to 1024 elements)."""
-    flat = weights.reshape(-1)
-    if flat.size == 0:
-        return (0, 0, 0, 0, 0)
-    positions = np.arange(1, flat.size + 1, dtype=np.int64)
-    stride = max(1, flat.size >> 10)
-    sampled_positions = positions[::stride]
-    return (
-        int(flat[0]),
-        int(flat[-1]),
-        int(np.sum(flat, dtype=np.int64)),
-        int(np.dot(flat, positions)),
-        int(np.dot(flat[::stride],
-                   sampled_positions * sampled_positions)),
-    )
-
-
-def _burst_map_key(
-    weights: np.ndarray, config: CoreConfig, code: UnaryCode
-) -> tuple:
-    owner = weights
-    while owner.base is not None and isinstance(owner.base, np.ndarray):
-        owner = owner.base
-    return owner, (
-        id(owner),
-        weights.__array_interface__["data"][0],
-        weights.shape,
-        weights.strides,
-        str(weights.dtype),
-        config.k,
-        config.n,
-        config.burst_overhead,
-        code.name,
-    )
-
-
-def cached_burst_cycle_map(
-    weights: np.ndarray,
-    config: CoreConfig,
-    code: UnaryCode | None = None,
-) -> np.ndarray:
-    """Memoized :func:`burst_cycle_map` keyed on the weight tensor's
-    storage identity plus the array geometry and code (see cache notes
-    above).
-
-    Returns the cached map as read-only; copy before mutating.
-    """
-    global _burst_map_hits, _burst_map_misses, _burst_map_invalidations
-    code = code if code is not None else TwosUnaryCode()
-    weights = np.asarray(weights)
-    owner, key = _burst_map_key(weights, config, code)
-    # An own-storage read-only array cannot be mutated under the cache,
-    # so skip the O(size) checksum on the hit path for the dominant
-    # producers (codes64, schedule-permuted tensors — all frozen).
-    immutable = weights.base is None and not weights.flags.writeable
-    fingerprint = None if immutable else _content_fingerprint(weights)
-    entry = _burst_map_cache.get(key)
-    if entry is not None and entry[0]() is owner:
-        if fingerprint is None or entry[2] == fingerprint:
-            _burst_map_cache.move_to_end(key)
-            _burst_map_hits += 1
-            return entry[1]
-        # The cached tensor was mutated in place under the cache: drop
-        # the stale map and fall through to a recompute.
-        del _burst_map_cache[key]
-        _burst_map_invalidations += 1
-    cycles = burst_cycle_map(weights, config, code)
-    cycles.setflags(write=False)
-    try:
-        owner_ref = weakref.ref(owner)
-    except TypeError:
-        # Some ndarray subclasses reject weakrefs; skip caching for them.
-        return cycles
-    # Always store the checksum (the miss already pays an O(size) map
-    # computation): if the tensor is ever made writable and mutated,
-    # later lookups still catch it.
-    if fingerprint is None:
-        fingerprint = _content_fingerprint(weights)
-    _burst_map_cache[key] = (owner_ref, cycles, fingerprint)
-    _burst_map_cache.move_to_end(key)
-    _burst_map_misses += 1
-    while len(_burst_map_cache) > _BURST_MAP_CACHE_SIZE:
-        _burst_map_cache.popitem(last=False)
-    return cycles
-
-
-def burst_map_cache_stats() -> dict:
-    """Hit/miss counters (observability for the profiling passes and
-    the serving workers).  ``inherited`` flags a cache carried across a
-    ``fork`` from a parent process (see the process-model notes above)."""
-    return {
-        "hits": _burst_map_hits,
-        "misses": _burst_map_misses,
-        "invalidations": _burst_map_invalidations,
-        "entries": len(_burst_map_cache),
-        "pid": os.getpid(),
-        "inherited": os.getpid() != _burst_map_origin_pid,
-    }
-
-
-def clear_burst_map_cache() -> None:
-    """Drop all in-memory maps and reset the counters (and claim the
-    cache for the current process)."""
-    global _burst_map_hits, _burst_map_misses, _burst_map_invalidations
-    global _burst_map_origin_pid
-    _burst_map_cache.clear()
-    _burst_map_hits = 0
-    _burst_map_misses = 0
-    _burst_map_invalidations = 0
-    _burst_map_origin_pid = os.getpid()
 
 
 def layer_burst_cycles(
@@ -277,7 +111,7 @@ def layer_burst_cycles(
 ) -> int:
     """Total PCU compute cycles for one layer: every burst repeats for every
     output pixel."""
-    per_pixel = int(cached_burst_cycle_map(weights, config, code).sum())
+    per_pixel = int(burst_cycle_map(weights, config, code).sum())
     return per_pixel * shape.output_pixels
 
 
@@ -289,7 +123,7 @@ def average_burst_cycles(
     """Mean burst length across a weight tensor's tiles — the paper's
     "workload-dependent latency" statistic (33 cycles for MobileNetV2,
     31 for ResNeXt101 at 16x16 INT8)."""
-    cycles = cached_burst_cycle_map(weights, config, code)
+    cycles = burst_cycle_map(weights, config, code)
     return float(cycles.mean())
 
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.latency import burst_cycle_map, cached_burst_cycle_map
+# Called by its compatibility name so a tracer can wrap it here.
+from repro.core.latency import cached_burst_cycle_map
 from repro.errors import DataflowError
 from repro.nvdla.config import CoreConfig
 from repro.unary.encoding import TwosUnaryCode, UnaryCode
@@ -108,9 +109,7 @@ def optimize_tile_schedule(
 
     baseline = int(cached_burst_cycle_map(weights, config, code).sum())
     permuted = weights[kernel_order][:, channel_order]
-    # The permuted tensor is fresh each call — caching it would only churn
-    # the LRU, so use the uncached map here.
-    optimized = int(burst_cycle_map(permuted, config, code).sum())
+    optimized = int(cached_burst_cycle_map(permuted, config, code).sum())
 
     if optimized >= baseline:
         # Sorting never helps degenerate tensors (single tile); keep the

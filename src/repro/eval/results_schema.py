@@ -38,32 +38,11 @@ def _record(net, backend, precision, cycles) -> dict:
     return record
 
 
-def _check_cache(point: str, stats: dict) -> None:
-    """An engine record's burst-map ``hit_rate`` is a fraction, or null
-    when the run made no lookups (a rate over nothing is undefined)."""
-    cache = stats.get("cache")
-    if cache is None:
-        return
-    rate = cache["hit_rate"]
-    lookups = int(cache["hits"]) + int(cache["misses"])
-    if rate is None:
-        if lookups:
-            raise DataflowError(
-                f"{point}: cache hit_rate is null over {lookups} "
-                "burst-map lookups"
-            )
-    elif not 0.0 <= float(rate) <= 1.0:
-        raise DataflowError(
-            f"{point}: cache hit_rate {rate} is not a fraction"
-        )
-
-
 def _network_records(payload: dict) -> list:
     precision = payload.get("precision_profile", "int8")
     records = []
     for model in payload["models"]:
         for backend, stats in model["engines"].items():
-            _check_cache(f"{model['model']}/{backend}", stats)
             records.append(
                 _record(
                     model["model"], backend, precision,
@@ -84,9 +63,6 @@ def _serving_records(payload: dict) -> list:
     records = []
     for model in payload["models"]:
         for sweep in model["workers"]:
-            _check_cache(
-                f"{model['model']}/{sweep.get('workers')}w", sweep
-            )
             records.append(
                 _record(
                     model["model"], backend, precision,
@@ -101,10 +77,6 @@ def _precision_records(payload: dict) -> list:
     for model in payload["models"]:
         for entry in model["precisions"]:
             for backend, stats in entry["engines"].items():
-                _check_cache(
-                    f"{model['model']}/{backend}/{entry['precision']}",
-                    stats,
-                )
                 records.append(
                     _record(
                         model["model"], backend, entry["precision"],
@@ -119,10 +91,6 @@ def _backend_records(payload: dict) -> list:
     for model in payload["models"]:
         for entry in model["precisions"]:
             for backend, stats in entry["backends"].items():
-                _check_cache(
-                    f"{entry['net']}/{backend}/{entry['precision']}",
-                    stats,
-                )
                 records.append(
                     _record(
                         entry["net"], backend, entry["precision"],

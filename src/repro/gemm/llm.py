@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.latency import cached_burst_cycle_map
+from repro.core.latency import burst_cycle_map
 from repro.errors import DataflowError
 from repro.nvdla.config import CoreConfig
 from repro.unary.encoding import TwosUnaryCode, UnaryCode
@@ -100,11 +100,10 @@ class TubMatVec:
         activations = self.activation_spec.check_array(activations)
 
         # GEMV == 1x1 convolution over a 1x1 "image": reuse the conv
-        # burst model directly.  The cached variant shares the runtime's
-        # burst-map cache, so a projection profiled here and then lowered
-        # through the executor pays the tile scan once.
-        conv_view = np.ascontiguousarray(weights[:, :, None, None])
-        bursts = cached_burst_cycle_map(conv_view, self.config, self.code)
+        # burst model directly.
+        bursts = burst_cycle_map(
+            weights[:, :, None, None], self.config, self.code
+        )
         tiles = int(bursts.size)
         return MatVecResult(
             output=weights @ activations,

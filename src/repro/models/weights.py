@@ -107,10 +107,9 @@ class QuantizedLayer:
 
     @cached_property
     def codes64(self) -> np.ndarray:
-        """The codes widened to int64, materialised once per layer — a
-        stable tensor identity, so identity-keyed caches (the burst-map
-        cache in :mod:`repro.core.latency`) hit across repeated profiling
-        and scheduling passes over the same model."""
+        """The codes widened to int64, materialised once per layer and
+        shared by every profiling, scheduling and lowering pass over the
+        model — read-only, so no pass can edit another's weights."""
         codes = self.codes.astype(np.int64)
         codes.setflags(write=False)
         return codes

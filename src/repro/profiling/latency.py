@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.latency import cached_burst_cycle_map
+from repro.core.latency import burst_cycle_map
 from repro.models.weights import QuantizedModel
 from repro.nvdla.config import CoreConfig
 from repro.nvdla.dataflow import ConvShape
@@ -106,7 +106,7 @@ def model_workload_latency(
         burst_sum = 0.0
         burst_tiles = 0
         for group_tensor in iter_group_tensors(codes, layer.groups):
-            bursts = cached_burst_cycle_map(group_tensor, config, code)
+            bursts = burst_cycle_map(group_tensor, config, code)
             binary_cycles += atoms_per_pixel * pixels
             tempus_cycles += int(bursts.sum()) * pixels
             burst_sum += float(bursts.sum())

@@ -34,9 +34,6 @@ def iter_group_tensors(
             f"kernel count {kernels} not divisible by groups {groups}"
         )
     if groups == 1:
-        # Yield the tensor itself (not a fresh slice view) so identity-keyed
-        # caches like repro.core.latency.cached_burst_cycle_map can hit on
-        # repeated profiling passes over the same model.
         yield weights
         return
     per_group = kernels // groups

@@ -19,8 +19,7 @@ those designs:
   ``per_pixel * out_pixels + fixed``, with both terms fixed by the
   compiled weights.  Value-aware for the temporal designs: the slope is
   derived from the actual quantized weight magnitudes through the
-  burst-map machinery
-  (:func:`~repro.core.latency.cached_burst_cycle_map`), so zero and
+  burst map (:func:`~repro.core.latency.burst_cycle_map`), so zero and
   small-magnitude operands cost fewer cycles (tubGEMM's
   "sparsity-effective" claim), not the worst-case bound.  The binary
   CMAC stays value-independent (one atom per cycle).
@@ -51,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Called by its compatibility name so a tracer can wrap it here.
 from repro.core.latency import cached_burst_cycle_map
 from repro.errors import DataflowError
 from repro.nvdla.config import CoreConfig
@@ -149,7 +149,7 @@ class ReplayedUnaryCode(UnaryCode):
 
     This is a cycle model, not a codec — the "encoding" is the fully
     replayed train.  Using a :class:`UnaryCode` keeps tuGEMM accounting
-    inside the shared (cached) burst-map machinery.
+    inside the shared burst-map machinery.
     """
 
     def __init__(self, replay: int) -> None:

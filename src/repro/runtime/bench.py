@@ -11,8 +11,7 @@ claim-specific logic:
 * :func:`run_network_benchmark` — single-process batched inference on
   both convolution engines (``results/BENCH_networks.json``):
   bit-identity cross-checks, per-network cycles,
-  images-per-million-cycles, cache hit rates, tempus-vs-binary and
-  scheduling ratios.
+  images-per-million-cycles, tempus-vs-binary and scheduling ratios.
 * :func:`run_serving_benchmark` — the sharded multi-worker serving
   runtime (``results/BENCH_serving.json``): requests/sec and
   images-per-Mcycle vs worker count, with every worker count verified
@@ -46,8 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.latency import burst_map_cache_stats, \
-    cached_burst_cycle_map
+from repro.core.latency import burst_cycle_map
 from repro.errors import DataflowError
 from repro.eval.throughput import requests_per_second
 from repro.nvdla.config import CoreConfig
@@ -175,7 +173,6 @@ def run_network_benchmark(
         }
         model_records.append(record)
 
-    cache = burst_map_cache_stats()
     config = runners["tempus"].config  # profile may widen the precision
     payload = {
         "benchmark": "network_inference",
@@ -188,11 +185,6 @@ def run_network_benchmark(
         "precision_layers": profile.describe(),
         **harness.common_head(),
         "models": model_records,
-        "burst_map_cache_totals": {
-            "hits": cache["hits"],
-            "misses": cache["misses"],
-            "entries": cache["entries"],
-        },
     }
     return write_benchmark_artifact(
         payload, "BENCH_networks.json", out_dir
@@ -974,9 +966,7 @@ def _mean_burst_cycles(net) -> float:
     tiles = 0
     for stage in net.stages:
         for weights in stage.weights:
-            bursts = cached_burst_cycle_map(
-                weights, stage.config, net.code
-            )
+            bursts = burst_cycle_map(weights, stage.config, net.code)
             total += int(bursts.sum())
             tiles += int(bursts.size)
     return total / max(tiles, 1)
@@ -1348,8 +1338,6 @@ def run_llm_benchmark(
     checkpoints = sorted(
         {1, max(1, tokens // 4), max(1, tokens // 2), tokens}
     )
-    cache_before = burst_map_cache_stats()
-
     records = []
     block = None
     for profile in profiles:
@@ -1493,7 +1481,6 @@ def run_llm_benchmark(
                 }
             )
 
-    cache_after = burst_map_cache_stats()
     payload = {
         "benchmark": "llm_decode",
         "model": model,
@@ -1507,17 +1494,6 @@ def run_llm_benchmark(
         "sharded_checkpoints": [int(step) for step in checkpoints],
         "block": block,
         "records": records,
-        # Growing-sequence shapes must not churn the burst-map cache:
-        # maps key on weight content, not output pixels, so the whole
-        # sweep adds one entry per (weight tensor, geometry) pair.
-        "burst_map_cache_totals": {
-            "entries": cache_after["entries"],
-            "entries_added": (
-                cache_after["entries"] - cache_before["entries"]
-            ),
-            "hits": cache_after["hits"] - cache_before["hits"],
-            "misses": cache_after["misses"] - cache_before["misses"],
-        },
     }
     return write_benchmark_artifact(payload, "BENCH_llm.json", out_dir)
 
@@ -1569,13 +1545,6 @@ def render_llm_benchmark(payload: dict) -> str:
     )
 
 
-def _hit_rate(cache: dict) -> str:
-    """A cache record's hit rate, or "-" when the run made no
-    burst-map lookups."""
-    rate = cache["hit_rate"]
-    return "-" if rate is None else f"{rate:.2f}"
-
-
 def render_benchmark(payload: dict) -> str:
     """Human-readable summary of a benchmark payload."""
     columns = [
@@ -1597,10 +1566,6 @@ def render_benchmark(payload: dict) -> str:
                 row["engines"]["tempus"]["images_per_million_cycles"]
             ),
             format=".3f",
-        ),
-        Column(
-            "cache hit",
-            lambda row: _hit_rate(row["engines"]["tempus"]["cache"]),
         ),
         Column(
             "sched gain",

@@ -21,7 +21,7 @@ pixels, ``per_pixel * out_pixels + fixed``, with both terms fixed by
 the compiled weights (see
 :meth:`~repro.runtime.backends.ComputeBackend.cycle_line`).  The
 executor derives each stage's line once, at construction — the only
-burst-map lookups it ever makes — and a batch evaluates the line at its
+burst maps it ever computes — and a batch evaluates the line at its
 actual output-pixel count.  Serving workers build their own executor
 from the compiled network, which pickles.
 """
@@ -32,7 +32,6 @@ import math
 
 import numpy as np
 
-from repro.core.latency import burst_map_cache_stats
 from repro.errors import DataflowError, PrecisionError
 from repro.nvdla.pdp import Pdp
 from repro.nvdla.pipeline import StageResult
@@ -339,11 +338,9 @@ class BatchExecutor:
 
     def run_job(self, images: np.ndarray) -> dict:
         """Worker entry point: run a batch and report a self-contained
-        record (output, cycles, per-stage cycles, cache delta) that can
-        cross a process boundary."""
-        before = burst_map_cache_stats()
+        record (output, cycles, per-stage cycles) that can cross a
+        process boundary."""
         output, records, cycles = self.run_batch(images)
-        after = burst_map_cache_stats()
         return {
             "output": output,
             "conv_cycles": cycles,
@@ -354,10 +351,6 @@ class BatchExecutor:
                 (record.name, record.kind, record.output_shape)
                 for record in records
             ),
-            "cache": {
-                key: after[key] - before[key]
-                for key in ("hits", "misses")
-            },
         }
 
     # --- seam adapters (batched) --------------------------------------

@@ -405,7 +405,7 @@ def _group_plans(
     restores = []
     for group in range(layer.groups):
         # Dense layers keep the codes64 tensor itself (not a fresh
-        # slice view) so identity-keyed consumers see a stable object.
+        # slice view), so programs lowered from one model share it.
         tensor = (
             codes64
             if layer.groups == 1

@@ -17,13 +17,9 @@ produce bit-identical outputs:
   :class:`~repro.nvdla.conv_core.ConvolutionCore`) one layer-group at a
   time, in any of their execution modes (``fast``/``burst``/``cycle``).
 
-Both paths share the burst-map LRU in :mod:`repro.core.latency`: the
-per-pixel burst map of every (layer, group) weight tensor is computed
-once, at lowering, and then hits across batch items, engines and
-repeated runs.  The vectorized path looks maps up only while it builds
-its executor (each stage's cycles become one affine line in its output
-pixels), so its runs after the first make none.  The per-run hit/miss
-delta is reported on every :class:`NetworkResult`.
+The vectorized path computes burst maps only while it builds its
+executor (each stage's cycles become one affine line in its output
+pixels), so its runs compute none.
 
 Tempus cycle counts depend only on the weights (a burst lasts as long
 as its tile's largest magnitude), so when lowering applied burst-aware
@@ -38,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.latency import burst_map_cache_stats
 from repro.errors import DataflowError
 from repro.models.weights import load_quantized_model
 from repro.nvdla.config import CoreConfig
@@ -56,25 +51,6 @@ from repro.unary.encoding import UnaryCode
 from repro.utils.rng import make_rng
 
 
-#: Burst-map counters a run's cache record carries, beside hit_rate.
-CACHE_COUNTERS = ("hits", "misses")
-
-
-def cache_record(counts: dict) -> dict:
-    """A run's burst-map cache record from its counter deltas.
-
-    ``hit_rate`` is None when the run made no burst-map lookups (any
-    batched run on an already-built executor, whose stage cycle lines
-    were derived at construction, or a backend without burst maps): a
-    rate over zero lookups is undefined, and 0.0 would read as
-    all-miss.
-    """
-    record = {key: int(counts.get(key, 0)) for key in CACHE_COUNTERS}
-    lookups = record["hits"] + record["misses"]
-    record["hit_rate"] = record["hits"] / lookups if lookups else None
-    return record
-
-
 @dataclass(frozen=True)
 class NetworkResult:
     """One batched forward pass through a compiled network.
@@ -89,9 +65,6 @@ class NetworkResult:
         stages: per-stage execution records (cycles cover the batch).
         conv_cycles: total conv-core cycles across the batch.
         macs: useful multiply-accumulates across the batch.
-        cache: burst-map cache delta for this run (see
-            :func:`cache_record`; ``hit_rate`` is None when the run
-            made no lookups).
     """
 
     model: str
@@ -101,7 +74,6 @@ class NetworkResult:
     stages: tuple
     conv_cycles: int
     macs: int
-    cache: dict
 
     @property
     def cycles_per_image(self) -> float:
@@ -229,7 +201,6 @@ class NetworkRunner:
         """
         net = self.compile(model_name)
         images = self._as_batch(net, model_name, batch)
-        before = burst_map_cache_stats()
         output, records, total_cycles = self.executor(
             model_name
         ).run_batch(images)
@@ -241,7 +212,6 @@ class NetworkRunner:
             stages=records,
             conv_cycles=total_cycles,
             macs=net.macs_per_image * images.shape[0],
-            cache=self._cache_delta(before),
         )
 
     def run_per_image(
@@ -267,7 +237,6 @@ class NetworkRunner:
         net = self.compile(model_name)
         images = self._as_batch(net, model_name, batch)
         cores = self._stage_cores(net, mode)
-        before = burst_map_cache_stats()
         outputs = []
         first_records: list[StageResult] = []
         cycle_totals: list[int] = []
@@ -336,7 +305,6 @@ class NetworkRunner:
             stages=tuple(records),
             conv_cycles=total_cycles,
             macs=net.macs_per_image * images.shape[0],
-            cache=self._cache_delta(before),
         )
 
     # ------------------------------------------------------------------
@@ -368,12 +336,6 @@ class NetworkRunner:
         if images.ndim == 3:
             images = images[None]
         return net.check_batch(images)
-
-    def _cache_delta(self, before: dict) -> dict:
-        after = burst_map_cache_stats()
-        return cache_record(
-            {key: after[key] - before[key] for key in CACHE_COUNTERS}
-        )
 
     # --- seam adapters (per-image) ------------------------------------
     def _fit_single(

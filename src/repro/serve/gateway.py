@@ -51,14 +51,15 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections.abc import Mapping
 from concurrent.futures import Future
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from repro.errors import DataflowError, PrecisionError
 from repro.nvdla.pipeline import StageResult
-from repro.runtime.runner import CACHE_COUNTERS
 from repro.serve.queue import Request, RequestQueue
 
 #: The per-response latency phases, in stream order.
@@ -128,8 +129,7 @@ class GatewayResult:
     ``stages`` holds one :class:`~repro.nvdla.pipeline.StageResult` per
     executed stage, with cycles summed over every job and the leading
     output dimension set to the completed request count (the per-job
-    batch split is a dispatch detail).  ``cache`` sums the jobs'
-    burst-map counters (hits, misses, disk hits/misses/writes).
+    batch split is a dispatch detail).
     """
 
     model: str
@@ -140,9 +140,14 @@ class GatewayResult:
     conv_cycles: int
     shard_cycles: tuple
     stages: tuple
-    cache: dict
     health: dict
     responses: tuple
+
+    @property
+    def cache(self) -> Mapping:
+        """Compatibility alias of the retired burst-map counters:
+        always empty, since runs compute no burst maps."""
+        return MappingProxyType({})
 
     @property
     def makespan_cycles(self) -> int:
@@ -266,7 +271,6 @@ class ServingGateway:
         self._degraded_cycles = 0
         self._stage_cycles: "list[int] | None" = None
         self._stage_meta: "tuple | None" = None
-        self._cache = dict.fromkeys(CACHE_COUNTERS, 0)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
             daemon=True,
@@ -439,8 +443,6 @@ class ServingGateway:
                 self._shard_cycles[shard_index] += (
                     record["conv_cycles"]
                 )
-            for key in self._cache:
-                self._cache[key] += record["cache"].get(key, 0)
             if self._stage_cycles is None:
                 self._stage_cycles = list(record["stage_cycles"])
                 self._stage_meta = record["stage_meta"]
@@ -529,7 +531,6 @@ class ServingGateway:
                 conv_cycles=int(self._conv_cycles),
                 shard_cycles=tuple(self._shard_cycles),
                 stages=self._stage_records(len(responses)),
-                cache=dict(self._cache),
                 health=health,
                 responses=responses,
             )

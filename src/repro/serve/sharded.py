@@ -30,11 +30,10 @@ yields the bit-identical stream.  The randomized differential suites
 across nets, batch sizes, worker counts and seeded fault plans.
 
 Start methods: ``fork`` (default where available) inherits the compiled
-program and a warm burst-map cache copy-on-write; ``spawn`` pickles the
-program to each worker.  Either way a worker touches burst maps only
-while constructing its executor, which folds each stage's maps into one
-cycle line; the batches it then runs make no burst-map lookups (see
-the cache notes in :mod:`repro.core.latency`).
+program copy-on-write; ``spawn`` pickles the program to each worker.
+Either way a worker computes burst maps only while constructing its
+executor, which folds each stage's maps into one cycle line; the
+batches it then runs compute none.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ import numpy as np
 from repro.errors import DataflowError
 from repro.runtime.executor import BatchExecutor
 from repro.runtime.lowering import CompiledNetwork
-from repro.runtime.runner import NetworkResult, NetworkRunner, \
-    cache_record
+from repro.runtime.runner import NetworkResult, NetworkRunner
 from repro.serve.gateway import ServingGateway
 from repro.serve.queue import ADMISSION_POLICIES
 from repro.serve.shm import ShmArena, ShmRef, default_transport, \
@@ -503,7 +501,6 @@ class ShardedRunner:
             stages=result.stages,
             conv_cycles=result.conv_cycles,
             macs=net.macs_per_image * result.requests,
-            cache=cache_record(result.cache),
             shard_cycles=result.shard_cycles,
             jobs=result.jobs,
             health=health,

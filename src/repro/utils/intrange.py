@@ -85,9 +85,8 @@ class IntSpec:
         """Validate an integer array is within range; returns it as int64.
 
         Already-int64 inputs pass through unchanged (``copy=False``):
-        validation runs on every ``run_layer`` call, and preserving the
-        tensor's identity keeps the storage-keyed burst-map cache warm
-        across the cores and the batched runtime.
+        validation runs on every ``run_layer`` call and must not copy
+        the tensor.
 
         Only integer dtypes and *exact-integer* floats validate; a
         float carrying a fractional value (e.g. an accidentally

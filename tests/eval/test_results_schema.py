@@ -1,6 +1,5 @@
 """Tests for the BENCH_*.json results-schema checker."""
 
-import json
 from pathlib import Path
 
 import pytest
@@ -89,45 +88,6 @@ class TestNormalizers:
                 "cycles": 7,
             }
         ]
-
-    @staticmethod
-    def _cached_network_payload(hits, misses, hit_rate):
-        return {
-            "models": [
-                {
-                    "model": "resnet18",
-                    "engines": {
-                        "tempus": {
-                            "conv_cycles": 20,
-                            "cache": {
-                                "hits": hits,
-                                "misses": misses,
-                                "hit_rate": hit_rate,
-                            },
-                        },
-                    },
-                }
-            ]
-        }
-
-    def test_null_hit_rate_without_lookups_validates(self):
-        """A warm run makes no burst-map lookups; its hit_rate is JSON
-        null, which check-results accepts."""
-        payload = json.loads(
-            json.dumps(self._cached_network_payload(0, 0, None))
-        )
-        records = normalize_records("BENCH_networks.json", payload)
-        assert records[0]["cycles"] == 20
-
-    def test_null_hit_rate_over_lookups_rejected(self):
-        payload = self._cached_network_payload(3, 1, None)
-        with pytest.raises(DataflowError, match="null over 4"):
-            normalize_records("BENCH_networks.json", payload)
-
-    def test_out_of_range_hit_rate_rejected(self):
-        payload = self._cached_network_payload(3, 1, 1.5)
-        with pytest.raises(DataflowError, match="not a fraction"):
-            normalize_records("BENCH_networks.json", payload)
 
     def test_engine_trajectory_defaults(self):
         payload = [{"layer": {}, "simulated_cycles": 5}]

@@ -46,17 +46,10 @@ class TestNetworkBenchmark:
                 stats = record["engines"][engine]
                 assert stats["conv_cycles"] > 0
                 assert stats["images_per_million_cycles"] > 0
-                cache = stats["cache"]
-                if cache["hits"] + cache["misses"]:
-                    assert 0.0 <= cache["hit_rate"] <= 1.0
-                else:  # no lookups: the rate is undefined, not 0.0
-                    assert cache["hit_rate"] is None
-        assert payload["burst_map_cache_totals"]["misses"] > 0
 
     def test_render_mentions_every_model(self, payload):
         text = render_benchmark(payload)
         assert "mobilenet_v2" in text and "resnet18" in text
-        assert "cache hit" in text
 
     def test_unknown_model_rejected(self):
         with pytest.raises(DataflowError):

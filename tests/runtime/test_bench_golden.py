@@ -3,9 +3,10 @@
 The fixtures under ``tests/runtime/golden/`` were generated by the
 pre-refactor drivers (each in a fresh process).  The refactored
 spec-builder drivers must reproduce those payloads bit-identically in
-every deterministic field; only host-timing and cache-delta fields
-(which depend on wall clock and on what already ran in the process)
-are normalized out before comparison.
+every deterministic field; only host-timing fields (which depend on
+the wall clock) are normalized out before comparison.  The serving
+queue's depth high-watermark depends on thread timing too, so it is
+range-checked instead of pinned.
 """
 
 import json
@@ -23,13 +24,11 @@ from repro.runtime.bench import (
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: Fields whose values depend on the host wall clock or on process
-#: history (burst-map LRU warmth), not on the benchmark's inputs.
+#: Fields whose values depend on the host wall clock, not on the
+#: benchmark's inputs.
 VOLATILE_KEYS = {
     "wall_seconds",
     "host_images_per_second",
-    "cache",
-    "burst_map_cache_totals",
     "artifact",
 }
 
@@ -55,6 +54,15 @@ def roundtrip(payload: dict) -> dict:
     return normalize(json.loads(json.dumps(payload)))
 
 
+def queue_stats(payload: dict) -> list:
+    """The request-queue stats of every (model, workers) point."""
+    return [
+        point["health"]["queue"]
+        for model in payload["models"]
+        for point in model["workers"]
+    ]
+
+
 CONFIG = dict(quick=True, out_dir=None)
 
 
@@ -70,17 +78,27 @@ class TestGoldenPayloads:
         assert roundtrip(payload) == golden("network")
 
     def test_serving_payload_bit_identical(self):
+        requests = 4
         payload = run_serving_benchmark(
             models=("resnet18",),
             worker_counts=(1, 2),
-            requests=4,
+            requests=requests,
             repeats=1,
             config=CoreConfig(k=4, n=4),
             max_batch=2,
             precision="int4",
             **CONFIG,
         )
-        assert roundtrip(payload) == golden("serving")
+        actual = roundtrip(payload)
+        expected = golden("serving")
+        # How deep the queue gets depends on whether the submit loop
+        # outruns the gateway's dispatcher thread.
+        for point in queue_stats(actual):
+            watermark = point.pop("depth_high_watermark")
+            assert 1 <= watermark <= requests
+        for point in queue_stats(expected):
+            point.pop("depth_high_watermark")
+        assert actual == expected
 
     def test_precision_payload_bit_identical(self):
         payload = run_precision_benchmark(

@@ -13,8 +13,8 @@ configurations.
 import numpy as np
 import pytest
 
+from repro.core import latency, scheduling
 from repro.errors import DataflowError
-from repro.core.latency import burst_map_cache_stats
 from repro.gemm.llm import project_linear_stage
 from repro.models.layers import (
     RESIDUAL_INPUT,
@@ -25,7 +25,7 @@ from repro.models.layers import (
 )
 from repro.models.zoo import build_model
 from repro.nvdla.config import CoreConfig
-from repro.runtime import BatchExecutor, NetworkRunner
+from repro.runtime import BatchExecutor, NetworkRunner, backends
 from repro.runtime.backends import ComputeBackend, get_backend
 
 BACKENDS = ("binary", "tempus", "tugemm", "tubgemm")
@@ -231,12 +231,13 @@ def test_project_linear_stage_rejects_conv_stages():
 
 
 # ---------------------------------------------------------------------
-# Cycle accounting off the burst-map cache
+# Cycle accounting without burst maps on the run path
 # ---------------------------------------------------------------------
 def test_runs_make_no_burst_map_lookups(rng, monkeypatch):
     """Once an executor is built, its stage cycle lines are fixed: a
-    64-token decode and a CNN batch make no burst-map lookup and never
-    call the backends' per-layer cycle model."""
+    64-token decode, a CNN batch and a worker job compute no burst map
+    and never call the backends' per-layer cycle model, yet reproduce
+    the outputs and cycles of the same runs made before."""
     llm = _runner(precision="int4")
     net = llm.compile("tiny_llm")
     llm.executor("tiny_llm")
@@ -244,21 +245,36 @@ def test_runs_make_no_burst_map_lookups(rng, monkeypatch):
     images = cnn.synthesize_batch("resnet18", 2)
     executor = cnn.executor("resnet18")
     stream = _decode_stream(net, rng, 64)
-    before = burst_map_cache_stats()
+
+    def runs():
+        decode = [
+            llm.run("tiny_llm", stream[:, :, :step, :])
+            for step in range(1, 65)
+        ]
+        return decode, executor.run_batch(images), executor.run_job(images)
+
+    expected_decode, expected_batch, expected_job = runs()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("per-layer cycle model called on a run")
+        raise AssertionError("burst map or cycle model used on a run")
 
     monkeypatch.setattr(ComputeBackend, "layer_cycles", refuse)
     monkeypatch.setattr(ComputeBackend, "conv_cycles", refuse)
-    for step in range(1, 65):
-        result = llm.run("tiny_llm", stream[:, :, :step, :])
-        assert result.cache["hit_rate"] is None
-    executor.run_batch(images)
-    assert executor.run_job(images)["cache"] == {"hits": 0, "misses": 0}
-    after = burst_map_cache_stats()
-    assert after["hits"] == before["hits"]
-    assert after["misses"] == before["misses"]
+    for module in (latency, backends, scheduling):
+        monkeypatch.setattr(module, "cached_burst_cycle_map", refuse)
+    monkeypatch.setattr(latency, "burst_cycle_map", refuse)
+    monkeypatch.setattr(latency, "tile_max_magnitudes", refuse)
+
+    decode, batch, job = runs()
+    for result, expected in zip(decode, expected_decode):
+        assert np.array_equal(result.output, expected.output)
+        assert result.conv_cycles == expected.conv_cycles
+        assert result.stages == expected.stages
+    assert np.array_equal(batch[0], expected_batch[0])
+    assert batch[1:] == expected_batch[1:]
+    assert np.array_equal(job["output"], expected_job["output"])
+    assert job["conv_cycles"] == expected_job["conv_cycles"]
+    assert job["stage_cycles"] == expected_job["stage_cycles"]
 
 
 def test_decode_cycles_follow_the_prefix_length(rng):

@@ -9,7 +9,6 @@ simulation mode.
 import numpy as np
 import pytest
 
-from repro.core.latency import clear_burst_map_cache
 from repro.errors import DataflowError
 from repro.nvdla.config import CoreConfig
 from repro.runtime import NetworkRunner
@@ -102,50 +101,6 @@ class TestScheduling:
         ).run("resnet18", 2)
         assert np.array_equal(scheduled.output, plain.output)
         assert scheduled.conv_cycles == plain.conv_cycles
-
-
-class TestCache:
-    def test_repeat_run_hits_warm_cache(self, config):
-        clear_burst_map_cache()
-        runner = make_runner(config, "tempus")
-        first = runner.run("resnet18", 2)
-        second = runner.run("resnet18", 2)
-        assert second.cache["misses"] == 0
-        # The executor derived its stage cycle lines when the first run
-        # built it, so a repeat makes no burst-map lookups at all.
-        assert second.cache["hits"] + second.cache["misses"] == 0
-        assert first.cache["misses"] > 0
-        # A rate over zero lookups is undefined, not an all-miss 0.0.
-        assert isinstance(first.cache["hit_rate"], float)
-        assert second.cache["hit_rate"] is None
-
-    def test_sharded_runs_report_no_hit_rate(self, config):
-        """The served stream's cache record follows the same rule: the
-        worker derives its stage cycle lines when it builds its
-        executor, so no served stream makes a lookup."""
-        from repro.serve import ShardedRunner
-
-        with ShardedRunner(
-            workers=1, config=config, engine="tempus", max_batch=2,
-            scale=0.06, input_size=16,
-        ) as server:
-            first = server.run("resnet18", 4)
-            second = server.run("resnet18", 4)
-        for result in (first, second):
-            assert result.cache["hits"] + result.cache["misses"] == 0
-            assert result.cache["hit_rate"] is None
-
-    def test_reference_path_shares_cache_across_batch(self, config):
-        clear_burst_map_cache()
-        runner = make_runner(config, "tempus")
-        runner.run("resnet18", 2)  # warm
-        reference = runner.run_per_image("resnet18", 3)
-        assert reference.cache["hit_rate"] == 1.0
-
-    def test_binary_engine_reports_empty_cache_delta(self, config):
-        result = make_runner(config, "binary").run("resnet18", 2)
-        assert result.cache["hits"] == 0
-        assert result.cache["misses"] == 0
 
 
 class TestInputsAndErrors:
