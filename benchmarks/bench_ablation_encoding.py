@@ -1,5 +1,5 @@
 """Ablation — 2s-unary vs pure unary burst latency and PCU burst-overhead
-sensitivity (the design choices DESIGN.md calls out)."""
+sensitivity."""
 
 
 def test_ablation_encoding(paper_experiment):

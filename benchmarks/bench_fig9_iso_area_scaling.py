@@ -1,6 +1,6 @@
 """Fig. 9 — iso-area throughput vs multiplier count for a single PE cell,
 with the n=65536 projection (paper: 26x INT8 / 18x INT4; our structural
-model yields a flatter trend — see EXPERIMENTS.md)."""
+model yields a flatter trend — the fig9 experiment's notes say why)."""
 
 
 def test_fig9_iso_area_scaling(paper_experiment):

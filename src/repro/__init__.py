@@ -19,8 +19,8 @@ Quickstart::
     assert (tempus.output == binary.output).all()
     print(tempus.cycles, "vs", binary.cycles, "cycles")
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See README.md for the system inventory; ``python -m repro run <id>``
+prints each table or figure beside the paper's values.
 """
 
 from repro.core.tempus_core import TempusCore

@@ -6,21 +6,11 @@ Usage::
     python -m repro run fig7                 # one experiment, full scale
     python -m repro run table2 --quick       # reduced parameters
     python -m repro run all --out results/   # every experiment
-    python -m repro serve-bench --quick      # batched network inference
-    python -m repro serve-bench --workers 4  # sharded serving sweep
-    python -m repro serve-bench --precision int4 --workers 2
-                                             # low-precision serving
-    python -m repro serve-bench --backend tubgemm --precision int4 --workers 2
-                                             # serve on another backend
-    python -m repro serve-bench --backend tugemm
-                                             # binary-vs-backend sweep
-    python -m repro serve-bench --workers 2 --fault-rate 0.15
-                                             # chaos serving (seeded
-                                             # deterministic faults)
-    python -m repro serve-bench --llm --tokens 64
-                                             # autoregressive LLM
-                                             # decode: per-token
-                                             # latency on all backends
+    python -m repro bench networks           # one registered benchmark
+    python -m repro bench serving --quick    # spec -> BENCH_<spec>.json
+                                             # (networks, serving,
+                                             # faults, precision,
+                                             # backends, llm)
     python -m repro tune --net mobilenet_v2  # design-space autotuner:
                                              # Pareto frontier over
                                              # backend x precision x
@@ -35,8 +25,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
+from repro.errors import ReproError
 from repro.eval.experiments import EXPERIMENTS, run_experiment
+from repro.runtime.bench import BENCHMARKS
+from repro.tune.spec import get_sweep, registered_sweeps
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,146 +61,22 @@ def _build_parser() -> argparse.ArgumentParser:
         default="results",
         help="artifact directory (default: results/)",
     )
-    server = commands.add_parser(
-        "serve-bench",
+    bench = commands.add_parser(
+        "bench",
         help=(
-            "batched full-network inference benchmark "
-            "(writes BENCH_networks.json)"
+            "run one registered benchmark spec through its driver and "
+            "write its results/BENCH_<spec>.json artifact"
         ),
     )
-    server.add_argument(
-        "--models",
-        nargs="+",
-        default=None,
-        help="zoo model names (default: mobilenet_v2 resnet18)",
+    bench.add_argument(
+        "spec", help=f"benchmark spec ({', '.join(BENCHMARKS)})"
     )
-    server.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help=(
-            "images per network run (default: 4; single-process "
-            "benchmark only — with --workers use --requests)"
-        ),
-    )
-    server.add_argument(
+    bench.add_argument(
         "--quick",
         action="store_true",
         help="smaller width/resolution preset",
     )
-    server.add_argument(
-        "--no-schedule",
-        action="store_true",
-        help="disable burst-aware tile scheduling",
-    )
-    server.add_argument(
-        "--precision",
-        default="int8",
-        metavar="PROFILE",
-        help=(
-            "per-layer precision profile: int8, int4, int2, mixed "
-            "(INT8 first/last, INT4 interior), mixed_int2 "
-            "(default: int8)"
-        ),
-    )
-    server.add_argument(
-        "--backend",
-        default="tempus",
-        metavar="NAME",
-        help=(
-            "compute backend: any registered name (binary, tempus, "
-            "tugemm, tubgemm, ...) or a first/interior/last mix like "
-            "binary/tubgemm/binary (mixes require --workers).  With "
-            "--workers the serving sweep runs on it; without, a "
-            "non-default name benchmarks it against the binary "
-            "baseline (writes BENCH_backends.json). (default: tempus)"
-        ),
-    )
-    server.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "benchmark the sharded serving runtime instead: sweep "
-            "worker counts up to N (writes BENCH_serving.json)"
-        ),
-    )
-    server.add_argument(
-        "--requests",
-        type=int,
-        default=32,
-        help=(
-            "single-image requests per timed serving run "
-            "(default: 32; only with --workers)"
-        ),
-    )
-    server.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        help=(
-            "dynamic-batching coalescing limit "
-            "(default: 8; only with --workers)"
-        ),
-    )
-    server.add_argument(
-        "--fault-rate",
-        type=float,
-        default=None,
-        metavar="P",
-        help=(
-            "inject deterministic faults (crash/slow/transient error) "
-            "into the shard workers with this per-(job, attempt) "
-            "probability; every point is still verified bit-identical "
-            "to the single-process reference (default: 0; only with "
-            "--workers)"
-        ),
-    )
-    server.add_argument(
-        "--fault-seed",
-        type=int,
-        default=110,
-        metavar="SEED",
-        help=(
-            "seed of the deterministic fault plan, so chaos runs "
-            "replay exactly (default: 110; only with "
-            "--fault-rate)"
-        ),
-    )
-    server.add_argument(
-        "--transport",
-        choices=("shm", "pickle"),
-        default=None,
-        help=(
-            "how batch/result tensors cross the worker boundary: "
-            "shared-memory segments or pickled queue messages "
-            "(default: shm where available; only with --workers)"
-        ),
-    )
-    server.add_argument(
-        "--llm",
-        action="store_true",
-        help=(
-            "benchmark token-by-token autoregressive decode of the "
-            "extension transformer block instead: growing-sequence "
-            "GEMM shapes on every registered backend x int8/int4/int2 "
-            "with per-token latency percentiles (writes "
-            "BENCH_llm.json; --workers caps the sharded "
-            "re-verification pool)"
-        ),
-    )
-    server.add_argument(
-        "--tokens",
-        type=int,
-        default=None,
-        metavar="T",
-        help=(
-            "decode length for --llm (default: the preset input size "
-            "— 64 full, 32 quick)"
-        ),
-    )
-    server.add_argument(
+    bench.add_argument(
         "--out",
         default="results",
         help="artifact directory (default: results/)",
@@ -292,9 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
     checker = commands.add_parser(
         "check-results",
         help=(
-            "validate every results/BENCH_*.json artifact parses and "
+            "validate every results/BENCH_*.json artifact parses, "
             "carries the common record fields (net, backend, "
-            "precision, cycles)"
+            "precision, cycles) and holds its claims"
         ),
     )
     checker.add_argument(
@@ -306,212 +176,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _worker_sweep(limit: int) -> tuple:
-    """Powers of two up to the requested pool size: 4 -> (1, 2, 4)."""
-    counts = []
-    count = 1
-    while count < limit:
-        counts.append(count)
-        count *= 2
-    counts.append(limit)
-    return tuple(dict.fromkeys(counts))
-
-
-def _serve_bench(args) -> int:
-    # Imported here: the runtime pulls in the model zoo + scheduling
-    # stack, which `repro list` does not need.
-    from repro.errors import ReproError
-    from repro.runtime.bench import (
-        DEFAULT_LLM_WORKERS,
-        DEFAULT_MODELS,
-        DEFAULT_SERVING_MODELS,
-        render_backend_benchmark,
-        render_benchmark,
-        render_llm_benchmark,
-        render_serving_benchmark,
-        run_backend_benchmark,
-        run_llm_benchmark,
-        run_network_benchmark,
-        run_serving_benchmark,
-    )
-
-    try:
-        # Canonicalize the backend spec once (case-insensitive names,
-        # "first/interior/last" mixes) so dispatch below compares
-        # canonical names, not raw CLI spellings.
-        from repro.runtime.backends import backend_profile
-
-        backend = backend_profile(args.backend)
-        fault_rate = args.fault_rate if args.fault_rate is not None else 0.0
-        if not 0.0 <= fault_rate <= 1.0:
-            print(
-                "serve-bench failed: --fault-rate must be in [0, 1]",
-                file=sys.stderr,
-            )
-            return 2
-        if fault_rate > 0.0 and args.workers is None:
-            print(
-                "serve-bench failed: --fault-rate injects faults into "
-                "the sharded serving runtime; add --workers N",
-                file=sys.stderr,
-            )
-            return 2
-        if args.workers is None and args.transport:
-            print(
-                "serve-bench failed: --transport configures the "
-                "sharded serving runtime; add --workers N",
-                file=sys.stderr,
-            )
-            return 2
-        if args.tokens is not None and not args.llm:
-            print(
-                "serve-bench failed: --tokens sizes the autoregressive "
-                "decode; add --llm",
-                file=sys.stderr,
-            )
-            return 2
-        if args.llm:
-            unsupported = [
-                flag
-                for flag, value in (
-                    ("--models", args.models),
-                    ("--batch", args.batch),
-                    ("--fault-rate", args.fault_rate or None),
-                    ("--transport", args.transport),
-                )
-                if value
-            ]
-            if unsupported:
-                print(
-                    "serve-bench failed: "
-                    f"{'/'.join(unsupported)} do(es) not apply to the "
-                    "--llm decode scenario",
-                    file=sys.stderr,
-                )
-                return 2
-            if not backend.is_uniform:
-                print(
-                    "serve-bench failed: --llm sweeps every registered "
-                    "backend; drop the mixed --backend profile",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.tokens is not None and args.tokens < 1:
-                print(
-                    "serve-bench failed: --tokens must be >= 1",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.workers is not None and args.workers < 1:
-                print(
-                    "serve-bench failed: --workers must be >= 1",
-                    file=sys.stderr,
-                )
-                return 2
-            payload = run_llm_benchmark(
-                tokens=args.tokens,
-                quick=args.quick,
-                scheduling=not args.no_schedule,
-                sharded_workers=(
-                    _worker_sweep(args.workers)
-                    if args.workers is not None
-                    else DEFAULT_LLM_WORKERS
-                ),
-                out_dir=args.out,
-            )
-            rendered = render_llm_benchmark(payload)
-            print(rendered)
-            if "artifact" in payload:
-                print(f"\nwrote {payload['artifact']}")
-            return 0
-        if args.workers is not None:
-            if args.workers < 1:
-                print(
-                    "serve-bench failed: --workers must be >= 1",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.batch is not None:
-                print(
-                    "serve-bench failed: --batch applies to the "
-                    "single-process benchmark; with --workers size "
-                    "the request stream via --requests",
-                    file=sys.stderr,
-                )
-                return 2
-            models = (
-                tuple(args.models)
-                if args.models
-                else DEFAULT_SERVING_MODELS
-            )
-            payload = run_serving_benchmark(
-                models=models,
-                worker_counts=_worker_sweep(args.workers),
-                requests=args.requests,
-                quick=args.quick,
-                scheduling=not args.no_schedule,
-                max_batch=args.max_batch,
-                precision=args.precision,
-                engine=backend.describe(),
-                fault_rate=fault_rate,
-                fault_seed=args.fault_seed,
-                transport=args.transport,
-                out_dir=args.out,
-            )
-            rendered = render_serving_benchmark(payload)
-        elif not backend.is_uniform:
-            print(
-                "serve-bench failed: the single-process backend "
-                f"comparison sweeps registered backends; benchmark a "
-                f"mixed profile like {backend.describe()!r} through "
-                "the serving driver (add --workers N)",
-                file=sys.stderr,
-            )
-            return 2
-        elif backend.describe() != "tempus":
-            # A non-default backend choice benchmarks that backend
-            # against the binary baseline at the requested precision.
-            models = (
-                tuple(args.models)
-                if args.models
-                else DEFAULT_SERVING_MODELS
-            )
-            name = backend.describe()
-            backends = (
-                ("binary",) if name == "binary" else ("binary", name)
-            )
-            payload = run_backend_benchmark(
-                models=models,
-                backends=backends,
-                precisions=(args.precision,),
-                batch=args.batch if args.batch is not None else 4,
-                quick=args.quick,
-                scheduling=not args.no_schedule,
-                out_dir=args.out,
-            )
-            rendered = render_backend_benchmark(payload)
-        else:
-            models = tuple(args.models) if args.models else DEFAULT_MODELS
-            payload = run_network_benchmark(
-                models=models,
-                batch=args.batch if args.batch is not None else 4,
-                quick=args.quick,
-                scheduling=not args.no_schedule,
-                precision=args.precision,
-                out_dir=args.out,
-            )
-            rendered = render_benchmark(payload)
-    except ReproError as error:
-        print(f"serve-bench failed: {error}", file=sys.stderr)
+def _bench(args) -> int:
+    if args.spec not in BENCHMARKS:
+        print(
+            f"unknown benchmark spec {args.spec!r}; registered: "
+            f"{', '.join(BENCHMARKS)}",
+            file=sys.stderr,
+        )
         return 2
-    print(rendered)
-    if "artifact" in payload:
-        print(f"\nwrote {payload['artifact']}")
+    driver, render = BENCHMARKS[args.spec]
+    spec = replace(get_sweep(args.spec), quick=args.quick)
+    try:
+        payload = driver(spec, out_dir=args.out)
+    except ReproError as error:
+        print(f"bench {args.spec} failed: {error}", file=sys.stderr)
+        return 2
+    print(render(payload))
+    print(f"\nwrote {payload['artifact']}")
     return 0
 
 
 def _tune(args) -> int:
-    from repro.errors import ReproError
     from repro.tune.autotune import Slo, render_pareto_tune, \
         run_pareto_tune
     from repro.tune.spec import (
@@ -557,7 +242,6 @@ def _tune(args) -> int:
 
 
 def _check_results(args) -> int:
-    from repro.errors import ReproError
     from repro.eval.results_schema import check_results_dir, render_check
 
     try:
@@ -571,8 +255,8 @@ def _check_results(args) -> int:
 
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "serve-bench":
-        return _serve_bench(args)
+    if args.command == "bench":
+        return _bench(args)
     if args.command == "check-results":
         return _check_results(args)
     if args.command == "tune":
@@ -584,14 +268,13 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"{experiment_id:12s} {summary}")
         # Registered declarative sweeps (the benchmark drivers' and
         # the autotuner's default grids) ride along under their own
-        # heading.
-        from repro.tune.spec import registered_sweeps
-
-        print()
-        print("sweep specs (serve-bench / tune):")
-        for spec in registered_sweeps():
-            print(f"{spec.name:12s} {spec.description}")
-            print(f"{'':12s}   {spec.describe_axes()}")
+        # headings.
+        for command in ("bench", "tune"):
+            print(f"\nsweep specs ({command}):")
+            for spec in registered_sweeps():
+                if (spec.name in BENCHMARKS) == (command == "bench"):
+                    print(f"{spec.name:12s} {spec.description}")
+                    print(f"{'':12s}   {spec.describe_axes()}")
         return 0
 
     ids = sorted(EXPERIMENTS) if args.experiment == "all" \

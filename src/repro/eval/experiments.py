@@ -226,8 +226,8 @@ def table1_word_sparsity(
         rows=tuple(rows),
         comparisons=tuple(comparisons),
         notes=(
-            "weights are synthetic mixtures calibrated per model "
-            "(DESIGN.md section 3); sparsity is the calibration target",
+            "weights are synthetic mixtures calibrated per model; "
+            "sparsity is the calibration target",
         ),
         artifacts=(artifact,),
     )
@@ -576,8 +576,7 @@ def fig5_cmac_vs_pcu(
         notes=(
             "our unit-level power advantage exceeds the paper's 15.3%: "
             "the paper's DC power report is dominated by unit-level "
-            "clock/retiming overhead we model more lightly "
-            "(see EXPERIMENTS.md)",
+            "clock/retiming overhead we model more lightly",
         ),
         artifacts=(artifact,),
     )
@@ -1055,8 +1054,7 @@ def fig9_iso_area_scaling(
         notes=(
             "the trend grows with n (the binary multiplier area "
             "dominates); our absolute ratios are below the paper's "
-            "because our tub cell model carries more per-lane hardware "
-            "(see EXPERIMENTS.md)",
+            "because our tub cell model carries more per-lane hardware",
         ),
         artifacts=(artifact,),
     )

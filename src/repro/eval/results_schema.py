@@ -12,6 +12,9 @@ normalize to the common benchmark-record fields::
 :func:`normalize_records` knows every artifact kind's layout and flattens
 it into those records, so downstream tooling (dashboards, regression
 diffing) reads one shape regardless of which driver produced the file.
+Each normalizer also asserts the claims its artifact exists to carry
+(bit-identity flags, orderings such as tubGEMM cycles below tuGEMM's),
+so a regenerated artifact that breaks one fails the check.
 ``python -m repro check-results [dir]`` runs :func:`check_results_dir`.
 """
 
@@ -38,6 +41,11 @@ def _record(net, backend, precision, cycles) -> dict:
     return record
 
 
+def _claim(holds, message: str) -> None:
+    if not holds:
+        raise DataflowError(f"claim violated: {message}")
+
+
 def _network_records(payload: dict) -> list:
     precision = payload.get("precision_profile", "int8")
     records = []
@@ -49,6 +57,14 @@ def _network_records(payload: dict) -> list:
                     stats["conv_cycles"],
                 )
             )
+        _claim(
+            model["outputs_bit_identical"],
+            f"networks {model['model']}: engine outputs differ",
+        )
+        _claim(
+            model["scheduling_speedup"] >= 1.0,
+            f"networks {model['model']}: scheduling costs cycles",
+        )
     return records
 
 
@@ -69,6 +85,11 @@ def _serving_records(payload: dict) -> list:
                     sweep["conv_cycles"],
                 )
             )
+            _claim(
+                sweep["bit_identical_to_reference"],
+                f"serving {model['model']} at {sweep['workers']} "
+                "worker(s) diverged from the reference",
+            )
     return records
 
 
@@ -83,20 +104,52 @@ def _precision_records(payload: dict) -> list:
                         stats["conv_cycles"],
                     )
                 )
+        _claim(
+            model["ratio_improves_monotonically"],
+            f"precision {model['model']}: the tempus:binary cycle "
+            "ratio does not improve as precision drops",
+        )
+    _claim(
+        payload["sharded_verification"][
+            "bit_identical_outputs_and_cycles"
+        ],
+        "precision: sharded serving diverged from the single-process "
+        "run",
+    )
     return records
 
 
 def _backend_records(payload: dict) -> list:
     records = []
     for model in payload["models"]:
+        binary_cycles = set()
         for entry in model["precisions"]:
-            for backend, stats in entry["backends"].items():
+            point = f"backends {entry['net']} @ {entry['precision']}"
+            stats = entry["backends"]
+            for backend, record in stats.items():
                 records.append(
                     _record(
                         entry["net"], backend, entry["precision"],
-                        stats["conv_cycles"],
+                        record["conv_cycles"],
                     )
                 )
+                _claim(
+                    record["energy"]["pj_per_image"] > 0,
+                    f"{point}: {backend} carries no pJ/image",
+                )
+            if "tubgemm" in stats and "tugemm" in stats:
+                _claim(
+                    stats["tubgemm"]["conv_cycles"]
+                    < stats["tugemm"]["conv_cycles"],
+                    f"{point}: tubGEMM cycles not below tuGEMM's",
+                )
+            if "binary" in stats:
+                binary_cycles.add(stats["binary"]["conv_cycles"])
+        _claim(
+            len(binary_cycles) <= 1,
+            f"backends {model['model']}: binary cycles vary with "
+            "precision",
+        )
     return records
 
 
@@ -105,6 +158,7 @@ def _fault_records(payload: dict) -> list:
     precision = payload.get("precision_profile", "int8")
     records = []
     for model in payload["models"]:
+        recovered: dict = {}  # fault rate -> recovery actions
         for point in model["points"]:
             if not point["completed"]:
                 raise DataflowError(
@@ -117,6 +171,23 @@ def _fault_records(payload: dict) -> list:
                     model["model"], backend, precision,
                     point["conv_cycles"],
                 )
+            )
+            health = point["health"]
+            recovered[point["fault_rate"]] = recovered.get(
+                point["fault_rate"], 0
+            ) + sum(
+                health[counter]
+                for counter in ("restarts", "redispatched", "retries")
+            )
+        _claim(
+            model["all_streams_completed"],
+            f"faults {model['model']}: a stream did not complete",
+        )
+        for rate, actions in recovered.items():
+            _claim(
+                rate < 0.1 or actions > 0,
+                f"faults {model['model']}: no restart, redispatch or "
+                f"retry at injected fault rate {rate}",
             )
     return records
 
@@ -178,11 +249,11 @@ def _llm_records(payload: dict) -> list:
             "sharded_bit_identical",
             "matvec_parity",
         ):
-            if not entry[flag]:
-                raise DataflowError(
-                    f"llm record {entry['backend']}/"
-                    f"{entry['precision']}: {flag} is false"
-                )
+            _claim(
+                entry[flag],
+                f"llm record {entry['backend']}/{entry['precision']}: "
+                f"{flag} is false",
+            )
         per_token = entry["per_token"]
         if len(per_token) != int(entry["tokens"]):
             raise DataflowError(

@@ -16,8 +16,7 @@ flow with an analytical estimator:
 * :mod:`repro.hw.pnr` — floorplan / placement / routing estimates and layout
   density maps standing in for the Innovus results (Table III, Fig. 6).
 
-Absolute numbers are estimates; see DESIGN.md section 2 for the fidelity
-contract.
+Absolute numbers are estimates.
 """
 
 from repro.hw.library import NANGATE45, CellLibrary

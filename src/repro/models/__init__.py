@@ -15,8 +15,9 @@ provides:
 * :mod:`repro.models.accuracy` — a small trainable NumPy CNN used to
   reproduce the quantization-accuracy story of Fig. 1.
 
-See DESIGN.md section 3 for why these substitutions preserve the behaviour
-the paper's experiments measure.
+``tests/models/test_calibration.py`` pins the synthetic weights to the
+paper's Table I sparsities and Fig. 7/8 profiles, the statistics the
+paper's experiments measure.
 """
 
 from repro.models.layers import ConvLayerSpec

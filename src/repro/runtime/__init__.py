@@ -3,9 +3,11 @@
 Compiles ``models/zoo.py`` topologies into NVDLA pipeline stages
 (:mod:`repro.runtime.lowering`), executes them batched on any
 registered compute backend (:mod:`repro.runtime.backends` /
-:mod:`repro.runtime.executor` / :mod:`repro.runtime.runner`) and
-benchmarks networks across backends, precisions and worker counts
-(:mod:`repro.runtime.bench`).  The sharded multi-process serving
+:mod:`repro.runtime.executor` / :mod:`repro.runtime.runner`).
+:mod:`repro.runtime.bench` holds the drivers behind
+``python -m repro bench <spec>``, which sweep networks across
+backends, precisions and worker counts and record simulated cycles and
+energy.  The sharded multi-process serving
 front-end lives in :mod:`repro.serve` and runs the same
 :class:`BatchExecutor` in every worker.
 """

@@ -1,41 +1,46 @@
-"""Network-, serving- and precision-level inference benchmarks.
+"""The benchmark drivers behind ``python -m repro bench <spec>``.
 
-The drivers here are thin spec-builders: each one declares its sweep
-as a :class:`~repro.tune.spec.SweepSpec` (nets x backends x precisions
-x geometries) and executes it through the generic
-:class:`~repro.tune.harness.SweepHarness`, which owns the presets,
-runner caching, the warm-then-measure timing protocol, energy records
-and artifact writing.  What stays in each driver is its
-claim-specific logic:
+Each driver takes one registered :class:`~repro.tune.spec.SweepSpec`
+(nets x backends x precisions x geometries, plus worker counts for the
+serving sweeps), executes it through the generic
+:class:`~repro.tune.harness.SweepHarness` (presets, runner caching,
+energy records, artifact writing) and keeps only its claim-specific
+logic.  Every field a driver writes is simulated-plane data — cycles,
+pJ, identity and liveness flags — so an artifact regenerated from the
+same spec is the same file; host speed is measured by perfbench alone.
 
-* :func:`run_network_benchmark` — single-process batched inference on
-  both convolution engines (``results/BENCH_networks.json``):
-  bit-identity cross-checks, per-network cycles,
-  images-per-million-cycles, tempus-vs-binary and scheduling ratios.
-* :func:`run_serving_benchmark` — the sharded multi-worker serving
-  runtime (``results/BENCH_serving.json``): requests/sec and
-  images-per-Mcycle vs worker count, with every worker count verified
-  bit-identical to the single-process reference.
-* :func:`run_precision_benchmark` — the precision sweep
-  (``results/BENCH_precision.json``): every model on both engines at
-  INT8 / INT4 / INT2 / mixed profiles, reproducing the paper-family
+* :func:`run_network_benchmark` — ``networks``: single-process batched
+  inference on the binary and tempus engines
+  (``results/BENCH_networks.json``): bit-identity cross-checks,
+  per-network cycles, images-per-million-cycles, tempus-vs-binary and
+  scheduling ratios.
+* :func:`run_serving_benchmark` — ``serving``: the sharded
+  multi-worker serving runtime (``results/BENCH_serving.json``):
+  simulated requests/sec and images-per-Mcycle vs worker count, with
+  every worker count verified bit-identical to the single-process
+  reference.
+* :func:`run_fault_tolerance_benchmark` — ``faults``: the same
+  serving sweep under seeded injected faults
+  (``results/BENCH_faults.json``).
+* :func:`run_precision_benchmark` — ``precision``: every model on both
+  engines at INT8 / INT4 / INT2 / mixed profiles
+  (``results/BENCH_precision.json``), reproducing the paper-family
   claim that the tempus:binary cycle ratio improves monotonically as
   precision drops (binary cycle cost is precision-independent; tub
   bursts shorten with the weights), plus a sharded-serving
   bit-identity verification at a low-precision point.
-* :func:`run_backend_benchmark` — the compute-backend sweep
-  (``results/BENCH_backends.json``) across every registered MAC-unit
-  design.
-* :func:`run_llm_benchmark` — token-by-token autoregressive decode of
-  the extension transformer block (``results/BENCH_llm.json``):
-  growing-sequence GEMM shapes through the dynamic-token linear
-  stages, per-token latency percentiles, and batched/per-image/sharded
-  bit-identity at every backend x precision point.
+* :func:`run_backend_benchmark` — ``backends``: the compute-backend
+  sweep (``results/BENCH_backends.json``) across every registered
+  MAC-unit design.
+* :func:`run_llm_benchmark` — ``llm``: token-by-token autoregressive
+  decode of the extension transformer block
+  (``results/BENCH_llm.json``): growing-sequence GEMM shapes through
+  the dynamic-token linear stages, per-token latency percentiles, and
+  batched/per-image/sharded bit-identity at every backend x precision
+  point.
 
-Shared by ``python -m repro serve-bench [--workers N] [--precision P]``
-and the ``benchmarks/bench_network_inference.py`` /
-``bench_serving.py`` / ``bench_precision_sweep.py`` scripts.  The
-design-space autotuner (``python -m repro tune``) drives the same
+:data:`BENCHMARKS` maps each spec name to its driver and renderer.
+The design-space autotuner (``python -m repro tune``) drives the same
 harness from :mod:`repro.tune.autotune`.
 """
 
@@ -48,66 +53,60 @@ import numpy as np
 from repro.core.latency import burst_cycle_map
 from repro.errors import DataflowError
 from repro.eval.throughput import requests_per_second
-from repro.nvdla.config import CoreConfig
 from repro.profiling.energy import workload_energy
 from repro.quant.profile import precision_profile
 from repro.runtime.backends import get_backend
 from repro.tune.harness import (
-    FULL_PRESET,
-    QUICK_PRESET,
     SweepHarness,
     engine_record,
     energy_record,
-    measure,
     write_benchmark_artifact,
 )
 from repro.tune.spec import (
-    DEFAULT_BACKEND_PRECISIONS,
-    DEFAULT_BACKEND_SWEEP,
-    DEFAULT_MODELS,
-    DEFAULT_PRECISION_SWEEP,
-    DEFAULT_SERVING_MODELS,
-    DEFAULT_WORKER_COUNTS,
+    BACKENDS_SWEEP,
+    FAULTS_SWEEP,
+    LLM_SWEEP,
+    NETWORKS_SWEEP,
+    PRECISION_SWEEP,
+    SERVING_SWEEP,
     SweepSpec,
 )
 from repro.utils.tables import Column, render_columns, yes_no
 
+
+def _one(spec: SweepSpec, axis: str):
+    """The single entry of a spec axis a driver records once per
+    payload."""
+    values = getattr(spec, axis)
+    if len(values) != 1:
+        raise DataflowError(
+            f"the {spec.name} benchmark takes one entry on the {axis} "
+            f"axis, got {len(values)}"
+        )
+    return values[0]
+
+
 def run_network_benchmark(
-    models: "tuple[str, ...] | list[str]" = DEFAULT_MODELS,
-    batch: int = 4,
-    quick: bool = False,
-    scheduling: bool = True,
-    config: CoreConfig | None = None,
-    precision="int8",
+    spec: SweepSpec = NETWORKS_SWEEP,
     out_dir: "str | Path | None" = "results",
 ) -> dict:
-    """Benchmark batched network inference on both engines.
+    """Benchmark batched network inference on the binary and tempus
+    engines.
 
     Args:
-        models: zoo model names (>= 1; the artifact is meant to carry
-            at least two for cross-model comparison).
-        batch: images per network run (>= 1).
-        quick: smaller width/resolution preset for smoke runs.
-        scheduling: apply burst-aware tile scheduling.
-        config: array geometry (defaults to 16x16 INT8).
-        precision: per-layer precision profile (name, IntSpec or
-            :class:`~repro.quant.profile.PrecisionProfile`).
+        spec: the sweep — its nets, one precision profile, one
+            geometry, batch, preset and scheduling (the engine pair is
+            fixed: every ratio here reads tempus against binary).
         out_dir: where BENCH_networks.json is written (None = don't).
 
     Returns:
         the record written to the artifact.
     """
-    profile = precision_profile(precision)
-    spec = SweepSpec(
-        name="networks",
-        nets=tuple(models),
-        backends=("binary", "tempus"),
-        precisions=(profile,),
-        batch=batch,
-        quick=quick,
-        scheduling=scheduling,
-    )
-    harness = SweepHarness(spec, config)
+    profile = precision_profile(_one(spec, "precisions"))
+    _one(spec, "geometries")
+    batch = spec.batch
+    scheduling = spec.scheduling
+    harness = SweepHarness(spec)
     runners = {
         engine: harness.runner(engine, profile)
         for engine in ("binary", "tempus")
@@ -116,17 +115,8 @@ def run_network_benchmark(
 
     model_records = []
     for name in spec.nets:
-        # Warm both runners (compile + burst maps) before timing, so
-        # wall_seconds measures steady state — the same protocol the
-        # serving benchmark uses, keeping the numbers comparable.
-        runners["binary"].run(name, 1)
-        runners["tempus"].run(name, 1)
-        binary, binary_seconds = measure(
-            lambda: runners["binary"].run(name, batch)
-        )
-        tempus, tempus_seconds = measure(
-            lambda: runners["tempus"].run(name, batch)
-        )
+        binary = runners["binary"].run(name, batch)
+        tempus = runners["tempus"].run(name, batch)
         if not np.array_equal(binary.output, tempus.output):
             raise DataflowError(
                 f"{name}: engines diverged — dataflow compliance "
@@ -147,12 +137,8 @@ def run_network_benchmark(
             ),
             "outputs_bit_identical": True,
             "engines": {
-                "binary": engine_record(
-                    binary, binary_seconds, binary_energy
-                ),
-                "tempus": engine_record(
-                    tempus, tempus_seconds, tempus_energy
-                ),
+                "binary": engine_record(binary, binary_energy),
+                "tempus": engine_record(tempus, tempus_energy),
             },
             "tempus_vs_binary_energy": float(
                 tempus_energy["pj_per_image"]
@@ -197,22 +183,29 @@ def run_network_benchmark(
 SERVING_CLOCK_HZ = 1_000_000_000
 
 
+#: Dynamic-batching hold window of the serving sweeps.  Batch split
+#: cannot change outputs or cycles, so it is a constant, not a knob.
+MAX_WAIT = 0.002
+
+
+def _serving_setup(spec: SweepSpec) -> tuple:
+    """``(harness, engine, profile, reference runner)`` of a serving
+    sweep: one backend, one precision profile, one geometry and >= 1
+    worker count."""
+    if not spec.workers:
+        raise DataflowError(
+            f"the {spec.name} benchmark needs >= 1 worker count"
+        )
+    engine = _one(spec, "backends")
+    profile = precision_profile(_one(spec, "precisions"))
+    _one(spec, "geometries")
+    harness = SweepHarness(spec)
+    return harness, engine, profile, harness.runner(engine, profile)
+
+
 def run_serving_benchmark(
-    models: "tuple[str, ...] | list[str]" = DEFAULT_SERVING_MODELS,
-    worker_counts: "tuple[int, ...] | list[int]" = DEFAULT_WORKER_COUNTS,
-    requests: int = 32,
-    quick: bool = False,
-    scheduling: bool = True,
-    config: CoreConfig | None = None,
-    engine: str = "tempus",
+    spec: SweepSpec = SERVING_SWEEP,
     max_batch: int = 8,
-    max_wait: float = 0.002,
-    repeats: int = 3,
-    precision="int8",
-    fault_rate: float = 0.0,
-    fault_seed: int = 110,
-    job_deadline: "float | None" = None,
-    transport: "str | None" = None,
     out_dir: "str | Path | None" = "results",
 ) -> dict:
     """Benchmark the sharded serving runtime across worker counts.
@@ -222,87 +215,33 @@ def run_serving_benchmark(
     verified bit-identical (outputs and cycles) before its throughput
     is recorded.
 
-    The primary throughput metric is **simulated**, like every other
+    The throughput metric is **simulated**, like every other
     cycle-derived number in this repo: the shards model replicated
     compute units running in parallel, so the request stream completes
     after ``max(per-shard cycles)`` — the makespan — and
     ``requests_per_second = requests * clock_hz / makespan``.  This is
-    deterministic and host-independent (a single-core CI box can't
-    demonstrate process-level parallelism on the wall clock; the
-    simulated clock can).  Host wall time is still recorded per point
-    (``wall_seconds`` / ``host_images_per_second``), measured in steady
-    state: the shard pool is started and warmed before timing, so
-    fork/compile costs don't pollute it.
+    host-independent (a single-core CI box can't demonstrate
+    process-level parallelism on the wall clock; the simulated clock
+    can).  Tensors cross the worker boundary on the platform's default
+    transport (shm where available).
 
     Args:
-        models: zoo model names (the artifact contract wants >= 3).
-        worker_counts: shard-pool sizes to sweep (e.g. (1, 2, 4)).
-        requests: single-image requests per timed run.
-        quick: smaller width/resolution preset for smoke runs.
-        scheduling: apply burst-aware tile scheduling when lowering.
-        config: array geometry (defaults to 16x16 INT8).
-        engine: compute backend served — any registered name
-            ("binary", "tempus", "tugemm", "tubgemm", ...) or a
-            "first/interior/last" mixed spec.
-        max_batch / max_wait: dynamic-batching knobs.
-        repeats: best-of-N wall-clock repeats per worker count.
-        precision: per-layer precision profile served.
-        fault_rate: probability a (job, attempt) draws an injected
-            fault (crash / slow / transient error) — the chaos knob.
-            Every point is still verified bit-identical to the
-            single-process reference; the supervisor's recovery
-            telemetry lands on each record.
-        fault_seed: seed of the deterministic fault plan.
-        job_deadline: hang/slow detection deadline in seconds
-            (defaults to 2.0 when faults are injected).
-        transport: how batch/result tensors cross the worker boundary
-            — "shm" (shared-memory segments) or "pickle"; None picks
-            the platform default (shm where available).
+        spec: the sweep — its nets, one backend (a registered name or a
+            "first/interior/last" mix), one precision profile, one
+            geometry, the worker counts, and ``batch`` single-image
+            requests per stream.
+        max_batch: dynamic-batching coalescing limit.
         out_dir: where BENCH_serving.json is written (None = don't).
 
     Returns:
         the record written to the artifact.
     """
-    from repro.serve import FaultPlan, ShardedRunner
+    from repro.serve import ShardedRunner
 
-    fault_plan = None
-    if fault_rate > 0.0:
-        # Hangs are exercised by the dedicated fault-tolerance bench;
-        # the serving sweep injects the cheap-to-recover kinds so the
-        # timing numbers stay dominated by serving, not by deadlines.
-        # Same kind tuple (and order) as the fault-tolerance bench:
-        # the rate-based kind draw indexes into this tuple, so keeping
-        # it identical means one fault seed names one schedule across
-        # both drivers.
-        fault_plan = FaultPlan.random(
-            fault_seed,
-            fault_rate,
-            kinds=DEFAULT_FAULT_KINDS,
-            slow_seconds=0.02,
-        )
-        if job_deadline is None:
-            job_deadline = 2.0
-    if requests < 1:
-        raise DataflowError("requests must be >= 1")
-    profile = precision_profile(precision)
-    # The spec canonicalizes the backend spelling (validating the
-    # name(s) up front, keeping the JSON payload a plain string) and
-    # dedup-sorts the worker sweep smallest -> largest.
-    spec = SweepSpec(
-        name="serving",
-        nets=tuple(models),
-        backends=(engine,),
-        precisions=(profile,),
-        workers=tuple(worker_counts),
-        quick=quick,
-        scheduling=scheduling,
-    )
-    engine = spec.backends[0]
+    harness, engine, profile, reference_runner = _serving_setup(spec)
+    requests = spec.batch
     worker_counts = spec.workers
-    harness = SweepHarness(spec, config)
     scale, input_size = harness.scale, harness.input_size
-
-    reference_runner = harness.runner(engine, profile)
     config = reference_runner.config  # profile may widen the precision
 
     model_records = []
@@ -317,22 +256,15 @@ def run_serving_benchmark(
                 workers=workers,
                 config=config,
                 engine=engine,
-                scheduling=scheduling,
+                scheduling=spec.scheduling,
                 scale=scale,
                 input_size=input_size,
                 max_batch=max_batch,
-                max_wait=max_wait,
+                max_wait=MAX_WAIT,
                 precision=profile,
-                fault_plan=fault_plan,
-                job_deadline=job_deadline,
-                transport=transport,
             ) as server:
                 transport = server.transport  # resolved default
-                server.start(name)
-                server.run(name, requests)  # warm up the pool
-                result, seconds = measure(
-                    lambda: server.run(name, requests), repeats
-                )
+                result = server.run(name, requests)
             identical = bool(
                 np.array_equal(result.output, reference.output)
                 and result.conv_cycles == reference.conv_cycles
@@ -342,7 +274,7 @@ def run_serving_benchmark(
                     f"{name}: sharded run with {workers} worker(s) "
                     "diverged from the single-process reference"
                 )
-            record = engine_record(result, seconds, energy)
+            record = engine_record(result, energy)
             makespan = result.makespan_cycles
             record["workers"] = int(workers)
             record["jobs"] = int(result.jobs)
@@ -390,12 +322,9 @@ def run_serving_benchmark(
         "precision_layers": profile.describe(),
         **harness.common_head(),
         "max_batch": int(max_batch),
-        "max_wait": float(max_wait),
-        "repeats": int(repeats),
+        "max_wait": MAX_WAIT,
         "clock_hz": SERVING_CLOCK_HZ,
         "worker_counts": [int(count) for count in worker_counts],
-        "fault_rate": float(fault_rate),
-        "fault_seed": int(fault_seed) if fault_rate > 0.0 else None,
         "transport": transport,
         "models": model_records,
     }
@@ -433,63 +362,32 @@ def render_serving_benchmark(payload: dict) -> str:
         ),
     ]
     config = payload["config"]
-    table = render_columns(
+    return render_columns(
         rows,
         columns,
         title=(
             f"sharded serving ({payload['engine']}) on "
-            f"{config['k']}x{config['n']} "
-            f"{payload.get('precision_layers', config['precision'])} "
+            f"{config['k']}x{config['n']} {payload['precision_layers']} "
             f"(scale {payload['scale']}, input {payload['input_size']}, "
             f"max_batch {payload['max_batch']}, "
-            f"transport {payload.get('transport', 'pickle')})"
+            f"transport {payload['transport']})"
         ),
     )
-    if payload.get("fault_rate", 0.0) > 0.0:
-        totals = {
-            "restarts": 0,
-            "redispatched": 0,
-            "retries": 0,
-            "degraded_jobs": 0,
-        }
-        for record in payload["models"]:
-            for sweep in record["workers"]:
-                for counter in totals:
-                    totals[counter] += sweep["health"][counter]
-        table += (
-            f"\n\nfault injection: rate {payload['fault_rate']:g} "
-            f"(seed {payload['fault_seed']}) — every point completed "
-            "bit-identical; recovery totals: "
-            + ", ".join(
-                f"{counter}={count}"
-                for counter, count in totals.items()
-            )
-        )
-    return table
 
 
-#: Fault-tolerance benchmark defaults: injected crash-dominated fault
-#: rates swept at every worker count.  0.0 is the degradation
-#: baseline; >= 0.10 satisfies the "sustained completion under >= 10%
-#: crash rate" artifact contract.
-DEFAULT_FAULT_RATES = (0.0, 0.1, 0.25)
-DEFAULT_FAULT_KINDS = ("crash", "error", "slow")
+#: The faults sweep's chaos schedule: crash-dominated fault rates swept
+#: at every worker count (0.0 is the degradation baseline; >= 0.10
+#: exercises sustained completion under a >= 10% crash rate), drawn
+#: from one seeded plan so a run replays the same faults.
+FAULT_RATES = (0.0, 0.1, 0.25)
+FAULT_KINDS = ("crash", "error", "slow")
+FAULT_SEED = 110
+FAULT_MAX_BATCH = 4
+FAULT_JOB_DEADLINE = 2.0
 
 
 def run_fault_tolerance_benchmark(
-    models: "tuple[str, ...] | list[str]" = ("mobilenet_v2",),
-    worker_counts: "tuple[int, ...] | list[int]" = DEFAULT_WORKER_COUNTS,
-    fault_rates: "tuple[float, ...] | list[float]" = DEFAULT_FAULT_RATES,
-    requests: int = 24,
-    fault_seed: int = 110,
-    kinds: "tuple[str, ...]" = DEFAULT_FAULT_KINDS,
-    quick: bool = False,
-    scheduling: bool = True,
-    config: CoreConfig | None = None,
-    engine: str = "tempus",
-    max_batch: int = 4,
-    precision="int8",
-    job_deadline: float = 2.0,
+    spec: SweepSpec = FAULTS_SWEEP,
     out_dir: "str | Path | None" = "results",
 ) -> dict:
     """Chaos benchmark: serving under injected faults
@@ -504,30 +402,21 @@ def run_fault_tolerance_benchmark(
       to the single-process :class:`NetworkRunner` reference (the
       stream is never aborted: crashes are redispatched, hung shards
       killed by deadline, a collapsed pool degrades in-process);
-    * **degradation** — simulated makespan and host wall time relative
-      to the same worker count's fault-free point (redispatching
-      skews work onto surviving shards, so the makespan grows with
-      the crash rate);
+    * **degradation** — simulated makespan relative to the same worker
+      count's fault-free point (redispatching skews work onto
+      surviving shards, so the makespan grows with the crash rate);
     * **recovery telemetry** — the supervisor's health counters
       (restarts, retries, redispatches, deadline misses, degraded
       jobs).
 
+    Which dispatches draw a fault depends on how the dispatcher thread
+    coalesces requests into jobs, so the makespans and the recovery
+    counters can differ between runs; the bit-identity cannot.
+
     Args:
-        models: zoo model names.
-        worker_counts: shard-pool sizes to sweep.
-        fault_rates: injected fault probabilities per (job, attempt).
-        requests: single-image requests per stream.
-        fault_seed: seed of the deterministic fault plans.
-        kinds: fault kinds the plans draw (hang is exercised by the
-            chaos test suite; including it here multiplies wall time
-            by the deadline per hang).
-        quick: smaller width/resolution preset for smoke runs.
-        scheduling: apply burst-aware tile scheduling when lowering.
-        config: array geometry (defaults to 16x16 INT8).
-        engine: compute backend served.
-        max_batch: dynamic-batching coalescing limit.
-        precision: per-layer precision profile served.
-        job_deadline: hang/slow detection deadline in seconds.
+        spec: the sweep — its nets, one backend, one precision
+            profile, one geometry, the worker counts, and ``batch``
+            single-image requests per stream.
         out_dir: where BENCH_faults.json is written (None = don't).
 
     Returns:
@@ -535,26 +424,10 @@ def run_fault_tolerance_benchmark(
     """
     from repro.serve import FaultPlan, ShardedRunner
 
-    if requests < 1:
-        raise DataflowError("requests must be >= 1")
-    if any(rate < 0.0 or rate > 1.0 for rate in fault_rates):
-        raise DataflowError("fault rates must be in [0, 1]")
-    profile = precision_profile(precision)
-    spec = SweepSpec(
-        name="faults",
-        nets=tuple(models),
-        backends=(engine,),
-        precisions=(profile,),
-        workers=tuple(worker_counts),
-        quick=quick,
-        scheduling=scheduling,
-    )
-    engine = spec.backends[0]
+    harness, engine, profile, reference_runner = _serving_setup(spec)
+    requests = spec.batch
     worker_counts = spec.workers
-    harness = SweepHarness(spec, config)
     scale, input_size = harness.scale, harness.input_size
-
-    reference_runner = harness.runner(engine, profile)
     config = reference_runner.config  # profile may widen the precision
 
     model_records = []
@@ -563,12 +436,12 @@ def run_fault_tolerance_benchmark(
         points = []
         baselines: dict = {}  # workers -> fault-free point
         for workers in worker_counts:
-            for rate in fault_rates:
+            for rate in FAULT_RATES:
                 plan = (
                     FaultPlan.random(
-                        fault_seed,
+                        FAULT_SEED,
                         rate,
-                        kinds=kinds,
+                        kinds=FAULT_KINDS,
                         slow_seconds=0.02,
                     )
                     if rate > 0.0
@@ -578,23 +451,17 @@ def run_fault_tolerance_benchmark(
                     workers=workers,
                     config=config,
                     engine=engine,
-                    scheduling=scheduling,
+                    scheduling=spec.scheduling,
                     scale=scale,
                     input_size=input_size,
-                    max_batch=max_batch,
+                    max_batch=FAULT_MAX_BATCH,
                     precision=profile,
                     fault_plan=plan,
                     job_deadline=(
-                        job_deadline if plan is not None else None
+                        FAULT_JOB_DEADLINE if plan is not None else None
                     ),
                 ) as server:
-                    server.start(name)
-                    # Warm pool + burst maps on a clean stream so the
-                    # timed run measures recovery, not compilation.
-                    server.run(name, max_batch)
-                    result, seconds = measure(
-                        lambda: server.run(name, requests)
-                    )
+                    result = server.run(name, requests)
                 identical = bool(
                     np.array_equal(result.output, reference.output)
                     and result.conv_cycles == reference.conv_cycles
@@ -623,10 +490,6 @@ def run_fault_tolerance_benchmark(
                             requests, makespan / SERVING_CLOCK_HZ
                         )
                     ),
-                    "wall_seconds": float(seconds),
-                    "host_images_per_second": float(
-                        requests_per_second(requests, seconds)
-                    ),
                     "health": health,
                 }
                 baseline = baselines.get(workers)
@@ -636,9 +499,6 @@ def run_fault_tolerance_benchmark(
                     # > 1.0 means faults stretched the metric.
                     point["makespan_degradation"] = float(
                         makespan / max(baseline["makespan_cycles"], 1)
-                    )
-                    point["wall_degradation"] = float(
-                        seconds / max(baseline["wall_seconds"], 1e-9)
                     )
                 points.append(point)
         model_records.append(
@@ -663,11 +523,11 @@ def run_fault_tolerance_benchmark(
         },
         "precision_profile": profile.name,
         **harness.common_head(),
-        "max_batch": int(max_batch),
-        "job_deadline": float(job_deadline),
-        "fault_seed": int(fault_seed),
-        "fault_kinds": list(kinds),
-        "fault_rates": [float(rate) for rate in fault_rates],
+        "max_batch": FAULT_MAX_BATCH,
+        "job_deadline": FAULT_JOB_DEADLINE,
+        "fault_seed": FAULT_SEED,
+        "fault_kinds": list(FAULT_KINDS),
+        "fault_rates": list(FAULT_RATES),
         "clock_hz": SERVING_CLOCK_HZ,
         "worker_counts": [int(count) for count in worker_counts],
         "models": model_records,
@@ -718,20 +578,15 @@ def render_fault_tolerance_benchmark(payload: dict) -> str:
     )
 
 
-#: Precision-sweep defaults: three structurally dissimilar nets, the
-#: three uniform paper precisions plus the standard mixed edge recipe.
-DEFAULT_PRECISION_MODELS = DEFAULT_SERVING_MODELS
+#: The precision sweep's sharded-serving cross-check: the profile and
+#: pool size at which ``ShardedRunner`` is verified bit-identical
+#: (outputs *and* cycles) to the single-process run.
+PRECISION_VERIFY_PROFILE = "int4"
+PRECISION_VERIFY_WORKERS = 2
 
 
 def run_precision_benchmark(
-    models: "tuple[str, ...] | list[str]" = DEFAULT_PRECISION_MODELS,
-    precisions: "tuple | list" = DEFAULT_PRECISION_SWEEP,
-    batch: int = 4,
-    quick: bool = False,
-    scheduling: bool = True,
-    config: CoreConfig | None = None,
-    verify_sharded: "str | None" = "int4",
-    sharded_workers: int = 2,
+    spec: SweepSpec = PRECISION_SWEEP,
     out_dir: "str | Path | None" = "results",
 ) -> dict:
     """Sweep precision profiles on both engines — the paper's scaling
@@ -745,22 +600,16 @@ def run_precision_benchmark(
     largest magnitude — so the ratio must *improve monotonically* as
     precision drops (worst-case burst: 64 cycles at INT8, 4 at INT4,
     1 at INT2).  The per-model ``ratio_improves_monotonically`` flag
-    pins that claim over the uniform profiles in the sweep.
+    pins that claim over the uniform profiles in the sweep.  The first
+    net is then served sharded at :data:`PRECISION_VERIFY_PROFILE`
+    (swept or not) and checked against the single-process run.
 
     Args:
-        models: zoo model names (the artifact contract wants >= 3).
-        precisions: profile names/specs to sweep (uniform profiles are
-            compared for monotonicity in descending width order; mixed
-            profiles are recorded alongside).
-        batch: images per network run (>= 1).
-        quick: smaller width/resolution preset for smoke runs.
-        scheduling: apply burst-aware tile scheduling when lowering.
-        config: array geometry (k/n; each profile provisions its own
-            precision).
-        verify_sharded: profile at which sharded serving is verified
-            bit-identical (outputs *and* cycles) to the single-process
-            ``NetworkRunner.run`` — None skips the check.
-        sharded_workers: worker count for that verification.
+        spec: the sweep — its nets, precision profiles (uniform ones
+            are compared for monotonicity in descending width order;
+            mixed ones are recorded alongside), one geometry (each
+            profile provisions its own precision), batch, preset and
+            scheduling; the engine pair is fixed to tempus and binary.
         out_dir: where BENCH_precision.json is written (None = don't).
 
     Returns:
@@ -768,18 +617,11 @@ def run_precision_benchmark(
     """
     from repro.serve import ShardedRunner
 
-    spec = SweepSpec(
-        name="precision",
-        nets=tuple(models),
-        backends=("tempus", "binary"),
-        precisions=tuple(precisions),
-        batch=batch,
-        quick=quick,
-        scheduling=scheduling,
-    )
-    harness = SweepHarness(spec, config)
-    config = harness.base_config
-    profiles = [precision_profile(entry) for entry in precisions]
+    _one(spec, "geometries")
+    batch = spec.batch
+    harness = SweepHarness(spec)
+    config = harness.config_for()
+    profiles = [precision_profile(entry) for entry in spec.precisions]
 
     model_records = []
     for name in spec.nets:
@@ -787,14 +629,8 @@ def run_precision_benchmark(
         for profile in profiles:
             tempus_runner = harness.runner("tempus", profile)
             binary_runner = harness.runner("binary", profile)
-            tempus_runner.run(name, 1)  # warm compile + burst maps
-            binary_runner.run(name, 1)
-            tempus, tempus_seconds = measure(
-                lambda: tempus_runner.run(name, batch)
-            )
-            binary, binary_seconds = measure(
-                lambda: binary_runner.run(name, batch)
-            )
+            tempus = tempus_runner.run(name, batch)
+            binary = binary_runner.run(name, batch)
             if not np.array_equal(tempus.output, binary.output):
                 raise DataflowError(
                     f"{name} @ {profile.name}: engines diverged — "
@@ -813,12 +649,10 @@ def run_precision_benchmark(
                     "engines": {
                         "tempus": engine_record(
                             tempus,
-                            tempus_seconds,
                             energy_record(tempus_runner, name, tempus),
                         ),
                         "binary": engine_record(
                             binary,
-                            binary_seconds,
                             energy_record(binary_runner, name, binary),
                         ),
                     },
@@ -854,39 +688,37 @@ def run_precision_benchmark(
         "models": model_records,
     }
 
-    if verify_sharded is not None:
-        profile = precision_profile(verify_sharded)
-        verify_model = spec.nets[0]
-        # The verification profile need not be part of the sweep —
-        # the harness builds (and caches) its runner on demand.
-        reference_runner = harness.runner("tempus", profile)
-        reference = reference_runner.run(verify_model, batch)
-        with ShardedRunner(
-            workers=sharded_workers,
-            config=config,
-            engine="tempus",
-            scheduling=scheduling,
-            scale=harness.scale,
-            input_size=harness.input_size,
-            precision=profile,
-        ) as server:
-            sharded = server.run(verify_model, batch)
-        identical = bool(
-            np.array_equal(sharded.output, reference.output)
-            and sharded.conv_cycles == reference.conv_cycles
+    profile = precision_profile(PRECISION_VERIFY_PROFILE)
+    verify_model = spec.nets[0]
+    # The verification profile need not be part of the sweep — the
+    # harness builds (and caches) its runner on demand.
+    reference = harness.runner("tempus", profile).run(verify_model, batch)
+    with ShardedRunner(
+        workers=PRECISION_VERIFY_WORKERS,
+        config=config,
+        engine="tempus",
+        scheduling=spec.scheduling,
+        scale=harness.scale,
+        input_size=harness.input_size,
+        precision=profile,
+    ) as server:
+        sharded = server.run(verify_model, batch)
+    identical = bool(
+        np.array_equal(sharded.output, reference.output)
+        and sharded.conv_cycles == reference.conv_cycles
+    )
+    if not identical:
+        raise DataflowError(
+            f"sharded serving @ {profile.name} diverged from the "
+            "single-process reference"
         )
-        if not identical:
-            raise DataflowError(
-                f"sharded serving @ {profile.name} diverged from the "
-                "single-process reference"
-            )
-        payload["sharded_verification"] = {
-            "model": verify_model,
-            "precision": profile.name,
-            "workers": int(sharded_workers),
-            "requests": int(batch),
-            "bit_identical_outputs_and_cycles": identical,
-        }
+    payload["sharded_verification"] = {
+        "model": verify_model,
+        "precision": profile.name,
+        "workers": PRECISION_VERIFY_WORKERS,
+        "requests": int(batch),
+        "bit_identical_outputs_and_cycles": identical,
+    }
 
     return write_benchmark_artifact(
         payload, "BENCH_precision.json", out_dir
@@ -943,20 +775,15 @@ def render_precision_benchmark(payload: dict) -> str:
             ),
         )
     ]
-    verification = payload.get("sharded_verification")
-    if verification is not None:
-        lines.append(
-            f"sharded serving @ {verification['precision']} "
-            f"({verification['workers']} workers, "
-            f"{verification['model']}): bit-identical to "
-            f"single-process run = "
-            f"{yes_no(verification['bit_identical_outputs_and_cycles'])}"
-        )
+    verification = payload["sharded_verification"]
+    lines.append(
+        f"sharded serving @ {verification['precision']} "
+        f"({verification['workers']} workers, "
+        f"{verification['model']}): bit-identical to "
+        f"single-process run = "
+        f"{yes_no(verification['bit_identical_outputs_and_cycles'])}"
+    )
     return "\n\n".join(lines)
-
-
-#: Backend-sweep default workload: three structurally dissimilar nets.
-DEFAULT_BACKEND_MODELS = DEFAULT_SERVING_MODELS
 
 
 def _mean_burst_cycles(net) -> float:
@@ -973,13 +800,7 @@ def _mean_burst_cycles(net) -> float:
 
 
 def run_backend_benchmark(
-    models: "tuple[str, ...] | list[str]" = DEFAULT_BACKEND_MODELS,
-    backends: "tuple[str, ...] | list[str]" = DEFAULT_BACKEND_SWEEP,
-    precisions: "tuple | list" = DEFAULT_BACKEND_PRECISIONS,
-    batch: int = 4,
-    quick: bool = False,
-    scheduling: bool = True,
-    config: CoreConfig | None = None,
+    spec: SweepSpec = BACKENDS_SWEEP,
     out_dir: "str | Path | None" = "results",
 ) -> dict:
     """Sweep compute backends x precision profiles
@@ -1008,36 +829,22 @@ def run_backend_benchmark(
     mean burst length.
 
     Args:
-        models: zoo model names (the artifact contract wants >= 3).
-        backends: registered backend names to sweep.
-        precisions: precision profiles to sweep.
-        batch: images per network run (>= 1).
-        quick: smaller width/resolution preset for smoke runs.
-        scheduling: apply burst-aware tile scheduling when lowering.
-        config: array geometry (k/n).
+        spec: the sweep — its nets, registered backends (no mixed
+            profiles: records carry per-backend metadata), precision
+            profiles, one geometry, batch, preset and scheduling.
         out_dir: where BENCH_backends.json is written (None = don't).
 
     Returns:
         the record written to the artifact.
     """
-    spec = SweepSpec(
-        name="backends",
-        nets=tuple(models),
-        backends=tuple(backends),
-        precisions=tuple(precisions),
-        batch=batch,
-        quick=quick,
-        scheduling=scheduling,
-    )
-    # This sweep's records carry per-backend engine metadata, so mixed
-    # "first/interior/last" profiles don't belong here — get_backend
-    # rejects them like the pre-spec driver did.
     backend_names = tuple(
         get_backend(name).name for name in spec.backends
     )
-    harness = SweepHarness(spec, config)
-    config = harness.base_config
-    profiles = [precision_profile(entry) for entry in precisions]
+    _one(spec, "geometries")
+    batch = spec.batch
+    harness = SweepHarness(spec)
+    config = harness.config_for()
+    profiles = [precision_profile(entry) for entry in spec.precisions]
 
     model_records = []
     for model in spec.nets:
@@ -1047,15 +854,10 @@ def run_backend_benchmark(
             records = {}
             for name in backend_names:
                 runner = harness.runner(name, profile)
-                runner.run(model, 1)  # warm compile + burst maps
-                result, seconds = measure(
-                    lambda: runner.run(model, batch)
-                )
+                result = runner.run(model, batch)
                 results[name] = result
                 records[name] = engine_record(
-                    result,
-                    seconds,
-                    energy_record(runner, model, result),
+                    result, energy_record(runner, model, result)
                 )
                 records[name]["temporal"] = get_backend(name).temporal
                 # The batched path computes outputs through the shared
@@ -1215,14 +1017,6 @@ def render_backend_benchmark(payload: dict) -> str:
     )
 
 
-#: LLM decode benchmark defaults: the extension transformer block
-#: served token-by-token on every registered backend at the paper's
-#: three uniform precisions, with sharded re-verification at these
-#: worker counts.
-DEFAULT_LLM_MODEL = "tiny_llm"
-DEFAULT_LLM_WORKERS = (1, 2)
-
-
 def _linear_stage_parity(net, stage_index: int, backend_name: str,
                          tokens: int) -> bool:
     """Cross-check the executor's value-aware accounting of one linear
@@ -1264,13 +1058,7 @@ def _linear_stage_parity(net, stage_index: int, backend_name: str,
 
 
 def run_llm_benchmark(
-    backends: "tuple[str, ...] | list[str]" = DEFAULT_BACKEND_SWEEP,
-    precisions: "tuple | list" = DEFAULT_BACKEND_PRECISIONS,
-    tokens: "int | None" = None,
-    quick: bool = False,
-    scheduling: bool = True,
-    config: CoreConfig | None = None,
-    sharded_workers: "tuple[int, ...] | list[int]" = DEFAULT_LLM_WORKERS,
+    spec: SweepSpec = LLM_SWEEP,
     out_dir: "str | Path | None" = "results",
 ) -> dict:
     """Token-by-token autoregressive decode of the extension
@@ -1291,19 +1079,16 @@ def run_llm_benchmark(
     is re-verified at several prefix checkpoints for every worker
     count, and the first projection's cycle accounting is pinned to
     the standalone :class:`~repro.gemm.llm.TubMatVec` GEMV engine.
-    Recorded per point: the per-step cycle series, per-token latency
-    percentiles (p50/p90/p99 in cycles and microseconds at the serving
-    clock) and steady-state host decode throughput.
+    Recorded per point: the per-step cycle series and per-token
+    latency percentiles (p50/p90/p99 in cycles and microseconds at the
+    serving clock).
 
     Args:
-        backends: registered backend names to sweep.
-        precisions: uniform precision profiles to sweep.
-        tokens: decode length (defaults to the preset input size — 64
-            full, 32 quick).
-        quick: smaller width/resolution preset for smoke runs.
-        scheduling: apply burst-aware tile scheduling when lowering.
-        config: array geometry (k/n).
-        sharded_workers: shard-pool sizes re-verified per point.
+        spec: the sweep — one net (the transformer block), registered
+            backends, uniform precision profiles, one geometry, the
+            shard-pool sizes re-verified per point, preset and
+            scheduling.  The decode length is the preset input size
+            (64 tokens full, 32 quick).
         out_dir: where BENCH_llm.json is written (None = don't).
 
     Returns:
@@ -1313,26 +1098,15 @@ def run_llm_benchmark(
     from repro.serve import ShardedRunner
     from repro.utils.rng import make_rng
 
-    model = DEFAULT_LLM_MODEL
-    spec = SweepSpec(
-        name="llm",
-        nets=(model,),
-        backends=tuple(backends),
-        precisions=tuple(precisions),
-        workers=tuple(sharded_workers),
-        batch=1,
-        quick=quick,
-        scheduling=scheduling,
-    )
+    model = _one(spec, "nets")
+    _one(spec, "geometries")
     backend_names = tuple(
         get_backend(name).name for name in spec.backends
     )
-    harness = SweepHarness(spec, config)
-    config = harness.base_config
-    profiles = [precision_profile(entry) for entry in precisions]
-    tokens = harness.input_size if tokens is None else int(tokens)
-    if tokens < 1:
-        raise DataflowError("decode length must be >= 1 token")
+    harness = SweepHarness(spec)
+    config = harness.config_for()
+    profiles = [precision_profile(entry) for entry in spec.precisions]
+    tokens = harness.input_size
     # Sharded serving re-verification checkpoints: short, mid and full
     # prefixes (deduplicated for tiny decode lengths).
     checkpoints = sorted(
@@ -1401,7 +1175,7 @@ def run_llm_benchmark(
                     workers=workers,
                     config=runner.config,
                     engine=name,
-                    scheduling=scheduling,
+                    scheduling=spec.scheduling,
                     scale=harness.scale,
                     input_size=harness.input_size,
                     precision=profile,
@@ -1432,14 +1206,6 @@ def run_llm_benchmark(
                     "cycle accounting diverged from the TubMatVec "
                     "GEMV engine"
                 )
-            # Steady state by construction: the decode loop above
-            # already compiled the net and warmed every burst map.
-            _, seconds = measure(
-                lambda: [
-                    executor.run_job(stream[:, :, :step, :])
-                    for step in range(1, tokens + 1)
-                ]
-            )
             cycles = np.asarray(
                 [entry["conv_cycles"] for entry in per_token],
                 dtype=np.int64,
@@ -1474,10 +1240,6 @@ def run_llm_benchmark(
                     "bit_identical": True,
                     "sharded_bit_identical": sharded_ok,
                     "matvec_parity": parity,
-                    "wall_seconds": float(seconds),
-                    "host_tokens_per_second": float(
-                        tokens / max(seconds, 1e-12)
-                    ),
                 }
             )
 
@@ -1513,11 +1275,6 @@ def render_llm_benchmark(payload: dict) -> str:
         Column(
             "p99 cyc/tok",
             lambda row: row["latency_cycles"]["p99"],
-            format=",.0f",
-        ),
-        Column(
-            "host tok/s",
-            "host_tokens_per_second",
             format=",.0f",
         ),
         Column(
@@ -1575,13 +1332,27 @@ def render_benchmark(payload: dict) -> str:
         ),
     ]
     config = payload["config"]
-    table = render_columns(
+    return render_columns(
         payload["models"],
         columns,
         title=(
             f"batched network inference on {config['k']}x{config['n']} "
-            f"{payload.get('precision_layers', config['precision'])} "
+            f"{payload['precision_layers']} "
             f"(scale {payload['scale']}, input {payload['input_size']})"
         ),
     )
-    return table
+
+
+#: ``python -m repro bench <spec>``: registered spec name -> (driver,
+#: renderer).
+BENCHMARKS = {
+    "networks": (run_network_benchmark, render_benchmark),
+    "serving": (run_serving_benchmark, render_serving_benchmark),
+    "faults": (
+        run_fault_tolerance_benchmark,
+        render_fault_tolerance_benchmark,
+    ),
+    "precision": (run_precision_benchmark, render_precision_benchmark),
+    "backends": (run_backend_benchmark, render_backend_benchmark),
+    "llm": (run_llm_benchmark, render_llm_benchmark),
+}

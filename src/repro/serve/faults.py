@@ -160,8 +160,8 @@ class FaultPlan:
         kinds: "tuple[str, ...]" = DEFAULT_KINDS,
         **kwargs,
     ) -> "FaultPlan":
-        """A purely rate-based plan — the ``serve-bench --fault-seed
-        --fault-rate`` entry point."""
+        """A purely rate-based plan — what ``python -m repro bench
+        faults`` injects at each swept rate."""
         return cls(seed=seed, rate=rate, kinds=kinds, **kwargs)
 
     def __bool__(self) -> bool:

@@ -216,7 +216,6 @@ class LoadRun:
         concurrency: submitter count (closed loop only).
         responses: completed :class:`GatewayResponse`\\ s, seq order.
         failed: requests rejected/shed by admission control.
-        wall_seconds: first submission → last response resolved.
         result: the drained :class:`GatewayResult` (bit-identity,
             cycles, health).
         stats: :func:`latency_stats` of the completed responses.
@@ -227,16 +226,8 @@ class LoadRun:
     concurrency: "int | None"
     responses: tuple
     failed: int
-    wall_seconds: float
     result: GatewayResult
     stats: dict
-
-    @property
-    def achieved_rate(self) -> float:
-        """Completed requests per wall-clock second."""
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return len(self.responses) / self.wall_seconds
 
 
 def _settle(settled) -> "tuple[list, int]":
@@ -282,12 +273,9 @@ def run_open_loop(gateway, images, schedule: ArrivalSchedule) -> LoadRun:
                     gateway.submit_async(images[index])
                 )
             )
-        settled = await asyncio.gather(
-            *tasks, return_exceptions=True
-        )
-        return settled, time.monotonic() - start
+        return await asyncio.gather(*tasks, return_exceptions=True)
 
-    settled, wall = asyncio.run(_drive())
+    settled = asyncio.run(_drive())
     responses, failures = _settle(settled)
     result = gateway.finish()
     return LoadRun(
@@ -296,7 +284,6 @@ def run_open_loop(gateway, images, schedule: ArrivalSchedule) -> LoadRun:
         concurrency=None,
         responses=tuple(responses),
         failed=failures,
-        wall_seconds=wall,
         result=result,
         stats=latency_stats(responses),
     )
@@ -311,7 +298,6 @@ def run_closed_loop(gateway, images, concurrency: int) -> LoadRun:
         raise DataflowError("concurrency must be >= 1")
 
     async def _drive():
-        start = time.monotonic()
         counter = itertools.count()
         settled = []
 
@@ -330,9 +316,9 @@ def run_closed_loop(gateway, images, concurrency: int) -> LoadRun:
         await asyncio.gather(
             *(submitter() for _ in range(concurrency))
         )
-        return settled, time.monotonic() - start
+        return settled
 
-    settled, wall = asyncio.run(_drive())
+    settled = asyncio.run(_drive())
     responses, failures = _settle(settled)
     result = gateway.finish()
     return LoadRun(
@@ -341,7 +327,6 @@ def run_closed_loop(gateway, images, concurrency: int) -> LoadRun:
         concurrency=int(concurrency),
         responses=tuple(responses),
         failed=failures,
-        wall_seconds=wall,
         result=result,
         stats=latency_stats(responses),
     )

@@ -2,8 +2,8 @@
 
 Job batches and result tensors used to cross the parent/worker
 boundary by pickling through ``multiprocessing.Queue`` pipes — an
-O(bytes) serialize + copy + deserialize per hop that BENCH_serving's
-``wall_seconds`` charges straight to host throughput.  This module
+O(bytes) serialize + copy + deserialize per hop charged straight to
+host throughput.  This module
 moves the bulk tensor bytes through ``multiprocessing.shared_memory``
 segments instead: the queues now carry only a tiny :class:`ShmRef`
 (segment name + array geometry), and each side reads/writes the pixels

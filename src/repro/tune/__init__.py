@@ -4,7 +4,7 @@
   precisions x :class:`~repro.nvdla.config.CoreConfig` geometries,
   validated up front, plus the named-sweep registry.
 * :mod:`repro.tune.harness` — the one generic execution engine behind
-  every benchmark driver (runner caching, timing protocol, energy
+  every benchmark driver (runner caching, simulated cycle and energy
   records, artifact writing).
 * :mod:`repro.tune.autotune` — Pareto search over the design space
   against a cycles/energy SLO (``python -m repro tune``).
@@ -24,7 +24,6 @@ from repro.tune.harness import (
     SweepHarness,
     engine_record,
     energy_record,
-    measure,
     preset,
     write_benchmark_artifact,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "SweepHarness",
     "engine_record",
     "energy_record",
-    "measure",
     "preset",
     "write_benchmark_artifact",
     "SweepPoint",

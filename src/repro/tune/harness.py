@@ -2,23 +2,21 @@
 
 One engine behind every benchmark driver: the harness owns the
 width/resolution presets, runner construction (cached per
-backend/precision/geometry/scheduling), the warm-then-measure timing
-protocol, the schema-conformant engine/energy records, and artifact
-writing.  Drivers (:mod:`repro.runtime.bench`) reduce to spec-builders
-plus their claim-specific verification logic, and the design-space
-autotuner (:mod:`repro.tune.autotune`) scores harness-evaluated points
-against an SLO.
+backend/precision/geometry/scheduling), the schema-conformant
+engine/energy records, and artifact writing.  Every record it builds
+is simulated-plane data (cycles, pJ) and so deterministic; host speed
+is measured by perfbench alone.  Drivers (:mod:`repro.runtime.bench`)
+run one registered spec plus their claim-specific verification logic,
+and the design-space autotuner (:mod:`repro.tune.autotune`) scores
+harness-evaluated points against an SLO.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
-from repro.errors import DataflowError
-from repro.eval.throughput import images_per_million_cycles, \
-    requests_per_second
+from repro.eval.throughput import images_per_million_cycles
 from repro.nvdla.config import CoreConfig
 from repro.profiling.energy import network_energy
 from repro.quant.profile import precision_profile
@@ -38,28 +36,7 @@ def preset(quick: bool) -> "tuple[float, int]":
     return QUICK_PRESET if quick else FULL_PRESET
 
 
-def measure(fn, repeats: int = 1) -> tuple:
-    """Run ``fn`` ``repeats`` times; return (last result, best seconds).
-
-    Best-of-N wall clock is the standard way to suppress scheduler
-    noise when the quantity of interest is achievable throughput.
-    """
-    if repeats < 1:
-        raise DataflowError("repeats must be >= 1")
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return result, best
-
-
-def engine_record(
-    result,
-    seconds: "float | None" = None,
-    energy: "dict | None" = None,
-) -> dict:
+def engine_record(result, energy: "dict | None" = None) -> dict:
     """The per-run record every benchmark payload carries."""
     record = {
         "conv_cycles": int(result.conv_cycles),
@@ -73,11 +50,6 @@ def engine_record(
     }
     if energy is not None:
         record["energy"] = energy
-    if seconds is not None:
-        record["wall_seconds"] = float(seconds)
-        record["host_images_per_second"] = float(
-            requests_per_second(result.batch_size, seconds)
-        )
     return record
 
 
@@ -136,33 +108,22 @@ class SweepHarness:
 
     Runners are cached per (backend, precision, geometry, scheduling),
     so a sweep re-lowering the same assignment for several nets pays
-    compilation once, and the warm-then-measure protocol keeps wall
-    clock comparable across drivers.
+    compilation once.  A runner built without a geometry sits at the
+    spec's first one, the only one a single-geometry driver uses.
     """
 
-    def __init__(
-        self,
-        spec: SweepSpec,
-        config: "CoreConfig | None" = None,
-    ) -> None:
+    def __init__(self, spec: SweepSpec) -> None:
         self.spec = spec
-        self.base_config = config if config is not None else CoreConfig()
         self.scale, self.input_size = preset(spec.quick)
         self._runners: dict = {}
 
     def config_for(
         self, geometry: "tuple[int, int] | None" = None
     ) -> CoreConfig:
-        """The base config at one geometry (latency knobs carried
-        over)."""
-        if geometry is None:
-            return self.base_config
-        return SweepPoint(
-            net=self.spec.nets[0],
-            backend=self.spec.backends[0],
-            precision=self.spec.precisions[0],
-            geometry=geometry,
-        ).config(self.base_config)
+        """The array config at one geometry (default: the spec's
+        first)."""
+        k, n = self.spec.geometries[0] if geometry is None else geometry
+        return CoreConfig(k=k, n=n)
 
     def runner(
         self,
@@ -194,39 +155,10 @@ class SweepHarness:
             )
         return self._runners[key]
 
-    def measure_point(
-        self,
-        point: SweepPoint,
-        batch: "int | None" = None,
-        repeats: int = 1,
-        warm: bool = True,
-    ) -> tuple:
-        """Run one point: warm the runner (compile + burst maps), then
-        time ``batch`` images best-of-``repeats``.
-
-        Returns ``(runner, result, seconds)``.
-        """
-        runner = self.runner(
-            point.backend, point.precision, point.geometry
-        )
-        if warm:
-            runner.run(point.net, 1)
-        batch = self.spec.batch if batch is None else batch
-        result, seconds = measure(
-            lambda: runner.run(point.net, batch), repeats
-        )
-        return runner, result, seconds
-
-    def point_record(
-        self,
-        runner,
-        point: SweepPoint,
-        result,
-        seconds: "float | None" = None,
-    ) -> dict:
+    def point_record(self, runner, point: SweepPoint, result) -> dict:
         """Engine record + per-image energy for one evaluated point."""
         return engine_record(
-            result, seconds, energy_record(runner, point.net, result)
+            result, energy_record(runner, point.net, result)
         )
 
     def common_head(self) -> dict:

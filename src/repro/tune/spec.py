@@ -10,8 +10,11 @@ product of the axes is the sweep's :class:`SweepPoint` stream.
 Specs are plain frozen data: the generic execution engine lives in
 :class:`repro.tune.harness.SweepHarness`, and the design-space
 autotuner (:mod:`repro.tune.autotune`) is just a spec whose points are
-scored against an SLO.  Named specs registered here are what
-``python -m repro list`` enumerates next to the paper experiments.
+scored against an SLO.  The named specs registered here are the one
+definition of every committed benchmark artifact:
+``python -m repro bench <name> [--quick]`` runs one through its
+driver, and ``python -m repro list`` enumerates them next to the
+paper experiments.
 """
 
 from __future__ import annotations
@@ -28,18 +31,10 @@ from repro.runtime.backends import backend_profile
 #: The array size most of the paper's evaluation uses.
 DEFAULT_GEOMETRY = (16, 16)
 
-#: Default benchmark workload: the two Table-I models with the most
-#: dissimilar structure (depthwise-heavy vs dense-residual).
-DEFAULT_MODELS = ("mobilenet_v2", "resnet18")
-
 #: Serving benchmark default workload (>= 3 nets, per the artifact
 #: contract) and worker sweep.
 DEFAULT_SERVING_MODELS = ("mobilenet_v2", "resnet18", "shufflenet_v2")
 DEFAULT_WORKER_COUNTS = (1, 2, 4)
-
-#: Precision-sweep default: the three uniform paper precisions plus the
-#: standard mixed edge recipe.
-DEFAULT_PRECISION_SWEEP = ("int8", "int4", "int2", "mixed")
 
 #: Backend-sweep defaults: all four registered MAC-unit designs at the
 #: paper's three uniform precisions.
@@ -155,11 +150,12 @@ class SweepSpec:
         backends: compute-backend names or mixed profiles.
         precisions: precision-profile names/specs.
         geometries: array shapes ("KxN" strings or (k, n) pairs).
-        batch: images per point run.
+        batch: images per point run (the request-stream length for
+            the serving sweeps).
         quick: use the CI-speed preset.
         scheduling: apply burst-aware tile scheduling when lowering.
-        workers: shard-pool sizes (serving sweeps only; empty
-            otherwise).
+        workers: shard-pool sizes (the serving sweeps, and the llm
+            decode's sharded re-verification; empty otherwise).
         description: one-line summary for ``python -m repro list``.
     """
 
@@ -287,13 +283,15 @@ def registered_sweeps() -> "tuple[SweepSpec, ...]":
     return tuple(_SWEEPS[name] for name in sorted(_SWEEPS))
 
 
-#: The default sweeps behind the benchmark drivers, as declarative
-#: data.  Drivers build ad-hoc specs from their arguments; these
-#: registered copies are the documented defaults.
+#: The sweeps behind the committed benchmark artifacts, as declarative
+#: data: each driver in :mod:`repro.runtime.bench` takes one of these
+#: (``dataclasses.replace`` one to run a smaller grid).
 NETWORKS_SWEEP = register_sweep(
     SweepSpec(
         name="networks",
-        nets=DEFAULT_MODELS,
+        # The two Table-I models with the most dissimilar structure
+        # (depthwise-heavy vs dense-residual).
+        nets=("mobilenet_v2", "resnet18"),
         backends=("binary", "tempus"),
         precisions=("int8",),
         batch=4,
@@ -310,9 +308,24 @@ SERVING_SWEEP = register_sweep(
         backends=("tempus",),
         precisions=("int8",),
         workers=DEFAULT_WORKER_COUNTS,
-        batch=1,
+        batch=32,
         description=(
             "sharded serving across worker counts (BENCH_serving.json)"
+        ),
+    )
+)
+
+FAULTS_SWEEP = register_sweep(
+    SweepSpec(
+        name="faults",
+        nets=("mobilenet_v2",),
+        backends=("tempus",),
+        precisions=("int8",),
+        workers=DEFAULT_WORKER_COUNTS,
+        batch=24,
+        description=(
+            "sharded serving under seeded injected faults "
+            "(BENCH_faults.json)"
         ),
     )
 )
@@ -322,7 +335,9 @@ PRECISION_SWEEP = register_sweep(
         name="precision",
         nets=DEFAULT_SERVING_MODELS,
         backends=("tempus", "binary"),
-        precisions=DEFAULT_PRECISION_SWEEP,
+        # The three uniform paper precisions plus the standard mixed
+        # edge recipe.
+        precisions=("int8", "int4", "int2", "mixed"),
         batch=4,
         description=(
             "precision scaling on both engines (BENCH_precision.json)"
@@ -347,6 +362,7 @@ LLM_SWEEP = register_sweep(
         nets=("tiny_llm",),
         backends=DEFAULT_BACKEND_SWEEP,
         precisions=DEFAULT_BACKEND_PRECISIONS,
+        workers=(1, 2),
         batch=1,
         description=(
             "autoregressive transformer-block decode: per-token "

@@ -67,7 +67,8 @@ class TestTubArrayAndPcu:
         """Fig. 9's driver: the iso-area ratio stays well above 1 at every
         n.  (The paper's ratio *grows* with n because its tub cell area
         scales sublinearly; a replicated-lane structural model yields a
-        near-flat ratio — the deviation is recorded in EXPERIMENTS.md.)"""
+        near-flat ratio — the fig9 experiment's notes record the
+        deviation.)"""
         def ratio(n):
             binary = synthesize(binary_pe_cell_netlist(INT8, n))
             tub = synthesize(tub_pe_cell_netlist(INT8, n))

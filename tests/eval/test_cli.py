@@ -39,257 +39,37 @@ class TestCli:
             main([])
 
 
-class TestServeBench:
-    def test_quick_run_writes_artifact(self, capsys, tmp_path):
-        code = main(
-            [
-                "serve-bench",
-                "--quick",
-                "--models",
-                "resnet18",
-                "shufflenet_v2",
-                "--batch",
-                "2",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "resnet18" in out and "shufflenet_v2" in out
-        artifact = tmp_path / "BENCH_networks.json"
-        assert artifact.exists()
-        import json
+class TestBench:
+    def test_unknown_spec_fails_cleanly(self, capsys, tmp_path):
+        assert main(["bench", "pareto", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown benchmark spec 'pareto'" in err
+        for name in ("networks", "serving", "faults", "precision",
+                     "backends", "llm"):
+            assert name in err
+        assert not list(tmp_path.iterdir())
 
-        payload = json.loads(artifact.read_text())
-        assert [r["model"] for r in payload["models"]] == [
-            "resnet18",
-            "shufflenet_v2",
+    def test_networks_quick_writes_only_its_artifact(
+        self, capsys, tmp_path
+    ):
+        assert main(
+            ["bench", "networks", "--quick", "--out", str(tmp_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "mobilenet_v2" in out and "resnet18" in out
+        assert [path.name for path in tmp_path.iterdir()] == [
+            "BENCH_networks.json"
         ]
-        assert all(
-            r["outputs_bit_identical"] for r in payload["models"]
+        assert main(["check-results", str(tmp_path)]) == 0
+        assert "BENCH_networks.json: 4 records ok" in (
+            capsys.readouterr().out
         )
 
-    def test_unknown_model_fails_cleanly(self, capsys, tmp_path):
-        code = main(
-            [
-                "serve-bench",
-                "--models",
-                "lenet",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown model" in err
-        assert not (tmp_path / "BENCH_networks.json").exists()
-
-    def test_bad_batch_fails_cleanly(self, capsys, tmp_path):
-        assert main(
-            [
-                "serve-bench",
-                "--batch",
-                "0",
-                "--out",
-                str(tmp_path),
-            ]
-        ) == 2
-        assert "batch" in capsys.readouterr().err
-
-    def test_precision_profile_flag(self, capsys, tmp_path):
-        """--precision lowers and serves the requested profile; the
-        artifact records it."""
-        code = main(
-            [
-                "serve-bench",
-                "--quick",
-                "--models",
-                "resnet18",
-                "--batch",
-                "1",
-                "--precision",
-                "int4",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        assert "INT4" in capsys.readouterr().out
-        import json
-
-        payload = json.loads(
-            (tmp_path / "BENCH_networks.json").read_text()
-        )
-        assert payload["precision_profile"] == "int4"
-        assert payload["config"]["precision"] == "INT4"
-
-    def test_unknown_precision_fails_cleanly(self, capsys, tmp_path):
-        assert main(
-            [
-                "serve-bench",
-                "--precision",
-                "fp16",
-                "--out",
-                str(tmp_path),
-            ]
-        ) == 2
-        assert "precision" in capsys.readouterr().err.lower()
-        assert not (tmp_path / "BENCH_networks.json").exists()
-
-
-class TestServeBenchWorkers:
-    def test_workers_sweep_writes_serving_artifact(
-        self, capsys, tmp_path
-    ):
-        code = main(
-            [
-                "serve-bench",
-                "--quick",
-                "--workers",
-                "2",
-                "--requests",
-                "4",
-                "--max-batch",
-                "2",
-                "--models",
-                "resnet18",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "sharded serving" in out
-        import json
-
-        payload = json.loads(
-            (tmp_path / "BENCH_serving.json").read_text()
-        )
-        assert payload["worker_counts"] == [1, 2]
-        for record in payload["models"]:
-            for sweep in record["workers"]:
-                assert sweep["bit_identical_to_reference"]
-
-    def test_batch_conflicts_with_workers(self, capsys, tmp_path):
-        """--batch sizes the single-process benchmark; combining it
-        with --workers is rejected instead of silently ignored."""
-        assert main(
-            [
-                "serve-bench",
-                "--workers",
-                "2",
-                "--batch",
-                "8",
-                "--out",
-                str(tmp_path),
-            ]
-        ) == 2
-        assert "--requests" in capsys.readouterr().err
-        assert not (tmp_path / "BENCH_serving.json").exists()
-
-    def test_bad_workers_fails_cleanly(self, capsys, tmp_path):
-        assert main(
-            [
-                "serve-bench",
-                "--workers",
-                "0",
-                "--out",
-                str(tmp_path),
-            ]
-        ) == 2
-        assert "workers" in capsys.readouterr().err
-        assert not (tmp_path / "BENCH_serving.json").exists()
-
-    def test_worker_sweep_powers_of_two(self):
-        from repro.__main__ import _worker_sweep
-
-        assert _worker_sweep(1) == (1,)
-        assert _worker_sweep(2) == (1, 2)
-        assert _worker_sweep(4) == (1, 2, 4)
-        assert _worker_sweep(6) == (1, 2, 4, 6)
-
-
-class TestServeBenchBackend:
-    def test_backend_serving_smoke(self, capsys, tmp_path):
-        """The CI leg: serve on a non-default backend; every point is
-        verified bit-identical to the single-process reference inside
-        the driver."""
-        code = main(
-            [
-                "serve-bench",
-                "--quick",
-                "--backend",
-                "tubgemm",
-                "--precision",
-                "int4",
-                "--workers",
-                "2",
-                "--requests",
-                "4",
-                "--models",
-                "resnet18",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        import json
-
-        payload = json.loads(
-            (tmp_path / "BENCH_serving.json").read_text()
-        )
-        assert payload["engine"] == "tubgemm"
-        assert payload["precision_profile"] == "int4"
-        for record in payload["models"]:
-            for sweep in record["workers"]:
-                assert sweep["bit_identical_to_reference"]
-                assert sweep["energy"]["pj_per_image"] > 0
-
-    def test_backend_comparison_writes_backend_artifact(
-        self, capsys, tmp_path
-    ):
-        code = main(
-            [
-                "serve-bench",
-                "--quick",
-                "--backend",
-                "tugemm",
-                "--precision",
-                "int2",
-                "--batch",
-                "2",
-                "--models",
-                "resnet18",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "tugemm" in out
-        import json
-
-        payload = json.loads(
-            (tmp_path / "BENCH_backends.json").read_text()
-        )
-        assert payload["backends"] == ["binary", "tugemm"]
-        assert payload["precisions"] == ["int2"]
-
-    def test_unknown_backend_fails_cleanly(self, capsys, tmp_path):
-        code = main(
-            [
-                "serve-bench",
-                "--quick",
-                "--backend",
-                "warp-drive",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "registered backends" in err
+    def test_only_quick_and_out_options(self, capsys):
+        for option in ("--workers", "--models", "--batch"):
+            with pytest.raises(SystemExit):
+                main(["bench", "networks", option, "2"])
+        capsys.readouterr()
 
 
 class TestCheckResults:
@@ -303,75 +83,19 @@ class TestCheckResults:
         assert code == 2
         assert "check-results failed" in capsys.readouterr().err
 
-    def test_backend_spelling_canonicalized(self, capsys, tmp_path):
-        """--backend TEMPUS is the default backend however spelled:
-        the network benchmark runs, not the comparison sweep."""
-        code = main(
-            [
-                "serve-bench",
-                "--quick",
-                "--backend",
-                "TEMPUS",
-                "--batch",
-                "1",
-                "--models",
-                "resnet18",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        assert (tmp_path / "BENCH_networks.json").exists()
-        assert not (tmp_path / "BENCH_backends.json").exists()
-
-    def test_mixed_backend_requires_workers(self, capsys, tmp_path):
-        code = main(
-            [
-                "serve-bench",
-                "--quick",
-                "--backend",
-                "binary/tubgemm/binary",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_mixed_backend_serves(self, capsys, tmp_path):
-        code = main(
-            [
-                "serve-bench",
-                "--quick",
-                "--backend",
-                "binary/tubgemm/binary",
-                "--workers",
-                "1",
-                "--requests",
-                "2",
-                "--models",
-                "resnet18",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        import json
-
-        payload = json.loads(
-            (tmp_path / "BENCH_serving.json").read_text()
-        )
-        assert payload["engine"] == "binary/tubgemm/binary"
-
 
 class TestListSweepSpecs:
     def test_list_enumerates_registered_sweeps(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "sweep specs (serve-bench / tune):" in out
-        for name in ("networks", "serving", "precision", "backends",
-                     "pareto"):
-            assert name in out
+        assert "sweep specs (bench):" in out
+        assert "sweep specs (tune):" in out
+        bench = out[out.index("sweep specs (bench):"):
+                    out.index("sweep specs (tune):")]
+        for name in ("networks", "serving", "faults", "precision",
+                     "backends", "llm"):
+            assert f"\n{name} " in bench
+        assert "pareto" not in bench
         # Axes are shown so the grid is readable without opening code.
         assert "geometries=8x8,16x4,16x16,32x32" in out
 

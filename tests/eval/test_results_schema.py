@@ -1,5 +1,6 @@
 """Tests for the BENCH_*.json results-schema checker."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,8 @@ class TestNormalizers:
                         "binary": {"conv_cycles": 10},
                         "tempus": {"conv_cycles": 20},
                     },
+                    "outputs_bit_identical": True,
+                    "scheduling_speedup": 1.0,
                 }
             ],
         }
@@ -43,7 +46,13 @@ class TestNormalizers:
             "models": [
                 {
                     "model": "resnet18",
-                    "workers": [{"conv_cycles": 9}],
+                    "workers": [
+                        {
+                            "workers": 1,
+                            "conv_cycles": 9,
+                            "bit_identical_to_reference": True,
+                        }
+                    ],
                 }
             ],
         }
@@ -72,7 +81,10 @@ class TestNormalizers:
                             "net": "resnet18",
                             "precision": "int2",
                             "backends": {
-                                "tubgemm": {"conv_cycles": 7},
+                                "tubgemm": {
+                                    "conv_cycles": 7,
+                                    "energy": {"pj_per_image": 3.0},
+                                },
                             },
                         }
                     ],
@@ -190,6 +202,131 @@ class TestNormalizers:
     def test_empty_payload_rejected(self):
         with pytest.raises(DataflowError):
             normalize_records("BENCH_networks.json", {"models": []})
+
+
+def _set(path, value):
+    """A mutation writing ``value`` at a key/index path."""
+
+    def mutate(payload):
+        target = payload
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+
+    return mutate
+
+
+def _tubgemm_not_below(payload):
+    backends = payload["models"][0]["precisions"][0]["backends"]
+    backends["tubgemm"]["conv_cycles"] = backends["tugemm"]["conv_cycles"]
+
+
+def _binary_cycles_vary(payload):
+    stats = payload["models"][0]["precisions"][1]["backends"]["binary"]
+    stats["conv_cycles"] += 1
+
+
+def _no_recovery_at(rate):
+    def mutate(payload):
+        for point in payload["models"][0]["points"]:
+            if point["fault_rate"] == rate:
+                for counter in ("restarts", "redispatched", "retries"):
+                    point["health"][counter] = 0
+
+    return mutate
+
+
+#: (artifact, mutation violating one claim, expected message).
+CLAIM_VIOLATIONS = {
+    "networks-bit-identity": (
+        "BENCH_networks.json",
+        _set(["models", 0, "outputs_bit_identical"], False),
+        "engine outputs differ",
+    ),
+    "networks-scheduling": (
+        "BENCH_networks.json",
+        _set(["models", 1, "scheduling_speedup"], 0.99),
+        "scheduling costs cycles",
+    ),
+    "precision-monotonic": (
+        "BENCH_precision.json",
+        _set(["models", 2, "ratio_improves_monotonically"], False),
+        "does not improve",
+    ),
+    "precision-sharded": (
+        "BENCH_precision.json",
+        _set(
+            ["sharded_verification", "bit_identical_outputs_and_cycles"],
+            False,
+        ),
+        "sharded serving diverged",
+    ),
+    "backends-tubgemm-below-tugemm": (
+        "BENCH_backends.json",
+        _tubgemm_not_below,
+        "tubGEMM cycles not below",
+    ),
+    "backends-binary-flat": (
+        "BENCH_backends.json",
+        _binary_cycles_vary,
+        "binary cycles vary",
+    ),
+    "backends-energy": (
+        "BENCH_backends.json",
+        _set(
+            [
+                "models", 1, "precisions", 2, "backends", "tempus",
+                "energy", "pj_per_image",
+            ],
+            0.0,
+        ),
+        "no pJ/image",
+    ),
+    "serving-bit-identity": (
+        "BENCH_serving.json",
+        _set(["models", 0, "workers", 2, "bit_identical_to_reference"],
+             False),
+        "diverged from the reference",
+    ),
+    "faults-completed": (
+        "BENCH_faults.json",
+        _set(["models", 0, "all_streams_completed"], False),
+        "did not complete",
+    ),
+    "faults-recovery": (
+        "BENCH_faults.json",
+        _no_recovery_at(0.25),
+        "no restart, redispatch or retry at injected fault rate 0.25",
+    ),
+    "llm-bit-identity": (
+        "BENCH_llm.json",
+        _set(["records", 0, "bit_identical"], False),
+        "bit_identical is false",
+    ),
+    "llm-sharded": (
+        "BENCH_llm.json",
+        _set(["records", 5, "sharded_bit_identical"], False),
+        "sharded_bit_identical is false",
+    ),
+    "llm-matvec-parity": (
+        "BENCH_llm.json",
+        _set(["records", 11, "matvec_parity"], False),
+        "matvec_parity is false",
+    ),
+}
+
+
+class TestClaimChecks:
+    @pytest.mark.parametrize("violation", sorted(CLAIM_VIOLATIONS))
+    def test_violated_claim_rejected(self, violation):
+        """Each committed artifact passes; the same payload with one
+        claim broken is refused."""
+        name, mutate, message = CLAIM_VIOLATIONS[violation]
+        payload = json.loads((REPO_RESULTS / name).read_text())
+        assert normalize_records(name, payload)
+        mutate(payload)
+        with pytest.raises(DataflowError, match=message):
+            normalize_records(name, payload)
 
 
 class TestDirectoryCheck:

@@ -49,8 +49,7 @@ class TestFig8Calibration:
     def test_silent_pes_small_fraction_of_tile(self):
         """Both models show a small number of silent PEs per 256-lane tile
         (paper: 6 and 2).  Our synthetic zeros are i.i.d., so ResNeXt101's
-        count exceeds the paper's concentrated-sparsity value — recorded
-        in EXPERIMENTS.md."""
+        count exceeds the paper's concentrated-sparsity value."""
         mobilenet = profile_model_sparsity(
             load_quantized_model("mobilenet_v2")
         )

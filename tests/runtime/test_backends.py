@@ -77,14 +77,17 @@ class TestRegistry:
     def test_every_layer_raises_the_same_error(self, config):
         """Runner, executor, sharded serving and the benchmarks all
         funnel through check_backend — one message everywhere."""
+        from dataclasses import replace
+
         from repro.runtime.bench import run_backend_benchmark
         from repro.serve import ShardedRunner
+        from repro.tune.spec import BACKENDS_SWEEP
 
         probes = (
             lambda: NetworkRunner(config, engine="nope"),
             lambda: ShardedRunner(workers=1, config=config, engine="nope"),
             lambda: run_backend_benchmark(
-                models=("resnet18",), backends=("nope",), out_dir=None
+                replace(BACKENDS_SWEEP, backends=("nope",)), out_dir=None
             ),
             lambda: backend_profile("nope"),
         )

@@ -1,13 +1,12 @@
 """Tests for the network and serving benchmark drivers."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import DataflowError
-from repro.nvdla.config import CoreConfig
 from repro.runtime.bench import (
-    measure,
     render_benchmark,
     render_precision_benchmark,
     render_serving_benchmark,
@@ -15,17 +14,24 @@ from repro.runtime.bench import (
     run_precision_benchmark,
     run_serving_benchmark,
 )
+from repro.tune.spec import (
+    BACKENDS_SWEEP,
+    NETWORKS_SWEEP,
+    PRECISION_SWEEP,
+    SERVING_SWEEP,
+)
+
+
+def small(spec, **axes):
+    """A registered spec on a quick 4x4 array, with axes overridden."""
+    return replace(spec, quick=True, geometries=("4x4",), **axes)
 
 
 @pytest.fixture(scope="module")
 def payload(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("bench")
     return run_network_benchmark(
-        models=("mobilenet_v2", "resnet18"),
-        batch=2,
-        quick=True,
-        config=CoreConfig(k=4, n=4),
-        out_dir=out_dir,
+        small(NETWORKS_SWEEP, batch=2), out_dir=out_dir
     )
 
 
@@ -53,39 +59,34 @@ class TestNetworkBenchmark:
 
     def test_unknown_model_rejected(self):
         with pytest.raises(DataflowError):
-            run_network_benchmark(models=("lenet",), out_dir=None)
+            run_network_benchmark(
+                replace(NETWORKS_SWEEP, nets=("lenet",)), out_dir=None
+            )
 
     def test_bad_batch_rejected(self):
         with pytest.raises(DataflowError):
-            run_network_benchmark(batch=0, out_dir=None)
+            run_network_benchmark(
+                replace(NETWORKS_SWEEP, batch=0), out_dir=None
+            )
 
     def test_no_artifact_when_out_dir_none(self):
         result = run_network_benchmark(
-            models=("resnet18",),
-            batch=1,
-            quick=True,
-            config=CoreConfig(k=4, n=4),
+            small(NETWORKS_SWEEP, nets=("resnet18",), batch=1),
             out_dir=None,
         )
         assert "artifact" not in result
-
-    def test_wall_clock_recorded_per_engine(self, payload):
-        for record in payload["models"]:
-            for engine in ("tempus", "binary"):
-                stats = record["engines"][engine]
-                assert stats["wall_seconds"] > 0
-                assert stats["host_images_per_second"] > 0
 
 
 @pytest.fixture(scope="module")
 def precision_payload(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("precision")
     return run_precision_benchmark(
-        models=("resnet18", "shufflenet_v2"),
-        precisions=("int8", "int4", "int2", "mixed"),
-        batch=2,
-        quick=True,
-        config=CoreConfig(k=4, n=4),
+        small(
+            PRECISION_SWEEP,
+            nets=("resnet18", "shufflenet_v2"),
+            precisions=("int8", "int4", "int2", "mixed"),
+            batch=2,
+        ),
         out_dir=out_dir,
     )
 
@@ -145,24 +146,27 @@ class TestPrecisionBenchmark:
         assert "sharded serving @ int4" in text
 
     def test_bad_inputs_rejected(self):
-        with pytest.raises(DataflowError):
-            run_precision_benchmark(models=("lenet",), out_dir=None)
-        with pytest.raises(DataflowError):
-            run_precision_benchmark(batch=0, out_dir=None)
-        with pytest.raises(DataflowError):
-            run_precision_benchmark(
-                precisions=("int4", "INT4"), out_dir=None
-            )
+        for axes in (
+            {"nets": ("lenet",)},
+            {"batch": 0},
+            {"precisions": ("int4", "INT4")},
+            {"geometries": ("4x4", "8x8")},
+        ):
+            with pytest.raises(DataflowError):
+                run_precision_benchmark(
+                    replace(PRECISION_SWEEP, **axes), out_dir=None
+                )
 
     def test_verify_profile_outside_sweep(self):
-        """Regression: the sharded-verification profile (int4 by
-        default) need not appear in the swept precisions."""
+        """Regression: the sharded-verification profile (int4) need
+        not appear in the swept precisions."""
         payload = run_precision_benchmark(
-            models=("resnet18",),
-            precisions=("int8", "int2"),
-            batch=1,
-            quick=True,
-            config=CoreConfig(k=4, n=4),
+            small(
+                PRECISION_SWEEP,
+                nets=("resnet18",),
+                precisions=("int8", "int2"),
+                batch=1,
+            ),
             out_dir=None,
         )
         verification = payload["sharded_verification"]
@@ -173,11 +177,12 @@ class TestPrecisionBenchmark:
 class TestPrecisionThroughDrivers:
     def test_network_benchmark_accepts_profile(self):
         payload = run_network_benchmark(
-            models=("resnet18",),
-            batch=1,
-            quick=True,
-            config=CoreConfig(k=4, n=4),
-            precision="mixed",
+            small(
+                NETWORKS_SWEEP,
+                nets=("resnet18",),
+                precisions=("mixed",),
+                batch=1,
+            ),
             out_dir=None,
         )
         assert payload["precision_profile"] == "mixed"
@@ -186,14 +191,14 @@ class TestPrecisionThroughDrivers:
 
     def test_serving_benchmark_accepts_profile(self):
         payload = run_serving_benchmark(
-            models=("resnet18",),
-            worker_counts=(2,),
-            requests=4,
-            quick=True,
-            repeats=1,
-            config=CoreConfig(k=4, n=4),
+            small(
+                SERVING_SWEEP,
+                nets=("resnet18",),
+                workers=(2,),
+                precisions=("int4",),
+                batch=4,
+            ),
             max_batch=2,
-            precision="int4",
             out_dir=None,
         )
         assert payload["precision_profile"] == "int4"
@@ -203,27 +208,13 @@ class TestPrecisionThroughDrivers:
                 assert sweep["bit_identical_to_reference"] is True
 
 
-class TestMeasure:
-    def test_returns_result_and_best_seconds(self):
-        result, seconds = measure(lambda: 42, repeats=3)
-        assert result == 42
-        assert seconds >= 0
-
-    def test_bad_repeats_rejected(self):
-        with pytest.raises(DataflowError):
-            measure(lambda: None, repeats=0)
-
-
 @pytest.fixture(scope="module")
 def serving_payload(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("serving")
     return run_serving_benchmark(
-        models=("resnet18",),
-        worker_counts=(1, 2),
-        requests=4,
-        quick=True,
-        repeats=1,
-        config=CoreConfig(k=4, n=4),
+        small(
+            SERVING_SWEEP, nets=("resnet18",), workers=(1, 2), batch=4
+        ),
         max_batch=2,
         out_dir=out_dir,
     )
@@ -244,7 +235,6 @@ class TestServingBenchmark:
             for sweep in record["workers"]:
                 assert sweep["bit_identical_to_reference"] is True
                 assert sweep["requests_per_second"] > 0
-                assert sweep["wall_seconds"] > 0
                 assert sweep["makespan_cycles"] > 0
                 assert sum(sweep["shard_cycles"]) == sweep["conv_cycles"]
 
@@ -267,12 +257,17 @@ class TestServingBenchmark:
         assert "workers" in text and "req/s (sim)" in text
 
     def test_bad_inputs_rejected(self):
-        with pytest.raises(DataflowError):
-            run_serving_benchmark(models=("lenet",), out_dir=None)
-        with pytest.raises(DataflowError):
-            run_serving_benchmark(requests=0, out_dir=None)
-        with pytest.raises(DataflowError):
-            run_serving_benchmark(worker_counts=(0,), out_dir=None)
+        for axes in (
+            {"nets": ("lenet",)},
+            {"batch": 0},
+            {"workers": (0,)},
+            {"workers": ()},
+            {"backends": ("tempus", "binary")},
+        ):
+            with pytest.raises(DataflowError):
+                run_serving_benchmark(
+                    replace(SERVING_SWEEP, **axes), out_dir=None
+                )
 
 
 class TestBackendBenchmark:
@@ -282,11 +277,7 @@ class TestBackendBenchmark:
 
         out_dir = tmp_path_factory.mktemp("backend-bench")
         return run_backend_benchmark(
-            models=("mobilenet_v2", "resnet18", "shufflenet_v2"),
-            batch=2,
-            quick=True,
-            config=CoreConfig(k=4, n=4),
-            out_dir=out_dir,
+            small(BACKENDS_SWEEP, batch=2), out_dir=out_dir
         )
 
     def test_artifact_written_and_parseable(self, backend_payload):
@@ -367,23 +358,23 @@ class TestBackendBenchmark:
 
         with pytest.raises(DataflowError):
             run_backend_benchmark(
-                backends=("binary", "BINARY"), out_dir=None
+                replace(BACKENDS_SWEEP, backends=("binary", "BINARY")),
+                out_dir=None,
             )
 
     def test_empty_backends_rejected(self):
         from repro.runtime.bench import run_backend_benchmark
 
         with pytest.raises(DataflowError):
-            run_backend_benchmark(backends=(), out_dir=None)
+            run_backend_benchmark(
+                replace(BACKENDS_SWEEP, backends=()), out_dir=None
+            )
 
 
 class TestEnergyInDrivers:
     def test_network_benchmark_records_energy(self):
         payload = run_network_benchmark(
-            models=("resnet18",),
-            batch=1,
-            quick=True,
-            config=CoreConfig(k=4, n=4),
+            small(NETWORKS_SWEEP, nets=("resnet18",), batch=1),
             out_dir=None,
         )
         record = payload["models"][0]

@@ -1,57 +1,44 @@
-"""Before/after payload pinning for the refactored bench drivers.
+"""Before/after payload pinning for the spec-driven bench drivers.
 
 The fixtures under ``tests/runtime/golden/`` were generated by the
-pre-refactor drivers (each in a fresh process).  The refactored
-spec-builder drivers must reproduce those payloads bit-identically in
-every deterministic field; only host-timing fields (which depend on
-the wall clock) are normalized out before comparison.  The serving
-queue's depth high-watermark depends on thread timing too, so it is
-range-checked instead of pinned.
+pre-refactor drivers (each in a fresh process).  Every field the
+drivers write is simulated-plane data, so the payloads must reproduce
+them bit-identically.  The serving queue's depth high-watermark
+depends on thread timing, so it is range-checked instead of pinned.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
-import pytest
-
-from repro.nvdla.config import CoreConfig
 from repro.runtime.bench import (
     run_backend_benchmark,
     run_network_benchmark,
     run_precision_benchmark,
     run_serving_benchmark,
 )
+from repro.tune.spec import (
+    BACKENDS_SWEEP,
+    NETWORKS_SWEEP,
+    PRECISION_SWEEP,
+    SERVING_SWEEP,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: Fields whose values depend on the host wall clock, not on the
-#: benchmark's inputs.
-VOLATILE_KEYS = {
-    "wall_seconds",
-    "host_images_per_second",
-    "artifact",
-}
-
-
-def normalize(value):
-    if isinstance(value, dict):
-        return {
-            key: normalize(entry)
-            for key, entry in value.items()
-            if key not in VOLATILE_KEYS
-        }
-    if isinstance(value, list):
-        return [normalize(entry) for entry in value]
-    return value
-
 
 def golden(name: str) -> dict:
-    return normalize(json.loads((GOLDEN_DIR / f"{name}.json").read_text()))
+    return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
 
 
 def roundtrip(payload: dict) -> dict:
     """Push the payload through JSON so types match the fixture's."""
-    return normalize(json.loads(json.dumps(payload)))
+    return json.loads(json.dumps(payload))
+
+
+def small(spec, **axes):
+    """A registered spec on the fixtures' quick 4x4 array."""
+    return replace(spec, quick=True, geometries=("4x4",), **axes)
 
 
 def queue_stats(payload: dict) -> list:
@@ -63,31 +50,26 @@ def queue_stats(payload: dict) -> list:
     ]
 
 
-CONFIG = dict(quick=True, out_dir=None)
-
-
 class TestGoldenPayloads:
     def test_network_payload_bit_identical(self):
         payload = run_network_benchmark(
-            models=("mobilenet_v2", "resnet18"),
-            batch=2,
-            config=CoreConfig(k=4, n=4),
-            precision="mixed",
-            **CONFIG,
+            small(NETWORKS_SWEEP, batch=2, precisions=("mixed",)),
+            out_dir=None,
         )
         assert roundtrip(payload) == golden("network")
 
     def test_serving_payload_bit_identical(self):
         requests = 4
         payload = run_serving_benchmark(
-            models=("resnet18",),
-            worker_counts=(1, 2),
-            requests=requests,
-            repeats=1,
-            config=CoreConfig(k=4, n=4),
+            small(
+                SERVING_SWEEP,
+                nets=("resnet18",),
+                workers=(1, 2),
+                precisions=("int4",),
+                batch=requests,
+            ),
             max_batch=2,
-            precision="int4",
-            **CONFIG,
+            out_dir=None,
         )
         actual = roundtrip(payload)
         expected = golden("serving")
@@ -102,19 +84,18 @@ class TestGoldenPayloads:
 
     def test_precision_payload_bit_identical(self):
         payload = run_precision_benchmark(
-            models=("resnet18", "shufflenet_v2"),
-            precisions=("int8", "int4", "int2", "mixed"),
-            batch=2,
-            config=CoreConfig(k=4, n=4),
-            **CONFIG,
+            small(
+                PRECISION_SWEEP,
+                nets=("resnet18", "shufflenet_v2"),
+                batch=2,
+            ),
+            out_dir=None,
         )
         assert roundtrip(payload) == golden("precision")
 
     def test_backend_payload_bit_identical(self):
         payload = run_backend_benchmark(
-            models=("resnet18",),
-            batch=2,
-            config=CoreConfig(k=4, n=4),
-            **CONFIG,
+            small(BACKENDS_SWEEP, nets=("resnet18",), batch=2),
+            out_dir=None,
         )
         assert roundtrip(payload) == golden("backend")

@@ -187,7 +187,8 @@ class TestRegistry:
     def test_default_sweeps_registered(self):
         names = {spec.name for spec in registered_sweeps()}
         assert {
-            "networks", "serving", "precision", "backends", "pareto"
+            "networks", "serving", "faults", "precision", "backends",
+            "llm", "pareto",
         } <= names
 
     def test_get_sweep(self):
