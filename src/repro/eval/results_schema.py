@@ -24,6 +24,7 @@ import json
 from pathlib import Path
 
 from repro.errors import DataflowError
+from repro.quant.profile import precision_profile
 
 #: Fields every normalized benchmark record carries.
 COMMON_FIELDS = ("net", "backend", "precision", "cycles")
@@ -44,28 +45,6 @@ def _record(net, backend, precision, cycles) -> dict:
 def _claim(holds, message: str) -> None:
     if not holds:
         raise DataflowError(f"claim violated: {message}")
-
-
-def _network_records(payload: dict) -> list:
-    precision = payload.get("precision_profile", "int8")
-    records = []
-    for model in payload["models"]:
-        for backend, stats in model["engines"].items():
-            records.append(
-                _record(
-                    model["model"], backend, precision,
-                    stats["conv_cycles"],
-                )
-            )
-        _claim(
-            model["outputs_bit_identical"],
-            f"networks {model['model']}: engine outputs differ",
-        )
-        _claim(
-            model["scheduling_speedup"] >= 1.0,
-            f"networks {model['model']}: scheduling costs cycles",
-        )
-    return records
 
 
 def _serving_records(payload: dict) -> list:
@@ -93,39 +72,20 @@ def _serving_records(payload: dict) -> list:
     return records
 
 
-def _precision_records(payload: dict) -> list:
-    records = []
-    for model in payload["models"]:
-        for entry in model["precisions"]:
-            for backend, stats in entry["engines"].items():
-                records.append(
-                    _record(
-                        model["model"], backend, entry["precision"],
-                        stats["conv_cycles"],
-                    )
-                )
-        _claim(
-            model["ratio_improves_monotonically"],
-            f"precision {model['model']}: the tempus:binary cycle "
-            "ratio does not improve as precision drops",
-        )
-    _claim(
-        payload["sharded_verification"][
-            "bit_identical_outputs_and_cycles"
-        ],
-        "precision: sharded serving diverged from the single-process "
-        "run",
-    )
-    return records
-
-
 def _backend_records(payload: dict) -> list:
     records = []
     for model in payload["models"]:
         binary_cycles = set()
+        # temporal backend -> [(width, cycles)] over uniform profiles
+        temporal: dict = {}
         for entry in model["precisions"]:
             point = f"backends {entry['net']} @ {entry['precision']}"
+            profile = precision_profile(entry["precision"])
             stats = entry["backends"]
+            _claim(
+                entry["outputs_bit_identical"],
+                f"{point}: backend outputs differ",
+            )
             for backend, record in stats.items():
                 records.append(
                     _record(
@@ -137,11 +97,20 @@ def _backend_records(payload: dict) -> list:
                     record["energy"]["pj_per_image"] > 0,
                     f"{point}: {backend} carries no pJ/image",
                 )
+                if record["temporal"] and profile.is_uniform:
+                    temporal.setdefault(backend, []).append(
+                        (profile.widest.width, record["conv_cycles"])
+                    )
             if "tubgemm" in stats and "tugemm" in stats:
                 _claim(
                     stats["tubgemm"]["conv_cycles"]
                     < stats["tugemm"]["conv_cycles"],
                     f"{point}: tubGEMM cycles not below tuGEMM's",
+                )
+            if "tempus" in stats:
+                _claim(
+                    entry["scheduling_speedup"] >= 1.0,
+                    f"{point}: scheduling costs tempus cycles",
                 )
             if "binary" in stats:
                 binary_cycles.add(stats["binary"]["conv_cycles"])
@@ -150,6 +119,18 @@ def _backend_records(payload: dict) -> list:
             f"backends {model['model']}: binary cycles vary with "
             "precision",
         )
+        # With binary cycles flat, the temporal:binary ratio falls as
+        # precision drops exactly when the temporal cycles do.
+        for backend, series in temporal.items():
+            cycles = [count for _, count in sorted(series, reverse=True)]
+            _claim(
+                all(
+                    later < earlier
+                    for earlier, later in zip(cycles, cycles[1:])
+                ),
+                f"backends {model['model']}: the {backend}:binary "
+                "cycle ratio does not fall as precision drops",
+            )
     return records
 
 
@@ -310,9 +291,7 @@ def _engine_speed_records(payload: list) -> list:
 #: Artifact name -> normalizer.  New benchmark artifacts must register
 #: here (the directory check refuses unknown BENCH files).
 NORMALIZERS = {
-    "BENCH_networks.json": _network_records,
     "BENCH_serving.json": _serving_records,
-    "BENCH_precision.json": _precision_records,
     "BENCH_backends.json": _backend_records,
     "BENCH_engine.json": _engine_speed_records,
     "BENCH_llm.json": _llm_records,
@@ -325,7 +304,7 @@ def normalize_records(name: str, payload) -> list:
     """Flatten one artifact's payload into common benchmark records.
 
     Args:
-        name: artifact file name (e.g. ``"BENCH_networks.json"``).
+        name: artifact file name (e.g. ``"BENCH_backends.json"``).
         payload: the parsed JSON document.
 
     Raises:

@@ -72,7 +72,7 @@ def project_improvement(
 
 def images_per_million_cycles(images: int, cycles: int) -> float:
     """Network-level throughput normalisation used by the batched
-    runtime benchmark (``results/BENCH_networks.json``): how many whole
+    runtime benchmark (``results/BENCH_backends.json``): how many whole
     images the conv pipeline finishes per million core cycles.
 
     Raises:

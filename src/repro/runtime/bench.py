@@ -9,11 +9,6 @@ logic.  Every field a driver writes is simulated-plane data — cycles,
 pJ, identity and liveness flags — so an artifact regenerated from the
 same spec is the same file; host speed is measured by perfbench alone.
 
-* :func:`run_network_benchmark` — ``networks``: single-process batched
-  inference on the binary and tempus engines
-  (``results/BENCH_networks.json``): bit-identity cross-checks,
-  per-network cycles, images-per-million-cycles, tempus-vs-binary and
-  scheduling ratios.
 * :func:`run_serving_benchmark` — ``serving``: the sharded
   multi-worker serving runtime (``results/BENCH_serving.json``):
   simulated requests/sec and images-per-Mcycle vs worker count, with
@@ -22,26 +17,23 @@ same spec is the same file; host speed is measured by perfbench alone.
 * :func:`run_fault_tolerance_benchmark` — ``faults``: the same
   serving sweep under seeded injected faults
   (``results/BENCH_faults.json``).
-* :func:`run_precision_benchmark` — ``precision``: every model on both
-  engines at INT8 / INT4 / INT2 / mixed profiles
-  (``results/BENCH_precision.json``), reproducing the paper-family
-  claim that the tempus:binary cycle ratio improves monotonically as
-  precision drops (binary cycle cost is precision-independent; tub
-  bursts shorten with the weights), plus a sharded-serving
-  bit-identity verification at a low-precision point.
-* :func:`run_backend_benchmark` — ``backends``: the compute-backend
-  sweep (``results/BENCH_backends.json``) across every registered
-  MAC-unit design.
+* :func:`run_backend_benchmark` — ``backends``: the one CNN sweep
+  (``results/BENCH_backends.json``): every registered MAC-unit design
+  at INT8 / INT4 / INT2 / mixed on three nets, with per-point
+  bit-identity, the tempus scheduling gain and the paper's precision
+  scaling claim (temporal:binary cycle ratios fall as precision
+  drops while binary cycles stay flat).
 * :func:`run_llm_benchmark` — ``llm``: token-by-token autoregressive
   decode of the extension transformer block
   (``results/BENCH_llm.json``): growing-sequence GEMM shapes through
   the dynamic-token linear stages, per-token latency percentiles, and
   batched/per-image/sharded bit-identity at every backend x precision
   point.
+* :func:`~repro.tune.autotune.run_pareto_tune` — ``pareto``: the
+  design-space autotuner's Pareto frontier over backend x precision x
+  geometry (``results/BENCH_pareto.json``).
 
 :data:`BENCHMARKS` maps each spec name to its driver and renderer.
-The design-space autotuner (``python -m repro tune``) drives the same
-harness from :mod:`repro.tune.autotune`.
 """
 
 from __future__ import annotations
@@ -56,125 +48,22 @@ from repro.eval.throughput import requests_per_second
 from repro.profiling.energy import workload_energy
 from repro.quant.profile import precision_profile
 from repro.runtime.backends import get_backend
+from repro.tune.autotune import render_pareto_tune, run_pareto_tune
 from repro.tune.harness import (
     SweepHarness,
     engine_record,
     energy_record,
+    single,
     write_benchmark_artifact,
 )
 from repro.tune.spec import (
     BACKENDS_SWEEP,
     FAULTS_SWEEP,
     LLM_SWEEP,
-    NETWORKS_SWEEP,
-    PRECISION_SWEEP,
     SERVING_SWEEP,
     SweepSpec,
 )
 from repro.utils.tables import Column, render_columns, yes_no
-
-
-def _one(spec: SweepSpec, axis: str):
-    """The single entry of a spec axis a driver records once per
-    payload."""
-    values = getattr(spec, axis)
-    if len(values) != 1:
-        raise DataflowError(
-            f"the {spec.name} benchmark takes one entry on the {axis} "
-            f"axis, got {len(values)}"
-        )
-    return values[0]
-
-
-def run_network_benchmark(
-    spec: SweepSpec = NETWORKS_SWEEP,
-    out_dir: "str | Path | None" = "results",
-) -> dict:
-    """Benchmark batched network inference on the binary and tempus
-    engines.
-
-    Args:
-        spec: the sweep — its nets, one precision profile, one
-            geometry, batch, preset and scheduling (the engine pair is
-            fixed: every ratio here reads tempus against binary).
-        out_dir: where BENCH_networks.json is written (None = don't).
-
-    Returns:
-        the record written to the artifact.
-    """
-    profile = precision_profile(_one(spec, "precisions"))
-    _one(spec, "geometries")
-    batch = spec.batch
-    scheduling = spec.scheduling
-    harness = SweepHarness(spec)
-    runners = {
-        engine: harness.runner(engine, profile)
-        for engine in ("binary", "tempus")
-    }
-    unscheduled = harness.runner("tempus", profile, scheduling=False)
-
-    model_records = []
-    for name in spec.nets:
-        binary = runners["binary"].run(name, batch)
-        tempus = runners["tempus"].run(name, batch)
-        if not np.array_equal(binary.output, tempus.output):
-            raise DataflowError(
-                f"{name}: engines diverged — dataflow compliance "
-                "violated"
-            )
-        # With scheduling off the tempus run IS the baseline — don't
-        # pay a third forward pass for a ratio that is 1.0 by
-        # construction.
-        baseline = unscheduled.run(name, batch) if scheduling else tempus
-        binary_energy = energy_record(runners["binary"], name, binary)
-        tempus_energy = energy_record(runners["tempus"], name, tempus)
-        record = {
-            "model": name,
-            "batch": int(batch),
-            "stages": len(tempus.stages),
-            "macs_per_image": int(
-                tempus.macs // max(tempus.batch_size, 1)
-            ),
-            "outputs_bit_identical": True,
-            "engines": {
-                "binary": engine_record(binary, binary_energy),
-                "tempus": engine_record(tempus, tempus_energy),
-            },
-            "tempus_vs_binary_energy": float(
-                tempus_energy["pj_per_image"]
-                / max(binary_energy["pj_per_image"], 1e-12)
-            ),
-            # Cycle-for-cycle, the tub core trades latency for
-            # area/power (the paper's Table 2 story); > means binary
-            # finishes the batch in fewer cycles.
-            "binary_vs_tempus_cycles": float(
-                tempus.conv_cycles / max(binary.conv_cycles, 1)
-            ),
-            "tempus_vs_binary_throughput": float(
-                binary.conv_cycles / max(tempus.conv_cycles, 1)
-            ),
-            "scheduling_speedup": float(
-                baseline.conv_cycles / max(tempus.conv_cycles, 1)
-            ),
-        }
-        model_records.append(record)
-
-    config = runners["tempus"].config  # profile may widen the precision
-    payload = {
-        "benchmark": "network_inference",
-        "config": {
-            "k": config.k,
-            "n": config.n,
-            "precision": config.precision.name,
-        },
-        "precision_profile": profile.name,
-        "precision_layers": profile.describe(),
-        **harness.common_head(),
-        "models": model_records,
-    }
-    return write_benchmark_artifact(
-        payload, "BENCH_networks.json", out_dir
-    )
 
 
 #: Nominal shard clock for converting simulated cycle makespans into
@@ -196,9 +85,9 @@ def _serving_setup(spec: SweepSpec) -> tuple:
         raise DataflowError(
             f"the {spec.name} benchmark needs >= 1 worker count"
         )
-    engine = _one(spec, "backends")
-    profile = precision_profile(_one(spec, "precisions"))
-    _one(spec, "geometries")
+    engine = single(spec, "backends")
+    profile = precision_profile(single(spec, "precisions"))
+    single(spec, "geometries")
     harness = SweepHarness(spec)
     return harness, engine, profile, harness.runner(engine, profile)
 
@@ -256,7 +145,6 @@ def run_serving_benchmark(
                 workers=workers,
                 config=config,
                 engine=engine,
-                scheduling=spec.scheduling,
                 scale=scale,
                 input_size=input_size,
                 max_batch=max_batch,
@@ -451,7 +339,6 @@ def run_fault_tolerance_benchmark(
                     workers=workers,
                     config=config,
                     engine=engine,
-                    scheduling=spec.scheduling,
                     scale=scale,
                     input_size=input_size,
                     max_batch=FAULT_MAX_BATCH,
@@ -578,214 +465,6 @@ def render_fault_tolerance_benchmark(payload: dict) -> str:
     )
 
 
-#: The precision sweep's sharded-serving cross-check: the profile and
-#: pool size at which ``ShardedRunner`` is verified bit-identical
-#: (outputs *and* cycles) to the single-process run.
-PRECISION_VERIFY_PROFILE = "int4"
-PRECISION_VERIFY_WORKERS = 2
-
-
-def run_precision_benchmark(
-    spec: SweepSpec = PRECISION_SWEEP,
-    out_dir: "str | Path | None" = "results",
-) -> dict:
-    """Sweep precision profiles on both engines — the paper's scaling
-    axis (``results/BENCH_precision.json``).
-
-    For every (model, profile) point both engines run the same batch;
-    outputs are verified bit-identical across engines before the
-    tempus:binary cycle ratio is recorded.  The binary CMAC's cycle
-    cost is precision-independent (one atom per cycle regardless of
-    operand width), while a tub burst lasts as long as its tile's
-    largest magnitude — so the ratio must *improve monotonically* as
-    precision drops (worst-case burst: 64 cycles at INT8, 4 at INT4,
-    1 at INT2).  The per-model ``ratio_improves_monotonically`` flag
-    pins that claim over the uniform profiles in the sweep.  The first
-    net is then served sharded at :data:`PRECISION_VERIFY_PROFILE`
-    (swept or not) and checked against the single-process run.
-
-    Args:
-        spec: the sweep — its nets, precision profiles (uniform ones
-            are compared for monotonicity in descending width order;
-            mixed ones are recorded alongside), one geometry (each
-            profile provisions its own precision), batch, preset and
-            scheduling; the engine pair is fixed to tempus and binary.
-        out_dir: where BENCH_precision.json is written (None = don't).
-
-    Returns:
-        the record written to the artifact.
-    """
-    from repro.serve import ShardedRunner
-
-    _one(spec, "geometries")
-    batch = spec.batch
-    harness = SweepHarness(spec)
-    config = harness.config_for()
-    profiles = [precision_profile(entry) for entry in spec.precisions]
-
-    model_records = []
-    for name in spec.nets:
-        sweep = []
-        for profile in profiles:
-            tempus_runner = harness.runner("tempus", profile)
-            binary_runner = harness.runner("binary", profile)
-            tempus = tempus_runner.run(name, batch)
-            binary = binary_runner.run(name, batch)
-            if not np.array_equal(tempus.output, binary.output):
-                raise DataflowError(
-                    f"{name} @ {profile.name}: engines diverged — "
-                    "dataflow compliance violated"
-                )
-            sweep.append(
-                {
-                    "precision": profile.name,
-                    "layers": profile.describe(),
-                    "uniform": profile.is_uniform,
-                    "widest_width": profile.widest.width,
-                    "worst_case_burst_cycles": (
-                        profile.widest.worst_case_tub_cycles
-                    ),
-                    "outputs_bit_identical": True,
-                    "engines": {
-                        "tempus": engine_record(
-                            tempus,
-                            energy_record(tempus_runner, name, tempus),
-                        ),
-                        "binary": engine_record(
-                            binary,
-                            energy_record(binary_runner, name, binary),
-                        ),
-                    },
-                    "tempus_vs_binary_cycle_ratio": float(
-                        tempus.conv_cycles / max(binary.conv_cycles, 1)
-                    ),
-                }
-            )
-        # The claim reads over uniform profiles, widest format first:
-        # dropping precision must never make the ratio worse.
-        uniform = sorted(
-            (entry for entry in sweep if entry["uniform"]),
-            key=lambda entry: -entry["widest_width"],
-        )
-        model_records.append(
-            {
-                "model": name,
-                "batch": int(batch),
-                "precisions": sweep,
-                "ratio_improves_monotonically": all(
-                    later["tempus_vs_binary_cycle_ratio"]
-                    < earlier["tempus_vs_binary_cycle_ratio"]
-                    for earlier, later in zip(uniform, uniform[1:])
-                ),
-            }
-        )
-
-    payload = {
-        "benchmark": "precision_sweep",
-        "config": {"k": config.k, "n": config.n},
-        **harness.common_head(),
-        "precisions": [profile.name for profile in profiles],
-        "models": model_records,
-    }
-
-    profile = precision_profile(PRECISION_VERIFY_PROFILE)
-    verify_model = spec.nets[0]
-    # The verification profile need not be part of the sweep — the
-    # harness builds (and caches) its runner on demand.
-    reference = harness.runner("tempus", profile).run(verify_model, batch)
-    with ShardedRunner(
-        workers=PRECISION_VERIFY_WORKERS,
-        config=config,
-        engine="tempus",
-        scheduling=spec.scheduling,
-        scale=harness.scale,
-        input_size=harness.input_size,
-        precision=profile,
-    ) as server:
-        sharded = server.run(verify_model, batch)
-    identical = bool(
-        np.array_equal(sharded.output, reference.output)
-        and sharded.conv_cycles == reference.conv_cycles
-    )
-    if not identical:
-        raise DataflowError(
-            f"sharded serving @ {profile.name} diverged from the "
-            "single-process reference"
-        )
-    payload["sharded_verification"] = {
-        "model": verify_model,
-        "precision": profile.name,
-        "workers": PRECISION_VERIFY_WORKERS,
-        "requests": int(batch),
-        "bit_identical_outputs_and_cycles": identical,
-    }
-
-    return write_benchmark_artifact(
-        payload, "BENCH_precision.json", out_dir
-    )
-
-
-def render_precision_benchmark(payload: dict) -> str:
-    """Human-readable summary of a precision-sweep payload."""
-    rows = [
-        {
-            **entry,
-            "model": record["model"],
-            "monotonic": record["ratio_improves_monotonically"],
-        }
-        for record in payload["models"]
-        for entry in record["precisions"]
-    ]
-    columns = [
-        Column("model", "model"),
-        Column("precision", "layers"),
-        Column(
-            "tempus cycles",
-            lambda row: row["engines"]["tempus"]["conv_cycles"],
-            format=",",
-        ),
-        Column(
-            "binary cycles",
-            lambda row: row["engines"]["binary"]["conv_cycles"],
-            format=",",
-        ),
-        Column(
-            "tempus:binary",
-            "tempus_vs_binary_cycle_ratio",
-            format=".3f",
-        ),
-        Column(
-            "img/Mcycle (tempus)",
-            lambda row: (
-                row["engines"]["tempus"]["images_per_million_cycles"]
-            ),
-            format=".3f",
-        ),
-        Column("monotonic", lambda row: yes_no(row["monotonic"])),
-    ]
-    config = payload["config"]
-    lines = [
-        render_columns(
-            rows,
-            columns,
-            title=(
-                f"precision sweep on {config['k']}x{config['n']} "
-                f"(scale {payload['scale']}, "
-                f"input {payload['input_size']})"
-            ),
-        )
-    ]
-    verification = payload["sharded_verification"]
-    lines.append(
-        f"sharded serving @ {verification['precision']} "
-        f"({verification['workers']} workers, "
-        f"{verification['model']}): bit-identical to "
-        f"single-process run = "
-        f"{yes_no(verification['bit_identical_outputs_and_cycles'])}"
-    )
-    return "\n\n".join(lines)
-
-
 def _mean_burst_cycles(net) -> float:
     """Mean burst length across a compiled network's weight tiles —
     the Fig. 7 statistic, at the network's own per-stage configs."""
@@ -803,7 +482,7 @@ def run_backend_benchmark(
     spec: SweepSpec = BACKENDS_SWEEP,
     out_dir: "str | Path | None" = "results",
 ) -> dict:
-    """Sweep compute backends x precision profiles
+    """The CNN sweep: compute backends x precision profiles
     (``results/BENCH_backends.json``).
 
     For every (model, precision) point each registered backend runs the
@@ -813,13 +492,20 @@ def run_backend_benchmark(
     on a probe image and pinned to the batched path in outputs *and*
     cycles, before cycles and per-image energy are recorded (only the
     cycle/energy accounting may differ — every backend computes the
-    exact integer convolution).  Two claims are pinned per point:
+    exact integer convolution).  When tempus is swept, one unscheduled
+    tempus run per point records ``scheduling_speedup`` (baseline
+    cycles over scheduled cycles).  The claims, checked by
+    ``check-results``:
 
     * tubGEMM's value-aware cycle count is strictly below tuGEMM's at
       equal precision (the hybrid-encoding win — 2s-unary weight
-      streaming vs the pure-unary replay);
-    * the temporal:binary cycle ratio of every temporal backend
-      improves as precision drops, while binary cycles stay flat.
+      streaming vs the pure-unary replay; also enforced here);
+    * the temporal:binary cycle ratio of every temporal backend falls
+      strictly from INT8 to INT4 to INT2 (a tub burst lasts as long as
+      its tile's largest magnitude: 64 cycles worst case at INT8, 4 at
+      INT4, 1 at INT2), while binary cycles stay flat at every
+      profile, mixed included;
+    * burst-aware tile scheduling never costs tempus cycles.
 
     Energy: every backend record carries ``pj_per_image`` from the
     deployed-array power model (:func:`~repro.profiling.energy
@@ -831,7 +517,7 @@ def run_backend_benchmark(
     Args:
         spec: the sweep — its nets, registered backends (no mixed
             profiles: records carry per-backend metadata), precision
-            profiles, one geometry, batch, preset and scheduling.
+            profiles, one geometry, batch and preset.
         out_dir: where BENCH_backends.json is written (None = don't).
 
     Returns:
@@ -840,7 +526,7 @@ def run_backend_benchmark(
     backend_names = tuple(
         get_backend(name).name for name in spec.backends
     )
-    _one(spec, "geometries")
+    single(spec, "geometries")
     batch = spec.batch
     harness = SweepHarness(spec)
     config = harness.config_for()
@@ -898,6 +584,14 @@ def run_backend_benchmark(
                 "outputs_bit_identical": True,
                 "backends": records,
             }
+            if "tempus" in results:
+                baseline = harness.runner(
+                    "tempus", profile, scheduling=False
+                ).run(model, batch)
+                entry["scheduling_speedup"] = float(
+                    baseline.conv_cycles
+                    / max(results["tempus"].conv_cycles, 1)
+                )
             if "binary" in results:
                 binary = results["binary"]
                 entry["vs_binary_cycles"] = {
@@ -1086,8 +780,8 @@ def run_llm_benchmark(
     Args:
         spec: the sweep — one net (the transformer block), registered
             backends, uniform precision profiles, one geometry, the
-            shard-pool sizes re-verified per point, preset and
-            scheduling.  The decode length is the preset input size
+            shard-pool sizes re-verified per point and preset.  The
+            decode length is the preset input size
             (64 tokens full, 32 quick).
         out_dir: where BENCH_llm.json is written (None = don't).
 
@@ -1098,8 +792,8 @@ def run_llm_benchmark(
     from repro.serve import ShardedRunner
     from repro.utils.rng import make_rng
 
-    model = _one(spec, "nets")
-    _one(spec, "geometries")
+    model = single(spec, "nets")
+    single(spec, "geometries")
     backend_names = tuple(
         get_backend(name).name for name in spec.backends
     )
@@ -1175,7 +869,6 @@ def run_llm_benchmark(
                     workers=workers,
                     config=runner.config,
                     engine=name,
-                    scheduling=spec.scheduling,
                     scale=harness.scale,
                     input_size=harness.input_size,
                     precision=profile,
@@ -1302,57 +995,15 @@ def render_llm_benchmark(payload: dict) -> str:
     )
 
 
-def render_benchmark(payload: dict) -> str:
-    """Human-readable summary of a benchmark payload."""
-    columns = [
-        Column("model", "model"),
-        Column("batch", "batch"),
-        Column(
-            "tempus cycles",
-            lambda row: row["engines"]["tempus"]["conv_cycles"],
-            format=",",
-        ),
-        Column(
-            "binary cycles",
-            lambda row: row["engines"]["binary"]["conv_cycles"],
-            format=",",
-        ),
-        Column(
-            "img/Mcycle (tempus)",
-            lambda row: (
-                row["engines"]["tempus"]["images_per_million_cycles"]
-            ),
-            format=".3f",
-        ),
-        Column(
-            "sched gain",
-            "scheduling_speedup",
-            format=".3f",
-            suffix="x",
-        ),
-    ]
-    config = payload["config"]
-    return render_columns(
-        payload["models"],
-        columns,
-        title=(
-            f"batched network inference on {config['k']}x{config['n']} "
-            f"{payload['precision_layers']} "
-            f"(scale {payload['scale']}, input {payload['input_size']})"
-        ),
-    )
-
-
 #: ``python -m repro bench <spec>``: registered spec name -> (driver,
 #: renderer).
 BENCHMARKS = {
-    "networks": (run_network_benchmark, render_benchmark),
     "serving": (run_serving_benchmark, render_serving_benchmark),
     "faults": (
         run_fault_tolerance_benchmark,
         render_fault_tolerance_benchmark,
     ),
-    "precision": (run_precision_benchmark, render_precision_benchmark),
     "backends": (run_backend_benchmark, render_backend_benchmark),
     "llm": (run_llm_benchmark, render_llm_benchmark),
+    "pareto": (run_pareto_tune, render_pareto_tune),
 }

@@ -7,7 +7,8 @@
   every benchmark driver (runner caching, simulated cycle and energy
   records, artifact writing).
 * :mod:`repro.tune.autotune` — Pareto search over the design space
-  against a cycles/energy SLO (``python -m repro tune``).
+  against a cycles/energy SLO (the ``pareto`` spec,
+  ``python -m repro bench pareto``).
 """
 
 from repro.tune.autotune import (

@@ -1,9 +1,10 @@
 """Design-space autotuner: Pareto search over backend x precision x
-array geometry.
+array geometry (``python -m repro bench pareto``).
 
-Given one network and an optional SLO (a cycles-per-image and/or
-pJ-per-image budget), the tuner evaluates every assignment in a
-:class:`~repro.tune.spec.SweepSpec` grid through the generic
+Given a one-net :class:`~repro.tune.spec.SweepSpec` grid (the
+registered ``pareto`` spec by default) and an optional SLO (a
+cycles-per-image and/or pJ-per-image budget, Python API only), the
+tuner evaluates every assignment through the generic
 :class:`~repro.tune.harness.SweepHarness` — simulated cycles from the
 runtime, per-image energy from the deployed-array power model
 (:mod:`repro.profiling.energy`), silicon area from
@@ -29,14 +30,9 @@ from repro.errors import DataflowError
 from repro.hw.synthesis import SynthesisResult, synthesize
 from repro.nvdla.hwmodel import binary_array_netlist
 from repro.profiling.energy import DEFAULT_CLOCK_MHZ, DEPLOYED_WIDTH
-from repro.tune.harness import SweepHarness, write_benchmark_artifact
-from repro.tune.spec import (
-    DEFAULT_TUNE_BACKENDS,
-    DEFAULT_TUNE_GEOMETRIES,
-    DEFAULT_TUNE_PRECISIONS,
-    SweepSpec,
-    describe_geometry,
-)
+from repro.tune.harness import SweepHarness, single, \
+    write_benchmark_artifact
+from repro.tune.spec import PARETO_SWEEP, SweepSpec, describe_geometry
 from repro.utils.intrange import int_spec
 
 #: The tuner's objectives, all minimized.
@@ -199,17 +195,11 @@ def evaluate_point(harness: SweepHarness, point, slo: Slo) -> dict:
 
 
 def run_pareto_tune(
-    net: str = "mobilenet_v2",
-    backends: "tuple[str, ...] | list[str]" = DEFAULT_TUNE_BACKENDS,
-    precisions: "tuple | list" = DEFAULT_TUNE_PRECISIONS,
-    geometries: "tuple | list" = DEFAULT_TUNE_GEOMETRIES,
+    spec: SweepSpec = PARETO_SWEEP,
     slo: "Slo | None" = None,
-    batch: int = 1,
-    quick: bool = False,
-    scheduling: bool = True,
     out_dir: "str | Path | None" = "results",
 ) -> dict:
-    """Search the backend x precision x geometry grid for one net and
+    """Search a backend x precision x geometry grid for one net and
     emit the Pareto frontier (``results/BENCH_pareto.json``).
 
     Every grid assignment is evaluated through the generic sweep
@@ -220,30 +210,17 @@ def run_pareto_tune(
     budgets.
 
     Args:
-        net: zoo model name to tune for.
-        backends: backend names / mixed profiles to consider.
-        precisions: precision profiles to consider.
-        geometries: array shapes to consider ("KxN" or (k, n)).
+        spec: the grid — one net, the backend names / mixed profiles,
+            precision profiles and geometries to consider, the images
+            per evaluation run (``batch``) and the preset.
         slo: per-image budgets (None = unconstrained frontier).
-        batch: images per evaluation run.
-        quick: smaller width/resolution preset for smoke runs.
-        scheduling: apply burst-aware tile scheduling when lowering.
         out_dir: where BENCH_pareto.json is written (None = don't).
 
     Returns:
         the record written to the artifact.
     """
+    net = single(spec, "nets")
     slo = slo if slo is not None else Slo()
-    spec = SweepSpec(
-        name=f"tune:{net}",
-        nets=(net,),
-        backends=tuple(backends),
-        precisions=tuple(precisions),
-        geometries=tuple(geometries),
-        batch=batch,
-        quick=quick,
-        scheduling=scheduling,
-    )
     harness = SweepHarness(spec)
 
     points = [

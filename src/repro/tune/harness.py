@@ -5,9 +5,10 @@ width/resolution presets, runner construction (cached per
 backend/precision/geometry/scheduling), the schema-conformant
 engine/energy records, and artifact writing.  Every record it builds
 is simulated-plane data (cycles, pJ) and so deterministic; host speed
-is measured by perfbench alone.  Drivers (:mod:`repro.runtime.bench`)
-run one registered spec plus their claim-specific verification logic,
-and the design-space autotuner (:mod:`repro.tune.autotune`) scores
+is measured by perfbench alone.  Drivers run one registered spec plus
+their claim-specific verification logic: the benchmark drivers in
+:mod:`repro.runtime.bench`, and the design-space autotuner
+(:mod:`repro.tune.autotune`, the ``pareto`` spec), which scores
 harness-evaluated points against an SLO.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.errors import DataflowError
 from repro.eval.throughput import images_per_million_cycles
 from repro.nvdla.config import CoreConfig
 from repro.profiling.energy import network_energy
@@ -34,6 +36,18 @@ QUICK_PRESET = (0.125, 32)
 def preset(quick: bool) -> "tuple[float, int]":
     """The (scale, input_size) preset for a sweep."""
     return QUICK_PRESET if quick else FULL_PRESET
+
+
+def single(spec: SweepSpec, axis: str):
+    """The one entry of a spec axis a driver records once per
+    payload."""
+    values = getattr(spec, axis)
+    if len(values) != 1:
+        raise DataflowError(
+            f"the {spec.name} benchmark takes one entry on the {axis} "
+            f"axis, got {len(values)}"
+        )
+    return values[0]
 
 
 def engine_record(result, energy: "dict | None" = None) -> dict:
@@ -130,14 +144,12 @@ class SweepHarness:
         backend,
         precision,
         geometry: "tuple[int, int] | None" = None,
-        scheduling: "bool | None" = None,
+        scheduling: bool = True,
     ) -> NetworkRunner:
-        """The cached runner for one design-space assignment."""
+        """The cached runner for one design-space assignment
+        (``scheduling=False``: the unscheduled baseline)."""
         engine = backend_profile(backend).describe()
         profile = precision_profile(precision)
-        scheduling = (
-            self.spec.scheduling if scheduling is None else scheduling
-        )
         key = (
             engine,
             profile.name,
@@ -165,7 +177,6 @@ class SweepHarness:
         """The preset fields every payload carries."""
         return {
             "quick": bool(self.spec.quick),
-            "scheduling": bool(self.spec.scheduling),
             "scale": self.scale,
             "input_size": self.input_size,
         }

@@ -9,12 +9,13 @@ product of the axes is the sweep's :class:`SweepPoint` stream.
 
 Specs are plain frozen data: the generic execution engine lives in
 :class:`repro.tune.harness.SweepHarness`, and the design-space
-autotuner (:mod:`repro.tune.autotune`) is just a spec whose points are
-scored against an SLO.  The named specs registered here are the one
-definition of every committed benchmark artifact:
-``python -m repro bench <name> [--quick]`` runs one through its
-driver, and ``python -m repro list`` enumerates them next to the
-paper experiments.
+autotuner (:mod:`repro.tune.autotune`) is just a spec (``pareto``)
+whose points are scored against an SLO.  The named specs registered
+here are the one definition of every committed benchmark artifact:
+``serving``, ``faults``, ``backends`` (the one CNN backend x precision
+sweep), ``llm`` and ``pareto``.  ``python -m repro bench <name>
+[--quick]`` runs one through its driver, and ``python -m repro list``
+enumerates them next to the paper experiments.
 """
 
 from __future__ import annotations
@@ -40,20 +41,6 @@ DEFAULT_WORKER_COUNTS = (1, 2, 4)
 #: paper's three uniform precisions.
 DEFAULT_BACKEND_SWEEP = ("binary", "tempus", "tugemm", "tubgemm")
 DEFAULT_BACKEND_PRECISIONS = ("int8", "int4", "int2")
-
-#: Autotuner default grid: both pure arrays, the hybrid-encoding gemm
-#: core, and a mixed first/last-on-binary deployment, across the
-#: paper's precisions and the geometries its evaluation names
-#: (nv_small's 8x8, the P&R case study's 16x4, the 16x16 workhorse and
-#: a scaled-up 32x32).
-DEFAULT_TUNE_BACKENDS = (
-    "binary",
-    "tempus",
-    "tubgemm",
-    "binary/tubgemm/binary",
-)
-DEFAULT_TUNE_PRECISIONS = ("int8", "int4", "mixed")
-DEFAULT_TUNE_GEOMETRIES = ("8x8", "16x4", "16x16", "32x32")
 
 
 def check_models(models) -> None:
@@ -153,7 +140,6 @@ class SweepSpec:
         batch: images per point run (the request-stream length for
             the serving sweeps).
         quick: use the CI-speed preset.
-        scheduling: apply burst-aware tile scheduling when lowering.
         workers: shard-pool sizes (the serving sweeps, and the llm
             decode's sharded re-verification; empty otherwise).
         description: one-line summary for ``python -m repro list``.
@@ -166,7 +152,6 @@ class SweepSpec:
     geometries: "tuple[tuple[int, int], ...]" = (DEFAULT_GEOMETRY,)
     batch: int = 1
     quick: bool = False
-    scheduling: bool = True
     workers: "tuple[int, ...]" = ()
     description: str = ""
 
@@ -284,23 +269,9 @@ def registered_sweeps() -> "tuple[SweepSpec, ...]":
 
 
 #: The sweeps behind the committed benchmark artifacts, as declarative
-#: data: each driver in :mod:`repro.runtime.bench` takes one of these
-#: (``dataclasses.replace`` one to run a smaller grid).
-NETWORKS_SWEEP = register_sweep(
-    SweepSpec(
-        name="networks",
-        # The two Table-I models with the most dissimilar structure
-        # (depthwise-heavy vs dense-residual).
-        nets=("mobilenet_v2", "resnet18"),
-        backends=("binary", "tempus"),
-        precisions=("int8",),
-        batch=4,
-        description=(
-            "batched inference on both engines (BENCH_networks.json)"
-        ),
-    )
-)
-
+#: data: each driver registered in :data:`repro.runtime.bench
+#: .BENCHMARKS` takes one of these (``dataclasses.replace`` one to run a
+#: smaller grid).
 SERVING_SWEEP = register_sweep(
     SweepSpec(
         name="serving",
@@ -330,29 +301,19 @@ FAULTS_SWEEP = register_sweep(
     )
 )
 
-PRECISION_SWEEP = register_sweep(
-    SweepSpec(
-        name="precision",
-        nets=DEFAULT_SERVING_MODELS,
-        backends=("tempus", "binary"),
-        # The three uniform paper precisions plus the standard mixed
-        # edge recipe.
-        precisions=("int8", "int4", "int2", "mixed"),
-        batch=4,
-        description=(
-            "precision scaling on both engines (BENCH_precision.json)"
-        ),
-    )
-)
-
 BACKENDS_SWEEP = register_sweep(
     SweepSpec(
         name="backends",
         nets=DEFAULT_SERVING_MODELS,
         backends=DEFAULT_BACKEND_SWEEP,
-        precisions=DEFAULT_BACKEND_PRECISIONS,
+        # The three uniform paper precisions plus the standard mixed
+        # edge recipe.
+        precisions=DEFAULT_BACKEND_PRECISIONS + ("mixed",),
         batch=4,
-        description="compute-backend sweep (BENCH_backends.json)",
+        description=(
+            "the CNN sweep: every backend x precision on three nets "
+            "(BENCH_backends.json)"
+        ),
     )
 )
 
@@ -371,13 +332,18 @@ LLM_SWEEP = register_sweep(
     )
 )
 
+#: The autotuner grid: both pure arrays, the hybrid-encoding gemm core,
+#: and a mixed first/last-on-binary deployment, across the paper's
+#: precisions and the geometries its evaluation names (nv_small's 8x8,
+#: the P&R case study's 16x4, the 16x16 workhorse and a scaled-up
+#: 32x32).
 PARETO_SWEEP = register_sweep(
     SweepSpec(
         name="pareto",
         nets=("mobilenet_v2",),
-        backends=DEFAULT_TUNE_BACKENDS,
-        precisions=DEFAULT_TUNE_PRECISIONS,
-        geometries=DEFAULT_TUNE_GEOMETRIES,
+        backends=("binary", "tempus", "tubgemm", "binary/tubgemm/binary"),
+        precisions=("int8", "int4", "mixed"),
+        geometries=("8x8", "16x4", "16x16", "32x32"),
         batch=1,
         description=(
             "design-space autotuner grid: backend x precision x "

@@ -1,8 +1,12 @@
 """Tests for the python -m repro CLI."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
+from repro.runtime.bench import BENCHMARKS
+from repro.tune.spec import registered_sweeps
 
 
 class TestCli:
@@ -41,34 +45,30 @@ class TestCli:
 
 class TestBench:
     def test_unknown_spec_fails_cleanly(self, capsys, tmp_path):
-        assert main(["bench", "pareto", "--out", str(tmp_path)]) == 2
+        assert main(["bench", "networks", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "unknown benchmark spec 'pareto'" in err
-        for name in ("networks", "serving", "faults", "precision",
-                     "backends", "llm"):
+        assert "unknown benchmark spec 'networks'" in err
+        for name in ("serving", "faults", "backends", "llm", "pareto"):
             assert name in err
         assert not list(tmp_path.iterdir())
 
-    def test_networks_quick_writes_only_its_artifact(
-        self, capsys, tmp_path
-    ):
-        assert main(
-            ["bench", "networks", "--quick", "--out", str(tmp_path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "mobilenet_v2" in out and "resnet18" in out
-        assert [path.name for path in tmp_path.iterdir()] == [
-            "BENCH_networks.json"
+    def test_every_registered_spec_is_a_benchmark(self):
+        assert set(BENCHMARKS) == {
+            spec.name for spec in registered_sweeps()
+        }
+        assert list(BENCHMARKS) == [
+            "serving", "faults", "backends", "llm", "pareto",
         ]
-        assert main(["check-results", str(tmp_path)]) == 0
-        assert "BENCH_networks.json: 4 records ok" in (
-            capsys.readouterr().out
-        )
 
     def test_only_quick_and_out_options(self, capsys):
-        for option in ("--workers", "--models", "--batch"):
+        for option in ("--workers", "--models", "--batch", "--slo-pj"):
             with pytest.raises(SystemExit):
-                main(["bench", "networks", option, "2"])
+                main(["bench", "backends", option, "2"])
+        capsys.readouterr()
+
+    def test_tune_command_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["tune", "--quick"])
         capsys.readouterr()
 
 
@@ -88,84 +88,32 @@ class TestListSweepSpecs:
     def test_list_enumerates_registered_sweeps(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "sweep specs (bench):" in out
-        assert "sweep specs (tune):" in out
-        bench = out[out.index("sweep specs (bench):"):
-                    out.index("sweep specs (tune):")]
-        for name in ("networks", "serving", "faults", "precision",
-                     "backends", "llm"):
+        assert out.count("sweep specs") == 1
+        bench = out[out.index("sweep specs (bench):"):]
+        for name in ("serving", "faults", "backends", "llm", "pareto"):
             assert f"\n{name} " in bench
-        assert "pareto" not in bench
         # Axes are shown so the grid is readable without opening code.
-        assert "geometries=8x8,16x4,16x16,32x32" in out
+        assert "precisions=int8,int4,int2,mixed" in bench
+        assert "geometries=8x8,16x4,16x16,32x32" in bench
 
 
 class TestTune:
     def test_quick_tune_writes_artifact(self, capsys, tmp_path):
-        code = main(
-            [
-                "tune",
-                "--net",
-                "mobilenet_v2",
-                "--quick",
-                "--backends",
-                "binary",
-                "tempus",
-                "--precisions",
-                "int8",
-                "--geometries",
-                "8x8",
-                "16x16",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
+        """The autotuner runs as the ``pareto`` bench spec and writes
+        only its artifact, which check-results accepts."""
+        assert main(
+            ["bench", "pareto", "--quick", "--out", str(tmp_path)]
+        ) == 0
         out = capsys.readouterr().out
         assert "design-space Pareto frontier for mobilenet_v2" in out
-        assert "wrote" in out
-        import json
-
-        payload = json.loads(
-            (tmp_path / "BENCH_pareto.json").read_text()
-        )
+        assert "SLO: unconstrained" in out
+        assert [path.name for path in tmp_path.iterdir()] == [
+            "BENCH_pareto.json"
+        ]
+        payload = json.loads((tmp_path / "BENCH_pareto.json").read_text())
         assert payload["benchmark"] == "pareto_tune"
-        assert payload["explored"] == 4
-        assert payload["frontier"]
-
-    def test_bad_geometry_fails_cleanly(self, capsys, tmp_path):
-        code = main(
-            [
-                "tune",
-                "--quick",
-                "--geometries",
-                "0x16",
-                "--out",
-                str(tmp_path),
-            ]
+        assert payload["explored"] == 48
+        assert main(["check-results", str(tmp_path)]) == 0
+        assert "BENCH_pareto.json: 48 records ok" in (
+            capsys.readouterr().out
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "tune failed" in err
-        assert "k must be >= 1" in err
-
-    def test_infeasible_slo_fails_cleanly(self, capsys, tmp_path):
-        code = main(
-            [
-                "tune",
-                "--quick",
-                "--backends",
-                "tempus",
-                "--precisions",
-                "int8",
-                "--geometries",
-                "8x8",
-                "--slo-cycles",
-                "1",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "tightest achievable" in err

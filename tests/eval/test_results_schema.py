@@ -17,28 +17,6 @@ REPO_RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 class TestNormalizers:
-    def test_network_payload(self):
-        payload = {
-            "precision_profile": "int4",
-            "models": [
-                {
-                    "model": "resnet18",
-                    "engines": {
-                        "binary": {"conv_cycles": 10},
-                        "tempus": {"conv_cycles": 20},
-                    },
-                    "outputs_bit_identical": True,
-                    "scheduling_speedup": 1.0,
-                }
-            ],
-        }
-        records = normalize_records("BENCH_networks.json", payload)
-        assert len(records) == 2
-        for record in records:
-            assert set(COMMON_FIELDS) <= set(record)
-            assert record["net"] == "resnet18"
-            assert record["precision"] == "int4"
-
     def test_serving_transport_validates(self):
         payload = {
             "engine": "tempus",
@@ -80,10 +58,12 @@ class TestNormalizers:
                         {
                             "net": "resnet18",
                             "precision": "int2",
+                            "outputs_bit_identical": True,
                             "backends": {
                                 "tubgemm": {
                                     "conv_cycles": 7,
                                     "energy": {"pj_per_image": 3.0},
+                                    "temporal": True,
                                 },
                             },
                         }
@@ -197,11 +177,11 @@ class TestNormalizers:
 
     def test_malformed_payload_rejected(self):
         with pytest.raises(DataflowError):
-            normalize_records("BENCH_networks.json", {"models": [{}]})
+            normalize_records("BENCH_backends.json", {"models": [{}]})
 
     def test_empty_payload_rejected(self):
         with pytest.raises(DataflowError):
-            normalize_records("BENCH_networks.json", {"models": []})
+            normalize_records("BENCH_backends.json", {"models": []})
 
 
 def _set(path, value):
@@ -222,8 +202,16 @@ def _tubgemm_not_below(payload):
 
 
 def _binary_cycles_vary(payload):
-    stats = payload["models"][0]["precisions"][1]["backends"]["binary"]
+    # The mixed profile (last entry) must sit on the same flat line.
+    stats = payload["models"][0]["precisions"][-1]["backends"]["binary"]
     stats["conv_cycles"] += 1
+
+
+def _tugemm_int2_not_below_int4(payload):
+    # Binary cycles stay flat, so this breaks tuGEMM's ratio only.
+    entries = payload["models"][2]["precisions"]
+    int4, int2 = entries[1]["backends"], entries[2]["backends"]
+    int2["tugemm"]["conv_cycles"] = int4["tugemm"]["conv_cycles"]
 
 
 def _no_recovery_at(rate):
@@ -238,28 +226,21 @@ def _no_recovery_at(rate):
 
 #: (artifact, mutation violating one claim, expected message).
 CLAIM_VIOLATIONS = {
-    "networks-bit-identity": (
-        "BENCH_networks.json",
-        _set(["models", 0, "outputs_bit_identical"], False),
-        "engine outputs differ",
+    "backends-bit-identity": (
+        "BENCH_backends.json",
+        _set(["models", 0, "precisions", 3, "outputs_bit_identical"],
+             False),
+        "backend outputs differ",
     ),
-    "networks-scheduling": (
-        "BENCH_networks.json",
-        _set(["models", 1, "scheduling_speedup"], 0.99),
-        "scheduling costs cycles",
+    "backends-scheduling": (
+        "BENCH_backends.json",
+        _set(["models", 1, "precisions", 0, "scheduling_speedup"], 0.99),
+        "scheduling costs tempus cycles",
     ),
-    "precision-monotonic": (
-        "BENCH_precision.json",
-        _set(["models", 2, "ratio_improves_monotonically"], False),
-        "does not improve",
-    ),
-    "precision-sharded": (
-        "BENCH_precision.json",
-        _set(
-            ["sharded_verification", "bit_identical_outputs_and_cycles"],
-            False,
-        ),
-        "sharded serving diverged",
+    "backends-ratio-falls": (
+        "BENCH_backends.json",
+        _tugemm_int2_not_below_int4,
+        "the tugemm:binary cycle ratio does not fall",
     ),
     "backends-tubgemm-below-tugemm": (
         "BENCH_backends.json",
@@ -334,7 +315,7 @@ class TestDirectoryCheck:
         """Every artifact this repo ships parses and normalizes to the
         common record fields — the CI contract."""
         checked = check_results_dir(REPO_RESULTS)
-        assert "BENCH_networks.json" in checked
+        assert "BENCH_pareto.json" in checked
         assert "BENCH_backends.json" in checked
         for records in checked.values():
             for record in records:
@@ -352,7 +333,7 @@ class TestDirectoryCheck:
             check_results_dir(tmp_path)
 
     def test_invalid_json_rejected(self, tmp_path):
-        (tmp_path / "BENCH_networks.json").write_text("{not json")
+        (tmp_path / "BENCH_backends.json").write_text("{not json")
         with pytest.raises(DataflowError):
             check_results_dir(tmp_path)
 
@@ -368,8 +349,8 @@ class TestDirectoryCheck:
             normalize_records("BENCH_engine.json", {"not": "a list"})
         with pytest.raises(DataflowError):
             normalize_records(
-                "BENCH_networks.json",
-                {"models": [{"model": "x", "engines": ["oops"]}]},
+                "BENCH_backends.json",
+                {"models": [{"model": "x", "precisions": {"oops": 1}}]},
             )
 
     def test_non_numeric_cycles_rejected_cleanly(self):
@@ -377,9 +358,18 @@ class TestDirectoryCheck:
             "models": [
                 {
                     "model": "x",
-                    "engines": {"binary": {"conv_cycles": "NaN"}},
+                    "precisions": [
+                        {
+                            "net": "x",
+                            "precision": "int8",
+                            "outputs_bit_identical": True,
+                            "backends": {
+                                "binary": {"conv_cycles": "NaN"}
+                            },
+                        }
+                    ],
                 }
             ]
         }
         with pytest.raises(DataflowError):
-            normalize_records("BENCH_networks.json", payload)
+            normalize_records("BENCH_backends.json", payload)

@@ -1,4 +1,4 @@
-"""Tests for the network and serving benchmark drivers."""
+"""Tests for the CNN (backends) and serving benchmark drivers."""
 
 import json
 from dataclasses import replace
@@ -7,19 +7,12 @@ import pytest
 
 from repro.errors import DataflowError
 from repro.runtime.bench import (
-    render_benchmark,
-    render_precision_benchmark,
+    render_backend_benchmark,
     render_serving_benchmark,
-    run_network_benchmark,
-    run_precision_benchmark,
+    run_backend_benchmark,
     run_serving_benchmark,
 )
-from repro.tune.spec import (
-    BACKENDS_SWEEP,
-    NETWORKS_SWEEP,
-    PRECISION_SWEEP,
-    SERVING_SWEEP,
-)
+from repro.tune.spec import BACKENDS_SWEEP, SERVING_SWEEP
 
 
 def small(spec, **axes):
@@ -29,121 +22,117 @@ def small(spec, **axes):
 
 @pytest.fixture(scope="module")
 def payload(tmp_path_factory):
+    """The registered CNN sweep (3 nets x 4 backends x int8/int4/int2/
+    mixed) on the quick 4x4 array."""
     out_dir = tmp_path_factory.mktemp("bench")
-    return run_network_benchmark(
-        small(NETWORKS_SWEEP, batch=2), out_dir=out_dir
+    return run_backend_benchmark(
+        small(BACKENDS_SWEEP, batch=2), out_dir=out_dir
     )
 
 
+def by_precision(record: dict) -> dict:
+    return {entry["precision"]: entry for entry in record["precisions"]}
+
+
 class TestNetworkBenchmark:
+    """Per-network records of the CNN sweep: bit-identity, cycles,
+    throughput and the tempus scheduling gain."""
+
     def test_artifact_written_and_parseable(self, payload):
         artifact = payload["artifact"]
-        assert artifact.endswith("BENCH_networks.json")
+        assert artifact.endswith("BENCH_backends.json")
         data = json.loads(open(artifact).read())
-        assert data["benchmark"] == "network_inference"
-        assert len(data["models"]) == 2
+        assert [record["model"] for record in data["models"]] == [
+            "mobilenet_v2", "resnet18", "shufflenet_v2",
+        ]
+        assert "scheduling" not in data
 
     def test_required_fields(self, payload):
         for record in payload["models"]:
-            assert record["outputs_bit_identical"] is True
-            assert record["scheduling_speedup"] >= 1.0
-            assert record["tempus_vs_binary_throughput"] > 0
-            for engine in ("tempus", "binary"):
-                stats = record["engines"][engine]
-                assert stats["conv_cycles"] > 0
-                assert stats["images_per_million_cycles"] > 0
+            for entry in record["precisions"]:
+                assert entry["outputs_bit_identical"] is True
+                assert entry["scheduling_speedup"] >= 1.0
+                for stats in entry["backends"].values():
+                    assert stats["conv_cycles"] > 0
+                    assert stats["images_per_million_cycles"] > 0
 
     def test_render_mentions_every_model(self, payload):
-        text = render_benchmark(payload)
-        assert "mobilenet_v2" in text and "resnet18" in text
+        text = render_backend_benchmark(payload)
+        for model in ("mobilenet_v2", "resnet18", "shufflenet_v2"):
+            assert model in text
 
     def test_unknown_model_rejected(self):
         with pytest.raises(DataflowError):
-            run_network_benchmark(
-                replace(NETWORKS_SWEEP, nets=("lenet",)), out_dir=None
+            run_backend_benchmark(
+                replace(BACKENDS_SWEEP, nets=("lenet",)), out_dir=None
             )
 
     def test_bad_batch_rejected(self):
         with pytest.raises(DataflowError):
-            run_network_benchmark(
-                replace(NETWORKS_SWEEP, batch=0), out_dir=None
+            run_backend_benchmark(
+                replace(BACKENDS_SWEEP, batch=0), out_dir=None
             )
 
     def test_no_artifact_when_out_dir_none(self):
-        result = run_network_benchmark(
-            small(NETWORKS_SWEEP, nets=("resnet18",), batch=1),
+        result = run_backend_benchmark(
+            small(
+                BACKENDS_SWEEP,
+                nets=("resnet18",),
+                backends=("tempus",),
+                precisions=("int8",),
+                batch=1,
+            ),
             out_dir=None,
         )
         assert "artifact" not in result
-
-
-@pytest.fixture(scope="module")
-def precision_payload(tmp_path_factory):
-    out_dir = tmp_path_factory.mktemp("precision")
-    return run_precision_benchmark(
-        small(
-            PRECISION_SWEEP,
-            nets=("resnet18", "shufflenet_v2"),
-            precisions=("int8", "int4", "int2", "mixed"),
-            batch=2,
-        ),
-        out_dir=out_dir,
-    )
+        # Without binary in the sweep there is no ratio to record,
+        # but the tempus scheduling gain still is.
+        entry = result["models"][0]["precisions"][0]
+        assert "vs_binary_cycles" not in entry
+        assert entry["scheduling_speedup"] >= 1.0
 
 
 class TestPrecisionBenchmark:
-    def test_artifact_written_and_parseable(self, precision_payload):
-        artifact = precision_payload["artifact"]
-        assert artifact.endswith("BENCH_precision.json")
-        data = json.loads(open(artifact).read())
-        assert data["benchmark"] == "precision_sweep"
+    """The paper's scaling axis across the CNN sweep's precision
+    profiles: temporal cycles fall with precision, binary stays
+    flat."""
+
+    def test_artifact_written_and_parseable(self, payload):
+        data = json.loads(open(payload["artifact"]).read())
+        assert data["benchmark"] == "backend_sweep"
         assert data["precisions"] == ["int8", "int4", "int2", "mixed"]
 
-    def test_every_point_bit_identical(self, precision_payload):
-        for record in precision_payload["models"]:
+    def test_every_point_bit_identical(self, payload):
+        for record in payload["models"]:
             assert len(record["precisions"]) == 4
             for entry in record["precisions"]:
                 assert entry["outputs_bit_identical"] is True
-                for engine in ("tempus", "binary"):
-                    assert (
-                        entry["engines"][engine]["conv_cycles"] > 0
-                    )
+                for stats in entry["backends"].values():
+                    assert stats["reference_path_verified"] is True
 
-    def test_ratio_improves_monotonically(self, precision_payload):
+    def test_ratio_improves_monotonically(self, payload):
         """The load-bearing paper-family claim: the tempus:binary
         cycle ratio improves as precision drops, on every model."""
-        for record in precision_payload["models"]:
-            assert record["ratio_improves_monotonically"] is True
-            by_name = {
-                entry["precision"]: entry
-                for entry in record["precisions"]
-            }
+        for record in payload["models"]:
+            entries = by_precision(record)
             assert (
-                by_name["int8"]["tempus_vs_binary_cycle_ratio"]
-                > by_name["int4"]["tempus_vs_binary_cycle_ratio"]
-                > by_name["int2"]["tempus_vs_binary_cycle_ratio"]
+                entries["int8"]["tempus_vs_binary_cycle_ratio"]
+                > entries["int4"]["tempus_vs_binary_cycle_ratio"]
+                > entries["int2"]["tempus_vs_binary_cycle_ratio"]
             )
 
-    def test_binary_cycles_precision_independent(
-        self, precision_payload
-    ):
-        for record in precision_payload["models"]:
-            uniform = [
-                entry["engines"]["binary"]["conv_cycles"]
+    def test_binary_cycles_precision_independent(self, payload):
+        for record in payload["models"]:
+            cycles = {
+                entry["backends"]["binary"]["conv_cycles"]
                 for entry in record["precisions"]
-            ]
-            assert len(set(uniform)) == 1
+            }
+            assert len(cycles) == 1
 
-    def test_sharded_verification_recorded(self, precision_payload):
-        verification = precision_payload["sharded_verification"]
-        assert verification["precision"] == "int4"
-        assert verification["bit_identical_outputs_and_cycles"] is True
-
-    def test_render_mentions_profiles(self, precision_payload):
-        text = render_precision_benchmark(precision_payload)
+    def test_render_mentions_profiles(self, payload):
+        text = render_backend_benchmark(payload)
         assert "INT8/INT4/INT8" in text
-        assert "tempus:binary" in text
-        assert "sharded serving @ int4" in text
+        assert "cycles vs binary" in text
 
     def test_bad_inputs_rejected(self):
         for axes in (
@@ -153,41 +142,27 @@ class TestPrecisionBenchmark:
             {"geometries": ("4x4", "8x8")},
         ):
             with pytest.raises(DataflowError):
-                run_precision_benchmark(
-                    replace(PRECISION_SWEEP, **axes), out_dir=None
+                run_backend_benchmark(
+                    replace(BACKENDS_SWEEP, **axes), out_dir=None
                 )
-
-    def test_verify_profile_outside_sweep(self):
-        """Regression: the sharded-verification profile (int4) need
-        not appear in the swept precisions."""
-        payload = run_precision_benchmark(
-            small(
-                PRECISION_SWEEP,
-                nets=("resnet18",),
-                precisions=("int8", "int2"),
-                batch=1,
-            ),
-            out_dir=None,
-        )
-        verification = payload["sharded_verification"]
-        assert verification["precision"] == "int4"
-        assert verification["bit_identical_outputs_and_cycles"] is True
 
 
 class TestPrecisionThroughDrivers:
     def test_network_benchmark_accepts_profile(self):
-        payload = run_network_benchmark(
+        payload = run_backend_benchmark(
             small(
-                NETWORKS_SWEEP,
+                BACKENDS_SWEEP,
                 nets=("resnet18",),
+                backends=("binary", "tempus"),
                 precisions=("mixed",),
                 batch=1,
             ),
             out_dir=None,
         )
-        assert payload["precision_profile"] == "mixed"
-        assert payload["precision_layers"] == "INT8/INT4/INT8"
-        assert payload["config"]["precision"] == "INT8"
+        (entry,) = payload["models"][0]["precisions"]
+        assert payload["precisions"] == ["mixed"]
+        assert entry["layers"] == "INT8/INT4/INT8"
+        assert entry["tempus_vs_binary_cycle_ratio"] > 1.0
 
     def test_serving_benchmark_accepts_profile(self):
         payload = run_serving_benchmark(
@@ -271,17 +246,8 @@ class TestServingBenchmark:
 
 
 class TestBackendBenchmark:
-    @pytest.fixture(scope="class")
-    def backend_payload(self, tmp_path_factory):
-        from repro.runtime.bench import run_backend_benchmark
-
-        out_dir = tmp_path_factory.mktemp("backend-bench")
-        return run_backend_benchmark(
-            small(BACKENDS_SWEEP, batch=2), out_dir=out_dir
-        )
-
-    def test_artifact_written_and_parseable(self, backend_payload):
-        artifact = backend_payload["artifact"]
+    def test_artifact_written_and_parseable(self, payload):
+        artifact = payload["artifact"]
         assert artifact.endswith("BENCH_backends.json")
         data = json.loads(open(artifact).read())
         assert data["benchmark"] == "backend_sweep"
@@ -293,12 +259,12 @@ class TestBackendBenchmark:
             "tubgemm",
         }
 
-    def test_records_carry_cycles_and_energy(self, backend_payload):
+    def test_records_carry_cycles_and_energy(self, payload):
         """The artifact contract: cycles + pJ/image for every (net,
         backend, precision) point, bit-identical outputs, tubGEMM
         strictly below tuGEMM."""
-        for record in backend_payload["models"]:
-            assert len(record["precisions"]) == 3
+        for record in payload["models"]:
+            assert len(record["precisions"]) == 4
             for entry in record["precisions"]:
                 assert entry["outputs_bit_identical"]
                 assert entry["tubgemm_below_tugemm"]
@@ -309,16 +275,13 @@ class TestBackendBenchmark:
                 assert entry["burst_energy"]["energy_gap"] > 0
 
     def test_temporal_ratio_improves_as_precision_drops(
-        self, backend_payload
+        self, payload
     ):
-        for record in backend_payload["models"]:
-            by_precision = {
-                entry["precision"]: entry
-                for entry in record["precisions"]
-            }
+        for record in payload["models"]:
+            entries = by_precision(record)
             for backend in ("tempus", "tubgemm", "tugemm"):
                 ratios = [
-                    by_precision[p]["vs_binary_cycles"][backend]
+                    entries[p]["vs_binary_cycles"][backend]
                     for p in ("int8", "int4", "int2")
                 ]
                 assert ratios[0] > ratios[1] > ratios[2], (
@@ -327,13 +290,10 @@ class TestBackendBenchmark:
                 )
 
     def test_energy_flat_for_binary_dropping_for_temporal(
-        self, backend_payload
+        self, payload
     ):
-        for record in backend_payload["models"]:
-            entries = {
-                entry["precision"]: entry
-                for entry in record["precisions"]
-            }
+        for record in payload["models"]:
+            entries = by_precision(record)
             binary_pj = {
                 entries[p]["backends"]["binary"]["energy"]["pj_per_image"]
                 for p in ("int8", "int4", "int2")
@@ -345,17 +305,13 @@ class TestBackendBenchmark:
             ]
             assert tempus_pj[0] > tempus_pj[1] > tempus_pj[2]
 
-    def test_render_mentions_every_backend(self, backend_payload):
-        from repro.runtime.bench import render_backend_benchmark
-
-        text = render_backend_benchmark(backend_payload)
+    def test_render_mentions_every_backend(self, payload):
+        text = render_backend_benchmark(payload)
         for backend in ("binary", "tempus", "tugemm", "tubgemm"):
             assert backend in text
         assert "pJ/image" in text
 
     def test_duplicate_backends_rejected(self):
-        from repro.runtime.bench import run_backend_benchmark
-
         with pytest.raises(DataflowError):
             run_backend_benchmark(
                 replace(BACKENDS_SWEEP, backends=("binary", "BINARY")),
@@ -363,8 +319,6 @@ class TestBackendBenchmark:
             )
 
     def test_empty_backends_rejected(self):
-        from repro.runtime.bench import run_backend_benchmark
-
         with pytest.raises(DataflowError):
             run_backend_benchmark(
                 replace(BACKENDS_SWEEP, backends=()), out_dir=None
@@ -372,14 +326,14 @@ class TestBackendBenchmark:
 
 
 class TestEnergyInDrivers:
-    def test_network_benchmark_records_energy(self):
-        payload = run_network_benchmark(
-            small(NETWORKS_SWEEP, nets=("resnet18",), batch=1),
-            out_dir=None,
-        )
-        record = payload["models"][0]
-        for engine in ("tempus", "binary"):
-            energy = record["engines"][engine]["energy"]
-            assert energy["pj_per_image"] > 0
-            assert energy["deployed_precision"] == "INT8"
-        assert record["tempus_vs_binary_energy"] > 0
+    def test_network_benchmark_records_energy(self, payload):
+        for record in payload["models"]:
+            for entry in record["precisions"]:
+                for stats in entry["backends"].values():
+                    energy = stats["energy"]
+                    assert energy["pj_per_image"] > 0
+                    assert energy["deployed_precision"] == "INT8"
+                assert all(
+                    ratio > 0
+                    for ratio in entry["vs_binary_energy"].values()
+                )

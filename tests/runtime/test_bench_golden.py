@@ -1,9 +1,11 @@
 """Before/after payload pinning for the spec-driven bench drivers.
 
 The fixtures under ``tests/runtime/golden/`` were generated by the
-pre-refactor drivers (each in a fresh process).  Every field the
-drivers write is simulated-plane data, so the payloads must reproduce
-them bit-identically.  The serving queue's depth high-watermark
+drivers in a fresh process; the backend fixture's tempus and binary
+records equal those of the retired single-purpose network and
+precision drivers at the same points.  Every field the drivers write
+is simulated-plane data, so the payloads must reproduce them
+bit-identically.  The serving queue's depth high-watermark
 depends on thread timing, so it is range-checked instead of pinned.
 """
 
@@ -11,18 +13,9 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from repro.runtime.bench import (
-    run_backend_benchmark,
-    run_network_benchmark,
-    run_precision_benchmark,
-    run_serving_benchmark,
-)
-from repro.tune.spec import (
-    BACKENDS_SWEEP,
-    NETWORKS_SWEEP,
-    PRECISION_SWEEP,
-    SERVING_SWEEP,
-)
+from repro.runtime.bench import run_backend_benchmark, \
+    run_serving_benchmark
+from repro.tune.spec import BACKENDS_SWEEP, SERVING_SWEEP
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -51,13 +44,6 @@ def queue_stats(payload: dict) -> list:
 
 
 class TestGoldenPayloads:
-    def test_network_payload_bit_identical(self):
-        payload = run_network_benchmark(
-            small(NETWORKS_SWEEP, batch=2, precisions=("mixed",)),
-            out_dir=None,
-        )
-        assert roundtrip(payload) == golden("network")
-
     def test_serving_payload_bit_identical(self):
         requests = 4
         payload = run_serving_benchmark(
@@ -81,17 +67,6 @@ class TestGoldenPayloads:
         for point in queue_stats(expected):
             point.pop("depth_high_watermark")
         assert actual == expected
-
-    def test_precision_payload_bit_identical(self):
-        payload = run_precision_benchmark(
-            small(
-                PRECISION_SWEEP,
-                nets=("resnet18", "shufflenet_v2"),
-                batch=2,
-            ),
-            out_dir=None,
-        )
-        assert roundtrip(payload) == golden("precision")
 
     def test_backend_payload_bit_identical(self):
         payload = run_backend_benchmark(

@@ -1,5 +1,7 @@
 """Tests for the design-space autotuner."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import DataflowError
@@ -13,15 +15,15 @@ from repro.tune.autotune import (
     render_pareto_tune,
     run_pareto_tune,
 )
+from repro.tune.spec import PARETO_SWEEP
 
 #: A small grid the quick preset evaluates in well under a second.
-QUICK_GRID = dict(
-    net="mobilenet_v2",
+QUICK_GRID = replace(
+    PARETO_SWEEP,
     backends=("binary", "tempus"),
     precisions=("int8", "int4"),
     geometries=("8x8", "16x16"),
     quick=True,
-    out_dir=None,
 )
 
 
@@ -118,7 +120,7 @@ class TestAreaModel:
 class TestRunParetoTune:
     @pytest.fixture(scope="class")
     def payload(self):
-        return run_pareto_tune(**QUICK_GRID)
+        return run_pareto_tune(QUICK_GRID, out_dir=None)
 
     def test_payload_shape(self, payload):
         assert payload["benchmark"] == "pareto_tune"
@@ -166,10 +168,9 @@ class TestRunParetoTune:
             DataflowError, match="tightest achievable"
         ):
             run_pareto_tune(
-                **{
-                    **QUICK_GRID,
-                    "slo": Slo(max_cycles_per_image=1.0),
-                }
+                QUICK_GRID,
+                slo=Slo(max_cycles_per_image=1.0),
+                out_dir=None,
             )
 
     def test_slo_filters_feasible_set(self, payload):
@@ -177,10 +178,9 @@ class TestRunParetoTune:
             p["cycles_per_image"] for p in payload["points"]
         )
         constrained = run_pareto_tune(
-            **{
-                **QUICK_GRID,
-                "slo": Slo(max_cycles_per_image=budget - 1),
-            }
+            QUICK_GRID,
+            slo=Slo(max_cycles_per_image=budget - 1),
+            out_dir=None,
         )
         assert constrained["feasible"] < constrained["explored"]
         assert all(
@@ -189,13 +189,13 @@ class TestRunParetoTune:
 
     def test_writes_artifact(self, tmp_path):
         payload = run_pareto_tune(
-            **{
-                **QUICK_GRID,
-                "backends": ("tempus",),
-                "precisions": ("int8",),
-                "geometries": ("8x8",),
-                "out_dir": tmp_path,
-            }
+            replace(
+                QUICK_GRID,
+                backends=("tempus",),
+                precisions=("int8",),
+                geometries=("8x8",),
+            ),
+            out_dir=tmp_path,
         )
         artifact = tmp_path / "BENCH_pareto.json"
         assert artifact.exists()
@@ -207,3 +207,35 @@ class TestRunParetoTune:
         assert "8 assignments explored" in text
         assert "SLO: unconstrained" in text
         assert "cycles/image" in text and "mm^2" in text
+
+    def test_multi_net_grid_rejected(self):
+        with pytest.raises(DataflowError, match="one entry on the nets"):
+            run_pareto_tune(
+                replace(QUICK_GRID, nets=("mobilenet_v2", "resnet18")),
+                out_dir=None,
+            )
+
+    def test_default_grid_frontier_spans_assignments(self):
+        """On the registered grid at the quick preset the frontier is
+        dominance-free and spans >= 3 distinct (backend, precision,
+        geometry) assignments."""
+        payload = run_pareto_tune(
+            replace(PARETO_SWEEP, quick=True), out_dir=None
+        )
+        frontier = payload["frontier"]
+        for point in frontier:
+            assert not any(
+                dominates(other, point)
+                for other in frontier
+                if other is not point
+            )
+        assignments = {
+            (
+                point["backend"],
+                point["precision"],
+                point["geometry"]["k"],
+                point["geometry"]["n"],
+            )
+            for point in frontier
+        }
+        assert len(assignments) >= 3

@@ -186,10 +186,9 @@ class TestSweepSpec:
 class TestRegistry:
     def test_default_sweeps_registered(self):
         names = {spec.name for spec in registered_sweeps()}
-        assert {
-            "networks", "serving", "faults", "precision", "backends",
-            "llm", "pareto",
-        } <= names
+        assert names == {
+            "serving", "faults", "backends", "llm", "pareto",
+        }
 
     def test_get_sweep(self):
         assert get_sweep("pareto").geometries == (
