@@ -141,7 +141,7 @@ def run(quick: bool = False, write: bool = True) -> dict:
 def test_burst_engine_speedup():
     """Tracked invariant: the burst engine is bit-identical (asserted in
     measure()) and dramatically faster than the tick engine."""
-    record = run(quick=True)
+    record = run(quick=True, write=False)
     assert record["speedup_burst_vs_tick"] >= SPEEDUP_FLOOR
 
 

@@ -8,8 +8,8 @@ Usage::
     python -m repro run all --out results/   # every experiment
     python -m repro bench backends           # one registered benchmark
     python -m repro bench serving --quick    # spec -> BENCH_<spec>.json
-                                             # (serving, faults,
-                                             # backends, llm, pareto)
+                                             # (serving, backends,
+                                             # llm, pareto)
     python -m repro bench pareto             # design-space autotuner:
                                              # Pareto frontier over
                                              # backend x precision x

@@ -57,17 +57,41 @@ def _serving_records(payload: dict) -> list:
         )
     records = []
     for model in payload["models"]:
-        for sweep in model["workers"]:
+        name = model["model"]
+        sweep = model["workers"]
+        rates = [point["requests_per_second"] for point in sweep]
+        _claim(
+            model["requests_per_second_monotonic"]
+            and all(later >= earlier
+                    for earlier, later in zip(rates, rates[1:])),
+            f"serving {name}: simulated requests/sec does not rise "
+            "with the worker count",
+        )
+        for point in sweep:
             records.append(
-                _record(
-                    model["model"], backend, precision,
-                    sweep["conv_cycles"],
-                )
+                _record(name, backend, precision, point["conv_cycles"])
             )
             _claim(
-                sweep["bit_identical_to_reference"],
-                f"serving {model['model']} at {sweep['workers']} "
-                "worker(s) diverged from the reference",
+                point["bit_identical_to_reference"],
+                f"serving {name} at {point['workers']} worker(s) "
+                "diverged from the reference",
+            )
+        for point in model["faulted"]:
+            records.append(
+                _record(name, backend, precision, point["conv_cycles"])
+            )
+            where = (
+                f"serving {name} at {point['workers']} worker(s), "
+                f"fault rate {point['fault_rate']}"
+            )
+            _claim(point["completed"], f"{where}: a stream did not complete")
+            _claim(
+                point["bit_identical_to_reference"],
+                f"{where} diverged from the reference",
+            )
+            _claim(
+                point["recovered"],
+                f"{where}: no restart, redispatch or retry",
             )
     return records
 
@@ -130,45 +154,6 @@ def _backend_records(payload: dict) -> list:
                 ),
                 f"backends {model['model']}: the {backend}:binary "
                 "cycle ratio does not fall as precision drops",
-            )
-    return records
-
-
-def _fault_records(payload: dict) -> list:
-    backend = payload.get("engine", "tempus")
-    precision = payload.get("precision_profile", "int8")
-    records = []
-    for model in payload["models"]:
-        recovered: dict = {}  # fault rate -> recovery actions
-        for point in model["points"]:
-            if not point["completed"]:
-                raise DataflowError(
-                    f"fault-tolerance record for {model['model']} at "
-                    f"rate {point['fault_rate']} reports an aborted "
-                    "stream"
-                )
-            records.append(
-                _record(
-                    model["model"], backend, precision,
-                    point["conv_cycles"],
-                )
-            )
-            health = point["health"]
-            recovered[point["fault_rate"]] = recovered.get(
-                point["fault_rate"], 0
-            ) + sum(
-                health[counter]
-                for counter in ("restarts", "redispatched", "retries")
-            )
-        _claim(
-            model["all_streams_completed"],
-            f"faults {model['model']}: a stream did not complete",
-        )
-        for rate, actions in recovered.items():
-            _claim(
-                rate < 0.1 or actions > 0,
-                f"faults {model['model']}: no restart, redispatch or "
-                f"retry at injected fault rate {rate}",
             )
     return records
 
@@ -295,7 +280,6 @@ NORMALIZERS = {
     "BENCH_backends.json": _backend_records,
     "BENCH_engine.json": _engine_speed_records,
     "BENCH_llm.json": _llm_records,
-    "BENCH_faults.json": _fault_records,
     "BENCH_pareto.json": _pareto_records,
 }
 

@@ -91,9 +91,10 @@ def images_per_million_cycles(images: int, cycles: int) -> float:
 
 
 def requests_per_second(requests: int, seconds: float) -> float:
-    """Wall-clock serving throughput used by the sharded runtime
-    benchmark (``results/BENCH_serving.json``): completed single-image
-    requests per second of host time.
+    """Serving throughput of the sharded runtime benchmark
+    (``results/BENCH_serving.json``): completed single-image requests
+    per second of *simulated* time — the benchmark passes the stream's
+    makespan in cycles divided by the nominal shard clock.
 
     Raises:
         DataflowError: on negative inputs or ``seconds == 0`` — a

@@ -2,21 +2,19 @@
 
 Each driver takes one registered :class:`~repro.tune.spec.SweepSpec`
 (nets x backends x precisions x geometries, plus worker counts for the
-serving sweeps), executes it through the generic
+serving sweep), executes it through the generic
 :class:`~repro.tune.harness.SweepHarness` (presets, runner caching,
 energy records, artifact writing) and keeps only its claim-specific
-logic.  Every field a driver writes is simulated-plane data — cycles,
-pJ, identity and liveness flags — so an artifact regenerated from the
-same spec is the same file; host speed is measured by perfbench alone.
+logic.  Every field a driver writes is a function of its spec —
+cycles, pJ, identity and liveness flags — so an artifact regenerated
+from the same spec is the same file; host speed is measured by
+perfbench alone.
 
 * :func:`run_serving_benchmark` — ``serving``: the sharded
   multi-worker serving runtime (``results/BENCH_serving.json``):
-  simulated requests/sec and images-per-Mcycle vs worker count, with
-  every worker count verified bit-identical to the single-process
-  reference.
-* :func:`run_fault_tolerance_benchmark` — ``faults``: the same
-  serving sweep under seeded injected faults
-  (``results/BENCH_faults.json``).
+  simulated requests/sec and images-per-Mcycle vs worker count, and the
+  same streams under seeded injected faults, with every point verified
+  bit-identical to the single-process reference.
 * :func:`run_backend_benchmark` — ``backends``: the one CNN sweep
   (``results/BENCH_backends.json``): every registered MAC-unit design
   at INT8 / INT4 / INT2 / mixed on three nets, with per-point
@@ -58,7 +56,6 @@ from repro.tune.harness import (
 )
 from repro.tune.spec import (
     BACKENDS_SWEEP,
-    FAULTS_SWEEP,
     LLM_SWEEP,
     SERVING_SWEEP,
     SweepSpec,
@@ -72,41 +69,41 @@ from repro.utils.tables import Column, render_columns, yes_no
 SERVING_CLOCK_HZ = 1_000_000_000
 
 
-#: Dynamic-batching hold window of the serving sweeps.  Batch split
-#: cannot change outputs or cycles, so it is a constant, not a knob.
-MAX_WAIT = 0.002
+#: Dynamic-batching limits of the serving sweep.  Batch split cannot
+#: change outputs or cycles, so these are constants, not knobs.  The
+#: hold window is long enough that only a full batch or the end of the
+#: stream ships one, so the job split — and with it ``jobs``,
+#: ``shard_cycles`` and the seeded fault schedule — depends on the
+#: request count alone, never on thread timing.  It stays finite
+#: because ``Condition.wait`` rejects ``inf``.
+MAX_BATCH = 8
+MAX_WAIT = 3600.0
 
-
-def _serving_setup(spec: SweepSpec) -> tuple:
-    """``(harness, engine, profile, reference runner)`` of a serving
-    sweep: one backend, one precision profile, one geometry and >= 1
-    worker count."""
-    if not spec.workers:
-        raise DataflowError(
-            f"the {spec.name} benchmark needs >= 1 worker count"
-        )
-    engine = single(spec, "backends")
-    profile = precision_profile(single(spec, "precisions"))
-    single(spec, "geometries")
-    harness = SweepHarness(spec)
-    return harness, engine, profile, harness.runner(engine, profile)
+#: The chaos axis: crash-dominated fault rates swept at every worker
+#: count (0.0 is the fault-free serving point), drawn from one seeded
+#: plan.  Seed 110 faults job 1 (error) and job 2 (crash) at both
+#: rates, so every faulted stream of more than one job must recover.
+FAULT_RATES = (0.0, 0.1, 0.25)
+FAULT_KINDS = ("crash", "error", "slow")
+FAULT_SEED = 110
+FAULT_JOB_DEADLINE = 2.0
 
 
 def run_serving_benchmark(
     spec: SweepSpec = SERVING_SWEEP,
-    max_batch: int = 8,
     out_dir: "str | Path | None" = "results",
 ) -> dict:
-    """Benchmark the sharded serving runtime across worker counts.
+    """Benchmark the sharded serving runtime across worker counts and
+    injected fault rates (``results/BENCH_serving.json``).
 
     For every model the single-process :class:`NetworkRunner` run over
-    the same request stream is the reference; every worker count is
-    verified bit-identical (outputs and cycles) before its throughput
-    is recorded.
+    the same request stream is the reference; every (workers, fault
+    rate) point is verified bit-identical (outputs and cycles) before
+    it is recorded.
 
     The throughput metric is **simulated**, like every other
     cycle-derived number in this repo: the shards model replicated
-    compute units running in parallel, so the request stream completes
+    compute units running in parallel, so a fault-free stream completes
     after ``max(per-shard cycles)`` — the makespan — and
     ``requests_per_second = requests * clock_hz / makespan``.  This is
     host-independent (a single-core CI box can't demonstrate
@@ -114,24 +111,61 @@ def run_serving_benchmark(
     can).  Tensors cross the worker boundary on the platform's default
     transport (shm where available).
 
+    At every fault rate above 0 a seeded
+    :class:`~repro.serve.faults.FaultPlan` crashes, fails and slows
+    shard workers, and the stream must still complete bit-identical
+    with at least one restart, redispatch or retry.  Which jobs are in
+    flight on a shard when it crashes is a race, so the faulted
+    makespans and recovery counters are left to
+    ``ShardedResult.health``; a faulted record holds only its
+    deterministic fields.
+
     Args:
         spec: the sweep — its nets, one backend (a registered name or a
             "first/interior/last" mix), one precision profile, one
             geometry, the worker counts, and ``batch`` single-image
             requests per stream.
-        max_batch: dynamic-batching coalescing limit.
         out_dir: where BENCH_serving.json is written (None = don't).
 
     Returns:
         the record written to the artifact.
     """
-    from repro.serve import ShardedRunner
+    from repro.serve import FaultPlan, ShardedRunner
 
-    harness, engine, profile, reference_runner = _serving_setup(spec)
+    if not spec.workers:
+        raise DataflowError("the serving benchmark needs >= 1 worker count")
+    if spec.batch <= MAX_BATCH:
+        raise DataflowError(
+            f"the serving benchmark needs more than {MAX_BATCH} "
+            "requests, so its seeded faults fire"
+        )
+    engine = single(spec, "backends")
+    profile = precision_profile(single(spec, "precisions"))
+    single(spec, "geometries")
+    harness = SweepHarness(spec)
+    reference_runner = harness.runner(engine, profile)
     requests = spec.batch
-    worker_counts = spec.workers
-    scale, input_size = harness.scale, harness.input_size
     config = reference_runner.config  # profile may widen the precision
+
+    def serve(name, workers, rate):
+        plan = None
+        if rate > 0.0:
+            plan = FaultPlan.random(
+                FAULT_SEED, rate, kinds=FAULT_KINDS, slow_seconds=0.02
+            )
+        with ShardedRunner(
+            workers=workers,
+            config=config,
+            engine=engine,
+            scale=harness.scale,
+            input_size=harness.input_size,
+            max_batch=MAX_BATCH,
+            max_wait=MAX_WAIT,
+            precision=profile,
+            fault_plan=plan,
+            job_deadline=FAULT_JOB_DEADLINE if plan else None,
+        ) as server:
+            return server.transport, server.run(name, requests)
 
     model_records = []
     for name in spec.nets:
@@ -139,57 +173,73 @@ def run_serving_benchmark(
         # Energy is cycle-derived, so it is identical at every worker
         # count (the shards replicate compute, they don't change it).
         energy = energy_record(reference_runner, name, reference)
-        sweep = []
-        for workers in worker_counts:
-            with ShardedRunner(
-                workers=workers,
-                config=config,
-                engine=engine,
-                scale=scale,
-                input_size=input_size,
-                max_batch=max_batch,
-                max_wait=MAX_WAIT,
-                precision=profile,
-            ) as server:
-                transport = server.transport  # resolved default
-                result = server.run(name, requests)
-            identical = bool(
-                np.array_equal(result.output, reference.output)
-                and result.conv_cycles == reference.conv_cycles
-            )
-            if not identical:
-                raise DataflowError(
-                    f"{name}: sharded run with {workers} worker(s) "
-                    "diverged from the single-process reference"
+        sweep, faulted = [], []
+        for workers in spec.workers:
+            for rate in FAULT_RATES:
+                transport, result = serve(name, workers, rate)
+                if not (
+                    np.array_equal(result.output, reference.output)
+                    and result.conv_cycles == reference.conv_cycles
+                ):
+                    raise DataflowError(
+                        f"{name}: sharded run with {workers} worker(s) "
+                        f"at fault rate {rate} diverged from the "
+                        "single-process reference"
+                    )
+                if rate > 0.0:
+                    if not any(
+                        result.health[counter]
+                        for counter in ("restarts", "redispatched", "retries")
+                    ):
+                        raise DataflowError(
+                            f"{name}: no restart, redispatch or retry "
+                            f"with {workers} worker(s) at fault rate "
+                            f"{rate}"
+                        )
+                    faulted.append(
+                        {
+                            "workers": int(workers),
+                            "fault_rate": float(rate),
+                            "jobs": int(result.jobs),
+                            "conv_cycles": int(result.conv_cycles),
+                            "completed": True,
+                            "bit_identical_to_reference": True,
+                            "recovered": True,
+                        }
+                    )
+                    continue
+                makespan = result.makespan_cycles
+                sweep.append(
+                    {
+                        **engine_record(result, energy),
+                        "workers": int(workers),
+                        "jobs": int(result.jobs),
+                        "shard_cycles": [
+                            int(cycles) for cycles in result.shard_cycles
+                        ],
+                        "makespan_cycles": int(makespan),
+                        "requests_per_second": float(
+                            requests_per_second(
+                                requests, makespan / SERVING_CLOCK_HZ
+                            )
+                        ),
+                        "bit_identical_to_reference": True,
+                        # A single worker's makespan is the whole
+                        # stream's cycle total, so this baseline is
+                        # exact even when the sweep doesn't include a
+                        # 1-worker point.
+                        "speedup_vs_one_worker": float(
+                            result.conv_cycles / max(makespan, 1)
+                        ),
+                    }
                 )
-            record = engine_record(result, energy)
-            makespan = result.makespan_cycles
-            record["workers"] = int(workers)
-            record["jobs"] = int(result.jobs)
-            record["shard_cycles"] = [
-                int(cycles) for cycles in result.shard_cycles
-            ]
-            record["makespan_cycles"] = int(makespan)
-            record["requests_per_second"] = float(
-                requests_per_second(
-                    requests, makespan / SERVING_CLOCK_HZ
-                )
-            )
-            record["bit_identical_to_reference"] = identical
-            # A single worker's makespan is the whole stream's cycle
-            # total, so this baseline is exact even when the sweep
-            # doesn't include a 1-worker point.
-            record["speedup_vs_one_worker"] = float(
-                result.conv_cycles / max(makespan, 1)
-            )
-            record["health"] = result.health
-            sweep.append(record)
         model_records.append(
             {
                 "model": name,
                 "requests": int(requests),
                 "reference_conv_cycles": int(reference.conv_cycles),
                 "workers": sweep,
+                "faulted": faulted,
                 "requests_per_second_monotonic": all(
                     later["requests_per_second"]
                     >= earlier["requests_per_second"]
@@ -209,10 +259,14 @@ def run_serving_benchmark(
         "precision_profile": profile.name,
         "precision_layers": profile.describe(),
         **harness.common_head(),
-        "max_batch": int(max_batch),
+        "max_batch": MAX_BATCH,
         "max_wait": MAX_WAIT,
         "clock_hz": SERVING_CLOCK_HZ,
-        "worker_counts": [int(count) for count in worker_counts],
+        "worker_counts": list(spec.workers),
+        "fault_rates": list(FAULT_RATES),
+        "fault_kinds": list(FAULT_KINDS),
+        "fault_seed": FAULT_SEED,
+        "job_deadline": FAULT_JOB_DEADLINE,
         "transport": transport,
         "models": model_records,
     }
@@ -222,37 +276,40 @@ def run_serving_benchmark(
 
 
 def render_serving_benchmark(payload: dict) -> str:
-    """Human-readable summary of a serving benchmark payload."""
-    rows = [
-        {**sweep, "model": record["model"],
-         "requests": record["requests"]}
-        for record in payload["models"]
-        for sweep in record["workers"]
-    ]
-    columns = [
-        Column("model", "model"),
-        Column("workers", "workers"),
-        Column("requests", "requests"),
-        Column("makespan cycles", "makespan_cycles", format=","),
-        Column("req/s (sim)", "requests_per_second", format=",.0f"),
-        Column(
-            "vs 1 worker",
-            "speedup_vs_one_worker",
-            format=".2f",
-            suffix="x",
-        ),
-        Column(
-            "img/Mcycle", "images_per_million_cycles", format=".3f"
-        ),
-        Column(
-            "bit-identical",
-            lambda row: yes_no(row["bit_identical_to_reference"]),
-        ),
-    ]
+    """Human-readable summary of a serving benchmark payload: the
+    fault-free scaling table, then the faulted points."""
+    def rows(key):
+        return [
+            {**point, "model": record["model"]}
+            for record in payload["models"]
+            for point in record[key]
+        ]
+
+    identical = Column(
+        "bit-identical",
+        lambda row: yes_no(row["bit_identical_to_reference"]),
+    )
     config = payload["config"]
-    return render_columns(
-        rows,
-        columns,
+    scaling = render_columns(
+        rows("workers"),
+        [
+            Column("model", "model"),
+            Column("workers", "workers"),
+            Column("makespan cycles", "makespan_cycles", format=","),
+            Column(
+                "req/s (sim)", "requests_per_second", format=",.0f"
+            ),
+            Column(
+                "vs 1 worker",
+                "speedup_vs_one_worker",
+                format=".2f",
+                suffix="x",
+            ),
+            Column(
+                "img/Mcycle", "images_per_million_cycles", format=".3f"
+            ),
+            identical,
+        ],
         title=(
             f"sharded serving ({payload['engine']}) on "
             f"{config['k']}x{config['n']} {payload['precision_layers']} "
@@ -261,208 +318,24 @@ def render_serving_benchmark(payload: dict) -> str:
             f"transport {payload['transport']})"
         ),
     )
-
-
-#: The faults sweep's chaos schedule: crash-dominated fault rates swept
-#: at every worker count (0.0 is the degradation baseline; >= 0.10
-#: exercises sustained completion under a >= 10% crash rate), drawn
-#: from one seeded plan so a run replays the same faults.
-FAULT_RATES = (0.0, 0.1, 0.25)
-FAULT_KINDS = ("crash", "error", "slow")
-FAULT_SEED = 110
-FAULT_MAX_BATCH = 4
-FAULT_JOB_DEADLINE = 2.0
-
-
-def run_fault_tolerance_benchmark(
-    spec: SweepSpec = FAULTS_SWEEP,
-    out_dir: "str | Path | None" = "results",
-) -> dict:
-    """Chaos benchmark: serving under injected faults
-    (``results/BENCH_faults.json``).
-
-    For every (model, worker count, fault rate) point a seeded
-    deterministic :class:`~repro.serve.faults.FaultPlan` is injected
-    into the shard workers and the stream is served to completion.
-    Three things are recorded per point:
-
-    * **correctness** — outputs and cycle totals verified bit-identical
-      to the single-process :class:`NetworkRunner` reference (the
-      stream is never aborted: crashes are redispatched, hung shards
-      killed by deadline, a collapsed pool degrades in-process);
-    * **degradation** — simulated makespan relative to the same worker
-      count's fault-free point (redispatching skews work onto
-      surviving shards, so the makespan grows with the crash rate);
-    * **recovery telemetry** — the supervisor's health counters
-      (restarts, retries, redispatches, deadline misses, degraded
-      jobs).
-
-    Which dispatches draw a fault depends on how the dispatcher thread
-    coalesces requests into jobs, so the makespans and the recovery
-    counters can differ between runs; the bit-identity cannot.
-
-    Args:
-        spec: the sweep — its nets, one backend, one precision
-            profile, one geometry, the worker counts, and ``batch``
-            single-image requests per stream.
-        out_dir: where BENCH_faults.json is written (None = don't).
-
-    Returns:
-        the record written to the artifact.
-    """
-    from repro.serve import FaultPlan, ShardedRunner
-
-    harness, engine, profile, reference_runner = _serving_setup(spec)
-    requests = spec.batch
-    worker_counts = spec.workers
-    scale, input_size = harness.scale, harness.input_size
-    config = reference_runner.config  # profile may widen the precision
-
-    model_records = []
-    for name in spec.nets:
-        reference = reference_runner.run(name, requests)
-        points = []
-        baselines: dict = {}  # workers -> fault-free point
-        for workers in worker_counts:
-            for rate in FAULT_RATES:
-                plan = (
-                    FaultPlan.random(
-                        FAULT_SEED,
-                        rate,
-                        kinds=FAULT_KINDS,
-                        slow_seconds=0.02,
-                    )
-                    if rate > 0.0
-                    else None
-                )
-                with ShardedRunner(
-                    workers=workers,
-                    config=config,
-                    engine=engine,
-                    scale=scale,
-                    input_size=input_size,
-                    max_batch=FAULT_MAX_BATCH,
-                    precision=profile,
-                    fault_plan=plan,
-                    job_deadline=(
-                        FAULT_JOB_DEADLINE if plan is not None else None
-                    ),
-                ) as server:
-                    result = server.run(name, requests)
-                identical = bool(
-                    np.array_equal(result.output, reference.output)
-                    and result.conv_cycles == reference.conv_cycles
-                )
-                if not identical:
-                    raise DataflowError(
-                        f"{name}: sharded run with {workers} "
-                        f"worker(s) at fault rate {rate} diverged "
-                        "from the single-process reference"
-                    )
-                health = result.health
-                makespan = max(
-                    result.makespan_cycles,
-                    health.get("degraded_cycles", 0),
-                )
-                point = {
-                    "workers": int(workers),
-                    "fault_rate": float(rate),
-                    "completed": True,
-                    "bit_identical_to_reference": identical,
-                    "conv_cycles": int(result.conv_cycles),
-                    "jobs": int(result.jobs),
-                    "makespan_cycles": int(makespan),
-                    "requests_per_second": float(
-                        requests_per_second(
-                            requests, makespan / SERVING_CLOCK_HZ
-                        )
-                    ),
-                    "health": health,
-                }
-                baseline = baselines.get(workers)
-                if rate == 0.0 and baseline is None:
-                    baselines[workers] = point
-                elif baseline is not None:
-                    # > 1.0 means faults stretched the metric.
-                    point["makespan_degradation"] = float(
-                        makespan / max(baseline["makespan_cycles"], 1)
-                    )
-                points.append(point)
-        model_records.append(
-            {
-                "model": name,
-                "requests": int(requests),
-                "reference_conv_cycles": int(reference.conv_cycles),
-                "points": points,
-                "all_streams_completed": all(
-                    point["completed"] for point in points
-                ),
-            }
-        )
-
-    payload = {
-        "benchmark": "fault_tolerance",
-        "engine": engine,
-        "config": {
-            "k": config.k,
-            "n": config.n,
-            "precision": config.precision.name,
-        },
-        "precision_profile": profile.name,
-        **harness.common_head(),
-        "max_batch": FAULT_MAX_BATCH,
-        "job_deadline": FAULT_JOB_DEADLINE,
-        "fault_seed": FAULT_SEED,
-        "fault_kinds": list(FAULT_KINDS),
-        "fault_rates": list(FAULT_RATES),
-        "clock_hz": SERVING_CLOCK_HZ,
-        "worker_counts": [int(count) for count in worker_counts],
-        "models": model_records,
-    }
-    return write_benchmark_artifact(
-        payload, "BENCH_faults.json", out_dir
-    )
-
-
-def render_fault_tolerance_benchmark(payload: dict) -> str:
-    """Human-readable summary of a fault-tolerance payload."""
-    rows = [
-        {**point, "model": record["model"]}
-        for record in payload["models"]
-        for point in record["points"]
-    ]
-    columns = [
-        Column("model", "model"),
-        Column("workers", "workers"),
-        Column("fault rate", "fault_rate", format=".2f"),
-        Column("makespan cycles", "makespan_cycles", format=","),
-        Column(
-            "vs fault-free",
-            lambda row: row.get("makespan_degradation", 1.0),
-            format=".2f",
-            suffix="x",
-        ),
-        Column("restarts", lambda row: row["health"]["restarts"]),
-        Column("redisp", lambda row: row["health"]["redispatched"]),
-        Column("retries", lambda row: row["health"]["retries"]),
-        Column("degraded", lambda row: row["health"]["degraded_jobs"]),
-        Column(
-            "bit-identical",
-            lambda row: yes_no(row["bit_identical_to_reference"]),
-        ),
-    ]
-    config = payload["config"]
-    return render_columns(
-        rows,
-        columns,
+    chaos = render_columns(
+        rows("faulted"),
+        [
+            Column("model", "model"),
+            Column("workers", "workers"),
+            Column("fault rate", "fault_rate", format=".2f"),
+            Column("jobs", "jobs"),
+            Column("conv cycles", "conv_cycles", format=","),
+            Column("recovered", lambda row: yes_no(row["recovered"])),
+            identical,
+        ],
         title=(
-            f"fault tolerance ({payload['engine']}) on "
-            f"{config['k']}x{config['n']} {config['precision']} "
-            f"(seed {payload['fault_seed']}, "
+            f"under injected faults (seed {payload['fault_seed']}, "
             f"kinds {'/'.join(payload['fault_kinds'])}, "
             f"deadline {payload['job_deadline']}s)"
         ),
     )
+    return f"{scaling}\n\n{chaos}"
 
 
 def _mean_burst_cycles(net) -> float:
@@ -999,10 +872,6 @@ def render_llm_benchmark(payload: dict) -> str:
 #: renderer).
 BENCHMARKS = {
     "serving": (run_serving_benchmark, render_serving_benchmark),
-    "faults": (
-        run_fault_tolerance_benchmark,
-        render_fault_tolerance_benchmark,
-    ),
     "backends": (run_backend_benchmark, render_backend_benchmark),
     "llm": (run_llm_benchmark, render_llm_benchmark),
     "pareto": (run_pareto_tune, render_pareto_tune),

@@ -161,7 +161,7 @@ class FaultPlan:
         **kwargs,
     ) -> "FaultPlan":
         """A purely rate-based plan — what ``python -m repro bench
-        faults`` injects at each swept rate."""
+        serving`` injects at each swept fault rate."""
         return cls(seed=seed, rate=rate, kinds=kinds, **kwargs)
 
     def __bool__(self) -> bool:

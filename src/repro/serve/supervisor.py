@@ -56,7 +56,8 @@ from repro.errors import DataflowError
 from repro.serve.shm import ShmArena, ShmRef
 
 #: Telemetry counters a supervisor tracks per request stream.  These
-#: flow into ``ShardedResult.health`` and the BENCH_faults artifact.
+#: flow into ``ShardedResult.health``; the serving benchmark requires
+#: restarts + redispatched + retries >= 1 at every injected fault rate.
 HEALTH_COUNTERS = (
     "restarts",
     "retries",

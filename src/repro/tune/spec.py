@@ -2,7 +2,7 @@
 
 A :class:`SweepSpec` names the axes of a benchmark sweep — nets x
 compute backends x precision profiles x array geometries (plus the
-serving drivers' worker counts) — and validates/canonicalizes every
+serving driver's worker counts) — and validates/canonicalizes every
 axis up front, so nonsense (unknown models, bogus backend names,
 ``0x16`` geometries) is rejected before any work runs.  The cartesian
 product of the axes is the sweep's :class:`SweepPoint` stream.
@@ -12,10 +12,11 @@ Specs are plain frozen data: the generic execution engine lives in
 autotuner (:mod:`repro.tune.autotune`) is just a spec (``pareto``)
 whose points are scored against an SLO.  The named specs registered
 here are the one definition of every committed benchmark artifact:
-``serving``, ``faults``, ``backends`` (the one CNN backend x precision
-sweep), ``llm`` and ``pareto``.  ``python -m repro bench <name>
-[--quick]`` runs one through its driver, and ``python -m repro list``
-enumerates them next to the paper experiments.
+``serving`` (worker counts x injected fault rates), ``backends`` (the
+one CNN backend x precision sweep), ``llm`` and ``pareto``.
+``python -m repro bench <name> [--quick]`` runs one through its
+driver, and ``python -m repro list`` enumerates them next to the paper
+experiments.
 """
 
 from __future__ import annotations
@@ -138,9 +139,9 @@ class SweepSpec:
         precisions: precision-profile names/specs.
         geometries: array shapes ("KxN" strings or (k, n) pairs).
         batch: images per point run (the request-stream length for
-            the serving sweeps).
+            the serving sweep).
         quick: use the CI-speed preset.
-        workers: shard-pool sizes (the serving sweeps, and the llm
+        workers: shard-pool sizes (the serving sweep, and the llm
             decode's sharded re-verification; empty otherwise).
         description: one-line summary for ``python -m repro list``.
     """
@@ -281,22 +282,8 @@ SERVING_SWEEP = register_sweep(
         workers=DEFAULT_WORKER_COUNTS,
         batch=32,
         description=(
-            "sharded serving across worker counts (BENCH_serving.json)"
-        ),
-    )
-)
-
-FAULTS_SWEEP = register_sweep(
-    SweepSpec(
-        name="faults",
-        nets=("mobilenet_v2",),
-        backends=("tempus",),
-        precisions=("int8",),
-        workers=DEFAULT_WORKER_COUNTS,
-        batch=24,
-        description=(
-            "sharded serving under seeded injected faults "
-            "(BENCH_faults.json)"
+            "sharded serving across worker counts and injected fault "
+            "rates (BENCH_serving.json)"
         ),
     )
 )

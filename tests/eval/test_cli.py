@@ -48,7 +48,7 @@ class TestBench:
         assert main(["bench", "networks", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "unknown benchmark spec 'networks'" in err
-        for name in ("serving", "faults", "backends", "llm", "pareto"):
+        for name in ("serving", "backends", "llm", "pareto"):
             assert name in err
         assert not list(tmp_path.iterdir())
 
@@ -57,7 +57,7 @@ class TestBench:
             spec.name for spec in registered_sweeps()
         }
         assert list(BENCHMARKS) == [
-            "serving", "faults", "backends", "llm", "pareto",
+            "serving", "backends", "llm", "pareto",
         ]
 
     def test_only_quick_and_out_options(self, capsys):
@@ -90,7 +90,7 @@ class TestListSweepSpecs:
         out = capsys.readouterr().out
         assert out.count("sweep specs") == 1
         bench = out[out.index("sweep specs (bench):"):]
-        for name in ("serving", "faults", "backends", "llm", "pareto"):
+        for name in ("serving", "backends", "llm", "pareto"):
             assert f"\n{name} " in bench
         # Axes are shown so the grid is readable without opening code.
         assert "precisions=int8,int4,int2,mixed" in bench

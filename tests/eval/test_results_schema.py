@@ -28,13 +28,25 @@ class TestNormalizers:
                         {
                             "workers": 1,
                             "conv_cycles": 9,
+                            "requests_per_second": 5.0,
                             "bit_identical_to_reference": True,
                         }
                     ],
+                    "faulted": [
+                        {
+                            "workers": 1,
+                            "fault_rate": 0.1,
+                            "conv_cycles": 9,
+                            "completed": True,
+                            "bit_identical_to_reference": True,
+                            "recovered": True,
+                        }
+                    ],
+                    "requests_per_second_monotonic": True,
                 }
             ],
         }
-        assert normalize_records("BENCH_serving.json", payload)
+        assert len(normalize_records("BENCH_serving.json", payload)) == 2
 
     def test_serving_unknown_transport_rejected(self):
         payload = {
@@ -214,14 +226,10 @@ def _tugemm_int2_not_below_int4(payload):
     int2["tugemm"]["conv_cycles"] = int4["tugemm"]["conv_cycles"]
 
 
-def _no_recovery_at(rate):
-    def mutate(payload):
-        for point in payload["models"][0]["points"]:
-            if point["fault_rate"] == rate:
-                for counter in ("restarts", "redispatched", "retries"):
-                    point["health"][counter] = 0
-
-    return mutate
+def _slower_with_more_workers(payload):
+    # The flag still claims monotonic; the records contradict it.
+    points = payload["models"][1]["workers"]
+    points[2]["requests_per_second"] = points[1]["requests_per_second"] / 2
 
 
 #: (artifact, mutation violating one claim, expected message).
@@ -269,15 +277,31 @@ CLAIM_VIOLATIONS = {
              False),
         "diverged from the reference",
     ),
-    "faults-completed": (
-        "BENCH_faults.json",
-        _set(["models", 0, "all_streams_completed"], False),
-        "did not complete",
+    "serving-monotonic": (
+        "BENCH_serving.json",
+        _set(["models", 0, "requests_per_second_monotonic"], False),
+        "does not rise with the worker count",
     ),
-    "faults-recovery": (
-        "BENCH_faults.json",
-        _no_recovery_at(0.25),
-        "no restart, redispatch or retry at injected fault rate 0.25",
+    "serving-monotonic-records": (
+        "BENCH_serving.json",
+        _slower_with_more_workers,
+        "does not rise with the worker count",
+    ),
+    "serving-faulted-completed": (
+        "BENCH_serving.json",
+        _set(["models", 0, "faulted", 1, "completed"], False),
+        "fault rate 0.25: a stream did not complete",
+    ),
+    "serving-faulted-bit-identity": (
+        "BENCH_serving.json",
+        _set(["models", 2, "faulted", 4,
+              "bit_identical_to_reference"], False),
+        "fault rate 0.1 diverged from the reference",
+    ),
+    "serving-faulted-recovered": (
+        "BENCH_serving.json",
+        _set(["models", 1, "faulted", 3, "recovered"], False),
+        "fault rate 0.25: no restart, redispatch or retry",
     ),
     "llm-bit-identity": (
         "BENCH_llm.json",

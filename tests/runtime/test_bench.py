@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import DataflowError
 from repro.runtime.bench import (
+    MAX_BATCH,
     render_backend_benchmark,
     render_serving_benchmark,
     run_backend_benchmark,
@@ -171,9 +172,8 @@ class TestPrecisionThroughDrivers:
                 nets=("resnet18",),
                 workers=(2,),
                 precisions=("int4",),
-                batch=4,
+                batch=2 * MAX_BATCH,
             ),
-            max_batch=2,
             out_dir=None,
         )
         assert payload["precision_profile"] == "int4"
@@ -188,9 +188,11 @@ def serving_payload(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("serving")
     return run_serving_benchmark(
         small(
-            SERVING_SWEEP, nets=("resnet18",), workers=(1, 2), batch=4
+            SERVING_SWEEP,
+            nets=("resnet18",),
+            workers=(1, 2),
+            batch=2 * MAX_BATCH,
         ),
-        max_batch=2,
         out_dir=out_dir,
     )
 
@@ -226,10 +228,31 @@ class TestServingBenchmark:
             )
             assert record["requests_per_second_monotonic"] is True
 
+    def test_faulted_points_recover_bit_identical(self, serving_payload):
+        """Every injected fault rate above 0 yields a stream that
+        completes bit-identical, with the reference's cycle total and
+        the fault-free job split."""
+        for record in serving_payload["models"]:
+            faulted = record["faulted"]
+            assert [
+                (point["workers"], point["fault_rate"])
+                for point in faulted
+            ] == [(1, 0.1), (1, 0.25), (2, 0.1), (2, 0.25)]
+            for point in faulted:
+                assert point["bit_identical_to_reference"] is True
+                assert point["recovered"] is True
+                assert point["completed"] is True
+                assert (
+                    point["conv_cycles"]
+                    == record["reference_conv_cycles"]
+                )
+                assert point["jobs"] == 2
+
     def test_render_mentions_workers(self, serving_payload):
         text = render_serving_benchmark(serving_payload)
         assert "resnet18" in text
         assert "workers" in text and "req/s (sim)" in text
+        assert "fault rate" in text and "recovered" in text
 
     def test_bad_inputs_rejected(self):
         for axes in (
@@ -238,6 +261,7 @@ class TestServingBenchmark:
             {"workers": (0,)},
             {"workers": ()},
             {"backends": ("tempus", "binary")},
+            {"batch": MAX_BATCH},
         ):
             with pytest.raises(DataflowError):
                 run_serving_benchmark(

@@ -4,16 +4,16 @@ The fixtures under ``tests/runtime/golden/`` were generated by the
 drivers in a fresh process; the backend fixture's tempus and binary
 records equal those of the retired single-purpose network and
 precision drivers at the same points.  Every field the drivers write
-is simulated-plane data, so the payloads must reproduce them
-bit-identically.  The serving queue's depth high-watermark
-depends on thread timing, so it is range-checked instead of pinned.
+is a function of the spec — the serving driver coalesces by request
+count only and records no thread-timing field — so the payloads must
+reproduce them bit-identically, whole.
 """
 
 import json
 from dataclasses import replace
 from pathlib import Path
 
-from repro.runtime.bench import run_backend_benchmark, \
+from repro.runtime.bench import MAX_BATCH, run_backend_benchmark, \
     run_serving_benchmark
 from repro.tune.spec import BACKENDS_SWEEP, SERVING_SWEEP
 
@@ -34,39 +34,19 @@ def small(spec, **axes):
     return replace(spec, quick=True, geometries=("4x4",), **axes)
 
 
-def queue_stats(payload: dict) -> list:
-    """The request-queue stats of every (model, workers) point."""
-    return [
-        point["health"]["queue"]
-        for model in payload["models"]
-        for point in model["workers"]
-    ]
-
-
 class TestGoldenPayloads:
     def test_serving_payload_bit_identical(self):
-        requests = 4
         payload = run_serving_benchmark(
             small(
                 SERVING_SWEEP,
                 nets=("resnet18",),
                 workers=(1, 2),
                 precisions=("int4",),
-                batch=requests,
+                batch=2 * MAX_BATCH,
             ),
-            max_batch=2,
             out_dir=None,
         )
-        actual = roundtrip(payload)
-        expected = golden("serving")
-        # How deep the queue gets depends on whether the submit loop
-        # outruns the gateway's dispatcher thread.
-        for point in queue_stats(actual):
-            watermark = point.pop("depth_high_watermark")
-            assert 1 <= watermark <= requests
-        for point in queue_stats(expected):
-            point.pop("depth_high_watermark")
-        assert actual == expected
+        assert roundtrip(payload) == golden("serving")
 
     def test_backend_payload_bit_identical(self):
         payload = run_backend_benchmark(
