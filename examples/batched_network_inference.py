@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Batched zoo-model inference through the NVDLA pipeline.
 
-Where ``full_network_inference.py`` walks a toy 3-stage network one
-image at a time, this example compiles real Table-I topologies from
-``models/zoo.py`` (width/resolution-scaled for simulation speed) and
-runs a whole batch through every conv/SDP/PDP stage at once — on both
-convolution engines, with burst-aware tile scheduling.
+Compiles real Table-I topologies from ``models/zoo.py``
+(width/resolution-scaled for simulation speed) and runs a whole batch
+through every conv/SDP/PDP stage at once — on both convolution engines,
+with burst-aware tile scheduling — then checks the batch against the
+per-image run through the real cores.
 
 Run:  python examples/batched_network_inference.py
 """

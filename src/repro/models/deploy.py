@@ -2,15 +2,18 @@
 
 Fig. 1 motivates low-precision deployment; this module closes the loop on
 our substrate: the FP32 :class:`~repro.models.accuracy.SmallCnn` is
-post-training-quantized and *compiled* into integer pipeline stages
-(conv + SDP requant) that run on either convolution core — so classifier
-accuracy can be measured on the actual simulated hardware, not just with
+post-training-quantized and *compiled* into the runtime's own program, a
+:class:`~repro.runtime.lowering.CompiledNetwork` of integer conv stages
+(conv + SDP requant, with PDP pools as seam adapters), which the one
+batched executor (:class:`~repro.runtime.executor.BatchExecutor`) runs
+on any registered compute backend — so classifier accuracy is measured
+on the simulated hardware path every zoo network takes, not just with
 fake-quant arithmetic.
 
 Mapping notes:
 
 * both 3x3 convs map directly;
-* max pools become PDP stages;
+* each max pool becomes the PDP pool in front of the next stage;
 * the final FC layer over the 3x3x16 feature map is a 3x3 valid
   convolution with 10 kernels (a standard lowering);
 * per-stage requantization multipliers follow scale algebra:
@@ -26,12 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.models.accuracy import Dataset, SmallCnn
+from repro.models.layers import ConvLayerSpec
 from repro.nvdla.config import CoreConfig
 from repro.nvdla.pdp import PdpConfig
-from repro.nvdla.pipeline import ConvStage, InferencePipeline, PoolStage
 from repro.nvdla.sdp import SdpConfig, requant_params_from_scale
 from repro.quant.calibration import calibrate_percentile
+from repro.quant.profile import precision_profile
 from repro.quant.quantize import SymmetricQuantizer
+from repro.runtime.executor import BatchExecutor
+from repro.runtime.lowering import CompiledNetwork, StagePlan
+from repro.unary.encoding import TwosUnaryCode
 from repro.utils.intrange import IntSpec, int_spec
 
 
@@ -40,13 +47,14 @@ class CompiledCnn:
     """An integer network ready for the accelerator.
 
     Attributes:
-        stages: pipeline stages (conv/pool).
+        network: the compiled program (conv1, conv2, fc), on an 8x8
+            array at the compiled precision.
         input_quantizer: maps FP32 images to integer activations.
         logits_scale: multiply integer outputs by this to recover logits
             (irrelevant for argmax, kept for completeness).
     """
 
-    stages: tuple
+    network: CompiledNetwork
     input_quantizer: SymmetricQuantizer
     logits_scale: float
 
@@ -58,6 +66,42 @@ def _weight_quantizer(
     return SymmetricQuantizer.from_threshold(spec, calib.threshold)
 
 
+def _conv_stage(
+    name: str,
+    weights: np.ndarray,
+    sdp: SdpConfig,
+    config: CoreConfig,
+    in_size: int,
+    padding: int = 0,
+    pool: PdpConfig | None = None,
+) -> StagePlan:
+    """One dense, unscheduled conv stage whose input is ``in_size``
+    square after its optional PDP pool."""
+    out_channels, in_channels, kernel_h, kernel_w = weights.shape
+    return StagePlan(
+        name=name,
+        layer=ConvLayerSpec(
+            name,
+            in_channels,
+            out_channels,
+            kernel_h,
+            kernel_w,
+            padding=padding,
+            in_height=in_size,
+            in_width=in_size,
+        ),
+        weights=(weights,),
+        schedules=(None,),
+        kernel_restores=(None,),
+        sdp=sdp,
+        fit_channels=in_channels,
+        pool=pool,
+        fit_hw=(in_size, in_size),
+        precision=config.precision,
+        config=config,
+    )
+
+
 def compile_small_cnn(
     model: SmallCnn,
     dataset: Dataset,
@@ -65,7 +109,8 @@ def compile_small_cnn(
     percentile: float = 99.9,
     calibration_samples: int = 200,
 ) -> CompiledCnn:
-    """Quantize and lower a trained :class:`SmallCnn` to pipeline stages.
+    """Quantize and lower a trained :class:`SmallCnn` to a
+    :class:`CompiledNetwork`.
 
     Args:
         model: the trained FP32 network.
@@ -115,8 +160,11 @@ def compile_small_cnn(
     # logits keep full psum resolution via a wide output format
     logits_spec = int_spec(24)
 
+    size = dataset.image_size
+    config = CoreConfig(k=8, n=8, precision=spec)
+    pool = PdpConfig("max", kernel=2)
     stages = (
-        ConvStage(
+        _conv_stage(
             "conv1",
             w1_quant.quantize(model.conv1.weight),
             SdpConfig(
@@ -126,10 +174,11 @@ def compile_small_cnn(
                 shift=shift1,
                 activation="relu",
             ),
+            config,
+            size,
             padding=1,
         ),
-        PoolStage("pool1", PdpConfig("max", kernel=2)),
-        ConvStage(
+        _conv_stage(
             "conv2",
             w2_quant.quantize(model.conv2.weight),
             SdpConfig(
@@ -139,21 +188,32 @@ def compile_small_cnn(
                 shift=shift2,
                 activation="relu",
             ),
+            config,
+            size // 2,
             padding=1,
+            pool=pool,
         ),
-        PoolStage("pool2", PdpConfig("max", kernel=2)),
-        ConvStage(
+        _conv_stage(
             "fc",
             fc_quant.quantize(fc_weights),
-            SdpConfig(
-                out_precision=logits_spec,
-                bias=bias3,
-            ),
-            padding=0,
+            SdpConfig(out_precision=logits_spec, bias=bias3),
+            config,
+            side,
+            pool=pool,
         ),
     )
-    return CompiledCnn(
+    network = CompiledNetwork(
+        name="small_cnn",
+        config=config,
+        precision=spec,
+        code=TwosUnaryCode(),
         stages=stages,
+        input_shape=(1, size, size),
+        scheduling=False,
+        profile=precision_profile(spec),
+    )
+    return CompiledCnn(
+        network=network,
         input_quantizer=input_quantizer,
         logits_scale=psum3_scale,
     )
@@ -163,38 +223,31 @@ def evaluate_on_accelerator(
     compiled: CompiledCnn,
     images: np.ndarray,
     labels: np.ndarray,
-    config: CoreConfig | None = None,
     engine: str = "tempus",
     limit: int | None = None,
 ) -> float:
-    """Classify images through the integer pipeline; returns top-1
+    """Classify images through the compiled network; returns top-1
     accuracy.
 
     Args:
         compiled: output of :func:`compile_small_cnn`.
         images: (N, 1, S, S) FP32 images.
         labels: (N,) targets.
-        config: array geometry (defaults to 8x8 INT8).
         engine: any registered compute backend ("tempus", "binary",
             "tugemm", "tubgemm", ...) — accuracy is engine-independent
-            (every backend computes the exact integer pipeline).
+            (every backend computes the exact integer network).
         limit: evaluate only the first ``limit`` images.
     """
-    config = config if config is not None else CoreConfig(k=8, n=8)
-    pipeline = InferencePipeline(
-        config, list(compiled.stages), engine=engine
-    )
+    executor = BatchExecutor(compiled.network, engine)
     if limit is not None:
         images = images[:limit]
         labels = labels[:limit]
     if len(labels) == 0:
         return 0.0
-    # One vectorised forward pass for the whole evaluation set — the
-    # quantizer is elementwise and run_batch is bit-identical to the
-    # per-image pipeline, so accuracy is unchanged.
+    # One batched forward pass for the whole evaluation set (the
+    # quantizer is elementwise).
     codes = compiled.input_quantizer.quantize(images)
-    result = pipeline.run_batch(codes)
-    logits = result.output.reshape(len(labels), -1)
-    predictions = np.argmax(logits, axis=1)
+    logits, _, _ = executor.run_batch(codes)
+    predictions = np.argmax(logits.reshape(len(labels), -1), axis=1)
     correct = int((predictions == np.asarray(labels)).sum())
     return correct / len(labels)

@@ -4,23 +4,19 @@ Models the nv_small-flavoured convolution pipeline of Fig. 3: the
 convolution buffer (CBUF) holding activations and weights, the convolution
 sequence controller (CSC) that splits data cubes into 1x1xn atoms and
 broadcasts feature data to the k MAC cells, the binary CMAC array, and the
-convolution accumulator (CACC).  The behavioral models are bit-exact against
-a NumPy golden convolution; netlist builders in :mod:`repro.nvdla.hwmodel`
-provide the synthesis-side view of the same hardware.
+convolution accumulator (CACC), plus the SDP (requantization/activation)
+and PDP (pooling) units behind it.  The behavioral models are bit-exact
+against a NumPy golden convolution; netlist builders in
+:mod:`repro.nvdla.hwmodel` provide the synthesis-side view of the same
+hardware.  Whole networks of conv -> SDP -> PDP stages compile and run in
+:mod:`repro.runtime`.
 """
 
 from repro.nvdla.config import NV_SMALL, CoreConfig
 from repro.nvdla.dataflow import ConvShape, golden_conv2d
 from repro.nvdla.conv_core import ConvolutionCore, ConvResult
 from repro.nvdla.pdp import Pdp, PdpConfig
-from repro.nvdla.pipeline import (
-    ConvStage,
-    InferencePipeline,
-    PoolStage,
-    compare_engines,
-)
 from repro.nvdla.sdp import Sdp, SdpConfig
-from repro.nvdla.tiling import plan_layer_tiles, run_tiled_layer
 
 __all__ = [
     "CoreConfig",
@@ -33,10 +29,4 @@ __all__ = [
     "SdpConfig",
     "Pdp",
     "PdpConfig",
-    "ConvStage",
-    "PoolStage",
-    "InferencePipeline",
-    "compare_engines",
-    "plan_layer_tiles",
-    "run_tiled_layer",
 ]

@@ -16,7 +16,6 @@ import numpy as np
 from repro.core.latency import burst_cycle_map
 from repro.models.weights import QuantizedModel
 from repro.nvdla.config import CoreConfig
-from repro.nvdla.dataflow import ConvShape
 from repro.profiling.tiling import iter_group_tensors
 from repro.unary.encoding import TwosUnaryCode, UnaryCode
 
@@ -74,10 +73,6 @@ class WorkloadLatency:
             total_cycles += layer.tempus_cycles
             total_tiles += tiles
         return total_cycles / max(total_tiles, 1e-12)
-
-
-def _group_shape(shape: ConvShape, layer_groups: int) -> ConvShape:
-    return shape
 
 
 def model_workload_latency(

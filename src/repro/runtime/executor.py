@@ -12,7 +12,7 @@ class, which is what makes the sharded serving path bit-identical (in
 outputs *and* cycles) to single-process inference: there is exactly one
 batched code path, and its oracle is the per-image run through the real
 convolution cores
-(:meth:`~repro.runtime.runner.NetworkRunner.run_per_image`).
+(:func:`~repro.runtime.runner.run_per_image`).
 
 Beyond its compiled program the executor holds only derived, reusable
 state: per-stage GEMM plans, per-stage cycle lines and grow-only
@@ -29,12 +29,12 @@ from the compiled network, which pickles.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import DataflowError, PrecisionError
 from repro.nvdla.pdp import Pdp
-from repro.nvdla.pipeline import StageResult
 from repro.nvdla.sdp import _rounded_shift
 from repro.runtime.backends import ComputeBackend, backend_profile, \
     resolve_stage_backends
@@ -45,6 +45,17 @@ from repro.runtime.lowering import CompiledNetwork, StagePlan
 #: is representable, so a GEMM whose worst-case partial sum stays below
 #: the limit produces exact integers whatever the summation order.
 EXACT_FLOAT_LIMITS = ((1 << 24, np.float32), (1 << 53, np.float64))
+
+
+@dataclass(frozen=True)
+class StageResult:
+    """Execution record of one stage: a conv stage with its cycles, or
+    the PDP pool a seam adapter ran before it (zero cycles)."""
+
+    name: str
+    kind: str
+    output_shape: tuple[int, ...]
+    conv_cycles: int = 0
 
 
 def exact_float_dtype(bound: int) -> np.dtype:
@@ -293,8 +304,14 @@ class BatchExecutor:
             :class:`~repro.runtime.runner.NetworkResult` contract.
 
         Raises:
-            DataflowError: a value lies outside the input precision.
+            DataflowError: the batch is not 4-D, or a value lies
+                outside the input precision.
         """
+        if np.ndim(images) != 4:
+            raise DataflowError(
+                f"{self.net.name}: expected a (B, C, H, W) batch, got "
+                f"shape {np.shape(images)}"
+            )
         try:
             images = self.net.precision.check_array(images)
         except PrecisionError as error:

@@ -11,7 +11,8 @@ produce bit-identical outputs:
   engines' analytic models — which the engine-equivalence tests pin to
   the tick/burst simulations.
 * :meth:`NetworkRunner.run_per_image` — the **reference** path (the
-  oracle the vectorized path is tested against): each
+  oracle the vectorized path is tested against; :func:`run_per_image`
+  runs it on any compiled network): each
   image flows through the real convolution cores
   (:class:`~repro.core.tempus_core.TempusCore` /
   :class:`~repro.nvdla.conv_core.ConvolutionCore`) one layer-group at a
@@ -38,13 +39,12 @@ from repro.errors import DataflowError
 from repro.models.weights import load_quantized_model
 from repro.nvdla.config import CoreConfig
 from repro.nvdla.pdp import Pdp
-from repro.nvdla.pipeline import StageResult
 from repro.nvdla.sdp import Sdp
 from repro.quant.profile import precision_profile
-from repro.runtime.backends import DEFAULT_BACKEND, backend_profile, \
-    get_backend
-from repro.runtime.executor import BatchExecutor, fit_channels, \
-    fit_spatial
+from repro.runtime.backends import backend_profile, \
+    resolve_stage_backends
+from repro.runtime.executor import BatchExecutor, StageResult, \
+    fit_channels, fit_spatial
 from repro.runtime.lowering import CompiledNetwork, StagePlan, \
     lower_model
 from repro.unary.encoding import UnaryCode
@@ -220,9 +220,8 @@ class NetworkRunner:
         batch: "int | np.ndarray",
         mode: str = "fast",
     ) -> NetworkResult:
-        """Reference path: loop images through each stage backend's
-        real core (conv cores for tempus/binary, the actual GemmEngine
-        via im2col for tugemm/tubgemm).
+        """Reference path: :func:`run_per_image` over one compiled zoo
+        model, on the per-stage backends recorded at lowering.
 
         Args:
             mode: core execution mode — "fast" (analytic), "burst"
@@ -230,100 +229,23 @@ class NetworkRunner:
                 (tick-level; very slow, tiny models only).  The gemm
                 backends have no simulation modes and accept only
                 "fast".
-
-        Stage records carry per-image output shapes (this path runs one
-        image at a time) but batch-total cycles, matching :meth:`run`.
         """
         net = self.compile(model_name)
         images = self._as_batch(net, model_name, batch)
-        cores = self._stage_cores(net, mode)
-        outputs = []
-        first_records: list[StageResult] = []
-        cycle_totals: list[int] = []
-        total_cycles = 0
-        for index in range(images.shape[0]):
-            current = images[index]
-            image_records: list[StageResult] = []
-            # Folded-residual state, mirroring BatchExecutor.run_batch
-            # (key -1 = the model input after the first stage's seam
-            # adapters).
-            saved: dict[int, np.ndarray] = {}
-            for stage_index, stage in enumerate(net.stages):
-                current = self._fit_single(stage, current, image_records)
-                if stage_index == 0 and net.needs_input_saved:
-                    saved[-1] = np.asarray(current, dtype=np.int64)
-                residual = (
-                    saved[stage.residual_from]
-                    if stage.residual_from is not None
-                    else None
-                )
-                key = (
-                    stage.backend or DEFAULT_BACKEND,
-                    stage.precision.width,
-                )
-                current, cycles = self._conv_single(
-                    stage, current, cores[key], residual
-                )
-                if stage.save_output:
-                    saved[stage_index] = current
-                total_cycles += cycles
-                image_records.append(
-                    StageResult(
-                        name=stage.name,
-                        kind="conv",
-                        output_shape=tuple(current.shape),
-                        conv_cycles=cycles,
-                    )
-                )
-            outputs.append(current)
-            # Every image walks the same stage/adapter sequence, so the
-            # records align by position; accumulate cycles so the
-            # stages carry batch totals (the NetworkResult contract),
-            # while shapes stay per-image (this is the per-image path).
-            if index == 0:
-                first_records = image_records
-                cycle_totals = [
-                    record.conv_cycles for record in image_records
-                ]
-            else:
-                for position, record in enumerate(image_records):
-                    cycle_totals[position] += record.conv_cycles
-        records = [
-            StageResult(
-                name=record.name,
-                kind=record.kind,
-                output_shape=record.output_shape,
-                conv_cycles=total,
-            )
-            for record, total in zip(first_records, cycle_totals)
-        ]
+        output, records, total_cycles = run_per_image(
+            net, images, mode=mode
+        )
         return NetworkResult(
             model=net.name,
             engine=self.engine,
             batch_size=images.shape[0],
-            output=np.stack(outputs),
-            stages=tuple(records),
+            output=output,
+            stages=records,
             conv_cycles=total_cycles,
             macs=net.macs_per_image * images.shape[0],
         )
 
     # ------------------------------------------------------------------
-    def _stage_cores(self, net: CompiledNetwork, mode: str) -> dict:
-        """One reference core per distinct (backend, stage precision)
-        — mixed profiles run every stage through its own backend's
-        core, configured at that stage's format."""
-        cores: dict = {}
-        for stage in net.stages:
-            # Pre-registry programs may carry backend=None; fall back
-            # exactly like the batched path's resolve_stage_backends.
-            name = stage.backend or DEFAULT_BACKEND
-            key = (name, stage.precision.width)
-            if key not in cores:
-                cores[key] = get_backend(name).make_core(
-                    stage.config, net.code, mode
-                )
-        return cores
-
     def _as_batch(
         self,
         net: CompiledNetwork,
@@ -337,80 +259,182 @@ class NetworkRunner:
             images = images[None]
         return net.check_batch(images)
 
-    # --- seam adapters (per-image) ------------------------------------
-    def _fit_single(
-        self,
-        stage: StagePlan,
-        image: np.ndarray,
-        records: list,
-    ) -> np.ndarray:
-        image = fit_channels(image, stage.fit_channels, axis=0)
-        if stage.pool is not None:
-            image = Pdp(stage.pool).apply(image)
-            records.append(
-                StageResult(
-                    name=f"{stage.name}.pool",
-                    kind="pool",
-                    output_shape=tuple(image.shape),
-                )
-            )
-        if stage.dynamic_hw:
-            return image
-        return fit_spatial(image, stage.fit_hw, first_axis=1)
 
-    # --- conv execution (per-image reference) -------------------------
-    def _conv_single(
-        self,
-        stage: StagePlan,
-        image: np.ndarray,
-        core,
-        residual: "np.ndarray | None" = None,
-    ) -> tuple[np.ndarray, int]:
-        """One conv stage for one image through a real conv core."""
-        layer = stage.layer
-        channels_per_group = layer.channels_per_group
-        pad_h, pad_w = layer.padding_h, layer.padding_w
-        padded = np.pad(
-            image,
-            ((0, 0), (pad_h, pad_h), (pad_w, pad_w)),
-            mode="constant",
-        )
-        outputs = []
-        cycles = 0
-        for group, weights in enumerate(stage.weights):
-            group_input = padded[
-                group * channels_per_group : (group + 1)
-                * channels_per_group
-            ]
-            schedule = stage.schedules[group]
-            if schedule is not None:
-                group_input = group_input[schedule.channel_order]
-            result = core.run_layer(
-                group_input, weights, stride=layer.stride, padding=0
+# --- per-image reference path ----------------------------------------
+def run_per_image(
+    net: CompiledNetwork,
+    images: np.ndarray,
+    mode: str = "fast",
+) -> tuple[np.ndarray, tuple, int]:
+    """Reference path: loop images through each stage backend's real
+    core (conv cores for tempus/binary, the actual GemmEngine via
+    im2col for tugemm/tubgemm) — the oracle
+    :meth:`BatchExecutor.run_batch` is tested against.
+
+    Args:
+        net: the compiled program; each stage runs on the backend
+            recorded on it (see
+            :func:`~repro.runtime.backends.resolve_stage_backends`).
+        images: (B, C, H, W) integer batch the program accepts.
+        mode: core execution mode — "fast" (analytic), "burst"
+            (vectorized burst-level simulation) or "cycle"
+            (tick-level; very slow, tiny models only).  The gemm
+            backends have no simulation modes and accept only "fast".
+
+    Returns:
+        (output, stage_records, conv_cycles), like
+        :meth:`BatchExecutor.run_batch` — the stage records carry
+        per-image output shapes (this path runs one image at a time)
+        but batch-total cycles.
+    """
+    backends = resolve_stage_backends(net)
+    cores = _stage_cores(net, backends, mode)
+    outputs = []
+    first_records: list[StageResult] = []
+    cycle_totals: list[int] = []
+    total_cycles = 0
+    for index in range(images.shape[0]):
+        current = images[index]
+        image_records: list[StageResult] = []
+        # Folded-residual state, mirroring BatchExecutor.run_batch
+        # (key -1 = the model input after the first stage's seam
+        # adapters).
+        saved: dict[int, np.ndarray] = {}
+        for stage_index, stage in enumerate(net.stages):
+            current = _fit_single(stage, current, image_records)
+            if stage_index == 0 and net.needs_input_saved:
+                saved[-1] = np.asarray(current, dtype=np.int64)
+            residual = (
+                saved[stage.residual_from]
+                if stage.residual_from is not None
+                else None
             )
-            group_out = result.output
-            if schedule is not None:
-                group_out = group_out[stage.kernel_restores[group]]
-            outputs.append(group_out)
-            cycles += result.cycles
-        psums = (
-            np.concatenate(outputs, axis=0)
-            if len(outputs) > 1
-            else outputs[0]
-        )
-        out = Sdp(stage.sdp).apply(psums)
-        if residual is not None:
-            # SDP elementwise-add unit: the residual joins the stage's
-            # requantized output and saturates in the output format —
-            # mirroring BatchExecutor._add_residual bit-for-bit.
-            if residual.shape != out.shape:
-                raise DataflowError(
-                    f"{stage.name}: folded residual shape "
-                    f"{residual.shape} does not match stage output "
-                    f"{out.shape}"
+            key = (backends[stage_index].name, stage.precision.width)
+            current, cycles = _conv_single(
+                stage, current, cores[key], residual
+            )
+            if stage.save_output:
+                saved[stage_index] = current
+            total_cycles += cycles
+            image_records.append(
+                StageResult(
+                    name=stage.name,
+                    kind="conv",
+                    output_shape=tuple(current.shape),
+                    conv_cycles=cycles,
                 )
-            spec = stage.sdp.out_precision
-            out = np.clip(
-                out + residual, spec.min_value, spec.max_value
             )
-        return out, cycles
+        outputs.append(current)
+        # Every image walks the same stage/adapter sequence, so the
+        # records align by position; accumulate cycles so the stages
+        # carry batch totals (the NetworkResult contract), while shapes
+        # stay per-image (this is the per-image path).
+        if index == 0:
+            first_records = image_records
+            cycle_totals = [
+                record.conv_cycles for record in image_records
+            ]
+        else:
+            for position, record in enumerate(image_records):
+                cycle_totals[position] += record.conv_cycles
+    records = tuple(
+        StageResult(
+            name=record.name,
+            kind=record.kind,
+            output_shape=record.output_shape,
+            conv_cycles=total,
+        )
+        for record, total in zip(first_records, cycle_totals)
+    )
+    return np.stack(outputs), records, total_cycles
+
+
+def _stage_cores(
+    net: CompiledNetwork, backends: tuple, mode: str
+) -> dict:
+    """One reference core per distinct (backend, stage precision) —
+    mixed profiles run every stage through its own backend's core,
+    configured at that stage's format."""
+    cores: dict = {}
+    for stage, backend in zip(net.stages, backends):
+        key = (backend.name, stage.precision.width)
+        if key not in cores:
+            cores[key] = backend.make_core(stage.config, net.code, mode)
+    return cores
+
+
+def _fit_single(
+    stage: StagePlan,
+    image: np.ndarray,
+    records: list,
+) -> np.ndarray:
+    """Seam adapters for one image (see BatchExecutor._fit_batch)."""
+    image = fit_channels(image, stage.fit_channels, axis=0)
+    if stage.pool is not None:
+        image = Pdp(stage.pool).apply(image)
+        records.append(
+            StageResult(
+                name=f"{stage.name}.pool",
+                kind="pool",
+                output_shape=tuple(image.shape),
+            )
+        )
+    if stage.dynamic_hw:
+        return image
+    return fit_spatial(image, stage.fit_hw, first_axis=1)
+
+
+def _conv_single(
+    stage: StagePlan,
+    image: np.ndarray,
+    core,
+    residual: "np.ndarray | None" = None,
+) -> tuple[np.ndarray, int]:
+    """One conv stage for one image through a real conv core."""
+    layer = stage.layer
+    channels_per_group = layer.channels_per_group
+    pad_h, pad_w = layer.padding_h, layer.padding_w
+    padded = np.pad(
+        image,
+        ((0, 0), (pad_h, pad_h), (pad_w, pad_w)),
+        mode="constant",
+    )
+    outputs = []
+    cycles = 0
+    for group, weights in enumerate(stage.weights):
+        group_input = padded[
+            group * channels_per_group : (group + 1)
+            * channels_per_group
+        ]
+        schedule = stage.schedules[group]
+        if schedule is not None:
+            group_input = group_input[schedule.channel_order]
+        result = core.run_layer(
+            group_input, weights, stride=layer.stride, padding=0
+        )
+        group_out = result.output
+        if schedule is not None:
+            group_out = group_out[stage.kernel_restores[group]]
+        outputs.append(group_out)
+        cycles += result.cycles
+    psums = (
+        np.concatenate(outputs, axis=0)
+        if len(outputs) > 1
+        else outputs[0]
+    )
+    out = Sdp(stage.sdp).apply(psums)
+    if residual is not None:
+        # SDP elementwise-add unit: the residual joins the stage's
+        # requantized output and saturates in the output format —
+        # mirroring BatchExecutor._add_residual bit-for-bit.
+        if residual.shape != out.shape:
+            raise DataflowError(
+                f"{stage.name}: folded residual shape "
+                f"{residual.shape} does not match stage output "
+                f"{out.shape}"
+            )
+        spec = stage.sdp.out_precision
+        out = np.clip(
+            out + residual, spec.min_value, spec.max_value
+        )
+    return out, cycles

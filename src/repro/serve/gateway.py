@@ -59,7 +59,7 @@ from types import MappingProxyType
 import numpy as np
 
 from repro.errors import DataflowError, PrecisionError
-from repro.nvdla.pipeline import StageResult
+from repro.runtime.executor import StageResult
 from repro.serve.queue import Request, RequestQueue
 
 #: The per-response latency phases, in stream order.
@@ -126,7 +126,7 @@ class GatewayResult:
     single-process
     :meth:`~repro.runtime.runner.NetworkRunner.run` reference.
 
-    ``stages`` holds one :class:`~repro.nvdla.pipeline.StageResult` per
+    ``stages`` holds one :class:`~repro.runtime.executor.StageResult` per
     executed stage, with cycles summed over every job and the leading
     output dimension set to the completed request count (the per-job
     batch split is a dispatch detail).

@@ -1,30 +1,60 @@
-"""Tests for the full inference pipeline (conv core + SDP + PDP)."""
+"""Tests for the full inference pipeline (conv core + SDP + PDP) on a
+hand-built network, run by the one network executor
+(:class:`~repro.runtime.executor.BatchExecutor`) and by its per-image
+oracle through the real cores
+(:func:`~repro.runtime.runner.run_per_image`)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import DataflowError
+from repro.models.layers import ConvLayerSpec
 from repro.nvdla.config import CoreConfig
 from repro.nvdla.pdp import PdpConfig
-from repro.nvdla.pipeline import (
-    ConvStage,
-    InferencePipeline,
-    PoolStage,
-    compare_engines,
-)
 from repro.nvdla.sdp import SdpConfig
+from repro.quant.profile import precision_profile
+from repro.runtime.executor import BatchExecutor
+from repro.runtime.lowering import CompiledNetwork, StagePlan
+from repro.runtime.runner import run_per_image
+from repro.unary.encoding import TwosUnaryCode
 from repro.utils.intrange import INT8
 from repro.utils.rng import make_rng
 
+CONFIG = CoreConfig(k=4, n=4, precision=INT8)
 
-def build_network(rng):
-    """conv(3->8) -> relu/requant -> maxpool -> conv(8->4) -> relu."""
-    w1 = INT8.random_array(rng, (8, 3, 3, 3))
-    w2 = INT8.random_array(rng, (4, 8, 3, 3))
-    return [
-        ConvStage(
+
+def conv_stage(name, weights, sdp, in_size, engine, pool=None):
+    """A dense 3x3 'same' conv stage reading an ``in_size`` square,
+    accounted on ``engine``."""
+    out_channels, in_channels, kernel_h, kernel_w = weights.shape
+    return StagePlan(
+        name=name,
+        layer=ConvLayerSpec(
+            name, in_channels, out_channels, kernel_h, kernel_w,
+            padding=1, in_height=in_size, in_width=in_size,
+        ),
+        weights=(np.asarray(weights, dtype=np.int64),),
+        schedules=(None,),
+        kernel_restores=(None,),
+        sdp=sdp,
+        fit_channels=in_channels,
+        pool=pool,
+        fit_hw=(in_size, in_size),
+        precision=INT8,
+        config=CONFIG,
+        backend=engine,
+    )
+
+
+def build_network(label, engine="binary", depth=2):
+    """conv(3->8) -> relu/requant -> maxpool -> conv(8->4) -> relu, with
+    weights drawn from the ``label`` stream (so every engine gets the
+    same network)."""
+    rng = make_rng(label)
+    stages = (
+        conv_stage(
             "conv1",
-            w1,
+            INT8.random_array(rng, (8, 3, 3, 3)),
             SdpConfig(
                 out_precision=INT8,
                 bias=rng.integers(-100, 100, 8),
@@ -32,109 +62,112 @@ def build_network(rng):
                 shift=12,
                 activation="relu",
             ),
-            padding=1,
+            8,
+            engine,
         ),
-        PoolStage("pool1", PdpConfig("max", kernel=2)),
-        ConvStage(
+        conv_stage(
             "conv2",
-            w2,
+            INT8.random_array(rng, (4, 8, 3, 3)),
             SdpConfig(
                 out_precision=INT8,
                 multiplier=5,
                 shift=13,
                 activation="relu",
             ),
-            padding=1,
+            4,
+            engine,
+            pool=PdpConfig("max", kernel=2),
         ),
-    ]
+    )[:depth]
+    return CompiledNetwork(
+        name="toy",
+        config=CONFIG,
+        precision=INT8,
+        code=TwosUnaryCode(),
+        stages=stages,
+        input_shape=(3, 8, 8),
+        scheduling=False,
+        profile=precision_profile(INT8),
+    )
+
+
+def images(label, batch=1):
+    return INT8.random_array(make_rng(label, "input"), (batch, 3, 8, 8))
 
 
 class TestPipeline:
-    config = CoreConfig(k=4, n=4, precision=INT8)
-
     def test_shapes_flow_through(self):
-        rng = make_rng("pipe-shapes")
-        pipeline = InferencePipeline(
-            self.config, build_network(rng), engine="binary"
+        net = build_network("pipe-shapes")
+        output, stages, _ = BatchExecutor(net).run_batch(
+            images("pipe-shapes")
         )
-        result = pipeline.run(INT8.random_array(rng, (3, 8, 8)))
-        assert result.output.shape == (4, 4, 4)
-        assert [s.kind for s in result.stages] == ["conv", "pool", "conv"]
+        assert output.shape == (1, 4, 4, 4)
+        assert [s.kind for s in stages] == ["conv", "pool", "conv"]
 
     def test_outputs_in_precision(self):
-        rng = make_rng("pipe-precision")
-        pipeline = InferencePipeline(
-            self.config, build_network(rng), engine="tempus"
+        net = build_network("pipe-precision", "tempus")
+        output, _, _ = BatchExecutor(net).run_batch(
+            images("pipe-precision")
         )
-        result = pipeline.run(INT8.random_array(rng, (3, 8, 8)))
-        assert result.output.max() <= 127
-        assert result.output.min() >= -128
+        assert output.max() <= 127
+        assert output.min() >= -128
 
     def test_engines_bit_exact(self):
-        """The whole-network drop-in guarantee."""
-        rng = make_rng("pipe-exact")
-        binary, tempus = compare_engines(
-            self.config,
-            build_network(rng),
-            INT8.random_array(rng, (3, 8, 8)),
+        """The whole-network drop-in guarantee, through the real cores."""
+        batch = images("pipe-exact")
+        binary, _, binary_cycles = run_per_image(
+            build_network("pipe-exact", "binary"), batch
         )
-        assert np.array_equal(binary.output, tempus.output)
-        assert tempus.conv_cycles > binary.conv_cycles
+        tempus, _, tempus_cycles = run_per_image(
+            build_network("pipe-exact", "tempus"), batch
+        )
+        assert np.array_equal(binary, tempus)
+        assert np.count_nonzero(tempus) > 0
+        assert tempus_cycles > binary_cycles
 
     def test_cycle_accounting(self):
-        rng = make_rng("pipe-cycles")
-        pipeline = InferencePipeline(
-            self.config, build_network(rng), engine="binary"
+        net = build_network("pipe-cycles")
+        _, stages, cycles = BatchExecutor(net).run_batch(
+            images("pipe-cycles")
         )
-        result = pipeline.run(INT8.random_array(rng, (3, 8, 8)))
-        conv_stages = [s for s in result.stages if s.kind == "conv"]
-        assert result.conv_cycles == sum(
-            s.conv_cycles for s in conv_stages
-        )
+        conv_stages = [s for s in stages if s.kind == "conv"]
+        assert cycles == sum(s.conv_cycles for s in conv_stages)
         assert all(s.conv_cycles > 0 for s in conv_stages)
 
     def test_unknown_engine(self):
         with pytest.raises(DataflowError):
-            InferencePipeline(self.config, [], engine="gpu")
+            BatchExecutor(build_network("pipe-engine"), "gpu")
 
     def test_relu_pipeline_is_nonnegative_midway(self):
-        rng = make_rng("pipe-relu")
-        stages = build_network(rng)[:1]
-        pipeline = InferencePipeline(self.config, stages, engine="binary")
-        result = pipeline.run(INT8.random_array(rng, (3, 8, 8)))
-        assert result.output.min() >= 0
+        net = build_network("pipe-relu", depth=1)
+        output, _, _ = BatchExecutor(net).run_batch(images("pipe-relu"))
+        assert output.min() >= 0
 
 
 class TestPipelineBatch:
-    config = CoreConfig(k=4, n=4, precision=INT8)
-
     @pytest.mark.parametrize("engine", ["binary", "tempus"])
     def test_run_batch_matches_per_image(self, engine):
-        rng = make_rng("pipe-batch")
-        stages = build_network(rng)
-        pipeline = InferencePipeline(self.config, stages, engine=engine)
-        batch = INT8.random_array(rng, (4, 3, 8, 8))
-        batched = pipeline.run_batch(batch)
-        for index in range(4):
-            single = pipeline.run(batch[index])
-            assert np.array_equal(batched.output[index], single.output)
+        net = build_network("pipe-batch", engine)
+        batch = images("pipe-batch", 4)
+        output, stages, cycles = BatchExecutor(net).run_batch(batch)
+        reference, ref_stages, ref_cycles = run_per_image(net, batch)
+        assert np.array_equal(output, reference)
+        assert [s.conv_cycles for s in stages] == [
+            s.conv_cycles for s in ref_stages
+        ]
         # Cycle accounting: B back-to-back images on the core.
-        single = pipeline.run(batch[0])
-        assert batched.conv_cycles == 4 * single.conv_cycles
+        _, _, single = run_per_image(net, batch[:1])
+        assert cycles == ref_cycles == 4 * single
 
     def test_run_batch_stage_records(self):
-        rng = make_rng("pipe-batch-records")
-        pipeline = InferencePipeline(
-            self.config, build_network(rng), engine="binary"
+        net = build_network("pipe-batch-records")
+        output, stages, _ = BatchExecutor(net).run_batch(
+            images("pipe-batch-records", 2)
         )
-        result = pipeline.run_batch(INT8.random_array(rng, (2, 3, 8, 8)))
-        assert [s.kind for s in result.stages] == ["conv", "pool", "conv"]
-        assert result.output.shape[0] == 2
+        assert [s.kind for s in stages] == ["conv", "pool", "conv"]
+        assert output.shape[0] == 2
 
     def test_run_batch_rejects_bad_rank(self):
-        rng = make_rng("pipe-batch-rank")
-        pipeline = InferencePipeline(
-            self.config, build_network(rng), engine="binary"
-        )
+        executor = BatchExecutor(build_network("pipe-batch-rank"))
         with pytest.raises(DataflowError):
-            pipeline.run_batch(INT8.random_array(rng, (3, 8, 8)))
+            executor.run_batch(images("pipe-batch-rank")[0])

@@ -1,17 +1,12 @@
-"""Property-based tests for the NVDLA substrate (post-processing and
-tiling)."""
+"""Property-based tests for the NVDLA substrate's post-processing
+units (SDP requantization, PDP pooling)."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nvdla.cbuf import ConvBuffer
-from repro.nvdla.config import CoreConfig
-from repro.nvdla.conv_core import ConvolutionCore
-from repro.nvdla.dataflow import golden_conv2d
 from repro.nvdla.pdp import Pdp, PdpConfig
 from repro.nvdla.sdp import Sdp, SdpConfig, requant_params_from_scale
-from repro.nvdla.tiling import run_tiled_layer
 from repro.utils.intrange import INT8
 
 int8 = st.integers(min_value=-128, max_value=127)
@@ -62,30 +57,3 @@ def test_maxpool_idempotent_on_constant(values):
     constant = np.full_like(values, int(values[0, 0, 0]))
     out = Pdp(PdpConfig("max", kernel=2)).apply(constant)
     assert (out == constant[0, 0, 0]).all()
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    data=st.data(),
-    size=st.integers(min_value=6, max_value=12),
-    kernels=st.integers(min_value=2, max_value=6),
-    stride=st.sampled_from([1, 2]),
-)
-def test_tiled_execution_exact(data, size, kernels, stride):
-    """Layer tiling through a tiny CBUF stitches back the exact result for
-    arbitrary geometry."""
-    activations = data.draw(
-        arrays(np.int64, (8, size, size), elements=int8)
-    )
-    weights = data.draw(
-        arrays(np.int64, (kernels, 8, 3, 3), elements=int8)
-    )
-    core = ConvolutionCore(
-        CoreConfig(k=4, n=4),
-        mode="fast",
-        cbuf=ConvBuffer(capacity_kib=1, banks=4),
-    )
-    result = run_tiled_layer(core, activations, weights, stride, 1)
-    assert np.array_equal(
-        result.output, golden_conv2d(activations, weights, stride, 1)
-    )
