@@ -45,20 +45,44 @@ def _tiled_view(weights: np.ndarray, k: int, n: int) -> np.ndarray:
     return padded.reshape(groups, k, blocks, n, kernel_h, kernel_w)
 
 
+def _block_max(magnitudes: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """Maximum over consecutive blocks of ``size`` along a negative
+    ``axis``; a short last block covers what is left of the axis."""
+    length = magnitudes.shape[axis]
+    if length % size == 0:
+        split = (
+            magnitudes.shape[:axis]
+            + (length // size, size)
+            + magnitudes.shape[axis:][1:]
+        )
+        return magnitudes.reshape(split).max(axis=axis)
+    starts = np.arange(0, length, size)
+    return np.maximum.reduceat(magnitudes, starts, axis=axis)
+
+
 def tile_max_magnitudes(
     weights: np.ndarray, k: int, n: int
 ) -> np.ndarray:
     """Largest |weight| per (group, channel-block, ky, kx) tile.
 
+    Leading axes are carried through, so a whole stage's groups stacked
+    as ``(G, K, C, R, S)`` are reduced in one pass.  Maxima are taken
+    over the real weights only: every tile holds at least one real
+    weight and |w| >= 0, so the array's zero padding of edge tiles never
+    changes a maximum.
+
     Args:
-        weights: (K, C, R, S) integer weights.
+        weights: (..., K, C, R, S) integer weights.
         k / n: array geometry (kernels per group / channels per block).
 
     Returns:
-        int64 array of shape (groups, channel_blocks, R, S).
+        int64 array of shape (..., groups, channel_blocks, R, S).
     """
-    tiled = np.abs(_tiled_view(weights, k, n))
-    return tiled.max(axis=(1, 3))
+    weights = np.asarray(weights)
+    if weights.ndim < 4:
+        raise DataflowError("expected (..., K, C, R, S) weights")
+    magnitudes = np.abs(weights.astype(np.int64, copy=False))
+    return _block_max(_block_max(magnitudes, k, -4), n, -3)
 
 
 def burst_cycle_map(
@@ -68,7 +92,12 @@ def burst_cycle_map(
 ) -> np.ndarray:
     """Burst length of every (group, channel-block, ky, kx) tile,
     including the minimum 1 cycle for all-zero tiles and the PCU's
-    cache-in/out overhead."""
+    cache-in/out overhead.
+
+    ``weights`` is (..., K, C, R, S) and the map is
+    (..., groups, channel_blocks, R, S): a stacked stage
+    ``(G, K, C, R, S)`` gets every group's map from one call, and its
+    ``sum()`` is the stage's per-pixel burst cycles."""
     code = code if code is not None else TwosUnaryCode()
     maxima = tile_max_magnitudes(weights, config.k, config.n)
     return code.step_cycles_array(maxima) + config.burst_overhead

@@ -80,6 +80,84 @@ def restore_outputs(
     return np.asarray(outputs)[inverse]
 
 
+def optimize_stage_schedules(
+    weights: np.ndarray,
+    config: CoreConfig,
+    code: UnaryCode | None = None,
+) -> tuple[tuple[TileSchedule, ...], np.ndarray]:
+    """Schedule every group of a stage in one vectorised pass.
+
+    Each group is searched independently (its own sort keys and its own
+    baseline), exactly as if it were scheduled alone; the leading group
+    axis only batches the work.
+
+    Args:
+        weights: (G, K, C, R, S) integer weights, one (K, C, R, S)
+            tensor per group.
+        config: array geometry (tile size k x n).
+        code: unary code (default 2s-unary).
+
+    Returns:
+        ``(schedules, scheduled)``: one :class:`TileSchedule` per group,
+        and the (G, K, C, R, S) stack with each group's schedule applied
+        (read-only; groups whose schedule is the identity hold their
+        original weights).
+    """
+    weights = np.asarray(weights)
+    if weights.ndim != 5:
+        raise DataflowError("expected (G, K, C, R, S) weights")
+    code = code if code is not None else TwosUnaryCode()
+    groups, kernels, channels = weights.shape[:3]
+
+    # Sort keys: the largest magnitude each kernel / channel ever streams.
+    pair_max = np.abs(weights.astype(np.int64, copy=False)).max(axis=(3, 4))
+    kernel_orders = np.argsort(pair_max.max(axis=2), axis=1,
+                               kind="stable")[:, ::-1]
+    channel_orders = np.argsort(pair_max.max(axis=1), axis=1,
+                                kind="stable")[:, ::-1]
+
+    baselines = cached_burst_cycle_map(weights, config, code).sum(
+        axis=(1, 2, 3, 4)
+    )
+    scheduled = weights[
+        np.arange(groups)[:, None, None],
+        kernel_orders[:, :, None],
+        channel_orders[:, None, :],
+    ]
+    optimized = cached_burst_cycle_map(scheduled, config, code).sum(
+        axis=(1, 2, 3, 4)
+    )
+
+    # Sorting never helps degenerate tensors (single tile); those groups
+    # keep the identity layout so their schedule is a no-op.
+    identity = optimized >= baselines
+    scheduled[identity] = weights[identity]
+    scheduled.setflags(write=False)
+    kernel_identity = np.arange(kernels)
+    channel_identity = np.arange(channels)
+    for order in (kernel_identity, channel_identity):
+        order.setflags(write=False)  # shared by every identity schedule
+    schedules = []
+    for group in range(groups):
+        baseline = int(baselines[group])
+        if identity[group]:
+            schedule = TileSchedule(
+                kernel_order=kernel_identity,
+                channel_order=channel_identity,
+                baseline_cycles=baseline,
+                optimized_cycles=baseline,
+            )
+        else:
+            schedule = TileSchedule(
+                kernel_order=kernel_orders[group],
+                channel_order=channel_orders[group],
+                baseline_cycles=baseline,
+                optimized_cycles=int(optimized[group]),
+            )
+        schedules.append(schedule)
+    return tuple(schedules), scheduled
+
+
 def optimize_tile_schedule(
     weights: np.ndarray,
     config: CoreConfig,
@@ -98,34 +176,10 @@ def optimize_tile_schedule(
     weights = np.asarray(weights)
     if weights.ndim != 4:
         raise DataflowError("expected (K, C, R, S) weights")
-    code = code if code is not None else TwosUnaryCode()
-
-    magnitudes = np.abs(weights.astype(np.int64))
-    # Sort keys: the largest magnitude each kernel / channel ever streams.
-    kernel_key = magnitudes.max(axis=(1, 2, 3))
-    channel_key = magnitudes.max(axis=(0, 2, 3))
-    kernel_order = np.argsort(kernel_key, kind="stable")[::-1]
-    channel_order = np.argsort(channel_key, kind="stable")[::-1]
-
-    baseline = int(cached_burst_cycle_map(weights, config, code).sum())
-    permuted = weights[kernel_order][:, channel_order]
-    optimized = int(cached_burst_cycle_map(permuted, config, code).sum())
-
-    if optimized >= baseline:
-        # Sorting never helps degenerate tensors (single tile); keep the
-        # identity layout so the schedule is a no-op.
-        return TileSchedule(
-            kernel_order=np.arange(weights.shape[0]),
-            channel_order=np.arange(weights.shape[1]),
-            baseline_cycles=baseline,
-            optimized_cycles=baseline,
-        )
-    return TileSchedule(
-        kernel_order=kernel_order,
-        channel_order=channel_order,
-        baseline_cycles=baseline,
-        optimized_cycles=optimized,
+    (schedule,), _ = optimize_stage_schedules(
+        weights[np.newaxis], config, code
     )
+    return schedule
 
 
 def model_schedule_savings(
@@ -137,17 +191,20 @@ def model_schedule_savings(
         (layer name, baseline cycles, optimized cycles, speedup) rows,
         with cycles weighted by the layer's output pixels.
     """
-    from repro.profiling.tiling import iter_group_tensors
+    from repro.profiling.tiling import group_stack
 
     rows = []
     for layer, codes in model.iter_weight_tensors():
         pixels = layer.conv_shape().output_pixels
-        baseline = 0
-        optimized = 0
-        for group_tensor in iter_group_tensors(codes, layer.groups):
-            schedule = optimize_tile_schedule(group_tensor, config, code)
-            baseline += schedule.baseline_cycles * pixels
-            optimized += schedule.optimized_cycles * pixels
+        schedules, _ = optimize_stage_schedules(
+            group_stack(codes, layer.groups), config, code
+        )
+        baseline = pixels * sum(
+            schedule.baseline_cycles for schedule in schedules
+        )
+        optimized = pixels * sum(
+            schedule.optimized_cycles for schedule in schedules
+        )
         rows.append(
             (
                 layer.name,

@@ -50,13 +50,10 @@ class CompiledCnn:
         network: the compiled program (conv1, conv2, fc), on an 8x8
             array at the compiled precision.
         input_quantizer: maps FP32 images to integer activations.
-        logits_scale: multiply integer outputs by this to recover logits
-            (irrelevant for argmax, kept for completeness).
     """
 
     network: CompiledNetwork
     input_quantizer: SymmetricQuantizer
-    logits_scale: float
 
 
 def _weight_quantizer(
@@ -212,11 +209,7 @@ def compile_small_cnn(
         scheduling=False,
         profile=precision_profile(spec),
     )
-    return CompiledCnn(
-        network=network,
-        input_quantizer=input_quantizer,
-        logits_scale=psum3_scale,
-    )
+    return CompiledCnn(network=network, input_quantizer=input_quantizer)
 
 
 def evaluate_on_accelerator(

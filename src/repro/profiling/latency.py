@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.latency import burst_cycle_map
 from repro.models.weights import QuantizedModel
 from repro.nvdla.config import CoreConfig
-from repro.profiling.tiling import iter_group_tensors
+from repro.profiling.tiling import group_stack
 from repro.unary.encoding import TwosUnaryCode, UnaryCode
 
 
@@ -96,22 +94,16 @@ def model_workload_latency(
         atoms_per_pixel = (
             shape.kernel_groups(config.k) * shape.atoms_per_pixel(config.n)
         )
-        binary_cycles = 0
-        tempus_cycles = 0
-        burst_sum = 0.0
-        burst_tiles = 0
-        for group_tensor in iter_group_tensors(codes, layer.groups):
-            bursts = burst_cycle_map(group_tensor, config, code)
-            binary_cycles += atoms_per_pixel * pixels
-            tempus_cycles += int(bursts.sum()) * pixels
-            burst_sum += float(bursts.sum())
-            burst_tiles += bursts.size
+        bursts = burst_cycle_map(
+            group_stack(codes, layer.groups), config, code
+        )
+        per_pixel = int(bursts.sum())
         rows.append(
             LayerLatency(
                 layer=layer.name,
-                binary_cycles=binary_cycles,
-                tempus_cycles=tempus_cycles,
-                mean_burst=burst_sum / max(burst_tiles, 1),
+                binary_cycles=layer.groups * atoms_per_pixel * pixels,
+                tempus_cycles=per_pixel * pixels,
+                mean_burst=per_pixel / max(bursts.size, 1),
             )
         )
     return WorkloadLatency(

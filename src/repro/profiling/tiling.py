@@ -10,21 +10,18 @@ convolution on the core).
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
 from repro.core.latency import tile_max_magnitudes
 from repro.errors import DataflowError
 
-__all__ = ["tile_max_magnitudes", "iter_group_tensors", "tile_zero_stats"]
+__all__ = ["tile_max_magnitudes", "group_stack", "tile_zero_stats"]
 
 
-def iter_group_tensors(
-    weights: np.ndarray, groups: int = 1
-) -> Iterator[np.ndarray]:
-    """Split a (K, C/groups, R, S) grouped-conv weight tensor into its
-    per-group (K/groups, C/groups, R, S) tensors."""
+def group_stack(weights: np.ndarray, groups: int = 1) -> np.ndarray:
+    """View a (K, C/groups, R, S) grouped-conv weight tensor as the
+    (groups, K/groups, C/groups, R, S) stack of its per-group tensors."""
     weights = np.asarray(weights)
     if weights.ndim != 4:
         raise DataflowError("expected (K, C, R, S) weights")
@@ -33,12 +30,7 @@ def iter_group_tensors(
         raise DataflowError(
             f"kernel count {kernels} not divisible by groups {groups}"
         )
-    if groups == 1:
-        yield weights
-        return
-    per_group = kernels // groups
-    for group in range(groups):
-        yield weights[group * per_group : (group + 1) * per_group]
+    return weights.reshape((groups, kernels // groups) + weights.shape[1:])
 
 
 def tile_zero_stats(

@@ -14,8 +14,8 @@ those designs:
   GEMM backends return a :class:`GemmConvCore` adapter that lowers each
   conv layer to im2col and runs it through the *actual*
   :class:`~repro.gemm.base.GemmEngine` implementation.
-* **cycle model** (:meth:`ComputeBackend.cycle_line`) — a layer
-  group's cycles are affine in its output pixels,
+* **cycle model** (:meth:`ComputeBackend.cycle_line`) — a conv
+  stage's cycles are affine in its output pixels,
   ``per_pixel * out_pixels + fixed``, with both terms fixed by the
   compiled weights.  Value-aware for the temporal designs: the slope is
   derived from the actual quantized weight magnitudes through the
@@ -45,6 +45,7 @@ integer convolution); only cycles and energy differ.
 from __future__ import annotations
 
 import dataclasses
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -88,16 +89,19 @@ class ComputeBackend(ABC):
         config: CoreConfig,
         code: UnaryCode,
     ) -> "tuple[int, int]":
-        """Per-image cycles of one conv layer *group* on this backend,
-        as the affine line ``(per_pixel, fixed)``: the group costs
+        """Per-image cycles of one conv stage on this backend, as the
+        affine line ``(per_pixel, fixed)``: the stage costs
         ``per_pixel * out_pixels + fixed`` cycles.  Both terms depend
         only on the compiled weights and the stage configuration, so
         :class:`~repro.runtime.executor.BatchExecutor` derives every
         stage's line once, when it is constructed.
 
         Args:
-            weights: the group's (K, C, R, S) quantized weight tensor
-                (schedule-permuted, exactly as executed).
+            weights: one group's (K, C, R, S) quantized weight tensor,
+                or a stage's groups stacked as (..., K, C, R, S)
+                (schedule-permuted, exactly as executed).  A stack
+                returns the sum of its groups' lines, so per-group
+                fixed terms count once per group.
             config: the stage's array geometry/precision.
             code: the network's unary code (temporal backends may
                 substitute their own — see :meth:`cycle_code`).
@@ -121,7 +125,8 @@ class ComputeBackend(ABC):
         code: UnaryCode,
         out_pixels: "int | None" = None,
     ) -> int:
-        """Per-image cycles of one group of a lowered
+        """Per-image cycles of one group (or a stack of groups, see
+        :meth:`cycle_line`) of a lowered
         :class:`~repro.runtime.lowering.StagePlan`.
 
         ``out_pixels`` overrides the layer's nominal output-pixel count
@@ -250,6 +255,13 @@ class GemmConvCore:
         )
 
 
+def _group_count(weights: np.ndarray) -> int:
+    """Groups in a (..., K, C, R, S) weight stack (1 for one tensor)."""
+    if np.ndim(weights) < 4:
+        raise DataflowError("expected (..., K, C, R, S) weights")
+    return math.prod(np.shape(weights)[:-4])
+
+
 def _flat_config(config: CoreConfig) -> CoreConfig:
     """The GEMM baselines have no PCU operand cache, so their steps
     carry no per-burst caching overhead."""
@@ -267,11 +279,12 @@ class BinaryBackend(ComputeBackend):
     array = "binary"
 
     def cycle_line(self, weights, config, code) -> "tuple[int, int]":
-        kernels, channels, kernel_h, kernel_w = weights.shape
+        groups = _group_count(weights)
+        kernels, channels, kernel_h, kernel_w = weights.shape[-4:]
         atoms = conv_atoms(
             kernels, channels, kernel_h, kernel_w, 1, config.k, config.n
         )
-        return atoms, config.pipeline_latency
+        return groups * atoms, groups * config.pipeline_latency
 
     def make_core(self, config, code, mode):
         from repro.nvdla.conv_core import ConvolutionCore
@@ -290,7 +303,8 @@ class TempusBackend(ComputeBackend):
 
     def cycle_line(self, weights, config, code) -> "tuple[int, int]":
         per_pixel = int(cached_burst_cycle_map(weights, config, code).sum())
-        return per_pixel, config.pipeline_latency + 1
+        fixed = config.pipeline_latency + 1
+        return per_pixel, _group_count(weights) * fixed
 
     def make_core(self, config, code, mode):
         from repro.core.tempus_core import TempusCore

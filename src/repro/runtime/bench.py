@@ -344,10 +344,11 @@ def _mean_burst_cycles(net) -> float:
     total = 0
     tiles = 0
     for stage in net.stages:
-        for weights in stage.weights:
-            bursts = burst_cycle_map(weights, stage.config, net.code)
-            total += int(bursts.sum())
-            tiles += int(bursts.size)
+        bursts = burst_cycle_map(
+            stage.weight_stack(), stage.config, net.code
+        )
+        total += int(bursts.sum())
+        tiles += int(bursts.size)
     return total / max(tiles, 1)
 
 

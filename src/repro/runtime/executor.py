@@ -161,17 +161,11 @@ def _stage_cycle_line(
     stage: StagePlan, backend: ComputeBackend, code
 ) -> "tuple[int, int]":
     """Per-image cycle line ``(per_pixel, fixed)`` of one whole stage:
-    the sum of its groups' lines on ``backend``, at the stage's own
-    configuration (so mixed profiles account each stage at its own
+    one :meth:`~ComputeBackend.cycle_line` call on the stage's groups
+    stacked as (G, K, C, R, S), which sums their lines, at the stage's
+    own configuration (so mixed profiles account each stage at its own
     precision and backend)."""
-    per_pixel = fixed = 0
-    for weights in stage.weights:
-        group_per_pixel, group_fixed = backend.cycle_line(
-            weights, stage.config, code
-        )
-        per_pixel += group_per_pixel
-        fixed += group_fixed
-    return per_pixel, fixed
+    return backend.cycle_line(stage.weight_stack(), stage.config, code)
 
 
 def _flat_permutation(per_group, groups: int, width: int):

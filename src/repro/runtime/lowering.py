@@ -52,8 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.scheduling import TileSchedule, apply_schedule, \
-    optimize_tile_schedule
+from repro.core.scheduling import optimize_stage_schedules
 from repro.errors import DataflowError
 from repro.models.layers import (
     ConvLayerSpec,
@@ -135,6 +134,13 @@ class StagePlan:
     @property
     def groups(self) -> int:
         return self.layer.groups
+
+    def weight_stack(self) -> np.ndarray:
+        """The stage's per-group weights as one (G, K, C, R, S) array
+        (a view when the stage has a single group)."""
+        if len(self.weights) == 1:
+            return self.weights[0][np.newaxis]
+        return np.stack(self.weights)
 
 
 @dataclass(frozen=True)
@@ -398,35 +404,26 @@ def _group_plans(
     code: UnaryCode,
     scheduling: bool,
 ) -> tuple[tuple, tuple, tuple]:
-    """Split a layer's weights per group and (optionally) schedule each."""
-    kernels_per_group = layer.out_channels // layer.groups
-    weights = []
-    schedules = []
-    restores = []
-    for group in range(layer.groups):
-        # Dense layers keep the codes64 tensor itself (not a fresh
-        # slice view), so programs lowered from one model share it.
-        tensor = (
-            codes64
-            if layer.groups == 1
-            else codes64[
-                group * kernels_per_group : (group + 1)
-                * kernels_per_group
-            ]
+    """Split a layer's weights per group and (optionally) schedule each,
+    with one schedule search over the whole stack of groups."""
+    groups = layer.groups
+    stack = codes64.reshape(
+        (groups, layer.out_channels // groups) + codes64.shape[1:]
+    )
+    # Dense layers keep the codes64 tensor itself (not a fresh view),
+    # so programs lowered from one model share it.
+    weights = [codes64] if groups == 1 else list(stack)
+    schedules: list = [None] * groups
+    restores: list = [None] * groups
+    if scheduling:
+        candidates, scheduled = optimize_stage_schedules(
+            stack, config, code
         )
-        schedule: TileSchedule | None = None
-        restore = None
-        if scheduling:
-            candidate = optimize_tile_schedule(tensor, config, code)
+        for group, candidate in enumerate(candidates):
             if candidate.cycles_saved > 0:
-                permuted = apply_schedule(tensor, candidate)
-                permuted.setflags(write=False)
-                tensor = permuted
-                schedule = candidate
-                restore = np.argsort(candidate.kernel_order)
-        weights.append(tensor)
-        schedules.append(schedule)
-        restores.append(restore)
+                weights[group] = scheduled[group]
+                schedules[group] = candidate
+                restores[group] = np.argsort(candidate.kernel_order)
     return tuple(weights), tuple(schedules), tuple(restores)
 
 

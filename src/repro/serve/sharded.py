@@ -390,13 +390,14 @@ class ShardedRunner:
         # compiled network carries (the runner's backend profile).
         payload = (net, None)
         # The degraded path runs the parent's own executor — the same
-        # BatchExecutor code path the shards run,
-        # so degraded batches stay bit-identical in outputs and cycles.
-        run_job = self._runner.executor(model_name).run_job
+        # BatchExecutor code path the shards run, so degraded batches
+        # stay bit-identical in outputs and cycles.  It is built on the
+        # first degraded job: a healthy pool never needs it.
+        runner = self._runner
 
         def fallback(images):
             started = time.monotonic()
-            record = run_job(images)
+            record = runner.executor(model_name).run_job(images)
             record["host_seconds"] = time.monotonic() - started
             return record
         self._supervisor = ShardSupervisor(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import DataflowError
 from repro.profiling.tiling import (
-    iter_group_tensors,
+    group_stack,
     tile_max_magnitudes,
     tile_zero_stats,
 )
@@ -14,23 +14,23 @@ from repro.profiling.tiling import (
 class TestGroupSplit:
     def test_split_count(self, rng):
         weights = rng.integers(-5, 5, (8, 2, 3, 3))
-        groups = list(iter_group_tensors(weights, 4))
-        assert len(groups) == 4
-        assert groups[0].shape == (2, 2, 3, 3)
+        groups = group_stack(weights, 4)
+        assert groups.shape == (4, 2, 2, 3, 3)
+        assert np.array_equal(groups[1], weights[2:4])
 
     def test_dense_single_group(self, rng):
         weights = rng.integers(-5, 5, (8, 2, 3, 3))
-        (only,) = iter_group_tensors(weights, 1)
-        assert only.shape == weights.shape
+        (only,) = group_stack(weights, 1)
+        assert np.array_equal(only, weights)
 
     def test_indivisible_raises(self, rng):
         weights = rng.integers(-5, 5, (9, 2, 3, 3))
         with pytest.raises(DataflowError):
-            list(iter_group_tensors(weights, 4))
+            group_stack(weights, 4)
 
     def test_bad_rank_raises(self):
         with pytest.raises(DataflowError):
-            list(iter_group_tensors(np.zeros((4, 4)), 2))
+            group_stack(np.zeros((4, 4)), 2)
 
 
 class TestZeroStats:

@@ -129,6 +129,41 @@ def test_pool_collapse_degrades_in_process():
     assert sum(result.shard_cycles) == 0
 
 
+def test_start_builds_no_parent_executor():
+    """A healthy pool never runs the parent's degraded-mode executor,
+    so start() leaves it unbuilt; the workers build their own."""
+    server = ShardedRunner(
+        workers=1, config=CoreConfig(k=4, n=4), **TINY
+    )
+    try:
+        server.start("resnet18")
+        assert server._runner._executors == {}
+    finally:
+        server.stop()
+
+
+def test_pool_below_min_live_builds_the_fallback_on_demand():
+    """A crash that leaves fewer than min_live shards sends the rest
+    of the stream to the parent's fallback executor, built on its
+    first job — bit-identical to NetworkRunner.run."""
+    plan = FaultPlan(faults=(FaultSpec(kind="crash", job=0),))
+    with ShardedRunner(
+        workers=2,
+        min_live=2,
+        max_restarts=0,
+        max_batch=2,
+        config=CoreConfig(k=4, n=4),
+        engine="tempus",
+        fault_plan=plan,
+        **TINY,
+    ) as server:
+        result = server.run("resnet18", 6)
+        built = set(server._runner._executors)
+    _assert_identical(result, _reference("resnet18", 6))
+    assert result.health["degraded_jobs"] >= 1
+    assert built == {"resnet18"}
+
+
 def test_externally_killed_workers_recover():
     """Workers killed from outside (no fault plan at all) are detected
     by the liveness probe and replaced; the stream completes with
