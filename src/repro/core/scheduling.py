@@ -80,12 +80,12 @@ def restore_outputs(
     return np.asarray(outputs)[inverse]
 
 
-def optimize_stage_schedules(
+def search_stage_orders(
     weights: np.ndarray,
     config: CoreConfig,
     code: UnaryCode | None = None,
-) -> tuple[tuple[TileSchedule, ...], np.ndarray]:
-    """Schedule every group of a stage in one vectorised pass.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Search every group of a stage in one vectorised pass.
 
     Each group is searched independently (its own sort keys and its own
     baseline), exactly as if it were scheduled alone; the leading group
@@ -98,10 +98,10 @@ def optimize_stage_schedules(
         code: unary code (default 2s-unary).
 
     Returns:
-        ``(schedules, scheduled)``: one :class:`TileSchedule` per group,
-        and the (G, K, C, R, S) stack with each group's schedule applied
-        (read-only; groups whose schedule is the identity hold their
-        original weights).
+        ``(kernel_orders, channel_orders, baselines, optimized)``: the
+        read-only (G, K) and (G, C) permutations — identity rows for
+        every group the sort saves no cycles on — and each group's
+        per-pixel burst cycles before and after them.
     """
     weights = np.asarray(weights)
     if weights.ndim != 5:
@@ -130,32 +130,34 @@ def optimize_stage_schedules(
 
     # Sorting never helps degenerate tensors (single tile); those groups
     # keep the identity layout so their schedule is a no-op.
-    identity = optimized >= baselines
-    scheduled[identity] = weights[identity]
-    scheduled.setflags(write=False)
-    kernel_identity = np.arange(kernels)
-    channel_identity = np.arange(channels)
-    for order in (kernel_identity, channel_identity):
-        order.setflags(write=False)  # shared by every identity schedule
-    schedules = []
-    for group in range(groups):
-        baseline = int(baselines[group])
-        if identity[group]:
-            schedule = TileSchedule(
-                kernel_order=kernel_identity,
-                channel_order=channel_identity,
-                baseline_cycles=baseline,
-                optimized_cycles=baseline,
-            )
-        else:
-            schedule = TileSchedule(
-                kernel_order=kernel_orders[group],
-                channel_order=channel_orders[group],
-                baseline_cycles=baseline,
-                optimized_cycles=int(optimized[group]),
-            )
-        schedules.append(schedule)
-    return tuple(schedules), scheduled
+    identity = (optimized >= baselines)[:, None]
+    kernel_orders = np.where(identity, np.arange(kernels), kernel_orders)
+    channel_orders = np.where(identity, np.arange(channels),
+                              channel_orders)
+    optimized = np.minimum(optimized, baselines)
+    for array in (kernel_orders, channel_orders, baselines, optimized):
+        array.setflags(write=False)
+    return kernel_orders, channel_orders, baselines, optimized
+
+
+def optimize_stage_schedules(
+    weights: np.ndarray,
+    config: CoreConfig,
+    code: UnaryCode | None = None,
+) -> tuple[TileSchedule, ...]:
+    """:func:`search_stage_orders` as one :class:`TileSchedule` per
+    group."""
+    kernel_orders, channel_orders, baselines, optimized = \
+        search_stage_orders(weights, config, code)
+    return tuple(
+        TileSchedule(
+            kernel_order=kernel_orders[group],
+            channel_order=channel_orders[group],
+            baseline_cycles=int(baselines[group]),
+            optimized_cycles=int(optimized[group]),
+        )
+        for group in range(len(baselines))
+    )
 
 
 def optimize_tile_schedule(
@@ -176,7 +178,7 @@ def optimize_tile_schedule(
     weights = np.asarray(weights)
     if weights.ndim != 4:
         raise DataflowError("expected (K, C, R, S) weights")
-    (schedule,), _ = optimize_stage_schedules(
+    (schedule,) = optimize_stage_schedules(
         weights[np.newaxis], config, code
     )
     return schedule
@@ -196,15 +198,11 @@ def model_schedule_savings(
     rows = []
     for layer, codes in model.iter_weight_tensors():
         pixels = layer.conv_shape().output_pixels
-        schedules, _ = optimize_stage_schedules(
+        _, _, baselines, optimized = search_stage_orders(
             group_stack(codes, layer.groups), config, code
         )
-        baseline = pixels * sum(
-            schedule.baseline_cycles for schedule in schedules
-        )
-        optimized = pixels * sum(
-            schedule.optimized_cycles for schedule in schedules
-        )
+        baseline = pixels * int(baselines.sum())
+        optimized = pixels * int(optimized.sum())
         rows.append(
             (
                 layer.name,

@@ -19,7 +19,7 @@ Results are exact integers (activations INT8, weights INT2/4/8).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,10 +122,10 @@ def project_linear_stage(
     :class:`TubMatVec`.
 
     ``stage`` is a :class:`~repro.runtime.lowering.StagePlan` whose layer
-    is a ``LinearSpec``.  The engine streams the stage's own
-    (schedule-permuted) weight tiles at the stage's geometry, so the
-    result is the per-token latency the executor's value-aware
-    accounting charges that stage:
+    is a ``LinearSpec``.  The engine streams the stage's tile-order
+    weights (:meth:`~repro.runtime.lowering.StagePlan.scheduled_weights`)
+    at the stage's geometry, so the result is the per-token latency the
+    executor's value-aware accounting charges that stage:
 
     * tempus: ``tempus_cycles * tokens + pipeline_latency + 1``
     * binary: ``binary_cycles * tokens + pipeline_latency``
@@ -137,6 +137,10 @@ def project_linear_stage(
             latency model is activation-independent).
         code: unary code override (defaults to the stage-agnostic
             2s-unary, matching the runtime default).
+
+    Returns:
+        the engine's result, its ``output`` in natural kernel order:
+        the stage's pre-SDP psums for one token of ``activations``.
     """
     from repro.models.layers import LinearSpec
 
@@ -145,7 +149,7 @@ def project_linear_stage(
             f"{stage.name}: expected a LinearSpec stage, got "
             f"{type(stage.layer).__name__}"
         )
-    if len(stage.weights) != 1:
+    if stage.groups != 1:
         raise DataflowError(
             f"{stage.name}: grouped linear stages are not GEMVs"
         )
@@ -155,10 +159,18 @@ def project_linear_stage(
         activation_precision=stage.precision,
         code=code,
     )
-    matrix = np.asarray(stage.weights[0])[:, :, 0, 0]
+    matrix = stage.scheduled_weights()[0, :, :, 0, 0]
     if activations is None:
         activations = np.zeros(matrix.shape[1], dtype=np.int64)
-    return engine.project(matrix, activations)
+    activations = np.asarray(activations)
+    if activations.shape != matrix.shape[1:]:
+        raise DataflowError(
+            f"{stage.name}: expected {matrix.shape[1:]} activations, "
+            f"got shape {activations.shape}"
+        )
+    result = engine.project(matrix, activations[stage.channel_order[0]])
+    restore = np.argsort(stage.kernel_order[0])
+    return replace(result, output=result.output[restore])
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from repro.quant.calibration import calibrate_percentile
 from repro.quant.profile import precision_profile
 from repro.quant.quantize import SymmetricQuantizer
 from repro.runtime.executor import BatchExecutor
-from repro.runtime.lowering import CompiledNetwork, StagePlan
+from repro.runtime.lowering import CompiledNetwork, StagePlan, identity_orders
 from repro.unary.encoding import TwosUnaryCode
 from repro.utils.intrange import IntSpec, int_spec
 
@@ -75,6 +75,8 @@ def _conv_stage(
     """One dense, unscheduled conv stage whose input is ``in_size``
     square after its optional PDP pool."""
     out_channels, in_channels, kernel_h, kernel_w = weights.shape
+    stack = np.asarray(weights, dtype=np.int64)[np.newaxis]
+    kernel_order, channel_order = identity_orders(stack)
     return StagePlan(
         name=name,
         layer=ConvLayerSpec(
@@ -87,9 +89,9 @@ def _conv_stage(
             in_height=in_size,
             in_width=in_size,
         ),
-        weights=(weights,),
-        schedules=(None,),
-        kernel_restores=(None,),
+        weights=stack,
+        kernel_order=kernel_order,
+        channel_order=channel_order,
         sdp=sdp,
         fit_channels=in_channels,
         pool=pool,

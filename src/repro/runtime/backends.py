@@ -99,7 +99,7 @@ class ComputeBackend(ABC):
         Args:
             weights: one group's (K, C, R, S) quantized weight tensor,
                 or a stage's groups stacked as (..., K, C, R, S)
-                (schedule-permuted, exactly as executed).  A stack
+                (in tile order, as the array streams them).  A stack
                 returns the sum of its groups' lines, so per-group
                 fixed terms count once per group.
             config: the stage's array geometry/precision.

@@ -345,7 +345,7 @@ def _mean_burst_cycles(net) -> float:
     tiles = 0
     for stage in net.stages:
         bursts = burst_cycle_map(
-            stage.weight_stack(), stage.config, net.code
+            stage.scheduled_weights(), stage.config, net.code
         )
         total += int(bursts.sum())
         tiles += int(bursts.size)
@@ -604,11 +604,8 @@ def _linear_stage_parity(net, stage_index: int, backend_name: str,
 
     stage = net.stages[stage_index]
     backend = get_backend(backend_name)
-    got = sum(
-        backend.layer_cycles(
-            stage, weights, net.code, out_pixels=tokens
-        )
-        for weights in stage.weights
+    got = backend.layer_cycles(
+        stage, stage.scheduled_weights(), net.code, out_pixels=tokens
     )
     cycle_code = getattr(backend, "cycle_code", None)
     engine = project_linear_stage(

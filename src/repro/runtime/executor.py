@@ -77,12 +77,10 @@ def exact_float_dtype(bound: int) -> np.dtype:
 class _FusedStage:
     """Exact float-GEMM plan for one conv stage.
 
-    Built once per stage when the executor is constructed.  The
-    per-group weights are stacked into one block, with each group's
-    scheduled channel order folded back into the weight columns (the
-    kernel reads input channels in their natural order, so no gather
-    runs per batch), and converted to the float dtype picked by the
-    stage's exactness bound::
+    Built once per stage when the executor is constructed, from the
+    stage's natural-order (G, K, C, R, S) weights — tile order changes
+    cycles, never psums, so the kernel needs no permutation — converted
+    to the float dtype picked by the stage's exactness bound::
 
         bound = max_k sum_i |w_ki| * max|x|
 
@@ -110,17 +108,10 @@ class _FusedStage:
     autoregressive decode.
     """
 
-    __slots__ = ("kind", "weights", "dtype", "bound", "kernel_restore")
+    __slots__ = ("kind", "weights", "dtype", "bound")
 
     def __init__(self, stage: StagePlan) -> None:
-        weights = np.stack(
-            [np.asarray(tensor, dtype=np.int64) for tensor in stage.weights]
-        )
-        for group, schedule in enumerate(stage.schedules):
-            if schedule is not None:
-                natural = np.empty_like(weights[group])
-                natural[:, schedule.channel_order] = weights[group]
-                weights[group] = natural
+        weights = np.asarray(stage.weights, dtype=np.int64)
         groups, kernels_per_group, channels_per_group, kernel_h, \
             kernel_w = weights.shape
         kernel_l1 = np.abs(weights).reshape(
@@ -152,36 +143,19 @@ class _FusedStage:
                 groups, kernels_per_group, -1
             )
         self.weights = np.ascontiguousarray(weights, dtype=self.dtype)
-        self.kernel_restore = _flat_permutation(
-            stage.kernel_restores, groups, kernels_per_group
-        )
 
 
 def _stage_cycle_line(
     stage: StagePlan, backend: ComputeBackend, code
 ) -> "tuple[int, int]":
     """Per-image cycle line ``(per_pixel, fixed)`` of one whole stage:
-    one :meth:`~ComputeBackend.cycle_line` call on the stage's groups
-    stacked as (G, K, C, R, S), which sums their lines, at the stage's
-    own configuration (so mixed profiles account each stage at its own
-    precision and backend)."""
-    return backend.cycle_line(stage.weight_stack(), stage.config, code)
-
-
-def _flat_permutation(per_group, groups: int, width: int):
-    """Fuse per-group index permutations into one gather over the flat
-    (group-major) axis; ``None`` when every group is the identity."""
-    orders = list(per_group)
-    if all(order is None for order in orders):
-        return None
-    flat = np.empty(groups * width, dtype=np.intp)
-    for group, order in enumerate(orders):
-        base = group * width
-        if order is None:
-            flat[base : base + width] = np.arange(base, base + width)
-        else:
-            flat[base : base + width] = base + np.asarray(order)
-    return flat
+    one :meth:`~ComputeBackend.cycle_line` call on the stage's
+    tile-order (G, K, C, R, S) weights, which sums the groups' lines,
+    at the stage's own configuration (so mixed profiles account each
+    stage at its own precision and backend)."""
+    return backend.cycle_line(
+        stage.scheduled_weights(), stage.config, code
+    )
 
 
 def fit_channels(
@@ -542,8 +516,6 @@ class BatchExecutor:
         np.copyto(
             values, psums.reshape(values.shape), casting="unsafe"
         )
-        if plan.kernel_restore is not None:
-            values = np.take(values, plan.kernel_restore, axis=1)
         return values
 
     def _sdp_fused(

@@ -8,12 +8,11 @@ synthesized quantized weights (:mod:`repro.models.weights`) into
 :class:`StagePlan` objects the batched runtime executes end to end on
 the NVDLA pipeline:
 
-* **conv** — each layer's per-group int64 weight tensors, optionally
-  permuted by the burst-aware tile scheduler
-  (:mod:`repro.core.scheduling`): the channel order is applied to the
-  layer's input slice and the kernel order is unwound on its outputs,
-  so the permutation is semantics-preserving while the stored tensors
-  produce the *optimized* burst maps;
+* **conv** — each layer's int64 weights as one natural-order
+  (G, K, C, R, S) array, plus the kernel and channel orders the
+  burst-aware tile scheduler (:mod:`repro.core.scheduling`) picked per
+  group: the orders decide which weights share a k x n tile, so they
+  change the stage's burst cycles but never its outputs;
 * **SDP** — a deterministic per-layer requantization (multiplier/shift
   derived from the layer's mean kernel L1 mass, per-kernel bias, ReLU
   on every hidden layer) that produces activations in the *next*
@@ -52,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.scheduling import optimize_stage_schedules
+from repro.core.scheduling import search_stage_orders
 from repro.errors import DataflowError
 from repro.models.layers import (
     ConvLayerSpec,
@@ -87,10 +86,12 @@ class StagePlan:
     Attributes:
         name: the zoo layer name.
         layer: the (possibly spatially rescaled) layer spec.
-        weights: per-group int64 weight tensors, schedule-permuted.
-        schedules: per-group :class:`TileSchedule` (None = identity).
-        kernel_restores: per-group inverse kernel permutations (None =
-            identity), precomputed so runs don't argsort per image.
+        weights: the layer's read-only int64 weights as a
+            (G, K, C, R, S) array in natural order (lowered stages
+            view the layer's codes, so lowering copies nothing).
+        kernel_order: (G, K) per-group kernel permutations the tiles
+            stream in (identity rows where scheduling saved nothing).
+        channel_order: (G, C) per-group channel permutations, likewise.
         sdp: the layer's requantization pass (produces the next
             stage's activation format).
         fit_channels: channel count the input is tiled/sliced to.
@@ -117,9 +118,9 @@ class StagePlan:
 
     name: str
     layer: OpSpec
-    weights: tuple
-    schedules: tuple
-    kernel_restores: tuple
+    weights: np.ndarray
+    kernel_order: np.ndarray
+    channel_order: np.ndarray
     sdp: SdpConfig
     fit_channels: int
     pool: PdpConfig | None
@@ -135,12 +136,27 @@ class StagePlan:
     def groups(self) -> int:
         return self.layer.groups
 
-    def weight_stack(self) -> np.ndarray:
-        """The stage's per-group weights as one (G, K, C, R, S) array
-        (a view when the stage has a single group)."""
-        if len(self.weights) == 1:
-            return self.weights[0][np.newaxis]
-        return np.stack(self.weights)
+    def scheduled_weights(self) -> np.ndarray:
+        """The (G, K, C, R, S) weights in tile order — each group's
+        kernels and channels gathered by its order rows — as the array
+        streams them: their burst maps set the stage's cycles, and
+        group ``g`` is what the per-image cores run on its input
+        channels gathered by ``channel_order[g]``."""
+        return self.weights[
+            np.arange(len(self.weights))[:, None, None],
+            self.kernel_order[:, :, None],
+            self.channel_order[:, None, :],
+        ]
+
+
+def identity_orders(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(kernel_order, channel_order)`` of an unscheduled
+    (G, K, C, R, S) weight array: read-only identity rows."""
+    groups, kernels, channels = np.shape(weights)[:3]
+    return (
+        np.broadcast_to(np.arange(kernels), (groups, kernels)),
+        np.broadcast_to(np.arange(channels), (groups, channels)),
+    )
 
 
 @dataclass(frozen=True)
@@ -403,28 +419,20 @@ def _group_plans(
     config: CoreConfig,
     code: UnaryCode,
     scheduling: bool,
-) -> tuple[tuple, tuple, tuple]:
-    """Split a layer's weights per group and (optionally) schedule each,
-    with one schedule search over the whole stack of groups."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A layer's weights as a (G, K, C, R, S) view of ``codes64`` plus
+    their tile orders, from one schedule search over the whole stack of
+    groups (identity orders without scheduling)."""
     groups = layer.groups
-    stack = codes64.reshape(
+    weights = codes64.reshape(
         (groups, layer.out_channels // groups) + codes64.shape[1:]
     )
-    # Dense layers keep the codes64 tensor itself (not a fresh view),
-    # so programs lowered from one model share it.
-    weights = [codes64] if groups == 1 else list(stack)
-    schedules: list = [None] * groups
-    restores: list = [None] * groups
-    if scheduling:
-        candidates, scheduled = optimize_stage_schedules(
-            stack, config, code
-        )
-        for group, candidate in enumerate(candidates):
-            if candidate.cycles_saved > 0:
-                weights[group] = scheduled[group]
-                schedules[group] = candidate
-                restores[group] = np.argsort(candidate.kernel_order)
-    return tuple(weights), tuple(schedules), tuple(restores)
+    if not scheduling:
+        return (weights,) + identity_orders(weights)
+    kernel_order, channel_order, _, _ = search_stage_orders(
+        weights, config, code
+    )
+    return weights, kernel_order, channel_order
 
 
 def lower_model(
@@ -528,7 +536,7 @@ def lower_model(
             if stage_precision.width == config.precision.width
             else config.with_precision(stage_precision)
         )
-        weights, schedules, restores = _group_plans(
+        weights, kernel_order, channel_order = _group_plans(
             quantized.codes64, layer, stage_config, code, scheduling
         )
         sdp = _layer_sdp(
@@ -554,8 +562,8 @@ def lower_model(
                 name=layer.name,
                 layer=layer,
                 weights=weights,
-                schedules=schedules,
-                kernel_restores=restores,
+                kernel_order=kernel_order,
+                channel_order=channel_order,
                 sdp=sdp,
                 fit_channels=layer.in_channels,
                 pool=pool,

@@ -24,9 +24,10 @@ pixels), so its runs compute none.
 
 Tempus cycle counts depend only on the weights (a burst lasts as long
 as its tile's largest magnitude), so when lowering applied burst-aware
-tile scheduling the stored permuted tensors automatically yield the
-*optimized* cycle counts while the channel/kernel reorders keep outputs
-bit-identical to the unscheduled network.
+tile scheduling the tile-order weights
+(:meth:`~repro.runtime.lowering.StagePlan.scheduled_weights`) yield
+the *optimized* cycle counts while the channel/kernel reorders keep
+outputs bit-identical to the unscheduled network.
 """
 
 from __future__ import annotations
@@ -390,7 +391,10 @@ def _conv_single(
     core,
     residual: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, int]:
-    """One conv stage for one image through a real conv core."""
+    """One conv stage for one image through a real conv core: each
+    group's tile-order weights run on its input channels gathered by
+    the group's channel order, and its outputs return to natural
+    kernel order."""
     layer = stage.layer
     channels_per_group = layer.channels_per_group
     pad_h, pad_w = layer.padding_h, layer.padding_w
@@ -399,23 +403,18 @@ def _conv_single(
         ((0, 0), (pad_h, pad_h), (pad_w, pad_w)),
         mode="constant",
     )
+    restores = np.argsort(stage.kernel_order, axis=1)
     outputs = []
     cycles = 0
-    for group, weights in enumerate(stage.weights):
+    for group, weights in enumerate(stage.scheduled_weights()):
         group_input = padded[
             group * channels_per_group : (group + 1)
             * channels_per_group
-        ]
-        schedule = stage.schedules[group]
-        if schedule is not None:
-            group_input = group_input[schedule.channel_order]
+        ][stage.channel_order[group]]
         result = core.run_layer(
             group_input, weights, stride=layer.stride, padding=0
         )
-        group_out = result.output
-        if schedule is not None:
-            group_out = group_out[stage.kernel_restores[group]]
-        outputs.append(group_out)
+        outputs.append(result.output[restores[group]])
         cycles += result.cycles
     psums = (
         np.concatenate(outputs, axis=0)

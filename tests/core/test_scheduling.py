@@ -152,7 +152,7 @@ def _reference_schedule(weights, config, code):
 def _assert_stage_matches_loop(stack, config, code):
     """Stage search, stacked burst map and tile maxima against the
     per-group reference loop.  Returns the reference schedules."""
-    schedules, scheduled = optimize_stage_schedules(stack, config, code)
+    schedules = optimize_stage_schedules(stack, config, code)
     maps = burst_cycle_map(stack, config, code)
     maxima = tile_max_magnitudes(stack, config.k, config.n)
     assert len(schedules) == len(stack)
@@ -174,7 +174,7 @@ def _assert_stage_matches_loop(stack, config, code):
         assert np.array_equal(schedule.channel_order, channel_order)
         assert schedule.baseline_cycles == baseline
         assert schedule.optimized_cycles == optimized
-        assert np.array_equal(scheduled[group], permuted)
+        assert np.array_equal(apply_schedule(weights, schedule), permuted)
         single = optimize_tile_schedule(weights, config, code)
         assert np.array_equal(single.kernel_order, kernel_order)
         assert np.array_equal(single.channel_order, channel_order)
@@ -191,7 +191,7 @@ def _assert_cycle_lines_match_loop(stage, code):
     for name in registered_backends():
         backend = get_backend(name)
         per_pixel = fixed = 0
-        for weights in stage.weights:
+        for weights in stage.scheduled_weights():
             group_per_pixel, group_fixed = backend.cycle_line(
                 weights, stage.config, code
             )
@@ -205,8 +205,8 @@ def _assert_cycle_lines_match_loop(stage, code):
 @pytest.mark.parametrize("model", ZOO)
 def test_zoo_stages_match_per_group_loop(model):
     """Every lowered stage of five zoo models, at three precisions and
-    two geometries: schedules, stored weights, burst maps and all four
-    backends' cycle lines equal the per-group loop."""
+    two geometries: schedules, tile-order weights, burst maps and all
+    four backends' cycle lines equal the per-group loop."""
     code = TwosUnaryCode()
     for precision in ("int8", "int4", "int2"):
         quantized = load_quantized_model(model, precision, scale=0.25)
@@ -220,17 +220,15 @@ def test_zoo_stages_match_per_group_loop(model):
                 references = _assert_stage_matches_loop(
                     stack, stage.config, code
                 )
+                scheduled = stage.scheduled_weights()
                 for group, (schedule, permuted) in enumerate(references):
-                    assert np.array_equal(stage.weights[group], permuted)
-                    stored = stage.schedules[group]
-                    if schedule.cycles_saved > 0:
-                        assert stored is not None
-                        assert np.array_equal(
-                            stage.kernel_restores[group],
-                            np.argsort(schedule.kernel_order),
-                        )
-                    else:
-                        assert stored is None
+                    assert np.array_equal(scheduled[group], permuted)
+                    assert np.array_equal(
+                        stage.kernel_order[group], schedule.kernel_order
+                    )
+                    assert np.array_equal(
+                        stage.channel_order[group], schedule.channel_order
+                    )
                 _assert_cycle_lines_match_loop(stage, code)
 
 

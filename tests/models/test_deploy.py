@@ -45,13 +45,12 @@ class TestCompilation:
     def test_weights_quantized_in_range(self, setup):
         _, _, compiled = setup
         for stage in compiled.network.stages:
-            for weights in stage.weights:
-                assert np.abs(weights).max() <= 128
+            assert np.abs(stage.weights).max() <= 128
 
     def test_fc_lowered_to_conv(self, setup):
         _, _, compiled = setup
         fc = compiled.network.stages[-1]
-        assert fc.weights[0].shape == (10, 16, 3, 3)
+        assert fc.weights.shape == (1, 10, 16, 3, 3)
         assert fc.sdp.out_precision == int_spec(24)
 
     def test_output_shape_is_logits(self, setup):

@@ -14,7 +14,7 @@ from repro.nvdla.pdp import PdpConfig
 from repro.nvdla.sdp import SdpConfig
 from repro.quant.profile import precision_profile
 from repro.runtime.executor import BatchExecutor
-from repro.runtime.lowering import CompiledNetwork, StagePlan
+from repro.runtime.lowering import CompiledNetwork, StagePlan, identity_orders
 from repro.runtime.runner import run_per_image
 from repro.unary.encoding import TwosUnaryCode
 from repro.utils.intrange import INT8
@@ -27,15 +27,17 @@ def conv_stage(name, weights, sdp, in_size, engine, pool=None):
     """A dense 3x3 'same' conv stage reading an ``in_size`` square,
     accounted on ``engine``."""
     out_channels, in_channels, kernel_h, kernel_w = weights.shape
+    stack = np.asarray(weights, dtype=np.int64)[np.newaxis]
+    kernel_order, channel_order = identity_orders(stack)
     return StagePlan(
         name=name,
         layer=ConvLayerSpec(
             name, in_channels, out_channels, kernel_h, kernel_w,
             padding=1, in_height=in_size, in_width=in_size,
         ),
-        weights=(np.asarray(weights, dtype=np.int64),),
-        schedules=(None,),
-        kernel_restores=(None,),
+        weights=stack,
+        kernel_order=kernel_order,
+        channel_order=channel_order,
         sdp=sdp,
         fit_channels=in_channels,
         pool=pool,

@@ -31,6 +31,7 @@ from repro.nvdla.dataflow import golden_conv2d_batched
 from repro.nvdla.sdp import Sdp
 from repro.runtime import BatchExecutor, NetworkRunner
 from repro.runtime.executor import exact_float_dtype
+from repro.runtime.lowering import identity_orders
 from repro.serve import ShardedRunner
 from repro.utils.intrange import INT2, INT8
 
@@ -232,7 +233,7 @@ def _golden_psums(stage, batch):
     layer = stage.layer
     return golden_conv2d_batched(
         batch,
-        np.concatenate(stage.weights),
+        stage.weights.reshape((-1,) + stage.weights.shape[2:]),
         layer.stride,
         (layer.padding_h, layer.padding_w),
         layer.groups,
@@ -244,9 +245,9 @@ def test_fused_psums_match_int64_golden_on_every_stage(fuzz_rng, model):
     """Every stage's float-kernel pre-SDP psums equal the int64 golden conv
     on full-range inputs, scheduled and unscheduled, at every
     precision.  The golden side uses the *unscheduled* lowering's
-    weights, so the scheduled run also checks the channel-order
-    folding and kernel restore.  Psums must be mostly nonzero, so the
-    identity cannot hold vacuously."""
+    weights, so the scheduled run also checks that tile order never
+    reaches the psums.  Psums must be mostly nonzero, so the identity
+    cannot hold vacuously."""
     live = total = 0
     scheduled_stages = 0
     for precision in PSUM_PRECISIONS:
@@ -270,8 +271,8 @@ def test_fused_psums_match_int64_golden_on_every_stage(fuzz_rng, model):
                 zip(net.stages, logical.stages)
             ):
                 assert stage.name == reference.name
-                scheduled_stages += any(
-                    schedule is not None for schedule in stage.schedules
+                scheduled_stages += not np.array_equal(
+                    stage.scheduled_weights(), stage.weights
                 )
                 batch = _stage_input(fuzz_rng, stage)
                 psums = executor._fused_psums(index, stage, batch)
@@ -327,23 +328,24 @@ def _bound_stage(rng, model, kind, kernel_l1):
     )
     stage = net.stages[index]
     assert stage.precision == INT2
-    weights = [np.array(group) for group in stage.weights]
     # The first kernel is all negative with L1 mass exactly
     # ``kernel_l1``, so an input pinned at the most negative code
     # drives its psum to the bound; the rest get random weights of up
     # to the same per-tap magnitude.
-    fan_in = weights[0][0].size
+    fan_in = stage.weights[0, 0].size
     per_tap = kernel_l1 // fan_in
+    weights = np.empty(stage.weights.shape, dtype=np.int64)
     for group in weights:
         group[...] = rng.integers(-per_tap, per_tap + 1, size=group.shape)
-    first = weights[0][0]
+    first = weights[0, 0]
     first[...] = -per_tap
     first.flat[0] -= kernel_l1 - fan_in * per_tap
+    kernel_order, channel_order = identity_orders(weights)
     stage = dataclasses.replace(
         stage,
-        weights=tuple(weights),
-        schedules=(None,) * len(weights),
-        kernel_restores=(None,) * len(weights),
+        weights=weights,
+        kernel_order=kernel_order,
+        channel_order=channel_order,
         pool=None,
         residual_from=None,
         save_output=False,

@@ -190,37 +190,42 @@ def test_lowering_rejects_unknown_residual_source():
 @pytest.mark.parametrize("precision", PRECISIONS)
 @pytest.mark.parametrize("engine", BACKENDS)
 def test_linear_stage_matches_tubmatvec(engine, precision):
-    """An R=S=1 projection accounted by the executor must equal the
+    """Every R=S=1 projection accounted by the executor must equal the
     standalone GEMV engine's tempus/binary cycle model scaled by the
-    token axis (plus the backend's fixed pipeline terms)."""
+    token axis (plus the backend's fixed pipeline terms), and the
+    engine's output must be the executor's psums for the same token."""
     runner = _runner(engine=engine, precision=precision)
     net = runner.compile("tiny_llm")
-    stage = net.stages[0]
+    executor = BatchExecutor(net)
     backend = get_backend(engine)
-    tokens = 5
-    got = sum(
-        backend.layer_cycles(stage, weights, net.code, out_pixels=tokens)
-        for weights in stage.weights
-    )
     cycle_code = getattr(backend, "cycle_code", None)
-    engine_result = project_linear_stage(
-        stage,
-        code=cycle_code(stage.config) if cycle_code else net.code,
-    )
-    latency = stage.config.pipeline_latency
-    expected = {
-        "binary": engine_result.binary_cycles * tokens + latency,
-        "tempus": engine_result.tempus_cycles * tokens + latency + 1,
-        "tugemm": engine_result.tempus_cycles * tokens,
-        "tubgemm": engine_result.tempus_cycles * tokens,
-    }[engine]
-    assert got == expected
-    # The engine's exact output matches a plain matmul of the stage
-    # weights (same integers the executor convolves).
-    matrix = np.asarray(stage.weights[0])[:, :, 0, 0]
-    activations = np.arange(matrix.shape[1], dtype=np.int64) % 3 - 1
-    result = project_linear_stage(stage, activations=activations)
-    assert np.array_equal(result.output, matrix @ activations)
+    tokens = 5
+    for index, stage in enumerate(net.stages):
+        got = backend.layer_cycles(
+            stage, stage.scheduled_weights(), net.code, out_pixels=tokens
+        )
+        engine_result = project_linear_stage(
+            stage,
+            code=cycle_code(stage.config) if cycle_code else net.code,
+        )
+        latency = stage.config.pipeline_latency
+        expected = {
+            "binary": engine_result.binary_cycles * tokens + latency,
+            "tempus": engine_result.tempus_cycles * tokens + latency + 1,
+            "tugemm": engine_result.tempus_cycles * tokens,
+            "tubgemm": engine_result.tempus_cycles * tokens,
+        }[engine]
+        assert got == expected, stage.name
+        # The engine's exact output is the stage's pre-SDP psums, in
+        # natural kernel order: the same integers the executor
+        # convolves.
+        channels = stage.weights.shape[2]
+        activations = np.arange(channels, dtype=np.int64) % 3 - 1
+        result = project_linear_stage(stage, activations=activations)
+        psums = executor._fused_psums(
+            index, stage, activations[None, :, None, None]
+        )
+        assert np.array_equal(result.output, psums[0, :, 0, 0]), stage.name
 
 
 def test_project_linear_stage_rejects_conv_stages():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.scheduling import apply_schedule, optimize_stage_schedules
 from repro.errors import DataflowError
 from repro.models.weights import load_quantized_model
 from repro.nvdla.config import CoreConfig
@@ -39,14 +40,13 @@ class TestLowerModel:
         ]
         assert depthwise, "MobileNetV2 must lower depthwise stages"
         stage = depthwise[0]
-        assert len(stage.weights) == stage.layer.groups
-        for weights in stage.weights:
-            assert weights.shape == (
-                stage.layer.out_channels // stage.layer.groups,
-                1,
-                stage.layer.kernel_h,
-                stage.layer.kernel_w,
-            )
+        assert stage.weights.shape == (
+            stage.layer.groups,
+            stage.layer.out_channels // stage.layer.groups,
+            1,
+            stage.layer.kernel_h,
+            stage.layer.kernel_w,
+        )
 
     def test_pool_inserted_at_reduction_seams(self, config):
         # ResNet's stem (stride-2 conv at 112) feeds layer1 at 56 only
@@ -55,28 +55,6 @@ class TestLowerModel:
         net = lower_model(model, config, input_size=64)
         assert net.stages[1].pool is not None
         assert net.stages[0].pool is None
-
-    def test_scheduling_permutes_weights_not_semantics(self, config):
-        model = load_quantized_model("resnet18", scale=0.06)
-        scheduled = lower_model(model, config, input_size=16)
-        plain = lower_model(
-            model, config, input_size=16, scheduling=False
-        )
-        permuted_anywhere = False
-        for stage_s, stage_p in zip(scheduled.stages, plain.stages):
-            for weights_s, weights_p, schedule in zip(
-                stage_s.weights, stage_p.weights, stage_s.schedules
-            ):
-                if schedule is None:
-                    assert weights_s is weights_p
-                else:
-                    permuted_anywhere = True
-                    restored = weights_s[
-                        np.argsort(schedule.kernel_order)
-                    ][:, np.argsort(schedule.channel_order)]
-                    assert np.array_equal(restored, weights_p)
-                    assert schedule.cycles_saved > 0
-        assert permuted_anywhere, "scheduling never engaged"
 
     def test_branchy_models_lower(self, config):
         for name in ("googlenet", "inception_v3"):
@@ -98,6 +76,59 @@ class TestLowerModel:
         assert mobilenet.macs_per_image == sum(
             stage.layer.macs for stage in mobilenet.stages
         )
+
+
+@pytest.mark.parametrize("precision", ("int8", "int4"))
+@pytest.mark.parametrize("model", ("mobilenet_v2", "resnet18", "tiny_llm"))
+def test_plan_holds_natural_weights_and_tile_orders(model, precision):
+    """Every lowered stage holds one read-only natural-order view of its
+    layer's codes plus per-group kernel/channel permutations.  A
+    group's orders are both the identity exactly when its search saved
+    no cycles, and the tile-order stack is each group's scheduled
+    tensor.  Scheduling permutes tiles, never the stored weights: the
+    unscheduled lowering holds the same view with identity orders."""
+    quantized = load_quantized_model(model, precision, scale=0.06)
+    config = CoreConfig(k=4, n=4, precision=quantized.precision)
+    net = lower_model(quantized, config, input_size=16)
+    plain = lower_model(quantized, config, input_size=16, scheduling=False)
+    weighted = [q for q in quantized.layers if q.layer.is_weighted]
+    assert len(net.stages) == len(plain.stages) == len(weighted)
+    permuted_anywhere = False
+    for stage, bare, layer in zip(net.stages, plain.stages, weighted):
+        groups, kernels, channels = stage.weights.shape[:3]
+        assert groups == stage.groups
+        assert stage.weights.shape[1:] == (
+            (kernels, channels) + layer.codes64.shape[2:]
+        )
+        for plan in (stage, bare):
+            assert not plan.weights.flags.writeable
+            assert np.shares_memory(plan.weights, layer.codes64)
+            assert plan.kernel_order.shape == (groups, kernels)
+            assert plan.channel_order.shape == (groups, channels)
+        assert np.array_equal(stage.weights, bare.weights)
+        assert (bare.kernel_order == np.arange(kernels)).all()
+        assert (bare.channel_order == np.arange(channels)).all()
+        schedules = optimize_stage_schedules(
+            stage.weights, stage.config, net.code
+        )
+        scheduled = stage.scheduled_weights()
+        for group, schedule in enumerate(schedules):
+            kernel_order = stage.kernel_order[group]
+            channel_order = stage.channel_order[group]
+            assert np.array_equal(np.sort(kernel_order), np.arange(kernels))
+            assert np.array_equal(
+                np.sort(channel_order), np.arange(channels)
+            )
+            identity = np.array_equal(
+                kernel_order, np.arange(kernels)
+            ) and np.array_equal(channel_order, np.arange(channels))
+            assert identity == (schedule.cycles_saved == 0), stage.name
+            permuted_anywhere |= not identity
+            assert np.array_equal(
+                scheduled[group],
+                apply_schedule(stage.weights[group], schedule),
+            )
+    assert permuted_anywhere, "scheduling never engaged"
 
 
 class TestStageAtoms:
