@@ -19,13 +19,13 @@ Quickstart::
     assert (tempus.output == binary.output).all()
     print(tempus.cycles, "vs", binary.cycles, "cycles")
 
-See README.md for the system inventory; ``python -m repro run <id>``
-prints each table or figure beside the paper's values.
+See README.md for the system inventory; ``python -m repro bench paper``
+prints every table and figure beside the paper's values and writes
+``results/BENCH_paper.json``.
 """
 
 from repro.core.tempus_core import TempusCore
 from repro.core.tub_multiplier import TubMultiplier, tub_multiply
-from repro.eval.experiments import EXPERIMENTS, run_experiment
 from repro.nvdla.config import CoreConfig, NV_SMALL
 from repro.nvdla.conv_core import ConvolutionCore, ConvResult
 from repro.nvdla.dataflow import ConvShape, golden_conv2d
@@ -43,8 +43,6 @@ __all__ = [
     "golden_conv2d",
     "TubMultiplier",
     "tub_multiply",
-    "EXPERIMENTS",
-    "run_experiment",
     "INT2",
     "INT4",
     "INT8",

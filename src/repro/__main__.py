@@ -2,14 +2,13 @@
 
 Usage::
 
-    python -m repro list                     # available experiments
-    python -m repro run fig7                 # one experiment, full scale
-    python -m repro run table2 --quick       # reduced parameters
-    python -m repro run all --out results/   # every experiment
+    python -m repro list                     # registered bench specs
+    python -m repro bench paper              # every table and figure
+                                             # beside the paper's values
     python -m repro bench backends           # one registered benchmark
     python -m repro bench serving --quick    # spec -> BENCH_<spec>.json
-                                             # (serving, backends,
-                                             # llm, pareto)
+                                             # (serving, backends, llm,
+                                             # pareto, paper)
     python -m repro bench pareto             # design-space autotuner:
                                              # Pareto frontier over
                                              # backend x precision x
@@ -24,7 +23,6 @@ import sys
 from dataclasses import replace
 
 from repro.errors import ReproError
-from repro.eval.experiments import EXPERIMENTS, run_experiment
 from repro.runtime.bench import BENCHMARKS
 from repro.tune.spec import get_sweep, registered_sweeps
 
@@ -38,25 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    commands.add_parser(
-        "list",
-        help="list available experiments and registered sweep specs",
-    )
-    runner = commands.add_parser("run", help="run one experiment (or all)")
-    runner.add_argument(
-        "experiment",
-        help=f"experiment id ({', '.join(sorted(EXPERIMENTS))}) or 'all'",
-    )
-    runner.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced parameters (scaled models, fewer sweep points)",
-    )
-    runner.add_argument(
-        "--out",
-        default="results",
-        help="artifact directory (default: results/)",
-    )
+    commands.add_parser("list", help="list the registered bench specs")
     bench = commands.add_parser(
         "bench",
         help=(
@@ -132,33 +112,11 @@ def main(argv: "list[str] | None" = None) -> int:
         return _bench(args)
     if args.command == "check-results":
         return _check_results(args)
-    if args.command == "list":
-        for experiment_id in sorted(EXPERIMENTS):
-            driver = EXPERIMENTS[experiment_id]
-            summary = (driver.__doc__ or "").strip().splitlines()[0]
-            print(f"{experiment_id:12s} {summary}")
-        # Every registered sweep is a `bench` spec.
-        print("\nsweep specs (bench):")
-        for spec in registered_sweeps():
-            print(f"{spec.name:12s} {spec.description}")
-            print(f"{'':12s}   {spec.describe_axes()}")
-        return 0
-
-    ids = sorted(EXPERIMENTS) if args.experiment == "all" \
-        else [args.experiment]
-    for experiment_id in ids:
-        if experiment_id not in EXPERIMENTS:
-            print(
-                f"unknown experiment {experiment_id!r}; try "
-                f"'python -m repro list'",
-                file=sys.stderr,
-            )
-            return 2
-        result = run_experiment(
-            experiment_id, quick=args.quick, artifact_dir=args.out
-        )
-        print(result.render())
-        print()
+    # Every registered sweep is a `bench` spec.
+    print("sweep specs (bench):")
+    for spec in registered_sweeps():
+        print(f"{spec.name:12s} {spec.description}")
+        print(f"{'':12s}   {spec.describe_axes()}")
     return 0
 
 

@@ -17,11 +17,11 @@ magnitude as the sort key.
 The permutation is semantics-preserving: activations are reordered with
 the same channel permutation and outputs carry the kernel permutation,
 which the accumulator unwinds for free (it is just an address mapping).
+:func:`search_stage_orders` returns the orders; lowering stores them on
+each ``StagePlan``, and ``StagePlan.scheduled_weights()`` applies them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,54 +30,6 @@ from repro.core.latency import cached_burst_cycle_map
 from repro.errors import DataflowError
 from repro.nvdla.config import CoreConfig
 from repro.unary.encoding import TwosUnaryCode, UnaryCode
-
-
-@dataclass(frozen=True)
-class TileSchedule:
-    """An optimized weight-tile layout.
-
-    Attributes:
-        kernel_order: permutation applied to the kernel axis.
-        channel_order: permutation applied to the channel axis.
-        baseline_cycles: per-pixel burst cycles before optimization.
-        optimized_cycles: per-pixel burst cycles after optimization.
-    """
-
-    kernel_order: np.ndarray
-    channel_order: np.ndarray
-    baseline_cycles: int
-    optimized_cycles: int
-
-    @property
-    def speedup(self) -> float:
-        return self.baseline_cycles / max(self.optimized_cycles, 1)
-
-    @property
-    def cycles_saved(self) -> int:
-        return self.baseline_cycles - self.optimized_cycles
-
-
-def apply_schedule(
-    weights: np.ndarray, schedule: TileSchedule
-) -> np.ndarray:
-    """Reorder a (K, C, R, S) weight tensor per the schedule."""
-    weights = np.asarray(weights)
-    return weights[schedule.kernel_order][:, schedule.channel_order]
-
-
-def apply_to_activations(
-    activations: np.ndarray, schedule: TileSchedule
-) -> np.ndarray:
-    """Reorder a (C, H, W) activation tensor to match the schedule."""
-    return np.asarray(activations)[schedule.channel_order]
-
-
-def restore_outputs(
-    outputs: np.ndarray, schedule: TileSchedule
-) -> np.ndarray:
-    """Undo the kernel permutation on a (K, OH, OW) output tensor."""
-    inverse = np.argsort(schedule.kernel_order)
-    return np.asarray(outputs)[inverse]
 
 
 def search_stage_orders(
@@ -138,50 +90,6 @@ def search_stage_orders(
     for array in (kernel_orders, channel_orders, baselines, optimized):
         array.setflags(write=False)
     return kernel_orders, channel_orders, baselines, optimized
-
-
-def optimize_stage_schedules(
-    weights: np.ndarray,
-    config: CoreConfig,
-    code: UnaryCode | None = None,
-) -> tuple[TileSchedule, ...]:
-    """:func:`search_stage_orders` as one :class:`TileSchedule` per
-    group."""
-    kernel_orders, channel_orders, baselines, optimized = \
-        search_stage_orders(weights, config, code)
-    return tuple(
-        TileSchedule(
-            kernel_order=kernel_orders[group],
-            channel_order=channel_orders[group],
-            baseline_cycles=int(baselines[group]),
-            optimized_cycles=int(optimized[group]),
-        )
-        for group in range(len(baselines))
-    )
-
-
-def optimize_tile_schedule(
-    weights: np.ndarray,
-    config: CoreConfig,
-    code: UnaryCode | None = None,
-) -> TileSchedule:
-    """Find kernel/channel permutations minimising total burst cycles.
-
-    Args:
-        weights: (K, C, R, S) integer weights (one convolution / group).
-        config: array geometry (tile size k x n).
-        code: unary code (default 2s-unary).
-
-    Returns:
-        the schedule with before/after per-pixel cycle counts.
-    """
-    weights = np.asarray(weights)
-    if weights.ndim != 4:
-        raise DataflowError("expected (K, C, R, S) weights")
-    (schedule,) = optimize_stage_schedules(
-        weights[np.newaxis], config, code
-    )
-    return schedule
 
 
 def model_schedule_savings(

@@ -1,7 +1,9 @@
 """Evaluation harness: the paper's reported numbers, comparison reports,
-iso-area throughput math, and one runnable driver per table/figure."""
+iso-area throughput math, and one driver per table/figure
+(:mod:`repro.eval.experiments`, run by ``python -m repro bench paper``;
+imported on demand, since it loads the synthesis, P&R and CNN-training
+stack)."""
 
-from repro.eval.experiments import EXPERIMENTS, ExperimentResult, run_experiment
 from repro.eval.report import Comparison, comparison_table
 from repro.eval.throughput import (
     iso_area_improvement,
@@ -9,9 +11,6 @@ from repro.eval.throughput import (
 )
 
 __all__ = [
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "run_experiment",
     "Comparison",
     "comparison_table",
     "iso_area_improvement",

@@ -1,15 +1,19 @@
-"""Experiment drivers: one runnable per table/figure of the paper.
+"""The paper's evaluation: one driver per table/figure, all run by
+``python -m repro bench paper``.
 
-Each driver returns an :class:`ExperimentResult` carrying the measured
-rows, paper-vs-measured comparisons, notes, and any artifacts written (CSV
-series behind the figures).  The benchmark harness under ``benchmarks/``
-executes these drivers and prints their reports; tests run them with
-``quick=True`` to keep runtimes small.
+Each driver takes the ``paper`` :class:`~repro.tune.spec.SweepSpec`
+and returns an :class:`ExperimentResult` carrying the measured rows,
+paper-vs-measured comparisons, notes, pre-rendered text and the figure
+series behind the plots.  :func:`run_paper_benchmark` runs every
+driver in :data:`EXPERIMENTS` order and writes one record each to
+``results/BENCH_paper.json``; ``python -m repro check-results`` holds
+each record's shape claims (:mod:`repro.eval.results_schema`).  No
+driver reads a host clock, so the artifact is a function of the spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +38,7 @@ from repro.models.accuracy import (
     quantization_sweep,
 )
 from repro.models.weights import load_quantized_model
-from repro.models.zoo import MODEL_NAMES, TABLE1_LABELS
+from repro.models.zoo import TABLE1_LABELS
 from repro.nvdla.config import CoreConfig
 from repro.nvdla.conv_core import ConvolutionCore
 from repro.nvdla.hwmodel import (
@@ -45,10 +49,24 @@ from repro.nvdla.hwmodel import (
 from repro.profiling.energy import workload_energy
 from repro.profiling.magnitude import profile_model_magnitudes
 from repro.profiling.sparsity import profile_model_sparsity
+from repro.tune.harness import write_benchmark_artifact
+from repro.tune.spec import PAPER_SWEEP, SweepSpec
 from repro.unary.encoding import PureUnaryCode, TwosUnaryCode
 from repro.utils.intrange import INT4, INT8, int_spec
 from repro.utils.rng import make_rng
-from repro.utils.tables import ascii_bar_chart, format_table, write_csv
+from repro.utils.tables import ascii_bar_chart, format_table
+
+
+def _plain(value):
+    """JSON-ready copy: tuples become lists, numpy scalars Python
+    numbers."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
 
 
 @dataclass(frozen=True)
@@ -62,7 +80,11 @@ class ExperimentResult:
         comparisons: paper-vs-measured metric pairs.
         notes: free-form observations (fidelity caveats, trends).
         extra_text: pre-rendered blocks (traces, bar charts, layouts).
-        artifacts: files written (CSV series).
+        series: figure series that are not the rows themselves, by
+            name: ``{"headers": [...], "rows": [...]}``.
+        grid: the axes the rows span, for drivers whose row count
+            depends on the preset (the claim checks count rows
+            against it).
     """
 
     experiment_id: str
@@ -72,56 +94,100 @@ class ExperimentResult:
     comparisons: tuple[Comparison, ...] = ()
     notes: tuple[str, ...] = ()
     extra_text: str = ""
-    artifacts: tuple[Path, ...] = ()
+    series: dict = field(default_factory=dict)
+    grid: dict = field(default_factory=dict)
 
-    def render(self) -> str:
-        blocks = [
-            format_table(
-                list(self.headers),
-                [list(row) for row in self.rows],
-                title=f"[{self.experiment_id}] {self.title}",
-            )
-        ]
-        if self.comparisons:
-            blocks.append(
-                comparison_table(
-                    list(self.comparisons), title="paper vs measured"
-                )
-            )
-        if self.extra_text:
-            blocks.append(self.extra_text)
-        for note in self.notes:
-            blocks.append(f"note: {note}")
-        if self.artifacts:
-            blocks.append(
-                "artifacts: "
-                + ", ".join(str(path) for path in self.artifacts)
-            )
-        return "\n\n".join(blocks)
+    def to_record(self) -> dict:
+        """The experiment's ``BENCH_paper.json`` record."""
+        return _plain(
+            {
+                "id": self.experiment_id,
+                "title": self.title,
+                "headers": self.headers,
+                "rows": self.rows,
+                "comparisons": [
+                    {
+                        "metric": comparison.metric,
+                        "paper": comparison.paper,
+                        "measured": comparison.measured,
+                        "unit": comparison.unit,
+                        "ratio": comparison.ratio,
+                    }
+                    for comparison in self.comparisons
+                ],
+                "notes": self.notes,
+                "extra_text": self.extra_text,
+                "series": self.series,
+                "grid": self.grid,
+            }
+        )
 
 
-def _artifact_dir(path: "str | Path | None") -> Path:
-    base = Path(path) if path is not None else Path("results")
-    base.mkdir(parents=True, exist_ok=True)
-    return base
+def render_record(record: dict) -> str:
+    """One experiment's report: the measured table, paper vs measured,
+    pre-rendered text and notes."""
+    blocks = [
+        format_table(
+            record["headers"],
+            record["rows"],
+            title=f"[{record['id']}] {record['title']}",
+        )
+    ]
+    if record["comparisons"]:
+        blocks.append(
+            comparison_table(
+                [
+                    Comparison(
+                        entry["metric"],
+                        entry["paper"],
+                        entry["measured"],
+                        entry["unit"],
+                    )
+                    for entry in record["comparisons"]
+                ],
+                title="paper vs measured",
+            )
+        )
+    if record["extra_text"]:
+        blocks.append(record["extra_text"])
+    for note in record["notes"]:
+        blocks.append(f"note: {note}")
+    return "\n\n".join(blocks)
+
+
+def _series(headers, rows) -> dict:
+    return {"headers": list(headers), "rows": rows}
+
+
+def _precision_grid(precisions, n_values) -> dict:
+    return {
+        "precisions": [precision.name for precision in precisions],
+        "n": list(n_values),
+    }
+
+
+def _density_series(layout) -> dict:
+    """A layout's occupancy grid, row 0 at the die's bottom edge."""
+    return _series(
+        [f"col{index}" for index in range(layout.occupancy.shape[1])],
+        [[round(float(value), 4) for value in row]
+         for row in layout.occupancy],
+    )
 
 
 # ----------------------------------------------------------------------
 # Fig. 1 — quantization accuracy
 # ----------------------------------------------------------------------
-def fig1_quant_accuracy(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def fig1_quant_accuracy(spec: SweepSpec) -> ExperimentResult:
     """Accuracy of the NumPy CNN at FP32 and INT8..INT2 (Fig. 1's
     minimal-degradation story on our offline substrate)."""
-    dataset = make_synthetic_dataset(
-        train_per_class=40 if quick else 100,
-        test_per_class=15 if quick else 30,
-    )
+    # Quick trains on the full dataset for fewer epochs and keeps the
+    # INT2 point, so every Fig. 1 claim is checked at both presets.
+    dataset = make_synthetic_dataset(train_per_class=100, test_per_class=30)
     model = SmallCnn()
-    model.train(dataset, epochs=3 if quick else 8)
+    model.train(dataset, epochs=3 if spec.quick else 8)
     sweep = quantization_sweep(
-        model, dataset, widths=(8, 4) if quick else (8, 6, 5, 4, 3, 2)
+        model, dataset, widths=(8, 4, 2) if spec.quick else (8, 6, 5, 4, 3, 2)
     )
     rows = [
         (entry.precision, round(entry.accuracy * 100, 1),
@@ -137,7 +203,7 @@ def fig1_quant_accuracy(
         compiled,
         dataset.test_x,
         dataset.test_y,
-        limit=30 if quick else 120,
+        limit=30 if spec.quick else 120,
         engine="tempus",
     )
     baseline = sweep[0].accuracy
@@ -173,12 +239,6 @@ def fig1_quant_accuracy(
                 unit="%",
             )
         )
-    out = _artifact_dir(artifact_dir)
-    artifact = write_csv(
-        out / "fig1_quant_accuracy.csv",
-        ["precision", "accuracy_pct", "drop_pct"],
-        rows,
-    )
     return ExperimentResult(
         experiment_id="fig1",
         title="Quantization accuracy vs precision (synthetic substrate)",
@@ -187,19 +247,16 @@ def fig1_quant_accuracy(
         comparisons=tuple(comparisons),
         notes=tuple(notes),
         extra_text=extra,
-        artifacts=(artifact,),
     )
 
 
 # ----------------------------------------------------------------------
 # Table I — word sparsity
 # ----------------------------------------------------------------------
-def table1_word_sparsity(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def table1_word_sparsity(spec: SweepSpec) -> ExperimentResult:
     """Zero-weight percentage of the eight INT8 model-zoo CNNs."""
-    scale = 0.25 if quick else 1.0
-    names = MODEL_NAMES[:3] if quick else MODEL_NAMES
+    scale = 0.25 if spec.quick else 1.0
+    names = spec.nets[:3] if spec.quick else spec.nets
     rows = []
     comparisons = []
     for name in names:
@@ -213,12 +270,6 @@ def table1_word_sparsity(
                 f"{label} word sparsity", reported, round(measured, 3), "%"
             )
         )
-    out = _artifact_dir(artifact_dir)
-    artifact = write_csv(
-        out / "table1_word_sparsity.csv",
-        ["model", "paper_pct", "measured_pct"],
-        rows,
-    )
     return ExperimentResult(
         experiment_id="table1",
         title="Word sparsity of INT8-quantized CNNs",
@@ -229,18 +280,15 @@ def table1_word_sparsity(
             "weights are synthetic mixtures calibrated per model; "
             "sparsity is the calibration target",
         ),
-        artifacts=(artifact,),
+        grid={"nets": names},
     )
 
 
 # ----------------------------------------------------------------------
 # Fig. 2 — tub multiplier dataflow
 # ----------------------------------------------------------------------
-def fig2_tub_dataflow(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def fig2_tub_dataflow(spec: SweepSpec) -> ExperimentResult:
     """Cycle-by-cycle trace of INT4 tub multiplications."""
-    del quick  # trivially fast either way
     examples = [(5, 6), (-3, 7), (7, -8), (4, 0)]
     traces = [tub_multiply(a, w, spec=INT4) for a, w in examples]
     rows = tuple(
@@ -271,14 +319,12 @@ def fig2_tub_dataflow(
 # ----------------------------------------------------------------------
 # Fig. 3 — NVDLA integration / dataflow compliance
 # ----------------------------------------------------------------------
-def fig3_integration(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def fig3_integration(spec: SweepSpec) -> ExperimentResult:
     """Run the same layer through the binary CC and Tempus Core
     (burst-level simulation, bit-identical to tick-level) and check
     bit-exact agreement."""
     rng = make_rng("fig3")
-    size = 6 if quick else 10
+    size = 6 if spec.quick else 10
     config = CoreConfig(k=8, n=8, precision=INT8)
     spec = config.precision
     activations = spec.random_array(rng, (8, size, size))
@@ -317,14 +363,13 @@ def fig3_integration(
 # ----------------------------------------------------------------------
 # Table II — single PE cell synthesis
 # ----------------------------------------------------------------------
-def table2_pe_cell_synthesis(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def table2_pe_cell_synthesis(spec: SweepSpec) -> ExperimentResult:
     """Binary vs tub PE cell area/power across precisions and n."""
-    n_values = (16, 256) if quick else (16, 256, 1024)
+    n_values = (16, 256) if spec.quick else (16, 256, 1024)
     rows = []
     comparisons = []
-    for precision in (INT4, INT8):
+    precisions = (INT4, INT8)
+    for precision in precisions:
         for n in n_values:
             binary = synthesize(binary_pe_cell_netlist(precision, n))
             tub = synthesize(tub_pe_cell_netlist(precision, n))
@@ -365,21 +410,6 @@ def table2_pe_cell_synthesis(
                         "%",
                     )
                 )
-    out = _artifact_dir(artifact_dir)
-    artifact = write_csv(
-        out / "table2_pe_cell.csv",
-        [
-            "precision",
-            "n",
-            "binary_area_mm2",
-            "tub_area_mm2",
-            "area_reduction_pct",
-            "binary_power_mw",
-            "tub_power_mw",
-            "power_reduction_pct",
-        ],
-        rows,
-    )
     return ExperimentResult(
         experiment_id="table2",
         title="Single PE cell (k=1): post-synthesis area and power",
@@ -400,18 +430,15 @@ def table2_pe_cell_synthesis(
             "Design Compiler; the reproduced claims are the orderings "
             "and trends (tub << binary, INT8 advantage > INT4)",
         ),
-        artifacts=(artifact,),
+        grid=_precision_grid(precisions, n_values),
     )
 
 
 # ----------------------------------------------------------------------
 # Fig. 4 — 16x16 arrays
 # ----------------------------------------------------------------------
-def fig4_array16x16(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def fig4_array16x16(spec: SweepSpec) -> ExperimentResult:
     """Area/power of the 16x16 binary vs tub arrays (INT4/INT8)."""
-    del quick
     rows = []
     comparisons = []
     chart_labels = []
@@ -459,20 +486,6 @@ def fig4_array16x16(
         chart_values,
         title="Fig. 4 (power view), mW at 250 MHz",
     )
-    out = _artifact_dir(artifact_dir)
-    artifact = write_csv(
-        out / "fig4_array16x16.csv",
-        [
-            "precision",
-            "binary_area_mm2",
-            "tub_area_mm2",
-            "area_reduction_pct",
-            "binary_power_mw",
-            "tub_power_mw",
-            "power_reduction_pct",
-        ],
-        rows,
-    )
     return ExperimentResult(
         experiment_id="fig4",
         title="16x16 PE array: post-synthesis power and area",
@@ -488,19 +501,16 @@ def fig4_array16x16(
         rows=tuple(rows),
         comparisons=tuple(comparisons),
         extra_text=extra,
-        artifacts=(artifact,),
     )
 
 
 # ----------------------------------------------------------------------
 # Fig. 5 — CMAC unit vs PCU
 # ----------------------------------------------------------------------
-def fig5_cmac_vs_pcu(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def fig5_cmac_vs_pcu(spec: SweepSpec) -> ExperimentResult:
     """Whole-unit comparison across array widths and precisions."""
-    n_values = (4, 16) if quick else (4, 16, 32)
-    precisions = (INT8,) if quick else tuple(
+    n_values = (4, 16) if spec.quick else (4, 16, 32)
+    precisions = (INT8,) if spec.quick else tuple(
         int_spec(width) for width in (2, 4, 8)
     )
     rows = []
@@ -543,21 +553,6 @@ def fig5_cmac_vs_pcu(
                 "%",
             ),
         ]
-    out = _artifact_dir(artifact_dir)
-    artifact = write_csv(
-        out / "fig5_cmac_vs_pcu.csv",
-        [
-            "precision",
-            "array",
-            "cmac_area_mm2",
-            "pcu_area_mm2",
-            "area_reduction_pct",
-            "cmac_power_mw",
-            "pcu_power_mw",
-            "power_reduction_pct",
-        ],
-        rows,
-    )
     return ExperimentResult(
         experiment_id="fig5",
         title="Entire CMAC unit vs PCU across widths and precisions",
@@ -578,16 +573,16 @@ def fig5_cmac_vs_pcu(
             "the paper's DC power report is dominated by unit-level "
             "clock/retiming overhead we model more lightly",
         ),
-        artifacts=(artifact,),
+        grid=_precision_grid(precisions, n_values),
     )
 
 
 # ----------------------------------------------------------------------
 # Fig. 6 + Table III — place and route
 # ----------------------------------------------------------------------
-def fig6_layout(quick: bool = False, artifact_dir=None) -> ExperimentResult:
+def fig6_layout(spec: SweepSpec) -> ExperimentResult:
     """P&R layout density maps for the INT4 16x4 CMAC vs PCU."""
-    resolution = 16 if quick else 32
+    resolution = 16 if spec.quick else 32
     cmac = place_and_route(
         cmac_unit_netlist(16, 4, INT4), grid_resolution=resolution
     )
@@ -616,11 +611,6 @@ def fig6_layout(quick: bool = False, artifact_dir=None) -> ExperimentResult:
             pcu.layout.render("PCU 16x4 INT4 layout density"),
         ]
     )
-    out = _artifact_dir(artifact_dir)
-    artifacts = (
-        cmac.layout.to_csv(out / "fig6_cmac_density.csv"),
-        pcu.layout.to_csv(out / "fig6_pcu_density.csv"),
-    )
     return ExperimentResult(
         experiment_id="fig6",
         title="Layout density, INT4 16x4 (both at 70% floorplan "
@@ -638,13 +628,15 @@ def fig6_layout(quick: bool = False, artifact_dir=None) -> ExperimentResult:
             "less than half the CMAC's cell area — compare the die areas",
         ),
         extra_text=extra,
-        artifacts=artifacts,
+        series={
+            "cmac_density": _density_series(cmac.layout),
+            "pcu_density": _density_series(pcu.layout),
+        },
     )
 
 
-def table3_pnr(quick: bool = False, artifact_dir=None) -> ExperimentResult:
+def table3_pnr(spec: SweepSpec) -> ExperimentResult:
     """Post-P&R total area / power, 16x4 INT4."""
-    del quick
     cmac = place_and_route(cmac_unit_netlist(16, 4, INT4))
     pcu = place_and_route(pcu_unit_netlist(16, 4, INT4))
     area_red = 100 * (1 - pcu.die_area_mm2 / cmac.die_area_mm2)
@@ -708,16 +700,13 @@ _PROFILED_MODELS = {
 }
 
 
-def fig7_weight_magnitude(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def fig7_weight_magnitude(spec: SweepSpec) -> ExperimentResult:
     """Tile-max weight-magnitude histograms and mean burst latency."""
-    scale = 0.25 if quick else 1.0
+    scale = 0.25 if spec.quick else 1.0
     rows = []
     comparisons = []
     charts = []
-    artifacts = []
-    out = _artifact_dir(artifact_dir)
+    series = {}
     for name, label in _PROFILED_MODELS.items():
         model = load_quantized_model(name, scale=scale)
         profile = profile_model_magnitudes(model)
@@ -748,12 +737,8 @@ def fig7_weight_magnitude(
                 value_format="d",
             )
         )
-        artifacts.append(
-            write_csv(
-                out / f"fig7_{name}_magnitude.csv",
-                ["magnitude", "frequency"],
-                profile.to_rows(),
-            )
+        series[f"{name}_magnitude"] = _series(
+            ("magnitude", "frequency"), profile.to_rows()
         )
     return ExperimentResult(
         experiment_id="fig7",
@@ -773,19 +758,16 @@ def fig7_weight_magnitude(
             "paper",
         ),
         extra_text="\n\n".join(charts),
-        artifacts=tuple(artifacts),
+        series=series,
     )
 
 
-def fig8_sparsity_profile(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def fig8_sparsity_profile(spec: SweepSpec) -> ExperimentResult:
     """Silent-PE (zero weight per tile) histograms."""
-    scale = 0.25 if quick else 1.0
+    scale = 0.25 if spec.quick else 1.0
     rows = []
     comparisons = []
-    artifacts = []
-    out = _artifact_dir(artifact_dir)
+    series = {}
     for name, label in _PROFILED_MODELS.items():
         model = load_quantized_model(name, scale=scale)
         profile = profile_model_sparsity(model)
@@ -807,12 +789,8 @@ def fig8_sparsity_profile(
                 "PEs",
             )
         )
-        artifacts.append(
-            write_csv(
-                out / f"fig8_{name}_sparsity.csv",
-                ["silent_pes", "tiles"],
-                profile.to_rows(),
-            )
+        series[f"{name}_sparsity"] = _series(
+            ("silent_pes", "tiles"), profile.to_rows()
         )
     return ExperimentResult(
         experiment_id="fig8",
@@ -826,16 +804,16 @@ def fig8_sparsity_profile(
         ),
         rows=tuple(rows),
         comparisons=tuple(comparisons),
-        artifacts=tuple(artifacts),
+        series=series,
     )
 
 
 # ----------------------------------------------------------------------
 # Sec. V-C — workload energy
 # ----------------------------------------------------------------------
-def secVC_energy(quick: bool = False, artifact_dir=None) -> ExperimentResult:
+def secVC_energy(spec: SweepSpec) -> ExperimentResult:
     """Energy per burst: binary vs tub, workload-dependent + worst case."""
-    scale = 0.25 if quick else 1.0
+    scale = 0.25 if spec.quick else 1.0
     config8 = CoreConfig(k=16, n=16, precision=INT8)
     config4 = CoreConfig(k=16, n=16, precision=INT4)
     rows = []
@@ -924,20 +902,6 @@ def secVC_energy(quick: bool = False, artifact_dir=None) -> ExperimentResult:
             "x",
         ),
     ]
-    out = _artifact_dir(artifact_dir)
-    artifact = write_csv(
-        out / "secVC_energy.csv",
-        [
-            "workload",
-            "precision",
-            "burst_cycles",
-            "binary_pj",
-            "tub_pj",
-            "tub_silent_adjusted_pj",
-            "gap",
-        ],
-        rows,
-    )
     return ExperimentResult(
         experiment_id="secVC",
         title="Workload-dependent energy per k-psum burst (16x16 array)",
@@ -957,18 +921,14 @@ def secVC_energy(quick: bool = False, artifact_dir=None) -> ExperimentResult:
             "precision shrinks the gap (paper: 11.7x -> 2.3x from INT8 "
             "to INT4)",
         ),
-        artifacts=(artifact,),
     )
 
 
 # ----------------------------------------------------------------------
 # Sec. V-D + Fig. 9 — iso-area throughput
 # ----------------------------------------------------------------------
-def secVD_iso_area(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def secVD_iso_area(spec: SweepSpec) -> ExperimentResult:
     """Iso-area throughput improvement for the 16x16 arrays."""
-    del quick
     rows = []
     comparisons = []
     for precision in (INT8, INT4):
@@ -1009,15 +969,14 @@ def secVD_iso_area(
     )
 
 
-def fig9_iso_area_scaling(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def fig9_iso_area_scaling(spec: SweepSpec) -> ExperimentResult:
     """Single-cell iso-area throughput vs n, with the n=65536
     projection."""
-    n_values = [16, 64, 256] if quick else [16, 64, 256, 1024, 4096]
+    n_values = [16, 64, 256] if spec.quick else [16, 64, 256, 1024, 4096]
     rows = []
     comparisons = []
-    for precision in (INT8, INT4):
+    precisions = (INT8, INT4)
+    for precision in precisions:
         improvements = []
         for n in n_values:
             binary = synthesize(binary_pe_cell_netlist(precision, n))
@@ -1039,12 +998,6 @@ def fig9_iso_area_scaling(
                 "x",
             )
         )
-    out = _artifact_dir(artifact_dir)
-    artifact = write_csv(
-        out / "fig9_iso_area.csv",
-        ["precision", "n", "improvement", "kind"],
-        rows,
-    )
     return ExperimentResult(
         experiment_id="fig9",
         title="Iso-area throughput vs number of multipliers (single cell)",
@@ -1056,19 +1009,17 @@ def fig9_iso_area_scaling(
             "dominates); our absolute ratios are below the paper's "
             "because our tub cell model carries more per-lane hardware",
         ),
-        artifacts=(artifact,),
+        grid=_precision_grid(precisions, n_values),
     )
 
 
 # ----------------------------------------------------------------------
 # background / ablations
 # ----------------------------------------------------------------------
-def gemm_baselines(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def gemm_baselines(spec: SweepSpec) -> ExperimentResult:
     """tuGEMM vs tubGEMM vs binary GEMM (Sec. II-B background)."""
     rng = make_rng("gemm-bench")
-    size = 6 if quick else 12
+    size = 6 if spec.quick else 12
     rows = []
     for precision in (INT8, INT4):
         spec = int_spec(precision)
@@ -1111,12 +1062,10 @@ def gemm_baselines(
     )
 
 
-def ablation_encoding(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def ablation_encoding(spec: SweepSpec) -> ExperimentResult:
     """Design-choice ablation: 2s-unary vs pure unary burst latency, and
     PCU burst overhead sensitivity."""
-    scale = 0.25 if quick else 0.5
+    scale = 0.25 if spec.quick else 0.5
     model = load_quantized_model("mobilenet_v2", scale=scale)
     profile = profile_model_magnitudes(model)
     twos = profile.mean_latency_cycles(TwosUnaryCode())
@@ -1145,14 +1094,12 @@ def ablation_encoding(
     )
 
 
-def ablation_scheduling(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def ablation_scheduling(spec: SweepSpec) -> ExperimentResult:
     """Future-work extension: burst-aware tile scheduling (channel/kernel
     permutation) on profiled CNN weights."""
     from repro.core.scheduling import model_schedule_savings
 
-    scale = 0.25 if quick else 0.5
+    scale = 0.25 if spec.quick else 0.5
     config = CoreConfig(k=16, n=16, precision=INT8)
     model = load_quantized_model("mobilenet_v2", scale=scale)
     per_layer = model_schedule_savings(model, config)
@@ -1193,9 +1140,7 @@ def ablation_scheduling(
     )
 
 
-def ablation_tile_size(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def ablation_tile_size(spec: SweepSpec) -> ExperimentResult:
     """Design-space ablation: array (tile) size vs workload burst latency.
 
     Fig. 9 argues larger arrays win more iso-area throughput; the
@@ -1203,7 +1148,7 @@ def ablation_tile_size(
     weights, lengthening every burst.  This sweep quantifies that latency
     cost on profiled MobileNetV2 weights.
     """
-    scale = 0.25 if quick else 0.5
+    scale = 0.25 if spec.quick else 0.5
     model = load_quantized_model("mobilenet_v2", scale=scale)
     geometries = [(4, 4), (8, 8), (16, 16), (32, 32)]
     rows = []
@@ -1237,14 +1182,12 @@ def ablation_tile_size(
     )
 
 
-def ext_llm_projection(
-    quick: bool = False, artifact_dir=None
-) -> ExperimentResult:
+def ext_llm_projection(spec: SweepSpec) -> ExperimentResult:
     """Future-work extension: ultra-low-precision LLM projections
     (weight-only INT8/INT4/INT2) on the tub array."""
     from repro.gemm.llm import TINY_LLM, TransformerLayerDims, token_step_latency
 
-    dims = TransformerLayerDims(256, 4, 704) if quick else TINY_LLM
+    dims = TransformerLayerDims(256, 4, 704) if spec.quick else TINY_LLM
     config = CoreConfig(k=16, n=16, precision=INT8)
     rows = []
     for width in (8, 4, 2):
@@ -1305,9 +1248,10 @@ EXPERIMENTS = {
 
 
 def run_experiment(
-    experiment_id: str, quick: bool = False, artifact_dir=None
+    experiment_id: str, quick: bool = False
 ) -> ExperimentResult:
-    """Run one experiment by id (see :data:`EXPERIMENTS`)."""
+    """Run one experiment by id (see :data:`EXPERIMENTS`) on the
+    ``paper`` spec."""
     try:
         driver = EXPERIMENTS[experiment_id]
     except KeyError as exc:
@@ -1315,4 +1259,36 @@ def run_experiment(
             f"unknown experiment {experiment_id!r}; available: "
             f"{', '.join(sorted(EXPERIMENTS))}"
         ) from exc
-    return driver(quick=quick, artifact_dir=artifact_dir)
+    return driver(replace(PAPER_SWEEP, quick=quick))
+
+
+def run_paper_benchmark(
+    spec: SweepSpec = PAPER_SWEEP,
+    out_dir: "str | Path | None" = "results",
+) -> dict:
+    """Every experiment of :data:`EXPERIMENTS`, one record each
+    (``results/BENCH_paper.json``).
+
+    Args:
+        spec: the ``paper`` spec — its nets are Table I's, and
+            ``quick`` selects each driver's reduced preset.
+        out_dir: where BENCH_paper.json is written (None = don't).
+
+    Returns:
+        the payload written to the artifact.
+    """
+    payload = {
+        "benchmark": "paper",
+        "quick": bool(spec.quick),
+        "experiments": [
+            driver(spec).to_record() for driver in EXPERIMENTS.values()
+        ],
+    }
+    return write_benchmark_artifact(payload, "BENCH_paper.json", out_dir)
+
+
+def render_paper_benchmark(payload: dict) -> str:
+    """Every experiment's report, in registry order."""
+    return "\n\n".join(
+        render_record(record) for record in payload["experiments"]
+    )

@@ -2,20 +2,18 @@
 
 The paper shows Innovus layout plots for the CMAC and PCU at identical
 floorplan sizes; the visual takeaway is the PCU's much lower cell density.
-We reproduce that as an occupancy grid rendered with density characters and
-exportable to CSV.
+We reproduce that as an occupancy grid rendered with density characters;
+the ``fig6`` experiment records the grids in ``BENCH_paper.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.hw.floorplan import Floorplan
 from repro.hw.place import Placement
-from repro.utils.tables import write_csv
 
 _DENSITY_RAMP = " .:-=+*#%@"
 
@@ -82,11 +80,3 @@ class LayoutGrid:
         lines.append(top)
         lines.append(f"mean utilization: {self.utilization():.1%}")
         return "\n".join(lines)
-
-    def to_csv(self, path: "str | Path") -> Path:
-        """Dump the occupancy grid for external plotting."""
-        rows = [
-            [f"{value:.4f}" for value in row] for row in self.occupancy
-        ]
-        headers = [f"col{i}" for i in range(self.occupancy.shape[1])]
-        return write_csv(path, headers, rows)

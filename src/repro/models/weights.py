@@ -57,8 +57,8 @@ class WeightSynthesisSpec:
 #: Per-model mixtures fitted to Table I (word sparsity %) of the paper by a
 #: secant search on laplace_fraction (zero_inflation only for MobileNetV3,
 #: whose published sparsity is pruning-dominated).  Achieved sparsities are
-#: locked by tests/models/test_calibration.py; ``python -m repro run table1``
-#: prints them beside the paper's.
+#: locked by tests/models/test_calibration.py; ``python -m repro bench
+#: paper`` prints them beside the paper's (the ``table1`` record).
 MODEL_SYNTHESIS: dict[str, WeightSynthesisSpec] = {
     "mobilenet_v2": WeightSynthesisSpec(0.0732, 0.0000),
     "mobilenet_v3": WeightSynthesisSpec(0.0732, 0.0746),

@@ -30,6 +30,9 @@ perfbench alone.
 * :func:`~repro.tune.autotune.run_pareto_tune` — ``pareto``: the
   design-space autotuner's Pareto frontier over backend x precision x
   geometry (``results/BENCH_pareto.json``).
+* :func:`~repro.eval.experiments.run_paper_benchmark` — ``paper``:
+  every table and figure of the paper's evaluation, each beside its
+  published values (``results/BENCH_paper.json``).
 
 :data:`BENCHMARKS` maps each spec name to its driver and renderer.
 """
@@ -42,6 +45,8 @@ import numpy as np
 
 from repro.core.latency import burst_cycle_map
 from repro.errors import DataflowError
+from repro.eval.experiments import render_paper_benchmark, \
+    run_paper_benchmark
 from repro.eval.throughput import requests_per_second
 from repro.profiling.energy import workload_energy
 from repro.quant.profile import precision_profile
@@ -873,4 +878,5 @@ BENCHMARKS = {
     "backends": (run_backend_benchmark, render_backend_benchmark),
     "llm": (run_llm_benchmark, render_llm_benchmark),
     "pareto": (run_pareto_tune, render_pareto_tune),
+    "paper": (run_paper_benchmark, render_paper_benchmark),
 }

@@ -13,10 +13,10 @@ autotuner (:mod:`repro.tune.autotune`) is just a spec (``pareto``)
 whose points are scored against an SLO.  The named specs registered
 here are the one definition of every committed benchmark artifact:
 ``serving`` (worker counts x injected fault rates), ``backends`` (the
-one CNN backend x precision sweep), ``llm`` and ``pareto``.
-``python -m repro bench <name> [--quick]`` runs one through its
-driver, and ``python -m repro list`` enumerates them next to the paper
-experiments.
+one CNN backend x precision sweep), ``llm``, ``pareto`` and ``paper``
+(the paper's tables and figures).  ``python -m repro bench <name>
+[--quick]`` runs one through its driver, and ``python -m repro list``
+enumerates them.
 """
 
 from __future__ import annotations
@@ -335,6 +335,21 @@ PARETO_SWEEP = register_sweep(
         description=(
             "design-space autotuner grid: backend x precision x "
             "geometry Pareto search (BENCH_pareto.json)"
+        ),
+    )
+)
+
+#: The paper's evaluation: every table and figure, each beside its
+#: published values.  Its nets are Table I's eight CNNs, whose word
+#: sparsity the ``table1`` experiment measures; the other experiments
+#: fix their own models and arrays, as the paper does.
+PAPER_SWEEP = register_sweep(
+    SweepSpec(
+        name="paper",
+        nets=MODEL_NAMES,
+        description=(
+            "the paper's tables and figures beside its published "
+            "values (BENCH_paper.json)"
         ),
     )
 )

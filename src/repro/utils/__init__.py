@@ -9,7 +9,7 @@ from repro.utils.intrange import (
     int_spec,
 )
 from repro.utils.rng import make_rng
-from repro.utils.tables import ascii_bar_chart, format_table, write_csv
+from repro.utils.tables import ascii_bar_chart, format_table
 
 __all__ = [
     "INT2",
@@ -21,5 +21,4 @@ __all__ = [
     "make_rng",
     "ascii_bar_chart",
     "format_table",
-    "write_csv",
 ]

@@ -1,15 +1,13 @@
 """Plain-text report rendering for the benchmark harness.
 
 The environment has no plotting stack, so "figures" are rendered as aligned
-ASCII tables, horizontal bar charts, and CSV files that carry the same series
-the paper plots.
+ASCII tables and horizontal bar charts; the series the paper plots are
+recorded in ``results/BENCH_paper.json``.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -141,18 +139,3 @@ def ascii_bar_chart(
         )
     return "\n".join(lines)
 
-
-def write_csv(
-    path: "str | Path",
-    headers: Sequence[str],
-    rows: Iterable[Sequence[object]],
-) -> Path:
-    """Write a CSV artifact next to a benchmark (series behind a figure)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(headers))
-        for row in rows:
-            writer.writerow(list(row))
-    return path

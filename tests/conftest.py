@@ -11,10 +11,14 @@ randomized failure can be replayed with
 ``PYTEST_SEED=<seed> pytest <nodeid>``.
 """
 
+import contextlib
+import io
+import json
 import os
 import signal
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -158,3 +162,23 @@ def small_config() -> CoreConfig:
 @pytest.fixture
 def int4_config() -> CoreConfig:
     return CoreConfig(k=2, n=2, precision=INT4)
+
+
+@pytest.fixture(scope="session")
+def paper_quick(tmp_path_factory) -> SimpleNamespace:
+    """One ``python -m repro bench paper --quick`` run for the session,
+    into a nested ``--out`` directory: its exit code, stdout, artifact
+    directory and parsed ``BENCH_paper.json`` payload."""
+    from repro.__main__ import main
+
+    out_dir = tmp_path_factory.mktemp("paper") / "nested" / "artifacts"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["bench", "paper", "--quick", "--out", str(out_dir)])
+    artifact = out_dir / "BENCH_paper.json"
+    return SimpleNamespace(
+        code=code,
+        stdout=stdout.getvalue(),
+        out_dir=out_dir,
+        payload=json.loads(artifact.read_text()) if code == 0 else None,
+    )

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.latency import burst_cycle_map, tile_max_magnitudes
-from repro.core.scheduling import (
-    apply_schedule,
-    apply_to_activations,
-    optimize_stage_schedules,
-    optimize_tile_schedule,
-    restore_outputs,
-)
+from repro.core.scheduling import search_stage_orders
 from repro.core.tempus_core import TempusCore
 from repro.errors import DataflowError
 from repro.models.weights import load_quantized_model
@@ -27,14 +21,27 @@ from repro.utils.intrange import INT8
 from repro.utils.rng import make_rng
 
 
+def _search_one(weights, config, code=None):
+    """:func:`search_stage_orders` on a one-group stack: (kernel order,
+    channel order, baseline cycles, optimized cycles)."""
+    kernel_orders, channel_orders, baselines, optimized = \
+        search_stage_orders(np.asarray(weights)[np.newaxis], config, code)
+    return (kernel_orders[0], channel_orders[0], int(baselines[0]),
+            int(optimized[0]))
+
+
+def _permute(weights, kernel_order, channel_order):
+    return np.asarray(weights)[kernel_order][:, channel_order]
+
+
 class TestOptimization:
     config = CoreConfig(k=2, n=2, precision=INT8)
 
     def test_never_worse(self, rng):
         for _ in range(20):
             weights = INT8.random_array(rng, (4, 6, 1, 1))
-            schedule = optimize_tile_schedule(weights, self.config)
-            assert schedule.optimized_cycles <= schedule.baseline_cycles
+            _, _, baseline, optimized = _search_one(weights, self.config)
+            assert optimized <= baseline
 
     def test_finds_known_win(self):
         """Channels alternating small/large magnitudes: sorting pairs the
@@ -44,22 +51,27 @@ class TestOptimization:
         weights[:, 1] = 2
         weights[:, 2] = 100
         weights[:, 3] = 2
-        schedule = optimize_tile_schedule(weights, self.config)
+        _, channel_order, baseline, optimized = _search_one(
+            weights, self.config
+        )
         # baseline: two tiles both holding a 100 -> 2 x 50 cycles
-        assert schedule.baseline_cycles == 100
+        assert baseline == 100
         # sorted: one tile of 100s (50) + one tile of 2s (1)
-        assert schedule.optimized_cycles == 51
-        assert schedule.speedup == pytest.approx(100 / 51)
+        assert optimized == 51
+        assert set(channel_order[:2]) == {0, 2}
 
     def test_identity_when_no_gain(self):
         weights = np.full((2, 2, 1, 1), 50, dtype=np.int64)
-        schedule = optimize_tile_schedule(weights, self.config)
-        assert schedule.cycles_saved == 0
-        assert list(schedule.kernel_order) == [0, 1]
+        kernel_order, channel_order, baseline, optimized = _search_one(
+            weights, self.config
+        )
+        assert optimized == baseline
+        assert list(kernel_order) == [0, 1]
+        assert list(channel_order) == [0, 1]
 
     def test_bad_rank_raises(self):
         with pytest.raises(DataflowError):
-            optimize_tile_schedule(np.zeros((2, 2)), self.config)
+            search_stage_orders(np.zeros((2, 2)), self.config)
 
 
 class TestSemanticsPreserved:
@@ -70,16 +82,17 @@ class TestSemanticsPreserved:
         config = CoreConfig(k=2, n=2, precision=INT8)
         activations = INT8.random_array(rng, (6, 5, 5))
         weights = INT8.random_array(rng, (4, 6, 3, 3))
-        schedule = optimize_tile_schedule(weights, config)
+        kernel_order, channel_order, _, _ = _search_one(weights, config)
 
         original = golden_conv2d(activations, weights, 1, 1)
         permuted = golden_conv2d(
-            apply_to_activations(activations, schedule),
-            apply_schedule(weights, schedule),
+            activations[channel_order],
+            _permute(weights, kernel_order, channel_order),
             1,
             1,
         )
-        assert np.array_equal(restore_outputs(permuted, schedule), original)
+        restored = permuted[np.argsort(kernel_order)]
+        assert np.array_equal(restored, original)
 
     def test_scheduled_layer_runs_faster_on_tempus(self):
         """End to end: the scheduled layout reduces TempusCore cycles
@@ -90,15 +103,15 @@ class TestSemanticsPreserved:
         # mix of tiny and huge channels to give the scheduler room
         weights = INT8.random_array(rng, (4, 8, 1, 1))
         weights[:, ::2] = np.sign(weights[:, ::2]) * 1  # tiny channels
-        schedule = optimize_tile_schedule(weights, config)
+        kernel_order, channel_order, _, _ = _search_one(weights, config)
 
         base = TempusCore(config).run_layer(activations, weights)
         opt = TempusCore(config).run_layer(
-            apply_to_activations(activations, schedule),
-            apply_schedule(weights, schedule),
+            activations[channel_order],
+            _permute(weights, kernel_order, channel_order),
         )
         assert np.array_equal(
-            restore_outputs(opt.output, schedule), base.output
+            opt.output[np.argsort(kernel_order)], base.output
         )
         assert opt.cycles <= base.cycles
 
@@ -151,11 +164,13 @@ def _reference_schedule(weights, config, code):
 
 def _assert_stage_matches_loop(stack, config, code):
     """Stage search, stacked burst map and tile maxima against the
-    per-group reference loop.  Returns the reference schedules."""
-    schedules = optimize_stage_schedules(stack, config, code)
+    per-group reference loop.  Returns each group's reference
+    (kernel order, channel order, scheduled weights)."""
+    kernel_orders, channel_orders, baselines, optimizeds = \
+        search_stage_orders(stack, config, code)
     maps = burst_cycle_map(stack, config, code)
     maxima = tile_max_magnitudes(stack, config.k, config.n)
-    assert len(schedules) == len(stack)
+    assert len(baselines) == len(stack)
     references = []
     for group, weights in enumerate(stack):
         expected_map = _reference_map(weights, config, code)
@@ -169,19 +184,16 @@ def _assert_stage_matches_loop(stack, config, code):
         )
         kernel_order, channel_order, baseline, optimized, permuted = \
             _reference_schedule(weights, config, code)
-        schedule = schedules[group]
-        assert np.array_equal(schedule.kernel_order, kernel_order)
-        assert np.array_equal(schedule.channel_order, channel_order)
-        assert schedule.baseline_cycles == baseline
-        assert schedule.optimized_cycles == optimized
-        assert np.array_equal(apply_schedule(weights, schedule), permuted)
-        single = optimize_tile_schedule(weights, config, code)
-        assert np.array_equal(single.kernel_order, kernel_order)
-        assert np.array_equal(single.channel_order, channel_order)
-        assert (single.baseline_cycles, single.optimized_cycles) == (
-            baseline, optimized,
-        )
-        references.append((schedule, permuted))
+        assert np.array_equal(kernel_orders[group], kernel_order)
+        assert np.array_equal(channel_orders[group], channel_order)
+        assert baselines[group] == baseline
+        assert optimizeds[group] == optimized
+        # Searched alone, the group gets the same schedule.
+        single = _search_one(weights, config, code)
+        assert np.array_equal(single[0], kernel_order)
+        assert np.array_equal(single[1], channel_order)
+        assert single[2:] == (baseline, optimized)
+        references.append((kernel_order, channel_order, permuted))
     return references
 
 
@@ -221,13 +233,14 @@ def test_zoo_stages_match_per_group_loop(model):
                     stack, stage.config, code
                 )
                 scheduled = stage.scheduled_weights()
-                for group, (schedule, permuted) in enumerate(references):
+                for group, (kernel_order, channel_order, permuted) in \
+                        enumerate(references):
                     assert np.array_equal(scheduled[group], permuted)
                     assert np.array_equal(
-                        stage.kernel_order[group], schedule.kernel_order
+                        stage.kernel_order[group], kernel_order
                     )
                     assert np.array_equal(
-                        stage.channel_order[group], schedule.channel_order
+                        stage.channel_order[group], channel_order
                     )
                 _assert_cycle_lines_match_loop(stage, code)
 
@@ -259,4 +272,4 @@ def test_seeded_stacks_match_per_group_loop(fuzz_rng):
 def test_stage_search_bad_rank_raises():
     config = CoreConfig(k=2, n=2, precision=INT8)
     with pytest.raises(DataflowError):
-        optimize_stage_schedules(np.zeros((2, 2, 1, 1)), config)
+        search_stage_orders(np.zeros((2, 2, 1, 1)), config)

@@ -13,30 +13,31 @@ class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "fig7" in out
-        assert "table2" in out
+        assert "\npaper " in out
+        assert "BENCH_paper.json" in out
 
-    def test_run_quick_experiment(self, capsys, tmp_path):
-        code = main(["run", "fig2", "--quick", "--out", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "tub multiplier" in out
+    def test_run_quick_experiment(self, paper_quick):
+        """``bench paper --quick`` prints every experiment's report and
+        writes an artifact that check-results accepts."""
+        assert paper_quick.code == 0
+        assert "tub multiplier" in paper_quick.stdout
+        assert "[table2] Single PE cell" in paper_quick.stdout
+        assert main(["check-results", str(paper_quick.out_dir)]) == 0
 
-    def test_unknown_experiment(self, capsys):
-        assert main(["run", "fig99"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown experiment" in err
-
-    def test_out_artifact_placement(self, capsys, tmp_path):
-        """--out directs experiment artifacts into the given directory."""
-        out_dir = tmp_path / "nested" / "artifacts"
-        assert main(
-            ["run", "fig7", "--quick", "--out", str(out_dir)]
-        ) == 0
+    def test_run_command_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "fig2", "--quick"])
         capsys.readouterr()
-        written = sorted(p.name for p in out_dir.glob("*.csv"))
-        assert written, "fig7 must write its CSV series under --out"
-        assert all(name.startswith("fig7") for name in written)
+
+    def test_out_artifact_placement(self, paper_quick):
+        """--out directs the paper artifact, and nothing else, into the
+        given (created) directory."""
+        assert paper_quick.out_dir.parts[-2:] == ("nested", "artifacts")
+        written = sorted(p.name for p in paper_quick.out_dir.iterdir())
+        assert written == ["BENCH_paper.json"]
+        assert f"wrote {paper_quick.out_dir / 'BENCH_paper.json'}" in (
+            paper_quick.stdout
+        )
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -48,7 +49,7 @@ class TestBench:
         assert main(["bench", "networks", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "unknown benchmark spec 'networks'" in err
-        for name in ("serving", "backends", "llm", "pareto"):
+        for name in ("serving", "backends", "llm", "pareto", "paper"):
             assert name in err
         assert not list(tmp_path.iterdir())
 
@@ -57,7 +58,7 @@ class TestBench:
             spec.name for spec in registered_sweeps()
         }
         assert list(BENCHMARKS) == [
-            "serving", "backends", "llm", "pareto",
+            "serving", "backends", "llm", "pareto", "paper",
         ]
 
     def test_only_quick_and_out_options(self, capsys):
@@ -90,7 +91,7 @@ class TestListSweepSpecs:
         out = capsys.readouterr().out
         assert out.count("sweep specs") == 1
         bench = out[out.index("sweep specs (bench):"):]
-        for name in ("serving", "backends", "llm", "pareto"):
+        for name in ("serving", "backends", "llm", "pareto", "paper"):
             assert f"\n{name} " in bench
         # Axes are shown so the grid is readable without opening code.
         assert "precisions=int8,int4,int2,mixed" in bench

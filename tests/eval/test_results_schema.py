@@ -321,6 +321,200 @@ CLAIM_VIOLATIONS = {
 }
 
 
+def _experiment(payload, experiment_id):
+    return next(
+        record for record in payload["experiments"]
+        if record["id"] == experiment_id
+    )
+
+
+def _cell(experiment_id, row, column, value):
+    """A mutation writing one cell of a paper table (column by
+    header)."""
+
+    def mutate(payload):
+        record = _experiment(payload, experiment_id)
+        record["rows"][row][record["headers"].index(column)] = value
+
+    return mutate
+
+
+def _column(experiment_id, column, value):
+    def mutate(payload):
+        record = _experiment(payload, experiment_id)
+        for row in record["rows"]:
+            row[record["headers"].index(column)] = value
+
+    return mutate
+
+
+def _field(experiment_id, path, value):
+    def mutate(payload):
+        _set(path, value)(_experiment(payload, experiment_id))
+
+    return mutate
+
+
+def _measured(experiment_id, index, value):
+    """A comparison's measured value, with its ratio kept consistent."""
+
+    def mutate(payload):
+        comparison = _experiment(payload, experiment_id)["comparisons"][
+            index
+        ]
+        comparison["measured"] = value
+        comparison["ratio"] = value / comparison["paper"]
+
+    return mutate
+
+
+def _drop_grid_entry(experiment_id, axis):
+    def mutate(payload):
+        _experiment(payload, experiment_id)["grid"][axis].pop()
+
+    return mutate
+
+
+def _drop_series(experiment_id, name):
+    def mutate(payload):
+        del _experiment(payload, experiment_id)["series"][name]
+
+    return mutate
+
+
+def _drop_experiment(experiment_id):
+    def mutate(payload):
+        payload["experiments"].remove(_experiment(payload, experiment_id))
+
+    return mutate
+
+
+#: One break-one case per claim check of BENCH_paper.json:
+#: (name, mutation, expected message).
+PAPER_VIOLATIONS = (
+    ("experiments", _drop_experiment("llm"),
+     "experiments are not each recorded once"),
+    ("ratio", _field("secVD", ["comparisons", 0, "ratio"], 1.0),
+     "INT8 iso-area throughput ratio is not measured/paper"),
+    ("fig1-fp32", _cell("fig1", 0, "accuracy %", 80.0),
+     "fig1: the FP32 substrate stays at or below 80%"),
+    ("fig1-int8", _cell("fig1", 1, "drop vs FP32", 2.0),
+     "fig1: INT8 loses 2 points"),
+    ("fig1-int4", _cell("fig1", 4, "drop vs FP32", 5.0),
+     "fig1: INT4 loses 5 points"),
+    ("fig1-cliff", _cell("fig1", 6, "drop vs FP32", 1.0),
+     "fig1: no accuracy cliff below INT4"),
+    ("table1-rows", _drop_grid_entry("table1", "nets"),
+     "table1: not one row per recorded net"),
+    ("table1-sparsity", _measured("table1", 4, 2.18),
+     "table1: ShuffleNetV3 word sparsity is 0.75 points or more off"),
+    ("fig2-exact", _cell("fig2", 1, "exact", "NO"),
+     "fig2: a tub product is not exact"),
+    ("fig3-bit-exact", _field("fig3", ["notes", 0],
+                              "outputs bit-exact: False"),
+     "fig3: Tempus Core outputs differ"),
+    ("fig3-cycles", _cell("fig3", 1, "cycles", 901 * 65 + 1),
+     "fig3: tempus cycles not above binary's and within 65x"),
+    ("table2-rows", _drop_grid_entry("table2", "n"),
+     "table2: not one row per recorded precision x n"),
+    ("table2-area", _cell("table2", 2, "tub area mm2", 0.2244),
+     "table2: tub area not below binary at INT4 n=1024"),
+    ("table2-power", _cell("table2", 4, "tub power mW", 9.772),
+     "table2: tub power not below binary at INT8 n=256"),
+    ("table2-int8-over-int4", _cell("table2", 5, "area red %", 44.1),
+     "table2: the INT8 area advantage does not exceed INT4's"),
+    ("fig4-area", _cell("fig4", 1, "area red %", 30.0),
+     "fig4: INT4 area reduction at or below 30%"),
+    ("fig4-power", _cell("fig4", 0, "power red %", 30.0),
+     "fig4: INT8 power reduction at or below 30%"),
+    ("fig4-int8-over-int4", _cell("fig4", 1, "area red %", 67.8),
+     "fig4: the INT8 area advantage does not exceed INT4's"),
+    ("fig5-rows", _drop_grid_entry("fig5", "precisions"),
+     "fig5: not one row per recorded precision x width"),
+    ("fig5-area", _cell("fig5", 0, "pcu area mm2", 0.0053),
+     "fig5: PCU area not below the CMAC's at INT2 16x4"),
+    ("fig5-power", _cell("fig5", 8, "power red %", 0.0),
+     "fig5: PCU power not below the CMAC's at INT8 16x32"),
+    ("fig5-grows-with-n", _cell("fig5", 5, "pcu area mm2", 0.029),
+     "fig5: INT4 PCU area does not grow with n"),
+    ("fig6-die", _cell("fig6", 1, "die mm2", 0.0184),
+     "fig6: the PCU die is not smaller"),
+    ("fig6-utilization", _cell("fig6", 0, "utilization", 0.72),
+     "fig6: CMAC misses 70% utilization"),
+    ("fig6-maps", _drop_series("fig6", "pcu_density"),
+     "fig6: expected square CMAC and PCU density maps"),
+    ("table3-area", _measured("table3", 0, 25.0),
+     "table3: P&R area reduction at or below 25%"),
+    ("table3-power", _measured("table3", 1, 22.0),
+     "table3: P&R power reduction at or below 22%"),
+    ("table3-timing", _field("table3", ["notes", 0], "timing violated"),
+     "table3: timing not met"),
+    ("fig7-below-worst", _cell("fig7", 0, "mean burst cycles", 48.0),
+     "fig7: MobileNetV2 mean burst not below 75% of the worst case"),
+    ("fig7-above-five", _cell("fig7", 1, "mean burst cycles", 5.0),
+     "fig7: ResNeXt101 mean burst at or below 5 cycles"),
+    ("fig7-paper", _measured("fig7", 1, 31 * 1.34),
+     "fig7: ResNeXt101 mean burst cycles not within 1.33x"),
+    ("fig8-silent", _cell("fig8", 0, "mean silent PEs", 0.0),
+     r"fig8: MobileNetV2 silent PEs outside \(0, 16\)"),
+    ("fig8-active", _cell("fig8", 1, "mean active PEs", 240.0),
+     "fig8: ResNeXt101 active PEs at or below 240"),
+    ("fig8-sparsity-share", _cell("fig8", 0, "mean silent PEs", 7.1),
+     "fig8: MobileNetV2 silent PEs above 1.2x"),
+    ("secVC-gap", _cell("secVC", 3, "gap", 5.09),
+     "secVC: the INT4 energy gap is not below a third of INT8's"),
+    ("secVC-int8-energy", _cell("secVC", 1, "tub pJ", 38.68),
+     "secVC: ResNeXt101 tub energy not above binary at INT8"),
+    ("secVC-silent", _cell("secVC", 0, "tub pJ (silent-adj)", 280.35),
+     "secVC: MobileNetV2 INT8 silent-PE adjustment raises energy"),
+    ("secVD-int8", _cell("secVD", 0, "improvement", 1.5),
+     "secVD: INT8 iso-area improvement at or below 1.5x"),
+    ("secVD-int4", _cell("secVD", 1, "improvement", 1.2),
+     "secVD: INT4 iso-area improvement at or below 1.2x"),
+    ("secVD-int8-over-int4", _cell("secVD", 1, "improvement", 3.11),
+     "secVD: the INT8 iso-area improvement does not exceed INT4's"),
+    ("fig9-rows", _cell("fig9", 5, "", ""),
+     "fig9: not one row per recorded precision x n"),
+    ("fig9-measured", _cell("fig9", 10, "improvement", 1.0),
+     "fig9: INT4 n=4096 improvement at or below 1x"),
+    ("fig9-int8-over-int4", _cell("fig9", 2, "improvement", 1.73),
+     "fig9: INT8 improvement does not exceed INT4's at n=256"),
+    ("fig9-projection", _cell("fig9", 11, "improvement", 1.0),
+     "fig9: INT4 projection at or below 1x"),
+    ("gemm-exact", _cell("gemm", 5, "exact", "NO"),
+     "gemm: a GEMM product is not exact"),
+    ("gemm-latency-order", _cell("gemm", 2, "cycles", 172313),
+     "gemm: INT8 latency is not binary < tubGEMM < tuGEMM"),
+    ("ablation-halving", _cell("ablation", 1, "mean cycles", 30.8),
+     "ablation: 2s-unary does not halve pure-unary bursts"),
+    ("ablation-overhead", _cell("ablation", 5, "mean cycles", 36.0),
+     "ablation: burst cycles do not rise with the overhead"),
+    ("tilesize-grows", _cell("tilesize", 1, "mean burst cycles", 35.0),
+     "tilesize: mean bursts do not grow with the tile size"),
+    ("tilesize-worst", _cell("tilesize", 3, "worst case", 38),
+     "tilesize: the largest tile's mean burst exceeds the worst case"),
+    ("tilesize-spread", _column("tilesize", "mean burst cycles", 30.0),
+     "tilesize: the smallest tile's mean burst is not below"),
+    ("scheduling-total", _cell("scheduling", 6, "scheduled cycles",
+                               169671712),
+     "scheduling: no TOTAL row saving cycles"),
+    ("scheduling-layer", _cell("scheduling", 0, "scheduled cycles",
+                               264993),
+     "scheduling: block5.project costs cycles"),
+    ("llm-int2-parity", _cell("llm", 2, "tub cycles", 12545),
+     "llm: INT2 tub cycles differ from binary's"),
+    ("llm-int4-below-int8", _cell("llm", 1, "tub cycles", 500993),
+     "llm: INT4 tub cycles not below INT8's"),
+    ("llm-int4-slowdown", _cell("llm", 1, "tub cycles", 50177),
+     "llm: INT4 slowdown above 4x"),
+)
+
+CLAIM_VIOLATIONS.update(
+    (f"paper-{name}", ("BENCH_paper.json", mutate, message))
+    for name, mutate, message in PAPER_VIOLATIONS
+)
+
+
 class TestClaimChecks:
     @pytest.mark.parametrize("violation", sorted(CLAIM_VIOLATIONS))
     def test_violated_claim_rejected(self, violation):
@@ -341,6 +535,7 @@ class TestDirectoryCheck:
         checked = check_results_dir(REPO_RESULTS)
         assert "BENCH_pareto.json" in checked
         assert "BENCH_backends.json" in checked
+        assert "BENCH_paper.json" in checked
         for records in checked.values():
             for record in records:
                 assert set(COMMON_FIELDS) <= set(record)

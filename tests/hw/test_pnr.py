@@ -64,12 +64,6 @@ class TestLayoutGrid:
         assert text.startswith("title")
         assert text.count("|") >= 16  # 8 rows, 2 bars each
 
-    def test_csv_export(self, tmp_path):
-        result = place_and_route(small_unit(), grid_resolution=8)
-        path = result.layout.to_csv(tmp_path / "grid.csv")
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 9  # header + 8 rows
-
     def test_denser_design_higher_occupancy(self):
         """A PCU netlist fills less of the same-resolution raster than the
         CMAC netlist at equal utilization targets (different die sizes)."""

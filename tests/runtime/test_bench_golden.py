@@ -3,7 +3,9 @@
 The fixtures under ``tests/runtime/golden/`` were generated by the
 drivers in a fresh process; the backend fixture's tempus and binary
 records equal those of the retired single-purpose network and
-precision drivers at the same points.  Every field the drivers write
+precision drivers at the same points.  The paper fixture holds every
+experiment's quick-preset rows and comparisons as the per-experiment
+``run_experiment`` produced them before the ``paper`` spec existed.  Every field the drivers write
 is a function of the spec — the serving driver coalesces by request
 count only and records no thread-timing field — so the payloads must
 reproduce them bit-identically, whole.
@@ -47,6 +49,16 @@ class TestGoldenPayloads:
             out_dir=None,
         )
         assert roundtrip(payload) == golden("serving")
+
+    def test_paper_payload_bit_identical(self, paper_quick):
+        expected = golden("paper")
+        records = paper_quick.payload["experiments"]
+        assert [record["id"] for record in records] == list(expected)
+        for record in records:
+            assert {
+                "rows": record["rows"],
+                "comparisons": record["comparisons"],
+            } == expected[record["id"]], record["id"]
 
     def test_backend_payload_bit_identical(self):
         payload = run_backend_benchmark(

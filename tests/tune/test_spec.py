@@ -187,7 +187,7 @@ class TestRegistry:
     def test_default_sweeps_registered(self):
         names = {spec.name for spec in registered_sweeps()}
         assert names == {
-            "serving", "backends", "llm", "pareto",
+            "serving", "backends", "llm", "pareto", "paper",
         }
 
     def test_get_sweep(self):

@@ -7,7 +7,6 @@ from repro.utils.tables import (
     ascii_bar_chart,
     format_table,
     render_columns,
-    write_csv,
     yes_no,
 )
 
@@ -53,18 +52,6 @@ class TestBarChart:
 
     def test_title(self):
         assert ascii_bar_chart(["a"], [1.0], title="T").startswith("T")
-
-
-class TestWriteCsv:
-    def test_roundtrip(self, tmp_path):
-        path = write_csv(tmp_path / "x.csv", ["a", "b"], [[1, 2], [3, 4]])
-        content = path.read_text().strip().splitlines()
-        assert content[0] == "a,b"
-        assert content[1] == "1,2"
-
-    def test_creates_parent_dirs(self, tmp_path):
-        path = write_csv(tmp_path / "sub" / "dir" / "x.csv", ["a"], [[1]])
-        assert path.exists()
 
 
 class TestRenderColumns:
