@@ -3,8 +3,8 @@
 :class:`BatchExecutor` is the single implementation of the vectorized
 forward pass over a :class:`~repro.runtime.lowering.CompiledNetwork`:
 seam adapters, PDP pools, each conv stage as an exact float GEMM on
-BLAS, SDP requantization in place and the analytic cycle accounting —
-per stage, on the stage's registered compute backend
+BLAS, one float64 SDP epilogue over its psums and the analytic cycle
+accounting — per stage, on the stage's registered compute backend
 (:mod:`repro.runtime.backends`).  Both the in-process
 :class:`~repro.runtime.runner.NetworkRunner` and the worker processes of
 :class:`~repro.serve.ShardedRunner` execute batches through this one
@@ -15,10 +15,11 @@ convolution cores
 (:func:`~repro.runtime.runner.run_per_image`).
 
 Beyond its compiled program the executor holds only derived, reusable
-state: per-stage GEMM plans, per-stage cycle lines and grow-only
-scratch buffers.  A stage's per-image cycles are affine in its output
-pixels, ``per_pixel * out_pixels + fixed``, with both terms fixed by
-the compiled weights (see
+state: per-stage GEMM plans with their SDP epilogue constants,
+per-stage cycle lines and grow-only scratch buffers.  A stage's
+per-image cycles are affine in its output pixels,
+``per_pixel * out_pixels + fixed``, with both terms fixed by the
+compiled weights (see
 :meth:`~repro.runtime.backends.ComputeBackend.cycle_line`).  The
 executor derives each stage's line once, at construction — the only
 burst maps it ever computes — and a batch evaluates the line at its
@@ -35,10 +36,16 @@ import numpy as np
 
 from repro.errors import DataflowError, PrecisionError
 from repro.nvdla.pdp import Pdp
-from repro.nvdla.sdp import _rounded_shift
 from repro.runtime.backends import ComputeBackend, backend_profile, \
     resolve_stage_backends
 from repro.runtime.lowering import CompiledNetwork, StagePlan
+
+try:
+    # The clip ufunc itself: np.clip's Python wrapper costs more than
+    # the clip at decode sizes.
+    from numpy._core.umath import clip as _clip
+except ImportError:  # NumPy 1.x
+    from numpy.core.umath import clip as _clip
 
 #: Exact-integer limits of the float dtypes the conv kernel may use:
 #: every integer of magnitude up to 2**24 (float32) / 2**53 (float64)
@@ -102,13 +109,15 @@ class _FusedStage:
     * ``"gemm"`` (everything else): ``(G, Kg, Cg*R*S)`` against im2col
       columns laid out ``(B, G, Cg, R, S, OH*OW)``.
 
-    Cycle accounting lives beside the plan, as the stage's cycle line
-    (see :func:`_stage_cycle_line`): per-image cycles depend on the
+    The plan also carries the stage's :class:`_SdpEpilogue`, whose
+    own exactness bound builds on this psum bound.  Cycle accounting
+    lives beside the plan, as the stage's cycle line (see
+    :func:`_stage_cycle_line`): per-image cycles depend on the
     *actual* output-pixel count, which grows per step under
     autoregressive decode.
     """
 
-    __slots__ = ("kind", "weights", "dtype", "bound")
+    __slots__ = ("kind", "weights", "dtype", "bound", "epilogue")
 
     def __init__(self, stage: StagePlan) -> None:
         weights = np.asarray(stage.weights, dtype=np.int64)
@@ -143,6 +152,144 @@ class _FusedStage:
                 groups, kernels_per_group, -1
             )
         self.weights = np.ascontiguousarray(weights, dtype=self.dtype)
+        self.epilogue = _SdpEpilogue(stage, self.bound)
+
+
+class _SdpEpilogue:
+    """The stage's SDP in float64, in one buffer over its exact psums.
+
+    Equal, element for element, to :meth:`repro.nvdla.sdp.Sdp.apply_many`
+    followed by the folded residual add.  With ``v = psum + bias``, the
+    integer SDP computes ``round_half_away(v * m / 2**s)`` (after relu or
+    prelu on ``v``) and saturates; here that is::
+
+        x = psum * scale + offset      scale = m * 2**-s
+        relu:  offset = (bias*m + 2**(s-1)) * 2**-s, clip x to
+               [max(0, lo), hi], then truncate — on x >= 0 that is
+               floor, so the relu and the rounding both fold into the
+               clip
+        none:  offset = bias*m * 2**-s, round half away from zero as
+               trunc(x + copysign(1/2, x)), clip to [lo, hi]
+
+    prelu adds the bias first, scales and rounds the negative side by
+    its own multiplier and shift, then continues like "none".  A folded
+    residual is added to the truncated, saturated output and saturates
+    again, in the same buffer; one ``astype(int64)`` at the end makes
+    the result (a fresh array) and does the final truncation.
+
+    Every intermediate is an integer multiple of ``2**-s`` whose
+    numerator is at most ``(psum_bound + max|bias|) * m + 2**(s-1)``
+    (and the analogous terms of the prelu branch), so below 2**53 — the
+    bound checked here, when the executor is built — every float64 step
+    is exact and the epilogue agrees with the integer SDP bit for bit.
+    The product is taken in float64 whatever the psum dtype: a float32
+    psum times a Python float stays float32 under NumPy 2's promotion
+    rules, and would round.
+
+    Raises:
+        DataflowError: the bound reaches 2**53 (the message names the
+            stage).
+    """
+
+    __slots__ = ("activation", "scale", "offset", "shift", "bias",
+                 "prelu_scale", "prelu_shift", "low", "out_low", "high",
+                 "bound")
+
+    def __init__(self, stage: StagePlan, psum_bound: int) -> None:
+        config = stage.sdp
+        self.activation = config.activation
+        self.shift = config.shift
+        multiplier = config.multiplier
+        channels = stage.layer.out_channels
+        bias = (
+            np.zeros(channels, dtype=np.int64)
+            if config.bias is None
+            else np.asarray(config.bias, dtype=np.int64)
+        )
+        if bias.shape != (channels,):
+            raise DataflowError(
+                f"{stage.name}: bias shape {bias.shape} != ({channels},)"
+            )
+        half = _half(config.shift)
+        value_bound = psum_bound + int(np.abs(bias).max(initial=0))
+        self.bound = value_bound * multiplier + half
+        self.scale = math.ldexp(multiplier, -config.shift)
+        numerators = bias * multiplier
+        if self.activation == "relu":
+            numerators = numerators + half
+        elif self.activation == "prelu":
+            negative = (
+                value_bound * config.prelu_multiplier
+                + _half(config.prelu_shift)
+            )
+            self.bound = max(
+                self.bound,
+                negative,
+                (negative >> config.prelu_shift) * multiplier + half,
+            )
+            self.prelu_scale = math.ldexp(
+                config.prelu_multiplier, -config.prelu_shift
+            )
+            self.prelu_shift = config.prelu_shift
+            self.bias = bias.astype(np.float64)[:, None, None]
+        if self.bound >= 1 << 53:
+            raise DataflowError(
+                f"{stage.name}: SDP epilogue bound {self.bound} >= "
+                f"2**53: not exact in float64"
+            )
+        self.offset = np.ldexp(
+            numerators.astype(np.float64), -config.shift
+        )[:, None, None]
+        spec = config.out_precision
+        self.out_low = float(spec.min_value)
+        self.high = float(spec.max_value)
+        self.low = (
+            max(0.0, self.out_low)
+            if self.activation == "relu"
+            else self.out_low
+        )
+
+    def __call__(
+        self,
+        psums: np.ndarray,
+        out: np.ndarray,
+        residual: "np.ndarray | None" = None,
+    ) -> np.ndarray:
+        """Requantize (B, K, OH, OW) float ``psums`` into a fresh int64
+        array, working in ``out`` (float64, the same shape).  ``psums``
+        is overwritten: it holds the rounding term."""
+        if self.activation == "prelu":
+            np.add(psums, self.bias, dtype=np.float64, out=out)
+            negative = out < 0
+            np.multiply(out, self.prelu_scale, out=out, where=negative)
+            if self.prelu_shift:
+                # Round half away from zero on negatives:
+                # -floor(|y| + 1/2) == ceil(y - 1/2).
+                np.subtract(out, 0.5, out=out, where=negative)
+                np.ceil(out, out=out, where=negative)
+            out *= self.scale
+        else:
+            np.multiply(psums, self.scale, dtype=np.float64, out=out)
+            out += self.offset
+        if self.activation != "relu" and self.shift:
+            # trunc(x + copysign(1/2, x)) == copysign(floor(|x| + 1/2), x);
+            # the truncation is the cast's (or np.trunc's below).
+            out += np.copysign(0.5, out, out=psums)
+        _clip(out, self.low, self.high, out=out)
+        if residual is not None:
+            # The SDP's elementwise-add unit: the residual joins the
+            # requantized output in the activation format and the sum
+            # saturates again.
+            np.trunc(out, out=out)
+            out += residual
+            _clip(out, self.out_low, self.high, out=out)
+        return out.astype(np.int64)
+
+
+def _half(shift: int) -> int:
+    """The round-to-nearest term of an arithmetic right shift (none for
+    a zero shift, which does not round)."""
+    return 1 << (shift - 1) if shift else 0
 
 
 def _stage_cycle_line(
@@ -199,14 +346,19 @@ class BatchExecutor:
 
     Each conv stage runs as an exact float GEMM on BLAS (im2col plus
     one matmul over groups; 1x1 stages skip im2col, depthwise stages
-    multiply-accumulate per tap) into shared scratch buffers, then the
-    integer SDP in place; cycles come from each stage's cycle line.
-    The float dtype is chosen per stage from a worst-case psum bound
-    when the executor is built (see :class:`_FusedStage`), so psums
-    are exact integers.  Outputs and cycles (total and per stage) are pinned
-    bit-identical to the per-image run through the real cores on every
-    backend and precision, and the psums stage by stage to the int64
-    golden convolution, in ``tests/runtime/test_fused.py``.
+    multiply-accumulate per tap) into shared scratch buffers, then one
+    float64 SDP epilogue (bias, requantization, activation, folded
+    residual and saturation; see :class:`_SdpEpilogue`) straight over
+    those float psums; cycles come from each stage's cycle line.  The
+    float dtype is chosen per stage from a worst-case psum bound when
+    the executor is built (see :class:`_FusedStage`), so psums are
+    exact integers, and the epilogue's own bound keeps every float64
+    step of the requantization exact.  Outputs and cycles (total and
+    per stage) are pinned bit-identical to the per-image run through
+    the real cores on every backend and precision, the psums stage by
+    stage to the int64 golden convolution, and the epilogue to
+    :meth:`~repro.nvdla.sdp.Sdp.apply_many` on full-range and
+    near-tie psums, in ``tests/runtime/test_fused.py``.
 
     Args:
         net: the compiled program.
@@ -220,8 +372,8 @@ class BatchExecutor:
             exact integer convolution); only cycle accounting differs.
 
     Raises:
-        DataflowError: a stage's psum bound reaches 2**53, where no
-            float dtype is exact.
+        DataflowError: a stage's psum bound or SDP epilogue bound
+            reaches 2**53, where float64 is no longer exact.
     """
 
     def __init__(
@@ -237,11 +389,12 @@ class BatchExecutor:
             self.engine = names.pop() if len(names) == 1 else "mixed"
         else:
             self.engine = backend_profile(engine).describe()
-        # One float-GEMM plan per stage, built (and its exactness bound
-        # checked) here, so an unrepresentable stage fails at
-        # construction, never mid-stream.  Beside it, the stage's cycle
-        # line on its resolved backend (engine= overrides included),
-        # evaluated per batch at the actual output-pixel count.
+        # One float-GEMM plan and SDP epilogue per stage, built (and
+        # their exactness bounds checked) here, so an unrepresentable
+        # stage fails at construction, never mid-stream.  Beside them,
+        # the stage's cycle line on its resolved backend (engine=
+        # overrides included), evaluated per batch at the actual
+        # output-pixel count.
         # Scratch is one grow-only flat buffer per (role, dtype),
         # shared by every stage (see _scratch_buf).
         self._fused_stages: "tuple[_FusedStage, ...]" = tuple(
@@ -382,32 +535,6 @@ class BatchExecutor:
             self._scratch[key] = buffer
         return buffer[:size].reshape(shape)
 
-    def _add_residual(
-        self,
-        stage: StagePlan,
-        outputs: np.ndarray,
-        residual: "np.ndarray | None",
-    ) -> np.ndarray:
-        """Folded residual applied on the stage's requantized output —
-        the SDP's elementwise-add unit, downstream of the scaling core.
-        Both operands live in the activation format (a residual added
-        to raw psums would be crushed by the requant scale), and the
-        sum saturates back into the stage's output precision.  Exact
-        integer arithmetic, so every execution path agrees bit-for-bit,
-        and zero cycles — it rides the SDP pass like the bias add."""
-        if residual is None:
-            return outputs
-        if residual.shape != outputs.shape:
-            raise DataflowError(
-                f"{stage.name}: folded residual shape "
-                f"{residual.shape} does not match stage output "
-                f"{outputs.shape}"
-            )
-        spec = stage.sdp.out_precision
-        return np.clip(
-            outputs + residual, spec.min_value, spec.max_value
-        )
-
     def _conv_fused(
         self,
         index: int,
@@ -416,26 +543,34 @@ class BatchExecutor:
         residual: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, int]:
         """One conv stage over the whole batch: the exact float-GEMM
-        psums of :meth:`_fused_psums`, then the integer SDP
-        requantization in place on them.  Returns per-image cycles
-        (the caller scales by batch size): the stage's cycle line at
-        the actual output-pixel count, which is the compiled geometry
-        except on dynamic (token-axis) stages.  A folded residual is
-        added to the requantized output after the SDP (see
-        :meth:`_add_residual`)."""
-        values = self._fused_psums(index, stage, batch)
+        psums of :meth:`_fused_psums`, then the stage's
+        :class:`_SdpEpilogue` over them in one float64 scratch buffer,
+        with the folded residual (if any) added in the same pass.
+        Returns per-image cycles (the caller scales by batch size): the
+        stage's cycle line at the actual output-pixel count, which is
+        the compiled geometry except on dynamic (token-axis) stages.
+        The output is a fresh array, so callers never alias scratch
+        that the next batch will overwrite."""
+        psums = self._fused_psums(index, stage, batch)
         per_pixel, fixed = self._cycle_lines[index]
-        cycles = per_pixel * values.shape[2] * values.shape[3] + fixed
-        out = self._sdp_fused(stage, values)
-        return self._add_residual(stage, out, residual), cycles
+        cycles = per_pixel * psums.shape[2] * psums.shape[3] + fixed
+        if residual is not None and residual.shape != psums.shape:
+            raise DataflowError(
+                f"{stage.name}: folded residual shape "
+                f"{residual.shape} does not match stage output "
+                f"{psums.shape}"
+            )
+        buffer = self._scratch_buf("epilogue", psums.shape, np.float64)
+        epilogue = self._fused_stages[index].epilogue
+        return epilogue(psums, buffer, residual), cycles
 
     def _fused_psums(
         self, index: int, stage: StagePlan, batch: np.ndarray
     ) -> np.ndarray:
-        """Pre-SDP psums of one stage as a (B, K, OH, OW) int64 array
-        (scratch-backed), computed in the stage plan's float dtype —
-        exact, because the plan's bound keeps every partial sum an
-        exactly representable integer."""
+        """Pre-SDP psums of one stage as a (B, K, OH, OW) array in the
+        stage plan's float dtype (a scratch view) — exact integers,
+        because the plan's bound keeps every partial sum exactly
+        representable."""
         plan = self._fused_stages[index]
         layer = stage.layer
         stride = layer.stride
@@ -509,42 +644,6 @@ class BatchExecutor:
                 operand.reshape(batch_size, groups, -1, pixels),
                 out=psums,
             )
-        values = self._scratch_buf(
-            "values",
-            (batch_size, layer.out_channels, out_height, out_width),
+        return psums.reshape(
+            batch_size, layer.out_channels, out_height, out_width
         )
-        np.copyto(
-            values, psums.reshape(values.shape), casting="unsafe"
-        )
-        return values
-
-    def _sdp_fused(
-        self, stage: StagePlan, values: np.ndarray
-    ) -> np.ndarray:
-        """In-place SDP requantization on the scratch-backed int64
-        accumulator — op-for-op the integer arithmetic of
-        :meth:`repro.nvdla.sdp.Sdp.apply_many`.  The returned array is
-        always a fresh copy, so callers never alias scratch buffers
-        that the next batch will overwrite."""
-        config = stage.sdp
-        if config.bias is not None:
-            values += np.asarray(config.bias, dtype=np.int64)[
-                None, :, None, None
-            ]
-        if config.activation == "relu":
-            np.maximum(values, 0, out=values)
-        elif config.activation == "prelu":
-            negative = _rounded_shift(
-                values * config.prelu_multiplier, config.prelu_shift
-            )
-            values = np.where(values >= 0, values, negative)
-        values *= config.multiplier
-        if config.shift:
-            offset = 1 << (config.shift - 1)
-            signs = np.sign(values)
-            np.abs(values, out=values)
-            values += offset
-            values >>= config.shift
-            values *= signs
-        spec = config.out_precision
-        return np.clip(values, spec.min_value, spec.max_value)

@@ -218,15 +218,26 @@ class CompiledNetwork:
     def check_batch(self, images: np.ndarray) -> np.ndarray:
         """Validate a (B, C, H, W) input batch; returns it as int64.
 
-        The shape must be ``(B,) + input_shape``, except that
-        dynamic-token programs accept any sequence length on the token
-        (height) axis — autoregressive decode grows it per step;
-        channels and width stay structural.  Values must be integers
-        inside the input precision.
+        The shape must pass :meth:`check_shape`, and values must be
+        integers inside the input precision.
 
         Raises:
             DataflowError: the shape does not match.
             PrecisionError: a value is non-integer or out of range.
+        """
+        return self.precision.check_array(self.check_shape(images))
+
+    def check_shape(self, images: np.ndarray) -> np.ndarray:
+        """Validate the shape of a (B, C, H, W) input batch only;
+        returns it as an array, values unchecked.
+
+        The shape must be ``(B,) + input_shape``, except that
+        dynamic-token programs accept any sequence length on the token
+        (height) axis — autoregressive decode grows it per step;
+        channels and width stay structural.
+
+        Raises:
+            DataflowError: the shape does not match.
         """
         images = np.asarray(images)
         expected = tuple(self.input_shape)
@@ -245,7 +256,7 @@ class CompiledNetwork:
                 f"batch shape {images.shape} does not match "
                 f"(B,) + {expected}"
             )
-        return self.precision.check_array(images)
+        return images
 
 
 def _rescale_layer(layer: OpSpec, factor: float) -> OpSpec:

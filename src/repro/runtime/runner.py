@@ -199,9 +199,14 @@ class NetworkRunner:
             model_name: zoo model name.
             batch: a (B, C, H, W) integer tensor, a single (C, H, W)
                 image, or an int B requesting a synthesized batch.
+
+        Raises:
+            DataflowError: the batch shape does not match the network
+                input, or (from :meth:`BatchExecutor.run_batch`, the
+                one value check) a value lies outside its precision.
         """
         net = self.compile(model_name)
-        images = self._as_batch(net, model_name, batch)
+        images = self._shaped_batch(net, model_name, batch)
         output, records, total_cycles = self.executor(
             model_name
         ).run_batch(images)
@@ -253,12 +258,25 @@ class NetworkRunner:
         model_name: str,
         batch: "int | np.ndarray",
     ) -> np.ndarray:
+        """The requested batch, shape and values checked."""
+        return net.precision.check_array(
+            self._shaped_batch(net, model_name, batch)
+        )
+
+    def _shaped_batch(
+        self,
+        net: CompiledNetwork,
+        model_name: str,
+        batch: "int | np.ndarray",
+    ) -> np.ndarray:
+        """The requested batch with its shape checked but not its
+        values — for :meth:`run`, whose executor checks them."""
         if isinstance(batch, (int, np.integer)):
             return self.synthesize_batch(model_name, int(batch))
         images = np.asarray(batch)
         if images.ndim == 3:
             images = images[None]
-        return net.check_batch(images)
+        return net.check_shape(images)
 
 
 # --- per-image reference path ----------------------------------------
@@ -425,7 +443,8 @@ def _conv_single(
     if residual is not None:
         # SDP elementwise-add unit: the residual joins the stage's
         # requantized output and saturates in the output format —
-        # mirroring BatchExecutor._add_residual bit-for-bit.
+        # mirroring the residual add of the batched SDP epilogue
+        # (executor._SdpEpilogue) bit-for-bit.
         if residual.shape != out.shape:
             raise DataflowError(
                 f"{stage.name}: folded residual shape "

@@ -144,6 +144,8 @@ class SweepSpec:
         workers: shard-pool sizes (the serving sweep, and the llm
             decode's sharded re-verification; empty otherwise).
         description: one-line summary for ``python -m repro list``.
+        listed_axes: the axes ``python -m repro list`` shows — those
+            the spec's driver reads (None: every axis).
     """
 
     name: str
@@ -155,6 +157,7 @@ class SweepSpec:
     quick: bool = False
     workers: "tuple[int, ...]" = ()
     description: str = ""
+    listed_axes: "tuple[str, ...] | None" = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -201,6 +204,13 @@ class SweepSpec:
         object.__setattr__(self, "geometries", geometries)
         object.__setattr__(self, "batch", int(self.batch))
         object.__setattr__(self, "workers", workers)
+        if self.listed_axes is not None:
+            unknown = set(self.listed_axes) - set(self.axes())
+            if unknown:
+                raise DataflowError(
+                    f"listed_axes names no axis of the spec: "
+                    f"{sorted(unknown)}"
+                )
 
     def points(self) -> "tuple[SweepPoint, ...]":
         """The cartesian product of the axes, nets outermost (the
@@ -237,9 +247,12 @@ class SweepSpec:
         return axes
 
     def describe_axes(self) -> str:
+        """The listed axes as ``axis=v1,v2`` words (what ``repro list``
+        prints)."""
         return " ".join(
             f"{axis}={','.join(str(value) for value in values)}"
             for axis, values in self.axes().items()
+            if self.listed_axes is None or axis in self.listed_axes
         )
 
 
@@ -351,5 +364,8 @@ PAPER_SWEEP = register_sweep(
             "the paper's tables and figures beside its published "
             "values (BENCH_paper.json)"
         ),
+        # The experiment drivers read only nets (and quick); each picks
+        # its own cores, precisions and geometries.
+        listed_axes=("nets",),
     )
 )

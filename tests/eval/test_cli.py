@@ -97,6 +97,14 @@ class TestListSweepSpecs:
         assert "precisions=int8,int4,int2,mixed" in bench
         assert "geometries=8x8,16x4,16x16,32x32" in bench
 
+    def test_paper_lists_only_the_axis_its_driver_reads(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        axes = lines[lines.index(
+            next(line for line in lines if line.startswith("paper "))
+        ) + 1].split()
+        assert [axis.split("=")[0] for axis in axes] == ["nets"]
+
 
 class TestTune:
     def test_quick_tune_writes_artifact(self, capsys, tmp_path):

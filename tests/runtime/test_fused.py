@@ -8,11 +8,12 @@ AND cycle accounting (total and per stage), for every backend, every
 precision profile, every batch size, with and without scheduling.
 End-to-end CNN outputs are often all zero, so the kernel is also
 pinned stage by stage on full-range inputs: its pre-SDP psums against
-the int64 golden convolution, and its in-place SDP against
-:meth:`~repro.nvdla.sdp.Sdp.apply_many`.  Its per-stage float dtype is
+the int64 golden convolution, and its float64 SDP epilogue against
+:meth:`~repro.nvdla.sdp.Sdp.apply_many`, on full-range and near-tie
+psums and with a folded residual.  Its per-stage float dtype is
 pinned against the exactness bound at the float32 / float64 /
-no-float edges, and its scratch memory against the largest single
-stage's need.
+no-float edges, the epilogue against its own bound at 2**53, and its
+scratch memory against the largest single stage's need.
 
 All randomness flows from the ``fuzz_rng`` fixture, which derives from
 the ``PYTEST_SEED`` environment variable; a failure report prints the
@@ -30,10 +31,11 @@ from repro.nvdla.config import CoreConfig
 from repro.nvdla.dataflow import golden_conv2d_batched
 from repro.nvdla.sdp import Sdp
 from repro.runtime import BatchExecutor, NetworkRunner
-from repro.runtime.executor import exact_float_dtype
+from repro.runtime.executor import _FusedStage, _SdpEpilogue, \
+    exact_float_dtype
 from repro.runtime.lowering import identity_orders
 from repro.serve import ShardedRunner
-from repro.utils.intrange import INT2, INT8
+from repro.utils.intrange import INT2, INT8, int_spec
 
 #: Structurally dissimilar nets (depthwise-heavy, dense-residual,
 #: grouped/shuffled, branchy) — kept tiny via scale/input_size.
@@ -277,7 +279,7 @@ def test_fused_psums_match_int64_golden_on_every_stage(fuzz_rng, model):
                 batch = _stage_input(fuzz_rng, stage)
                 psums = executor._fused_psums(index, stage, batch)
                 expected = _golden_psums(reference, batch)
-                assert psums.dtype == np.int64
+                assert psums.dtype == executor._fused_stages[index].dtype
                 assert np.array_equal(psums, expected), (
                     f"{stage.name} precision={precision} "
                     f"scheduling={scheduling} "
@@ -435,7 +437,7 @@ def test_run_batch_rejects_out_of_range_input(fuzz_rng, fused):
 
 
 # ---------------------------------------------------------------------
-# Stage-level SDP identity and scratch sizing.
+# Stage-level SDP epilogue identity and scratch sizing.
 
 
 def _sdp_variants(rng, config):
@@ -456,13 +458,36 @@ def _sdp_variants(rng, config):
     }
 
 
+def _epilogue(stage, config, psums, dtype, residual=None):
+    """The float64 epilogue of ``stage`` under SDP ``config`` over
+    integer ``psums`` fed in float ``dtype`` (the kernel's dtype where
+    the values fit it), its bound taken from the psums given."""
+    epilogue = _SdpEpilogue(
+        dataclasses.replace(stage, sdp=config),
+        int(np.abs(psums).max(initial=0)),
+    )
+    values = psums.astype(dtype)
+    return epilogue(values, np.empty(values.shape), residual)
+
+
+def _reference(config, psums, residual=None):
+    """``Sdp.apply_many``, then the folded residual add saturating in
+    the output format (as the per-image path does)."""
+    expected = Sdp(config).apply_many(psums)
+    if residual is None:
+        return expected
+    spec = config.out_precision
+    return np.clip(expected + residual, spec.min_value, spec.max_value)
+
+
 @pytest.mark.parametrize("model", FUZZ_MODELS)
 def test_sdp_fused_matches_sdp_apply_many_on_every_stage(fuzz_rng, model):
-    """The executor's in-place SDP equals ``Sdp.apply_many`` on every
-    stage's full-range golden psums, at INT8/INT4/INT2, for the
-    stage's own config and relu/none/prelu, bias/no-bias and shift-0
-    variants.  Outputs must be substantially nonzero in aggregate, so
-    the identity cannot hold vacuously."""
+    """The executor's float64 SDP epilogue equals ``Sdp.apply_many`` on
+    every stage's full-range golden psums, fed in the kernel's own
+    float dtype, at INT8/INT4/INT2, for the stage's own config and
+    relu/none/prelu, bias/no-bias and shift-0 variants.  Outputs must
+    be substantially nonzero in aggregate, so the identity cannot hold
+    vacuously."""
     live = total = 0
     seen = collections.Counter()
     for precision in PSUM_PRECISIONS:
@@ -473,14 +498,14 @@ def test_sdp_fused_matches_sdp_apply_many_on_every_stage(fuzz_rng, model):
             **TINY,
         ).compile(model)
         executor = BatchExecutor(net)
-        for stage in net.stages:
+        for stage, plan in zip(net.stages, executor._fused_stages):
             psums = _golden_psums(stage, _stage_input(fuzz_rng, stage))
             for label, config in _sdp_variants(
                 fuzz_rng, stage.sdp
             ).items():
-                variant = dataclasses.replace(stage, sdp=config)
-                expected = Sdp(config).apply_many(psums)
-                actual = executor._sdp_fused(variant, psums.copy())
+                expected = _reference(config, psums)
+                actual = _epilogue(stage, config, psums, plan.dtype)
+                assert actual.dtype == np.int64
                 assert np.array_equal(actual, expected), (
                     f"{stage.name} precision={precision} sdp={label}"
                 )
@@ -490,12 +515,206 @@ def test_sdp_fused_matches_sdp_apply_many_on_every_stage(fuzz_rng, model):
                 seen["shift0"] += config.shift == 0
                 live += np.count_nonzero(expected)
                 total += expected.size
+            # The executor's own epilogue is the "stage" variant's.
+            values = psums.astype(plan.dtype)
+            assert np.array_equal(
+                plan.epilogue(values, np.empty(values.shape)),
+                Sdp(stage.sdp).apply_many(psums),
+            ), f"{stage.name} precision={precision}"
     assert all(
         seen[feature]
         for feature in ("relu", "prelu", "none", "bias", "no_bias",
                         "shift0")
     ), seen
     assert live > 0.25 * total
+
+
+def _near_tie_values(rng, stage, size):
+    """Random ``v = psum + bias`` with ``v*m + 2**(s-1)`` within +-1 of a
+    multiple of ``2**s`` — the values whose round-half-away result
+    turns on the last bit of the product.  Solves
+    ``v*m = d - 2**(s-1) (mod 2**s)`` for d in (-1, 0, 1) and draws
+    from the solutions nearest zero, of both signs (a negative
+    solution is a near tie of ``|v|`` too).  None when ``m`` is a
+    multiple of ``2**s``: then ``v*m/2**s`` is always an integer and
+    nothing rounds."""
+    multiplier, shift = stage.sdp.multiplier, stage.sdp.shift
+    if multiplier % (1 << shift) == 0:
+        return None
+    twos = min((multiplier & -multiplier).bit_length() - 1, shift)
+    modulus = 1 << (shift - twos)
+    inverse = pow(multiplier >> twos, -1, modulus)
+    solutions = []
+    for distance in (-1, 0, 1):
+        target = distance - (1 << (shift - 1))
+        if target % (1 << twos):
+            continue
+        residue = (target >> twos) * inverse % modulus
+        solutions.extend(
+            residue + turn * modulus for turn in range(-3, 3)
+        )
+    return rng.choice(np.array(solutions, dtype=np.int64), size=size)
+
+
+@pytest.mark.parametrize("model", FUZZ_MODELS)
+def test_sdp_fused_is_exact_on_near_tie_psums(fuzz_rng, model):
+    """On near-tie psums (see :func:`_near_tie_values`) the epilogue
+    still equals ``Sdp.apply_many``, on every stage at INT8/INT4/INT2,
+    for the stage's own SDP and its activation="none" variant, each
+    also with a 32-bit output format so saturation cannot hide a
+    wrong rounding.  Psums that fit float32 are fed as float32 (every
+    stage's kernel dtype here), the rest as float64.  INT2 stages
+    whose requant scale is exactly 1 (``m == 2**s``) round nothing and
+    have no ties; no other stage may lack them."""
+    live = total = float32_cases = 0
+    for precision in PSUM_PRECISIONS:
+        net = NetworkRunner(
+            CoreConfig(k=4, n=4),
+            precision=precision,
+            scheduling=False,
+            **TINY,
+        ).compile(model)
+        for stage in net.stages:
+            assert stage.sdp.shift > 0, stage.name
+            layer = stage.layer
+            shape = (2, layer.out_channels, layer.out_height,
+                     layer.out_width)
+            values = _near_tie_values(fuzz_rng, stage, shape)
+            if values is None:
+                # INT2 requant scales are often exactly 1 (m == 2**s).
+                assert precision == "int2", stage.name
+                continue
+            psums = values - stage.sdp.bias[None, :, None, None]
+            # Float32 carries only the psums below 2**24 unrounded.
+            small = np.abs(psums) < 1 << 24
+            float32_psums = np.where(small, psums, 0)
+            float32_cases += int(small.sum())
+            own = stage.sdp
+            none = dataclasses.replace(own, activation="none")
+            for config in (
+                own,
+                none,
+                dataclasses.replace(own, out_precision=int_spec(32)),
+                dataclasses.replace(none, out_precision=int_spec(32)),
+            ):
+                context = (
+                    f"{stage.name} precision={precision} "
+                    f"activation={config.activation} "
+                    f"out={config.out_precision}"
+                )
+                expected = _reference(config, psums)
+                assert np.array_equal(
+                    _epilogue(stage, config, psums, np.float64), expected
+                ), context
+                assert np.array_equal(
+                    _epilogue(stage, config, float32_psums, np.float32),
+                    _reference(config, float32_psums),
+                ), f"{context} float32"
+                live += np.count_nonzero(expected)
+                total += expected.size
+    assert live > 0.25 * total
+    assert float32_cases > 0
+
+
+@pytest.mark.parametrize("precision", PSUM_PRECISIONS)
+def test_sdp_fused_adds_the_folded_residual(fuzz_rng, precision):
+    """tiny_llm folds both residual adds into stages (one relu, one
+    with no activation).  Their epilogue with a full-range residual
+    equals ``Sdp.apply_many`` plus the saturating add, on full-range
+    and near-tie psums and for every SDP variant; the residual runs in
+    the executor's scratch through ``_conv_fused`` too."""
+    net = NetworkRunner(
+        CoreConfig(k=4, n=4),
+        precision=precision,
+        scale=0.0625,
+        input_size=8,
+    ).compile("tiny_llm")
+    executor = BatchExecutor(net)
+    folded = [
+        (index, stage)
+        for index, stage in enumerate(net.stages)
+        if stage.residual_from is not None
+    ]
+    assert {stage.sdp.activation for _, stage in folded} == {
+        "relu", "none"
+    }
+    live = total = 0
+    for index, stage in folded:
+        plan = executor._fused_stages[index]
+        batch = _stage_input(fuzz_rng, stage)
+        psums = _golden_psums(stage, batch)
+        residual = stage.sdp.out_precision.random_array(
+            fuzz_rng, psums.shape
+        )
+        ties = _near_tie_values(fuzz_rng, stage, psums.shape) - \
+            stage.sdp.bias[None, :, None, None]
+        for label, config in _sdp_variants(fuzz_rng, stage.sdp).items():
+            for source in (psums, ties):
+                expected = _reference(config, source, residual)
+                dtype = plan.dtype if source is psums else np.float64
+                actual = _epilogue(stage, config, source, dtype, residual)
+                assert np.array_equal(actual, expected), (
+                    f"{stage.name} precision={precision} sdp={label}"
+                )
+                live += np.count_nonzero(expected)
+                total += expected.size
+        output, _ = executor._conv_fused(index, stage, batch, residual)
+        assert np.array_equal(
+            output, _reference(stage.sdp, psums, residual)
+        ), stage.name
+    assert live > 0.25 * total
+
+
+def test_sdp_epilogue_bound_reaching_2_53_is_refused(fuzz_rng):
+    """The epilogue's bound ``(psum_bound + max|bias|) * m + 2**(s-1)``
+    is checked when the executor is built: a stage whose multiplier
+    takes it to 2**53 is refused, naming the stage, and so is a prelu
+    branch past it.  One multiplier step below, the epilogue is still
+    exact at psums up to the bound."""
+    net = NetworkRunner(CoreConfig(k=4, n=4), **TINY).compile(
+        "resnet18"
+    )
+    stage = net.stages[0]
+    bound = _FusedStage(stage).bound
+    value_bound = bound + int(np.abs(stage.sdp.bias).max())
+    shift = 50
+    half = 1 << (shift - 1)
+    multiplier = -(-((1 << 53) - half) // value_bound)
+
+    def with_sdp(**changes):
+        config = dataclasses.replace(stage.sdp, **changes)
+        return dataclasses.replace(stage, sdp=config)
+
+    for refused in (
+        with_sdp(multiplier=multiplier, shift=shift),
+        with_sdp(
+            activation="prelu",
+            prelu_multiplier=-(-(1 << 53) // value_bound),
+            prelu_shift=0,
+        ),
+    ):
+        wide = dataclasses.replace(
+            net, stages=(refused,) + net.stages[1:]
+        )
+        with pytest.raises(
+            DataflowError, match=f"{stage.name}: SDP epilogue bound"
+        ):
+            BatchExecutor(wide)
+    accepted = with_sdp(multiplier=multiplier - 1, shift=shift)
+    epilogue = _SdpEpilogue(accepted, bound)
+    assert epilogue.bound < 1 << 53
+    assert epilogue.bound + value_bound >= 1 << 53
+    psums = fuzz_rng.integers(
+        -bound, bound + 1, size=(2, stage.layer.out_channels, 4, 4)
+    )
+    psums[0, :, 0, 0] = bound
+    psums[0, :, 0, 1] = -bound
+    for config in (accepted.sdp,
+                   dataclasses.replace(accepted.sdp, activation="none")):
+        expected = Sdp(config).apply_many(psums)
+        actual = _epilogue(accepted, config, psums, np.float64)
+        assert np.array_equal(actual, expected), config.activation
+        assert np.count_nonzero(expected) > 0.25 * expected.size
 
 
 def _scratch_bytes_by_role(executor):
@@ -517,13 +736,13 @@ def test_scratch_is_sized_to_the_largest_stage_per_role(fuzz_rng):
     executor = BatchExecutor(net)
     assert len({plan.dtype for plan in executor._fused_stages}) == 1
     stage_inputs = []
-    kernel = executor._fused_psums
+    conv = executor._conv_fused
 
-    def record(index, stage, batch):
-        stage_inputs.append((index, stage, batch))
-        return kernel(index, stage, batch)
+    def record(index, stage, batch, residual=None):
+        stage_inputs.append((index, stage, batch, residual))
+        return conv(index, stage, batch, residual)
 
-    executor._fused_psums = record
+    executor._conv_fused = record
     executor.run_batch(
         net.precision.random_array(
             fuzz_rng, (8,) + tuple(net.input_shape)
@@ -532,9 +751,9 @@ def test_scratch_is_sized_to_the_largest_stage_per_role(fuzz_rng):
     assert len(stage_inputs) == len(net.stages)
     largest = collections.Counter()
     summed = collections.Counter()
-    for index, stage, batch in stage_inputs:
+    for index, stage, batch, residual in stage_inputs:
         alone = BatchExecutor(net)
-        alone._fused_psums(index, stage, batch)
+        alone._conv_fused(index, stage, batch, residual)
         for role, nbytes in _scratch_bytes_by_role(alone).items():
             largest[role] = max(largest[role], nbytes)
             summed[role] += nbytes

@@ -9,7 +9,7 @@ simulation mode.
 import numpy as np
 import pytest
 
-from repro.errors import DataflowError
+from repro.errors import DataflowError, ReproError
 from repro.nvdla.config import CoreConfig
 from repro.runtime import NetworkRunner
 
@@ -120,6 +120,33 @@ class TestInputsAndErrors:
     def test_zero_batch_rejected(self, config):
         with pytest.raises(DataflowError):
             make_runner(config, "tempus").run("resnet18", 0)
+
+    def test_run_checks_input_values_once(self, config, monkeypatch):
+        """``run`` range-checks a batch once (in the executor), and
+        both paths still reject out-of-range and fractional values."""
+        runner = make_runner(config, "tempus")
+        net = runner.compile("resnet18")
+        images = runner.synthesize_batch("resnet18", 2)
+        calls = []
+        check = type(net.precision).check_array
+
+        def counted(spec, values):
+            calls.append(spec)
+            return check(spec, values)
+
+        monkeypatch.setattr(
+            type(net.precision), "check_array", counted
+        )
+        runner.run("resnet18", images)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for bad in (net.precision.max_value + 1, 0.5):
+            rejected = images.astype(type(bad))
+            rejected[1, 0, 0, 0] = bad
+            with pytest.raises(ReproError):
+                runner.run("resnet18", rejected)
+            with pytest.raises(ReproError):
+                runner.run_per_image("resnet18", rejected)
 
     def test_single_image_is_promoted_to_batch(self, config):
         runner = make_runner(config, "tempus")

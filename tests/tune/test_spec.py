@@ -182,6 +182,18 @@ class TestSweepSpec:
         assert "nets=resnet18" in spec.describe_axes()
         assert "workers=1,2" in spec.describe_axes()
 
+    def test_listed_axes_filter_the_listing_only(self):
+        spec = SweepSpec(
+            name="t", nets=("resnet18",), listed_axes=("nets",)
+        )
+        assert spec.describe_axes() == "nets=resnet18"
+        # The payload's axes field keeps every axis.
+        assert set(spec.axes()) == {
+            "nets", "backends", "precisions", "geometries"
+        }
+        with pytest.raises(DataflowError, match="listed_axes"):
+            SweepSpec(name="t", nets=("resnet18",), listed_axes=("nope",))
+
 
 class TestRegistry:
     def test_default_sweeps_registered(self):
