@@ -53,11 +53,6 @@ def _claim(holds, message: str) -> None:
 def _serving_records(payload: dict) -> list:
     precision = payload.get("precision_profile", "int8")
     backend = payload.get("engine", "tempus")
-    transport = payload.get("transport", "pickle")
-    if transport not in ("pickle", "shm"):
-        raise DataflowError(
-            f"serving payload carries unknown transport {transport!r}"
-        )
     records = []
     for model in payload["models"]:
         name = model["model"]

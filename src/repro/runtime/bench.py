@@ -113,8 +113,8 @@ def run_serving_benchmark(
     ``requests_per_second = requests * clock_hz / makespan``.  This is
     host-independent (a single-core CI box can't demonstrate
     process-level parallelism on the wall clock; the simulated clock
-    can).  Tensors cross the worker boundary on the platform's default
-    transport (shm where available).
+    can).  Tensors cross the worker boundary pickled through the shard
+    queues.
 
     At every fault rate above 0 a seeded
     :class:`~repro.serve.faults.FaultPlan` crashes, fails and slows
@@ -170,7 +170,7 @@ def run_serving_benchmark(
             fault_plan=plan,
             job_deadline=FAULT_JOB_DEADLINE if plan else None,
         ) as server:
-            return server.transport, server.run(name, requests)
+            return server.run(name, requests)
 
     model_records = []
     for name in spec.nets:
@@ -181,7 +181,7 @@ def run_serving_benchmark(
         sweep, faulted = [], []
         for workers in spec.workers:
             for rate in FAULT_RATES:
-                transport, result = serve(name, workers, rate)
+                result = serve(name, workers, rate)
                 if not (
                     np.array_equal(result.output, reference.output)
                     and result.conv_cycles == reference.conv_cycles
@@ -272,7 +272,6 @@ def run_serving_benchmark(
         "fault_kinds": list(FAULT_KINDS),
         "fault_seed": FAULT_SEED,
         "job_deadline": FAULT_JOB_DEADLINE,
-        "transport": transport,
         "models": model_records,
     }
     return write_benchmark_artifact(
@@ -319,8 +318,7 @@ def render_serving_benchmark(payload: dict) -> str:
             f"sharded serving ({payload['engine']}) on "
             f"{config['k']}x{config['n']} {payload['precision_layers']} "
             f"(scale {payload['scale']}, input {payload['input_size']}, "
-            f"max_batch {payload['max_batch']}, "
-            f"transport {payload['transport']})"
+            f"max_batch {payload['max_batch']})"
         ),
     )
     chaos = render_columns(

@@ -17,11 +17,11 @@ so no worker ever waits on the parent:
   :class:`concurrent.futures.Future` resolving to a
   :class:`GatewayResponse`;
 * **dispatch** (gateway thread) — pulls coalesced batches and ships
-  them to the :class:`~repro.serve.supervisor.ShardSupervisor` (over
-  the shm transport where enabled).  While the pool has idle capacity
+  them to the :class:`~repro.serve.supervisor.ShardSupervisor`, whose
+  shard queues carry them pickled.  While the pool has idle capacity
   the pull is *eager* (no coalescing window); once every worker is
   busy it coalesces up to ``max_batch``/``max_wait`` — so batch N+1
-  is being coalesced and written to shared memory while batch N
+  is being coalesced and pickled onto a shard queue while batch N
   computes;
 * **collect** (gateway thread) — blocks on
   :meth:`~repro.serve.supervisor.ShardSupervisor.next_result`,
@@ -73,8 +73,9 @@ class LatencyBreakdown:
     Attributes:
         queue_wait: arrival (``submit()``) → the coalesced batch
             closed.
-        dispatch: batch close → handed to the supervisor (includes the
-            shm write / pickle of the batch tensor).
+        dispatch: batch close → handed to the supervisor (the shard
+            queue's feeder thread pickles the batch tensor after the
+            hand-off, inside the unattributed gap).
         compute: worker-side executor wall time for the batch (shared
             by every request in it), clamped into the in-flight window
             so phases can never overlap.

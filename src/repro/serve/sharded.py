@@ -33,7 +33,8 @@ Start methods: ``fork`` (default where available) inherits the compiled
 program copy-on-write; ``spawn`` pickles the program to each worker.
 Either way a worker computes burst maps only while constructing its
 executor, which folds each stage's maps into one cycle line; the
-batches it then runs compute none.
+batches it then runs compute none.  Job batches and results cross the
+process boundary pickled through each shard's queues.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ from repro.runtime.lowering import CompiledNetwork
 from repro.runtime.runner import NetworkResult, NetworkRunner
 from repro.serve.gateway import ServingGateway
 from repro.serve.queue import ADMISSION_POLICIES
-from repro.serve.shm import ShmArena, ShmRef, default_transport, \
-    shm_available
 from repro.serve.supervisor import ShardSupervisor
 
 
@@ -92,7 +91,6 @@ def _worker_main(
     job_queue,
     result_queue,
     fault_plan=None,
-    shm_prefix=None,
 ) -> None:
     """Shard worker loop: execute dispatched batches until poisoned.
 
@@ -102,14 +100,6 @@ def _worker_main(
     :class:`BatchExecutor` the single-process runner uses; ``engine``
     is None so the executor accounts on the per-stage compute backends
     recorded in the compiled network at lowering.
-
-    ``shm_prefix`` enables the shared-memory transport: job messages
-    then carry :class:`~repro.serve.shm.ShmRef` handles into the
-    supervisor's job arena instead of pickled tensors, and this worker
-    parks each result's output tensor in its own flagged arena under
-    ``shm_prefix``.  The arena is unlinked on clean exit; the
-    supervisor sweeps it too (crashed incarnations never run the
-    ``finally``).
 
     When a :class:`~repro.serve.faults.FaultPlan` is given, the worker
     consults it before every job and acts the scheduled fault out:
@@ -124,38 +114,11 @@ def _worker_main(
     """
     net, engine = payload
     executor = BatchExecutor(net, engine)
-    arena = (
-        ShmArena(shm_prefix, flagged=True)
-        if shm_prefix is not None
-        else None
-    )
-    try:
-        _worker_loop(
-            executor,
-            shard_index,
-            job_queue,
-            result_queue,
-            fault_plan,
-            arena,
-        )
-    finally:
-        if arena is not None:
-            arena.close()
-
-
-def _worker_loop(
-    executor, shard_index, job_queue, result_queue, fault_plan, arena
-) -> None:
     while True:
         job = job_queue.get()
         if job is None:
             break
         job_id, attempt, images = job
-        if isinstance(images, ShmRef):
-            # Private copy: the parent recycles the job slot the
-            # moment the job finishes on *any* path, and this worker
-            # may be executing a redispatched job's stale attempt.
-            images = ShmArena.take(images)
         fault = (
             fault_plan.fault_for(shard_index, job_id, attempt)
             if fault_plan is not None
@@ -191,8 +154,6 @@ def _worker_loop(
             # decomposition attributes this phase exactly, instead of
             # inferring it from parent-side round-trip timestamps.
             record["host_seconds"] = time.monotonic() - started
-            if arena is not None:
-                record["output"] = arena.place(record["output"])
             result_queue.put(
                 (shard_index, job_id, attempt, record, None)
             )
@@ -246,7 +207,6 @@ class ShardedRunner:
         restart_backoff: float = 0.05,
         min_live: int = 1,
         max_attempts: int = 5,
-        transport: "str | None" = None,
         fused: bool = False,
     ) -> None:
         """Serving-specific args (see :class:`NetworkRunner` for the
@@ -257,11 +217,6 @@ class ShardedRunner:
             to submitters, "reject" refuses the request and "shed"
             evicts the oldest pending one; :meth:`run` raises
             :class:`DataflowError` under either).
-        transport: how batch/result tensors cross the process
-            boundary — "shm" (shared-memory arenas, the default where
-            the host supports them) or "pickle" (through the queues).
-            Transport choice cannot affect results: both paths feed
-            the same executor the same bytes.
         fused: accepted and ignored, like
             :class:`NetworkRunner`'s: workers and the degraded
             in-process fallback run the executor's one batched path.
@@ -303,16 +258,6 @@ class ShardedRunner:
                 "job_deadline — hung shards are only detectable by "
                 "deadline"
             )
-        if transport is None:
-            transport = default_transport()
-        if transport not in ("pickle", "shm"):
-            raise DataflowError(
-                f"transport must be 'pickle' or 'shm', got {transport!r}"
-            )
-        if transport == "shm" and not shm_available():
-            raise DataflowError(
-                "transport='shm' needs multiprocessing.shared_memory"
-            )
         self.workers = workers
         self.max_batch = max_batch
         self.max_wait = max_wait
@@ -324,7 +269,6 @@ class ShardedRunner:
         self.restart_backoff = restart_backoff
         self.min_live = min_live
         self.max_attempts = max_attempts
-        self.transport = transport
         self._runner = NetworkRunner(
             config,
             engine=engine,
@@ -412,7 +356,6 @@ class ShardedRunner:
             min_live=self.min_live,
             max_attempts=self.max_attempts,
             fallback=fallback,
-            transport=self.transport,
         )
         self._model = model_name
 

@@ -53,7 +53,6 @@ from queue import Empty
 from threading import Event, RLock, Thread
 
 from repro.errors import DataflowError
-from repro.serve.shm import ShmArena, ShmRef
 
 #: Telemetry counters a supervisor tracks per request stream.  These
 #: flow into ``ShardedResult.health``; the serving benchmark requires
@@ -102,7 +101,6 @@ class _Shard:
         "retired",
         "respawn_at",
         "force_killed",
-        "shm_prefix",
     )
 
     def __init__(self, index: int) -> None:
@@ -116,7 +114,6 @@ class _Shard:
         self.retired = False
         self.respawn_at: "float | None" = None
         self.force_killed = False
-        self.shm_prefix: "str | None" = None
 
 
 class ShardSupervisor:
@@ -150,14 +147,9 @@ class ShardSupervisor:
             in-process (the degraded path); None disables degradation
             and exhausted streams raise instead.
         poll_interval: result-queue poll / health-probe period.
-        transport: ``"pickle"`` ships batch/result tensors through the
-            queues; ``"shm"`` parks them in shared-memory arenas (see
-            :mod:`repro.serve.shm`) and ships only references — job
-            slots are owned by the supervisor and released exactly
-            once per job, worker result arenas are swept on every
-            respawn/retire and at :meth:`stop`.
-        shm_base: arena name base for ``transport="shm"`` (a
-            collision-safe default is derived when omitted).
+
+    Job batches and result tensors travel pickled through each
+    shard's ``multiprocessing`` queues.
     """
 
     def __init__(
@@ -176,8 +168,6 @@ class ShardSupervisor:
         max_attempts: int = 5,
         fallback=None,
         poll_interval: float = 0.05,
-        transport: str = "pickle",
-        shm_base: "str | None" = None,
     ) -> None:
         if workers < 1:
             raise DataflowError("workers must be >= 1")
@@ -203,23 +193,6 @@ class ShardSupervisor:
         self.max_attempts = max_attempts
         self.poll_interval = poll_interval
         self._fallback = fallback
-        if transport not in ("pickle", "shm"):
-            raise DataflowError(
-                f"transport must be 'pickle' or 'shm', got {transport!r}"
-            )
-        self.transport = transport
-        if transport == "shm":
-            from repro.serve.shm import arena_base
-
-            self._shm_base = shm_base or arena_base()
-            self._job_arena = ShmArena(
-                f"{self._shm_base}-jobs", max_slots=None
-            )
-        else:
-            self._shm_base = None
-            self._job_arena = None
-        self._spawn_serial = 0
-        self._refs: dict = {}  # job id -> ShmRef of its input slot
         self._lock = RLock()
         # Parent-side result funnel.  Pump threads forward complete
         # worker messages into this (plain, in-process) queue, which
@@ -285,19 +258,10 @@ class ShardSupervisor:
             )
 
     def _start_shard(self, shard: _Shard) -> None:
-        """(Re)spawn one shard on fresh job/result queues (and, under
-        the shm transport, a fresh per-incarnation result arena — the
-        spawn serial keeps prefixes unique across respawns and
-        ``begin_stream`` restart-budget resets, so a dead incarnation's
-        segments can never alias a live one's)."""
+        """(Re)spawn one shard on fresh job/result queues."""
         if shard.queue is None:
             shard.queue = self._ctx.Queue()
         self._stop_reader(shard)
-        if self.transport == "shm":
-            self._spawn_serial += 1
-            shard.shm_prefix = (
-                f"{self._shm_base}-s{shard.index}x{self._spawn_serial}"
-            )
         shard.result_queue = self._ctx.Queue()
         shard.reader_stop = Event()
         shard.process = self._ctx.Process(
@@ -308,7 +272,6 @@ class ShardSupervisor:
                 shard.queue,
                 shard.result_queue,
                 self.fault_plan,
-                shard.shm_prefix,
             ),
             daemon=True,
         )
@@ -414,23 +377,6 @@ class ShardSupervisor:
                     result_queue.close()
                 except Exception:
                     pass
-        # Shared-memory teardown, after every worker is joined/killed:
-        # release the job arena exactly once (ShmArena.close is
-        # idempotent) and sweep each incarnation's result segments —
-        # cleanly-exited workers already unlinked their own, so the
-        # sweep only reclaims what crashes left behind.
-        self._refs.clear()
-        if self._job_arena is not None:
-            self._job_arena.close()
-        for shard in shards:
-            self._sweep_worker_arena(shard)
-
-    @staticmethod
-    def _sweep_worker_arena(shard: _Shard) -> None:
-        prefix = shard.shm_prefix
-        shard.shm_prefix = None
-        if prefix is not None:
-            ShmArena.unlink_prefix(prefix)
 
     @staticmethod
     def _discard_queue(shard: _Shard) -> None:
@@ -456,11 +402,6 @@ class ShardSupervisor:
             if job_id in self._payloads or job_id in self._done:
                 raise DataflowError(f"duplicate job id {job_id}")
             self._payloads[job_id] = images
-            if self._job_arena is not None:
-                # One slot per job, reused verbatim by every dispatch
-                # attempt (the input never changes), released exactly
-                # once in _finish.
-                self._refs[job_id] = self._job_arena.place(images)
             self._attempt[job_id] = 0
             self._dispatch(job_id)
 
@@ -483,13 +424,7 @@ class ShardSupervisor:
             )
             self._deadlines[job_id] = start + self.job_deadline
         shard.in_flight.add(job_id)
-        shard.queue.put(
-            (
-                job_id,
-                attempt,
-                self._refs.get(job_id, self._payloads[job_id]),
-            )
-        )
+        shard.queue.put((job_id, attempt, self._payloads[job_id]))
 
     def _pick_shard(self) -> "_Shard | None":
         candidates = [
@@ -515,12 +450,6 @@ class ShardSupervisor:
                 pass
             shard.force_killed = True
         shard.process = None
-        # The dead incarnation's result segments are unreachable now:
-        # any message it managed to send will be discarded as stale
-        # (its jobs are redispatched below, bumping their attempt), so
-        # sweeping here cannot race a live read — _absorb materializes
-        # under this same lock.
-        self._sweep_worker_arena(shard)
         # The old queue may hold jobs the dead worker never took;
         # those are redispatched by the caller, so drop the queue
         # rather than hand stale work to the replacement.
@@ -698,16 +627,6 @@ class ShardSupervisor:
                 )
                 self._redispatch(job_id, "retries")
                 return None
-            if record is not None and isinstance(
-                record.get("output"), ShmRef
-            ):
-                # Materialize under the lock: the owning incarnation's
-                # segments are only swept by _retire_or_respawn/stop,
-                # which also hold it — a non-stale result's slot is
-                # therefore guaranteed alive here.  Copying out clears
-                # the slot's handoff flag, recycling it.
-                record = dict(record)
-                record["output"] = ShmArena.take(record["output"])
             self._finish(job_id)
             return job_id, shard_index, record
 
@@ -718,12 +637,6 @@ class ShardSupervisor:
         self._deadlines.pop(job_id, None)
         self._last_error.pop(job_id, None)
         self._errored.pop(job_id, None)
-        # Exactly-once job-slot release: _finish runs once per job
-        # (every completion path funnels through it behind the _done
-        # guard), and pop() makes a hypothetical second call a no-op.
-        ref = self._refs.pop(job_id, None)
-        if ref is not None and self._job_arena is not None:
-            self._job_arena.release(ref)
 
     def health(self) -> dict:
         """Snapshot of the stream's health counters."""
@@ -733,5 +646,4 @@ class ShardSupervisor:
                 1 for shard in self._shards if not shard.retired
             )
             snapshot["workers"] = len(self._shards)
-            snapshot["transport"] = self.transport
         return snapshot

@@ -17,10 +17,9 @@ REPO_RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 class TestNormalizers:
-    def test_serving_transport_validates(self):
+    def test_serving_sweep_and_faulted_points_normalize(self):
         payload = {
             "engine": "tempus",
-            "transport": "shm",
             "models": [
                 {
                     "model": "resnet18",
@@ -47,19 +46,6 @@ class TestNormalizers:
             ],
         }
         assert len(normalize_records("BENCH_serving.json", payload)) == 2
-
-    def test_serving_unknown_transport_rejected(self):
-        payload = {
-            "transport": "carrier-pigeon",
-            "models": [
-                {
-                    "model": "resnet18",
-                    "workers": [{"conv_cycles": 9}],
-                }
-            ],
-        }
-        with pytest.raises(DataflowError, match="transport"):
-            normalize_records("BENCH_serving.json", payload)
 
     def test_backend_payload(self):
         payload = {

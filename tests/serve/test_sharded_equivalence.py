@@ -166,6 +166,27 @@ def test_synthesized_requests_match_network_runner(fuzz_rng):
     assert sharded.conv_cycles == reference.conv_cycles
 
 
+def test_spawn_start_method_bit_identical():
+    """Under ``spawn`` every worker gets the compiled program pickled
+    instead of inherited; the stream stays bit-identical."""
+    config = CoreConfig(k=4, n=4)
+    reference = NetworkRunner(config, engine="tempus", **TINY).run(
+        "resnet18", 4
+    )
+    with ShardedRunner(
+        workers=2,
+        config=config,
+        engine="tempus",
+        start_method="spawn",
+        max_batch=2,
+        **TINY,
+    ) as server:
+        assert server.start_method == "spawn"
+        result = server.run("resnet18", 4)
+    assert np.array_equal(result.output, reference.output)
+    assert result.conv_cycles == reference.conv_cycles
+
+
 def test_request_order_is_restored_under_scatter(fuzz_rng):
     """Per-request ordering survives round-robin scatter: each output
     row equals the single-image run of that row's input."""
