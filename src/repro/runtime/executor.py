@@ -14,9 +14,15 @@ batched code path, and its oracle is the per-image run through the real
 convolution cores
 (:func:`~repro.runtime.runner.run_per_image`).
 
-Beyond its compiled program the executor holds only derived, reusable
-state: per-stage GEMM plans with their SDP epilogue constants,
-per-stage cycle lines and grow-only scratch buffers.  A stage's
+Beyond its compiled program the executor holds derived, reusable
+state — per-stage GEMM plans with their SDP epilogue constants,
+per-stage cycle lines and grow-only scratch buffers — and, on a
+token-independent program
+(:attr:`~repro.runtime.lowering.CompiledNetwork.token_independent`),
+private copies of its last input batch and output: a batch that
+strictly extends the last one along the token axis (autoregressive
+decode) runs only its new rows, so each decoded token is computed
+once.  A CNN executor keeps no reference to any batch.  A stage's
 per-image cycles are affine in its output pixels,
 ``per_pixel * out_pixels + fixed``, with both terms fixed by the
 compiled weights (see
@@ -305,6 +311,21 @@ def _stage_cycle_line(
     )
 
 
+def _extended_rows(images: np.ndarray, last: np.ndarray) -> int:
+    """The token rows of ``images`` already computed for the ``last``
+    input batch: all of them when ``images`` strictly extends it (same
+    batch size, channels and width, more tokens, equal earlier rows),
+    else none."""
+    rows = last.shape[2]
+    if (
+        images.shape[2] <= rows
+        or images.shape[:2] != last.shape[:2]
+        or images.shape[3] != last.shape[3]
+    ):
+        return 0
+    return rows if np.array_equal(images[:, :, :rows], last) else 0
+
+
 def fit_channels(
     tensor: np.ndarray, target: int, axis: int
 ) -> np.ndarray:
@@ -353,7 +374,20 @@ class BatchExecutor:
     float dtype is chosen per stage from a worst-case psum bound when
     the executor is built (see :class:`_FusedStage`), so psums are
     exact integers, and the epilogue's own bound keeps every float64
-    step of the requantization exact.  Outputs and cycles (total and
+    step of the requantization exact.
+
+    On a token-independent program every output row depends only on
+    its own input row, so the executor keeps private int64 copies of
+    its last input batch and output.  A batch with the same batch
+    size, channels and width, more tokens, and its earlier rows equal
+    to the last batch runs the stage loop on the new rows only and is
+    stitched to the cached output rows; each stage's cycles still come
+    from its cycle line at the full token count, so outputs, cycles
+    and stage records equal a full recompute.  Any other batch
+    (shorter, equal, edited, re-batched) and every batch of a CNN runs
+    in full, and a failed batch leaves nothing to reuse.
+
+    Outputs and cycles (total and
     per stage) are pinned bit-identical to the per-image run through
     the real cores on every backend and precision, the psums stage by
     stage to the int64 golden convolution, and the epilogue to
@@ -405,6 +439,10 @@ class BatchExecutor:
             for stage, backend in zip(net.stages, self.stage_backends)
         )
         self._scratch: "dict[tuple, np.ndarray]" = {}
+        # (input, output) of the last batch, int64 copies no caller
+        # holds, kept only on token-independent programs.
+        self._token_independent = net.token_independent
+        self._last: "tuple[np.ndarray, np.ndarray] | None" = None
 
     # ------------------------------------------------------------------
     def run_batch(
@@ -412,12 +450,17 @@ class BatchExecutor:
     ) -> tuple[np.ndarray, tuple, int]:
         """One vectorized forward pass.
 
+        On a token-independent program, a batch that strictly
+        extends the last one along the token axis runs only its new
+        rows (see the class docstring); the result is the same.
+
         Args:
             images: (B, C, H, W) integer batch of the expected shape.
                 Its values must lie inside the network input precision
                 — the one range check the conv kernel's exactness
                 bound needs, since every later stage reads SDP-clipped
-                activations.
+                activations.  Rows reused from the last batch were
+                checked then, so only the new rows are checked.
 
         Returns:
             (output, stage_records, conv_cycles) — the stage records
@@ -428,19 +471,24 @@ class BatchExecutor:
             DataflowError: the batch is not 4-D, or a value lies
                 outside the input precision.
         """
-        if np.ndim(images) != 4:
+        images = np.asarray(images)
+        if images.ndim != 4:
             raise DataflowError(
                 f"{self.net.name}: expected a (B, C, H, W) batch, got "
-                f"shape {np.shape(images)}"
+                f"shape {images.shape}"
             )
+        # Taken before anything can raise: a failed batch leaves
+        # nothing to reuse.
+        last, self._last = self._last, None
+        cached = 0 if last is None else _extended_rows(images, last[0])
         try:
-            images = self.net.precision.check_array(images)
+            fresh = self.net.precision.check_array(images[:, :, cached:])
         except PrecisionError as error:
             raise DataflowError(
                 f"{self.net.name}: input batch rejected: {error}"
             ) from None
         records: list[StageResult] = []
-        current = images
+        current = fresh
         total_cycles = 0
         # Folded-residual state: stage outputs a later stage adds to
         # its own requantized output (key -1 = the model input after
@@ -457,21 +505,35 @@ class BatchExecutor:
                 if stage.residual_from is not None
                 else None
             )
-            current, cycles = self._conv_fused(
-                index, stage, current, residual
-            )
+            current = self._conv_fused(index, stage, current, residual)
             if stage.save_output:
                 saved[index] = current
-            cycles *= images.shape[0]
+            # The stage's cycle line at the actual output-pixel count
+            # (the compiled geometry except on dynamic token-axis
+            # stages), counting the reused rows.
+            batch_size, kernels, rows, width = current.shape
+            rows += cached
+            per_pixel, fixed = self._cycle_lines[index]
+            cycles = (per_pixel * rows * width + fixed) * batch_size
             total_cycles += cycles
             records.append(
                 StageResult(
                     name=stage.name,
                     kind="conv",
-                    output_shape=tuple(current.shape),
+                    output_shape=(batch_size, kernels, rows, width),
                     conv_cycles=cycles,
                 )
             )
+        if self._token_independent:
+            if cached:
+                fresh = np.concatenate((last[0], fresh), axis=2)
+                current = np.concatenate((last[1], current), axis=2)
+            else:
+                # check_array passes an int64 batch through as a view:
+                # copy it so the caller cannot edit the cached rows.
+                fresh = fresh.copy()
+            self._last = (fresh, current)
+            current = current.copy()
         return current, tuple(records), total_cycles
 
     def run_job(self, images: np.ndarray) -> dict:
@@ -541,19 +603,14 @@ class BatchExecutor:
         stage: StagePlan,
         batch: np.ndarray,
         residual: "np.ndarray | None" = None,
-    ) -> tuple[np.ndarray, int]:
+    ) -> np.ndarray:
         """One conv stage over the whole batch: the exact float-GEMM
         psums of :meth:`_fused_psums`, then the stage's
         :class:`_SdpEpilogue` over them in one float64 scratch buffer,
         with the folded residual (if any) added in the same pass.
-        Returns per-image cycles (the caller scales by batch size): the
-        stage's cycle line at the actual output-pixel count, which is
-        the compiled geometry except on dynamic (token-axis) stages.
         The output is a fresh array, so callers never alias scratch
         that the next batch will overwrite."""
         psums = self._fused_psums(index, stage, batch)
-        per_pixel, fixed = self._cycle_lines[index]
-        cycles = per_pixel * psums.shape[2] * psums.shape[3] + fixed
         if residual is not None and residual.shape != psums.shape:
             raise DataflowError(
                 f"{stage.name}: folded residual shape "
@@ -562,7 +619,7 @@ class BatchExecutor:
             )
         buffer = self._scratch_buf("epilogue", psums.shape, np.float64)
         epilogue = self._fused_stages[index].epilogue
-        return epilogue(psums, buffer, residual), cycles
+        return epilogue(psums, buffer, residual)
 
     def _fused_psums(
         self, index: int, stage: StagePlan, batch: np.ndarray

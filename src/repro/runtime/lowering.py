@@ -208,6 +208,35 @@ class CompiledNetwork:
         return any(stage.dynamic_hw for stage in self.stages)
 
     @property
+    def token_independent(self) -> bool:
+        """True when no stage mixes rows along the token axis: every
+        stage is dynamic, has a 1x1 kernel at stride 1 without padding
+        and no pool, so each output row depends only on its own input
+        row.  The executor then runs a batch that extends its last one
+        only on the new rows."""
+        return all(
+            stage.dynamic_hw
+            and stage.pool is None
+            and stage.layer.kernel_h == stage.layer.kernel_w == 1
+            and stage.layer.stride == 1
+            and not (stage.layer.padding_h or stage.layer.padding_w)
+            for stage in self.stages
+        )
+
+    def batch_macs(self, shape: tuple) -> int:
+        """Useful multiply-accumulates of one (B, C, H, W) batch.  A
+        dynamic stage does its layer's per-token work once per token
+        the batch actually carries (``H``), not at the nominal length
+        it was compiled for."""
+        batch_size, _, tokens, _ = shape
+        return batch_size * sum(
+            stage.layer.macs // stage.layer.out_height * tokens
+            if stage.dynamic_hw
+            else stage.layer.macs
+            for stage in self.stages
+        )
+
+    @property
     def needs_input_saved(self) -> bool:
         """True when some stage's folded residual references the model
         input itself."""

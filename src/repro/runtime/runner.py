@@ -65,7 +65,8 @@ class NetworkResult:
         output: (B, K, OH, OW) integer logits tensor.
         stages: per-stage execution records (cycles cover the batch).
         conv_cycles: total conv-core cycles across the batch.
-        macs: useful multiply-accumulates across the batch.
+        macs: useful multiply-accumulates across the batch, at its
+            actual token count on dynamic-token programs.
     """
 
     model: str
@@ -217,7 +218,7 @@ class NetworkRunner:
             output=output,
             stages=records,
             conv_cycles=total_cycles,
-            macs=net.macs_per_image * images.shape[0],
+            macs=net.batch_macs(images.shape),
         )
 
     def run_per_image(
@@ -248,7 +249,7 @@ class NetworkRunner:
             output=output,
             stages=records,
             conv_cycles=total_cycles,
-            macs=net.macs_per_image * images.shape[0],
+            macs=net.batch_macs(images.shape),
         )
 
     # ------------------------------------------------------------------

@@ -444,7 +444,7 @@ class ShardedRunner:
             output=result.output,
             stages=result.stages,
             conv_cycles=result.conv_cycles,
-            macs=net.macs_per_image * result.requests,
+            macs=net.batch_macs(images.shape),
             shard_cycles=result.shard_cycles,
             jobs=result.jobs,
             health=health,

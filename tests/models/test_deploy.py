@@ -41,6 +41,8 @@ class TestCompilation:
             None, PdpConfig("max", kernel=2), PdpConfig("max", kernel=2),
         ]
         assert compiled.network.input_shape == (1, 12, 12)
+        # 3x3 kernels and pools mix rows: no decode-row reuse.
+        assert not compiled.network.token_independent
 
     def test_weights_quantized_in_range(self, setup):
         _, _, compiled = setup

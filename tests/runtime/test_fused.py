@@ -658,7 +658,7 @@ def test_sdp_fused_adds_the_folded_residual(fuzz_rng, precision):
                 )
                 live += np.count_nonzero(expected)
                 total += expected.size
-        output, _ = executor._conv_fused(index, stage, batch, residual)
+        output = executor._conv_fused(index, stage, batch, residual)
         assert np.array_equal(
             output, _reference(stage.sdp, psums, residual)
         ), stage.name

@@ -5,7 +5,8 @@ conv surface (R = S = 1 atoms, token axis as spatial height), residual
 and norm glue folding, the value-aware cycle parity with the
 standalone :class:`~repro.gemm.llm.TubMatVec` GEMV engine, cycle
 accounting without burst-map lookups under a growing-sequence decode,
-and a PYTEST_SEED-driven differential sweep
+decode-row reuse (each step runs only its new rows, yet equals a full
+recompute), and a PYTEST_SEED-driven differential sweep
 asserting batched/per-image bit-identity over random transformer-block
 configurations.
 """
@@ -23,8 +24,9 @@ from repro.models.layers import (
     NormSpec,
     ResidualAddSpec,
 )
-from repro.models.zoo import build_model
+from repro.models.zoo import MODEL_NAMES, build_model
 from repro.nvdla.config import CoreConfig
+from repro.quant.profile import PROFILES
 from repro.runtime import BatchExecutor, NetworkRunner, backends
 from repro.runtime.backends import ComputeBackend, get_backend
 
@@ -298,6 +300,222 @@ def test_decode_cycles_follow_the_prefix_length(rng):
         assert job["stage_cycles"] == tuple(
             record.conv_cycles for record in reference.stages
         )
+
+
+# ---------------------------------------------------------------------
+# Decode reuse: each decoded token is computed once
+# ---------------------------------------------------------------------
+def _psum_rows(executor, monkeypatch):
+    """A list that records the token rows every stage's
+    ``_fused_psums`` is given, one entry per stage per run."""
+    rows = []
+    psums = executor._fused_psums
+
+    def counted(index, stage, batch):
+        rows.append(batch.shape[2])
+        return psums(index, stage, batch)
+
+    monkeypatch.setattr(executor, "_fused_psums", counted)
+    return rows
+
+
+def _assert_full_run_equal(net, batch, result, context=""):
+    """``result`` of ``run_batch`` equals a fresh executor's full run
+    of ``batch``: output, stage records and total cycles."""
+    output, stages, cycles = BatchExecutor(net).run_batch(batch)
+    assert np.array_equal(result[0], output), context
+    assert result[1] == stages, context
+    assert result[2] == cycles, context
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("engine", BACKENDS)
+def test_decode_reuses_rows_and_equals_a_full_run(
+    engine, precision, fuzz_rng, monkeypatch
+):
+    """A 64-token decode through one executor computes one new row per
+    stage per step, yet every step's output, cycles and stage records
+    equal a fresh executor's full run, and the per-image run through
+    the real cores at 1/16/32/64 tokens."""
+    runner = _runner(engine=engine, precision=precision)
+    net = runner.compile("tiny_llm")
+    executor = BatchExecutor(net)
+    rows = _psum_rows(executor, monkeypatch)
+    stream = _decode_stream(net, fuzz_rng, 64)
+    for step in range(1, 65):
+        prefix = stream[:, :, :step, :]
+        context = f"engine={engine} precision={precision} step={step}"
+        rows.clear()
+        result = executor.run_batch(prefix)
+        assert rows == [1] * len(net.stages), context
+        _assert_full_run_equal(net, prefix, result, context)
+        if step in (1, 16, 32, 64):
+            reference = runner.run_per_image("tiny_llm", prefix)
+            assert np.array_equal(result[0], reference.output), context
+            assert result[2] == reference.conv_cycles, context
+            assert tuple(
+                record.conv_cycles for record in result[1]
+            ) == tuple(
+                record.conv_cycles for record in reference.stages
+            ), context
+    # Non-vacuous: the decoded rows are live.
+    assert np.count_nonzero(result[0]) > result[0].size // 4
+
+
+def test_decode_reuse_falls_back_to_a_full_run(rng, monkeypatch):
+    """Only a batch that strictly extends the last one reuses rows: a
+    shorter or equal-length batch, a repeated identical call, an
+    earlier row edited in place in the caller's stream and a different
+    batch size all run every row; every result equals a full run."""
+    runner = _runner(precision="int4")
+    net = runner.compile("tiny_llm")
+    executor = BatchExecutor(net)
+    rows = _psum_rows(executor, monkeypatch)
+    stream = _decode_stream(net, rng, 10)
+    other = _decode_stream(net, rng, 10)
+    assert not np.array_equal(stream, other)
+
+    def rows_run(batch):
+        rows.clear()
+        result = executor.run_batch(batch)
+        _assert_full_run_equal(net, batch, result, batch.shape)
+        return set(rows)
+
+    assert rows_run(stream[:, :, :4]) == {4}
+    assert rows_run(stream[:, :, :6]) == {2}  # extends: new rows only
+    assert rows_run(stream[:, :, :6]) == {6}  # repeated identical call
+    assert rows_run(stream[:, :, :3]) == {3}  # shorter
+    assert rows_run(other[:, :, :3]) == {3}  # equal length, new rows
+
+    def edit(row):
+        """Edit an earlier row in place in the caller's stream."""
+        value = other[0, 0, row, 0]
+        other[0, 0, row, 0] = (
+            net.precision.min_value
+            if value == net.precision.max_value
+            else value + 1
+        )
+
+    edit(1)  # after a full run
+    assert rows_run(other[:, :, :5]) == {5}
+    assert rows_run(other[:, :, :6]) == {1}
+    edit(2)  # after a run that reused rows
+    assert rows_run(other[:, :, :7]) == {7}
+    assert rows_run(other[:, :, :8]) == {1}
+    # A different batch size with the same earlier rows.
+    pair = np.concatenate((other, stream))
+    assert rows_run(pair[:, :, :9]) == {9}
+    assert rows_run(other[:, :, :9]) == {9}
+
+
+def test_decode_output_is_the_callers_own(rng, monkeypatch):
+    """Mutating a returned output does not change the next step."""
+    runner = _runner(precision="int8")
+    net = runner.compile("tiny_llm")
+    executor = BatchExecutor(net)
+    rows = _psum_rows(executor, monkeypatch)
+    stream = _decode_stream(net, rng, 6)
+    for step in range(1, 7):
+        rows.clear()
+        output, _, _ = executor.run_batch(stream[:, :, :step])
+        assert set(rows) == {1}
+        expected, _, _ = BatchExecutor(net).run_batch(
+            stream[:, :, :step]
+        )
+        assert np.array_equal(output, expected), step
+        output[...] = net.stages[-1].sdp.out_precision.max_value
+
+
+def test_decode_out_of_range_row_is_rejected_then_recomputed(
+    rng, monkeypatch
+):
+    """A new row outside the input precision raises
+    :class:`DataflowError` (its earlier rows were checked before), an
+    out-of-range earlier row too, and the call after a rejected one
+    runs every row."""
+    runner = _runner(precision="int4")
+    net = runner.compile("tiny_llm")
+    executor = BatchExecutor(net)
+    rows = _psum_rows(executor, monkeypatch)
+    stream = _decode_stream(net, rng, 6)
+    executor.run_batch(stream[:, :, :4])
+    for row in (4, 1):
+        bad = stream[:, :, :5].copy()
+        bad[0, 0, row, 0] = net.precision.max_value + 1
+        with pytest.raises(DataflowError, match="input batch rejected"):
+            executor.run_batch(bad)
+        rows.clear()
+        result = executor.run_batch(stream[:, :, :5])
+        assert set(rows) == {5}, row
+        _assert_full_run_equal(net, stream[:, :, :5], result)
+
+
+@pytest.mark.parametrize("precision", sorted(PROFILES))
+def test_tiny_llm_is_token_independent(precision):
+    net = _runner(precision=precision).compile("tiny_llm")
+    assert net.token_independent
+
+
+def test_cnns_are_not_token_independent():
+    """The zoo CNNs are not token-independent, and neither is a CNN
+    whose stages were all marked dynamic (3x3 kernels and strides mix
+    rows) nor tiny_llm with a pool in front of a stage."""
+    import dataclasses
+
+    from repro.nvdla.pdp import PdpConfig
+
+    runner = _runner()
+    for model in MODEL_NAMES:
+        net = runner.compile(model)
+        assert not net.token_independent, model
+        dynamic = dataclasses.replace(net, stages=tuple(
+            dataclasses.replace(stage, dynamic_hw=True)
+            for stage in net.stages
+        ))
+        assert not dynamic.token_independent, model
+    llm = runner.compile("tiny_llm")
+    pooled = dataclasses.replace(llm, stages=(
+        dataclasses.replace(llm.stages[0], pool=PdpConfig("max", 2)),
+    ) + llm.stages[1:])
+    assert not pooled.token_independent
+
+
+def test_cnn_executor_keeps_no_batch(rng):
+    """After a run, a CNN executor holds no reference to the batch or
+    its output, so CNN serving memory cannot grow with the cache."""
+    import gc
+    import weakref
+
+    runner = _runner()
+    executor = runner.executor("resnet18")
+    images = runner.synthesize_batch("resnet18", 2)
+    output, _, _ = executor.run_batch(images)
+    refs = (weakref.ref(images), weakref.ref(output))
+    del images, output
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert executor._last is None
+
+
+@pytest.mark.parametrize("tokens", (1, 16, 64))
+def test_macs_count_the_actual_tokens(tokens, rng):
+    """A dynamic-token run counts its MACs at the tokens it carries:
+    each linear stage's d_out x d_in per token, on both runner paths;
+    CNN MACs stay the compiled per-image count."""
+    runner = _runner(precision="int4")
+    net = runner.compile("tiny_llm")
+    per_token = sum(
+        stage.layer.out_features * stage.layer.in_features
+        for stage in net.stages
+    )
+    stream = _decode_stream(net, rng, tokens)
+    for result in (
+        runner.run("tiny_llm", stream),
+        runner.run_per_image("tiny_llm", stream),
+    ):
+        assert result.macs == per_token * tokens
+    cnn = runner.run("resnet18", 2)
+    assert cnn.macs == 2 * runner.compile("resnet18").macs_per_image
 
 
 # ---------------------------------------------------------------------

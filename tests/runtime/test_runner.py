@@ -122,23 +122,31 @@ class TestInputsAndErrors:
             make_runner(config, "tempus").run("resnet18", 0)
 
     def test_run_checks_input_values_once(self, config, monkeypatch):
-        """``run`` range-checks a batch once (in the executor), and
-        both paths still reject out-of-range and fractional values."""
+        """``run`` range-checks a batch once (in the executor), also on
+        decode steps whose earlier rows the executor reuses (only the
+        new rows are checked then), and both paths still reject
+        out-of-range and fractional values."""
         runner = make_runner(config, "tempus")
         net = runner.compile("resnet18")
         images = runner.synthesize_batch("resnet18", 2)
+        llm = make_runner(config, "tempus", input_size=8)
+        stream = llm.synthesize_batch("tiny_llm", 1)
         calls = []
         check = type(net.precision).check_array
 
         def counted(spec, values):
-            calls.append(spec)
+            calls.append(np.shape(values))
             return check(spec, values)
 
         monkeypatch.setattr(
             type(net.precision), "check_array", counted
         )
         runner.run("resnet18", images)
-        assert len(calls) == 1
+        assert calls == [images.shape]
+        for step in range(1, stream.shape[2] + 1):
+            calls.clear()
+            llm.run("tiny_llm", stream[:, :, :step])
+            assert calls == [stream[:, :, step - 1 : step].shape], step
         monkeypatch.undo()
         for bad in (net.precision.max_value + 1, 0.5):
             rejected = images.astype(type(bad))

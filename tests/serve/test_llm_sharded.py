@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.nvdla.config import CoreConfig
-from repro.runtime import NetworkRunner
+from repro.runtime import BatchExecutor, NetworkRunner
 from repro.serve import ShardedRunner
 
 TINY = dict(scale=0.0625, input_size=8)
@@ -57,3 +57,47 @@ def test_sharded_decode_bit_identical(workers, fuzz_rng):
             assert (
                 sharded.conv_cycles == reference["conv_cycles"]
             ), f"cycles mismatch: {context}"
+
+
+def test_sharded_decode_reuses_rows_bit_identically(fuzz_rng):
+    """A 64-token decode through two workers — each worker's executor
+    reuses the rows of the last prefix it ran — returns, at every
+    step, the output, cycles and per-stage cycles of a fresh
+    executor's full run, and counts MACs at the step's token count."""
+    engine = ("tempus", "binary", "tugemm", "tubgemm")[
+        int(fuzz_rng.integers(4))
+    ]
+    precision = ("int8", "int4", "int2")[int(fuzz_rng.integers(3))]
+    config = CoreConfig(k=4, n=4)
+    runner = NetworkRunner(
+        config, engine=engine, precision=precision, **TINY
+    )
+    net = runner.compile("tiny_llm")
+    per_token = net.batch_macs((1, net.input_shape[0], 1, 1))
+    stream = np.asarray(
+        net.precision.random_array(
+            fuzz_rng, (1, net.input_shape[0], 64, 1)
+        ),
+        dtype=np.int64,
+    )
+    with ShardedRunner(
+        workers=2,
+        config=config,
+        engine=engine,
+        precision=precision,
+        **TINY,
+    ) as server:
+        server.start("tiny_llm")
+        for step in range(1, 65):
+            prefix = stream[:, :, :step, :]
+            sharded = server.run("tiny_llm", prefix)
+            output, stages, cycles = BatchExecutor(net).run_batch(prefix)
+            context = (
+                f"engine={engine} precision={precision} step={step}"
+            )
+            assert np.array_equal(sharded.output, output), context
+            assert sharded.conv_cycles == cycles, context
+            assert tuple(
+                record.conv_cycles for record in sharded.stages
+            ) == tuple(record.conv_cycles for record in stages), context
+            assert sharded.macs == per_token * step, context
