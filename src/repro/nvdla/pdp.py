@@ -78,18 +78,19 @@ class Pdp:
         channels, height, width = values.shape
         out_h, out_w = self.output_size(height, width)
 
-        if config.mode == "max":
-            # Pad with the minimum so padding never wins the max.
-            pad_value = np.iinfo(np.int64).min
-        else:
-            pad_value = 0
-        padded = np.pad(
-            values,
-            ((0, 0), (config.padding, config.padding),
-             (config.padding, config.padding)),
-            mode="constant",
-            constant_values=pad_value,
-        )
+        padded = values
+        if config.padding:
+            # Pad max pooling with the minimum so padding never wins
+            # the max.  (A zero-width np.pad would still copy.)
+            padded = np.pad(
+                values,
+                ((0, 0), (config.padding, config.padding),
+                 (config.padding, config.padding)),
+                mode="constant",
+                constant_values=(
+                    np.iinfo(np.int64).min if config.mode == "max" else 0
+                ),
+            )
         # Reduce over the k x k kernel taps: each tap is one strided
         # view of the padded input holding that tap of every window.
         span_h = config.stride * (out_h - 1) + 1

@@ -16,14 +16,17 @@ convolution cores
 
 Beyond its compiled program the executor holds derived, reusable
 state — per-stage GEMM plans with their SDP epilogue constants,
-per-stage cycle lines and grow-only scratch buffers — and, on a
-token-independent program
-(:attr:`~repro.runtime.lowering.CompiledNetwork.token_independent`),
-private copies of its last input batch and output: a batch that
-strictly extends the last one along the token axis (autoregressive
-decode) runs only its new rows, so each decoded token is computed
-once.  A CNN executor keeps no reference to any batch.  A stage's
-per-image cycles are affine in its output pixels,
+per-stage cycle lines, grow-only scratch buffers and, for the last
+batch's input shape, a *plan*: each stage's seam action, views into
+the shared scratch, matmul weights, residual wiring and record
+template, built when the shape changes and replayed by every batch of
+that shape after it.  On a token-independent program
+(:attr:`~repro.runtime.lowering.CompiledNetwork.token_independent`) it
+also keeps private copies of the input and output rows it has
+computed: a batch that strictly extends the last one along the token
+axis (autoregressive decode) runs only its new rows, so each decoded
+token is computed once.  A CNN executor keeps no reference to any
+batch.  A stage's per-image cycles are affine in its output pixels,
 ``per_pixel * out_pixels + fixed``, with both terms fixed by the
 compiled weights (see
 :meth:`~repro.runtime.backends.ComputeBackend.cycle_line`).  The
@@ -326,6 +329,22 @@ def _extended_rows(images: np.ndarray, last: np.ndarray) -> int:
     return rows if np.array_equal(images[:, :, :rows], last) else 0
 
 
+def _with_rows(rows: np.ndarray, count: int, total: int) -> np.ndarray:
+    """``rows`` (a (B, C, capacity, W) buffer whose first ``count``
+    token rows are in use), or a copy of those rows in a buffer of at
+    least double the capacity when ``total`` rows do not fit."""
+    capacity = rows.shape[2]
+    if total <= capacity:
+        return rows
+    batch_size, channels, _, width = rows.shape
+    grown = np.empty(
+        (batch_size, channels, max(total, 2 * capacity), width),
+        dtype=rows.dtype,
+    )
+    grown[:, :, :count] = rows[:, :, :count]
+    return grown
+
+
 def fit_channels(
     tensor: np.ndarray, target: int, axis: int
 ) -> np.ndarray:
@@ -362,6 +381,239 @@ def fit_spatial(
     return tensor
 
 
+class _Step:
+    """One conv stage of a plan, for the one input shape the stage
+    receives in a batch of the plan's shape.
+
+    Built in two phases.  The constructor derives the geometry — output
+    shape, the scratch each buffer role needs, and as index tuples the
+    seam and the tap windows — with no memory touched;
+    :meth:`bind` then takes views of the executor's shared scratch, so
+    a replay only copies in, multiplies and requantizes:
+
+    * the seam writes the stage input straight into the operand (1x1
+      kernels) or the padded source: channels tiled or sliced to the
+      declared width, H/W cropped or zero-padded to the declared size,
+      stride applied.  The ``zeros`` views — the conv's pad borders and
+      a zero-padded seam's region — are re-zeroed on every replay,
+      since another stage may have left data there;
+    * the tap windows (views of the source), im2col column views,
+      psums and the float64 epilogue buffer are scratch views;
+    * the weights as they go to matmul and the SDP epilogue come from
+      the stage's :class:`_FusedStage`.
+
+    A network plan adds what :meth:`BatchExecutor.run_batch` needs
+    around the conv: the prebuilt PDP and its record, whether the
+    fitted model input is saved, the residual source and save flag,
+    and the record template with the cycle line folded to the batch
+    (``per_row`` cycles per output row plus ``fixed``).
+    """
+
+    __slots__ = (
+        "index", "stage", "in_shape", "fitted_shape", "out_shape",
+        "kind", "weights", "epilogue", "needs", "zero_index",
+        "copy_index", "tap_index",
+        "zeros", "copies", "taps", "operand", "product", "psums",
+        "partial", "buffer",
+        "pool", "keep", "pool_record", "save_input", "residual_from",
+        "save_output", "per_row", "fixed",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        stage: StagePlan,
+        fused: _FusedStage,
+        in_shape: tuple,
+    ) -> None:
+        self.index = index
+        self.stage = stage
+        self.in_shape = in_shape
+        self.kind = fused.kind
+        self.weights = fused.weights
+        self.epilogue = fused.epilogue
+        self.pool = self.pool_record = None
+        self.save_input = False
+        self.residual_from = stage.residual_from
+        self.save_output = stage.save_output
+        layer = stage.layer
+        stride = layer.stride
+        pad_h, pad_w = layer.padding_h, layer.padding_w
+        batch_size, have, have_h, have_w = in_shape
+        channels = stage.fit_channels
+        # Dynamic stages (linear ops) accept whatever token count the
+        # stream presents; pinning to the nominal compile-time length
+        # would truncate or zero-pad the sequence.
+        height, width = (
+            (have_h, have_w) if stage.dynamic_hw else stage.fit_hw
+        )
+        self.fitted_shape = (batch_size, channels, height, width)
+        out_height = (height + 2 * pad_h - layer.kernel_h) // stride + 1
+        out_width = (width + 2 * pad_w - layer.kernel_w) // stride + 1
+        self.out_shape = (
+            batch_size, layer.out_channels, out_height, out_width
+        )
+        conv_shape = (batch_size, channels, out_height, out_width)
+        # The seam: the input's first ``valid`` rows/columns land in
+        # the fitted tensor (the rest is a crop or zero padding), in
+        # channel chunks that tile a narrow input.
+        valid_h, valid_w = min(have_h, height), min(have_w, width)
+        chunks = [
+            (start, min(start + have, channels))
+            for start in range(0, channels, have)
+        ]
+        everything = slice(None)
+        # A pointwise stage reads every stride-th row and column (the
+        # strided fitted input is its own im2col matrix); the others
+        # copy the fitted input whole and stride their tap windows.
+        pitch = stride if self.kind == "pointwise" else 1
+
+        def read(count: int):
+            """The input region one chunk of ``count`` channels reads."""
+            if (count, valid_h, valid_w, pitch) == (have, have_h, have_w, 1):
+                return Ellipsis
+            return (everything, slice(0, count),
+                    slice(0, valid_h, pitch), slice(0, valid_w, pitch))
+
+        if self.kind == "pointwise":
+            source_shape = conv_shape
+            rows = (valid_h - 1) // stride + 1
+            cols = (valid_w - 1) // stride + 1
+            self.copy_index = [
+                ((everything, slice(start, stop), slice(0, rows),
+                  slice(0, cols)), read(stop - start))
+                for start, stop in chunks
+            ]
+            zeros = [
+                (rows < out_height,
+                 (everything, everything, slice(rows, None))),
+                (cols < out_width,
+                 (everything, everything, slice(0, rows),
+                  slice(cols, None))),
+            ]
+        else:
+            source_shape = (
+                batch_size, channels, height + 2 * pad_h,
+                width + 2 * pad_w,
+            )
+            inner_h = slice(pad_h, pad_h + valid_h)
+            self.copy_index = [
+                ((everything, slice(start, stop), inner_h,
+                  slice(pad_w, pad_w + valid_w)), read(stop - start))
+                for start, stop in chunks
+            ]
+            zeros = [
+                (pad_h, (everything, everything, slice(0, pad_h))),
+                (valid_h < height + pad_h,
+                 (everything, everything, slice(pad_h + valid_h, None))),
+                (pad_w, (everything, everything, inner_h, slice(0, pad_w))),
+                (valid_w < width + pad_w,
+                 (everything, everything, inner_h,
+                  slice(pad_w + valid_w, None))),
+            ]
+        self.zero_index = [region for needed, region in zeros if needed]
+        self.tap_index = [
+            (tap_y, tap_x, (
+                everything,
+                everything,
+                slice(tap_y, tap_y + stride * out_height, stride),
+                slice(tap_x, tap_x + stride * out_width, stride),
+            ))
+            for tap_y in range(layer.kernel_h)
+            for tap_x in range(layer.kernel_w)
+        ]
+        dtype = self.weights.dtype
+        self.needs = {("input", dtype): source_shape}
+        if self.kind == "depthwise":
+            self.needs[("psum", dtype)] = conv_shape
+            self.needs[("partial", dtype)] = conv_shape
+        else:
+            groups, kernels_per_group = self.weights.shape[:2]
+            if self.kind == "gemm":
+                self.needs[("columns", dtype)] = (
+                    batch_size, groups, channels // groups,
+                    layer.kernel_h, layer.kernel_w, out_height,
+                    out_width,
+                )
+            self.needs[("psum", dtype)] = (
+                batch_size, groups, kernels_per_group,
+                out_height * out_width,
+            )
+        self.needs[("epilogue", np.dtype(np.float64))] = self.out_shape
+
+    def bind(self, scratch: dict) -> None:
+        """Take this step's views of the executor's scratch, one flat
+        buffer per (role, dtype) at least as large as :attr:`needs`."""
+        views = {
+            key: scratch[key][:math.prod(shape)].reshape(shape)
+            for key, shape in self.needs.items()
+        }
+        dtype = self.weights.dtype
+        source = views[("input", dtype)]
+        self.zeros = tuple(source[index] for index in self.zero_index)
+        self.copies = tuple(
+            (source[target], index) for target, index in self.copy_index
+        )
+        self.buffer = views[("epilogue", np.dtype(np.float64))]
+        batch_size, _, out_height, out_width = self.out_shape
+        if self.kind == "depthwise":
+            self.operand = None
+            self.product = self.psums = views[("psum", dtype)]
+            self.partial = views[("partial", dtype)]
+            self.taps = tuple(
+                (source[index], self.weights[tap_y, tap_x, :, None, None])
+                for tap_y, tap_x, index in self.tap_index
+            )
+            return
+        self.partial = None
+        self.product = views[("psum", dtype)]
+        self.psums = self.product.reshape(self.out_shape)
+        groups, _, pixels = self.product.shape[1:]
+        if self.kind == "pointwise":
+            self.taps = ()
+            operand = source
+        else:
+            operand = views[("columns", dtype)]
+            self.taps = tuple(
+                (operand[:, :, :, tap_y, tap_x], source[index].reshape(
+                    batch_size, groups, -1, out_height, out_width
+                ))
+                for tap_y, tap_x, index in self.tap_index
+            )
+        self.operand = operand.reshape(batch_size, groups, -1, pixels)
+
+    def run(self, batch: np.ndarray) -> np.ndarray:
+        """The stage's pre-SDP psums of ``batch`` as a (B, K, OH, OW)
+        scratch view in the weights' float dtype."""
+        for view in self.zeros:
+            view.fill(0)
+        for view, index in self.copies:
+            view[...] = batch[index]
+        if self.partial is None:
+            for column, window in self.taps:
+                column[...] = window
+            np.matmul(self.weights, self.operand, out=self.product)
+            return self.psums
+        psums, partial = self.psums, self.partial
+        (window, weight), *rest = self.taps
+        np.multiply(window, weight, out=psums)
+        for window, weight in rest:
+            np.multiply(window, weight, out=partial)
+            psums += partial
+        return psums
+
+    def fit(self, batch: np.ndarray) -> np.ndarray:
+        """``batch`` fitted to the stage's declared input, as int64 (the
+        model input a folded residual reads)."""
+        if batch.shape == self.fitted_shape:
+            return np.asarray(batch, dtype=np.int64)
+        batch = fit_channels(batch, self.fitted_shape[1], axis=1)
+        return np.asarray(
+            fit_spatial(batch, self.fitted_shape[2:], first_axis=2),
+            dtype=np.int64,
+        )
+
+
 class BatchExecutor:
     """Execute (B, C, H, W) batches through one compiled network.
 
@@ -376,16 +628,26 @@ class BatchExecutor:
     exact integers, and the epilogue's own bound keeps every float64
     step of the requantization exact.
 
+    Every batch runs by replaying the plan for the shape of the rows it
+    computes (see :class:`_Step`): one :class:`_Step` per stage, its
+    views all into the shared scratch.  The executor keeps one plan,
+    the last batch's, and builds a new one when the shape changes: on
+    perfbench's three workloads one shape covers 98.9–99.97% of each
+    executor's batches.  When a scratch buffer has to grow, the kept
+    plan is dropped, so no plan holds a view of a replaced buffer and
+    scratch stays, per role, the largest single stage's need.
+
     On a token-independent program every output row depends only on
     its own input row, so the executor keeps private int64 copies of
-    its last input batch and output.  A batch with the same batch
+    the input and output rows it has computed, in buffers whose token
+    capacity doubles as a decode grows.  A batch with the same batch
     size, channels and width, more tokens, and its earlier rows equal
-    to the last batch runs the stage loop on the new rows only and is
-    stitched to the cached output rows; each stage's cycles still come
-    from its cycle line at the full token count, so outputs, cycles
-    and stage records equal a full recompute.  Any other batch
-    (shorter, equal, edited, re-batched) and every batch of a CNN runs
-    in full, and a failed batch leaves nothing to reuse.
+    to the kept ones runs the stage loop on the new rows only, which
+    are appended in place; each stage's cycles still come from its
+    cycle line at the full token count, so outputs, cycles and stage
+    records equal a full recompute.  Any other batch (shorter, equal,
+    edited, re-batched) and every batch of a CNN runs in full, and a
+    failed batch leaves nothing to reuse.
 
     Outputs and cycles (total and
     per stage) are pinned bit-identical to the per-image run through
@@ -429,8 +691,6 @@ class BatchExecutor:
         # the stage's cycle line on its resolved backend (engine=
         # overrides included), evaluated per batch at the actual
         # output-pixel count.
-        # Scratch is one grow-only flat buffer per (role, dtype),
-        # shared by every stage (see _scratch_buf).
         self._fused_stages: "tuple[_FusedStage, ...]" = tuple(
             _FusedStage(stage) for stage in net.stages
         )
@@ -438,17 +698,26 @@ class BatchExecutor:
             _stage_cycle_line(stage, backend, net.code)
             for stage, backend in zip(net.stages, self.stage_backends)
         )
+        # Scratch is one grow-only flat buffer per (role, dtype),
+        # shared by every stage; the kept plan (for input shape
+        # _plan_shape) and the one-stage plan of the last stage run on
+        # its own (_spare) hold only views of it.
         self._scratch: "dict[tuple, np.ndarray]" = {}
-        # (input, output) of the last batch, int64 copies no caller
-        # holds, kept only on token-independent programs.
+        self._plan_shape: "tuple | None" = None
+        self._plan: "tuple[_Step, ...]" = ()
+        self._spare: "_Step | None" = None
+        # (inputs, outputs, rows): int64 buffers no caller holds, whose
+        # first ``rows`` token rows are the computed ones; kept only on
+        # token-independent programs.
         self._token_independent = net.token_independent
-        self._last: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._last: "tuple[np.ndarray, np.ndarray, int] | None" = None
 
     # ------------------------------------------------------------------
     def run_batch(
         self, images: np.ndarray
     ) -> tuple[np.ndarray, tuple, int]:
-        """One vectorized forward pass.
+        """One vectorized forward pass: the replay of the plan for the
+        shape of the rows it computes.
 
         On a token-independent program, a batch that strictly
         extends the last one along the token axis runs only its new
@@ -468,8 +737,9 @@ class BatchExecutor:
             :class:`~repro.runtime.runner.NetworkResult` contract.
 
         Raises:
-            DataflowError: the batch is not 4-D, or a value lies
-                outside the input precision.
+            DataflowError: the batch is not 4-D, a value lies outside
+                the input precision, or a folded residual does not
+                match its stage's output shape.
         """
         images = np.asarray(images)
         if images.ndim != 4:
@@ -480,13 +750,16 @@ class BatchExecutor:
         # Taken before anything can raise: a failed batch leaves
         # nothing to reuse.
         last, self._last = self._last, None
-        cached = 0 if last is None else _extended_rows(images, last[0])
+        cached = 0 if last is None else _extended_rows(
+            images, last[0][:, :, :last[2]]
+        )
         try:
             fresh = self.net.precision.check_array(images[:, :, cached:])
         except PrecisionError as error:
             raise DataflowError(
                 f"{self.net.name}: input batch rejected: {error}"
             ) from None
+        plan = self._plan_for(fresh.shape)
         records: list[StageResult] = []
         current = fresh
         total_cycles = 0
@@ -495,45 +768,35 @@ class BatchExecutor:
         # the first stage's seam adapters).  Stage outputs are fresh
         # arrays, so keeping references is safe across scratch reuse.
         saved: dict[int, np.ndarray] = {}
-        save_input = self.net.needs_input_saved
-        for index, stage in enumerate(self.net.stages):
-            current = self._fit_batch(stage, current, records)
-            if index == 0 and save_input:
-                saved[-1] = np.asarray(current, dtype=np.int64)
+        for step in plan:
+            if step.pool is not None:
+                current = step.pool.apply_many(current[:, :step.keep])
+                records.append(step.pool_record)
+            if step.save_input:
+                saved[-1] = step.fit(current)
             residual = (
-                saved[stage.residual_from]
-                if stage.residual_from is not None
+                saved[step.residual_from]
+                if step.residual_from is not None
                 else None
             )
-            current = self._conv_fused(index, stage, current, residual)
-            if stage.save_output:
-                saved[index] = current
+            current = self._conv_fused(
+                step.index, step.stage, current, residual
+            )
+            if step.save_output:
+                saved[step.index] = current
             # The stage's cycle line at the actual output-pixel count
             # (the compiled geometry except on dynamic token-axis
             # stages), counting the reused rows.
-            batch_size, kernels, rows, width = current.shape
+            batch_size, kernels, rows, width = step.out_shape
             rows += cached
-            per_pixel, fixed = self._cycle_lines[index]
-            cycles = (per_pixel * rows * width + fixed) * batch_size
+            cycles = step.per_row * rows + step.fixed
             total_cycles += cycles
-            records.append(
-                StageResult(
-                    name=stage.name,
-                    kind="conv",
-                    output_shape=(batch_size, kernels, rows, width),
-                    conv_cycles=cycles,
-                )
-            )
+            records.append(StageResult(
+                step.stage.name, "conv", (batch_size, kernels, rows, width),
+                cycles,
+            ))
         if self._token_independent:
-            if cached:
-                fresh = np.concatenate((last[0], fresh), axis=2)
-                current = np.concatenate((last[1], current), axis=2)
-            else:
-                # check_array passes an int64 batch through as a view:
-                # copy it so the caller cannot edit the cached rows.
-                fresh = fresh.copy()
-            self._last = (fresh, current)
-            current = current.copy()
+            current = self._keep_rows(last, cached, fresh, current)
         return current, tuple(records), total_cycles
 
     def run_job(self, images: np.ndarray) -> dict:
@@ -553,50 +816,128 @@ class BatchExecutor:
             ),
         }
 
-    # --- seam adapters (batched) --------------------------------------
-    def _fit_batch(
+    def _keep_rows(
         self,
-        stage: StagePlan,
-        batch: np.ndarray,
-        records: list,
+        last: "tuple | None",
+        cached: int,
+        fresh: np.ndarray,
+        output: np.ndarray,
     ) -> np.ndarray:
-        batch = fit_channels(batch, stage.fit_channels, axis=1)
-        if stage.pool is not None:
-            batch = Pdp(stage.pool).apply_many(batch)
-            records.append(
-                StageResult(
+        """Append a batch's computed rows (its first ``cached`` rows
+        were kept from ``last``) to the kept input and output rows, and
+        return the caller's own copy of the whole output."""
+        total = cached + fresh.shape[2]
+        if cached:
+            inputs = _with_rows(last[0], cached, total)
+            outputs = _with_rows(last[1], cached, total)
+        else:
+            inputs = np.empty(fresh.shape, dtype=np.int64)
+            outputs = np.empty(output.shape, dtype=np.int64)
+        inputs[:, :, cached:total] = fresh
+        outputs[:, :, cached:total] = output
+        self._last = (inputs, outputs, total)
+        # A full run's output is already a fresh array no one else
+        # holds.
+        return outputs[:, :, :total].copy() if cached else output
+
+    # --- plans ----------------------------------------------------------
+    def _plan_for(self, shape: tuple) -> "tuple[_Step, ...]":
+        """The plan for a (B, C, H, W) batch of ``shape``: the kept
+        plan when the last batch had this shape, else a new one, which
+        replaces it."""
+        if shape != self._plan_shape:
+            self._plan = self._build_plan(shape)
+            self._plan_shape = shape
+        return self._plan
+
+    def _build_plan(self, shape: tuple) -> "tuple[_Step, ...]":
+        """One :class:`_Step` per stage, each at the shape its stage
+        sees after the previous stage and the PDP pool, with its
+        record template, cycle line and residual wiring; the residual
+        shapes are checked here, once per plan.
+
+        Raises:
+            DataflowError: a folded residual's source shape differs
+                from its stage's output shape.
+        """
+        steps: list[_Step] = []
+        for index, (stage, fused) in enumerate(
+            zip(self.net.stages, self._fused_stages)
+        ):
+            pool = None
+            if stage.pool is not None:
+                # Pooling is per channel, so pooling the kept channels
+                # and tiling afterwards equals pooling the tiled input.
+                pool = Pdp(stage.pool)
+                keep = min(shape[1], stage.fit_channels)
+                shape = (shape[0], keep) + pool.output_size(*shape[2:])
+            step = _Step(index, stage, fused, shape)
+            if pool is not None:
+                step.pool, step.keep = pool, keep
+                step.pool_record = StageResult(
                     name=f"{stage.name}.pool",
                     kind="pool",
-                    output_shape=tuple(batch.shape),
+                    output_shape=(shape[0], stage.fit_channels)
+                    + shape[2:],
                 )
-            )
-        if stage.dynamic_hw:
-            # Dynamic stages (linear ops) accept whatever token count
-            # the stream presents; pinning to the nominal compile-time
-            # length would truncate or zero-pad the sequence.
-            return batch
-        return fit_spatial(batch, stage.fit_hw, first_axis=2)
+            step.save_input = index == 0 and self.net.needs_input_saved
+            if step.residual_from is not None:
+                source = (
+                    steps[step.residual_from].out_shape
+                    if step.residual_from >= 0
+                    else (steps[0] if steps else step).fitted_shape
+                )
+                if source != step.out_shape:
+                    raise DataflowError(
+                        f"{stage.name}: folded residual shape "
+                        f"{source} does not match stage output "
+                        f"{step.out_shape}"
+                    )
+            per_pixel, fixed = self._cycle_lines[index]
+            batch_size, _, _, width = step.out_shape
+            step.per_row = per_pixel * width * batch_size
+            step.fixed = fixed * batch_size
+            shape = step.out_shape
+            steps.append(step)
+        self._bind(steps)
+        return tuple(steps)
+
+    def _bind(self, steps: list) -> None:
+        """Grow the shared scratch to the steps' largest need per
+        (role, dtype), then bind their views.  Growing replaces a
+        buffer, so it drops the kept plan and one-stage plan: neither
+        may keep a view of the old one."""
+        needs: dict = {}
+        for step in steps:
+            for key, shape in step.needs.items():
+                needs[key] = max(needs.get(key, 0), math.prod(shape))
+        for key, size in needs.items():
+            buffer = self._scratch.get(key)
+            if buffer is None or buffer.size < size:
+                if buffer is not None:
+                    self._plan_shape, self._plan = None, ()
+                    self._spare = None
+                self._scratch[key] = np.empty(size, dtype=key[1])
+        for step in steps:
+            step.bind(self._scratch)
+
+    def _step(self, index: int, stage: StagePlan, shape: tuple) -> _Step:
+        """The step that runs stage ``index`` on an input of ``shape``:
+        the kept plan's, or else, for a stage run outside
+        :meth:`run_batch`, a one-stage plan, kept until the next
+        such call needs another."""
+        plan = self._plan
+        if plan and plan[index].in_shape == shape:
+            return plan[index]
+        step = self._spare
+        if step is None or step.index != index or step.stage is not stage \
+                or step.in_shape != shape:
+            step = _Step(index, stage, self._fused_stages[index], shape)
+            self._bind([step])
+            self._spare = step
+        return step
 
     # --- conv execution -----------------------------------------------
-    def _scratch_buf(
-        self, role: str, shape: tuple, dtype=np.int64
-    ) -> np.ndarray:
-        """A scratch view of ``shape`` for one buffer role.
-
-        One grow-only flat buffer per (role, dtype) is shared by every
-        stage and viewed at the requesting stage's shape, so scratch
-        memory is, per role, the largest single stage's need rather
-        than the sum over stages.  The view holds whatever the last
-        stage left there: callers overwrite everything they read
-        (padded inputs re-zero their borders on every call)."""
-        size = math.prod(shape)
-        key = (role, dtype)
-        buffer = self._scratch.get(key)
-        if buffer is None or buffer.size < size:
-            buffer = np.empty(size, dtype=dtype)
-            self._scratch[key] = buffer
-        return buffer[:size].reshape(shape)
-
     def _conv_fused(
         self,
         index: int,
@@ -604,103 +945,21 @@ class BatchExecutor:
         batch: np.ndarray,
         residual: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        """One conv stage over the whole batch: the exact float-GEMM
-        psums of :meth:`_fused_psums`, then the stage's
-        :class:`_SdpEpilogue` over them in one float64 scratch buffer,
-        with the folded residual (if any) added in the same pass.
-        The output is a fresh array, so callers never alias scratch
-        that the next batch will overwrite."""
+        """One conv stage over the whole batch, seam included: the
+        exact float-GEMM psums of :meth:`_fused_psums`, then the
+        stage's :class:`_SdpEpilogue` over them in the same step's
+        float64 scratch buffer, with the folded residual (if any) added
+        in the same pass.  The output is a fresh array, so callers
+        never alias scratch that the next batch will overwrite."""
+        step = self._step(index, stage, batch.shape)
         psums = self._fused_psums(index, stage, batch)
-        if residual is not None and residual.shape != psums.shape:
-            raise DataflowError(
-                f"{stage.name}: folded residual shape "
-                f"{residual.shape} does not match stage output "
-                f"{psums.shape}"
-            )
-        buffer = self._scratch_buf("epilogue", psums.shape, np.float64)
-        epilogue = self._fused_stages[index].epilogue
-        return epilogue(psums, buffer, residual)
+        return step.epilogue(psums, step.buffer, residual)
 
     def _fused_psums(
         self, index: int, stage: StagePlan, batch: np.ndarray
     ) -> np.ndarray:
-        """Pre-SDP psums of one stage as a (B, K, OH, OW) array in the
-        stage plan's float dtype (a scratch view) — exact integers,
-        because the plan's bound keeps every partial sum exactly
-        representable."""
-        plan = self._fused_stages[index]
-        layer = stage.layer
-        stride = layer.stride
-        pad_h, pad_w = layer.padding_h, layer.padding_w
-        kernel_h, kernel_w = layer.kernel_h, layer.kernel_w
-        batch_size, channels, height, width = batch.shape
-        out_height = (height + 2 * pad_h - kernel_h) // stride + 1
-        out_width = (width + 2 * pad_w - kernel_w) // stride + 1
-        out_shape = (batch_size, channels, out_height, out_width)
-        if plan.kind == "pointwise":
-            # The (strided) input is its own im2col matrix.
-            operand = self._scratch_buf("input", out_shape, plan.dtype)
-            operand[...] = batch[:, :, ::stride, ::stride]
-        else:
-            source = self._scratch_buf(
-                "input",
-                (batch_size, channels,
-                 height + 2 * pad_h, width + 2 * pad_w),
-                plan.dtype,
-            )
-            # Another stage may have left data in the pad borders.
-            if pad_h:
-                source[:, :, :pad_h] = 0
-                source[:, :, -pad_h:] = 0
-            if pad_w:
-                source[:, :, :, :pad_w] = 0
-                source[:, :, :, -pad_w:] = 0
-            source[:, :, pad_h : pad_h + height,
-                   pad_w : pad_w + width] = batch
-            taps = [
-                (tap_y, tap_x, source[
-                    :,
-                    :,
-                    tap_y : tap_y + stride * out_height : stride,
-                    tap_x : tap_x + stride * out_width : stride,
-                ])
-                for tap_y in range(kernel_h)
-                for tap_x in range(kernel_w)
-            ]
-        if plan.kind == "depthwise":
-            psums = self._scratch_buf("psum", out_shape, plan.dtype)
-            partial = self._scratch_buf("partial", out_shape, plan.dtype)
-            for tap_y, tap_x, window in taps:
-                weight = plan.weights[tap_y, tap_x, :, None, None]
-                if tap_y == tap_x == 0:
-                    np.multiply(window, weight, out=psums)
-                else:
-                    np.multiply(window, weight, out=partial)
-                    psums += partial
-        else:
-            groups, kernels_per_group = plan.weights.shape[:2]
-            if plan.kind == "gemm":
-                operand = self._scratch_buf(
-                    "columns",
-                    (batch_size, groups, channels // groups,
-                     kernel_h, kernel_w, out_height, out_width),
-                    plan.dtype,
-                )
-                for tap_y, tap_x, window in taps:
-                    operand[:, :, :, tap_y, tap_x] = window.reshape(
-                        batch_size, groups, -1, out_height, out_width
-                    )
-            pixels = out_height * out_width
-            psums = self._scratch_buf(
-                "psum",
-                (batch_size, groups, kernels_per_group, pixels),
-                plan.dtype,
-            )
-            np.matmul(
-                plan.weights,
-                operand.reshape(batch_size, groups, -1, pixels),
-                out=psums,
-            )
-        return psums.reshape(
-            batch_size, layer.out_channels, out_height, out_width
-        )
+        """Pre-SDP psums of one stage (its seam applied to ``batch``)
+        as a (B, K, OH, OW) scratch view in the stage plan's float
+        dtype — exact integers, because the plan's bound keeps every
+        partial sum exactly representable."""
+        return self._step(index, stage, batch.shape).run(batch)

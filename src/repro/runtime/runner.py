@@ -388,7 +388,8 @@ def _fit_single(
     image: np.ndarray,
     records: list,
 ) -> np.ndarray:
-    """Seam adapters for one image (see BatchExecutor._fit_batch)."""
+    """Seam adapters for one image (the batched path folds them into
+    each stage's plan; see :class:`~repro.runtime.executor._Step`)."""
     image = fit_channels(image, stage.fit_channels, axis=0)
     if stage.pool is not None:
         image = Pdp(stage.pool).apply(image)

@@ -149,3 +149,21 @@ def test_apply_matches_per_window_reference(fuzz_rng):
         Pdp(config).apply(halves), _pool_per_window(config, halves)
     )
     assert Pdp(config).apply(halves)[:, 0, 0].tolist() == [1, -1]
+
+
+@pytest.mark.parametrize("mode", ("max", "average"))
+def test_unpadded_pool_pads_nothing(fuzz_rng, monkeypatch, mode):
+    """Padding 0 (every lowered pool) pools the input in place of a
+    zero-width ``np.pad`` copy, leaves the caller's array unchanged and
+    still equals the per-window reference."""
+    config = PdpConfig(mode, kernel=2)
+    values = fuzz_rng.integers(-128, 128, (3, 6, 6))
+    snapshot = values.copy()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.pad called at padding 0")
+
+    monkeypatch.setattr(np, "pad", refuse)
+    got = Pdp(config).apply(values)
+    assert np.array_equal(values, snapshot)
+    assert np.array_equal(got, _pool_per_window(config, values))

@@ -760,3 +760,210 @@ def test_scratch_is_sized_to_the_largest_stage_per_role(fuzz_rng):
     assert _scratch_bytes_by_role(executor) == largest
     # Non-vacuous: sharing saves most of the per-stage sum.
     assert sum(summed.values()) > 4 * sum(largest.values())
+
+
+# ---------------------------------------------------------------------
+# Per-shape plans: replayed, one kept, viewing only live scratch.
+
+
+def _scratch_views(step):
+    """Every scratch view one plan step holds (the weights it holds
+    are not scratch)."""
+    arrays = [
+        *step.zeros,
+        *(view for view, _ in step.copies),
+        *(array for tap in step.taps for array in tap),
+        step.operand, step.product, step.psums, step.partial,
+        step.buffer,
+    ]
+    return [
+        array for array in arrays
+        if array is not None
+        and not np.may_share_memory(array, step.weights)
+    ]
+
+
+def _assert_plans_view_live_scratch(executor):
+    """Neither the kept plan nor the kept one-stage plan holds a view
+    of a replaced scratch buffer."""
+    buffers = list(executor._scratch.values())
+    spare = () if executor._spare is None else (executor._spare,)
+    for step in (*executor._plan, *spare):
+        for view in _scratch_views(step):
+            assert any(
+                np.may_share_memory(view, buffer) for buffer in buffers
+            ), f"stage {step.stage.name} at {step.in_shape}: stale view"
+
+
+@pytest.mark.parametrize("model", ("resnet18", "mobilenet_v2"))
+def test_plans_replay_across_batch_sizes(fuzz_rng, model):
+    """One executor runs batches of 8, 1, 8, 32 (its scratch grows,
+    which drops every plan) and 1 images.  Every run equals a fresh
+    executor's and the per-image run through the real cores in
+    outputs, cycles and stage records; every stage's output equals the
+    same stage run alone on a freshly bound one-stage plan (so a pad
+    border or seam region another stage dirtied would show); and every
+    kept plan views only the executor's current scratch."""
+    runner = NetworkRunner(CoreConfig(k=4, n=4), precision="int2", **TINY)
+    net = runner.compile(model)
+    executor = BatchExecutor(net)
+    alone = BatchExecutor(net)
+    calls = []
+    conv = executor._conv_fused
+
+    def record(index, stage, batch, residual=None):
+        output = conv(index, stage, batch, residual)
+        calls.append((index, stage, batch, residual, output))
+        return output
+
+    executor._conv_fused = record
+    live = total = 0
+    for batch in (8, 1, 8, 32, 1):
+        context = f"model={model} batch={batch}"
+        images = net.precision.random_array(
+            fuzz_rng, (batch,) + tuple(net.input_shape)
+        )
+        calls.clear()
+        output, stages, cycles = executor.run_batch(images)
+        fresh = BatchExecutor(net).run_batch(images)
+        assert np.array_equal(output, fresh[0]), context
+        assert (stages, cycles) == fresh[1:], context
+        reference = runner.run_per_image(model, images)
+        assert np.array_equal(output, reference.output), context
+        assert cycles == reference.conv_cycles, context
+        assert [
+            (record.name, record.kind, record.output_shape[1:],
+             record.conv_cycles)
+            for record in stages
+        ] == [
+            (record.name, record.kind, record.output_shape,
+             record.conv_cycles)
+            for record in reference.stages
+        ], context
+        assert len(calls) == len(net.stages), context
+        for index, stage, batch_in, residual, stage_output in calls:
+            assert np.array_equal(
+                alone._conv_fused(index, stage, batch_in, residual),
+                stage_output,
+            ), f"{context} stage={stage.name}"
+            live += np.count_nonzero(stage_output)
+            total += stage_output.size
+        _assert_plans_view_live_scratch(executor)
+    assert executor._plan_shape == (1,) + tuple(net.input_shape)
+    assert live > 0.1 * total
+
+
+def test_executor_keeps_only_the_last_plan(fuzz_rng, monkeypatch):
+    """A batch replays the kept plan when the last batch had its shape
+    and builds (and keeps) a new one when the shape changes; every
+    output equals a fresh executor's."""
+    runner = NetworkRunner(CoreConfig(k=4, n=4), **TINY)
+    net = runner.compile("resnet18")
+    executor = BatchExecutor(net)
+    built = []
+    build = executor._build_plan
+
+    def counted(shape):
+        built.append(shape[0])
+        return build(shape)
+
+    monkeypatch.setattr(executor, "_build_plan", counted)
+    shape = tuple(net.input_shape)
+    for batch in (2, 2, 3, 3, 3, 2, 1, 1):
+        images = net.precision.random_array(fuzz_rng, (batch,) + shape)
+        output, _, _ = executor.run_batch(images)
+        assert executor._plan_shape == (batch,) + shape
+        assert np.array_equal(
+            output, BatchExecutor(net).run_batch(images)[0]
+        ), batch
+        _assert_plans_view_live_scratch(executor)
+    assert built == [2, 3, 2, 1]
+
+
+def test_stage_run_alone_binds_one_step(fuzz_rng, monkeypatch):
+    """A stage run outside ``run_batch`` on a shape no kept plan has
+    binds one one-stage plan, which a repeat call on the same stage
+    and shape reuses and a call on another shape replaces; a stage of
+    the kept plan binds nothing.  When
+    either binding grows the scratch, the other plan is dropped, so
+    neither keeps a view of a replaced buffer."""
+    net = NetworkRunner(CoreConfig(k=4, n=4), **TINY).compile("resnet18")
+    executor = BatchExecutor(net)
+    bound = []
+    bind = executor._bind
+
+    def counted(steps):
+        bound.append(len(steps))
+        return bind(steps)
+
+    monkeypatch.setattr(executor, "_bind", counted)
+    stage = net.stages[0]
+    images = net.precision.random_array(
+        fuzz_rng, (2,) + tuple(net.input_shape)
+    )
+    first = executor._conv_fused(0, stage, images[:1])
+    assert bound == [1]
+    assert np.array_equal(
+        executor._conv_fused(0, stage, images[:1]), first
+    )
+    assert np.array_equal(
+        executor._fused_psums(0, stage, images[:1]),
+        BatchExecutor(net)._fused_psums(0, stage, images[:1]),
+    )
+    assert bound == [1]
+    # A kept plan whose binding grows the scratch drops the one-stage
+    # plan.
+    executor.run_batch(images)
+    assert bound == [1, len(net.stages)]
+    assert executor._spare is None
+    _assert_plans_view_live_scratch(executor)
+    bound.clear()
+    executor._conv_fused(0, stage, images)
+    assert bound == []
+    # A one-stage plan that grows the scratch drops the kept plan.
+    wide = net.precision.random_array(
+        fuzz_rng, (64,) + tuple(net.input_shape)
+    )
+    executor._conv_fused(0, stage, wide)
+    assert bound == [1] and executor._plan_shape is None
+    _assert_plans_view_live_scratch(executor)
+    # Another shape gets a one-stage plan of its own.
+    assert np.array_equal(
+        executor._conv_fused(0, stage, images[:1]), first
+    )
+    assert bound == [1, 1]
+    assert np.array_equal(
+        executor.run_batch(images)[0],
+        BatchExecutor(net).run_batch(images)[0],
+    )
+    assert np.count_nonzero(first) > 0.1 * first.size
+
+
+def test_seams_make_no_padded_copies(fuzz_rng, monkeypatch):
+    """The spatial seams (resnet18's downsample seams zero-pad a map
+    smaller than the declared input) and the unpadded PDP pool write
+    straight into the stage operands: a batch calls no ``np.pad``."""
+    runner = NetworkRunner(CoreConfig(k=4, n=4), **TINY)
+    net = runner.compile("resnet18")
+    executor = BatchExecutor(net)
+    images = net.precision.random_array(
+        fuzz_rng, (2,) + tuple(net.input_shape)
+    )
+    expected = runner.run_per_image("resnet18", images)
+    padded = [
+        step.stage.name
+        for step in executor._build_plan(images.shape)
+        if step.zero_index and not (
+            step.stage.layer.padding_h or step.stage.layer.padding_w
+        )
+    ]
+    assert padded, "no zero-padding seam exercised"
+    assert any(stage.pool is not None for stage in net.stages)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.pad called on the batched path")
+
+    monkeypatch.setattr(np, "pad", refuse)
+    output, stages, cycles = executor.run_batch(images)
+    assert np.array_equal(output, expected.output)
+    assert cycles == expected.conv_cycles

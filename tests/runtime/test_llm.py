@@ -450,6 +450,116 @@ def test_decode_out_of_range_row_is_rejected_then_recomputed(
         _assert_full_run_equal(net, stream[:, :, :5], result)
 
 
+def _counted_plan_builds(executor, monkeypatch):
+    """A list that records the input shape of every plan the executor
+    builds."""
+    built = []
+    build = executor._build_plan
+
+    def counted(shape):
+        built.append(shape)
+        return build(shape)
+
+    monkeypatch.setattr(executor, "_build_plan", counted)
+    return built
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("engine", BACKENDS)
+def test_decode_replays_one_plan(engine, precision, fuzz_rng, monkeypatch):
+    """Every decode step computes the same one-row (1, C, 1, 1) shape,
+    so one plan serves a 64-step decode and a restart on a new stream;
+    an edited prefix runs in full on a plan of its own, and the decode
+    then continues on one-row steps again.  Every step equals a fresh executor's
+    full run, and the per-image run at the restart's last step."""
+    runner = _runner(engine=engine, precision=precision)
+    net = runner.compile("tiny_llm")
+    executor = BatchExecutor(net)
+    built = _counted_plan_builds(executor, monkeypatch)
+    stream = _decode_stream(net, fuzz_rng, 64)
+    restart = _decode_stream(net, fuzz_rng, 64)
+    row = (1, net.input_shape[0], 1, 1)
+    for source in (stream, restart):
+        for step in range(1, 65):
+            prefix = source[:, :, :step, :]
+            result = executor.run_batch(prefix)
+            _assert_full_run_equal(
+                net, prefix, result,
+                f"engine={engine} precision={precision} step={step}",
+            )
+    assert built == [row]
+    reference = runner.run_per_image("tiny_llm", restart)
+    assert np.array_equal(result[0], reference.output)
+    assert result[2] == reference.conv_cycles
+    edited = restart.copy()
+    value = edited[0, 0, 10, 0]
+    edited[0, 0, 10, 0] = (
+        net.precision.min_value
+        if value == net.precision.max_value
+        else value + 1
+    )
+    for step in range(40, 44):
+        prefix = edited[:, :, :step, :]
+        result = executor.run_batch(prefix)
+        _assert_full_run_equal(net, prefix, result, f"edited step={step}")
+    # The 40-row full run replaces the kept one-row plan, which is
+    # rebuilt once, then replayed.
+    assert built == [row, (1, net.input_shape[0], 40, 1), row]
+    assert executor._plan_shape == row
+    # Non-vacuous: the decoded rows are live.
+    assert np.count_nonzero(result[0]) > result[0].size // 4
+
+
+def test_mismatched_residual_is_refused_when_planned(rng):
+    """A folded residual whose source shape differs from its stage's
+    output is refused, naming the stage, when the batch's plan is
+    built; the failed batch keeps no plan and leaves no rows to
+    reuse."""
+    import dataclasses
+
+    runner = _runner(precision="int4")
+    net = runner.compile("tiny_llm")
+    last = len(net.stages) - 1
+    wide = next(
+        index for index, stage in enumerate(net.stages)
+        if stage.layer.out_channels != net.stages[last].layer.out_channels
+    )
+    broken = dataclasses.replace(net, stages=net.stages[:last] + (
+        dataclasses.replace(net.stages[last], residual_from=wide),
+    ))
+    executor = BatchExecutor(broken)
+    stream = _decode_stream(net, rng, 4)
+    with pytest.raises(DataflowError, match=(
+        f"{net.stages[last].name}: folded residual shape"
+    )):
+        executor.run_batch(stream)
+    assert executor._plan == () and executor._last is None
+
+
+def test_decode_rows_append_in_place(rng):
+    """A decode keeps its rows in buffers whose token capacity doubles:
+    64 steps allocate 7 (capacity 1, 2, 4, ..., 64), every step appends
+    in place, and each returned output is the caller's own copy."""
+    runner = _runner(precision="int4")
+    net = runner.compile("tiny_llm")
+    executor = BatchExecutor(net)
+    stream = _decode_stream(net, rng, 64)
+    buffers = []
+    for step in range(1, 65):
+        output, _, _ = executor.run_batch(stream[:, :, :step])
+        inputs, outputs, rows = executor._last
+        assert rows == step
+        assert inputs.dtype == outputs.dtype == np.int64
+        assert np.array_equal(inputs[:, :, :rows], stream[:, :, :step])
+        assert np.array_equal(outputs[:, :, :rows], output)
+        assert not np.may_share_memory(output, outputs)
+        if not any(inputs is kept for kept in buffers):
+            buffers.append(inputs)
+    assert [kept.shape[2] for kept in buffers] == [
+        1, 2, 4, 8, 16, 32, 64
+    ]
+
+
 @pytest.mark.parametrize("precision", sorted(PROFILES))
 def test_tiny_llm_is_token_independent(precision):
     net = _runner(precision=precision).compile("tiny_llm")
