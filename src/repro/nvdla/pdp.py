@@ -1,8 +1,9 @@
 """Planar Data Processor (PDP) — NVDLA's pooling engine.
 
-Integer max/average pooling over (K, H, W) activation tensors.  Average
-pooling is exact fixed-point: the window sum is scaled by a rounded
-reciprocal, matching how the hardware avoids a divider.
+Integer max/average pooling over (K, H, W) activation tensors and
+(B, K, H, W) batches.  Average pooling is exact fixed-point: the window
+sum is scaled by a rounded reciprocal, matching how the hardware avoids
+a divider.
 """
 
 from __future__ import annotations
@@ -71,11 +72,25 @@ class Pdp:
 
     def apply(self, activations: np.ndarray) -> np.ndarray:
         """Pool a (K, H, W) tensor; returns int64 (K, OH, OW)."""
-        config = self.config
         values = np.asarray(activations, dtype=np.int64)
         if values.ndim != 3:
             raise DataflowError("PDP expects a (K, H, W) tensor")
-        channels, height, width = values.shape
+        return self.apply_many(values[None])[0]
+
+    def apply_many(self, activations: np.ndarray) -> np.ndarray:
+        """Batched :meth:`apply` over a (B, K, H, W) tensor.
+
+        Pooling treats every (image, channel) plane independently, so
+        one vectorised pass covers the batch — bit-identical to
+        per-image :meth:`apply`.  The result keeps the input's memory
+        layout: a channels-last batch (a stage output of the batched
+        executor) pools channels-last, with no transposing copy.
+        """
+        config = self.config
+        values = np.asarray(activations, dtype=np.int64)
+        if values.ndim != 4:
+            raise DataflowError("PDP batch expects a (B, K, H, W) tensor")
+        batch, channels, height, width = values.shape
         out_h, out_w = self.output_size(height, width)
 
         padded = values
@@ -84,7 +99,7 @@ class Pdp:
             # the max.  (A zero-width np.pad would still copy.)
             padded = np.pad(
                 values,
-                ((0, 0), (config.padding, config.padding),
+                ((0, 0), (0, 0), (config.padding, config.padding),
                  (config.padding, config.padding)),
                 mode="constant",
                 constant_values=(
@@ -100,11 +115,12 @@ class Pdp:
             for dx in range(config.kernel):
                 tap = padded[
                     :,
+                    :,
                     dy : dy + span_h : config.stride,
                     dx : dx + span_w : config.stride,
                 ]
                 if out is None:
-                    out = tap.copy()
+                    out = tap.copy(order="K")
                 elif config.mode == "max":
                     np.maximum(out, tap, out=out)
                 else:
@@ -118,21 +134,5 @@ class Pdp:
             out = np.sign(scaled) * (
                 (np.abs(scaled) + offset) >> _RECIP_BITS
             )
-        self.windows_processed += channels * out_h * out_w
+        self.windows_processed += batch * channels * out_h * out_w
         return out
-
-    def apply_many(self, activations: np.ndarray) -> np.ndarray:
-        """Batched :meth:`apply` over a (B, K, H, W) tensor.
-
-        Pooling treats every (image, channel) plane independently, so
-        the batch folds into the channel axis for one vectorised pass —
-        bit-identical to per-image :meth:`apply`.
-        """
-        values = np.asarray(activations, dtype=np.int64)
-        if values.ndim != 4:
-            raise DataflowError("PDP batch expects a (B, K, H, W) tensor")
-        batch, channels, height, width = values.shape
-        pooled = self.apply(
-            values.reshape(batch * channels, height, width)
-        )
-        return pooled.reshape(batch, channels, *pooled.shape[1:])

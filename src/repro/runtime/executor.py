@@ -5,7 +5,10 @@ forward pass over a :class:`~repro.runtime.lowering.CompiledNetwork`:
 seam adapters, PDP pools, each conv stage as an exact float GEMM on
 BLAS, one float64 SDP epilogue over its psums and the analytic cycle
 accounting — per stage, on the stage's registered compute backend
-(:mod:`repro.runtime.backends`).  Both the in-process
+(:mod:`repro.runtime.backends`).  Like the NVDLA dataflow, which
+streams feature cubes as 1x1xn atoms along the channel axis, the
+kernels keep activations channels-last, (B, H, W, C), between stages;
+the API around them speaks (B, C, H, W).  Both the in-process
 :class:`~repro.runtime.runner.NetworkRunner` and the worker processes of
 :class:`~repro.serve.ShardedRunner` execute batches through this one
 class, which is what makes the sharded serving path bit-identical (in
@@ -42,6 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import DataflowError, PrecisionError
 from repro.nvdla.pdp import Pdp
@@ -109,14 +113,18 @@ class _FusedStage:
     stage precision: hidden stages receive SDP-clipped activations and
     :meth:`BatchExecutor.run_batch` checks the network input.
 
-    The weight layout follows the stage's kernel shape:
+    Activations are channels-last, (B, H, W, C), so the weight layout
+    puts the channel axis where the columns have it, for the stage's
+    kernel shape:
 
     * ``"depthwise"`` (one channel per group, one kernel per group):
-      ``(R, S, C)`` tap weights for a per-tap multiply-accumulate;
-    * ``"pointwise"`` (1x1 kernels, no padding): ``(G, Kg, Cg)`` for one
-      grouped matmul straight over the (strided) input;
-    * ``"gemm"`` (everything else): ``(G, Kg, Cg*R*S)`` against im2col
-      columns laid out ``(B, G, Cg, R, S, OH*OW)``.
+      ``(R, S, 1, 1, 1, C)`` tap weights, broadcast over the
+      ``(R, S, B, OH, OW, C)`` tap windows in one multiply;
+    * ``"pointwise"`` (1x1 kernels, no padding): ``(G, Cg, Kg)`` for one
+      matmul per group straight over the (strided) ``(B*OH*OW, G, Cg)``
+      input;
+    * ``"gemm"`` (everything else): ``(G, R*S*Cg, Kg)`` against im2col
+      columns laid out ``(B*OH*OW, G, R*S*Cg)``.
 
     The plan also carries the stage's :class:`_SdpEpilogue`, whose
     own exactness bound builds on this psum bound.  Cycle accounting
@@ -147,18 +155,18 @@ class _FusedStage:
         if channels_per_group == 1 and kernels_per_group == 1:
             self.kind = "depthwise"
             weights = weights.reshape(groups, kernel_h, kernel_w)
-            weights = weights.transpose(1, 2, 0)
+            weights = weights.transpose(1, 2, 0)[:, :, None, None, None]
         elif kernel_h == kernel_w == 1 and not (
             layer.padding_h or layer.padding_w
         ):
             self.kind = "pointwise"
             weights = weights.reshape(
                 groups, kernels_per_group, channels_per_group
-            )
+            ).transpose(0, 2, 1)
         else:
             self.kind = "gemm"
-            weights = weights.reshape(
-                groups, kernels_per_group, -1
+            weights = weights.transpose(0, 3, 4, 2, 1).reshape(
+                groups, -1, kernels_per_group
             )
         self.weights = np.ascontiguousarray(weights, dtype=self.dtype)
         self.epilogue = _SdpEpilogue(stage, self.bound)
@@ -184,7 +192,9 @@ class _SdpEpilogue:
     its own multiplier and shift, then continues like "none".  A folded
     residual is added to the truncated, saturated output and saturates
     again, in the same buffer; one ``astype(int64)`` at the end makes
-    the result (a fresh array) and does the final truncation.
+    the result (a fresh array) and does the final truncation.  Psums,
+    buffer and residual are channels-last, so the per-kernel offset and
+    bias broadcast along the last axis.
 
     Every intermediate is an integer multiple of ``2**-s`` whose
     numerator is at most ``(psum_bound + max|bias|) * m + 2**(s-1)``
@@ -240,7 +250,7 @@ class _SdpEpilogue:
                 config.prelu_multiplier, -config.prelu_shift
             )
             self.prelu_shift = config.prelu_shift
-            self.bias = bias.astype(np.float64)[:, None, None]
+            self.bias = bias.astype(np.float64)
         if self.bound >= 1 << 53:
             raise DataflowError(
                 f"{stage.name}: SDP epilogue bound {self.bound} >= "
@@ -248,7 +258,7 @@ class _SdpEpilogue:
             )
         self.offset = np.ldexp(
             numerators.astype(np.float64), -config.shift
-        )[:, None, None]
+        )
         spec = config.out_precision
         self.out_low = float(spec.min_value)
         self.high = float(spec.max_value)
@@ -263,10 +273,17 @@ class _SdpEpilogue:
         psums: np.ndarray,
         out: np.ndarray,
         residual: "np.ndarray | None" = None,
+        order: str = "K",
     ) -> np.ndarray:
-        """Requantize (B, K, OH, OW) float ``psums`` into a fresh int64
-        array, working in ``out`` (float64, the same shape).  ``psums``
-        is overwritten: it holds the rounding term."""
+        """Requantize channels-last (B, OH, OW, K) float ``psums``,
+        working in ``out`` (float64, the same shape; the per-kernel
+        constants broadcast along its last axis), with a ``residual``
+        of that shape if given.  ``psums`` is overwritten: it holds the
+        rounding term.
+
+        Returns a fresh (B, K, OH, OW) int64 array: channels-last in
+        memory for ``order="K"``, C-contiguous for ``order="C"`` — the
+        final cast writes either layout in one pass."""
         if self.activation == "prelu":
             np.add(psums, self.bias, dtype=np.float64, out=out)
             negative = out < 0
@@ -292,7 +309,7 @@ class _SdpEpilogue:
             np.trunc(out, out=out)
             out += residual
             _clip(out, self.out_low, self.high, out=out)
-        return out.astype(np.int64)
+        return out.transpose(0, 3, 1, 2).astype(np.int64, order=order)
 
 
 def _half(shift: int) -> int:
@@ -385,22 +402,38 @@ class _Step:
     """One conv stage of a plan, for the one input shape the stage
     receives in a batch of the plan's shape.
 
-    Built in two phases.  The constructor derives the geometry — output
-    shape, the scratch each buffer role needs, and as index tuples the
-    seam and the tap windows — with no memory touched;
+    Its interface speaks the API's (B, C, H, W) shapes; inside, the
+    stage works channels-last, (B, H, W, C), so every copy and product
+    runs along the channel axis.  Built in two phases.  The constructor
+    derives the geometry — output shape, the scratch each buffer role
+    needs and, as index tuples, the seam — with no memory touched;
     :meth:`bind` then takes views of the executor's shared scratch, so
     a replay only copies in, multiplies and requantizes:
 
-    * the seam writes the stage input straight into the operand (1x1
-      kernels) or the padded source: channels tiled or sliced to the
-      declared width, H/W cropped or zero-padded to the declared size,
-      stride applied.  The ``zeros`` views — the conv's pad borders and
-      a zero-padded seam's region — are re-zeroed on every replay,
-      since another stage may have left data there;
-    * the tap windows (views of the source), im2col column views,
-      psums and the float64 epilogue buffer are scratch views;
-    * the weights as they go to matmul and the SDP epilogue come from
-      the stage's :class:`_FusedStage`.
+    * the seam reads the stage input channels-last (through a
+      transposed view) and writes it straight into the operand (1x1
+      kernels) or the padded (B, H, W, C) source: channels tiled or
+      sliced to the declared width, H/W cropped or zero-padded to the
+      declared size, stride applied.  The ``zeros`` views — the conv's
+      pad borders and a zero-padded seam's region — are re-zeroed on
+      every replay, since another stage may have left data there;
+    * ``windows`` is every R x S tap window of the source as one
+      strided view, laid out like the ``columns`` it fills:
+      (B, OH, OW, G, R, S, Cg) for a gemm stage, which one copy turns
+      into im2col columns, and (R, S, B, OH, OW, C) for a depthwise
+      stage, which one multiply by the tap weights turns into products
+      that one add-reduce over the taps sums into psums;
+    * ``matmuls`` holds, per group, the 2-D views one BLAS call
+      multiplies over the whole batch: the group's columns (the
+      source, for a pointwise stage), its weights and its psums,
+      ``(B*OH*OW, X) @ (X, Kg) -> (B*OH*OW, Kg)``.  A depthwise stage
+      has none; its ``operand`` and ``product`` are the taps-by-pixels
+      products and the flat psums the add-reduce writes;
+    * ``buffer`` is the float64 epilogue buffer.  The weights and the
+      SDP epilogue come from the stage's :class:`_FusedStage`;
+      ``order`` is "C" on the network's final stage, whose output is
+      the API's C-contiguous (B, K, OH, OW) array, and "K" (a
+      channels-last array seen as (B, K, OH, OW)) on the others.
 
     A network plan adds what :meth:`BatchExecutor.run_batch` needs
     around the conv: the prebuilt PDP and its record, whether the
@@ -411,10 +444,10 @@ class _Step:
 
     __slots__ = (
         "index", "stage", "in_shape", "fitted_shape", "out_shape",
-        "kind", "weights", "epilogue", "needs", "zero_index",
-        "copy_index", "tap_index",
-        "zeros", "copies", "taps", "operand", "product", "psums",
-        "partial", "buffer",
+        "kind", "weights", "epilogue", "order", "needs", "zero_index",
+        "copy_index",
+        "zeros", "copies", "windows", "columns", "operand", "product",
+        "matmuls", "psums", "buffer",
         "pool", "keep", "pool_record", "save_input", "residual_from",
         "save_output", "per_row", "fixed",
     )
@@ -425,6 +458,7 @@ class _Step:
         stage: StagePlan,
         fused: _FusedStage,
         in_shape: tuple,
+        final: bool,
     ) -> None:
         self.index = index
         self.stage = stage
@@ -432,6 +466,7 @@ class _Step:
         self.kind = fused.kind
         self.weights = fused.weights
         self.epilogue = fused.epilogue
+        self.order = "C" if final else "K"
         self.pool = self.pool_record = None
         self.save_input = False
         self.residual_from = stage.residual_from
@@ -453,7 +488,6 @@ class _Step:
         self.out_shape = (
             batch_size, layer.out_channels, out_height, out_width
         )
-        conv_shape = (batch_size, channels, out_height, out_width)
         # The seam: the input's first ``valid`` rows/columns land in
         # the fitted tensor (the rest is a crop or zero padding), in
         # channel chunks that tile a narrow input.
@@ -469,77 +503,65 @@ class _Step:
         pitch = stride if self.kind == "pointwise" else 1
 
         def read(count: int):
-            """The input region one chunk of ``count`` channels reads."""
+            """The channels-last input region one chunk of ``count``
+            channels reads."""
             if (count, valid_h, valid_w, pitch) == (have, have_h, have_w, 1):
                 return Ellipsis
-            return (everything, slice(0, count),
-                    slice(0, valid_h, pitch), slice(0, valid_w, pitch))
+            return (everything, slice(0, valid_h, pitch),
+                    slice(0, valid_w, pitch), slice(0, count))
 
         if self.kind == "pointwise":
-            source_shape = conv_shape
+            source_shape = (batch_size, out_height, out_width, channels)
             rows = (valid_h - 1) // stride + 1
             cols = (valid_w - 1) // stride + 1
             self.copy_index = [
-                ((everything, slice(start, stop), slice(0, rows),
-                  slice(0, cols)), read(stop - start))
+                ((everything, slice(0, rows), slice(0, cols),
+                  slice(start, stop)), read(stop - start))
                 for start, stop in chunks
             ]
             zeros = [
-                (rows < out_height,
-                 (everything, everything, slice(rows, None))),
+                (rows < out_height, (everything, slice(rows, None))),
                 (cols < out_width,
-                 (everything, everything, slice(0, rows),
-                  slice(cols, None))),
+                 (everything, slice(0, rows), slice(cols, None))),
             ]
         else:
             source_shape = (
-                batch_size, channels, height + 2 * pad_h,
-                width + 2 * pad_w,
+                batch_size, height + 2 * pad_h, width + 2 * pad_w,
+                channels,
             )
             inner_h = slice(pad_h, pad_h + valid_h)
             self.copy_index = [
-                ((everything, slice(start, stop), inner_h,
-                  slice(pad_w, pad_w + valid_w)), read(stop - start))
+                ((everything, inner_h, slice(pad_w, pad_w + valid_w),
+                  slice(start, stop)), read(stop - start))
                 for start, stop in chunks
             ]
             zeros = [
-                (pad_h, (everything, everything, slice(0, pad_h))),
+                (pad_h, (everything, slice(0, pad_h))),
                 (valid_h < height + pad_h,
-                 (everything, everything, slice(pad_h + valid_h, None))),
-                (pad_w, (everything, everything, inner_h, slice(0, pad_w))),
+                 (everything, slice(pad_h + valid_h, None))),
+                (pad_w, (everything, inner_h, slice(0, pad_w))),
                 (valid_w < width + pad_w,
-                 (everything, everything, inner_h,
-                  slice(pad_w + valid_w, None))),
+                 (everything, inner_h, slice(pad_w + valid_w, None))),
             ]
         self.zero_index = [region for needed, region in zeros if needed]
-        self.tap_index = [
-            (tap_y, tap_x, (
-                everything,
-                everything,
-                slice(tap_y, tap_y + stride * out_height, stride),
-                slice(tap_x, tap_x + stride * out_width, stride),
-            ))
-            for tap_y in range(layer.kernel_h)
-            for tap_x in range(layer.kernel_w)
-        ]
         dtype = self.weights.dtype
         self.needs = {("input", dtype): source_shape}
         if self.kind == "depthwise":
-            self.needs[("psum", dtype)] = conv_shape
-            self.needs[("partial", dtype)] = conv_shape
-        else:
-            groups, kernels_per_group = self.weights.shape[:2]
-            if self.kind == "gemm":
-                self.needs[("columns", dtype)] = (
-                    batch_size, groups, channels // groups,
-                    layer.kernel_h, layer.kernel_w, out_height,
-                    out_width,
-                )
-            self.needs[("psum", dtype)] = (
-                batch_size, groups, kernels_per_group,
-                out_height * out_width,
+            self.needs[("columns", dtype)] = (
+                layer.kernel_h, layer.kernel_w, batch_size, out_height,
+                out_width, channels,
             )
-        self.needs[("epilogue", np.dtype(np.float64))] = self.out_shape
+        elif self.kind == "gemm":
+            groups = self.weights.shape[0]
+            self.needs[("columns", dtype)] = (
+                batch_size, out_height, out_width, groups,
+                layer.kernel_h, layer.kernel_w, channels // groups,
+            )
+        psum_shape = (
+            batch_size, out_height, out_width, layer.out_channels
+        )
+        self.needs[("psum", dtype)] = psum_shape
+        self.needs[("epilogue", np.dtype(np.float64))] = psum_shape
 
     def bind(self, scratch: dict) -> None:
         """Take this step's views of the executor's scratch, one flat
@@ -554,53 +576,62 @@ class _Step:
         self.copies = tuple(
             (source[target], index) for target, index in self.copy_index
         )
+        self.psums = views[("psum", dtype)]
         self.buffer = views[("epilogue", np.dtype(np.float64))]
-        batch_size, _, out_height, out_width = self.out_shape
+        self.windows = self.columns = self.operand = self.product = None
+        self.matmuls = ()
+        operand = source
+        if self.kind != "pointwise":
+            self.columns = operand = views[("columns", dtype)]
+            self.windows = self._windows(source)
         if self.kind == "depthwise":
-            self.operand = None
-            self.product = self.psums = views[("psum", dtype)]
-            self.partial = views[("partial", dtype)]
-            self.taps = tuple(
-                (source[index], self.weights[tap_y, tap_x, :, None, None])
-                for tap_y, tap_x, index in self.tap_index
-            )
+            taps = self.columns.shape[0] * self.columns.shape[1]
+            self.operand = self.columns.reshape(taps, -1)
+            self.product = self.psums.reshape(-1)
             return
-        self.partial = None
-        self.product = views[("psum", dtype)]
-        self.psums = self.product.reshape(self.out_shape)
-        groups, _, pixels = self.product.shape[1:]
-        if self.kind == "pointwise":
-            self.taps = ()
-            operand = source
+        groups = self.weights.shape[0]
+        pixels = math.prod(self.psums.shape[:3])
+        operand = operand.reshape(pixels, groups, -1)
+        product = self.psums.reshape(pixels, groups, -1)
+        self.matmuls = tuple(
+            (operand[:, group], self.weights[group], product[:, group])
+            for group in range(groups)
+        )
+
+    def _windows(self, source: np.ndarray) -> np.ndarray:
+        """Every tap window of the padded (B, H, W, C) ``source`` as one
+        read-only strided view, in the layout of :attr:`columns`."""
+        stride = self.stage.layer.stride
+        batch, row, column, channel = source.strides
+        if self.kind == "depthwise":
+            strides = (row, column, batch, row * stride, column * stride,
+                       channel)
         else:
-            operand = views[("columns", dtype)]
-            self.taps = tuple(
-                (operand[:, :, :, tap_y, tap_x], source[index].reshape(
-                    batch_size, groups, -1, out_height, out_width
-                ))
-                for tap_y, tap_x, index in self.tap_index
-            )
-        self.operand = operand.reshape(batch_size, groups, -1, pixels)
+            per_group = self.columns.shape[-1]
+            strides = (batch, row * stride, column * stride,
+                       per_group * channel, row, column, channel)
+        return as_strided(
+            source, self.columns.shape, strides, writeable=False
+        )
 
     def run(self, batch: np.ndarray) -> np.ndarray:
-        """The stage's pre-SDP psums of ``batch`` as a (B, K, OH, OW)
-        scratch view in the weights' float dtype."""
+        """The stage's pre-SDP psums of the (B, C, H, W) ``batch`` as a
+        channels-last (B, OH, OW, K) scratch view in the weights' float
+        dtype."""
+        source = batch.transpose(0, 2, 3, 1)
         for view in self.zeros:
             view.fill(0)
         for view, index in self.copies:
-            view[...] = batch[index]
-        if self.partial is None:
-            for column, window in self.taps:
-                column[...] = window
-            np.matmul(self.weights, self.operand, out=self.product)
+            view[...] = source[index]
+        if self.kind == "depthwise":
+            np.multiply(self.windows, self.weights, out=self.columns)
+            np.add.reduce(self.operand, axis=0, out=self.product)
             return self.psums
-        psums, partial = self.psums, self.partial
-        (window, weight), *rest = self.taps
-        np.multiply(window, weight, out=psums)
-        for window, weight in rest:
-            np.multiply(window, weight, out=partial)
-            psums += partial
-        return psums
+        if self.windows is not None:
+            self.columns[...] = self.windows
+        for operand, weights, product in self.matmuls:
+            np.matmul(operand, weights, out=product)
+        return self.psums
 
     def fit(self, batch: np.ndarray) -> np.ndarray:
         """``batch`` fitted to the stage's declared input, as int64 (the
@@ -617,12 +648,20 @@ class _Step:
 class BatchExecutor:
     """Execute (B, C, H, W) batches through one compiled network.
 
-    Each conv stage runs as an exact float GEMM on BLAS (im2col plus
-    one matmul over groups; 1x1 stages skip im2col, depthwise stages
-    multiply-accumulate per tap) into shared scratch buffers, then one
-    float64 SDP epilogue (bias, requantization, activation, folded
-    residual and saturation; see :class:`_SdpEpilogue`) straight over
-    those float psums; cycles come from each stage's cycle line.  The
+    Each conv stage runs as an exact float GEMM on BLAS over
+    channels-last activations, into shared scratch buffers: one copy
+    of all tap windows into im2col columns, then one matmul per group
+    over the whole batch, ``(B*OH*OW, R*S*Cg) @ (R*S*Cg, Kg)`` (1x1
+    stages multiply their strided input directly; depthwise stages
+    multiply all tap windows by their weights at once and add-reduce
+    over the taps).  One float64 SDP epilogue (bias, requantization,
+    activation, folded residual and saturation; see
+    :class:`_SdpEpilogue`) runs straight over those float psums; cycles
+    come from each stage's cycle line.  Stage outputs stay
+    channels-last in memory, seen as (B, K, OH, OW): the next stage's
+    seam reads them, and the network input, through a transposed view,
+    and the final stage casts into a C-contiguous (B, K, OH, OW) array,
+    so the API sees (B, C, H, W) throughout.  The
     float dtype is chosen per stage from a worst-case psum bound when
     the executor is built (see :class:`_FusedStage`), so psums are
     exact integers, and the epilogue's own bound keeps every float64
@@ -861,6 +900,7 @@ class BatchExecutor:
                 from its stage's output shape.
         """
         steps: list[_Step] = []
+        last = len(self.net.stages) - 1
         for index, (stage, fused) in enumerate(
             zip(self.net.stages, self._fused_stages)
         ):
@@ -871,7 +911,7 @@ class BatchExecutor:
                 pool = Pdp(stage.pool)
                 keep = min(shape[1], stage.fit_channels)
                 shape = (shape[0], keep) + pool.output_size(*shape[2:])
-            step = _Step(index, stage, fused, shape)
+            step = _Step(index, stage, fused, shape, index == last)
             if pool is not None:
                 step.pool, step.keep = pool, keep
                 step.pool_record = StageResult(
@@ -932,7 +972,10 @@ class BatchExecutor:
         step = self._spare
         if step is None or step.index != index or step.stage is not stage \
                 or step.in_shape != shape:
-            step = _Step(index, stage, self._fused_stages[index], shape)
+            step = _Step(
+                index, stage, self._fused_stages[index], shape,
+                index == len(self.net.stages) - 1,
+            )
             self._bind([step])
             self._spare = step
         return step
@@ -945,21 +988,27 @@ class BatchExecutor:
         batch: np.ndarray,
         residual: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        """One conv stage over the whole batch, seam included: the
-        exact float-GEMM psums of :meth:`_fused_psums`, then the
-        stage's :class:`_SdpEpilogue` over them in the same step's
-        float64 scratch buffer, with the folded residual (if any) added
-        in the same pass.  The output is a fresh array, so callers
-        never alias scratch that the next batch will overwrite."""
+        """One conv stage over the whole (B, C, H, W) batch, seam
+        included: its step's exact float-GEMM psums, then the stage's
+        :class:`_SdpEpilogue` over them in the same step's float64
+        scratch buffer, with the folded residual (if any, shaped like
+        the output) added in the same pass.  The output is a fresh
+        (B, K, OH, OW) array — channels-last in memory, except the
+        final stage's, which is C-contiguous — so callers never alias
+        scratch that the next batch will overwrite."""
         step = self._step(index, stage, batch.shape)
-        psums = self._fused_psums(index, stage, batch)
-        return step.epilogue(psums, step.buffer, residual)
+        if residual is not None:
+            residual = residual.transpose(0, 2, 3, 1)
+        return step.epilogue(
+            step.run(batch), step.buffer, residual, step.order
+        )
 
     def _fused_psums(
         self, index: int, stage: StagePlan, batch: np.ndarray
     ) -> np.ndarray:
         """Pre-SDP psums of one stage (its seam applied to ``batch``)
-        as a (B, K, OH, OW) scratch view in the stage plan's float
-        dtype — exact integers, because the plan's bound keeps every
-        partial sum exactly representable."""
-        return self._step(index, stage, batch.shape).run(batch)
+        as a (B, K, OH, OW) view of channels-last scratch in the stage
+        plan's float dtype — exact integers, because the plan's bound
+        keeps every partial sum exactly representable."""
+        step = self._step(index, stage, batch.shape)
+        return step.run(batch).transpose(0, 3, 1, 2)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -201,7 +202,10 @@ class CompiledNetwork:
     def macs_per_image(self) -> int:
         return sum(stage.layer.macs for stage in self.stages)
 
-    @property
+    # The per-batch checks below read cached stage-derived terms: a
+    # decode step would otherwise walk every stage twice.  The caches
+    # live in the instance dict, which pickles with the program.
+    @cached_property
     def dynamic_tokens(self) -> bool:
         """True when any stage accepts runtime-sized inputs (transformer
         decode: the token axis grows per step)."""
@@ -223,18 +227,27 @@ class CompiledNetwork:
             for stage in self.stages
         )
 
+    @cached_property
+    def _mac_terms(self) -> "tuple[int, int]":
+        """``(per_token, fixed)`` per-image multiply-accumulates: the
+        dynamic stages' per-token work and the other stages' whole
+        work."""
+        per_token = fixed = 0
+        for stage in self.stages:
+            if stage.dynamic_hw:
+                per_token += stage.layer.macs // stage.layer.out_height
+            else:
+                fixed += stage.layer.macs
+        return per_token, fixed
+
     def batch_macs(self, shape: tuple) -> int:
         """Useful multiply-accumulates of one (B, C, H, W) batch.  A
         dynamic stage does its layer's per-token work once per token
         the batch actually carries (``H``), not at the nominal length
         it was compiled for."""
         batch_size, _, tokens, _ = shape
-        return batch_size * sum(
-            stage.layer.macs // stage.layer.out_height * tokens
-            if stage.dynamic_hw
-            else stage.layer.macs
-            for stage in self.stages
-        )
+        per_token, fixed = self._mac_terms
+        return batch_size * (per_token * tokens + fixed)
 
     @property
     def needs_input_saved(self) -> bool:

@@ -91,11 +91,13 @@ class IntSpec:
         Only integer dtypes and *exact-integer* floats validate; a
         float carrying a fractional value (e.g. an accidentally
         dequantized ``2.7``) raises instead of silently truncating,
-        and non-numeric dtypes (bool, complex, ...) are rejected.
+        and every other dtype (bool, complex, timedelta64 —
+        which NumPy files under ``np.integer`` — datetime64, ...) is
+        rejected.
         """
         arr = np.asarray(values)
-        if not np.issubdtype(arr.dtype, np.integer):
-            if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind not in "iu":
+            if arr.dtype.kind != "f":
                 raise PrecisionError(
                     f"{self.name} expects an integer array, got dtype "
                     f"{arr.dtype}"

@@ -84,6 +84,19 @@ class TestPdpBatch:
             stacked = np.stack([pdp.apply(image) for image in values])
             assert np.array_equal(batched, stacked)
 
+    def test_apply_many_keeps_a_channels_last_layout(self, rng):
+        """A (B, K, H, W) batch stored channels-last (as the batched
+        executor's stage outputs are) pools to a channels-last result,
+        equal to per-image :meth:`apply`, with no transposing copy."""
+        for mode in ("max", "average"):
+            pdp = Pdp(PdpConfig(mode, kernel=3, stride=2))
+            stored = rng.integers(-100, 100, (3, 9, 9, 5))
+            values = stored.transpose(0, 3, 1, 2)
+            batched = pdp.apply_many(values)
+            stacked = np.stack([pdp.apply(image) for image in values])
+            assert np.array_equal(batched, stacked), mode
+            assert batched.transpose(0, 2, 3, 1).flags.c_contiguous
+
     def test_apply_many_rank_checked(self):
         with pytest.raises(DataflowError):
             Pdp(PdpConfig("max", kernel=2)).apply_many(

@@ -10,10 +10,13 @@ End-to-end CNN outputs are often all zero, so the kernel is also
 pinned stage by stage on full-range inputs: its pre-SDP psums against
 the int64 golden convolution, and its float64 SDP epilogue against
 :meth:`~repro.nvdla.sdp.Sdp.apply_many`, on full-range and near-tie
-psums and with a folded residual.  Its per-stage float dtype is
-pinned against the exactness bound at the float32 / float64 /
-no-float edges, the epilogue against its own bound at 2**53, and its
-scratch memory against the largest single stage's need.
+psums and with a folded residual, and every stage's channels-last
+seam on full-range inputs at the unfitted shapes a run delivers.  The
+output contract (a fresh C-contiguous (B, K, OH, OW) int64 array)
+is pinned whatever kernel the last stage runs.  Its per-stage float
+dtype is pinned against the exactness bound at the float32 / float64
+/ no-float edges, the epilogue against its own bound at 2**53, and
+its scratch memory against the largest single stage's need.
 
 All randomness flows from the ``fuzz_rng`` fixture, which derives from
 the ``PYTEST_SEED`` environment variable; a failure report prints the
@@ -31,9 +34,11 @@ from repro.nvdla.config import CoreConfig
 from repro.nvdla.dataflow import golden_conv2d_batched
 from repro.nvdla.sdp import Sdp
 from repro.runtime import BatchExecutor, NetworkRunner
+from repro.nvdla.pdp import Pdp
 from repro.runtime.executor import _FusedStage, _SdpEpilogue, \
-    exact_float_dtype
+    exact_float_dtype, fit_channels, fit_spatial
 from repro.runtime.lowering import identity_orders
+from repro.runtime.runner import run_per_image
 from repro.serve import ShardedRunner
 from repro.utils.intrange import INT2, INT8, int_spec
 
@@ -458,15 +463,24 @@ def _sdp_variants(rng, config):
     }
 
 
+def _channels_last(array):
+    """A (B, K, H, W) array as the (B, H, W, K) view the epilogue
+    works on."""
+    return np.moveaxis(array, 1, -1)
+
+
 def _epilogue(stage, config, psums, dtype, residual=None):
     """The float64 epilogue of ``stage`` under SDP ``config`` over
-    integer ``psums`` fed in float ``dtype`` (the kernel's dtype where
-    the values fit it), its bound taken from the psums given."""
+    integer (B, K, OH, OW) ``psums`` fed channels-last in float
+    ``dtype`` (the kernel's dtype where the values fit it), its bound
+    taken from the psums given; the result is (B, K, OH, OW)."""
     epilogue = _SdpEpilogue(
         dataclasses.replace(stage, sdp=config),
         int(np.abs(psums).max(initial=0)),
     )
-    values = psums.astype(dtype)
+    values = _channels_last(psums.astype(dtype))
+    if residual is not None:
+        residual = _channels_last(residual)
     return epilogue(values, np.empty(values.shape), residual)
 
 
@@ -516,7 +530,7 @@ def test_sdp_fused_matches_sdp_apply_many_on_every_stage(fuzz_rng, model):
                 live += np.count_nonzero(expected)
                 total += expected.size
             # The executor's own epilogue is the "stage" variant's.
-            values = psums.astype(plan.dtype)
+            values = _channels_last(psums.astype(plan.dtype))
             assert np.array_equal(
                 plan.epilogue(values, np.empty(values.shape)),
                 Sdp(stage.sdp).apply_many(psums),
@@ -772,9 +786,9 @@ def _scratch_views(step):
     arrays = [
         *step.zeros,
         *(view for view, _ in step.copies),
-        *(array for tap in step.taps for array in tap),
-        step.operand, step.product, step.psums, step.partial,
-        step.buffer,
+        *(array for matmul in step.matmuls for array in matmul),
+        step.windows, step.columns, step.operand, step.product,
+        step.psums, step.buffer,
     ]
     return [
         array for array in arrays
@@ -967,3 +981,205 @@ def test_seams_make_no_padded_copies(fuzz_rng, monkeypatch):
     output, stages, cycles = executor.run_batch(images)
     assert np.array_equal(output, expected.output)
     assert cycles == expected.conv_cycles
+
+
+# ---------------------------------------------------------------------
+# Seams and the output contract on live data.
+
+
+def _delivered_shapes(net, batch):
+    """The (B, C, H, W) input each stage's conv receives in a run: the
+    previous stage's output (the network input for the first), pooled
+    by the stage's PDP over the channels it keeps — not yet fitted to
+    the stage's declared input."""
+    shape = (batch,) + tuple(net.input_shape)
+    shapes = []
+    for stage in net.stages:
+        if stage.pool is not None:
+            shape = (
+                (batch, min(shape[1], stage.fit_channels))
+                + Pdp(stage.pool).output_size(*shape[2:])
+            )
+        shapes.append(shape)
+        layer = stage.layer
+        height, width = (
+            shape[2:] if stage.dynamic_hw else stage.fit_hw
+        )
+        shape = (
+            batch, layer.out_channels,
+            (height + 2 * layer.padding_h - layer.kernel_h)
+            // layer.stride + 1,
+            (width + 2 * layer.padding_w - layer.kernel_w)
+            // layer.stride + 1,
+        )
+    return shapes
+
+
+def _fitted(stage, batch):
+    """``batch`` through the stage's seam adapters, as the per-image
+    path applies them."""
+    batch = fit_channels(batch, stage.fit_channels, axis=1)
+    if stage.dynamic_hw:
+        return batch
+    return fit_spatial(batch, stage.fit_hw, first_axis=2)
+
+
+def _as_stage_output(array):
+    """``array`` laid out like a stage output the executor hands on:
+    channels-last in memory, seen as (B, K, H, W)."""
+    return _channels_last(array).copy().transpose(0, 3, 1, 2)
+
+
+#: The nets whose stages receive inputs their seams reshape at TINY
+#: scale (resnet18's zero-padded downsample seams, the branch concats
+#: and splits of the others); mobilenet_v2 and tiny_llm chain exactly.
+_SEAM_MODELS = ("resnet18", "shufflenet_v2", "googlenet")
+
+
+@pytest.mark.parametrize("model", FUZZ_MODELS + ("tiny_llm",))
+def test_seams_on_live_data_match_the_reference(fuzz_rng, model):
+    """Every stage, fed a full-range input at the unfitted shape the
+    previous stage delivers (after its PDP pool), equals
+    ``Sdp.apply_many`` over the int64 golden conv of the fitted input,
+    plus the folded residual where the stage has one (tiny_llm's), at
+    INT8/INT4/INT2, under the stage's own SDP and its
+    activation="none" variant.  End-to-end CNN outputs are mostly
+    zero, so this is what pins the channel tiling/slicing, the crop
+    and zero-pad seams and the pad borders on live data: the compared
+    outputs must be mostly nonzero (relu zeroes about half of the own
+    SDP's), and the seams must reshape some inputs of every net that
+    has them."""
+    live = total = seams = 0
+    for precision in PSUM_PRECISIONS:
+        sizes = TINY if model != "tiny_llm" else dict(
+            scale=0.0625, input_size=8
+        )
+        net = NetworkRunner(
+            CoreConfig(k=4, n=4), precision=precision, **sizes
+        ).compile(model)
+        linear = dataclasses.replace(net, stages=tuple(
+            dataclasses.replace(
+                stage,
+                sdp=dataclasses.replace(stage.sdp, activation="none"),
+            )
+            for stage in net.stages
+        ))
+        for program in (net, linear):
+            executor = BatchExecutor(program)
+            for index, (stage, shape) in enumerate(
+                zip(program.stages, _delivered_shapes(program, 2))
+            ):
+                batch = stage.precision.random_array(fuzz_rng, shape)
+                fitted = _fitted(stage, batch)
+                seams += fitted.shape != batch.shape
+                expected = Sdp(stage.sdp).apply_many(
+                    _golden_psums(stage, fitted)
+                )
+                residual = None
+                if stage.residual_from is not None:
+                    spec = stage.sdp.out_precision
+                    residual = spec.random_array(fuzz_rng, expected.shape)
+                    expected = np.clip(
+                        expected + residual, spec.min_value,
+                        spec.max_value,
+                    )
+                    residual = _as_stage_output(residual)
+                actual = executor._conv_fused(
+                    index, stage, batch, residual
+                )
+                assert actual.dtype == np.int64
+                assert np.array_equal(actual, expected), (
+                    f"{stage.name} precision={precision} "
+                    f"activation={stage.sdp.activation} in={shape} "
+                    f"fitted={fitted.shape}"
+                )
+                live += np.count_nonzero(expected)
+                total += expected.size
+    assert (seams > 0) == (model in _SEAM_MODELS), seams
+    assert live > 0.5 * total, live / total
+
+
+def _truncated(net, kind, fused_stages):
+    """``net`` cut after its last stage of fused-kernel ``kind`` whose
+    output is wider than one pixel, so that the channels-last and the
+    (B, K, OH, OW) layouts of its output differ in memory."""
+    last = max(
+        index
+        for index, (stage, plan) in enumerate(zip(net.stages, fused_stages))
+        if plan.kind == kind
+        and stage.layer.out_height * stage.layer.out_width > 1
+    )
+    return dataclasses.replace(net, stages=net.stages[:last + 1])
+
+
+def _assert_api_output(executor, output, shape):
+    """``output`` is a C-contiguous (B, K, OH, OW) int64 array of
+    ``shape`` that shares no memory with the executor's scratch."""
+    assert output.dtype == np.int64
+    assert output.shape == shape
+    assert output.flags.c_contiguous
+    assert output.flags.owndata
+    for buffer in executor._scratch.values():
+        assert not np.may_share_memory(output, buffer)
+
+
+@pytest.mark.parametrize(
+    "model,kind",
+    [("resnet18", "gemm"), ("resnet18", "pointwise"),
+     ("mobilenet_v2", "pointwise"), ("mobilenet_v2", "depthwise")],
+)
+def test_run_batch_returns_a_private_contiguous_nchw_array(
+    fuzz_rng, model, kind
+):
+    """The output contract: ``run_batch`` returns a fresh C-contiguous
+    (B, K, OH, OW) int64 array, whichever fused-kernel kind the last
+    stage runs on, and ``_fused_psums`` returns every stage's psums as
+    (B, K, OH, OW) in the stage dtype."""
+    net = NetworkRunner(CoreConfig(k=4, n=4), **TINY).compile(model)
+    net = _truncated(net, kind, BatchExecutor(net)._fused_stages)
+    executor = BatchExecutor(net)
+    assert executor._fused_stages[-1].kind == kind
+    images = net.precision.random_array(
+        fuzz_rng, (3,) + tuple(net.input_shape)
+    )
+    output, _, _ = executor.run_batch(images)
+    _assert_api_output(executor, output, (3,) + net.output_shape)
+    assert np.array_equal(output, run_per_image(net, images)[0])
+    # End-to-end outputs may be all zero; the psums on full-range
+    # inputs are not.
+    live = total = 0
+    for step in executor._plan:
+        stage = step.stage
+        batch = stage.precision.random_array(fuzz_rng, step.in_shape)
+        psums = executor._fused_psums(step.index, stage, batch)
+        assert psums.shape == step.out_shape, stage.name
+        assert psums.dtype == executor._fused_stages[step.index].dtype
+        expected = _golden_psums(stage, _fitted(stage, batch))
+        assert np.array_equal(psums, expected), stage.name
+        live += np.count_nonzero(expected)
+        total += expected.size
+    assert live > 0.5 * total
+
+
+def test_decode_steps_return_private_contiguous_nchw_arrays(fuzz_rng):
+    """A decode's full first step and its reused later steps (only the
+    new row runs) all return fresh C-contiguous (B, K, T, 1) int64
+    arrays, private to the caller: no view of the executor's scratch
+    or of the rows it keeps."""
+    net = NetworkRunner(
+        CoreConfig(k=4, n=4), scale=0.0625, input_size=8
+    ).compile("tiny_llm")
+    executor = BatchExecutor(net)
+    channels, _, width = net.input_shape
+    stream = net.precision.random_array(fuzz_rng, (2, channels, 6, width))
+    for tokens in (3, 4, 5, 6):
+        output, _, _ = executor.run_batch(stream[:, :, :tokens])
+        assert executor._last[2] == tokens
+        _assert_api_output(
+            executor, output, (2, net.output_shape[0], tokens, width)
+        )
+        for kept in executor._last[:2]:
+            assert not np.may_share_memory(output, kept)
+        assert np.array_equal(
+            output, BatchExecutor(net).run_batch(stream[:, :, :tokens])[0]
+        ), tokens

@@ -306,16 +306,17 @@ def test_decode_cycles_follow_the_prefix_length(rng):
 # Decode reuse: each decoded token is computed once
 # ---------------------------------------------------------------------
 def _psum_rows(executor, monkeypatch):
-    """A list that records the token rows every stage's
-    ``_fused_psums`` is given, one entry per stage per run."""
+    """A list that records the token rows every stage's conv
+    (``_conv_fused``: psums and epilogue) is given, one entry per stage
+    per run."""
     rows = []
-    psums = executor._fused_psums
+    conv = executor._conv_fused
 
-    def counted(index, stage, batch):
+    def counted(index, stage, batch, residual=None):
         rows.append(batch.shape[2])
-        return psums(index, stage, batch)
+        return conv(index, stage, batch, residual)
 
-    monkeypatch.setattr(executor, "_fused_psums", counted)
+    monkeypatch.setattr(executor, "_conv_fused", counted)
     return rows
 
 

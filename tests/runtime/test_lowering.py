@@ -1,12 +1,16 @@
 """Tests for zoo -> pipeline-stage lowering."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.scheduling import search_stage_orders
 from repro.errors import DataflowError
 from repro.models.weights import load_quantized_model
+from repro.models.zoo import MODEL_NAMES
 from repro.nvdla.config import CoreConfig
+from repro.runtime import NetworkRunner
 from repro.runtime.lowering import lower_model, stage_atoms
 from repro.utils.intrange import INT4
 
@@ -157,3 +161,36 @@ class TestStageAtoms:
                 * shape.atoms_per_pixel(config.n)
             )
             assert stage_atoms(stage, config) == expected
+
+
+def _per_stage_macs(net, shape):
+    """``batch_macs`` as one walk over the stages, the way it was
+    computed before its terms were cached."""
+    batch_size, _, tokens, _ = shape
+    return batch_size * sum(
+        stage.layer.macs // stage.layer.out_height * tokens
+        if stage.dynamic_hw
+        else stage.layer.macs
+        for stage in net.stages
+    )
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES + ("tiny_llm",))
+def test_batch_macs_terms_match_the_per_stage_sum(config, model):
+    """The cached per-token and fixed MAC terms give the per-stage sum
+    on every zoo model and on tiny_llm at 1, 16 and 64 tokens, also on
+    a copy that crossed a pickle (as a shard worker's program does)."""
+    runner = NetworkRunner(config, scale=0.06, input_size=16)
+    net = runner.compile(model)
+    channels, height, width = net.input_shape
+    tokens = (1, 16, 64) if net.dynamic_tokens else (height,)
+    assert net.dynamic_tokens == (model == "tiny_llm")
+    shipped = pickle.loads(pickle.dumps(net))
+    assert shipped.dynamic_tokens == net.dynamic_tokens
+    for batch in (1, 3):
+        for count in tokens:
+            shape = (batch, channels, count, width)
+            expected = _per_stage_macs(net, shape)
+            assert expected > 0
+            assert net.batch_macs(shape) == expected, shape
+            assert shipped.batch_macs(shape) == expected, shape

@@ -9,7 +9,7 @@ simulation mode.
 import numpy as np
 import pytest
 
-from repro.errors import DataflowError, ReproError
+from repro.errors import DataflowError, PrecisionError, ReproError
 from repro.nvdla.config import CoreConfig
 from repro.runtime import NetworkRunner
 
@@ -155,6 +155,20 @@ class TestInputsAndErrors:
                 runner.run("resnet18", rejected)
             with pytest.raises(ReproError):
                 runner.run_per_image("resnet18", rejected)
+
+    @pytest.mark.parametrize("dtype", ["m8[s]", "M8[s]"])
+    def test_time_dtype_batches_rejected(self, config, dtype):
+        """In-range codes carried as timedelta64 or datetime64 are not
+        integers: the executor (``run_batch``, behind ``run``) and the
+        per-image oracle both refuse them."""
+        runner = make_runner(config, "tempus")
+        images = runner.synthesize_batch("resnet18", 2).astype(dtype)
+        with pytest.raises(DataflowError, match="input batch rejected"):
+            runner.executor("resnet18").run_batch(images)
+        with pytest.raises(DataflowError, match="input batch rejected"):
+            runner.run("resnet18", images)
+        with pytest.raises(PrecisionError, match="integer array"):
+            runner.run_per_image("resnet18", images)
 
     def test_single_image_is_promoted_to_batch(self, config):
         runner = make_runner(config, "tempus")

@@ -90,6 +90,14 @@ class TestValidation:
         with pytest.raises(PrecisionError):
             INT8.check_array(np.array([1 + 0j]))
 
+    def test_check_array_rejects_time_dtypes(self):
+        """Regression: NumPy files timedelta64 under ``np.integer``, so
+        an in-range duration array used to validate as integers."""
+        with pytest.raises(PrecisionError, match="timedelta64"):
+            INT8.check_array(np.array([1, 2, 3], dtype="m8[s]"))
+        with pytest.raises(PrecisionError, match="datetime64"):
+            INT8.check_array(np.array([1, 2, 3], dtype="M8[s]"))
+
     def test_check_array_preserves_int64_identity(self):
         arr = np.array([1, 2], dtype=np.int64)
         assert INT8.check_array(arr) is arr
