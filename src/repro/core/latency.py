@@ -8,8 +8,6 @@ whole-CNN profiling (Figs. 7/8, Sec. V-C) fast.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.errors import DataflowError
@@ -26,23 +24,6 @@ def worst_case_cycles(
     INT2 -> 1 (2s-unary)."""
     code = code if code is not None else TwosUnaryCode()
     return code.cycles_for_magnitude(precision.max_magnitude)
-
-
-def _tiled_view(weights: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Zero-pad a (K, C, R, S) tensor to whole tiles and expose it as a
-    (groups, k, blocks, n, R, S) view — one (k, n) slice per atom tile,
-    padded exactly as the MAC array sees tensor-edge atoms."""
-    weights = np.asarray(weights)
-    if weights.ndim != 4:
-        raise DataflowError("expected (K, C, R, S) weights")
-    kernels, channels, kernel_h, kernel_w = weights.shape
-    groups = math.ceil(kernels / k)
-    blocks = math.ceil(channels / n)
-    padded = np.zeros(
-        (groups * k, blocks * n, kernel_h, kernel_w), dtype=np.int64
-    )
-    padded[:kernels, :channels] = weights
-    return padded.reshape(groups, k, blocks, n, kernel_h, kernel_w)
 
 
 def _block_max(magnitudes: np.ndarray, size: int, axis: int) -> np.ndarray:
@@ -142,36 +123,3 @@ def layer_burst_cycles(
     output pixel."""
     per_pixel = int(burst_cycle_map(weights, config, code).sum())
     return per_pixel * shape.output_pixels
-
-
-def average_burst_cycles(
-    weights: np.ndarray,
-    config: CoreConfig,
-    code: UnaryCode | None = None,
-) -> float:
-    """Mean burst length across a weight tensor's tiles — the paper's
-    "workload-dependent latency" statistic (33 cycles for MobileNetV2,
-    31 for ResNeXt101 at 16x16 INT8)."""
-    cycles = burst_cycle_map(weights, config, code)
-    return float(cycles.mean())
-
-
-def tile_zero_lane_counts(
-    weights: np.ndarray, k: int, n: int
-) -> np.ndarray:
-    """Zero-weight lanes per (group, channel-block, ky, kx) tile —
-    including the zero padding for kernels/channels beyond the tensor
-    edge, exactly as the PCU sees each atom.  Silent-lane cycles for a
-    layer are ``(counts * effective_burst).sum() * output_pixels``."""
-    tiled = _tiled_view(weights, k, n)
-    return (tiled == 0).sum(axis=(1, 3))
-
-
-def tile_idle_cell_counts(
-    weights: np.ndarray, k: int, n: int
-) -> np.ndarray:
-    """All-zero weight rows (clock-gateable MAC cells) per tile — the
-    binary CMAC's gating statistic: ``counts.sum() * output_pixels`` is
-    the layer's ``gated_cell_cycles``."""
-    tiled = _tiled_view(weights, k, n)
-    return (~tiled.any(axis=3)).sum(axis=1)

@@ -13,7 +13,7 @@ driver reads a host clock, so the artifact is a function of the spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -1252,21 +1252,6 @@ EXPERIMENTS = {
     "scheduling": ablation_scheduling,
     "llm": ext_llm_projection,
 }
-
-
-def run_experiment(
-    experiment_id: str, quick: bool = False
-) -> ExperimentResult:
-    """Run one experiment by id (see :data:`EXPERIMENTS`) on the
-    ``paper`` spec."""
-    try:
-        driver = EXPERIMENTS[experiment_id]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; available: "
-            f"{', '.join(sorted(EXPERIMENTS))}"
-        ) from exc
-    return driver(replace(PAPER_SWEEP, quick=quick))
 
 
 def run_paper_benchmark(

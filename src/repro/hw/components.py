@@ -46,24 +46,6 @@ def ripple_carry_adder(width: int, name: str = "rca") -> Netlist:
     return adder
 
 
-def adder_subtractor(width: int, name: str = "addsub") -> Netlist:
-    """Adder with a subtract control: XOR per bit ahead of the FA chain
-    (two's complement add/sub), used by signed tub accumulation."""
-    width = _require_positive(width, "adder width")
-    block = Netlist(name, depth_ps=_XOR_DELAY + width * _FA_DELAY)
-    block.add("XOR2", width)
-    block.add("FA", width)
-    return block
-
-
-def incrementer(width: int, name: str = "inc") -> Netlist:
-    """Half-adder chain (+1)."""
-    width = _require_positive(width, "incrementer width")
-    block = Netlist(name, depth_ps=width * _HA_DELAY)
-    block.add("HA", width)
-    return block
-
-
 def decrementer(width: int, name: str = "dec") -> Netlist:
     """Half-adder chain with inverted borrows (-1 / -2 step logic)."""
     width = _require_positive(width, "decrementer width")
@@ -80,16 +62,6 @@ def nonzero_detector(width: int, name: str = "nz") -> Netlist:
     levels = max(1, (width - 1).bit_length())
     block = Netlist(name, depth_ps=levels * _OR_DELAY)
     block.add("OR2", max(width - 1, 1))
-    return block
-
-
-def equality_comparator(width: int, name: str = "eq") -> Netlist:
-    """Bitwise XNOR plus AND-reduction."""
-    width = _require_positive(width, "comparator width")
-    levels = max(1, (width - 1).bit_length())
-    block = Netlist(name, depth_ps=_XOR_DELAY + levels * _AND_DELAY)
-    block.add("XNOR2", width)
-    block.add("AND2", max(width - 1, 1))
     return block
 
 

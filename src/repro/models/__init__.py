@@ -22,13 +22,12 @@ paper's experiments measure.
 
 from repro.models.layers import ConvLayerSpec
 from repro.models.weights import QuantizedModel, load_quantized_model
-from repro.models.zoo import MODEL_NAMES, build_model, model_summary
+from repro.models.zoo import MODEL_NAMES, build_model
 
 __all__ = [
     "ConvLayerSpec",
     "MODEL_NAMES",
     "build_model",
-    "model_summary",
     "QuantizedModel",
     "load_quantized_model",
 ]

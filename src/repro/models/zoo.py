@@ -552,12 +552,3 @@ def build_model(name: str, scale: float = 1.0) -> ModelSpec:
     if scale != 1.0:
         spec = spec.scaled(scale)
     return spec
-
-
-def model_summary(spec: ModelSpec) -> str:
-    """One-line description used by reports."""
-    return (
-        f"{spec.name}: {len(spec.layers)} conv layers, "
-        f"{spec.total_weights / 1e6:.2f}M weights, "
-        f"{spec.total_macs / 1e9:.2f}G MACs"
-    )

@@ -301,92 +301,6 @@ def golden_conv2d(
     return out
 
 
-def golden_conv2d_batched(
-    activations: np.ndarray,
-    weights: np.ndarray,
-    stride: int = 1,
-    padding: "int | tuple[int, int]" = 0,
-    groups: int = 1,
-) -> np.ndarray:
-    """Batched reference convolution (exact int64 arithmetic).
-
-    The batched runtime's compute kernel: one einsum per kernel-window
-    position covers the whole batch, so a (B, C, H, W) run costs one
-    pass instead of B.  Bit-identical to :func:`golden_conv2d` applied
-    per image / per group (integer addition is order-independent).
-
-    Args:
-        activations: (B, C, H, W) integer tensor.
-        weights: (K, C/groups, R, S) integer tensor.
-        stride: spatial stride (same both axes).
-        padding: zero padding — an int, or (pad_h, pad_w) for the
-            rectangular kernels of InceptionV3.
-        groups: channel groups (1 = dense, C = depthwise).
-    """
-    activations = np.asarray(activations, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.int64)
-    if activations.ndim != 4 or weights.ndim != 4:
-        raise DataflowError(
-            "expected (B,C,H,W) activations, (K,C,R,S) weights"
-        )
-    pad_h, pad_w = (
-        (padding, padding) if isinstance(padding, int) else padding
-    )
-    if pad_h < 0 or pad_w < 0:
-        raise DataflowError("padding must be >= 0")
-    if stride < 1:
-        raise DataflowError("stride must be >= 1")
-    batch, channels, height, width = activations.shape
-    kernels, group_channels, kernel_h, kernel_w = weights.shape
-    if groups < 1 or channels != group_channels * groups:
-        raise DataflowError(
-            f"channel mismatch: activations {channels}, weights "
-            f"{group_channels} x {groups} groups"
-        )
-    if kernels % groups:
-        raise DataflowError(
-            f"kernel count {kernels} not divisible by groups {groups}"
-        )
-    out_height = (height + 2 * pad_h - kernel_h) // stride + 1
-    out_width = (width + 2 * pad_w - kernel_w) // stride + 1
-    if out_height < 1 or out_width < 1:
-        raise DataflowError(
-            f"kernel {kernel_h}x{kernel_w} does not fit the padded "
-            f"{height}x{width} input"
-        )
-    padded = np.pad(
-        activations,
-        ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)),
-        mode="constant",
-    )
-    out = np.zeros((batch, kernels, out_height, out_width), np.int64)
-    kernels_per_group = kernels // groups
-    for group in range(groups):
-        group_weights = weights[
-            group * kernels_per_group : (group + 1) * kernels_per_group
-        ]
-        group_input = padded[
-            :, group * group_channels : (group + 1) * group_channels
-        ]
-        group_out = out[
-            :, group * kernels_per_group : (group + 1) * kernels_per_group
-        ]
-        for ky in range(kernel_h):
-            for kx in range(kernel_w):
-                window = group_input[
-                    :,
-                    :,
-                    ky : ky + stride * out_height : stride,
-                    kx : kx + stride * out_width : stride,
-                ]
-                group_out += np.einsum(
-                    "kc,bcyx->bkyx",
-                    group_weights[:, :, ky, kx],
-                    window,
-                )
-    return out
-
-
 def im2col(
     activations: np.ndarray, shape: ConvShape
 ) -> np.ndarray:

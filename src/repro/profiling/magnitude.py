@@ -90,17 +90,3 @@ def profile_model_magnitudes(
     return MagnitudeProfile(
         model=model.name, histogram=histogram, tile_k=k, tile_n=n
     )
-
-
-def layer_magnitude_rows(
-    model: QuantizedModel, k: int = 16, n: int = 16
-) -> list[tuple[str, float, int]]:
-    """(layer, mean tile max, tiles) — per-layer breakdown used by the
-    fine-grained profiling analyses."""
-    rows = []
-    for layer, codes in model.iter_weight_tensors():
-        maxima = tile_max_magnitudes(codes, k, n)
-        rows.append(
-            (layer.name, float(maxima.mean()), int(maxima.size))
-        )
-    return rows

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.models.weights import QuantizedModel, load_quantized_model
-from repro.models.zoo import TABLE1_LABELS
+from repro.models.weights import QuantizedModel
 from repro.profiling.tiling import tile_zero_stats
 
 
@@ -80,18 +79,3 @@ def profile_model_sparsity(
         tile_k=k,
         tile_n=n,
     )
-
-
-def word_sparsity_rows(
-    names: tuple[str, ...],
-    precision: "int | str" = "INT8",
-    scale: float = 1.0,
-) -> list[tuple[str, float]]:
-    """(Table I label, zero-weight %) rows for the given models."""
-    rows = []
-    for name in names:
-        model = load_quantized_model(name, precision=precision, scale=scale)
-        rows.append(
-            (TABLE1_LABELS.get(name, name), model.word_sparsity() * 100.0)
-        )
-    return rows

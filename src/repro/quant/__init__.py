@@ -1,6 +1,6 @@
 """Low-precision integer quantization substrate.
 
-Implements the symmetric/affine quantizers, min-max and percentile (trained
+Implements the symmetric quantizer, min-max and percentile (trained
 threshold style) calibration, and the :class:`QuantizedTensor` container used
 by the model zoo, the profiling package and the Fig. 1 accuracy experiment.
 """
@@ -23,10 +23,8 @@ from repro.quant.profile import (
 )
 from repro.quant.qtensor import QuantizedTensor
 from repro.quant.quantize import (
-    AffineQuantizer,
     SymmetricQuantizer,
     fake_quantize,
-    quantize_per_channel,
     quantize_per_tensor,
 )
 
@@ -45,8 +43,6 @@ __all__ = [
     "UNIFORM_INT8",
     "QuantizedTensor",
     "SymmetricQuantizer",
-    "AffineQuantizer",
     "fake_quantize",
     "quantize_per_tensor",
-    "quantize_per_channel",
 ]

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import PrecisionError
 from repro.utils.intrange import IntSpec
 
 
@@ -17,25 +16,15 @@ class QuantizedTensor:
     Attributes:
         data: integer codes (int64).
         spec: the integer format the codes live in.
-        scale: scalar (per-tensor) or 1-D array (per-channel) of scales.
-        axis: channel axis for per-channel scales, or None for per-tensor.
+        scale: the per-tensor scale.
     """
 
     data: np.ndarray
     spec: IntSpec
-    scale: np.ndarray | np.float64
-    axis: int | None = None
+    scale: np.float64
 
     def __post_init__(self) -> None:
         self.spec.check_array(self.data)
-        if self.axis is not None:
-            scales = np.asarray(self.scale)
-            if scales.ndim != 1:
-                raise PrecisionError("per-channel scale must be 1-D")
-            if scales.shape[0] != self.data.shape[self.axis]:
-                raise PrecisionError(
-                    "per-channel scale length does not match channel axis"
-                )
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -47,12 +36,7 @@ class QuantizedTensor:
 
     def dequantize(self) -> np.ndarray:
         """Real-valued view of the tensor."""
-        if self.axis is None:
-            return self.data.astype(np.float64) * float(self.scale)
-        scales = np.asarray(self.scale, dtype=np.float64)
-        shape = [1] * self.data.ndim
-        shape[self.axis] = scales.shape[0]
-        return self.data.astype(np.float64) * scales.reshape(shape)
+        return self.data.astype(np.float64) * float(self.scale)
 
     def zero_fraction(self) -> float:
         """Fraction of zero codes — the paper's Table I "word sparsity"."""

@@ -2,7 +2,6 @@
 
 Weights use symmetric quantization (zero maps to code 0 — essential for the
 sparsity exploitation story: a zero weight becomes a *silent* tub lane).
-Activations may use affine quantization with a zero point.
 """
 
 from __future__ import annotations
@@ -55,46 +54,6 @@ class SymmetricQuantizer:
         return np.asarray(codes, dtype=np.float64) * self.scale
 
 
-@dataclass(frozen=True)
-class AffineQuantizer:
-    """Affine quantizer: q = clip(round(x / scale) + zero_point)."""
-
-    spec: IntSpec
-    scale: float
-    zero_point: int
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise CalibrationError(f"scale must be positive, got {self.scale}")
-        self.spec.check(self.zero_point)
-
-    @classmethod
-    def from_range(
-        cls, precision: "int | str | IntSpec", low: float, high: float
-    ) -> "AffineQuantizer":
-        spec = int_spec(precision)
-        if high <= low:
-            raise CalibrationError(f"empty range [{low}, {high}]")
-        scale = (high - low) / (spec.levels - 1)
-        zero_point = int(
-            np.clip(
-                round(spec.min_value - low / scale),
-                spec.min_value,
-                spec.max_value,
-            )
-        )
-        return cls(spec=spec, scale=scale, zero_point=zero_point)
-
-    def quantize(self, values: np.ndarray) -> np.ndarray:
-        arr = np.asarray(values, dtype=np.float64)
-        codes = np.round(arr / self.scale) + self.zero_point
-        return self.spec.clip(codes).astype(np.int64)
-
-    def dequantize(self, codes: np.ndarray) -> np.ndarray:
-        shifted = np.asarray(codes, dtype=np.float64) - self.zero_point
-        return shifted * self.scale
-
-
 def quantize_per_tensor(
     values: np.ndarray,
     precision: "int | str | IntSpec",
@@ -111,38 +70,7 @@ def quantize_per_tensor(
         data=quantizer.quantize(values),
         spec=quantizer.spec,
         scale=np.float64(quantizer.scale),
-        axis=None,
     )
-
-
-def quantize_per_channel(
-    values: np.ndarray,
-    precision: "int | str | IntSpec",
-    axis: int = 0,
-    percentile: float | None = None,
-) -> QuantizedTensor:
-    """Symmetric per-channel quantization along ``axis`` (output-channel
-    scales, the standard for conv weights)."""
-    spec = int_spec(precision)
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 0:
-        raise CalibrationError("per-channel quantization needs >=1 dim")
-    axis = axis % arr.ndim
-    moved = np.moveaxis(arr, axis, 0)
-    channels = moved.shape[0]
-    flat = moved.reshape(channels, -1)
-    scales = np.empty(channels, dtype=np.float64)
-    codes = np.empty_like(flat, dtype=np.int64)
-    for channel in range(channels):
-        if percentile is None:
-            calib = calibrate_minmax(flat[channel])
-        else:
-            calib = calibrate_percentile(flat[channel], percentile)
-        quantizer = SymmetricQuantizer.from_threshold(spec, calib.threshold)
-        scales[channel] = quantizer.scale
-        codes[channel] = quantizer.quantize(flat[channel])
-    data = np.moveaxis(codes.reshape(moved.shape), 0, axis)
-    return QuantizedTensor(data=data, spec=spec, scale=scales, axis=axis)
 
 
 def fake_quantize(

@@ -26,7 +26,6 @@ from repro.runtime.lowering import (
     CompiledNetwork,
     StagePlan,
     lower_model,
-    stage_atoms,
 )
 from repro.runtime.runner import NetworkResult, NetworkRunner
 
@@ -44,5 +43,4 @@ __all__ = [
     "lower_model",
     "register_backend",
     "registered_backends",
-    "stage_atoms",
 ]

@@ -776,15 +776,15 @@ class BatchExecutor:
             :class:`~repro.runtime.runner.NetworkResult` contract.
 
         Raises:
-            DataflowError: the batch is not 4-D, a value lies outside
-                the input precision, or a folded residual does not
-                match its stage's output shape.
+            DataflowError: the batch is not 4-D or is empty, a value
+                lies outside the input precision, or a folded residual
+                does not match its stage's output shape.
         """
         images = np.asarray(images)
-        if images.ndim != 4:
+        if images.ndim != 4 or images.shape[0] == 0:
             raise DataflowError(
-                f"{self.net.name}: expected a (B, C, H, W) batch, got "
-                f"shape {images.shape}"
+                f"{self.net.name}: expected a (B, C, H, W) batch with "
+                f"B >= 1, got shape {images.shape}"
             )
         # Taken before anything can raise: a failed batch leaves
         # nothing to reuse.

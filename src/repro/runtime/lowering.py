@@ -64,7 +64,6 @@ from repro.models.layers import (
 )
 from repro.models.weights import QuantizedModel
 from repro.nvdla.config import CoreConfig
-from repro.nvdla.dataflow import conv_atoms
 from repro.nvdla.pdp import PdpConfig
 from repro.nvdla.sdp import SdpConfig, requant_params_from_scale
 from repro.quant.profile import PrecisionProfile
@@ -273,16 +272,22 @@ class CompiledNetwork:
         """Validate the shape of a (B, C, H, W) input batch only;
         returns it as an array, values unchecked.
 
-        The shape must be ``(B,) + input_shape``, except that
-        dynamic-token programs accept any sequence length on the token
-        (height) axis — autoregressive decode grows it per step;
-        channels and width stay structural.
+        The shape must be ``(B,) + input_shape`` with ``B >= 1``,
+        except that dynamic-token programs accept any sequence length
+        on the token (height) axis — autoregressive decode grows it per
+        step; channels and width stay structural.
 
         Raises:
-            DataflowError: the shape does not match.
+            DataflowError: the shape does not match or the batch is
+                empty.
         """
         images = np.asarray(images)
         expected = tuple(self.input_shape)
+        if images.ndim == 4 and images.shape[0] == 0:
+            raise DataflowError(
+                f"{self.name}: empty batch of shape {images.shape}; "
+                "a batch needs at least one image"
+            )
         matches = (
             images.ndim == 4 and tuple(images.shape[1:]) == expected
         )
@@ -649,18 +654,3 @@ def lower_model(
         profile=model.profile,
         backends=backends,
     )
-
-
-def stage_atoms(stage: StagePlan, config: CoreConfig) -> int:
-    """Atoms the CSC issues for one stage (all groups, one image)."""
-    layer = stage.layer
-    per_group = conv_atoms(
-        layer.out_channels // layer.groups,
-        layer.channels_per_group,
-        layer.kernel_h,
-        layer.kernel_w,
-        layer.out_height * layer.out_width,
-        config.k,
-        config.n,
-    )
-    return per_group * layer.groups

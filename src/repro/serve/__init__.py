@@ -16,9 +16,6 @@
   supervised pool (with an optional asyncio wrapper) and a
   per-response latency decomposition (queue wait / dispatch / compute
   / reassembly).
-- :mod:`~repro.serve.loadgen` — seeded Poisson/burst/uniform open-loop
-  load generation, closed-loop concurrency sweeps and p50/p90/p99
-  stats.
 - :class:`~repro.serve.faults.FaultPlan` — seeded, deterministic
   fault injection (crash / hang / slow / transient error) so chaos
   runs replay exactly.
@@ -32,26 +29,12 @@ from repro.serve.gateway import (
     LatencyBreakdown,
     ServingGateway,
 )
-from repro.serve.loadgen import (
-    ARRIVAL_KINDS,
-    ArrivalSchedule,
-    LoadRun,
-    arrival_schedule,
-    burst_schedule,
-    latency_stats,
-    poisson_schedule,
-    run_closed_loop,
-    run_open_loop,
-    uniform_schedule,
-)
 from repro.serve.queue import ADMISSION_POLICIES, Request, RequestQueue
 from repro.serve.sharded import ShardedResult, ShardedRunner
 from repro.serve.supervisor import ShardSupervisor
 
 __all__ = [
     "ADMISSION_POLICIES",
-    "ARRIVAL_KINDS",
-    "ArrivalSchedule",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
@@ -59,18 +42,10 @@ __all__ = [
     "GatewayResult",
     "LATENCY_PHASES",
     "LatencyBreakdown",
-    "LoadRun",
     "Request",
     "RequestQueue",
     "ServingGateway",
     "ShardedResult",
     "ShardedRunner",
     "ShardSupervisor",
-    "arrival_schedule",
-    "burst_schedule",
-    "latency_stats",
-    "poisson_schedule",
-    "run_closed_loop",
-    "run_open_loop",
-    "uniform_schedule",
 ]

@@ -3,8 +3,7 @@
 The gateway is the one path a request stream takes through the
 supervised shard pool.  :meth:`~repro.serve.sharded.ShardedRunner.run`
 drains a whole batch through it (coalescing, ``eager=False``), and live
-traffic — the open/closed-loop generators in :mod:`repro.serve.loadgen`,
-or any thread or coroutine — submits requests as they arrive.  Three
+traffic — any thread or coroutine — submits requests as they arrive.  Three
 concerns run **concurrently** on two gateway threads plus the callers,
 so no worker ever waits on the parent:
 

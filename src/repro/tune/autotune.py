@@ -107,15 +107,6 @@ def array_report(
     return synthesize(netlist, clock_mhz=clock_mhz)
 
 
-def design_area_mm2(
-    arrays: "tuple[str, ...]", k: int, n: int
-) -> float:
-    """Total silicon of one assignment: every deployed array's area."""
-    return sum(
-        array_report(array, k, n).area_mm2 for array in sorted(arrays)
-    )
-
-
 def dominates(a: dict, b: dict) -> bool:
     """True iff ``a`` is no worse than ``b`` on every objective and
     strictly better on at least one."""

@@ -8,8 +8,8 @@ This package implements the two deterministic unary codes used by the tub
   one pulse of value 1 when ``m`` is odd — halving the stream length, which
   is where Tempus Core's worst-case-latency halving comes from.
 
-It also provides cycle-level encoder/decoder blocks mirroring the "2s-unary
-blocks in the temporal encoder" the paper places inside each PE cell.
+It also provides a cycle-level encoder mirroring the "2s-unary blocks in
+the temporal encoder" the paper places inside each PE cell.
 """
 
 from repro.unary.bitstream import TemporalBitstream
@@ -17,18 +17,13 @@ from repro.unary.encoding import (
     PureUnaryCode,
     TwosUnaryCode,
     UnaryCode,
-    get_code,
 )
-from repro.unary.encoder import TemporalEncoder, encode_cycles
-from repro.unary.decoder import TemporalAccumulator
+from repro.unary.encoder import TemporalEncoder
 
 __all__ = [
     "TemporalBitstream",
     "UnaryCode",
     "PureUnaryCode",
     "TwosUnaryCode",
-    "get_code",
     "TemporalEncoder",
-    "TemporalAccumulator",
-    "encode_cycles",
 ]

@@ -10,9 +10,7 @@ counter (reflected in the area model of :mod:`repro.core.hwmodel`).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import EncodingError, SimulationError
+from repro.errors import SimulationError
 from repro.unary.encoding import TwosUnaryCode, UnaryCode
 
 
@@ -68,18 +66,3 @@ class TemporalEncoder:
         while self.busy:
             pulses.append(self.tick())
         return pulses
-
-
-def encode_cycles(
-    weights: np.ndarray, code: UnaryCode | None = None
-) -> np.ndarray:
-    """Per-element stream lengths for an integer weight array.
-
-    This is the vectorised fast path used by the profiling package: the
-    latency of a k x n tile is simply ``encode_cycles(tile).max()``.
-    """
-    code = code if code is not None else TwosUnaryCode()
-    arr = np.asarray(weights)
-    if arr.dtype.kind not in "iu":
-        raise EncodingError("weights must be an integer array")
-    return code.cycles_array(arr)

@@ -152,19 +152,3 @@ class TwosUnaryCode(UnaryCode):
         # Value-2 pulses while >= 2 remains, one value-1 pulse for an odd
         # tail: m cycles always drain min(2 * m, mag).
         return np.maximum(mags - 2 * cycles, 0)
-
-
-_CODES = {
-    "unary": PureUnaryCode(),
-    "2s-unary": TwosUnaryCode(),
-}
-
-
-def get_code(name: str) -> UnaryCode:
-    """Look up a code by name ("unary" or "2s-unary")."""
-    try:
-        return _CODES[name]
-    except KeyError as exc:
-        raise EncodingError(
-            f"unknown unary code {name!r}; expected one of {sorted(_CODES)}"
-        ) from exc

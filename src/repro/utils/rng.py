@@ -18,11 +18,6 @@ GLOBAL_SEED = 0xDA7E2025  # "DATE 2025"
 _active_seed = GLOBAL_SEED
 
 
-def get_global_seed() -> int:
-    """The seed currently feeding every :func:`make_rng` stream."""
-    return _active_seed
-
-
 def set_global_seed(seed: int) -> int:
     """Redirect every :func:`make_rng` stream to a new base seed.
 

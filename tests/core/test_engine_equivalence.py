@@ -9,13 +9,13 @@ remainders, strides/padding, and zero-heavy (sparse) weight tensors.
 import numpy as np
 import pytest
 
-from repro.core.latency import tile_idle_cell_counts, tile_zero_lane_counts
 from repro.core.tempus_core import TempusCore
 from repro.nvdla.config import CoreConfig
 from repro.nvdla.conv_core import ConvolutionCore
 from repro.nvdla.dataflow import golden_conv2d
 from repro.utils.intrange import INT2, INT4, INT8
 from repro.utils.rng import make_rng
+from tests.oracles import tile_idle_cell_counts, tile_zero_lane_counts
 
 # (k, n, channels, kernels, size, kernel, stride, padding, spec,
 #  zero_fraction, burst_overhead) — geometries chosen so channel blocks and
@@ -109,8 +109,8 @@ def test_binary_three_modes_bit_identical(
 
 
 def test_gating_stats_match_closed_form():
-    """The simulated gating statistics equal the vectorized tile counts
-    (the closed form the profiling layer uses)."""
+    """The simulated gating statistics equal the tile-by-tile counts
+    of the zero-padded weights."""
     spec = INT8
     config = CoreConfig(k=3, n=4, precision=spec)
     activations, weights = sample_layer(

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.latency import (
-    average_burst_cycles,
     burst_cycle_map,
     burst_map_cache_stats,
     cached_burst_cycle_map,
     clear_burst_map_cache,
     configure_burst_map_disk_cache,
     layer_burst_cycles,
-    tile_idle_cell_counts,
     tile_max_magnitudes,
-    tile_zero_lane_counts,
     worst_case_cycles,
 )
 from repro.errors import DataflowError
@@ -21,6 +18,7 @@ from repro.nvdla.config import CoreConfig
 from repro.nvdla.dataflow import ConvShape
 from repro.unary.encoding import PureUnaryCode
 from repro.utils.intrange import INT2, INT4, INT8
+from tests.oracles import tile_idle_cell_counts, tile_zero_lane_counts
 
 
 class TestWorstCase:
@@ -87,18 +85,11 @@ class TestLayerCycles:
         cycles_large = layer_burst_cycles(large, weights, config)
         assert cycles_large == 4 * cycles_small
 
-    def test_average_matches_map(self, rng):
-        weights = rng.integers(-128, 128, (4, 4, 3, 3))
-        config = CoreConfig(k=2, n=2)
-        mean = average_burst_cycles(weights, config)
-        cycles = burst_cycle_map(weights, config)
-        assert mean == pytest.approx(cycles.mean())
-
     def test_uniform_weights_bound(self, rng):
         """Uniform random INT8 weights in a 16x16 tile: the burst is close
         to the worst case (max of 256 uniform samples)."""
         weights = INT8.random_array(rng, (16, 16, 1, 1))
-        mean = average_burst_cycles(weights, CoreConfig(k=16, n=16))
+        mean = burst_cycle_map(weights, CoreConfig(k=16, n=16)).mean()
         assert mean >= 60
 
 
@@ -149,6 +140,8 @@ class TestRetiredDiskCacheAlias:
 
 
 class TestTileGatingCounts:
+    """The gating-count oracles of ``tests/oracles.py``."""
+
     def test_zero_lane_counts_include_edge_padding(self):
         weights = np.ones((3, 3, 1, 1), dtype=np.int64)
         weights[0, 0] = 0

@@ -1,8 +1,14 @@
 """Tests for the experiment registry (quick mode)."""
 
-import pytest
+from dataclasses import replace
 
-from repro.eval.experiments import EXPERIMENTS, run_experiment
+from repro.eval.experiments import EXPERIMENTS
+from repro.tune.spec import PAPER_SWEEP
+
+
+def _quick(experiment_id):
+    """One experiment's driver at the quick preset of the paper spec."""
+    return EXPERIMENTS[experiment_id](replace(PAPER_SWEEP, quick=True))
 
 
 class TestRegistry:
@@ -14,10 +20,6 @@ class TestRegistry:
         }
         assert required <= set(EXPERIMENTS)
 
-    def test_unknown_id_raises(self):
-        with pytest.raises(KeyError):
-            run_experiment("fig99")
-
 
 class TestQuickDrivers:
     """Cheap drivers checked directly at the quick preset (every driver
@@ -25,32 +27,32 @@ class TestQuickDrivers:
     ``tests/integration/test_all_experiments.py``)."""
 
     def test_fig2_products_exact(self):
-        result = run_experiment("fig2", quick=True)
+        result = _quick("fig2")
         assert all(row[4] == "yes" for row in result.rows)
 
     def test_table2_tub_always_smaller(self):
-        result = run_experiment("table2", quick=True)
+        result = _quick("table2")
         for row in result.rows:
             assert row[3] < row[2]  # tub area < binary area
             assert row[6] < row[5]  # tub power < binary power
 
     def test_fig4_reductions_positive(self):
-        result = run_experiment("fig4", quick=True)
+        result = _quick("fig4")
         for row in result.rows:
             assert row[3] > 0  # area reduction %
             assert row[6] > 0  # power reduction %
 
     def test_secvd_improvement_above_one(self):
-        result = run_experiment("secVD", quick=True)
+        result = _quick("secVD")
         for row in result.rows:
             assert row[3] > 1.0
 
     def test_fig6_layouts_render(self):
-        result = run_experiment("fig6", quick=True)
+        result = _quick("fig6")
         assert "CMAC" in result.extra_text
         assert "PCU" in result.extra_text
 
     def test_fig9_projection_rows(self):
-        result = run_experiment("fig9", quick=True)
+        result = _quick("fig9")
         projected = [row for row in result.rows if row[3] == "projected"]
         assert len(projected) == 2

@@ -7,7 +7,6 @@ from repro.models.zoo import (
     MODEL_NAMES,
     TABLE1_LABELS,
     build_model,
-    model_summary,
 )
 
 
@@ -87,8 +86,3 @@ class TestStructure:
         full = build_model("resnet18")
         half = build_model("resnet18", scale=0.5)
         assert half.total_weights < full.total_weights / 2.5
-
-    def test_summary_format(self):
-        text = model_summary(build_model("resnet18"))
-        assert "resnet18" in text
-        assert "conv layers" in text

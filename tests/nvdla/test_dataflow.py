@@ -15,6 +15,7 @@ from repro.nvdla.dataflow import (
     weight_atoms,
 )
 from repro.utils.intrange import INT8
+from tests.oracles import golden_conv2d_batched
 
 
 def shape_3x3(channels=6, size=8, kernels=5, stride=1, padding=1):
@@ -201,8 +202,9 @@ class TestValidateLayer:
 
 
 class TestGoldenConv2dBatched:
+    """The batched conv oracle of ``tests/oracles.py``."""
+
     def test_matches_per_image_golden(self):
-        from repro.nvdla.dataflow import golden_conv2d_batched
         from repro.utils.rng import make_rng
 
         rng = make_rng("batched-conv")
@@ -218,7 +220,6 @@ class TestGoldenConv2dBatched:
             assert np.array_equal(batched[index], single)
 
     def test_grouped_matches_per_group(self):
-        from repro.nvdla.dataflow import golden_conv2d_batched
         from repro.utils.rng import make_rng
 
         rng = make_rng("batched-group")
@@ -239,7 +240,6 @@ class TestGoldenConv2dBatched:
             )
 
     def test_asymmetric_padding(self):
-        from repro.nvdla.dataflow import golden_conv2d_batched
         from repro.utils.rng import make_rng
 
         rng = make_rng("batched-asym")
@@ -257,8 +257,6 @@ class TestGoldenConv2dBatched:
             assert np.array_equal(batched[index], expected)
 
     def test_rejects_bad_shapes(self):
-        from repro.nvdla.dataflow import golden_conv2d_batched
-
         with pytest.raises(DataflowError):
             golden_conv2d_batched(
                 np.zeros((2, 3, 4, 4)), np.zeros((4, 5, 3, 3))

@@ -6,7 +6,6 @@ import pytest
 from repro.models.weights import load_quantized_model
 from repro.profiling.magnitude import (
     MagnitudeProfile,
-    layer_magnitude_rows,
     profile_model_magnitudes,
 )
 from repro.unary.encoding import PureUnaryCode
@@ -57,13 +56,3 @@ class TestKnownTensor:
         weights[3, 5] = -77
         maxima = tile_max_magnitudes(weights, 16, 16)
         assert maxima.reshape(-1).tolist() == [77]
-
-
-class TestLayerBreakdown:
-    def test_rows_per_layer(self):
-        model = load_quantized_model("resnet18", scale=0.25)
-        rows = layer_magnitude_rows(model)
-        assert len(rows) == len(model.layers)
-        for _name, mean_max, tiles in rows:
-            assert 0 <= mean_max <= 128
-            assert tiles >= 1

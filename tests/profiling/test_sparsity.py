@@ -3,10 +3,7 @@
 import pytest
 
 from repro.models.weights import load_quantized_model
-from repro.profiling.sparsity import (
-    profile_model_sparsity,
-    word_sparsity_rows,
-)
+from repro.profiling.sparsity import profile_model_sparsity
 
 
 @pytest.fixture(scope="module")
@@ -34,10 +31,3 @@ class TestSparsityProfile:
 
     def test_word_sparsity_carried(self, profile):
         assert 0 < profile.word_sparsity < 0.2
-
-
-class TestWordSparsityRows:
-    def test_labels_and_percentages(self):
-        rows = word_sparsity_rows(("resnet18",), scale=0.25)
-        assert rows[0][0] == "ResNet18"
-        assert 0 < rows[0][1] < 20

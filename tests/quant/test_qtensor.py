@@ -13,24 +13,6 @@ class TestValidation:
         with pytest.raises(PrecisionError):
             QuantizedTensor(np.array([200]), INT8, np.float64(1.0))
 
-    def test_bad_channel_scale_length(self):
-        with pytest.raises(PrecisionError):
-            QuantizedTensor(
-                np.zeros((4, 2), dtype=np.int64),
-                INT8,
-                np.ones(3),
-                axis=0,
-            )
-
-    def test_2d_scale_rejected(self):
-        with pytest.raises(PrecisionError):
-            QuantizedTensor(
-                np.zeros((4, 2), dtype=np.int64),
-                INT8,
-                np.ones((4, 1)),
-                axis=0,
-            )
-
 
 class TestStats:
     def test_zero_fraction(self):
@@ -53,14 +35,3 @@ class TestStats:
     def test_dequantize_per_tensor(self):
         qt = QuantizedTensor(np.array([2, -4]), INT8, np.float64(0.5))
         assert list(qt.dequantize()) == [1.0, -2.0]
-
-    def test_dequantize_per_channel(self):
-        qt = QuantizedTensor(
-            np.array([[1, 1], [1, 1]]),
-            INT8,
-            np.array([1.0, 2.0]),
-            axis=0,
-        )
-        out = qt.dequantize()
-        assert list(out[0]) == [1.0, 1.0]
-        assert list(out[1]) == [2.0, 2.0]

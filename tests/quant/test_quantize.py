@@ -5,10 +5,8 @@ import pytest
 
 from repro.errors import CalibrationError
 from repro.quant.quantize import (
-    AffineQuantizer,
     SymmetricQuantizer,
     fake_quantize,
-    quantize_per_channel,
     quantize_per_tensor,
 )
 from repro.utils.intrange import INT4, INT8
@@ -43,24 +41,6 @@ class TestSymmetric:
             SymmetricQuantizer(INT8, 0.0)
 
 
-class TestAffine:
-    def test_range_endpoints(self):
-        quantizer = AffineQuantizer.from_range(INT8, 0.0, 6.0)
-        codes = quantizer.quantize(np.array([0.0, 6.0]))
-        assert codes[0] == -128
-        assert codes[1] == 127
-
-    def test_dequantize_roundtrip(self, rng):
-        quantizer = AffineQuantizer.from_range(INT8, -1.0, 3.0)
-        values = rng.uniform(-1, 3, 200)
-        recovered = quantizer.dequantize(quantizer.quantize(values))
-        assert np.max(np.abs(recovered - values)) <= quantizer.scale
-
-    def test_empty_range_raises(self):
-        with pytest.raises(CalibrationError):
-            AffineQuantizer.from_range(INT8, 1.0, 1.0)
-
-
 class TestPerTensor:
     def test_codes_in_range(self, rng):
         qt = quantize_per_tensor(rng.normal(0, 1, 500), INT4)
@@ -79,31 +59,6 @@ class TestPerTensor:
         values[0] = 100.0
         qt = quantize_per_tensor(values, INT8, percentile=99.0)
         assert qt.data[0] in (127, -128)
-
-
-class TestPerChannel:
-    def test_per_channel_scales_differ(self, rng):
-        values = np.stack(
-            [rng.normal(0, 0.1, 64), rng.normal(0, 10.0, 64)]
-        )
-        qt = quantize_per_channel(values, INT8, axis=0)
-        scales = np.asarray(qt.scale)
-        assert scales[1] > scales[0] * 10
-
-    def test_channel_axis_respected(self, rng):
-        values = rng.normal(0, 1, (4, 8, 3, 3))
-        qt = quantize_per_channel(values, INT8, axis=0)
-        assert np.asarray(qt.scale).shape == (4,)
-
-    def test_scalar_input_raises(self):
-        with pytest.raises(CalibrationError):
-            quantize_per_channel(np.float64(3.0), INT8)
-
-    def test_dequantize_uses_channel_scale(self, rng):
-        values = rng.normal(0, 1, (3, 100))
-        qt = quantize_per_channel(values, INT8, axis=0)
-        recovered = qt.dequantize()
-        assert np.max(np.abs(recovered - values)) < 0.05
 
 
 class TestFakeQuantize:

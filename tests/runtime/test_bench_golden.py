@@ -4,11 +4,11 @@ The fixtures under ``tests/runtime/golden/`` were generated by the
 drivers in a fresh process; the backend fixture's tempus and binary
 records equal those of the retired single-purpose network and
 precision drivers at the same points.  The paper fixture holds every
-experiment's quick-preset rows and comparisons as the per-experiment
-``run_experiment`` produced them before the ``paper`` spec existed.  Every field the drivers write
-is a function of the spec — the serving driver coalesces by request
-count only and records no thread-timing field — so the payloads must
-reproduce them bit-identically, whole.
+experiment's quick-preset rows and comparisons as each experiment's
+driver produced them alone, before the ``paper`` spec existed.  Every
+field the drivers write is a function of the spec — the serving driver
+coalesces by request count only and records no thread-timing field —
+so the payloads must reproduce them bit-identically, whole.
 """
 
 import json

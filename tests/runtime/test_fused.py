@@ -31,7 +31,6 @@ import pytest
 
 from repro.errors import DataflowError
 from repro.nvdla.config import CoreConfig
-from repro.nvdla.dataflow import golden_conv2d_batched
 from repro.nvdla.sdp import Sdp
 from repro.runtime import BatchExecutor, NetworkRunner
 from repro.nvdla.pdp import Pdp
@@ -41,6 +40,7 @@ from repro.runtime.lowering import identity_orders
 from repro.runtime.runner import run_per_image
 from repro.serve import ShardedRunner
 from repro.utils.intrange import INT2, INT8, int_spec
+from tests.oracles import golden_conv2d_batched
 
 #: Structurally dissimilar nets (depthwise-heavy, dense-residual,
 #: grouped/shuffled, branchy) — kept tiny via scale/input_size.

@@ -11,7 +11,7 @@ from repro.models.weights import load_quantized_model
 from repro.models.zoo import MODEL_NAMES
 from repro.nvdla.config import CoreConfig
 from repro.runtime import NetworkRunner
-from repro.runtime.lowering import lower_model, stage_atoms
+from repro.runtime.lowering import lower_model
 from repro.utils.intrange import INT4
 
 
@@ -135,32 +135,6 @@ def test_plan_holds_natural_weights_and_tile_orders(model, precision):
                 ],
             )
     assert permuted_anywhere, "scheduling never engaged"
-
-
-class TestStageAtoms:
-    def test_matches_conv_shape_for_dense_layers(self, mobilenet, config):
-        from repro.nvdla.dataflow import ConvShape
-
-        for stage in mobilenet.stages:
-            if stage.layer.groups != 1:
-                continue
-            layer = stage.layer
-            shape = ConvShape(
-                in_channels=layer.in_channels,
-                in_height=layer.in_height,
-                in_width=layer.in_width,
-                out_channels=layer.out_channels,
-                kernel_h=layer.kernel_h,
-                kernel_w=layer.kernel_w,
-                stride=layer.stride,
-                padding=layer.padding_h,
-            )
-            expected = (
-                shape.kernel_groups(config.k)
-                * shape.output_pixels
-                * shape.atoms_per_pixel(config.n)
-            )
-            assert stage_atoms(stage, config) == expected
 
 
 def _per_stage_macs(net, shape):

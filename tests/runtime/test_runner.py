@@ -6,12 +6,15 @@ convolution cores, on both engines — including the burst-level
 simulation mode.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.errors import DataflowError, PrecisionError, ReproError
 from repro.nvdla.config import CoreConfig
 from repro.runtime import NetworkRunner
+from repro.serve import ShardedRunner
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +123,29 @@ class TestInputsAndErrors:
     def test_zero_batch_rejected(self, config):
         with pytest.raises(DataflowError):
             make_runner(config, "tempus").run("resnet18", 0)
+
+    @pytest.mark.parametrize("path", ["in_process", "direct", "sharded"])
+    def test_empty_batch_rejected(self, config, path):
+        """A (0, C, H, W) batch fails with a ``DataflowError`` naming
+        its shape on every entry point, not with a NumPy reshape error
+        or an empty result."""
+        runner = make_runner(config, "tempus")
+        images = runner.synthesize_batch("resnet18", 1)[:0]
+        expected = re.escape(str(images.shape))
+        if path == "in_process":
+            with pytest.raises(DataflowError, match=expected):
+                runner.run("resnet18", images)
+        elif path == "direct":
+            executor = runner.executor("resnet18")
+            with pytest.raises(DataflowError, match=expected):
+                executor.run_batch(images)
+        else:
+            with ShardedRunner(
+                workers=1, config=config, engine="tempus", scale=0.06,
+                input_size=16,
+            ) as server:
+                with pytest.raises(DataflowError, match=expected):
+                    server.run("resnet18", images)
 
     def test_run_checks_input_values_once(self, config, monkeypatch):
         """``run`` range-checks a batch once (in the executor), also on

@@ -9,7 +9,6 @@ from repro.tune.autotune import (
     OBJECTIVES,
     Slo,
     array_report,
-    design_area_mm2,
     dominates,
     pareto_frontier,
     render_pareto_tune,
@@ -108,13 +107,6 @@ class TestAreaModel:
     def test_unknown_array_rejected(self):
         with pytest.raises(DataflowError, match="unknown array"):
             array_report("ternary", 8, 8)
-
-    def test_mixed_deployment_pays_for_both_arrays(self):
-        both = design_area_mm2(("binary", "tub"), 16, 16)
-        assert both == pytest.approx(
-            design_area_mm2(("binary",), 16, 16)
-            + design_area_mm2(("tub",), 16, 16)
-        )
 
 
 class TestRunParetoTune:

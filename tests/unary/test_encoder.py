@@ -1,10 +1,9 @@
 """Tests for the cycle-level temporal encoder."""
 
-import numpy as np
 import pytest
 
-from repro.errors import EncodingError, SimulationError
-from repro.unary.encoder import TemporalEncoder, encode_cycles
+from repro.errors import SimulationError
+from repro.unary.encoder import TemporalEncoder
 from repro.unary.encoding import PureUnaryCode
 
 
@@ -61,20 +60,3 @@ class TestTemporalEncoder:
         for value in range(-128, 128, 7):
             enc.load(value)
             assert sum(enc.drain()) == value
-
-
-class TestEncodeCycles:
-    def test_matches_scalar_code(self):
-        weights = np.arange(-128, 128)
-        cycles = encode_cycles(weights)
-        assert cycles.shape == weights.shape
-        assert cycles[0] == 64  # -128
-        assert cycles[-1] == 64  # 127 -> ceil(127/2)
-
-    def test_float_array_rejected(self):
-        with pytest.raises(EncodingError):
-            encode_cycles(np.array([1.5]))
-
-    def test_nd_shape_preserved(self):
-        weights = np.zeros((3, 4), dtype=np.int64)
-        assert encode_cycles(weights).shape == (3, 4)

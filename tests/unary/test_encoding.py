@@ -7,7 +7,6 @@ from repro.errors import EncodingError
 from repro.unary.encoding import (
     PureUnaryCode,
     TwosUnaryCode,
-    get_code,
 )
 
 
@@ -77,7 +76,9 @@ class TestPureUnary:
 class TestRoundTrip:
     @pytest.mark.parametrize("code_name", ["unary", "2s-unary"])
     def test_encode_decode_all_int8(self, code_name):
-        code = get_code(code_name)
+        code = {"unary": PureUnaryCode(), "2s-unary": TwosUnaryCode()}[
+            code_name
+        ]
         for value in range(-128, 128):
             assert code.decode(code.encode(value)) == value
 
@@ -85,16 +86,6 @@ class TestRoundTrip:
         code = TwosUnaryCode()
         for value in range(-128, 128):
             assert code.encode(value).cycles == code.cycles_for(value)
-
-
-class TestLookup:
-    def test_get_known_codes(self):
-        assert isinstance(get_code("unary"), PureUnaryCode)
-        assert isinstance(get_code("2s-unary"), TwosUnaryCode)
-
-    def test_unknown_raises(self):
-        with pytest.raises(EncodingError):
-            get_code("stochastic")
 
 
 class TestMagnitudeAfter:

@@ -2,7 +2,6 @@
 
 from hypothesis import given, strategies as st
 
-from repro.unary.decoder import TemporalAccumulator
 from repro.unary.encoder import TemporalEncoder
 from repro.unary.encoding import PureUnaryCode, TwosUnaryCode
 
@@ -55,10 +54,11 @@ def test_encoder_stream_matches_code(value):
 
 @given(value=int8_values, operand=int8_values)
 def test_encode_accumulate_is_multiplication(value, operand):
-    """Encoder + accumulator implement exact integer multiplication."""
+    """Accumulating each encoder pulse times the operand is exact
+    integer multiplication."""
     encoder = TemporalEncoder()
     encoder.load(value)
-    acc = TemporalAccumulator()
+    total = 0
     while encoder.busy:
-        acc.tick(encoder.tick(), operand)
-    assert acc.value == value * operand
+        total += encoder.tick() * operand
+    assert total == value * operand

@@ -2,7 +2,6 @@
 
 from repro.utils.rng import (
     GLOBAL_SEED,
-    get_global_seed,
     make_rng,
     set_global_seed,
 )
@@ -34,7 +33,7 @@ def test_set_global_seed_redirects_every_stream():
     baseline = make_rng("weights", "model", 3).integers(0, 1 << 30, 16)
     previous = set_global_seed(12345)
     try:
-        assert get_global_seed() == 12345
+        assert set_global_seed(12345) == 12345
         reseeded = make_rng("weights", "model", 3).integers(
             0, 1 << 30, 16
         )
@@ -50,9 +49,8 @@ def test_set_global_seed_redirects_every_stream():
 
 
 def test_set_global_seed_returns_previous():
-    current = get_global_seed()
-    assert set_global_seed(GLOBAL_SEED + 1) == current
+    current = set_global_seed(GLOBAL_SEED + 1)
     assert set_global_seed(current) == (GLOBAL_SEED + 1) & (
         (1 << 64) - 1
     )
-    assert get_global_seed() == current
+    assert set_global_seed(current) == current
