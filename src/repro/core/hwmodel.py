@@ -20,8 +20,6 @@ advantage, the paper's Fig. 5 observation.
 
 from __future__ import annotations
 
-import math
-
 from repro.hw.adder_tree import adder_tree
 from repro.hw.components import (
     and_bank,

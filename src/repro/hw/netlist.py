@@ -14,7 +14,7 @@ placement — all of which this aggregate form supports at speed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import SynthesisError

@@ -14,7 +14,7 @@ half-perimeter wirelength (HPWL).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np

@@ -18,14 +18,14 @@ points of FP32, with a visible cliff below INT4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import CalibrationError
 from repro.quant.calibration import calibrate_percentile
 from repro.quant.quantize import SymmetricQuantizer, fake_quantize
-from repro.utils.intrange import IntSpec, int_spec
+from repro.utils.intrange import int_spec
 from repro.utils.rng import make_rng
 
 

@@ -12,7 +12,7 @@ the latency/energy analyses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import DataflowError
 from repro.models.layers import (

@@ -9,7 +9,7 @@ single-cell (k=1) slices across INT2/INT4/INT8.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import DataflowError
 from repro.utils.intrange import INT8, IntSpec, int_spec

@@ -84,10 +84,16 @@ class Pdp:
         one vectorised pass covers the batch — bit-identical to
         per-image :meth:`apply`.  The result keeps the input's memory
         layout: a channels-last batch (a stage output of the batched
-        executor) pools channels-last, with no transposing copy.
+        executor) pools channels-last, with no transposing copy.  Max
+        pooling also keeps an integer input's dtype (the executor's
+        int32 stage outputs stay int32); average pooling, whose
+        reciprocal multiply needs 64 bits, and any non-integer input
+        work in int64.
         """
         config = self.config
-        values = np.asarray(activations, dtype=np.int64)
+        values = np.asarray(activations)
+        if config.mode != "max" or values.dtype.kind not in "iu":
+            values = values.astype(np.int64, copy=False)
         if values.ndim != 4:
             raise DataflowError("PDP batch expects a (B, K, H, W) tensor")
         batch, channels, height, width = values.shape
@@ -95,15 +101,17 @@ class Pdp:
 
         padded = values
         if config.padding:
-            # Pad max pooling with the minimum so padding never wins
-            # the max.  (A zero-width np.pad would still copy.)
+            # Pad max pooling with the dtype's minimum so padding never
+            # wins the max.  (A zero-width np.pad would still copy.)
             padded = np.pad(
                 values,
                 ((0, 0), (0, 0), (config.padding, config.padding),
                  (config.padding, config.padding)),
                 mode="constant",
                 constant_values=(
-                    np.iinfo(np.int64).min if config.mode == "max" else 0
+                    np.iinfo(values.dtype).min
+                    if config.mode == "max"
+                    else 0
                 ),
             )
         # Reduce over the k x k kernel taps: each tap is one strided

@@ -7,8 +7,10 @@ BLAS, one float64 SDP epilogue over its psums and the analytic cycle
 accounting — per stage, on the stage's registered compute backend
 (:mod:`repro.runtime.backends`).  Like the NVDLA dataflow, which
 streams feature cubes as 1x1xn atoms along the channel axis, the
-kernels keep activations channels-last, (B, H, W, C), between stages;
-the API around them speaks (B, C, H, W).  Both the in-process
+kernels keep activations channels-last, (B, H, W, C), between stages,
+and narrow: a hidden stage hands the next one int32 codes (its output is
+SDP-clipped to 8 bits or fewer), and only the network's last stage casts
+to int64.  The API around them speaks (B, C, H, W).  Both the in-process
 :class:`~repro.runtime.runner.NetworkRunner` and the worker processes of
 :class:`~repro.serve.ShardedRunner` execute batches through this one
 class, which is what makes the sharded serving path bit-identical (in
@@ -21,9 +23,10 @@ Beyond its compiled program the executor holds derived, reusable
 state — per-stage GEMM plans with their SDP epilogue constants,
 per-stage cycle lines, grow-only scratch buffers and, for the last
 batch's input shape, a *plan*: each stage's seam action, views into
-the shared scratch, matmul weights, residual wiring and record
-template, built when the shape changes and replayed by every batch of
-that shape after it.  On a token-independent program
+the shared scratch, matmul weights, per-channel constants tiled along
+the output row, residual wiring and record template, built when the
+shape changes and replayed by every batch of that shape after it.  On
+a token-independent program
 (:attr:`~repro.runtime.lowering.CompiledNetwork.token_independent`) it
 also keeps private copies of the input and output rows it has
 computed: a batch that strictly extends the last one along the token
@@ -59,6 +62,10 @@ try:
     from numpy._core.umath import clip as _clip
 except ImportError:  # NumPy 1.x
     from numpy.core.umath import clip as _clip
+
+#: The integer type hidden stages hand on; every stage's SDP output
+#: precision must fit its range.
+_HANDOFF = np.iinfo(np.int32)
 
 #: Exact-integer limits of the float dtypes the conv kernel may use:
 #: every integer of magnitude up to 2**24 (float32) / 2**53 (float64)
@@ -118,7 +125,8 @@ class _FusedStage:
     kernel shape:
 
     * ``"depthwise"`` (one channel per group, one kernel per group):
-      ``(R, S, 1, 1, 1, C)`` tap weights, broadcast over the
+      ``(R, S, 1, 1, 1, C)`` tap weights, which a plan tiles along the
+      output row (see :class:`_Step`) and broadcasts over the
       ``(R, S, B, OH, OW, C)`` tap windows in one multiply;
     * ``"pointwise"`` (1x1 kernels, no padding): ``(G, Cg, Kg)`` for one
       matmul per group straight over the (strided) ``(B*OH*OW, G, Cg)``
@@ -191,10 +199,15 @@ class _SdpEpilogue:
     prelu adds the bias first, scales and rounds the negative side by
     its own multiplier and shift, then continues like "none".  A folded
     residual is added to the truncated, saturated output and saturates
-    again, in the same buffer; one ``astype(int64)`` at the end makes
-    the result (a fresh array) and does the final truncation.  Psums,
-    buffer and residual are channels-last, so the per-kernel offset and
-    bias broadcast along the last axis.
+    again, in the same buffer; one integer cast at the end makes the
+    result (a fresh array) and does the final truncation: to int32 on a
+    hidden stage — exact, because every stage's output precision is
+    checked here to fit int32 — and to int64 on the network's last.
+    Psums, buffer and residual are channels-last.  The one per-kernel
+    constant a pass adds (the bias on prelu, else the offset) is
+    :attr:`addend`; a plan passes it tiled along the output row, as
+    :meth:`rows` builds it, so the add runs one contiguous inner loop
+    of OW * K elements instead of K.
 
     Every intermediate is an integer multiple of ``2**-s`` whose
     numerator is at most ``(psum_bound + max|bias|) * m + 2**(s-1)``
@@ -206,11 +219,11 @@ class _SdpEpilogue:
     rules, and would round.
 
     Raises:
-        DataflowError: the bound reaches 2**53 (the message names the
-            stage).
+        DataflowError: the bound reaches 2**53, or the output precision
+            does not fit int32 (the message names the stage).
     """
 
-    __slots__ = ("activation", "scale", "offset", "shift", "bias",
+    __slots__ = ("activation", "scale", "addend", "shift",
                  "prelu_scale", "prelu_shift", "low", "out_low", "high",
                  "bound")
 
@@ -228,6 +241,12 @@ class _SdpEpilogue:
         if bias.shape != (channels,):
             raise DataflowError(
                 f"{stage.name}: bias shape {bias.shape} != ({channels},)"
+            )
+        spec = config.out_precision
+        if spec.min_value < _HANDOFF.min or spec.max_value > _HANDOFF.max:
+            raise DataflowError(
+                f"{stage.name}: output precision {spec.name} does not "
+                f"fit the int32 stage handoff"
             )
         half = _half(config.shift)
         value_bound = psum_bound + int(np.abs(bias).max(initial=0))
@@ -250,16 +269,16 @@ class _SdpEpilogue:
                 config.prelu_multiplier, -config.prelu_shift
             )
             self.prelu_shift = config.prelu_shift
-            self.bias = bias.astype(np.float64)
         if self.bound >= 1 << 53:
             raise DataflowError(
                 f"{stage.name}: SDP epilogue bound {self.bound} >= "
                 f"2**53: not exact in float64"
             )
-        self.offset = np.ldexp(
-            numerators.astype(np.float64), -config.shift
+        self.addend = (
+            bias.astype(np.float64)
+            if self.activation == "prelu"
+            else np.ldexp(numerators.astype(np.float64), -config.shift)
         )
-        spec = config.out_precision
         self.out_low = float(spec.min_value)
         self.high = float(spec.max_value)
         self.low = (
@@ -268,24 +287,30 @@ class _SdpEpilogue:
             else self.out_low
         )
 
+    def rows(self, width: int) -> np.ndarray:
+        """:attr:`addend` tiled along an output row of ``width`` pixels:
+        a contiguous (width, K) float64 array."""
+        return np.tile(self.addend, (width, 1))
+
     def __call__(
         self,
         psums: np.ndarray,
         out: np.ndarray,
+        addend: np.ndarray,
         residual: "np.ndarray | None" = None,
-        order: str = "K",
+        final: bool = False,
     ) -> np.ndarray:
         """Requantize channels-last (B, OH, OW, K) float ``psums``,
-        working in ``out`` (float64, the same shape; the per-kernel
-        constants broadcast along its last axis), with a ``residual``
-        of that shape if given.  ``psums`` is overwritten: it holds the
+        working in ``out`` (float64, the same shape), with ``addend``
+        the (OW, K) tiles of :meth:`rows` and a ``residual`` shaped
+        like ``out`` if given.  ``psums`` is overwritten: it holds the
         rounding term.
 
-        Returns a fresh (B, K, OH, OW) int64 array: channels-last in
-        memory for ``order="K"``, C-contiguous for ``order="C"`` — the
-        final cast writes either layout in one pass."""
+        Returns a fresh (B, K, OH, OW) array: int32 and channels-last
+        in memory on a hidden stage, int64 and C-contiguous on the
+        ``final`` one — the cast writes either in one pass."""
         if self.activation == "prelu":
-            np.add(psums, self.bias, dtype=np.float64, out=out)
+            np.add(psums, addend, dtype=np.float64, out=out)
             negative = out < 0
             np.multiply(out, self.prelu_scale, out=out, where=negative)
             if self.prelu_shift:
@@ -296,7 +321,7 @@ class _SdpEpilogue:
             out *= self.scale
         else:
             np.multiply(psums, self.scale, dtype=np.float64, out=out)
-            out += self.offset
+            out += addend
         if self.activation != "relu" and self.shift:
             # trunc(x + copysign(1/2, x)) == copysign(floor(|x| + 1/2), x);
             # the truncation is the cast's (or np.trunc's below).
@@ -309,7 +334,10 @@ class _SdpEpilogue:
             np.trunc(out, out=out)
             out += residual
             _clip(out, self.out_low, self.high, out=out)
-        return out.transpose(0, 3, 1, 2).astype(np.int64, order=order)
+        out = out.transpose(0, 3, 1, 2)
+        if final:
+            return out.astype(np.int64, order="C")
+        return out.astype(_HANDOFF.dtype, order="K")
 
 
 def _half(shift: int) -> int:
@@ -421,7 +449,9 @@ class _Step:
       strided view, laid out like the ``columns`` it fills:
       (B, OH, OW, G, R, S, Cg) for a gemm stage, which one copy turns
       into im2col columns, and (R, S, B, OH, OW, C) for a depthwise
-      stage, which one multiply by the tap weights turns into products
+      stage, which one multiply by the tap weights — tiled along the
+      output row, (R, S, 1, 1, OW, C), so the multiply's inner loop
+      runs a whole row rather than C elements — turns into products
       that one add-reduce over the taps sums into psums;
     * ``matmuls`` holds, per group, the 2-D views one BLAS call
       multiplies over the whole batch: the group's columns (the
@@ -429,11 +459,13 @@ class _Step:
       ``(B*OH*OW, X) @ (X, Kg) -> (B*OH*OW, Kg)``.  A depthwise stage
       has none; its ``operand`` and ``product`` are the taps-by-pixels
       products and the flat psums the add-reduce writes;
-    * ``buffer`` is the float64 epilogue buffer.  The weights and the
-      SDP epilogue come from the stage's :class:`_FusedStage`;
-      ``order`` is "C" on the network's final stage, whose output is
-      the API's C-contiguous (B, K, OH, OW) array, and "K" (a
-      channels-last array seen as (B, K, OH, OW)) on the others.
+    * ``buffer`` is the float64 epilogue buffer and ``addend`` the SDP
+      epilogue's per-kernel constant tiled to (OW, K).  The weights
+      and the SDP epilogue come from the stage's :class:`_FusedStage`;
+      ``final`` marks the network's last stage, whose output is the
+      API's C-contiguous (B, K, OH, OW) int64 array; every other stage
+      hands on a fresh int32 array, channels-last in memory and seen
+      as (B, K, OH, OW).
 
     A network plan adds what :meth:`BatchExecutor.run_batch` needs
     around the conv: the prebuilt PDP and its record, whether the
@@ -444,8 +476,8 @@ class _Step:
 
     __slots__ = (
         "index", "stage", "in_shape", "fitted_shape", "out_shape",
-        "kind", "weights", "epilogue", "order", "needs", "zero_index",
-        "copy_index",
+        "kind", "weights", "epilogue", "addend", "final", "needs",
+        "zero_index", "copy_index",
         "zeros", "copies", "windows", "columns", "operand", "product",
         "matmuls", "psums", "buffer",
         "pool", "keep", "pool_record", "save_input", "residual_from",
@@ -464,9 +496,8 @@ class _Step:
         self.stage = stage
         self.in_shape = in_shape
         self.kind = fused.kind
-        self.weights = fused.weights
         self.epilogue = fused.epilogue
-        self.order = "C" if final else "K"
+        self.final = final
         self.pool = self.pool_record = None
         self.save_input = False
         self.residual_from = stage.residual_from
@@ -487,6 +518,12 @@ class _Step:
         out_width = (width + 2 * pad_w - layer.kernel_w) // stride + 1
         self.out_shape = (
             batch_size, layer.out_channels, out_height, out_width
+        )
+        self.addend = self.epilogue.rows(out_width)
+        self.weights = (
+            np.tile(fused.weights, (1, 1, 1, 1, out_width, 1))
+            if self.kind == "depthwise"
+            else fused.weights
         )
         # The seam: the input's first ``valid`` rows/columns land in
         # the fitted tensor (the rest is a crop or zero padding), in
@@ -657,11 +694,12 @@ class BatchExecutor:
     over the taps).  One float64 SDP epilogue (bias, requantization,
     activation, folded residual and saturation; see
     :class:`_SdpEpilogue`) runs straight over those float psums; cycles
-    come from each stage's cycle line.  Stage outputs stay
-    channels-last in memory, seen as (B, K, OH, OW): the next stage's
-    seam reads them, and the network input, through a transposed view,
-    and the final stage casts into a C-contiguous (B, K, OH, OW) array,
-    so the API sees (B, C, H, W) throughout.  The
+    come from each stage's cycle line.  Stage outputs stay int32 and
+    channels-last in memory, seen as (B, K, OH, OW), through the PDP
+    max pool and the folded residual: the next stage's seam reads them,
+    and the network input, through a transposed view, and the final
+    stage casts into a C-contiguous (B, K, OH, OW) int64 array, so the
+    API sees (B, C, H, W) int64 throughout.  The
     float dtype is chosen per stage from a worst-case psum bound when
     the executor is built (see :class:`_FusedStage`), so psums are
     exact integers, and the epilogue's own bound keeps every float64
@@ -708,7 +746,8 @@ class BatchExecutor:
 
     Raises:
         DataflowError: a stage's psum bound or SDP epilogue bound
-            reaches 2**53, where float64 is no longer exact.
+            reaches 2**53, where float64 is no longer exact, or its
+            output precision does not fit the int32 handoff.
     """
 
     def __init__(
@@ -993,14 +1032,16 @@ class BatchExecutor:
         :class:`_SdpEpilogue` over them in the same step's float64
         scratch buffer, with the folded residual (if any, shaped like
         the output) added in the same pass.  The output is a fresh
-        (B, K, OH, OW) array — channels-last in memory, except the
-        final stage's, which is C-contiguous — so callers never alias
-        scratch that the next batch will overwrite."""
+        (B, K, OH, OW) array — int32 and channels-last in memory,
+        except the final stage's, which is int64 and C-contiguous — so
+        callers never alias scratch that the next batch will
+        overwrite."""
         step = self._step(index, stage, batch.shape)
         if residual is not None:
             residual = residual.transpose(0, 2, 3, 1)
         return step.epilogue(
-            step.run(batch), step.buffer, residual, step.order
+            step.run(batch), step.buffer, step.addend, residual,
+            step.final,
         )
 
     def _fused_psums(

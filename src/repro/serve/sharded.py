@@ -407,12 +407,14 @@ class ShardedRunner:
                 or shed ("shed" admission) — the message names the
                 shed sequence numbers — or the stream failed.
 
-        The shard pool is released on every error path; a successful
-        run leaves the pool warm for the next stream.
+        A model or batch that fails validation raises before any
+        request is submitted and leaves the pool as it was; once the
+        stream starts, the shard pool is released on every error path.
+        A successful run leaves the pool warm for the next stream.
         """
+        net = self.compile(model_name)
+        images = self._runner._as_batch(net, model_name, batch)
         try:
-            net = self.compile(model_name)
-            images = self._runner._as_batch(net, model_name, batch)
             gateway = ServingGateway(self, model_name, eager=False)
             try:
                 tickets = [gateway.submit(image) for image in images]

@@ -9,7 +9,7 @@ add/subtract control at the accumulator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.errors import EncodingError

@@ -13,7 +13,8 @@ the int64 golden convolution, and its float64 SDP epilogue against
 psums and with a folded residual, and every stage's channels-last
 seam on full-range inputs at the unfitted shapes a run delivers.  The
 output contract (a fresh C-contiguous (B, K, OH, OW) int64 array)
-is pinned whatever kernel the last stage runs.  Its per-stage float
+is pinned whatever kernel the last stage runs, and so is the int32
+handoff between hidden stages on every zoo model.  Its per-stage float
 dtype is pinned against the exactness bound at the float32 / float64
 / no-float edges, the epilogue against its own bound at 2**53, and
 its scratch memory against the largest single stage's need.
@@ -30,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DataflowError
+from repro.models.zoo import MODEL_NAMES
 from repro.nvdla.config import CoreConfig
 from repro.nvdla.sdp import Sdp
 from repro.runtime import BatchExecutor, NetworkRunner
@@ -469,19 +471,30 @@ def _channels_last(array):
     return np.moveaxis(array, 1, -1)
 
 
-def _epilogue(stage, config, psums, dtype, residual=None):
+def _epilogue(stage, config, psums, dtype, residual=None, final=False):
     """The float64 epilogue of ``stage`` under SDP ``config`` over
     integer (B, K, OH, OW) ``psums`` fed channels-last in float
     ``dtype`` (the kernel's dtype where the values fit it), its bound
-    taken from the psums given; the result is (B, K, OH, OW)."""
+    taken from the psums given, as the network's ``final`` stage or a
+    hidden one; the result is (B, K, OH, OW)."""
     epilogue = _SdpEpilogue(
         dataclasses.replace(stage, sdp=config),
         int(np.abs(psums).max(initial=0)),
     )
-    values = _channels_last(psums.astype(dtype))
+    return _run_epilogue(epilogue, psums.astype(dtype), residual, final)
+
+
+def _run_epilogue(epilogue, psums, residual=None, final=False):
+    """``epilogue`` over (B, K, OH, OW) float ``psums`` fed
+    channels-last, with its per-kernel constant tiled along the output
+    row as a plan tiles it."""
+    values = _channels_last(psums)
     if residual is not None:
         residual = _channels_last(residual)
-    return epilogue(values, np.empty(values.shape), residual)
+    return epilogue(
+        values, np.empty(values.shape), epilogue.rows(values.shape[2]),
+        residual, final,
+    )
 
 
 def _reference(config, psums, residual=None):
@@ -513,13 +526,16 @@ def test_sdp_fused_matches_sdp_apply_many_on_every_stage(fuzz_rng, model):
         ).compile(model)
         executor = BatchExecutor(net)
         for stage, plan in zip(net.stages, executor._fused_stages):
+            final = stage is net.stages[-1]
             psums = _golden_psums(stage, _stage_input(fuzz_rng, stage))
             for label, config in _sdp_variants(
                 fuzz_rng, stage.sdp
             ).items():
                 expected = _reference(config, psums)
-                actual = _epilogue(stage, config, psums, plan.dtype)
-                assert actual.dtype == np.int64
+                actual = _epilogue(
+                    stage, config, psums, plan.dtype, final=final
+                )
+                assert actual.dtype == (np.int64 if final else np.int32)
                 assert np.array_equal(actual, expected), (
                     f"{stage.name} precision={precision} sdp={label}"
                 )
@@ -530,9 +546,8 @@ def test_sdp_fused_matches_sdp_apply_many_on_every_stage(fuzz_rng, model):
                 live += np.count_nonzero(expected)
                 total += expected.size
             # The executor's own epilogue is the "stage" variant's.
-            values = _channels_last(psums.astype(plan.dtype))
             assert np.array_equal(
-                plan.epilogue(values, np.empty(values.shape)),
+                _run_epilogue(plan.epilogue, psums.astype(plan.dtype)),
                 Sdp(stage.sdp).apply_many(psums),
             ), f"{stage.name} precision={precision}"
     assert all(
@@ -729,6 +744,30 @@ def test_sdp_epilogue_bound_reaching_2_53_is_refused(fuzz_rng):
         actual = _epilogue(accepted, config, psums, np.float64)
         assert np.array_equal(actual, expected), config.activation
         assert np.count_nonzero(expected) > 0.25 * expected.size
+
+
+def test_an_out_precision_wider_than_int32_is_refused():
+    """Hidden stages hand on int32, so building an executor refuses a
+    stage whose SDP output precision does not fit int32, naming the
+    stage, wherever the stage stands; INT32 itself is accepted."""
+    net = NetworkRunner(CoreConfig(k=4, n=4), **TINY).compile(
+        "resnet18"
+    )
+
+    def with_out(index, width):
+        stage = net.stages[index]
+        sdp = dataclasses.replace(stage.sdp, out_precision=int_spec(width))
+        stages = list(net.stages)
+        stages[index] = dataclasses.replace(stage, sdp=sdp)
+        return dataclasses.replace(net, stages=tuple(stages))
+
+    for index in (0, len(net.stages) - 1):
+        name = net.stages[index].name
+        with pytest.raises(
+            DataflowError, match=f"{name}: output precision INT33"
+        ):
+            BatchExecutor(with_out(index, 33))
+        BatchExecutor(with_out(index, 32))
 
 
 def _scratch_bytes_by_role(executor):
@@ -1087,7 +1126,8 @@ def test_seams_on_live_data_match_the_reference(fuzz_rng, model):
                 actual = executor._conv_fused(
                     index, stage, batch, residual
                 )
-                assert actual.dtype == np.int64
+                final = index == len(program.stages) - 1
+                assert actual.dtype == (np.int64 if final else np.int32)
                 assert np.array_equal(actual, expected), (
                     f"{stage.name} precision={precision} "
                     f"activation={stage.sdp.activation} in={shape} "
@@ -1159,6 +1199,46 @@ def test_run_batch_returns_a_private_contiguous_nchw_array(
         live += np.count_nonzero(expected)
         total += expected.size
     assert live > 0.5 * total
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES + ("tiny_llm",))
+def test_stages_hand_on_int32_and_the_api_returns_int64(fuzz_rng, model):
+    """Every hidden stage hands the next one a fresh int32 array (through
+    the PDP max pools and the seams), while the final stage's output,
+    and so ``run_batch``'s and ``run_job``'s, is a C-contiguous int64
+    (B, K, OH, OW) array, on every zoo model and tiny_llm."""
+    sizes = TINY if model != "tiny_llm" else dict(
+        scale=0.0625, input_size=8
+    )
+    net = NetworkRunner(CoreConfig(k=4, n=4), **sizes).compile(model)
+    executor = BatchExecutor(net)
+    handed = []
+    conv = executor._conv_fused
+
+    def record(index, stage, batch, residual=None):
+        output = conv(index, stage, batch, residual)
+        handed.append((index, batch.dtype, output))
+        return output
+
+    executor._conv_fused = record
+    images = net.precision.random_array(
+        fuzz_rng, (2,) + tuple(net.input_shape)
+    )
+    output, _, _ = executor.run_batch(images)
+    last = len(net.stages) - 1
+    assert [index for index, _, _ in handed] == list(range(last + 1))
+    for index, in_dtype, stage_output in handed:
+        name = net.stages[index].name
+        if index:
+            assert in_dtype == np.int32, name
+        if index < last:
+            assert stage_output.dtype == np.int32, name
+            assert stage_output.flags.owndata, name
+    assert handed[-1][2] is output
+    _assert_api_output(executor, output, (2,) + net.output_shape)
+    job = executor.run_job(images)
+    _assert_api_output(executor, job["output"], output.shape)
+    assert np.array_equal(job["output"], output)
 
 
 def test_decode_steps_return_private_contiguous_nchw_arrays(fuzz_rng):

@@ -323,3 +323,32 @@ def test_shed_requests_fail_the_run_with_a_dataflow_error():
         assert server._processes == []
     finally:
         server.stop()
+
+
+def test_a_bad_batch_keeps_the_warm_pool():
+    """A batch that fails validation (wrong shape, or empty) raises
+    :class:`DataflowError` before any request is submitted: the warm
+    pool keeps its supervisor and worker processes, and the next valid
+    run is served by them without a respawn."""
+    from repro.errors import DataflowError
+
+    config = CoreConfig(k=4, n=4)
+    with ShardedRunner(
+        workers=1, config=config, engine="tempus", **TINY
+    ) as server:
+        server.start("resnet18")
+        supervisor = server.supervisor
+        pids = [process.pid for process in server._processes]
+        net = server.compile("resnet18")
+        for bad in (
+            np.zeros((2, 1, 8, 16), np.int64),
+            np.zeros((0,) + tuple(net.input_shape), np.int64),
+        ):
+            with pytest.raises(DataflowError):
+                server.run("resnet18", bad)
+            assert server.supervisor is supervisor, bad.shape
+            assert [process.pid for process in server._processes] == pids
+        result = server.run("resnet18", 2)
+        assert server.supervisor is supervisor
+        assert [process.pid for process in server._processes] == pids
+    assert result.health["restarts"] == 0
