@@ -83,16 +83,16 @@ class Pdp:
         Pooling treats every (image, channel) plane independently, so
         one vectorised pass covers the batch — bit-identical to
         per-image :meth:`apply`.  The result keeps the input's memory
-        layout: a channels-last batch (a stage output of the batched
-        executor) pools channels-last, with no transposing copy.  Max
-        pooling also keeps an integer input's dtype (the executor's
-        int32 stage outputs stay int32); average pooling, whose
-        reciprocal multiply needs 64 bits, and any non-integer input
-        work in int64.
+        layout, padded or not: a channels-last batch (a stage output of
+        the batched executor) pools channels-last, with no transposing
+        copy.  Max pooling also keeps an integer or float input's dtype
+        (the executor's int32 stage outputs stay int32, and its exact
+        float psums stay float); average pooling, whose reciprocal
+        multiply needs 64 bits, and any other input work in int64.
         """
         config = self.config
         values = np.asarray(activations)
-        if config.mode != "max" or values.dtype.kind not in "iu":
+        if config.mode != "max" or values.dtype.kind not in "iuf":
             values = values.astype(np.int64, copy=False)
         if values.ndim != 4:
             raise DataflowError("PDP batch expects a (B, K, H, W) tensor")
@@ -101,19 +101,21 @@ class Pdp:
 
         padded = values
         if config.padding:
-            # Pad max pooling with the dtype's minimum so padding never
-            # wins the max.  (A zero-width np.pad would still copy.)
-            padded = np.pad(
-                values,
-                ((0, 0), (0, 0), (config.padding, config.padding),
-                 (config.padding, config.padding)),
-                mode="constant",
-                constant_values=(
-                    np.iinfo(values.dtype).min
-                    if config.mode == "max"
-                    else 0
-                ),
+            # Pad max pooling with the dtype's least value (-inf for a
+            # float) so padding never wins the max.  full_like keeps
+            # the input's memory layout, which np.pad would not.
+            pad = config.padding
+            if config.mode != "max":
+                fill = 0
+            elif values.dtype.kind == "f":
+                fill = -np.inf
+            else:
+                fill = np.iinfo(values.dtype).min
+            padded = np.full_like(
+                values, fill, shape=(batch, channels, height + 2 * pad,
+                                     width + 2 * pad),
             )
+            padded[:, :, pad:pad + height, pad:pad + width] = values
         # Reduce over the k x k kernel taps: each tap is one strided
         # view of the padded input holding that tap of every window.
         span_h = config.stride * (out_h - 1) + 1

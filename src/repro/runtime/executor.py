@@ -19,6 +19,14 @@ batched code path, and its oracle is the per-image run through the real
 convolution cores
 (:func:`~repro.runtime.runner.run_per_image`).
 
+The hardware order is CMAC, then SDP, then PDP, and the cycles charged
+follow it.  The host may run exact work in another order: where a max
+pool follows a stage whose SDP is monotone, the host max-pools the
+stage's exact psums and requantizes the pooled ones (psums, PDP max,
+SDP), which equals SDP then PDP bit for bit, since a non-decreasing map
+commutes with a max, and requantizes a quarter of the values after a
+2x2 pool (see :class:`_SdpEpilogue` and :meth:`_Step.pool_psums`).
+
 Beyond its compiled program the executor holds derived, reusable
 state — per-stage GEMM plans with their SDP epilogue constants,
 per-stage cycle lines, grow-only scratch buffers and, for the last
@@ -131,6 +139,12 @@ class _FusedStage:
     * ``"pointwise"`` (1x1 kernels, no padding): ``(G, Cg, Kg)`` for one
       matmul per group straight over the (strided) ``(B*OH*OW, G, Cg)``
       input;
+    * ``"stem"`` (one group of one input channel, as the zoo's stems
+      are): ``(1, R*S, K)`` against taps-outer columns laid out
+      ``(R*S, B*OH*OW)``, whose transposed view BLAS multiplies with no
+      copy.  The im2col layout would copy runs of S elements (one tap
+      row of one channel); taps outermost, the copy runs a whole output
+      row;
     * ``"gemm"`` (everything else): ``(G, R*S*Cg, Kg)`` against im2col
       columns laid out ``(B*OH*OW, G, R*S*Cg)``.
 
@@ -171,6 +185,9 @@ class _FusedStage:
             weights = weights.reshape(
                 groups, kernels_per_group, channels_per_group
             ).transpose(0, 2, 1)
+        elif groups == channels_per_group == 1:
+            self.kind = "stem"
+            weights = weights.reshape(kernels_per_group, -1).T[None]
         else:
             self.kind = "gemm"
             weights = weights.transpose(0, 3, 4, 2, 1).reshape(
@@ -218,6 +235,15 @@ class _SdpEpilogue:
     psum times a Python float stays float32 under NumPy 2's promotion
     rules, and would round.
 
+    Per kernel, the requantization is :attr:`monotone` (non-decreasing
+    in the psum) unless a prelu's negative-side multiplier is negative:
+    the requant multiplier is at least 1, and the bias add, the relu,
+    round-half-away and the clip are all non-decreasing.  A monotone
+    map commutes with a max, so ``maxpool(SDP(p)) == SDP(maxpool(p))``
+    exactly, and a plan may run a max pool that follows the stage on
+    its psums, before the epilogue (see :class:`_Step`).  The hardware
+    order, and the cycles charged, stay SDP then PDP.
+
     Raises:
         DataflowError: the bound reaches 2**53, or the output precision
             does not fit int32 (the message names the stage).
@@ -225,12 +251,15 @@ class _SdpEpilogue:
 
     __slots__ = ("activation", "scale", "addend", "shift",
                  "prelu_scale", "prelu_shift", "low", "out_low", "high",
-                 "bound")
+                 "bound", "monotone")
 
     def __init__(self, stage: StagePlan, psum_bound: int) -> None:
         config = stage.sdp
         self.activation = config.activation
         self.shift = config.shift
+        self.monotone = (
+            config.activation != "prelu" or config.prelu_multiplier >= 0
+        )
         multiplier = config.multiplier
         channels = stage.layer.out_channels
         bias = (
@@ -257,7 +286,7 @@ class _SdpEpilogue:
             numerators = numerators + half
         elif self.activation == "prelu":
             negative = (
-                value_bound * config.prelu_multiplier
+                value_bound * abs(config.prelu_multiplier)
                 + _half(config.prelu_shift)
             )
             self.bound = max(
@@ -314,10 +343,15 @@ class _SdpEpilogue:
             negative = out < 0
             np.multiply(out, self.prelu_scale, out=out, where=negative)
             if self.prelu_shift:
-                # Round half away from zero on negatives:
-                # -floor(|y| + 1/2) == ceil(y - 1/2).
-                np.subtract(out, 0.5, out=out, where=negative)
-                np.ceil(out, out=out, where=negative)
+                # Round half away from zero on the negative side, whose
+                # products all take the prelu multiplier's sign:
+                # ceil(y - 1/2) where y <= 0, floor(y + 1/2) where y > 0.
+                if self.monotone:
+                    np.subtract(out, 0.5, out=out, where=negative)
+                    np.ceil(out, out=out, where=negative)
+                else:
+                    np.add(out, 0.5, out=out, where=negative)
+                    np.floor(out, out=out, where=negative)
             out *= self.scale
         else:
             np.multiply(psums, self.scale, dtype=np.float64, out=out)
@@ -448,27 +482,36 @@ class _Step:
     * ``windows`` is every R x S tap window of the source as one
       strided view, laid out like the ``columns`` it fills:
       (B, OH, OW, G, R, S, Cg) for a gemm stage, which one copy turns
-      into im2col columns, and (R, S, B, OH, OW, C) for a depthwise
-      stage, which one multiply by the tap weights — tiled along the
-      output row, (R, S, 1, 1, OW, C), so the multiply's inner loop
-      runs a whole row rather than C elements — turns into products
-      that one add-reduce over the taps sums into psums;
+      into im2col columns; (R, S, B, OH, OW) for a stem, whose copy
+      runs a whole output row per tap; and (R, S, B, OH, OW, C) for a
+      depthwise stage, which one multiply by the tap weights — tiled
+      along the output row, (R, S, 1, 1, OW, C), so the multiply's
+      inner loop runs a whole row rather than C elements — turns into
+      products that one add-reduce over the taps sums into psums;
     * ``matmuls`` holds, per group, the 2-D views one BLAS call
       multiplies over the whole batch: the group's columns (the
-      source, for a pointwise stage), its weights and its psums,
+      source, for a pointwise stage; the transposed taps-outer
+      columns, for a stem), its weights and its psums,
       ``(B*OH*OW, X) @ (X, Kg) -> (B*OH*OW, Kg)``.  A depthwise stage
       has none; its ``operand`` and ``product`` are the taps-by-pixels
       products and the flat psums the add-reduce writes;
+    * ``psum_pool`` is the max pool of the next stage when the plan
+      runs it here, on the psums (see :meth:`pool_psums`); the stage
+      then hands on its pooled output, ``hands_on`` (B, K, PH, PW),
+      instead of ``out_shape``;
     * ``buffer`` is the float64 epilogue buffer and ``addend`` the SDP
-      epilogue's per-kernel constant tiled to (OW, K).  The weights
-      and the SDP epilogue come from the stage's :class:`_FusedStage`;
+      epilogue's per-kernel constant tiled along a row, both at the
+      (pooled, if the psums are pooled) width it requantizes.  The
+      weights and the SDP epilogue come from the stage's
+      :class:`_FusedStage`;
       ``final`` marks the network's last stage, whose output is the
       API's C-contiguous (B, K, OH, OW) int64 array; every other stage
       hands on a fresh int32 array, channels-last in memory and seen
       as (B, K, OH, OW).
 
     A network plan adds what :meth:`BatchExecutor.run_batch` needs
-    around the conv: the prebuilt PDP and its record, whether the
+    around the conv: the prebuilt PDP (unless the previous stage pools
+    its psums) and its record, whether the
     fitted model input is saved, the residual source and save flag,
     and the record template with the cycle line folded to the batch
     (``per_row`` cycles per output row plus ``fixed``).
@@ -479,7 +522,7 @@ class _Step:
         "kind", "weights", "epilogue", "addend", "final", "needs",
         "zero_index", "copy_index",
         "zeros", "copies", "windows", "columns", "operand", "product",
-        "matmuls", "psums", "buffer",
+        "matmuls", "psums", "buffer", "psum_pool", "hands_on",
         "pool", "keep", "pool_record", "save_input", "residual_from",
         "save_output", "per_row", "fixed",
     )
@@ -498,7 +541,7 @@ class _Step:
         self.kind = fused.kind
         self.epilogue = fused.epilogue
         self.final = final
-        self.pool = self.pool_record = None
+        self.pool = self.pool_record = self.psum_pool = None
         self.save_input = False
         self.residual_from = stage.residual_from
         self.save_output = stage.save_output
@@ -516,7 +559,7 @@ class _Step:
         self.fitted_shape = (batch_size, channels, height, width)
         out_height = (height + 2 * pad_h - layer.kernel_h) // stride + 1
         out_width = (width + 2 * pad_w - layer.kernel_w) // stride + 1
-        self.out_shape = (
+        self.out_shape = self.hands_on = (
             batch_size, layer.out_channels, out_height, out_width
         )
         self.addend = self.epilogue.rows(out_width)
@@ -588,6 +631,11 @@ class _Step:
                 layer.kernel_h, layer.kernel_w, batch_size, out_height,
                 out_width, channels,
             )
+        elif self.kind == "stem":
+            self.needs[("columns", dtype)] = (
+                layer.kernel_h, layer.kernel_w, batch_size, out_height,
+                out_width,
+            )
         elif self.kind == "gemm":
             groups = self.weights.shape[0]
             self.needs[("columns", dtype)] = (
@@ -599,6 +647,36 @@ class _Step:
         )
         self.needs[("psum", dtype)] = psum_shape
         self.needs[("epilogue", np.dtype(np.float64))] = psum_shape
+
+    def pool_psums(self, pool: Pdp) -> bool:
+        """Run ``pool``, the max pool of the next stage's input, on this
+        stage's exact psums, before the SDP epilogue, if that is exact:
+        the pool is a max pool whose every window holds an output pixel
+        (padding < kernel), and this stage's epilogue is monotone (see
+        :class:`_SdpEpilogue`), adds no folded residual and its output
+        is not saved for a later one — a max commutes with the SDP, not
+        with a residual add, and a saved output must be the unpooled
+        one.  The epilogue then runs on the pooled psums, in a buffer
+        and with row constants at the pooled width, and the stage hands
+        on ``hands_on``.  Returns whether the pool moved here."""
+        config = pool.config
+        if (
+            config.mode != "max"
+            or config.padding >= config.kernel
+            or not self.epilogue.monotone
+            or self.residual_from is not None
+            or self.save_output
+        ):
+            return False
+        batch_size, kernels, height, width = self.out_shape
+        pooled = pool.output_size(height, width)
+        self.psum_pool = pool
+        self.hands_on = (batch_size, kernels) + pooled
+        self.addend = self.epilogue.rows(pooled[1])
+        self.needs[("epilogue", np.dtype(np.float64))] = (
+            (batch_size,) + pooled + (kernels,)
+        )
+        return True
 
     def bind(self, scratch: dict) -> None:
         """Take this step's views of the executor's scratch, one flat
@@ -626,8 +704,14 @@ class _Step:
             self.operand = self.columns.reshape(taps, -1)
             self.product = self.psums.reshape(-1)
             return
-        groups = self.weights.shape[0]
         pixels = math.prod(self.psums.shape[:3])
+        if self.kind == "stem":
+            self.matmuls = ((
+                self.columns.reshape(-1, pixels).T, self.weights[0],
+                self.psums.reshape(pixels, -1),
+            ),)
+            return
+        groups = self.weights.shape[0]
         operand = operand.reshape(pixels, groups, -1)
         product = self.psums.reshape(pixels, groups, -1)
         self.matmuls = tuple(
@@ -640,9 +724,10 @@ class _Step:
         read-only strided view, in the layout of :attr:`columns`."""
         stride = self.stage.layer.stride
         batch, row, column, channel = source.strides
-        if self.kind == "depthwise":
-            strides = (row, column, batch, row * stride, column * stride,
-                       channel)
+        if self.kind != "gemm":
+            # Taps outermost; a stem's columns have no channel axis.
+            strides = (row, column, batch, row * stride,
+                       column * stride, channel)[:self.columns.ndim]
         else:
             per_group = self.columns.shape[-1]
             strides = (batch, row * stride, column * stride,
@@ -689,21 +774,24 @@ class BatchExecutor:
     channels-last activations, into shared scratch buffers: one copy
     of all tap windows into im2col columns, then one matmul per group
     over the whole batch, ``(B*OH*OW, R*S*Cg) @ (R*S*Cg, Kg)`` (1x1
-    stages multiply their strided input directly; depthwise stages
-    multiply all tap windows by their weights at once and add-reduce
-    over the taps).  One float64 SDP epilogue (bias, requantization,
-    activation, folded residual and saturation; see
+    stages multiply their strided input directly; one-channel stems
+    copy their windows taps-outer and multiply the transposed columns;
+    depthwise stages multiply all tap windows by their weights at once
+    and add-reduce over the taps).  One float64 SDP epilogue (bias,
+    requantization, activation, folded residual and saturation; see
     :class:`_SdpEpilogue`) runs straight over those float psums; cycles
-    come from each stage's cycle line.  Stage outputs stay int32 and
-    channels-last in memory, seen as (B, K, OH, OW), through the PDP
-    max pool and the folded residual: the next stage's seam reads them,
-    and the network input, through a transposed view, and the final
-    stage casts into a C-contiguous (B, K, OH, OW) int64 array, so the
-    API sees (B, C, H, W) int64 throughout.  The
-    float dtype is chosen per stage from a worst-case psum bound when
-    the executor is built (see :class:`_FusedStage`), so psums are
-    exact integers, and the epilogue's own bound keeps every float64
-    step of the requantization exact.
+    come from each stage's cycle line.  A max pool after a stage with a
+    monotone SDP runs on that stage's psums, before the epilogue (exact;
+    see :meth:`_Step.pool_psums`); the pool's record keeps its place.
+    Stage outputs stay int32 and channels-last in memory, seen as
+    (B, K, OH, OW), through the PDP max pool and the folded residual:
+    the next stage's seam reads them, and the network input, through a
+    transposed view, and the final stage casts into a C-contiguous
+    (B, K, OH, OW) int64 array, so the API sees (B, C, H, W) int64
+    throughout.  The float dtype is chosen per stage from a worst-case
+    psum bound when the executor is built (see :class:`_FusedStage`),
+    so psums are exact integers, and the epilogue's own bound keeps
+    every float64 step of the requantization exact.
 
     Every batch runs by replaying the plan for the shape of the rows it
     computes (see :class:`_Step`): one :class:`_Step` per stage, its
@@ -849,6 +937,7 @@ class BatchExecutor:
         for step in plan:
             if step.pool is not None:
                 current = step.pool.apply_many(current[:, :step.keep])
+            if step.pool_record is not None:
                 records.append(step.pool_record)
             if step.save_input:
                 saved[-1] = step.fit(current)
@@ -932,7 +1021,9 @@ class BatchExecutor:
         """One :class:`_Step` per stage, each at the shape its stage
         sees after the previous stage and the PDP pool, with its
         record template, cycle line and residual wiring; the residual
-        shapes are checked here, once per plan.
+        shapes are checked here, once per plan.  A max pool moves onto
+        the previous stage's psums wherever :meth:`_Step.pool_psums`
+        finds that exact; it keeps its record, in its place.
 
         Raises:
             DataflowError: a folded residual's source shape differs
@@ -945,14 +1036,21 @@ class BatchExecutor:
         ):
             pool = None
             if stage.pool is not None:
-                # Pooling is per channel, so pooling the kept channels
-                # and tiling afterwards equals pooling the tiled input.
                 pool = Pdp(stage.pool)
-                keep = min(shape[1], stage.fit_channels)
-                shape = (shape[0], keep) + pool.output_size(*shape[2:])
+                if steps and steps[-1].pool_psums(pool):
+                    # The seam slices the channels this stage keeps.
+                    shape, pool = steps[-1].hands_on, None
+                else:
+                    # Pooling is per channel, so pooling the kept
+                    # channels and tiling afterwards equals pooling the
+                    # tiled input.
+                    keep = min(shape[1], stage.fit_channels)
+                    shape = (shape[0], keep) \
+                        + pool.output_size(*shape[2:])
             step = _Step(index, stage, fused, shape, index == last)
             if pool is not None:
                 step.pool, step.keep = pool, keep
+            if stage.pool is not None:
                 step.pool_record = StageResult(
                     name=f"{stage.name}.pool",
                     kind="pool",
@@ -1028,20 +1126,26 @@ class BatchExecutor:
         residual: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """One conv stage over the whole (B, C, H, W) batch, seam
-        included: its step's exact float-GEMM psums, then the stage's
-        :class:`_SdpEpilogue` over them in the same step's float64
-        scratch buffer, with the folded residual (if any, shaped like
-        the output) added in the same pass.  The output is a fresh
-        (B, K, OH, OW) array — int32 and channels-last in memory,
-        except the final stage's, which is int64 and C-contiguous — so
-        callers never alias scratch that the next batch will
-        overwrite."""
+        included: its step's exact float-GEMM psums, max-pooled by the
+        PDP if the step pools its psums (a stage of the kept plan whose
+        next stage's max pool moved here; a stage run alone never
+        pools), then the stage's :class:`_SdpEpilogue` over them in the
+        same step's float64 scratch buffer, with the folded residual
+        (if any, shaped like the output) added in the same pass.  The
+        output is a fresh (B, K, OH, OW) array — int32 and
+        channels-last in memory, except the final stage's, which is
+        int64 and C-contiguous — so callers never alias scratch that
+        the next batch will overwrite."""
         step = self._step(index, stage, batch.shape)
         if residual is not None:
             residual = residual.transpose(0, 2, 3, 1)
+        psums = step.run(batch)
+        if step.psum_pool is not None:
+            psums = step.psum_pool.apply_many(
+                psums.transpose(0, 3, 1, 2)
+            ).transpose(0, 2, 3, 1)
         return step.epilogue(
-            step.run(batch), step.buffer, step.addend, residual,
-            step.final,
+            psums, step.buffer, step.addend, residual, step.final,
         )
 
     def _fused_psums(

@@ -507,6 +507,7 @@ class ServingGateway:
         self._drained.set()
         self._need.release()
         self._collector.join()
+        health = self._supervisor.end_stream()
         if self._errors:
             self._fail_pending()
             error = self._errors[0]
@@ -519,7 +520,6 @@ class ServingGateway:
                 for seq in sorted(self._responses)
             )
             output = _stack_rows([r.output for r in responses])
-            health = self._supervisor.health()
             health["degraded_cycles"] = int(self._degraded_cycles)
             health["queue"] = self._queue.stats()
             self._result = GatewayResult(

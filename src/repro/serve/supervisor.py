@@ -213,6 +213,12 @@ class ShardSupervisor:
         self._degraded: deque = deque()  # jobs awaiting in-process run
         self._done: set = set()
         self.stats = {counter: 0 for counter in HEALTH_COUNTERS}
+        # Respawns made while no stream is open (before the first
+        # begin_stream, or after an end_stream): the probe thread
+        # replaces dead workers at any time, and these belong to the
+        # next stream's health.
+        self._streaming = False
+        self._idle_restarts = 0
         # Autonomous health probing: recovery cadence must not depend
         # on how often (or whether) the consumer calls next_result.
         self._probe_stop = Event()
@@ -309,6 +315,9 @@ class ShardSupervisor:
     def begin_stream(self) -> None:
         """Reset per-stream health state (telemetry counters, restart
         budgets, retired shards) before serving a new request stream.
+        The stream's ``restarts`` start at the respawns the probe made
+        while no stream was open, so a worker replaced between streams
+        shows in the next stream's health.
 
         Retired shards get a fresh queue and an immediate respawn, so
         every stream starts with the full configured pool.
@@ -321,6 +330,9 @@ class ShardSupervisor:
                     "begin_stream() with jobs still in flight"
                 )
             self.stats = {counter: 0 for counter in HEALTH_COUNTERS}
+            self.stats["restarts"] = self._idle_restarts
+            self._idle_restarts = 0
+            self._streaming = True
             self._attempt.clear()
             self._owner.clear()
             self._deadlines.clear()
@@ -334,6 +346,14 @@ class ShardSupervisor:
                     shard.retired = False
                     self._discard_queue(shard)
                     self._start_shard(shard)
+
+    def end_stream(self) -> dict:
+        """Close the stream's health window and return its final
+        :meth:`health` snapshot: respawns after this count toward the
+        next stream."""
+        with self._lock:
+            self._streaming = False
+            return self.health()
 
     def stop(self) -> None:
         """Drain and join the pool.  Idempotent and exception-safe:
@@ -459,7 +479,10 @@ class ShardSupervisor:
         if shard.restarts > self.max_restarts:
             shard.retired = True
             return
-        self.stats["restarts"] += 1
+        if self._streaming:
+            self.stats["restarts"] += 1
+        else:
+            self._idle_restarts += 1
         backoff = min(
             self.restart_backoff * (2 ** (shard.restarts - 1)),
             self.backoff_cap,

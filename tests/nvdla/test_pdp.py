@@ -184,11 +184,14 @@ def test_unpadded_pool_pads_nothing(fuzz_rng, monkeypatch, mode):
 
 def test_int32_max_pool_keeps_its_dtype_and_layout(fuzz_rng):
     """An int32 channels-last batch (a hidden stage output of the
-    batched executor) max-pools to the int64 pool's values and stays
-    int32 (and channels-last when unpadded, as every lowered pool is),
-    over seeded windows with and without padding; padding (int32's minimum) never wins, even where every
-    value is negative.  Average pooling, whose reciprocal multiply
-    needs 64 bits, still returns int64 with the int64 pool's values."""
+    batched executor) and a float32 channels-last batch (the exact
+    psums the executor pools before its SDP epilogue) max-pool to the
+    int64 pool's values, keep their dtype and stay channels-last, over
+    seeded windows with and without padding; padding (int32's minimum,
+    or -inf) never wins, even where every value is negative.  Average
+    pooling, whose reciprocal multiply needs 64 bits, still returns
+    int64 with the int64 pool's values."""
+    padded_configs = 0
     for _ in range(30):
         kernel = int(fuzz_rng.integers(1, 4))
         config = PdpConfig(
@@ -197,26 +200,30 @@ def test_int32_max_pool_keeps_its_dtype_and_layout(fuzz_rng):
             stride=int(fuzz_rng.integers(1, kernel + 2)),
             padding=int(fuzz_rng.integers(0, kernel)),
         )
+        padded_configs += config.padding > 0
         height = int(fuzz_rng.integers(kernel, kernel + 6))
         width = int(fuzz_rng.integers(kernel, kernel + 6))
         stored = fuzz_rng.integers(
             -128, 128, (2, height, width, int(fuzz_rng.integers(1, 6)))
-        ).astype(np.int32)
-        values = stored.transpose(0, 3, 1, 2)
-        got = Pdp(config).apply_many(values)
-        assert got.dtype == np.int32, config
-        if not config.padding:  # np.pad copies into a (B, K, H, W) array
-            assert got.transpose(0, 2, 3, 1).flags.c_contiguous, config
-        assert np.array_equal(
-            got, Pdp(config).apply_many(values.astype(np.int64))
-        ), config
-    negative = np.full((1, 3, 3, 2), -9, dtype=np.int32).transpose(
-        0, 3, 1, 2
-    )
-    padded = Pdp(PdpConfig("max", kernel=3, stride=1, padding=1))
-    got = padded.apply_many(negative)
-    assert got.dtype == np.int32
-    assert (got == -9).all()
+        )
+        expected = Pdp(config).apply_many(stored.transpose(0, 3, 1, 2))
+        for dtype in (np.int32, np.float32):
+            values = stored.astype(dtype).transpose(0, 3, 1, 2)
+            got = Pdp(config).apply_many(values)
+            context = (config, dtype)
+            assert got.dtype == dtype, context
+            assert got.transpose(0, 2, 3, 1).flags.c_contiguous, context
+            assert np.array_equal(got, expected), context
+    assert padded_configs > 0
+    for dtype in (np.int32, np.float32):
+        negative = np.full((1, 3, 3, 2), -9, dtype=dtype).transpose(
+            0, 3, 1, 2
+        )
+        padded = Pdp(PdpConfig("max", kernel=3, stride=1, padding=1))
+        got = padded.apply_many(negative)
+        assert got.dtype == dtype
+        assert got.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert (got == -9).all()
     average = Pdp(PdpConfig("average", kernel=2))
     values = fuzz_rng.integers(-128, 128, (2, 3, 6, 6)).astype(np.int32)
     got = average.apply_many(values)

@@ -26,6 +26,7 @@ seed, so any counterexample replays exactly.
 
 import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from repro.models.zoo import MODEL_NAMES
 from repro.nvdla.config import CoreConfig
 from repro.nvdla.sdp import Sdp
 from repro.runtime import BatchExecutor, NetworkRunner
-from repro.nvdla.pdp import Pdp
+from repro.nvdla.pdp import Pdp, PdpConfig
 from repro.runtime.executor import _FusedStage, _SdpEpilogue, \
     exact_float_dtype, fit_channels, fit_spatial
 from repro.runtime.lowering import identity_orders
@@ -317,6 +318,7 @@ def test_exact_float_dtype_edges():
 #: (model, kind): one stage of every fused-kernel kind.
 _KIND_STAGES = (
     ("resnet18", "gemm"),
+    ("resnet18", "stem"),
     ("mobilenet_v2", "pointwise"),
     ("mobilenet_v2", "depthwise"),
 )
@@ -450,7 +452,8 @@ def test_run_batch_rejects_out_of_range_input(fuzz_rng, fused):
 def _sdp_variants(rng, config):
     """The stage's own SDP config plus variants covering what the zoo
     lowering never emits (every zoo stage has a bias, a nonzero shift
-    and relu or no activation)."""
+    and relu or no activation), a negative prelu multiplier
+    included."""
     return {
         "stage": config,
         "none": dataclasses.replace(config, activation="none"),
@@ -461,6 +464,12 @@ def _sdp_variants(rng, config):
             activation="prelu",
             prelu_multiplier=int(rng.integers(1, 64)),
             prelu_shift=int(rng.integers(0, 7)),
+        ),
+        "prelu_negative": dataclasses.replace(
+            config,
+            activation="prelu",
+            prelu_multiplier=-int(rng.integers(1, 64)),
+            prelu_shift=int(rng.integers(1, 7)),
         ),
     }
 
@@ -694,6 +703,212 @@ def test_sdp_fused_adds_the_folded_residual(fuzz_rng, precision):
     assert live > 0.25 * total
 
 
+def _commuting_variants(rng, config):
+    """SDP variants the executor may pool the psums of: relu, none and
+    prelu with a multiplier >= 0 (zero included), each with the
+    stage's own requantization and with a zero shift."""
+    variants = {}
+    for activation in ("relu", "none", "prelu"):
+        own = dataclasses.replace(
+            config,
+            activation=activation,
+            prelu_multiplier=int(rng.integers(0, 64)),
+            prelu_shift=int(rng.integers(0, 7)),
+        )
+        variants[activation] = own
+        variants[f"{activation}_shift0"] = dataclasses.replace(
+            own, multiplier=1, shift=0
+        )
+    return variants
+
+
+#: The (B, H, W) of the psum maps the commutation test pools.
+_POOLED_MAP = (2, 6, 6)
+
+
+def _psum_maps(rng, stage):
+    """Full-range golden psums of ``stage``, as many images as it takes
+    to fill a (2, K, 6, 6) map per kernel: most zoo stages at TINY
+    scale have maps of a pixel or two, which no pool would reduce."""
+    layer = stage.layer
+    size = math.prod(_POOLED_MAP)
+    images = -(-size // (layer.out_height * layer.out_width))
+    psums = _golden_psums(stage, _stage_input(rng, stage, images))
+    kernels = psums.shape[1]
+    flat = psums.transpose(1, 0, 2, 3).reshape(kernels, -1)[:, :size]
+    batch, height, width = _POOLED_MAP
+    return flat.reshape(kernels, batch, height, width).transpose(
+        1, 0, 2, 3
+    )
+
+
+def _seeded_max_pool(rng):
+    """A seeded max pool over a 6 x 6 map whose every window holds a
+    map pixel (padding < kernel), as the executor requires before it
+    pools psums."""
+    kernel = int(rng.integers(1, 4))
+    return PdpConfig(
+        "max",
+        kernel=kernel,
+        stride=int(rng.integers(1, kernel + 1)),
+        padding=int(rng.integers(0, kernel)),
+    )
+
+
+@pytest.mark.parametrize("model", FUZZ_MODELS)
+def test_max_pool_commutes_with_the_sdp_epilogue(fuzz_rng, model):
+    """The exchange the executor makes when it pools a stage's psums
+    before its SDP: ``Pdp(max)`` over the epilogue's output equals the
+    epilogue over the max-pooled float psums, and both equal the
+    hardware order, ``Sdp.apply_many`` then ``Pdp.apply_many``, on
+    every stage at INT8/INT4/INT2, for relu, none and prelu (multiplier
+    >= 0), with and without a shift, on full-range psums (in the
+    kernel's float dtype) and near-tie psums (in float64), under
+    seeded max pools with and without padding.  Outputs must be
+    substantially nonzero and most pools wider than one pixel, so the
+    identity cannot hold vacuously; the psums of every stage are laid
+    out as 6 x 6 maps (see :func:`_psum_maps`) for the pools to
+    reduce."""
+    live = total = pools = wide = 0
+    seen = collections.Counter()
+    for precision in PSUM_PRECISIONS:
+        net = NetworkRunner(
+            CoreConfig(k=4, n=4),
+            precision=precision,
+            scheduling=False,
+            **TINY,
+        ).compile(model)
+        executor = BatchExecutor(net)
+        for stage, plan in zip(net.stages, executor._fused_stages):
+            psums = _psum_maps(fuzz_rng, stage)
+            sources = [(psums, plan.dtype)]
+            ties = _near_tie_values(fuzz_rng, stage, psums.shape)
+            if ties is not None:
+                sources.append((
+                    ties - stage.sdp.bias[None, :, None, None],
+                    np.float64,
+                ))
+            config = _seeded_max_pool(fuzz_rng)
+            pool = Pdp(config)
+            pools += 1
+            wide += config.kernel > 1
+            for label, sdp in _commuting_variants(
+                fuzz_rng, stage.sdp
+            ).items():
+                for source, dtype in sources:
+                    epilogue = _SdpEpilogue(
+                        dataclasses.replace(stage, sdp=sdp),
+                        int(np.abs(source).max(initial=0)),
+                    )
+                    assert epilogue.monotone, label
+                    values = source.astype(dtype)
+                    after = pool.apply_many(
+                        _run_epilogue(epilogue, values.copy())
+                    )
+                    pooled = pool.apply_many(values)
+                    assert pooled.dtype == dtype
+                    before = _run_epilogue(epilogue, pooled)
+                    expected = Pdp(config).apply_many(
+                        Sdp(sdp).apply_many(source)
+                    )
+                    context = (
+                        f"{stage.name} precision={precision} sdp={label} "
+                        f"pool={config} dtype={np.dtype(dtype)}"
+                    )
+                    assert np.array_equal(after, expected), context
+                    assert np.array_equal(before, expected), context
+                    seen[sdp.activation] += 1
+                    seen["shift0"] += sdp.shift == 0
+                    seen["padded"] += config.padding > 0
+                    live += np.count_nonzero(expected)
+                    total += expected.size
+    assert all(
+        seen[feature]
+        for feature in ("relu", "prelu", "none", "shift0", "padded")
+    ), seen
+    assert wide > pools // 2, (wide, pools)
+    assert live > 0.25 * total
+
+
+def test_the_pool_stays_after_the_sdp_where_it_does_not_commute(
+    fuzz_rng,
+):
+    """resnet18's stem pools its psums before its SDP as compiled.  A
+    negative prelu multiplier on the stem (not monotone), an average
+    pool after it and a saved stem output each keep the pool after the
+    SDP, where ``run_batch`` runs it.  Every variant equals
+    ``run_per_image`` in outputs, cycles and stage records, and its
+    second stage's input equals the stem's golden psums through
+    ``Sdp.apply_many`` and then the PDP, the hardware order."""
+    runner = NetworkRunner(CoreConfig(k=4, n=4), **TINY)
+    net = runner.compile("resnet18")
+    stem, first = net.stages[:2]
+    assert first.pool is not None and first.pool.mode == "max"
+
+    def with_stage(index, **changes):
+        stages = list(net.stages)
+        stages[index] = dataclasses.replace(stages[index], **changes)
+        return dataclasses.replace(net, stages=tuple(stages))
+
+    negative = dataclasses.replace(
+        stem.sdp,
+        activation="prelu",
+        prelu_multiplier=-int(fuzz_rng.integers(1, 64)),
+        prelu_shift=int(fuzz_rng.integers(1, 7)),
+    )
+    variants = {
+        "as compiled": (net, True),
+        "negative prelu": (with_stage(0, sdp=negative), False),
+        "average pool": (
+            with_stage(1, pool=PdpConfig(
+                "average", kernel=first.pool.kernel
+            )),
+            False,
+        ),
+        "saved stem": (with_stage(0, save_output=True), False),
+    }
+    live = total = 0
+    for label, (program, pools_psums) in variants.items():
+        executor = BatchExecutor(program)
+        inputs = {}
+        conv = executor._conv_fused
+
+        def record(index, stage, batch, residual=None):
+            inputs[index] = batch
+            return conv(index, stage, batch, residual)
+
+        executor._conv_fused = record
+        images = program.precision.random_array(
+            fuzz_rng, (3,) + tuple(program.input_shape)
+        )
+        output, stages, cycles = executor.run_batch(images)
+        plan = executor._plan
+        assert (plan[0].psum_pool is not None) == pools_psums, label
+        assert (plan[1].pool is None) == pools_psums, label
+        reference = run_per_image(program, images)
+        assert np.array_equal(output, reference[0]), label
+        assert cycles == reference[2], label
+        assert [
+            (record.name, record.kind, record.output_shape[1:],
+             record.conv_cycles)
+            for record in stages
+        ] == [
+            (record.name, record.kind, record.output_shape,
+             record.conv_cycles)
+            for record in reference[1]
+        ], label
+        stage = program.stages[0]
+        expected = Pdp(program.stages[1].pool).apply_many(
+            Sdp(stage.sdp).apply_many(
+                _golden_psums(stage, _fitted(stage, images))
+            )
+        )
+        assert np.array_equal(inputs[1], expected), label
+        live += np.count_nonzero(expected)
+        total += expected.size
+    assert live > 0.25 * total
+
+
 def test_sdp_epilogue_bound_reaching_2_53_is_refused(fuzz_rng):
     """The epilogue's bound ``(psum_bound + max|bias|) * m + 2**(s-1)``
     is checked when the executor is built: a stage whose multiplier
@@ -855,8 +1070,11 @@ def test_plans_replay_across_batch_sizes(fuzz_rng, model):
     executor's and the per-image run through the real cores in
     outputs, cycles and stage records; every stage's output equals the
     same stage run alone on a freshly bound one-stage plan (so a pad
-    border or seam region another stage dirtied would show); and every
-    kept plan views only the executor's current scratch."""
+    border or seam region another stage dirtied would show) — followed
+    by the next stage's PDP max pool where the plan pools the stage's
+    psums before its SDP, which a stage run alone never does (resnet18's
+    stem; mobilenet_v2 has no pool); and every kept plan views only the
+    executor's current scratch."""
     runner = NetworkRunner(CoreConfig(k=4, n=4), precision="int2", **TINY)
     net = runner.compile(model)
     executor = BatchExecutor(net)
@@ -870,7 +1088,7 @@ def test_plans_replay_across_batch_sizes(fuzz_rng, model):
         return output
 
     executor._conv_fused = record
-    live = total = 0
+    live = total = pooled = 0
     for batch in (8, 1, 8, 32, 1):
         context = f"model={model} batch={batch}"
         images = net.precision.random_array(
@@ -895,15 +1113,22 @@ def test_plans_replay_across_batch_sizes(fuzz_rng, model):
         ], context
         assert len(calls) == len(net.stages), context
         for index, stage, batch_in, residual, stage_output in calls:
-            assert np.array_equal(
-                alone._conv_fused(index, stage, batch_in, residual),
-                stage_output,
-            ), f"{context} stage={stage.name}"
+            expected = alone._conv_fused(index, stage, batch_in, residual)
+            if executor._plan[index].psum_pool is not None:
+                # Hardware order: SDP, then the next stage's PDP.
+                expected = Pdp(net.stages[index + 1].pool).apply_many(
+                    expected
+                )
+                pooled += 1
+            assert np.array_equal(expected, stage_output), (
+                f"{context} stage={stage.name}"
+            )
             live += np.count_nonzero(stage_output)
             total += stage_output.size
         _assert_plans_view_live_scratch(executor)
     assert executor._plan_shape == (1,) + tuple(net.input_shape)
     assert live > 0.1 * total
+    assert (pooled > 0) == (model == "resnet18"), pooled
 
 
 def test_executor_keeps_only_the_last_plan(fuzz_rng, monkeypatch):
@@ -1166,7 +1391,8 @@ def _assert_api_output(executor, output, shape):
 @pytest.mark.parametrize(
     "model,kind",
     [("resnet18", "gemm"), ("resnet18", "pointwise"),
-     ("mobilenet_v2", "pointwise"), ("mobilenet_v2", "depthwise")],
+     ("resnet18", "stem"), ("mobilenet_v2", "pointwise"),
+     ("mobilenet_v2", "depthwise")],
 )
 def test_run_batch_returns_a_private_contiguous_nchw_array(
     fuzz_rng, model, kind

@@ -15,6 +15,8 @@ seeded chaos sweeps worker counts 1/2/4.  Fault plans are pure
 functions of their seed, so every failure here replays exactly.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,50 @@ def test_externally_killed_workers_recover():
         result = server.run("resnet18", 6)
     _assert_identical(result, _reference("resnet18", 6, config))
     assert result.health["restarts"] >= 1
+
+
+def _kill_and_await_respawn(server):
+    """Terminate every worker of ``server``'s pool from outside and
+    wait until the supervisor's probe thread has replaced them all."""
+    killed = set()
+    for process in server._processes:
+        killed.add(process.pid)
+        process.terminate()
+        process.join(timeout=30)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        processes = server._processes
+        if len(processes) == len(killed) and all(
+            process.pid not in killed and process.is_alive()
+            for process in processes
+        ):
+            return
+        time.sleep(0.02)
+    raise AssertionError("the probe never respawned the killed workers")
+
+
+def test_workers_respawned_between_streams_show_in_the_next_stream():
+    """Workers killed before a stream (and after one) and already
+    replaced by the probe thread when the next stream begins still
+    count in that stream's ``restarts``; they do not vanish when the
+    stream resets its health.  A stream with no fault after them
+    reports none, so no respawn is counted twice."""
+    config = CoreConfig(k=4, n=4)
+    reference = _reference("resnet18", 6, config)
+    with ShardedRunner(
+        workers=2, config=config, engine="tempus", max_batch=2, **TINY
+    ) as server:
+        server.start("resnet18")
+        _kill_and_await_respawn(server)
+        first = server.run("resnet18", 6)
+        _kill_and_await_respawn(server)
+        second = server.run("resnet18", 6)
+        clean = server.run("resnet18", 6)
+    for result in (first, second, clean):
+        _assert_identical(result, reference)
+    assert first.health["restarts"] >= 1
+    assert second.health["restarts"] >= 1
+    assert clean.health["restarts"] == 0
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
