@@ -53,7 +53,8 @@ def tile_max_magnitudes(
     changes a maximum.
 
     Args:
-        weights: (..., K, C, R, S) integer weights.
+        weights: (..., K, C, R, S) integer weights; unsigned input is
+            taken as magnitudes already and reduced in its own dtype.
         k / n: array geometry (kernels per group / channels per block).
 
     Returns:
@@ -62,8 +63,12 @@ def tile_max_magnitudes(
     weights = np.asarray(weights)
     if weights.ndim < 4:
         raise DataflowError("expected (..., K, C, R, S) weights")
-    magnitudes = np.abs(weights.astype(np.int64, copy=False))
-    return _block_max(_block_max(magnitudes, k, -4), n, -3)
+    magnitudes = (
+        weights if weights.dtype.kind == "u"
+        else np.abs(weights.astype(np.int64, copy=False))
+    )
+    maxima = _block_max(_block_max(magnitudes, k, -4), n, -3)
+    return maxima.astype(np.int64, copy=False)
 
 
 def burst_cycle_map(

@@ -61,17 +61,23 @@ def search_stage_orders(
     code = code if code is not None else TwosUnaryCode()
     groups, kernels, channels = weights.shape[:3]
 
+    # One magnitude pass serves the sort keys and both burst maps (a
+    # map reads only |w|), narrowed to uint8 when every magnitude fits:
+    # <=8-bit codes have |w| <= 128.
+    magnitudes = np.abs(weights.astype(np.int64, copy=False))
     # Sort keys: the largest magnitude each kernel / channel ever streams.
-    pair_max = np.abs(weights.astype(np.int64, copy=False)).max(axis=(3, 4))
+    pair_max = magnitudes.max(axis=(3, 4))
+    if pair_max.size and pair_max.max() < 256:
+        magnitudes = magnitudes.astype(np.uint8)
     kernel_orders = np.argsort(pair_max.max(axis=2), axis=1,
                                kind="stable")[:, ::-1]
     channel_orders = np.argsort(pair_max.max(axis=1), axis=1,
                                 kind="stable")[:, ::-1]
 
-    baselines = cached_burst_cycle_map(weights, config, code).sum(
+    baselines = cached_burst_cycle_map(magnitudes, config, code).sum(
         axis=(1, 2, 3, 4)
     )
-    scheduled = weights[
+    scheduled = magnitudes[
         np.arange(groups)[:, None, None],
         kernel_orders[:, :, None],
         channel_orders[:, None, :],

@@ -19,6 +19,7 @@ Table I; `tests/models/test_calibration.py` locks them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,19 +77,53 @@ def synthesize_layer_weights(
     spec: WeightSynthesisSpec,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw one layer's float weights (He-scaled mixture)."""
+    """Draw one layer's float weights (He-scaled mixture).
+
+    Each weight is Gaussian, or Laplace where a uniform draw falls below
+    ``spec.laplace_fraction``.  The draw is stream-exact: it consumes
+    the generator exactly as ``rng.laplace(0, b, count)`` followed by
+    ``rng.random(count)`` would, and returns the same weights, but
+    transforms only the uniforms of the weights that use them.
+    NumPy's Laplace sampler takes one double ``U`` per value from the
+    stream that ``rng.random`` reads and returns ``0 - b*log(2-U-U)``
+    for ``U >= 0.5`` and ``0 + b*log(U+U)`` below; so the same
+    ``count`` doubles come from ``rng.random(count)``, and the same
+    arithmetic through the C library's ``log`` (``math.log``, not
+    ``np.log``, whose SIMD loops may differ by an ulp) gives the same
+    values.  The sampler redraws a ``U`` of exactly 0.0, which shifts
+    the stream; on that (2**-53 per value) event the generator is
+    rewound and the sampler itself runs.
+    """
     sigma = float(np.sqrt(2.0 / max(layer.fan_in, 1)))
     count = layer.weight_count
-    gaussian = rng.normal(0.0, sigma, size=count)
+    weights = rng.normal(0.0, sigma, size=count)
     if spec.laplace_fraction > 0.0:
-        laplace = rng.laplace(0.0, sigma / np.sqrt(2.0), size=count)
-        use_laplace = rng.random(count) < spec.laplace_fraction
-        weights = np.where(use_laplace, laplace, gaussian)
-    else:
-        weights = gaussian
+        scale = sigma / np.sqrt(2.0)
+        state = rng.bit_generator.state
+        uniforms = rng.random(count)
+        use = rng.random(count) < spec.laplace_fraction
+        if uniforms.all():
+            weights[use] = _laplace_values(uniforms[use], float(scale))
+        else:
+            rng.bit_generator.state = state
+            laplace = rng.laplace(0.0, scale, size=count)
+            use = rng.random(count) < spec.laplace_fraction
+            weights = np.where(use, laplace, weights)
     if spec.zero_inflation > 0.0:
         weights[rng.random(count) < spec.zero_inflation] = 0.0
     return weights.astype(np.float32).reshape(layer.weight_shape)
+
+
+def _laplace_values(uniforms: np.ndarray, scale: float) -> np.ndarray:
+    """NumPy's Laplace transform (location 0) of nonzero uniforms, in
+    its own order of float64 operations."""
+    upper = uniforms >= 0.5
+    arguments = np.where(upper, 2.0 - uniforms - uniforms,
+                         uniforms + uniforms)
+    logs = np.fromiter(
+        map(math.log, arguments.tolist()), np.float64, arguments.size
+    )
+    return np.where(upper, 0.0 - scale * logs, 0.0 + scale * logs)
 
 
 @dataclass(frozen=True)

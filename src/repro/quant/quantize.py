@@ -60,7 +60,9 @@ def quantize_per_tensor(
     percentile: float | None = None,
 ) -> QuantizedTensor:
     """Symmetric per-tensor quantization with min-max or percentile
-    calibration."""
+    calibration.  The values are converted to float64 once; the
+    calibration and the quantizer share that array."""
+    values = np.asarray(values, dtype=np.float64)
     if percentile is None:
         calib = calibrate_minmax(values)
     else:

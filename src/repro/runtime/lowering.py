@@ -356,18 +356,20 @@ def _layer_sdp(
     likewise derived from the format the stage produces into, not
     assumed INT8.
     """
-    magnitudes = np.abs(codes.astype(np.int64))
     if isinstance(layer, LinearSpec):
         rms = (
-            float(np.sqrt(np.mean(np.square(magnitudes, dtype=np.float64))))
-            if magnitudes.size
+            float(np.sqrt(np.mean(np.square(codes, dtype=np.float64))))
+            if codes.size
             else 1.0
         )
         multiplier, shift = requant_params_from_scale(
             1.0 / max(1.0, float(np.sqrt(layer.fan_in)) * rms)
         )
     else:
-        kernel_l1 = magnitudes.sum(axis=(1, 2, 3)).astype(np.float64)
+        # |codes| of <=8-bit codes fit their int16; the sum is int64.
+        kernel_l1 = np.abs(codes).sum(
+            axis=(1, 2, 3), dtype=np.int64
+        ).astype(np.float64)
         mean_l1 = float(kernel_l1.mean()) if kernel_l1.size else 1.0
         multiplier, shift = requant_params_from_scale(
             2.0 / max(2.0, mean_l1)

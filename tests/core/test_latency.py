@@ -55,6 +55,26 @@ class TestTileMax:
         with pytest.raises(DataflowError):
             tile_max_magnitudes(np.zeros((2, 2)), 2, 2)
 
+    def test_unsigned_magnitudes_match_signed_weights(self, fuzz_rng):
+        """uint8 magnitudes (what the schedule search hands in) give the
+        signed weights' int64 maxima and burst maps, divisible and
+        ragged tile edges alike, at the INT8 extremes too."""
+        for shape in ((2, 16, 32, 3, 3), (3, 20, 35, 1, 1)):
+            weights = fuzz_rng.integers(-128, 128, shape)
+            weights.flat[0] = -128
+            magnitudes = np.abs(weights).astype(np.uint8)
+            maxima = tile_max_magnitudes(magnitudes, 16, 16)
+            assert maxima.dtype == np.int64
+            assert np.array_equal(
+                maxima, tile_max_magnitudes(weights, 16, 16)
+            )
+            assert maxima.max() == 128
+            config = CoreConfig(k=16, n=16, precision=INT8)
+            assert np.array_equal(
+                burst_cycle_map(magnitudes, config),
+                burst_cycle_map(weights, config),
+            )
+
 
 class TestBurstMap:
     config = CoreConfig(k=2, n=2, precision=INT8)

@@ -5,13 +5,15 @@ import pytest
 
 from repro.errors import CalibrationError
 from repro.models.weights import (
+    MODEL_SYNTHESIS,
     WeightSynthesisSpec,
     load_quantized_model,
     synthesize_layer_weights,
 )
-from repro.models.zoo import build_model
+from repro.models.zoo import MODEL_NAMES, build_model
 from repro.utils.intrange import INT4, INT8
 from repro.utils.rng import make_rng
+from tests.oracles import three_draw_layer_weights
 
 
 class TestSynthesisSpec:
@@ -92,3 +94,76 @@ class TestQuantizedModel:
             synthesis=WeightSynthesisSpec(0.0, 0.3),
         )
         assert sparse.word_sparsity() > dense.word_sparsity() + 0.2
+
+
+class TestStreamExactDraw:
+    """The draw transforms only the uniforms of Laplace weights, yet
+    must equal the three-draw formula bit for bit and leave the
+    generator where the formula leaves it."""
+
+    @pytest.mark.parametrize("scale", (0.06, 0.25))
+    @pytest.mark.parametrize("name", MODEL_NAMES + ("tiny_llm",))
+    def test_every_layer_equals_the_three_draw_formula(self, name, scale):
+        spec = MODEL_SYNTHESIS.get(name, WeightSynthesisSpec())
+        mixtures = (spec, WeightSynthesisSpec(0.5, 0.1))
+        drawn = 0
+        for index, layer in enumerate(build_model(name, scale).layers):
+            if not layer.is_weighted:
+                continue
+            for mixture in mixtures:
+                rng = make_rng("weights", name, index)
+                oracle_rng = make_rng("weights", name, index)
+                actual = synthesize_layer_weights(layer, mixture, rng)
+                expected = three_draw_layer_weights(
+                    layer, mixture, oracle_rng
+                )
+                assert actual.dtype == expected.dtype == np.float32
+                assert np.array_equal(
+                    actual.view(np.uint32), expected.view(np.uint32)
+                ), f"{layer.name} {mixture}"
+                assert rng.bit_generator.state == \
+                    oracle_rng.bit_generator.state, layer.name
+            drawn += layer.weight_count
+        # Non-vacuous: the wide mixture makes half the weights Laplace.
+        assert drawn > 1000
+
+    def test_a_zero_uniform_falls_back_to_the_sampler(self):
+        """NumPy's Laplace sampler redraws a uniform of exactly 0.0, so
+        a zero among the draws rewinds the generator and runs the
+        sampler itself: equal to the formula on the same stream."""
+
+        class ZeroFirst:
+            """A generator whose every uniform draw starts with 0.0."""
+
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+                self.bit_generator = self.rng.bit_generator
+                self.laplace_calls = 0
+
+            def normal(self, *args, **kwargs):
+                return self.rng.normal(*args, **kwargs)
+
+            def laplace(self, *args, **kwargs):
+                self.laplace_calls += 1
+                return self.rng.laplace(*args, **kwargs)
+
+            def random(self, count):
+                values = self.rng.random(count)
+                values[0] = 0.0
+                return values
+
+        layer = build_model("resnet18", 0.25).layers[1]
+        spec = WeightSynthesisSpec(0.3, 0.05)
+        stub, oracle = ZeroFirst(7), ZeroFirst(7)
+        actual = synthesize_layer_weights(layer, spec, stub)
+        expected = three_draw_layer_weights(layer, spec, oracle)
+        assert stub.laplace_calls == 1
+        assert np.array_equal(
+            actual.view(np.uint32), expected.view(np.uint32)
+        )
+        assert stub.bit_generator.state == oracle.bit_generator.state
+        # Without a zero the sampler never runs.
+        plain = ZeroFirst(7)
+        plain.random = plain.rng.random
+        synthesize_layer_weights(layer, spec, plain)
+        assert plain.laplace_calls == 0

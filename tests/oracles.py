@@ -137,3 +137,22 @@ def tile_idle_cell_counts(
     the layer's ``gated_cell_cycles``."""
     tiled = _tiled_view(weights, k, n)
     return (~tiled.any(axis=3)).sum(axis=1)
+
+
+def three_draw_layer_weights(layer, spec, rng) -> np.ndarray:
+    """A layer's float32 weights by the mixture's plain three-draw
+    formula: a Gaussian and a Laplace value for every weight, then a
+    uniform picking the Laplace one below ``spec.laplace_fraction``,
+    then the zero inflation."""
+    sigma = float(np.sqrt(2.0 / max(layer.fan_in, 1)))
+    count = layer.weight_count
+    gaussian = rng.normal(0.0, sigma, size=count)
+    if spec.laplace_fraction > 0.0:
+        laplace = rng.laplace(0.0, sigma / np.sqrt(2.0), size=count)
+        use_laplace = rng.random(count) < spec.laplace_fraction
+        weights = np.where(use_laplace, laplace, gaussian)
+    else:
+        weights = gaussian
+    if spec.zero_inflation > 0.0:
+        weights[rng.random(count) < spec.zero_inflation] = 0.0
+    return weights.astype(np.float32).reshape(layer.weight_shape)
