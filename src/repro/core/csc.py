@@ -10,14 +10,13 @@ Two modifications from the paper:
   so this class only marks the orientation and holds each atom stable for
   the full burst (enforced naturally by channel back-pressure).
 * **Weight pre-staging**: the per-lane 2s-unary encoders are loaded from
-  the weight atom when the burst starts, so the CSC exposes the burst
-  length to its stall logic.
+  the weight atom when the burst starts; the PCU holds the channel for
+  the whole burst, so the CSC stalls by back-pressure alone.
 """
 
 from __future__ import annotations
 
-from repro.nvdla.csc import AtomJob, SequenceController
-from repro.unary.encoding import TwosUnaryCode, UnaryCode
+from repro.nvdla.csc import SequenceController
 
 
 class TempusSequenceController(SequenceController):
@@ -25,13 +24,3 @@ class TempusSequenceController(SequenceController):
 
     #: Feature atoms are presented transposed (held column vs weight rows).
     transposed_feed = True
-
-    def __init__(self, *args, code: UnaryCode | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.code = code if code is not None else TwosUnaryCode()
-
-    def burst_cycles_for(self, job: AtomJob) -> int:
-        """Burst length the PCU will need for a job — the largest weight
-        magnitude in the k x n block, halved by 2s-unary coding (min 1)."""
-        max_magnitude = int(abs(job.weight_block).max())
-        return self.code.step_cycles(max_magnitude)

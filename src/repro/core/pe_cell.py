@@ -77,14 +77,6 @@ class TubPeCell:
         self._accumulator += tree_sum
         return tree_sum
 
-    def run_burst(self) -> tuple[int, int]:
-        """Run the whole burst; returns (partial_sum, cycles)."""
-        cycles = 0
-        while self.busy:
-            self.tick()
-            cycles += 1
-        return self._accumulator, cycles
-
 
 class TubCellBlock:
     """All k PE cells of a PCU as one vectorized (k, n) lane-state array.
@@ -137,11 +129,6 @@ class TubCellBlock:
     @property
     def busy(self) -> bool:
         return self.lanes.busy
-
-    @property
-    def partial_sums(self) -> np.ndarray:
-        """(k,) accumulated dot products (exact once the burst completes)."""
-        return self.lanes.products.sum(axis=1)
 
     @property
     def silent_lanes(self) -> int:

@@ -167,7 +167,7 @@ class TempusCore:
         csc_to_pcu: ValidReadyChannel = ValidReadyChannel("csc->pcu")
         pcu_to_acc: ValidReadyChannel = ValidReadyChannel("pcu->cacc")
         csc = TempusSequenceController(
-            self.config, shape, self.cbuf, csc_to_pcu, code=self.code
+            self.config, shape, self.cbuf, csc_to_pcu
         )
         pcu_cls = VectorPcuUnit if vectorized else PcuUnit
         pcu = pcu_cls(self.config, csc_to_pcu, pcu_to_acc, code=self.code)

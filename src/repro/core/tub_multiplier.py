@@ -69,12 +69,6 @@ class TubMultiplier:
         self._accumulator += contribution
         return contribution
 
-    def run_to_completion(self) -> int:
-        """Drain the stream; returns the exact product."""
-        while self.busy:
-            self.tick()
-        return self._accumulator
-
 
 class TubLaneBlock:
     """Vectorized batch of tub lanes advancing in lockstep.
@@ -125,11 +119,6 @@ class TubLaneBlock:
         return self.code.cycles_array(weights)
 
     @property
-    def busy_mask(self) -> np.ndarray:
-        """Lanes still streaming pulses."""
-        return self._remaining > 0
-
-    @property
     def silent_mask(self) -> np.ndarray:
         """Lanes latched with a zero weight (inactive the whole burst)."""
         if not self._loaded:
@@ -139,11 +128,6 @@ class TubLaneBlock:
     @property
     def busy(self) -> bool:
         return bool(self._remaining.any())
-
-    @property
-    def products(self) -> np.ndarray:
-        """Per-lane accumulators (the exact products once drained)."""
-        return self._accumulators
 
     def step_vec(self, cycles: int = 1) -> np.ndarray:
         """Advance every lane ``cycles`` edges in one jump; returns the

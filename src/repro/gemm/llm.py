@@ -73,11 +73,6 @@ class TubMatVec:
         self.activation_spec = int_spec(activation_precision)
         self.code = code if code is not None else TwosUnaryCode()
 
-    def worst_case_cycles_per_tile(self) -> int:
-        return self.code.cycles_for_magnitude(
-            self.weight_spec.max_magnitude
-        )
-
     def project(
         self, weights: np.ndarray, activations: np.ndarray
     ) -> MatVecResult:

@@ -94,18 +94,6 @@ class Netlist:
         self.connections.append(Connection(src, dst, bits))
         return self
 
-    def child(self, name: str) -> "Netlist":
-        for child, _count in self.children:
-            if child.name == name:
-                return child
-        raise SynthesisError(f"{self.name} has no child named {name!r}")
-
-    def child_count(self, name: str) -> int:
-        for child, count in self.children:
-            if child.name == name:
-                return count
-        raise SynthesisError(f"{self.name} has no child named {name!r}")
-
     # ------------------------------------------------------------------
     # aggregate queries
     # ------------------------------------------------------------------
@@ -118,9 +106,6 @@ class Netlist:
             for cell, n in child_counts.items():
                 total[cell] += n * count
         return total
-
-    def num_cells(self) -> int:
-        return sum(self.cell_counts().values())
 
     def area_um2(self, library: CellLibrary) -> float:
         """Post-synthesis standard-cell area (Σ cell footprints)."""

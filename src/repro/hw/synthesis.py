@@ -63,10 +63,6 @@ class SynthesisResult:
     def meets_timing(self) -> bool:
         return self.critical_path_ns <= self.clock_period_ns
 
-    @property
-    def slack_ns(self) -> float:
-        return self.clock_period_ns - self.critical_path_ns
-
 
 def synthesize(
     netlist: Netlist,

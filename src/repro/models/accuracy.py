@@ -42,10 +42,6 @@ class Dataset:
     test_y: np.ndarray
 
     @property
-    def num_classes(self) -> int:
-        return int(self.train_y.max()) + 1
-
-    @property
     def image_size(self) -> int:
         return self.train_x.shape[-1]
 

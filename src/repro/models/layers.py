@@ -107,10 +107,6 @@ class ConvLayerSpec(OpSpec):
         return self.groups == self.in_channels and self.groups > 1
 
     @property
-    def is_pointwise(self) -> bool:
-        return self.kernel_h == 1 and self.kernel_w == 1
-
-    @property
     def weight_shape(self) -> tuple[int, int, int, int]:
         """(K, C/groups, R, S) — the stored weight tensor shape."""
         return (

@@ -137,10 +137,6 @@ class QuantizedLayer:
     scale: float
     precision: IntSpec = INT8
 
-    @property
-    def zero_fraction(self) -> float:
-        return float(np.mean(self.codes == 0))
-
     @cached_property
     def codes64(self) -> np.ndarray:
         """The codes widened to int64, materialised once per layer and

@@ -517,16 +517,8 @@ class ModelSpec:
     layers: tuple[OpSpec, ...]
 
     @property
-    def weighted_layers(self) -> "tuple[OpSpec, ...]":
-        return tuple(op for op in self.layers if op.is_weighted)
-
-    @property
     def total_weights(self) -> int:
         return sum(layer.weight_count for layer in self.layers)
-
-    @property
-    def total_macs(self) -> int:
-        return sum(layer.macs for layer in self.layers)
 
     def scaled(self, factor: float) -> "ModelSpec":
         """Width-scaled variant (tests use small factors for speed)."""

@@ -75,10 +75,6 @@ class ConvBuffer:
         self.feature_reads = 0
         self.weight_reads = 0
 
-    @property
-    def loaded(self) -> bool:
-        return self._activations is not None
-
     def fetch_feature(self, atom: Atom, n: int) -> np.ndarray:
         if self._activations is None:
             raise DataflowError("CBUF read before load_layer()")

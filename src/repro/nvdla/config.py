@@ -57,20 +57,6 @@ class CoreConfig:
             raise DataflowError("latency overheads must be non-negative")
         object.__setattr__(self, "precision", int_spec(self.precision))
 
-    @property
-    def pe_count(self) -> int:
-        """Total multipliers in the array."""
-        return self.k * self.n
-
-    @property
-    def accumulator_width(self) -> int:
-        """Bits needed for one cell's dot product of n products."""
-        import math
-
-        product_bits = 2 * self.precision.width
-        return product_bits + max(1, math.ceil(math.log2(self.n))) \
-            if self.n > 1 else product_bits + 1
-
     def with_precision(self, precision: "int | str | IntSpec") -> "CoreConfig":
         return CoreConfig(
             k=self.k,

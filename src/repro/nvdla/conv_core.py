@@ -50,11 +50,6 @@ class ConvResult:
     macs: int
     gated_cell_cycles: int = 0
 
-    @property
-    def pe_utilization(self) -> float:
-        """Useful MACs / (provisioned MAC slots over the run)."""
-        return self.macs / max(self.cycles, 1)
-
 
 class ConvolutionCore:
     """The baseline binary convolution engine."""

@@ -106,10 +106,6 @@ class EnergyComparison:
         2.3x at INT4)."""
         return self.tub_energy_pj / self.binary_energy_pj
 
-    @property
-    def energy_gap_silent_adjusted(self) -> float:
-        return self.tub_energy_silent_adjusted_pj / self.binary_energy_pj
-
 
 def array_powers(
     config: CoreConfig, clock_mhz: float = 250.0

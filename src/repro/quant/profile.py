@@ -89,10 +89,6 @@ class PrecisionProfile:
             return self.first
         return self.interior
 
-    def layer_specs(self, count: int) -> tuple[IntSpec, ...]:
-        """Per-layer formats for a ``count``-layer network."""
-        return tuple(self.spec_for(index, count) for index in range(count))
-
     def describe(self) -> str:
         """``"INT4"`` for uniform profiles, ``"INT8/INT4/INT8"``
         (first/interior/last) for mixed ones."""

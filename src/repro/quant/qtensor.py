@@ -37,12 +37,3 @@ class QuantizedTensor:
     def dequantize(self) -> np.ndarray:
         """Real-valued view of the tensor."""
         return self.data.astype(np.float64) * float(self.scale)
-
-    def zero_fraction(self) -> float:
-        """Fraction of zero codes — the paper's Table I "word sparsity"."""
-        if self.size == 0:
-            return 0.0
-        return float(np.mean(self.data == 0))
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.data)

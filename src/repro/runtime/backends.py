@@ -519,9 +519,6 @@ class BackendProfile:
             return self.first
         return self.interior
 
-    def layer_backends(self, count: int) -> tuple:
-        return tuple(self.spec_for(index, count) for index in range(count))
-
     def describe(self) -> str:
         """``"tempus"`` for uniform profiles,
         ``"binary/tubgemm/binary"`` (first/interior/last) for mixed."""

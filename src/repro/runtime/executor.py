@@ -509,11 +509,11 @@ class _Step:
       hands on a fresh int32 array, channels-last in memory and seen
       as (B, K, OH, OW).
 
-    A network plan adds what :meth:`BatchExecutor.run_batch` needs
-    around the conv: the prebuilt PDP (unless the previous stage pools
-    its psums) and its record, whether the
-    fitted model input is saved, the residual source and save flag,
-    and the record template with the cycle line folded to the batch
+    :meth:`conv_fused` runs the stage.  Around it, the step holds what
+    :meth:`BatchExecutor.run_batch` needs: the prebuilt PDP (unless the
+    previous stage pools its psums) and its record, whether the fitted
+    model input is saved, the residual source and save flag, and the
+    record template with the cycle line folded to the batch
     (``per_row`` cycles per output row plus ``fixed``).
     """
 
@@ -755,6 +755,30 @@ class _Step:
             np.matmul(operand, weights, out=product)
         return self.psums
 
+    def conv_fused(
+        self, batch: np.ndarray, residual: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """The whole conv stage over the (B, C, H, W) ``batch``, seam
+        included: the exact float-GEMM psums of :meth:`run`, max-pooled
+        by the PDP if this step pools its psums (see
+        :meth:`pool_psums`), then the stage's :class:`_SdpEpilogue` over
+        them in this step's float64 scratch buffer, with the folded
+        residual (if any, shaped like the output) added in the same
+        pass.  The output is a fresh (B, K, OH, OW) array — int32 and
+        channels-last in memory, except the final stage's, which is
+        int64 and C-contiguous — so callers never alias scratch that
+        the next batch will overwrite."""
+        if residual is not None:
+            residual = residual.transpose(0, 2, 3, 1)
+        psums = self.run(batch)
+        if self.psum_pool is not None:
+            psums = self.psum_pool.apply_many(
+                psums.transpose(0, 3, 1, 2)
+            ).transpose(0, 2, 3, 1)
+        return self.epilogue(
+            psums, self.buffer, self.addend, residual, self.final,
+        )
+
     def fit(self, batch: np.ndarray) -> np.ndarray:
         """``batch`` fitted to the stage's declared input, as int64 (the
         model input a folded residual reads)."""
@@ -798,9 +822,10 @@ class BatchExecutor:
     views all into the shared scratch.  The executor keeps one plan,
     the last batch's, and builds a new one when the shape changes: on
     perfbench's three workloads one shape covers 98.9–99.97% of each
-    executor's batches.  When a scratch buffer has to grow, the kept
-    plan is dropped, so no plan holds a view of a replaced buffer and
-    scratch stays, per role, the largest single stage's need.
+    executor's batches.  A new plan grows the scratch before it binds
+    its views and then replaces the kept plan, so no plan holds a view
+    of a replaced buffer, and scratch stays, per role, the largest
+    single stage's need.
 
     On a token-independent program every output row depends only on
     its own input row, so the executor keeps private int64 copies of
@@ -866,12 +891,10 @@ class BatchExecutor:
         )
         # Scratch is one grow-only flat buffer per (role, dtype),
         # shared by every stage; the kept plan (for input shape
-        # _plan_shape) and the one-stage plan of the last stage run on
-        # its own (_spare) hold only views of it.
+        # _plan_shape) holds only views of it.
         self._scratch: "dict[tuple, np.ndarray]" = {}
         self._plan_shape: "tuple | None" = None
         self._plan: "tuple[_Step, ...]" = ()
-        self._spare: "_Step | None" = None
         # (inputs, outputs, rows): int64 buffers no caller holds, whose
         # first ``rows`` token rows are the computed ones; kept only on
         # token-independent programs.
@@ -946,9 +969,7 @@ class BatchExecutor:
                 if step.residual_from is not None
                 else None
             )
-            current = self._conv_fused(
-                step.index, step.stage, current, residual
-            )
+            current = step.conv_fused(current, residual)
             if step.save_output:
                 saved[step.index] = current
             # The stage's cycle line at the actual output-pixel count
@@ -1081,9 +1102,9 @@ class BatchExecutor:
 
     def _bind(self, steps: list) -> None:
         """Grow the shared scratch to the steps' largest need per
-        (role, dtype), then bind their views.  Growing replaces a
-        buffer, so it drops the kept plan and one-stage plan: neither
-        may keep a view of the old one."""
+        (role, dtype), then bind their views.  Only the plan being
+        built binds, and it replaces the kept one, so no kept plan
+        views a replaced buffer."""
         needs: dict = {}
         for step in steps:
             for key, shape in step.needs.items():
@@ -1091,69 +1112,6 @@ class BatchExecutor:
         for key, size in needs.items():
             buffer = self._scratch.get(key)
             if buffer is None or buffer.size < size:
-                if buffer is not None:
-                    self._plan_shape, self._plan = None, ()
-                    self._spare = None
                 self._scratch[key] = np.empty(size, dtype=key[1])
         for step in steps:
             step.bind(self._scratch)
-
-    def _step(self, index: int, stage: StagePlan, shape: tuple) -> _Step:
-        """The step that runs stage ``index`` on an input of ``shape``:
-        the kept plan's, or else, for a stage run outside
-        :meth:`run_batch`, a one-stage plan, kept until the next
-        such call needs another."""
-        plan = self._plan
-        if plan and plan[index].in_shape == shape:
-            return plan[index]
-        step = self._spare
-        if step is None or step.index != index or step.stage is not stage \
-                or step.in_shape != shape:
-            step = _Step(
-                index, stage, self._fused_stages[index], shape,
-                index == len(self.net.stages) - 1,
-            )
-            self._bind([step])
-            self._spare = step
-        return step
-
-    # --- conv execution -----------------------------------------------
-    def _conv_fused(
-        self,
-        index: int,
-        stage: StagePlan,
-        batch: np.ndarray,
-        residual: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """One conv stage over the whole (B, C, H, W) batch, seam
-        included: its step's exact float-GEMM psums, max-pooled by the
-        PDP if the step pools its psums (a stage of the kept plan whose
-        next stage's max pool moved here; a stage run alone never
-        pools), then the stage's :class:`_SdpEpilogue` over them in the
-        same step's float64 scratch buffer, with the folded residual
-        (if any, shaped like the output) added in the same pass.  The
-        output is a fresh (B, K, OH, OW) array — int32 and
-        channels-last in memory, except the final stage's, which is
-        int64 and C-contiguous — so callers never alias scratch that
-        the next batch will overwrite."""
-        step = self._step(index, stage, batch.shape)
-        if residual is not None:
-            residual = residual.transpose(0, 2, 3, 1)
-        psums = step.run(batch)
-        if step.psum_pool is not None:
-            psums = step.psum_pool.apply_many(
-                psums.transpose(0, 3, 1, 2)
-            ).transpose(0, 2, 3, 1)
-        return step.epilogue(
-            psums, step.buffer, step.addend, residual, step.final,
-        )
-
-    def _fused_psums(
-        self, index: int, stage: StagePlan, batch: np.ndarray
-    ) -> np.ndarray:
-        """Pre-SDP psums of one stage (its seam applied to ``batch``)
-        as a (B, K, OH, OW) view of channels-last scratch in the stage
-        plan's float dtype — exact integers, because the plan's bound
-        keeps every partial sum exactly representable."""
-        step = self._step(index, stage, batch.shape)
-        return step.run(batch).transpose(0, 3, 1, 2)

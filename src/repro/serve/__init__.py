@@ -2,8 +2,7 @@
 
 - :class:`~repro.serve.queue.RequestQueue` — dynamic-batching
   front-end (max-batch / max-wait coalescing, submission-order seqs,
-  bounded depth with block/reject/shed admission control, eager
-  dispatch for idle pools).
+  depth telemetry, eager dispatch for idle pools).
 - :class:`~repro.serve.sharded.ShardedRunner` — compile once, fork N
   shard workers, and serve a whole batch through one coalescing
   gateway stream with bit-identical results.
@@ -13,9 +12,8 @@
   duplicate discard, graceful degradation to in-process execution.
 - :class:`~repro.serve.gateway.ServingGateway` — request validation
   at submit, pipelined dispatch/collection threads over the
-  supervised pool (with an optional asyncio wrapper) and a
-  per-response latency decomposition (queue wait / dispatch / compute
-  / reassembly).
+  supervised pool and a per-response latency decomposition (queue
+  wait / dispatch / compute / reassembly).
 - :class:`~repro.serve.faults.FaultPlan` — seeded, deterministic
   fault injection (crash / hang / slow / transient error) so chaos
   runs replay exactly.
@@ -29,12 +27,11 @@ from repro.serve.gateway import (
     LatencyBreakdown,
     ServingGateway,
 )
-from repro.serve.queue import ADMISSION_POLICIES, Request, RequestQueue
+from repro.serve.queue import Request, RequestQueue
 from repro.serve.sharded import ShardedResult, ShardedRunner
 from repro.serve.supervisor import ShardSupervisor
 
 __all__ = [
-    "ADMISSION_POLICIES",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",

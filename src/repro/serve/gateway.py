@@ -7,14 +7,13 @@ traffic — any thread or coroutine — submits requests as they arrive.  Three
 concerns run **concurrently** on two gateway threads plus the callers,
 so no worker ever waits on the parent:
 
-* **submit** (any thread; :meth:`ServingGateway.submit_async` is a thin
-  asyncio wrapper) — :meth:`ServingGateway.submit` validates one image
-  against the network input (shape, integer dtype, precision range;
-  a malformed request fails only its own ticket), enqueues it into
-  the :class:`~repro.serve.queue.RequestQueue` (admission control
-  included: block / reject / shed) and returns a
-  :class:`concurrent.futures.Future` resolving to a
-  :class:`GatewayResponse`;
+* **submit** (any thread) — :meth:`ServingGateway.submit` validates
+  one image against the network input (shape, integer dtype,
+  precision range; a malformed request fails only its own ticket),
+  enqueues it into the :class:`~repro.serve.queue.RequestQueue` and
+  returns a :class:`concurrent.futures.Future` resolving to a
+  :class:`GatewayResponse` (a coroutine awaits it with
+  :func:`asyncio.wrap_future`);
 * **dispatch** (gateway thread) — pulls coalesced batches and ships
   them to the :class:`~repro.serve.supervisor.ShardSupervisor`, whose
   shard queues carry them pickled.  While the pool has idle capacity
@@ -47,7 +46,6 @@ this under Poisson/burst arrivals and 25% injected faults).
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from collections.abc import Mapping
@@ -118,12 +116,12 @@ class GatewayResult:
 
     ``output`` stacks the completed requests' rows in submission
     (sequence) order — as a 1-D object array of rows when a
-    dynamic-token stream mixed sequence lengths.  Under the "block"
-    admission policy that is every request
+    dynamic-token stream mixed sequence lengths.  That is every request
     :meth:`ServingGateway.submit` accepted (a malformed one is refused
-    before it takes a sequence number), so the tensor — and
-    ``conv_cycles`` / ``stages`` — is directly comparable to the
-    single-process
+    before it takes a sequence number) unless a batch of them could not
+    be formed, in which case ``completed`` lacks their sequence
+    numbers.  So the tensor — and ``conv_cycles`` / ``stages`` — is
+    directly comparable to the single-process
     :meth:`~repro.runtime.runner.NetworkRunner.run` reference.
 
     ``stages`` holds one :class:`~repro.runtime.executor.StageResult` per
@@ -189,8 +187,7 @@ class _Job:
 
 class ServingGateway:
     """Pipelined front-end over a supervised shard pool: a dispatch
-    thread and a collect thread, with :meth:`submit_async` as an
-    optional asyncio wrapper over the thread-safe :meth:`submit`.
+    thread and a collect thread behind the thread-safe :meth:`submit`.
 
     One gateway instance serves one request stream: construct it (the
     runner's pool starts/warms and a fresh supervisor stream begins),
@@ -212,10 +209,8 @@ class ServingGateway:
     Args:
         runner: the shard pool to serve through (started here).
         model_name: zoo model to serve.
-        max_batch / max_wait / max_pending / admission: request-queue
-            knobs; default to the runner's settings.  ``"shed"``
-            admission evicts the oldest pending request when full —
-            its future fails with :class:`DataflowError`.
+        max_batch / max_wait: request-queue knobs; default to the
+            runner's settings.
         eager: dispatch pending requests immediately while the pool
             has idle capacity (jobs in flight < workers), coalescing
             only under backpressure.  Purely a latency policy — batch
@@ -229,8 +224,6 @@ class ServingGateway:
         *,
         max_batch: "int | None" = None,
         max_wait: "float | None" = None,
-        max_pending: "int | None" = None,
-        admission: "str | None" = None,
         eager: bool = True,
     ) -> None:
         runner.start(model_name)
@@ -247,15 +240,6 @@ class ServingGateway:
             max_wait=(
                 runner.max_wait if max_wait is None else max_wait
             ),
-            max_pending=(
-                runner.max_pending
-                if max_pending is None
-                else max_pending
-            ),
-            admission=(
-                runner.admission if admission is None else admission
-            ),
-            on_evict=self._evicted,
         )
         self._lock = threading.Lock()
         self._jobs: "dict[int, _Job]" = {}
@@ -294,10 +278,8 @@ class ServingGateway:
         precision; otherwise the returned future fails with
         :class:`DataflowError` and the request never enters the queue
         (it takes no sequence number), so the requests around it are
-        served as if it had never been sent.  Under "block" admission a
-        full queue makes this call wait (backpressure); under "reject"
-        it raises :class:`DataflowError`; under "shed" it may fail the
-        *oldest* pending request's future instead.
+        served as if it had never been sent.  The queue is unbounded,
+        so this call never waits.
         """
         ticket: Future = Future()
         try:
@@ -324,26 +306,9 @@ class ServingGateway:
         except PrecisionError as error:
             raise DataflowError(f"request rejected: {error}") from None
 
-    async def submit_async(self, image: np.ndarray) -> GatewayResponse:
-        """Coroutine front-end: submit (off-loop, so "block" admission
-        backpressure never stalls the event loop) and await the
-        response."""
-        loop = asyncio.get_running_loop()
-        ticket = await loop.run_in_executor(None, self.submit, image)
-        return await asyncio.wrap_future(ticket)
-
     def stats(self) -> dict:
-        """Live queue/admission telemetry snapshot."""
+        """Live queue telemetry snapshot."""
         return self._queue.stats()
-
-    def _evicted(self, request: Request) -> None:
-        _fail_tickets(
-            [request],
-            DataflowError(
-                f"request {request.seq} shed by admission control "
-                "(queue full; oldest-first shed policy)"
-            ),
-        )
 
     # -- pipeline threads ----------------------------------------------
     def _idle_capacity(self) -> bool:
@@ -498,8 +463,7 @@ class ServingGateway:
     def finish(self) -> GatewayResult:
         """Close the stream, drain every in-flight batch and return
         the aggregate result.  Idempotent; call after every submitted
-        request's future has been awaited (or was failed by
-        admission control)."""
+        request's future has been awaited."""
         if self._result is not None:
             return self._result
         self._queue.close()

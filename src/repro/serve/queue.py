@@ -16,25 +16,11 @@ any sequence length, and a batch closes at the first pending request
 whose shape differs from its head's (which then heads the next batch),
 so submission order is kept.
 
-The queue is optionally **bounded** (``max_pending``) with an explicit
-admission-control policy for saturation, so a stalled or slow consumer
-sheds load instead of growing the pending list without bound:
-
-* ``"block"`` — submitters wait for space (backpressure; the default,
-  and what :class:`~repro.serve.sharded.ShardedRunner` uses so no
-  request of a stream is ever lost);
-* ``"reject"`` — a full queue raises :class:`DataflowError`
-  immediately (load shedding for open-loop front-ends);
-* ``"shed"`` — a full queue evicts its *oldest* pending request to
-  admit the new one (freshness-first shedding: under sustained
-  overload the queue serves recent traffic instead of an ever-staler
-  backlog).  Evicted requests are reported through the ``on_evict``
-  callback (called outside the queue lock) so a gateway can fail their
-  tickets.
-
-Depth telemetry (:meth:`RequestQueue.stats`) records the high
-watermark, rejected, blocked and shed submissions for the serving
-tier's health report.
+The queue is unbounded: every submission is accepted until
+:meth:`RequestQueue.close`, so no request of a stream is ever lost.
+Depth telemetry (:meth:`RequestQueue.stats`) records the submitted
+count, the pending depth and its high watermark for the serving tier's
+health report.
 
 Each request carries a monotonically increasing sequence number, so the
 dispatcher can scatter coalesced batches across shards in any order and
@@ -42,10 +28,10 @@ results are still reassembled into exact submission order.  A request
 can also carry an opaque ``token`` (e.g. a response future), which
 rides along to whoever consumes the batch.
 
-All waits in this module are event-driven (condition variables): a
-blocked consumer wakes on submit/close, a blocked submitter wakes on
-take/close — there are no fixed-interval polls, so added latency under
-light load is bounded by thread wakeup cost, not poll granularity.
+All waits in this module are event-driven (a condition variable): a
+blocked consumer wakes on submit/close — there are no fixed-interval
+polls, so added latency under light load is bounded by thread wakeup
+cost, not poll granularity.
 """
 
 from __future__ import annotations
@@ -58,9 +44,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import DataflowError
-
-#: Admission-control policies a bounded queue supports.
-ADMISSION_POLICIES = ("block", "reject", "shed")
 
 
 @dataclass(frozen=True)
@@ -92,47 +75,22 @@ class RequestQueue:
         self,
         max_batch: int = 8,
         max_wait: float = 0.002,
-        max_pending: "int | None" = None,
-        admission: str = "block",
-        on_evict=None,
     ) -> None:
         """Args:
         max_batch: largest batch a shard receives (>= 1).
         max_wait: seconds to hold an open batch for stragglers.
-        max_pending: queue-depth bound (>= 1); None = unbounded.
-        admission: saturation policy for a bounded queue — "block"
-            (submitters wait for space), "reject" (a full queue
-            raises :class:`DataflowError`) or "shed" (a full queue
-            evicts its oldest pending request).
-        on_evict: callable ``request -> None`` invoked (outside the
-            queue lock) for every request the "shed" policy evicts.
         """
         if max_batch < 1:
             raise DataflowError("max_batch must be >= 1")
         if max_wait < 0:
             raise DataflowError("max_wait must be >= 0")
-        if max_pending is not None and max_pending < 1:
-            raise DataflowError("max_pending must be >= 1 (or None)")
-        if admission not in ADMISSION_POLICIES:
-            raise DataflowError(
-                f"admission policy must be one of "
-                f"{', '.join(ADMISSION_POLICIES)}, got {admission!r}"
-            )
         self.max_batch = max_batch
         self.max_wait = max_wait
-        self.max_pending = max_pending
-        self.admission = admission
-        self.on_evict = on_evict
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
-        self._space = threading.Condition(self._lock)
         self._pending: "deque[Request]" = deque()
         self._next_seq = 0
         self._closed = False
-        self._submitted = 0
-        self._rejected = 0
-        self._blocked = 0
-        self._shed = 0
         self._high_watermark = 0
 
     def __len__(self) -> int:
@@ -147,55 +105,22 @@ class RequestQueue:
             token: opaque payload carried on the :class:`Request`.
 
         Raises:
-            DataflowError: the queue is closed, or it is full under
-                the "reject" admission policy.
+            DataflowError: the queue is closed.
         """
-        evicted: list[Request] = []
-        try:
-            with self._lock:
-                if self._closed:
-                    raise DataflowError(
-                        "request queue is closed — submit() after "
-                        "close() is not accepted"
-                    )
-                if self._full():
-                    if self.admission == "reject":
-                        self._rejected += 1
-                        raise DataflowError(
-                            f"request queue full ({self.max_pending} "
-                            "pending): request rejected by admission "
-                            "control"
-                        )
-                    if self.admission == "shed":
-                        while self._full():
-                            evicted.append(self._pending.popleft())
-                            self._shed += 1
-                    else:
-                        self._blocked += 1
-                        while self._full() and not self._closed:
-                            self._space.wait()
-                        if self._closed:
-                            raise DataflowError(
-                                "request queue closed while waiting "
-                                "for space"
-                            )
-                request = Request(self._next_seq, image, token=token)
-                self._next_seq += 1
-                self._pending.append(request)
-                self._submitted += 1
-                self._high_watermark = max(
-                    self._high_watermark, len(self._pending)
+        with self._lock:
+            if self._closed:
+                raise DataflowError(
+                    "request queue is closed — submit() after "
+                    "close() is not accepted"
                 )
-                self._ready.notify()
-                return request.seq
-        finally:
-            # Eviction callbacks run outside the lock: a gateway's
-            # callback fails response futures, which may run arbitrary
-            # done-callbacks — none of that belongs under the queue
-            # lock.
-            if evicted and self.on_evict is not None:
-                for request in evicted:
-                    self.on_evict(request)
+            request = Request(self._next_seq, image, token=token)
+            self._next_seq += 1
+            self._pending.append(request)
+            self._high_watermark = max(
+                self._high_watermark, len(self._pending)
+            )
+            self._ready.notify()
+            return request.seq
 
     def close(self) -> None:
         """Stop accepting requests; pending batches still drain
@@ -203,27 +128,15 @@ class RequestQueue:
         with self._lock:
             self._closed = True
             self._ready.notify_all()
-            self._space.notify_all()
 
     def stats(self) -> dict:
-        """Admission/depth telemetry snapshot."""
+        """Depth telemetry snapshot."""
         with self._lock:
             return {
-                "submitted": self._submitted,
-                "rejected": self._rejected,
-                "blocked": self._blocked,
-                "shed": self._shed,
+                "submitted": self._next_seq,
                 "depth_high_watermark": self._high_watermark,
-                "max_pending": self.max_pending,
-                "admission": self.admission,
                 "pending": len(self._pending),
             }
-
-    def _full(self) -> bool:
-        return (
-            self.max_pending is not None
-            and len(self._pending) >= self.max_pending
-        )
 
     def poke(self) -> None:
         """Wake a consumer waiting out its coalescing window so it
@@ -291,5 +204,4 @@ class RequestQueue:
             and np.shape(self._pending[0].image) == shape
         ):
             batch.append(self._pending.popleft())
-        self._space.notify_all()
         return batch

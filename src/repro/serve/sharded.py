@@ -52,7 +52,6 @@ from repro.runtime.executor import BatchExecutor
 from repro.runtime.lowering import CompiledNetwork
 from repro.runtime.runner import NetworkResult, NetworkRunner
 from repro.serve.gateway import ServingGateway
-from repro.serve.queue import ADMISSION_POLICIES
 from repro.serve.supervisor import ShardSupervisor
 
 
@@ -72,7 +71,7 @@ class ShardedResult(NetworkResult):
         health: supervisor/queue telemetry for the stream — restarts,
             retries, redispatched jobs, deadline misses, degraded-mode
             jobs/cycles, duplicate results discarded, worker errors,
-            and the admission-control stats of the request queue.
+            and the depth stats of the request queue.
     """
 
     shard_cycles: tuple = ()
@@ -176,8 +175,8 @@ class ShardedRunner:
     The runner mirrors :class:`NetworkRunner`'s constructor knobs (it
     delegates compilation and input synthesis to one internally) and
     adds the serving-specific ones: worker count, dynamic-batching
-    limits, admission control, the multiprocessing start method, and
-    the fault-tolerance policy the supervisor enforces.
+    limits, the multiprocessing start method, and the fault-tolerance
+    policy the supervisor enforces.
 
     Usage::
 
@@ -199,12 +198,9 @@ class ShardedRunner:
         max_wait: float = 0.002,
         start_method: "str | None" = None,
         precision=None,
-        max_pending: "int | None" = None,
-        admission: str = "block",
         fault_plan=None,
         job_deadline: "float | None" = None,
         max_restarts: int = 3,
-        restart_backoff: float = 0.05,
         min_live: int = 1,
         max_attempts: int = 5,
         fused: bool = False,
@@ -212,11 +208,6 @@ class ShardedRunner:
         """Serving-specific args (see :class:`NetworkRunner` for the
         rest):
 
-        max_pending / admission: bound the request queue's depth and
-            pick the saturation policy ("block" applies backpressure
-            to submitters, "reject" refuses the request and "shed"
-            evicts the oldest pending one; :meth:`run` raises
-            :class:`DataflowError` under either).
         fused: accepted and ignored, like
             :class:`NetworkRunner`'s: workers and the degraded
             in-process fallback run the executor's one batched path.
@@ -226,9 +217,9 @@ class ShardedRunner:
             before its shard is declared hung and the batch is
             redispatched (None disables hang detection; required when
             the fault plan can schedule hangs).
-        max_restarts / restart_backoff: per-stream restart budget per
-            shard and the base of the capped exponential respawn
-            backoff.
+        max_restarts: per-stream restart budget per shard (respawns
+            back off exponentially, see
+            :class:`~repro.serve.supervisor.ShardSupervisor`).
         min_live: pool floor — below it the stream degrades to
             in-process execution instead of failing.
         max_attempts: dispatch attempts per batch before the
@@ -236,11 +227,6 @@ class ShardedRunner:
         """
         if workers < 1:
             raise DataflowError("workers must be >= 1")
-        if admission not in ADMISSION_POLICIES:
-            raise DataflowError(
-                f"admission policy must be one of "
-                f"{', '.join(ADMISSION_POLICIES)}, got {admission!r}"
-            )
         if (
             fault_plan is not None
             and job_deadline is None
@@ -261,12 +247,9 @@ class ShardedRunner:
         self.workers = workers
         self.max_batch = max_batch
         self.max_wait = max_wait
-        self.max_pending = max_pending
-        self.admission = admission
         self.fault_plan = fault_plan
         self.job_deadline = job_deadline
         self.max_restarts = max_restarts
-        self.restart_backoff = restart_backoff
         self.min_live = min_live
         self.max_attempts = max_attempts
         self._runner = NetworkRunner(
@@ -305,13 +288,6 @@ class ShardedRunner:
     def supervisor(self) -> "ShardSupervisor | None":
         """The live shard supervisor (None before :meth:`start`)."""
         return self._supervisor
-
-    @property
-    def _processes(self) -> list:
-        """Live worker process handles (diagnostics/tests)."""
-        if self._supervisor is None:
-            return []
-        return self._supervisor.processes
 
     def compile(self, model_name: str) -> CompiledNetwork:
         """Lower (and cache) one zoo model in the parent process."""
@@ -352,7 +328,6 @@ class ShardedRunner:
             fault_plan=self.fault_plan,
             job_deadline=self.job_deadline,
             max_restarts=self.max_restarts,
-            restart_backoff=self.restart_backoff,
             min_live=self.min_live,
             max_attempts=self.max_attempts,
             fallback=fallback,
@@ -403,9 +378,9 @@ class ShardedRunner:
         in-process degraded fallback).
 
         Raises:
-            DataflowError: a request was refused ("reject" admission)
-                or shed ("shed" admission) — the message names the
-                shed sequence numbers — or the stream failed.
+            DataflowError: the stream failed, or a request's ticket
+                failed (the message names the unserved sequence
+                numbers).
 
         A model or batch that fails validation raises before any
         request is submitted and leaves the pool as it was; once the

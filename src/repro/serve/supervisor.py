@@ -37,7 +37,7 @@ Collection is **event-driven**: :meth:`ShardSupervisor.next_result`
 blocks on the in-process result funnel with no timeout — a finished
 job wakes it at thread-wakeup cost, never poll granularity.  Health
 probing (respawn-due / dead / hung detection) runs on its own
-background thread at ``poll_interval`` cadence, decoupled from
+background thread every :data:`POLL_INTERVAL` seconds, decoupled from
 collection, so faults are detected and recovered even while the
 consumer is busy reassembling elsewhere (the pipelined gateway) or
 not collecting at all.  Degraded jobs and probe-thread failures reach
@@ -66,6 +66,14 @@ HEALTH_COUNTERS = (
     "duplicates_discarded",
     "worker_errors",
 )
+
+#: Seconds between health probes (respawn-due, dead and hung shards).
+POLL_INTERVAL = 0.05
+
+#: Base respawn delay in seconds, doubled per restart of a shard, and
+#: its cap.
+RESTART_BACKOFF = 0.05
+BACKOFF_CAP = 1.0
 
 #: Funnel sentinel: a job moved to the degraded list — wakes a
 #: consumer blocked in :meth:`ShardSupervisor.next_result` so the
@@ -133,9 +141,9 @@ class ShardSupervisor:
             redispatched; None disables hang detection (process death
             is still detected).
         max_restarts: restart budget per shard per request stream;
-            a shard that exceeds it is retired for the stream.
-        restart_backoff: base respawn delay, doubled per restart.
-        backoff_cap: upper bound on the respawn delay.
+            a shard that exceeds it is retired for the stream.  A
+            respawn waits :data:`RESTART_BACKOFF`, doubled per restart
+            up to :data:`BACKOFF_CAP`.
         min_live: pool floor — when fewer than this many non-retired
             shards remain, the stream degrades to in-process
             execution instead of failing.
@@ -146,7 +154,6 @@ class ShardSupervisor:
         fallback: callable ``images -> record`` executing a job
             in-process (the degraded path); None disables degradation
             and exhausted streams raise instead.
-        poll_interval: result-queue poll / health-probe period.
 
     Job batches and result tensors travel pickled through each
     shard's ``multiprocessing`` queues.
@@ -162,12 +169,9 @@ class ShardSupervisor:
         fault_plan=None,
         job_deadline: "float | None" = None,
         max_restarts: int = 3,
-        restart_backoff: float = 0.05,
-        backoff_cap: float = 1.0,
         min_live: int = 1,
         max_attempts: int = 5,
         fallback=None,
-        poll_interval: float = 0.05,
     ) -> None:
         if workers < 1:
             raise DataflowError("workers must be >= 1")
@@ -187,11 +191,8 @@ class ShardSupervisor:
         self.fault_plan = fault_plan
         self.job_deadline = job_deadline
         self.max_restarts = max_restarts
-        self.restart_backoff = restart_backoff
-        self.backoff_cap = backoff_cap
         self.min_live = min_live
         self.max_attempts = max_attempts
-        self.poll_interval = poll_interval
         self._fallback = fallback
         self._lock = RLock()
         # Parent-side result funnel.  Pump threads forward complete
@@ -230,10 +231,10 @@ class ShardSupervisor:
         self._probe_thread.start()
 
     def _probe_loop(self) -> None:  # pragma: no cover - thread body
-        """Run the health probe at ``poll_interval`` cadence until
+        """Run the health probe every :data:`POLL_INTERVAL` seconds until
         :meth:`stop`.  A probe failure (e.g. a poisoned job raising on
         redispatch) is funneled to the consumer and ends the loop."""
-        while not self._probe_stop.wait(self.poll_interval):
+        while not self._probe_stop.wait(POLL_INTERVAL):
             try:
                 self._probe()
             except BaseException as error:
@@ -484,8 +485,7 @@ class ShardSupervisor:
         else:
             self._idle_restarts += 1
         backoff = min(
-            self.restart_backoff * (2 ** (shard.restarts - 1)),
-            self.backoff_cap,
+            RESTART_BACKOFF * (2 ** (shard.restarts - 1)), BACKOFF_CAP
         )
         shard.queue = self._ctx.Queue()
         shard.respawn_at = time.monotonic() + backoff
@@ -577,7 +577,7 @@ class ShardSupervisor:
         funnel, woken by worker completions, degraded-job sentinels and
         probe failures — the background probe thread (not this call)
         owns fault detection, so collection latency is thread-wakeup
-        cost regardless of ``poll_interval``.
+        cost regardless of :data:`POLL_INTERVAL`.
 
         Raises:
             DataflowError: a job exhausted its attempts with worker

@@ -5,11 +5,11 @@ Two stepping granularities share one clock:
 * :meth:`CycleSimulator.step` / :meth:`~CycleSimulator.run_until` tick every
   module once per clock edge — the tick-level engine used for waveform
   traces and protocol tests.
-* :meth:`CycleSimulator.step_many` / :meth:`~CycleSimulator.run_events`
-  tick every module once per *event* and jump the clock by the cycles that
-  event spanned — the burst-level engine: a module that executes a whole
-  multi-cycle burst in one vectorized tick reports the burst length and the
-  simulator skips straight past the silent edges.
+* :meth:`CycleSimulator.run_events` ticks every module once per *event*
+  and jumps the clock by the cycles that event spanned — the burst-level
+  engine: a module that executes a whole multi-cycle burst in one
+  vectorized tick reports the burst length and the simulator skips
+  straight past the silent edges.
 """
 
 from __future__ import annotations
@@ -74,21 +74,6 @@ class CycleSimulator:
             self.cycle += 1
         return self.cycle
 
-    def step_many(self, cycles: int = 1) -> int:
-        """One tick of every module, advancing the clock ``cycles`` edges.
-
-        Used by vectorized modules whose single ``tick`` models a whole
-        multi-cycle burst: the modules observe one tick, the clock jumps by
-        the burst span.  ``step_many(1)`` is exactly :meth:`step`.
-        """
-        if cycles < 1:
-            raise SimulationError(
-                f"step_many needs >= 1 cycle per event, got {cycles}"
-            )
-        self._tick_all()
-        self.cycle += cycles
-        return self.cycle
-
     def run_until(
         self, condition: Callable[[], bool], max_cycles: int = 1_000_000
     ) -> int:
@@ -118,9 +103,8 @@ class CycleSimulator:
 
         Each iteration ticks every module once, then advances the clock by
         ``span()`` — the number of hardware cycles the modules just modeled
-        (e.g. a whole tub burst).  ``span`` is sampled *after* the tick
-        (which is why this cannot simply call :meth:`step_many`); spans
-        below 1 clamp to 1 so idle events still make progress.
+        (e.g. a whole tub burst).  ``span`` is sampled *after* the tick;
+        spans below 1 clamp to 1 so idle events still make progress.
 
         Returns cycles consumed; raises :class:`SimulationError` past
         ``max_cycles`` (deadlock guard).

@@ -35,9 +35,6 @@ class TraceRecorder:
         samples = self._samples.get(signal, {})
         return [samples.get(c) for c in range(self.last_cycle + 1)]
 
-    def value_at(self, signal: str, cycle: int) -> object:
-        return self._samples.get(signal, {}).get(cycle)
-
     def render(self, title: str | None = None) -> str:
         """Render the trace as a cycle-by-signal table."""
         headers = ["cycle"] + list(self._signals)

@@ -56,13 +56,6 @@ class Slo:
             if value is not None and value <= 0:
                 raise DataflowError(f"{name} must be positive")
 
-    @property
-    def constrained(self) -> bool:
-        return (
-            self.max_cycles_per_image is not None
-            or self.max_pj_per_image is not None
-        )
-
     def admits(
         self, cycles_per_image: float, pj_per_image: float
     ) -> bool:

@@ -10,7 +10,7 @@ add/subtract control at the accumulator).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.errors import EncodingError
 
@@ -33,12 +33,6 @@ class TemporalBitstream:
         for pulse in self.pulses:
             if pulse not in _VALID_PULSES:
                 raise EncodingError(f"invalid pulse value: {pulse}")
-
-    @staticmethod
-    def from_iterable(
-        pulses: Sequence[int], negative: bool = False
-    ) -> "TemporalBitstream":
-        return TemporalBitstream(tuple(int(p) for p in pulses), negative)
 
     @property
     def cycles(self) -> int:
@@ -70,27 +64,3 @@ class TemporalBitstream:
 
     def __len__(self) -> int:
         return len(self.pulses)
-
-    def padded(self, cycles: int) -> "TemporalBitstream":
-        """Extend with zero pulses to ``cycles`` total — lockstep operation
-        of an array is modelled by padding every lane to the array maximum."""
-        if cycles < self.cycles:
-            raise EncodingError(
-                f"cannot pad stream of {self.cycles} cycles down to {cycles}"
-            )
-        return TemporalBitstream(
-            self.pulses + (0,) * (cycles - self.cycles), self.negative
-        )
-
-    def signed_pulses(self) -> tuple[int, ...]:
-        """Pulses with the sign applied — the accumulator-side view."""
-        if self.negative:
-            return tuple(-p for p in self.pulses)
-        return self.pulses
-
-    def waveform(self) -> str:
-        """Compact trace such as ``-|2 2 1|`` for -5 — used by the Fig. 2
-        dataflow example."""
-        sign = "-" if self.negative else "+"
-        body = " ".join(str(p) for p in self.pulses) if self.pulses else "·"
-        return f"{sign}|{body}|"

@@ -59,10 +59,3 @@ class TemporalEncoder:
             pulse = 1
         self._remaining -= pulse
         return -pulse if self._negative else pulse
-
-    def drain(self) -> list[int]:
-        """Run to completion, returning all remaining signed pulses."""
-        pulses = []
-        while self.busy:
-            pulses.append(self.tick())
-        return pulses

@@ -51,10 +51,6 @@ class IntSpec:
         return 1 << (self.width - 1)
 
     @property
-    def levels(self) -> int:
-        return 1 << self.width
-
-    @property
     def worst_case_tub_cycles(self) -> int:
         """Worst-case cycles for one tub multiplication with 2s-unary coding:
         ceil(max_magnitude / 2).  INT8 -> 64, INT4 -> 4, INT2 -> 1."""

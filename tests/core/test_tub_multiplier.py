@@ -7,6 +7,7 @@ from repro.errors import SimulationError
 from repro.core.tub_multiplier import TubLaneBlock, TubMultiplier, tub_multiply
 from repro.unary.encoding import PureUnaryCode
 from repro.utils.intrange import INT4, INT8
+from tests.oracles import run_to_completion
 
 
 class TestExactness:
@@ -16,7 +17,7 @@ class TestExactness:
         for activation in range(-8, 8):
             for weight in range(-8, 8):
                 lane.load(activation, weight)
-                assert lane.run_to_completion() == activation * weight
+                assert run_to_completion(lane) == activation * weight
 
     def test_int8_extremes(self):
         lane = TubMultiplier()
@@ -27,7 +28,7 @@ class TestExactness:
             (127, 127),
         ]:
             lane.load(activation, weight)
-            assert lane.run_to_completion() == activation * weight
+            assert run_to_completion(lane) == activation * weight
 
 
 class TestLatency:
@@ -68,14 +69,14 @@ class TestProtocol:
     def test_idle_tick_contributes_zero(self):
         lane = TubMultiplier()
         lane.load(5, 2)
-        lane.run_to_completion()
+        run_to_completion(lane)
         assert lane.tick() == 0
         assert lane.product == 10
 
     def test_pure_unary_code_also_exact(self):
         lane = TubMultiplier(PureUnaryCode())
         assert lane.load(-7, 5) == 5
-        assert lane.run_to_completion() == -35
+        assert run_to_completion(lane) == -35
 
 
 class TestTrace:
@@ -119,12 +120,13 @@ class TestLaneBlock:
         lanes = [TubMultiplier() for _ in range(4)]
         for lane, a, w in zip(lanes, acts, weights):
             lane.load(int(a), int(w))
+        products = np.zeros(4, dtype=np.int64)
         for _ in range(3):  # three single-cycle jumps
-            block.step_vec(1)
+            products += block.step_vec(1)
             for lane in lanes:
                 if lane.busy:
                     lane.tick()
-            assert list(block.products) == [lane.product for lane in lanes]
+            assert list(products) == [lane.product for lane in lanes]
 
     def test_silent_mask_is_zero_weights(self):
         block = TubLaneBlock(3)

@@ -35,8 +35,10 @@ class TestTubMatVec:
         assert result.tiles == 2 * 3  # ceil(8/4) x ceil(12/4)
 
     def test_worst_case_bounds(self):
-        assert TubMatVec(weight_precision=4).worst_case_cycles_per_tile() == 4
-        assert TubMatVec(weight_precision=2).worst_case_cycles_per_tile() == 1
+        for precision, cycles in ((4, 4), (2, 1)):
+            engine = TubMatVec(weight_precision=precision)
+            worst = engine.weight_spec.max_magnitude
+            assert engine.code.cycles_for_magnitude(worst) == cycles
 
     def test_int2_matches_binary_latency(self):
         """The ultra-low-precision headline: INT2 bursts are all 1 cycle,

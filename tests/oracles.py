@@ -1,19 +1,26 @@
 """Independent reference implementations the differential tests check
-the program against.
+the program against, and the hooks they use to see inside the executor.
 
-They share no code with the executor or the cycle engines: a
-convolution is plain int64 einsums over window positions, and the
-gating counts read a zero-padded copy of the weights tile by tile, the
-way the MAC array sees them.
+The references share no code with the executor or the cycle engines: a
+convolution is plain int64 einsums over window positions, the gating
+counts read a zero-padded copy of the weights tile by tile, the way the
+MAC array sees them, and the edge-by-edge engine drivers tick a loaded
+lane, cell or encoder until its stream ends.
+
+:func:`stage_step` runs one executor stage alone, and
+:func:`recorded_stages` records what every stage of a ``run_batch`` is
+given and hands on.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
 from repro.errors import DataflowError
+from repro.runtime.executor import _Step
 
 
 def golden_conv2d_batched(
@@ -156,3 +163,81 @@ def three_draw_layer_weights(layer, spec, rng) -> np.ndarray:
     if spec.zero_inflation > 0.0:
         weights[rng.random(count) < spec.zero_inflation] = 0.0
     return weights.astype(np.float32).reshape(layer.weight_shape)
+
+
+def drain(encoder) -> "list[int]":
+    """Tick a loaded 2s-unary encoder until its stream ends; returns
+    every signed pulse it emitted."""
+    pulses = []
+    while encoder.busy:
+        pulses.append(encoder.tick())
+    return pulses
+
+
+def signed_pulses(stream) -> "tuple[int, ...]":
+    """A bitstream's pulses with its sign applied — the accumulator-side
+    view the encoder must emit."""
+    if stream.negative:
+        return tuple(-pulse for pulse in stream.pulses)
+    return stream.pulses
+
+
+def run_to_completion(lane) -> int:
+    """Tick a loaded tub multiplier lane edge by edge until its stream
+    drains; returns the exact product."""
+    while lane.busy:
+        lane.tick()
+    return lane.product
+
+
+def run_burst(cell) -> "tuple[int, int]":
+    """Tick a loaded tub PE cell edge by edge until its burst ends;
+    returns (partial sum, cycles)."""
+    cycles = 0
+    while cell.busy:
+        cell.tick()
+        cycles += 1
+    return cell.partial_sum, cycles
+
+
+def stage_step(executor, index: int, shape: tuple) -> _Step:
+    """Stage ``index`` of ``executor``'s network alone, for a
+    (B, C, H, W) input of ``shape``: a one-stage plan bound to scratch
+    of its own, so running it leaves the executor untouched.  Its psums
+    are never pooled, so its :meth:`~_Step.conv_fused` returns the
+    stage's unpooled output, and :meth:`~_Step.run` its pre-SDP psums
+    as a channels-last (B, OH, OW, K) view in the stage's float
+    dtype."""
+    stages = executor.net.stages
+    step = _Step(
+        index, stages[index], executor._fused_stages[index], shape,
+        index == len(stages) - 1,
+    )
+    step.bind({
+        key: np.empty(math.prod(need), dtype=key[1])
+        for key, need in step.needs.items()
+    })
+    return step
+
+
+@contextmanager
+def recorded_stages(executor):
+    """Within the block, a list that gains ``(step, batch, residual,
+    output)`` for every stage ``executor`` runs, in run order: its plan
+    step, the (B, C, H, W) input and folded residual the step was
+    given, and the output it handed on (pooled where the plan pools the
+    step's psums)."""
+    calls = []
+    conv = _Step.conv_fused
+
+    def recorded(step, batch, residual=None):
+        output = conv(step, batch, residual)
+        if any(step is own for own in executor._plan):
+            calls.append((step, batch, residual, output))
+        return output
+
+    _Step.conv_fused = recorded
+    try:
+        yield calls
+    finally:
+        _Step.conv_fused = conv

@@ -17,6 +17,11 @@ from repro.quant.profile import (
 from repro.utils.intrange import INT2, INT4, INT8
 
 
+def layer_specs(profile, count):
+    """The profile's per-layer formats for a ``count``-layer network."""
+    return tuple(profile.spec_for(index, count) for index in range(count))
+
+
 class TestRegistry:
     def test_named_profiles_present(self):
         assert set(PROFILES) == {
@@ -74,10 +79,10 @@ class TestResolution:
 
 class TestLayerSpecs:
     def test_uniform_everywhere(self):
-        assert UNIFORM_INT4.layer_specs(4) == (INT4,) * 4
+        assert layer_specs(UNIFORM_INT4, 4) == (INT4,) * 4
 
     def test_mixed_first_last_override(self):
-        assert MIXED_EDGE.layer_specs(5) == (
+        assert layer_specs(MIXED_EDGE, 5) == (
             INT8,
             INT4,
             INT4,
@@ -86,10 +91,10 @@ class TestLayerSpecs:
         )
 
     def test_two_layer_network_is_all_edges(self):
-        assert MIXED_EDGE.layer_specs(2) == (INT8, INT8)
+        assert layer_specs(MIXED_EDGE, 2) == (INT8, INT8)
 
     def test_single_layer_network(self):
-        assert MIXED_EDGE.layer_specs(1) == (INT8,)
+        assert layer_specs(MIXED_EDGE, 1) == (INT8,)
 
     def test_bad_index_and_count_raise(self):
         with pytest.raises(PrecisionError):

@@ -43,6 +43,12 @@ from repro.unary.encoding import PureUnaryCode, TwosUnaryCode
 from repro.utils.intrange import INT2, INT4, INT8
 from repro.utils.rng import make_rng
 
+
+def layer_backends(profile, count):
+    """The profile's per-layer backend names for ``count`` layers."""
+    return tuple(profile.spec_for(index, count) for index in range(count))
+
+
 ALL_BACKENDS = ("binary", "tempus", "tugemm", "tubgemm")
 TINY = dict(scale=0.06, input_size=16)
 
@@ -159,12 +165,12 @@ class TestBackendProfile:
         profile = backend_profile("tubgemm")
         assert profile.is_uniform
         assert profile.describe() == "tubgemm"
-        assert profile.layer_backends(3) == ("tubgemm",) * 3
+        assert layer_backends(profile, 3) == ("tubgemm",) * 3
 
     def test_mixed_spec_parsing(self):
         profile = backend_profile("binary/tubgemm/binary")
         assert not profile.is_uniform
-        assert profile.layer_backends(4) == (
+        assert layer_backends(profile, 4) == (
             "binary",
             "tubgemm",
             "tubgemm",

@@ -43,7 +43,8 @@ from repro.runtime.lowering import identity_orders
 from repro.runtime.runner import run_per_image
 from repro.serve import ShardedRunner
 from repro.utils.intrange import INT2, INT8, int_spec
-from tests.oracles import golden_conv2d_batched
+from tests.oracles import golden_conv2d_batched, recorded_stages, \
+    stage_step
 
 #: Structurally dissimilar nets (depthwise-heavy, dense-residual,
 #: grouped/shuffled, branchy) — kept tiny via scale/input_size.
@@ -230,6 +231,13 @@ def test_fused_matches_int8_spec_bounds(fuzz_rng):
 PSUM_PRECISIONS = ("int8", "int4", "int2")
 
 
+def _psums(executor, index, batch):
+    """Stage ``index``'s pre-SDP psums of ``batch``, run alone on a
+    one-stage plan, as (B, K, OH, OW) in the stage's float dtype."""
+    step = stage_step(executor, index, batch.shape)
+    return step.run(batch).transpose(0, 3, 1, 2)
+
+
 def _stage_input(rng, stage, batch=2):
     """Full-range random input at the stage's fitted input shape."""
     layer = stage.layer
@@ -285,7 +293,7 @@ def test_fused_psums_match_int64_golden_on_every_stage(fuzz_rng, model):
                     stage.scheduled_weights(), stage.weights
                 )
                 batch = _stage_input(fuzz_rng, stage)
-                psums = executor._fused_psums(index, stage, batch)
+                psums = _psums(executor, index, batch)
                 expected = _golden_psums(reference, batch)
                 assert psums.dtype == executor._fused_stages[index].dtype
                 assert np.array_equal(psums, expected), (
@@ -403,9 +411,7 @@ def test_fused_bound_selects_exact_dtype(
     batch = _bound_inputs(fuzz_rng, stage)
     expected = _golden_psums(stage, batch)
     assert np.abs(expected).max() == plan.bound
-    assert np.array_equal(
-        executor._fused_psums(0, stage, batch), expected
-    )
+    assert np.array_equal(_psums(executor, 0, batch), expected)
     # The full run (SDP included) agrees with the reference SDP on
     # the golden psums.
     assert np.array_equal(
@@ -659,8 +665,8 @@ def test_sdp_fused_adds_the_folded_residual(fuzz_rng, precision):
     """tiny_llm folds both residual adds into stages (one relu, one
     with no activation).  Their epilogue with a full-range residual
     equals ``Sdp.apply_many`` plus the saturating add, on full-range
-    and near-tie psums and for every SDP variant; the residual runs in
-    the executor's scratch through ``_conv_fused`` too."""
+    and near-tie psums and for every SDP variant; the residual runs
+    through a one-stage plan's ``_Step.conv_fused`` too."""
     net = NetworkRunner(
         CoreConfig(k=4, n=4),
         precision=precision,
@@ -696,7 +702,9 @@ def test_sdp_fused_adds_the_folded_residual(fuzz_rng, precision):
                 )
                 live += np.count_nonzero(expected)
                 total += expected.size
-        output = executor._conv_fused(index, stage, batch, residual)
+        output = stage_step(executor, index, batch.shape).conv_fused(
+            batch, residual
+        )
         assert np.array_equal(
             output, _reference(stage.sdp, psums, residual)
         ), stage.name
@@ -870,18 +878,12 @@ def test_the_pool_stays_after_the_sdp_where_it_does_not_commute(
     live = total = 0
     for label, (program, pools_psums) in variants.items():
         executor = BatchExecutor(program)
-        inputs = {}
-        conv = executor._conv_fused
-
-        def record(index, stage, batch, residual=None):
-            inputs[index] = batch
-            return conv(index, stage, batch, residual)
-
-        executor._conv_fused = record
         images = program.precision.random_array(
             fuzz_rng, (3,) + tuple(program.input_shape)
         )
-        output, stages, cycles = executor.run_batch(images)
+        with recorded_stages(executor) as calls:
+            output, stages, cycles = executor.run_batch(images)
+        inputs = {step.index: batch for step, batch, _, _ in calls}
         plan = executor._plan
         assert (plan[0].psum_pool is not None) == pools_psums, label
         assert (plan[1].pool is None) == pools_psums, label
@@ -940,16 +942,12 @@ def test_a_folded_residual_keeps_the_pool_after_the_sdp(fuzz_rng):
         ("residual", folded, False), ("no residual", plain, True),
     ):
         executor = BatchExecutor(program)
-        calls = {}
-        conv = executor._conv_fused
-
-        def record(index, stage, batch, residual=None):
-            output = conv(index, stage, batch, residual)
-            calls[index] = (batch, output)
-            return output
-
-        executor._conv_fused = record
-        output, records, cycles = executor.run_batch(images)
+        with recorded_stages(executor) as recorded:
+            output, records, cycles = executor.run_batch(images)
+        calls = {
+            step.index: (batch, output)
+            for step, batch, _, output in recorded
+        }
         plan = executor._plan
         assert (plan[target].psum_pool is not None) == pools_psums, label
         assert (plan[pooled].pool is None) == pools_psums, label
@@ -1061,33 +1059,33 @@ def _scratch_bytes_by_role(executor):
     return totals
 
 
+def _need_bytes_by_role(step):
+    """The scratch bytes per buffer role that ``step`` binds."""
+    totals = collections.Counter()
+    for (role, dtype), shape in step.needs.items():
+        totals[role] += math.prod(shape) * dtype.itemsize
+    return totals
+
+
 def _assert_scratch_is_sized_to_the_largest_stage(rng, model):
     """One model's check of the test below."""
     net = NetworkRunner(CoreConfig(k=4, n=4), **TINY).compile(model)
     executor = BatchExecutor(net)
     assert len({plan.dtype for plan in executor._fused_stages}) == 1
-    stage_inputs = []
-    conv = executor._conv_fused
-
-    def record(index, stage, batch, residual=None):
-        stage_inputs.append((index, stage, batch, residual))
-        return conv(index, stage, batch, residual)
-
-    executor._conv_fused = record
     batch_size = 8
-    executor.run_batch(
-        net.precision.random_array(
-            rng, (batch_size,) + tuple(net.input_shape)
+    with recorded_stages(executor) as stage_inputs:
+        executor.run_batch(
+            net.precision.random_array(
+                rng, (batch_size,) + tuple(net.input_shape)
+            )
         )
-    )
     assert len(stage_inputs) == len(net.stages)
     largest = collections.Counter()
     summed = collections.Counter()
     pooled = 0
-    for index, stage, batch, residual in stage_inputs:
-        alone = BatchExecutor(net)
-        alone._conv_fused(index, stage, batch, residual)
-        needs = _scratch_bytes_by_role(alone)
+    for step, batch, _, _ in stage_inputs:
+        index, stage = step.index, step.stage
+        needs = _need_bytes_by_role(stage_step(executor, index, batch.shape))
         layer = stage.layer
         height, width = layer.out_height, layer.out_width
         epilogue = 8 * batch_size * layer.out_channels * height * width
@@ -1145,11 +1143,9 @@ def _scratch_views(step):
 
 
 def _assert_plans_view_live_scratch(executor):
-    """Neither the kept plan nor the kept one-stage plan holds a view
-    of a replaced scratch buffer."""
+    """The kept plan holds no view of a replaced scratch buffer."""
     buffers = list(executor._scratch.values())
-    spare = () if executor._spare is None else (executor._spare,)
-    for step in (*executor._plan, *spare):
+    for step in executor._plan:
         for view in _scratch_views(step):
             assert any(
                 np.may_share_memory(view, buffer) for buffer in buffers
@@ -1158,8 +1154,8 @@ def _assert_plans_view_live_scratch(executor):
 
 @pytest.mark.parametrize("model", ("resnet18", "mobilenet_v2"))
 def test_plans_replay_across_batch_sizes(fuzz_rng, model):
-    """One executor runs batches of 8, 1, 8, 32 (its scratch grows,
-    which drops every plan) and 1 images.  Every run equals a fresh
+    """One executor runs batches of 8, 1, 8, 32 (its scratch grows)
+    and 1 images.  Every run equals a fresh
     executor's and the per-image run through the real cores in
     outputs, cycles and stage records; every stage's output equals the
     same stage run alone on a freshly bound one-stage plan (so a pad
@@ -1171,24 +1167,14 @@ def test_plans_replay_across_batch_sizes(fuzz_rng, model):
     runner = NetworkRunner(CoreConfig(k=4, n=4), precision="int2", **TINY)
     net = runner.compile(model)
     executor = BatchExecutor(net)
-    alone = BatchExecutor(net)
-    calls = []
-    conv = executor._conv_fused
-
-    def record(index, stage, batch, residual=None):
-        output = conv(index, stage, batch, residual)
-        calls.append((index, stage, batch, residual, output))
-        return output
-
-    executor._conv_fused = record
     live = total = pooled = 0
     for batch in (8, 1, 8, 32, 1):
         context = f"model={model} batch={batch}"
         images = net.precision.random_array(
             fuzz_rng, (batch,) + tuple(net.input_shape)
         )
-        calls.clear()
-        output, stages, cycles = executor.run_batch(images)
+        with recorded_stages(executor) as calls:
+            output, stages, cycles = executor.run_batch(images)
         fresh = BatchExecutor(net).run_batch(images)
         assert np.array_equal(output, fresh[0]), context
         assert (stages, cycles) == fresh[1:], context
@@ -1205,9 +1191,11 @@ def test_plans_replay_across_batch_sizes(fuzz_rng, model):
             for record in reference.stages
         ], context
         assert len(calls) == len(net.stages), context
-        for index, stage, batch_in, residual, stage_output in calls:
-            expected = alone._conv_fused(index, stage, batch_in, residual)
-            if executor._plan[index].psum_pool is not None:
+        for step, batch_in, residual, stage_output in calls:
+            index, stage = step.index, step.stage
+            expected = stage_step(executor, index, batch_in.shape) \
+                .conv_fused(batch_in, residual)
+            if step.psum_pool is not None:
                 # Hardware order: SDP, then the next stage's PDP.
                 expected = Pdp(net.stages[index + 1].pool).apply_many(
                     expected
@@ -1249,65 +1237,6 @@ def test_executor_keeps_only_the_last_plan(fuzz_rng, monkeypatch):
         ), batch
         _assert_plans_view_live_scratch(executor)
     assert built == [2, 3, 2, 1]
-
-
-def test_stage_run_alone_binds_one_step(fuzz_rng, monkeypatch):
-    """A stage run outside ``run_batch`` on a shape no kept plan has
-    binds one one-stage plan, which a repeat call on the same stage
-    and shape reuses and a call on another shape replaces; a stage of
-    the kept plan binds nothing.  When
-    either binding grows the scratch, the other plan is dropped, so
-    neither keeps a view of a replaced buffer."""
-    net = NetworkRunner(CoreConfig(k=4, n=4), **TINY).compile("resnet18")
-    executor = BatchExecutor(net)
-    bound = []
-    bind = executor._bind
-
-    def counted(steps):
-        bound.append(len(steps))
-        return bind(steps)
-
-    monkeypatch.setattr(executor, "_bind", counted)
-    stage = net.stages[0]
-    images = net.precision.random_array(
-        fuzz_rng, (2,) + tuple(net.input_shape)
-    )
-    first = executor._conv_fused(0, stage, images[:1])
-    assert bound == [1]
-    assert np.array_equal(
-        executor._conv_fused(0, stage, images[:1]), first
-    )
-    assert np.array_equal(
-        executor._fused_psums(0, stage, images[:1]),
-        BatchExecutor(net)._fused_psums(0, stage, images[:1]),
-    )
-    assert bound == [1]
-    # A kept plan whose binding grows the scratch drops the one-stage
-    # plan.
-    executor.run_batch(images)
-    assert bound == [1, len(net.stages)]
-    assert executor._spare is None
-    _assert_plans_view_live_scratch(executor)
-    bound.clear()
-    executor._conv_fused(0, stage, images)
-    assert bound == []
-    # A one-stage plan that grows the scratch drops the kept plan.
-    wide = net.precision.random_array(
-        fuzz_rng, (64,) + tuple(net.input_shape)
-    )
-    executor._conv_fused(0, stage, wide)
-    assert bound == [1] and executor._plan_shape is None
-    _assert_plans_view_live_scratch(executor)
-    # Another shape gets a one-stage plan of its own.
-    assert np.array_equal(
-        executor._conv_fused(0, stage, images[:1]), first
-    )
-    assert bound == [1, 1]
-    assert np.array_equal(
-        executor.run_batch(images)[0],
-        BatchExecutor(net).run_batch(images)[0],
-    )
-    assert np.count_nonzero(first) > 0.1 * first.size
 
 
 def test_seams_make_no_padded_copies(fuzz_rng, monkeypatch):
@@ -1441,9 +1370,8 @@ def test_seams_on_live_data_match_the_reference(fuzz_rng, model):
                         spec.max_value,
                     )
                     residual = _as_stage_output(residual)
-                actual = executor._conv_fused(
-                    index, stage, batch, residual
-                )
+                actual = stage_step(executor, index, batch.shape) \
+                    .conv_fused(batch, residual)
                 final = index == len(program.stages) - 1
                 assert actual.dtype == (np.int64 if final else np.int32)
                 assert np.array_equal(actual, expected), (
@@ -1492,8 +1420,9 @@ def test_run_batch_returns_a_private_contiguous_nchw_array(
 ):
     """The output contract: ``run_batch`` returns a fresh C-contiguous
     (B, K, OH, OW) int64 array, whichever fused-kernel kind the last
-    stage runs on, and ``_fused_psums`` returns every stage's psums as
-    (B, K, OH, OW) in the stage dtype."""
+    stage runs on, and every stage run alone computes its psums in the
+    stage dtype, (B, K, OH, OW) seen through the channels-last
+    scratch."""
     net = NetworkRunner(CoreConfig(k=4, n=4), **TINY).compile(model)
     net = _truncated(net, kind, BatchExecutor(net)._fused_stages)
     executor = BatchExecutor(net)
@@ -1510,7 +1439,7 @@ def test_run_batch_returns_a_private_contiguous_nchw_array(
     for step in executor._plan:
         stage = step.stage
         batch = stage.precision.random_array(fuzz_rng, step.in_shape)
-        psums = executor._fused_psums(step.index, stage, batch)
+        psums = _psums(executor, step.index, batch)
         assert psums.shape == step.out_shape, stage.name
         assert psums.dtype == executor._fused_stages[step.index].dtype
         expected = _golden_psums(stage, _fitted(stage, batch))
@@ -1531,19 +1460,15 @@ def test_stages_hand_on_int32_and_the_api_returns_int64(fuzz_rng, model):
     )
     net = NetworkRunner(CoreConfig(k=4, n=4), **sizes).compile(model)
     executor = BatchExecutor(net)
-    handed = []
-    conv = executor._conv_fused
-
-    def record(index, stage, batch, residual=None):
-        output = conv(index, stage, batch, residual)
-        handed.append((index, batch.dtype, output))
-        return output
-
-    executor._conv_fused = record
     images = net.precision.random_array(
         fuzz_rng, (2,) + tuple(net.input_shape)
     )
-    output, _, _ = executor.run_batch(images)
+    with recorded_stages(executor) as calls:
+        output, _, _ = executor.run_batch(images)
+    handed = [
+        (step.index, batch.dtype, stage_output)
+        for step, batch, _, stage_output in calls
+    ]
     last = len(net.stages) - 1
     assert [index for index, _, _ in handed] == list(range(last + 1))
     for index, in_dtype, stage_output in handed:

@@ -29,6 +29,8 @@ from repro.nvdla.config import CoreConfig
 from repro.quant.profile import PROFILES
 from repro.runtime import BatchExecutor, NetworkRunner, backends
 from repro.runtime.backends import ComputeBackend, get_backend
+from repro.runtime.executor import _Step
+from tests.oracles import stage_step
 
 BACKENDS = ("binary", "tempus", "tugemm", "tubgemm")
 PRECISIONS = ("int8", "int4", "int2")
@@ -224,10 +226,9 @@ def test_linear_stage_matches_tubmatvec(engine, precision):
         channels = stage.weights.shape[2]
         activations = np.arange(channels, dtype=np.int64) % 3 - 1
         result = project_linear_stage(stage, activations=activations)
-        psums = executor._fused_psums(
-            index, stage, activations[None, :, None, None]
-        )
-        assert np.array_equal(result.output, psums[0, :, 0, 0]), stage.name
+        batch = activations[None, :, None, None]
+        psums = stage_step(executor, index, batch.shape).run(batch)
+        assert np.array_equal(result.output, psums[0, 0, 0]), stage.name
 
 
 def test_project_linear_stage_rejects_conv_stages():
@@ -307,16 +308,17 @@ def test_decode_cycles_follow_the_prefix_length(rng):
 # ---------------------------------------------------------------------
 def _psum_rows(executor, monkeypatch):
     """A list that records the token rows every stage's conv
-    (``_conv_fused``: psums and epilogue) is given, one entry per stage
-    per run."""
+    (``_Step.conv_fused``: psums and epilogue) of ``executor`` is
+    given, one entry per stage per run."""
     rows = []
-    conv = executor._conv_fused
+    conv = _Step.conv_fused
 
-    def counted(index, stage, batch, residual=None):
-        rows.append(batch.shape[2])
-        return conv(index, stage, batch, residual)
+    def counted(step, batch, residual=None):
+        if any(step is own for own in executor._plan):
+            rows.append(batch.shape[2])
+        return conv(step, batch, residual)
 
-    monkeypatch.setattr(executor, "_conv_fused", counted)
+    monkeypatch.setattr(_Step, "conv_fused", counted)
     return rows
 
 

@@ -32,6 +32,7 @@ from repro.nvdla.config import CoreConfig
 from repro.nvdla.pdp import Pdp
 from repro.runtime import BatchExecutor, NetworkRunner
 from repro.utils.rng import GLOBAL_SEED, make_rng
+from tests.oracles import recorded_stages
 
 GOLDEN = Path(__file__).parent / "golden" / "stages.json"
 MODELS = MODEL_NAMES + ("tiny_llm",)
@@ -79,19 +80,13 @@ def stage_digests(model: str, precision: str, scale: float,
     )
     net = runner.compile(model)
     executor = BatchExecutor(net)
-    outputs = {}
-    conv = executor._conv_fused
-
-    def record(index, stage, batch, residual=None):
-        outputs[index] = output = conv(index, stage, batch, residual)
-        return output
-
-    executor._conv_fused = record
     rng = make_rng("stage-golden", model, precision, str(scale), size)
     images = net.precision.random_array(
         rng, (BATCH,) + tuple(net.input_shape)
     )
-    executor.run_batch(images)
+    with recorded_stages(executor) as calls:
+        executor.run_batch(images)
+    outputs = {step.index: output for step, _, _, output in calls}
     records = []
     for index, stage in enumerate(net.stages):
         following = (

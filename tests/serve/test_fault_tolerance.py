@@ -175,7 +175,7 @@ def test_externally_killed_workers_recover():
         workers=2, config=config, engine="tempus", max_batch=2, **TINY
     ) as server:
         server.start("resnet18")
-        for process in server._processes:
+        for process in server.supervisor.processes:
             process.terminate()
             process.join(timeout=30)
         result = server.run("resnet18", 6)
@@ -187,13 +187,13 @@ def _kill_and_await_respawn(server):
     """Terminate every worker of ``server``'s pool from outside and
     wait until the supervisor's probe thread has replaced them all."""
     killed = set()
-    for process in server._processes:
+    for process in server.supervisor.processes:
         killed.add(process.pid)
         process.terminate()
         process.join(timeout=30)
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
-        processes = server._processes
+        processes = server.supervisor.processes
         if len(processes) == len(killed) and all(
             process.pid not in killed and process.is_alive()
             for process in processes
@@ -311,14 +311,14 @@ class TestStopSafety:
         server.start("resnet18")
         server.stop()
         server.stop()  # second stop must be a no-op, not an error
-        assert server._processes == []
+        assert server.supervisor is None
 
     def test_stop_survives_already_dead_workers(self):
         server = ShardedRunner(
             workers=2, config=CoreConfig(k=4, n=4), **TINY
         )
         server.start("resnet18")
-        for process in server._processes:
+        for process in server.supervisor.processes:
             process.terminate()
             process.join(timeout=30)
         server.stop()
@@ -344,4 +344,3 @@ class TestStopSafety:
         with pytest.raises(Exception):
             server.run("resnet18", np.zeros((2, 5, 4, 4), np.int64))
         assert server.supervisor is None
-        assert server._processes == []

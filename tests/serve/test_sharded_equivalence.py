@@ -253,7 +253,7 @@ def test_dead_worker_recovers_instead_of_failing():
         workers=1, config=config, engine="tempus", **TINY
     ) as server:
         server.start("resnet18")
-        for process in server._processes:
+        for process in server.supervisor.processes:
             process.terminate()
             process.join(timeout=30)
         sharded = server.run("resnet18", 4)
@@ -289,42 +289,6 @@ def test_worker_failure_surfaces_full_traceback():
     assert ", line " in message  # file/line context, not a repr
 
 
-def test_shed_requests_fail_the_run_with_a_dataflow_error():
-    """Under "shed" admission a full queue evicts its oldest requests,
-    so the stream cannot be returned whole: ``run`` raises
-    :class:`DataflowError` naming the shed sequence numbers (not a bare
-    ``ValueError`` from stacking a missing row) and releases the
-    pool."""
-    import re
-
-    from repro.errors import DataflowError
-
-    server = ShardedRunner(
-        workers=1,
-        max_batch=4,
-        max_wait=0.05,
-        max_pending=2,
-        admission="shed",
-        config=CoreConfig(k=4, n=4),
-        **TINY,
-    )
-    try:
-        with pytest.raises(
-            DataflowError, match="shed by admission control"
-        ) as excinfo:
-            server.run("resnet18", 12)
-        named = re.search(r"sequence numbers \[([\d, ]+)\]",
-                          str(excinfo.value))
-        assert named is not None, str(excinfo.value)
-        shed = [int(seq) for seq in named.group(1).split(",")]
-        assert shed == sorted(set(shed))
-        assert set(shed) <= set(range(12))
-        assert server.supervisor is None
-        assert server._processes == []
-    finally:
-        server.stop()
-
-
 def test_a_bad_batch_keeps_the_warm_pool():
     """A batch that fails validation (wrong shape, or empty) raises
     :class:`DataflowError` before any request is submitted: the warm
@@ -338,7 +302,7 @@ def test_a_bad_batch_keeps_the_warm_pool():
     ) as server:
         server.start("resnet18")
         supervisor = server.supervisor
-        pids = [process.pid for process in server._processes]
+        pids = [process.pid for process in supervisor.processes]
         net = server.compile("resnet18")
         for bad in (
             np.zeros((2, 1, 8, 16), np.int64),
@@ -347,8 +311,9 @@ def test_a_bad_batch_keeps_the_warm_pool():
             with pytest.raises(DataflowError):
                 server.run("resnet18", bad)
             assert server.supervisor is supervisor, bad.shape
-            assert [process.pid for process in server._processes] == pids
+            assert [process.pid for process in supervisor.processes] \
+                == pids
         result = server.run("resnet18", 2)
         assert server.supervisor is supervisor
-        assert [process.pid for process in server._processes] == pids
+        assert [process.pid for process in supervisor.processes] == pids
     assert result.health["restarts"] == 0

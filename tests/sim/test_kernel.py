@@ -85,20 +85,16 @@ class TestBurstStepping:
     def test_step_many_single_tick_multi_cycle(self):
         counter = Counter()
         sim = CycleSimulator([counter])
-        sim.step_many(10)
+        sim.run_events(lambda: counter.value >= 1, span=lambda: 10)
         assert counter.value == 1  # one tick...
         assert sim.cycle == 10  # ...spanning ten clock edges
 
     def test_step_many_one_equals_step(self):
         counter = Counter()
         sim = CycleSimulator([counter])
-        sim.step_many(1)
+        sim.run_events(lambda: counter.value >= 1, span=lambda: 1)
         assert counter.value == 1
         assert sim.cycle == 1
-
-    def test_step_many_rejects_non_positive(self):
-        with pytest.raises(SimulationError):
-            CycleSimulator().step_many(0)
 
     def test_run_events_skips_by_span(self):
         counter = Counter()

@@ -13,12 +13,13 @@ class TestTraceRecorder:
     def test_sample_many(self):
         trace = TraceRecorder()
         trace.sample_many(0, {"a": 1, "b": 2})
-        assert trace.value_at("a", 0) == 1
-        assert trace.value_at("b", 0) == 2
+        assert trace.series("a") == [1]
+        assert trace.series("b") == [2]
 
     def test_value_at_missing(self):
         trace = TraceRecorder()
-        assert trace.value_at("nope", 0) is None
+        trace.sample(0, "sig", 1)
+        assert trace.series("nope") == [None]
 
     def test_render_contains_signals_and_cycles(self):
         trace = TraceRecorder()

@@ -38,12 +38,10 @@ def _point(cycles, pj, mm2, label="p"):
 class TestSlo:
     def test_unconstrained_admits_everything(self):
         slo = Slo()
-        assert not slo.constrained
         assert slo.admits(1e12, 1e12)
 
     def test_budgets_enforced_independently(self):
         slo = Slo(max_cycles_per_image=100, max_pj_per_image=50)
-        assert slo.constrained
         assert slo.admits(100, 50)
         assert not slo.admits(101, 50)
         assert not slo.admits(100, 51)

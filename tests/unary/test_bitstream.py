@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import EncodingError
 from repro.unary.bitstream import TemporalBitstream
+from tests.oracles import signed_pulses
 
 
 class TestConstruction:
@@ -19,10 +20,6 @@ class TestConstruction:
     def test_negative_pulse_rejected(self):
         with pytest.raises(EncodingError):
             TemporalBitstream((-1,))
-
-    def test_from_iterable(self):
-        stream = TemporalBitstream.from_iterable([1, 1], negative=True)
-        assert stream.value == -2
 
 
 class TestProperties:
@@ -47,27 +44,9 @@ class TestProperties:
         assert list(stream) == [2, 1]
 
 
-class TestPadding:
-    def test_padded_extends_with_zeros(self):
-        stream = TemporalBitstream((2,)).padded(3)
-        assert stream.pulses == (2, 0, 0)
-        assert stream.magnitude == 2
-
-    def test_pad_shorter_raises(self):
-        with pytest.raises(EncodingError):
-            TemporalBitstream((2, 2)).padded(1)
-
-    def test_pad_preserves_sign(self):
-        assert TemporalBitstream((1,), True).padded(4).value == -1
-
-
 class TestSignedView:
     def test_signed_pulses_negative(self):
-        assert TemporalBitstream((2, 1), True).signed_pulses() == (-2, -1)
+        assert signed_pulses(TemporalBitstream((2, 1), True)) == (-2, -1)
 
     def test_signed_pulses_positive(self):
-        assert TemporalBitstream((2, 1)).signed_pulses() == (2, 1)
-
-    def test_waveform_render(self):
-        assert TemporalBitstream((2, 2, 1), True).waveform() == "-|2 2 1|"
-        assert TemporalBitstream(()).waveform() == "+|·|"
+        assert signed_pulses(TemporalBitstream((2, 1))) == (2, 1)

@@ -5,18 +5,19 @@ import pytest
 from repro.errors import SimulationError
 from repro.unary.encoder import TemporalEncoder
 from repro.unary.encoding import PureUnaryCode
+from tests.oracles import drain
 
 
 class TestTemporalEncoder:
     def test_positive_stream(self):
         enc = TemporalEncoder()
         enc.load(5)
-        assert enc.drain() == [2, 2, 1]
+        assert drain(enc) == [2, 2, 1]
 
     def test_negative_stream(self):
         enc = TemporalEncoder()
         enc.load(-4)
-        assert enc.drain() == [-2, -2]
+        assert drain(enc) == [-2, -2]
 
     def test_zero_never_busy(self):
         enc = TemporalEncoder()
@@ -31,15 +32,15 @@ class TestTemporalEncoder:
     def test_idle_ticks_emit_zero(self):
         enc = TemporalEncoder()
         enc.load(2)
-        enc.drain()
+        drain(enc)
         assert enc.tick() == 0
 
     def test_reload_restarts(self):
         enc = TemporalEncoder()
         enc.load(2)
-        enc.drain()
+        drain(enc)
         enc.load(3)
-        assert enc.drain() == [2, 1]
+        assert drain(enc) == [2, 1]
 
     def test_remaining_cycles_counts_down(self):
         enc = TemporalEncoder()
@@ -53,10 +54,10 @@ class TestTemporalEncoder:
     def test_pure_unary_mode(self):
         enc = TemporalEncoder(PureUnaryCode())
         enc.load(-3)
-        assert enc.drain() == [-1, -1, -1]
+        assert drain(enc) == [-1, -1, -1]
 
     def test_sum_of_pulses_equals_value(self):
         enc = TemporalEncoder()
         for value in range(-128, 128, 7):
             enc.load(value)
-            assert sum(enc.drain()) == value
+            assert sum(drain(enc)) == value

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from repro.unary.encoder import TemporalEncoder
 from repro.unary.encoding import PureUnaryCode, TwosUnaryCode
+from tests.oracles import drain, signed_pulses
 
 int8_values = st.integers(min_value=-128, max_value=127)
 any_values = st.integers(min_value=-(1 << 15), max_value=(1 << 15) - 1)
@@ -47,8 +48,8 @@ def test_encoder_stream_matches_code(value):
     (signed)."""
     encoder = TemporalEncoder()
     encoder.load(value)
-    pulses = encoder.drain()
-    expected = list(TwosUnaryCode().encode(value).signed_pulses())
+    pulses = drain(encoder)
+    expected = list(signed_pulses(TwosUnaryCode().encode(value)))
     assert pulses == expected
 
 

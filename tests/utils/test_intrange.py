@@ -25,8 +25,8 @@ class TestRanges:
             assert spec.max_magnitude == -spec.min_value
 
     def test_levels(self):
-        assert INT8.levels == 256
-        assert INT4.levels == 16
+        assert 1 << INT8.width == 256
+        assert 1 << INT4.width == 16
 
     def test_name(self):
         assert INT8.name == "INT8"
